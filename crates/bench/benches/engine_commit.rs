@@ -63,9 +63,6 @@ impl LogStore for SlowLogStore {
     fn truncate_prefix(&self, upto: u64) -> Result<()> {
         self.inner.truncate_prefix(upto)
     }
-    fn truncate_all(&self) -> Result<()> {
-        self.inner.truncate_all()
-    }
 }
 
 fn bench_single_committer(c: &mut Criterion) {

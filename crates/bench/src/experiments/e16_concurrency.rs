@@ -1,16 +1,12 @@
 //! E16 — concurrency layer: throughput and tail latency of mixed
-//! read/write storms as a function of worker count, read/write mix, and
-//! the per-note lock table (on) vs a single global write lock (off).
+//! read/write storms as a function of worker count and read/write mix.
 //!
-//! Readers run the full `?OpenView`-shaped path with **no lock at all**:
+//! Readers run the full `?OpenView`-shaped path without the engine mutex:
 //! pin a snapshot, take one consistent view page ([`domino_views::View::page`]),
 //! and open every row from the snapshot. Writers run optimistic
-//! field-update commits; with the lock table on they serialize per note,
-//! with it off they all funnel through one global exclusive key (the
-//! pre-concurrency-layer behavior). The `rd_locks` column counts lock
-//! acquisitions made by the read path — it is structurally zero, which is
-//! the "readers never wait on the writer lock" claim made observable:
-//! a reader that takes no lock cannot wait on one.
+//! field-update commits: they queue on the engine mutex (`eng_waits`
+//! counts the commits that found it held) and a writer that loses a
+//! same-note race re-reads and retries (`conflicts`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,10 +28,10 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-fn fixture(docs: usize, lock_table: bool) -> (Arc<Database>, Arc<View>, Vec<NoteId>) {
+fn fixture(docs: usize) -> (Arc<Database>, Arc<View>, Vec<NoteId>) {
     let db = Arc::new(
         Database::open_in_memory(
-            DbConfig::new("E16", ReplicaId(0xE16), ReplicaId(1)).with_lock_table(lock_table),
+            DbConfig::new("E16", ReplicaId(0xE16), ReplicaId(1)),
             LogicalClock::new(),
         )
         .expect("open db"),
@@ -77,8 +73,8 @@ struct MixResult {
     elapsed_s: f64,
     rd_p99_us: u64,
     wr_p99_us: u64,
-    lock_waits: u64,
-    rd_locks: u64,
+    engine_waits: u64,
+    conflicts: u64,
 }
 
 fn storm(
@@ -90,24 +86,7 @@ fn storm(
     read_pct: u64,
 ) -> MixResult {
     let per_worker = total_ops / workers;
-    let locks_before = db.lock_stats();
-    // Lock acquisitions observed across a read-only warmup window: the
-    // read path pins a snapshot and takes a view page, no lock table at
-    // all, so this delta stays zero and proves readers cannot wait.
-    let rd_before = db.lock_stats();
-    {
-        let snap = db.snapshot();
-        let page = view.page(0, 0, 20);
-        for row in &page.rows {
-            let _ = snap.open_arc(row.note_id);
-        }
-    }
-    let rd_locks = {
-        let after = db.lock_stats();
-        (after.shared_acquired - rd_before.shared_acquired)
-            + (after.exclusive_acquired - rd_before.exclusive_acquired)
-    };
-
+    let metrics_before = domino_obs::snapshot();
     let t0 = Instant::now();
     let handles: Vec<_> = (0..workers)
         .map(|w| {
@@ -118,6 +97,7 @@ fn storm(
                 let mut rng = (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
                 let mut reads = Vec::new();
                 let mut writes = Vec::new();
+                let mut conflicts = 0u64;
                 for _ in 0..per_worker {
                     if xorshift(&mut rng) % 100 < read_pct {
                         let t = Instant::now();
@@ -142,33 +122,38 @@ fn storm(
                             n.set("Counter", Value::Number(c + 1.0));
                             match db.save(&mut n) {
                                 Ok(()) => break,
-                                Err(e) if e.kind() == "update_conflict" => continue,
+                                Err(e) if e.kind() == "update_conflict" => conflicts += 1,
                                 Err(e) => panic!("unexpected error: {e}"),
                             }
                         }
                         writes.push(t.elapsed().as_micros() as u64);
                     }
                 }
-                (reads, writes)
+                (reads, writes, conflicts)
             })
         })
         .collect();
     let mut reads = Vec::new();
     let mut writes = Vec::new();
+    let mut conflicts = 0;
     for h in handles {
-        let (r, w) = h.join().expect("worker");
+        let (r, w, c) = h.join().expect("worker");
         reads.extend(r);
         writes.extend(w);
+        conflicts += c;
     }
     let elapsed_s = t0.elapsed().as_secs_f64();
-    let locks_after = db.lock_stats();
+    let engine_waits = domino_obs::snapshot()
+        .diff(&metrics_before)
+        .histogram("Db.Engine.Wait.Micros")
+        .count;
     MixResult {
         ops: per_worker * workers,
         elapsed_s,
         rd_p99_us: p99(&mut reads),
         wr_p99_us: p99(&mut writes),
-        lock_waits: locks_after.waits - locks_before.waits,
-        rd_locks,
+        engine_waits,
+        conflicts,
     }
 }
 
@@ -176,22 +161,20 @@ pub fn run(scale: Scale) -> Table {
     let mut table = Table::new(
         "e16",
         "Table 10",
-        "Concurrency: ops/s and p99 vs workers x mix x lock table",
-        "Snapshot readers take zero locks (rd_locks = 0 in every row), so \
-         read p99 stays flat as writer pressure grows; the per-note lock \
-         table lets disjoint writers proceed while the global-lock \
-         configuration funnels every commit through one key",
+        "Concurrency: ops/s and p99 vs workers x mix",
+        "Snapshot readers never take the engine mutex, so read p99 does not \
+         rise with the write share; writers queue on that one mutex and \
+         settle same-note races by sequence number",
     )
     .columns(&[
         "mix_r/w",
         "workers",
-        "locks",
         "ops",
         "ops_per_s",
         "rd_p99_us",
         "wr_p99_us",
-        "lk_waits",
-        "rd_locks",
+        "eng_waits",
+        "conflicts",
     ]);
 
     let docs = scale.pick(32, 96);
@@ -199,35 +182,29 @@ pub fn run(scale: Scale) -> Table {
 
     for (mix_label, read_pct) in [("90/10", 90u64), ("50/50", 50), ("10/90", 10)] {
         for workers in [1usize, 2, 4, 8, 16] {
-            for (lock_label, lock_on) in [("note", true), ("global", false)] {
-                let (db, view, ids) = fixture(docs, lock_on);
-                let r = storm(&db, &view, &ids, workers, total_ops, read_pct);
-                table.row(vec![
-                    mix_label.to_string(),
-                    workers.to_string(),
-                    lock_label.to_string(),
-                    fmt(r.ops as f64),
-                    fmt(r.ops as f64 / r.elapsed_s),
-                    fmt(r.rd_p99_us as f64),
-                    fmt(r.wr_p99_us as f64),
-                    fmt(r.lock_waits as f64),
-                    fmt(r.rd_locks as f64),
-                ]);
-            }
+            let (db, view, ids) = fixture(docs);
+            let r = storm(&db, &view, &ids, workers, total_ops, read_pct);
+            table.row(vec![
+                mix_label.to_string(),
+                workers.to_string(),
+                fmt(r.ops as f64),
+                fmt(r.ops as f64 / r.elapsed_s),
+                fmt(r.rd_p99_us as f64),
+                fmt(r.wr_p99_us as f64),
+                fmt(r.engine_waits as f64),
+                fmt(r.conflicts as f64),
+            ]);
         }
     }
     table.takeaway(
-        "rd_locks is 0 in every configuration: the read path pins a \
-         snapshot and never touches the lock table, so readers never wait \
-         on the writer lock regardless of mix or worker count. On this \
-         single-core container every thread time-slices one CPU, so \
-         writer overlap cannot convert into parallel speedup (note vs \
-         global ops/s track each other) and the occasional multi-ms read \
-         p99 at high worker counts is scheduler preemption, not locking — \
-         a reader holding zero locks has nothing to wait on. The lock \
-         table's effect shows in lk_waits: the global key queues commits \
-         behind every other commit, while per-note locking waits only on \
-         genuine same-note collisions",
+        "at a given worker count read p99 does not follow the write share: \
+         the read path pins a snapshot and never touches the engine mutex. \
+         It does grow with workers once they outnumber the cores, which is \
+         scheduler preemption, not locking. Writers serialize on the \
+         engine mutex whatever notes they touch (eng_waits grows with \
+         workers and write share, ops/s stays flat), and conflicts counts \
+         the saves the sequence-number check turned away and the writer \
+         retried",
     );
     table
 }

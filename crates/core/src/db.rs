@@ -24,8 +24,9 @@
 //! thousand-save import as one parallel batch instead of a thousand
 //! single-document updates.
 
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -40,7 +41,6 @@ use domino_types::{
 };
 use domino_wal::MemLogStore;
 
-use crate::lock::{ExclusiveGuard, LockStats, LockTable};
 use crate::merkle::MerkleSummary;
 use crate::mvcc::{Snapshot, SnapshotStats, VersionStore};
 use crate::note::{record_is_stub, DeletionStub, Note};
@@ -55,6 +55,7 @@ struct Metrics {
     deleted: &'static obs::Counter,
     opened: &'static obs::Counter,
     save_micros: &'static obs::Histogram,
+    engine_wait_micros: &'static obs::Histogram,
     compact_runs: &'static obs::Counter,
     compact_notes_copied: &'static obs::Counter,
     compact_bytes_reclaimed: &'static obs::Counter,
@@ -67,6 +68,7 @@ fn m() -> &'static Metrics {
         deleted: obs::counter("Database.Notes.Deleted"),
         opened: obs::counter("Database.Notes.Opened"),
         save_micros: obs::histogram("Database.Save.Micros"),
+        engine_wait_micros: obs::histogram("Db.Engine.Wait.Micros"),
         compact_runs: obs::counter("Database.Compact.Runs"),
         compact_notes_copied: obs::counter("Database.Compact.NotesCopied"),
         compact_bytes_reclaimed: obs::counter("Database.Compact.BytesReclaimed"),
@@ -85,15 +87,6 @@ const SLOT_ACL_NOTE: usize = 4;
 /// Default purge interval (ticks). Domino defaults to 90 days of its
 /// replication-cutoff setting; any value works with the logical clock.
 pub const DEFAULT_PURGE_INTERVAL: u64 = 1_000_000;
-
-/// Default per-note lock acquisition timeout (the deadlock backstop).
-pub const DEFAULT_LOCK_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Sentinel lock key used when the per-note lock table is disabled:
-/// every writer queues on this one key, reproducing the single-writer
-/// database semaphore (the E16 baseline). Generated UNIDs embed a
-/// timestamp and replica id, so no real note ever collides with it.
-const GLOBAL_WRITE_KEY: Unid = Unid(0);
 
 /// A change applied to the database.
 #[derive(Debug, Clone)]
@@ -217,13 +210,6 @@ pub struct DbConfig {
     pub instance_id: ReplicaId,
     pub purge_interval: u64,
     pub engine: EngineConfig,
-    /// How long a writer waits for a contended note lock before giving
-    /// up with [`DominoError::Unavailable`].
-    pub lock_timeout: Duration,
-    /// Per-note write locks (default). When `false`, every writer
-    /// serializes on one global lock — the pre-concurrency behavior,
-    /// kept for comparison (experiment E16).
-    pub use_lock_table: bool,
     /// Snapshot/Merkle seeding strategy at open (default: lazy).
     pub seed_mode: SeedMode,
 }
@@ -236,8 +222,6 @@ impl DbConfig {
             instance_id,
             purge_interval: DEFAULT_PURGE_INTERVAL,
             engine: EngineConfig::default(),
-            lock_timeout: DEFAULT_LOCK_TIMEOUT,
-            use_lock_table: true,
             seed_mode: SeedMode::default(),
         }
     }
@@ -249,16 +233,6 @@ impl DbConfig {
 
     pub fn with_engine(mut self, engine: EngineConfig) -> DbConfig {
         self.engine = engine;
-        self
-    }
-
-    pub fn with_lock_timeout(mut self, timeout: Duration) -> DbConfig {
-        self.lock_timeout = timeout;
-        self
-    }
-
-    pub fn with_lock_table(mut self, enabled: bool) -> DbConfig {
-        self.use_lock_table = enabled;
         self
     }
 
@@ -308,11 +282,12 @@ impl Drop for CheckpointerHandle {
 
 /// A Notes database. Thread-safe; share via `Arc<Database>`.
 ///
-/// Concurrency model (DESIGN.md §concurrency): writers take a per-note
-/// lock from `locks`, then the `inner` engine mutex for the actual
-/// transaction, and publish every committed state into `versions`.
-/// Readers pin a [`Snapshot`] from `versions` and never touch either
-/// writer lock. Lock order is note lock → `inner` → version map.
+/// Concurrency model (DESIGN.md §concurrency): every note mutation runs
+/// under the `inner` engine mutex and publishes its committed state into
+/// `versions` before releasing it; same-note races are settled there by
+/// the sequence-number check in [`Database::save`]. Readers pin a
+/// [`Snapshot`] from `versions` and never touch the engine mutex. Lock
+/// order is `inner` → version map.
 pub struct Database {
     inner: Arc<Mutex<DbInner>>,
     observers: Mutex<Vec<Observer>>,
@@ -325,8 +300,6 @@ pub struct Database {
     /// into `versions` — so the digests always describe a committed
     /// prefix of the change sequence.
     merkle: Mutex<MerkleSummary>,
-    locks: LockTable,
-    lock_enabled: bool,
 }
 
 impl Database {
@@ -446,8 +419,6 @@ impl Database {
             clock,
             versions,
             merkle: Mutex::new(merkle),
-            locks: LockTable::new(config.lock_timeout),
-            lock_enabled: config.use_lock_table,
         })
     }
 
@@ -541,27 +512,6 @@ impl Database {
         self.versions.active_pins()
     }
 
-    /// Process-wide `Db.Lock.*` counters.
-    pub fn lock_stats(&self) -> LockStats {
-        LockTable::stats()
-    }
-
-    /// Take the write lock for a note-mutating operation. With the lock
-    /// table enabled, existing notes lock on their UNID (independent
-    /// writers proceed in parallel) and drafts lock nothing — a fresh
-    /// UNID is unreachable by any other writer. With it disabled, every
-    /// writer queues on one global key.
-    fn write_lock(&self, unid: Option<Unid>) -> Result<Option<ExclusiveGuard<'_>>> {
-        if self.lock_enabled {
-            match unid {
-                Some(u) => Ok(Some(self.locks.exclusive(u)?)),
-                None => Ok(None),
-            }
-        } else {
-            Ok(Some(self.locks.exclusive(GLOBAL_WRITE_KEY)?))
-        }
-    }
-
     fn notify(&self, event: ChangeEvent) {
         {
             let mut b = self.batch_state.lock();
@@ -602,6 +552,93 @@ impl Database {
     // CRUD
     // ------------------------------------------------------------------
 
+    /// The one write path. Every note mutation is the same choreography
+    /// around a different decision: take the engine mutex, read the
+    /// record under `target` once, let `decide` turn the live note there
+    /// (`None` for a stub or nothing) into the record to write — or
+    /// decline with `Ok(None)` — then write it and publish it.
+    ///
+    /// The version map and the Merkle summary are updated *before the
+    /// engine mutex is released*: commit order then equals
+    /// change-sequence order, which is what makes snapshot reads
+    /// linearizable and keeps the digests describing a committed prefix.
+    /// Observers run after it is released. Returns the local id written.
+    fn commit(
+        &self,
+        target: Target,
+        decide: impl FnOnce(&mut DbInner, Option<&Note>) -> Result<Option<Record>>,
+    ) -> Result<Option<NoteId>> {
+        let (id, event) = {
+            let mut g = match self.inner.try_lock() {
+                Some(g) => g,
+                None => {
+                    let blocked = Instant::now();
+                    let g = self.inner.lock();
+                    m().engine_wait_micros
+                        .record(blocked.elapsed().as_micros() as u64);
+                    g
+                }
+            };
+            let stored = match target {
+                Target::New => None,
+                Target::Id(id) => g.stored(id)?,
+                Target::Unid(unid) => {
+                    let store = g.store;
+                    match store.lookup_unid(&mut g.engine, unid)? {
+                        Some(id) => Some(g.stored(id)?.ok_or_else(|| {
+                            DominoError::Corrupt(format!(
+                                "unid {unid} bound to missing record {id}"
+                            ))
+                        })?),
+                        None => None,
+                    }
+                }
+            };
+            let (replaces, old) = match stored {
+                Some(s) => (Some((s.id, s.seq_time)), s.note),
+                None => (None, None),
+            };
+            let Some(mut record) = decide(&mut g, old.as_ref())? else {
+                return Ok(None);
+            };
+            // A lazily seeded version about to be superseded gets its
+            // full pre-image first, so pinned snapshots can still read
+            // the old body after the engine record is overwritten.
+            if let Some(o) = &old {
+                self.versions.backfill(o.unid(), o);
+            }
+            let unid = record.oid().unid;
+            let id = g.write_record(&mut record, replaces)?;
+            let (head, event) = match record {
+                Record::Note(new) => {
+                    self.versions.publish(unid, id, Some(Arc::new(new.clone())));
+                    m().saved.inc();
+                    (
+                        revision::merkle_head(&new),
+                        Some(ChangeEvent::Saved { old, new }),
+                    )
+                }
+                Record::Stub(stub) => {
+                    // Retract a live note from snapshot visibility;
+                    // re-stubbing a stub changes nothing readers see.
+                    if old.is_some() {
+                        self.versions.publish(unid, id, None);
+                    }
+                    (
+                        revision::stub_head(&stub.oid),
+                        old.map(|old| ChangeEvent::Deleted { old, stub }),
+                    )
+                }
+            };
+            self.merkle.lock().set_head(unid, Some(head));
+            (id, event)
+        };
+        if let Some(event) = event {
+            self.notify(event);
+        }
+        Ok(Some(id))
+    }
+
     /// Save a note: create it if it is a draft, else update the stored
     /// copy. On return the note carries its assigned ids and stamps.
     pub fn save(&self, note: &mut Note) -> Result<()> {
@@ -616,17 +653,14 @@ impl Database {
                 note.unid()
             )));
         }
-        let lock = self.write_lock(if note.is_draft() {
-            None
+        let target = if note.is_draft() {
+            Target::New
         } else {
-            Some(note.unid())
-        })?;
-        let event = {
-            let mut g = self.inner.lock();
-            #[allow(unused_variables)]
-            let store = g.store;
+            Target::Id(note.id)
+        };
+        let id = self.commit(target, |g, old| {
             let now = self.clock.now();
-            let old = if note.is_draft() {
+            if note.is_draft() {
                 // Assign identity.
                 let counter = g.unid_counter;
                 g.unid_counter = g.unid_counter.wrapping_add(1);
@@ -638,11 +672,9 @@ impl Database {
                 for it in note.items_raw_mut() {
                     it.revised = now;
                 }
-                None
             } else {
-                let old = g
-                    .load(note.id)?
-                    .ok_or_else(|| DominoError::NotFound(format!("note {} vanished", note.id)))?;
+                let old =
+                    old.ok_or_else(|| DominoError::NotFound(format!("note {} vanished", note.id)))?;
                 if old.unid() != note.unid() {
                     return Err(DominoError::InvalidArgument(
                         "note id/unid mismatch on save".into(),
@@ -661,118 +693,64 @@ impl Database {
                 note.modified = now;
                 note.push_revision(g.instance_id);
                 // Field-level revision stamps: only changed items advance.
-                for it in note.items_raw_mut() {
-                    let prior = old
-                        .items_raw()
-                        .iter()
-                        .find(|o| o.name.eq_ignore_ascii_case(&it.name));
-                    match prior {
-                        Some(p) if p.value == it.value && p.flags == it.flags => {
+                // Items dropped entirely (vs tombstoned) would break
+                // field-level replication; re-add them as tombstones, in
+                // stored order so every replica hashes the same sequence.
+                let olds = old.items_raw();
+                let mut prior: HashMap<String, (usize, bool)> = HashMap::with_capacity(olds.len());
+                for (i, o) in olds.iter().enumerate() {
+                    prior
+                        .entry(o.name.to_ascii_lowercase())
+                        .or_insert((i, false));
+                }
+                let items = note.items_raw_mut();
+                for it in items.iter_mut() {
+                    it.revised = now;
+                    if let Some((i, kept)) = prior.get_mut(&it.name.to_ascii_lowercase()) {
+                        *kept = true;
+                        let p = &olds[*i];
+                        if p.value == it.value && p.flags == it.flags {
                             it.revised = p.revised;
                         }
-                        _ => it.revised = now,
                     }
                 }
-                // Items dropped entirely (vs tombstoned) would break
-                // field-level replication; re-add them as tombstones.
-                let missing: Vec<String> = old
-                    .items_raw()
-                    .iter()
-                    .filter(|o| {
-                        !note
-                            .items_raw()
-                            .iter()
-                            .any(|n| n.name.eq_ignore_ascii_case(&o.name))
-                    })
-                    .map(|o| o.name.clone())
+                let mut dropped: Vec<usize> = prior
+                    .values()
+                    .filter(|(_, kept)| !kept)
+                    .map(|(i, _)| *i)
                     .collect();
-                for name in missing {
-                    let mut tomb = domino_types::Item::new(name, Value::text(""));
+                dropped.sort_unstable();
+                for i in dropped {
+                    let mut tomb = domino_types::Item::new(olds[i].name.clone(), Value::text(""));
                     tomb.flags = ItemFlags::DELETED;
                     tomb.revised = now;
-                    note.set_item(tomb);
+                    items.push(tomb);
                 }
-                Some(old)
-            };
+            }
             // Content-address this revision: hash the stamped items with
             // the previous head as parent and append to the unbounded
             // chain (drafts start a fresh chain).
             let parents: Vec<ContentHash> = revision::head_hash(note).into_iter().collect();
             let rev_hash = revision::content_hash_of(note, &parents);
             revision::push_head(note, rev_hash, note.oid.seq_time);
-            g.persist(note, old.is_none())?;
-            // A lazily seeded version about to be superseded gets its
-            // full pre-image first, so pinned snapshots can still read
-            // the old body after the engine record is overwritten.
-            if let Some(o) = &old {
-                self.versions.backfill(o.unid(), o);
-            }
-            // Publish while still holding the engine lock: commit order
-            // equals change-sequence order, which is what makes snapshot
-            // reads linearizable. The Merkle summary updates in the same
-            // critical section for the same reason.
-            self.versions
-                .publish(note.unid(), note.id, Some(Arc::new(note.clone())));
-            self.merkle
-                .lock()
-                .set_head(note.unid(), Some(revision::merkle_head(note)));
-            ChangeEvent::Saved {
-                old,
-                new: note.clone(),
-            }
-        };
-        drop(lock);
-        m().saved.inc();
-        self.notify(event);
+            Ok(Some(Record::Note(note.clone())))
+        })?;
+        note.id = id.expect("save always writes");
         Ok(())
     }
 
     /// Write a note exactly as received from another replica: identity,
     /// stamps, and item revisions are preserved. Replaces any existing
     /// note *or stub* with the same UNID.
-    pub fn save_replicated(&self, mut note: Note) -> Result<Note> {
-        let lock = self.write_lock(Some(note.unid()))?;
-        let event = {
-            let mut g = self.inner.lock();
-            #[allow(unused_variables)]
-            let store = g.store;
+    pub fn save_replicated(&self, note: Note) -> Result<Note> {
+        let mut saved = note.clone();
+        let id = self.commit(Target::Unid(note.unid()), |_, _| {
             self.clock.observe(note.oid.seq_time);
             self.clock.observe(note.modified);
-            let existing = store.lookup_unid(&mut g.engine, note.unid())?;
-            let old = match existing {
-                Some(id) => {
-                    note.id = id;
-                    g.load(id)? // None if it was a stub
-                }
-                None => {
-                    // The incoming note carries the *source's* local id;
-                    // it means nothing here — allocate our own.
-                    note.id = NoteId::NONE;
-                    None
-                }
-            };
-            if let Some(o) = &old {
-                self.versions.backfill(o.unid(), o);
-            }
-            g.persist(&mut note, existing.is_none())?;
-            self.versions
-                .publish(note.unid(), note.id, Some(Arc::new(note.clone())));
-            self.merkle
-                .lock()
-                .set_head(note.unid(), Some(revision::merkle_head(&note)));
-            ChangeEvent::Saved {
-                old,
-                new: note.clone(),
-            }
-        };
-        drop(lock);
-        let note = match &event {
-            ChangeEvent::Saved { new, .. } => new.clone(),
-            _ => unreachable!(),
-        };
-        m().saved.inc();
-        self.notify(event);
-        Ok(note)
+            Ok(Some(Record::Note(note)))
+        })?;
+        saved.id = id.expect("save_replicated always writes");
+        Ok(saved)
     }
 
     /// Fetch a note by local id. Deletion stubs read as `NotFound`.
@@ -835,21 +813,9 @@ impl Database {
 
     /// Delete a note, leaving a deletion stub.
     pub fn delete(&self, id: NoteId) -> Result<DeletionStub> {
-        // Resolve the lock key (the UNID) from the version map — without
-        // touching the engine lock. The authoritative load happens again
-        // under the lock; a racing delete surfaces as NotFound there.
-        let unid = self
-            .versions
-            .current_unid(id)
-            .ok_or_else(|| DominoError::NotFound(format!("note {id}")))?;
-        let lock = self.write_lock(Some(unid))?;
-        let event = {
-            let mut g = self.inner.lock();
-            #[allow(unused_variables)]
-            let store = g.store;
-            let old = g
-                .load(id)?
-                .ok_or_else(|| DominoError::NotFound(format!("note {id}")))?;
+        let mut written = None;
+        self.commit(Target::Id(id), |_, old| {
+            let old = old.ok_or_else(|| DominoError::NotFound(format!("note {id}")))?;
             let now = self.clock.now();
             let mut oid = old.oid;
             oid.bump(now);
@@ -858,84 +824,27 @@ impl Database {
                 oid,
                 deleted_at: now,
             };
-            self.versions.backfill(old.unid(), &old);
-            g.write_stub(&stub, Some(old.modified))?;
-            self.versions.publish(old.unid(), id, None);
-            self.merkle
-                .lock()
-                .set_head(old.unid(), Some(revision::stub_head(&stub.oid)));
-            ChangeEvent::Deleted { old, stub }
-        };
-        drop(lock);
-        let stub = match &event {
-            ChangeEvent::Deleted { stub, .. } => *stub,
-            _ => unreachable!(),
-        };
+            written = Some(stub);
+            Ok(Some(Record::Stub(stub)))
+        })?;
         m().deleted.inc();
-        self.notify(event);
-        Ok(stub)
+        Ok(written.expect("delete always writes"))
     }
 
     /// Apply a deletion received from another replica. The stub's own OID
     /// is preserved. Returns the locally recorded stub, or `None` if the
     /// local copy is *newer* than the deletion (the caller should treat
-    /// that as a conflict).
+    /// that as a conflict). A UNID never seen here still records the stub,
+    /// so the deletion keeps propagating.
     pub fn apply_remote_deletion(&self, remote: &DeletionStub) -> Result<Option<DeletionStub>> {
-        let lock = self.write_lock(Some(remote.oid.unid))?;
-        let event = {
-            let mut g = self.inner.lock();
-            #[allow(unused_variables)]
-            let store = g.store;
+        let id = self.commit(Target::Unid(remote.oid.unid), |_, old| {
             self.clock.observe(remote.oid.seq_time);
-            let existing = store.lookup_unid(&mut g.engine, remote.oid.unid)?;
-            match existing {
-                Some(id) => {
-                    let old = g.load(id)?;
-                    if let Some(old_note) = &old {
-                        if old_note.oid.winner_key() > remote.oid.winner_key() {
-                            return Ok(None);
-                        }
-                    }
-                    let stub = DeletionStub { id, ..*remote };
-                    let old_modified = old.as_ref().map(|n| n.modified);
-                    if let Some(o) = &old {
-                        self.versions.backfill(o.unid(), o);
-                    }
-                    g.write_stub(&stub, old_modified)?;
-                    if old.is_some() {
-                        // Retract the live note from snapshot visibility;
-                        // re-stubbing a stub changes nothing readers see.
-                        self.versions.publish(remote.oid.unid, id, None);
-                    }
-                    self.merkle
-                        .lock()
-                        .set_head(remote.oid.unid, Some(revision::stub_head(&stub.oid)));
-                    old.map(|old| ChangeEvent::Deleted { old, stub })
-                }
-                None => {
-                    // Never seen this note: record the stub so the deletion
-                    // keeps propagating.
-                    let mut tx = g.engine.begin()?;
-                    let id = store.alloc_note_id(&mut g.engine, &mut tx)?;
-                    g.engine.commit(tx)?;
-                    let stub = DeletionStub { id, ..*remote };
-                    g.write_stub(&stub, None)?;
-                    self.merkle
-                        .lock()
-                        .set_head(remote.oid.unid, Some(revision::stub_head(&stub.oid)));
-                    None
-                }
-            }
-        };
-        drop(lock);
-        let stub = event.as_ref().map(|e| match e {
-            ChangeEvent::Deleted { stub, .. } => *stub,
-            _ => unreachable!(),
-        });
-        if let Some(event) = event {
-            self.notify(event);
-        }
-        Ok(stub.or(Some(*remote)))
+            Ok(match old {
+                Some(local) if local.oid.winner_key() > remote.oid.winner_key() => None,
+                _ => Some(Record::Stub(*remote)),
+            })
+        })?;
+        Ok(id.map(|id| DeletionStub { id, ..*remote }))
     }
 
     // ------------------------------------------------------------------
@@ -1100,9 +1009,7 @@ impl Database {
             if stub.deleted_at >= horizon {
                 continue;
             }
-            let lock = self.write_lock(Some(stub.oid.unid))?;
             let mut g = self.inner.lock();
-            #[allow(unused_variables)]
             let store = g.store;
             // Re-verify under the lock: the stub may have been purged or
             // resurrected (save_replicated) since it was listed.
@@ -1120,8 +1027,6 @@ impl Database {
             // replicas that both purged it converge to equal digests.
             self.merkle.lock().set_head(stub.oid.unid, None);
             purged += 1;
-            drop(g);
-            drop(lock);
         }
         // Purged deletions also free their version-map tombstones (once
         // no snapshot pins them).
@@ -1360,8 +1265,6 @@ impl Database {
             instance_id: self.instance_id(),
             purge_interval: self.purge_interval(),
             engine: self.inner.lock().engine.config().clone(),
-            lock_timeout: self.locks.timeout(),
-            use_lock_table: self.lock_enabled,
             seed_mode: SeedMode::default(),
         };
         let fresh = Database::open(disk, log, config, self.clock.clone())?;
@@ -1435,17 +1338,64 @@ fn seq_key(ts: Timestamp, id: NoteId) -> u128 {
     ((ts.0 as u128) << 32) | id.0 as u128
 }
 
+/// Where a mutation finds the record it replaces.
+enum Target {
+    /// Nowhere: a draft gets a fresh UNID no other writer can reach.
+    New,
+    Id(NoteId),
+    Unid(Unid),
+}
+
+/// The record a mutation puts in place.
+enum Record {
+    Note(Note),
+    Stub(DeletionStub),
+}
+
+impl Record {
+    fn oid(&self) -> Oid {
+        match self {
+            Record::Note(note) => note.oid,
+            Record::Stub(stub) => stub.oid,
+        }
+    }
+}
+
+/// The record found under a mutation's target, read once per commit.
+struct Stored {
+    id: NoteId,
+    /// Sequence time the record is filed under in the seq index.
+    seq_time: Timestamp,
+    /// The live note; `None` when the record is a deletion stub.
+    note: Option<Note>,
+}
+
 impl DbInner {
-    /// Load a full note; `None` for stubs.
-    fn load(&mut self, id: NoteId) -> Result<Option<Note>> {
+    /// Read whatever record sits at `id`, note or stub.
+    fn stored(&mut self, id: NoteId) -> Result<Option<Stored>> {
         let Some(summary) = self.store.get(&mut self.engine, id, Segment::Summary)? else {
             return Ok(None);
         };
         if record_is_stub(&summary) {
-            return Ok(None);
+            let stub = DeletionStub::decode(id, &summary)?;
+            return Ok(Some(Stored {
+                id,
+                seq_time: stub.oid.seq_time,
+                note: None,
+            }));
         }
         let body = self.store.get(&mut self.engine, id, Segment::Body)?;
-        Ok(Some(Note::decode(id, &summary, body.as_deref())?))
+        let note = Note::decode(id, &summary, body.as_deref())?;
+        Ok(Some(Stored {
+            id,
+            seq_time: note.oid.seq_time,
+            note: Some(note),
+        }))
+    }
+
+    /// Load a full note; `None` for stubs.
+    fn load(&mut self, id: NoteId) -> Result<Option<Note>> {
+        Ok(self.stored(id)?.and_then(|s| s.note))
     }
 
     /// Load summary only; `None` for stubs.
@@ -1480,39 +1430,36 @@ impl DbInner {
         }
     }
 
-    /// Write a note's records + indexes in one transaction. `is_new` means
-    /// no UNID binding exists yet. The note's `id` may be NONE (assigned
-    /// here).
-    fn persist(&mut self, note: &mut Note, is_new: bool) -> Result<()> {
+    /// Write a note or stub record and move its seq-index entry, in one
+    /// transaction. `replaces` is the id and seq-index time of the record
+    /// being overwritten; without one the record gets a fresh local id
+    /// (any id it arrived with is another replica's) and its UNID is
+    /// bound to it. A stub keeps the binding, so later updates find it.
+    fn write_record(
+        &mut self,
+        record: &mut Record,
+        replaces: Option<(NoteId, Timestamp)>,
+    ) -> Result<NoteId> {
         let mut tx = self.engine.begin()?;
         let result = (|| {
-            // Old seq-index entry (from whatever record is there now).
-            let old_seq_ts = if note.id.is_none() {
-                None
-            } else {
-                match self
-                    .store
-                    .get(&mut self.engine, note.id, Segment::Summary)?
-                {
-                    Some(bytes) if record_is_stub(&bytes) => {
-                        Some(DeletionStub::decode(note.id, &bytes)?.oid.seq_time)
-                    }
-                    Some(bytes) => Some(Note::decode(note.id, &bytes, None)?.oid.seq_time),
-                    None => None,
+            let id = match replaces {
+                Some((id, _)) => id,
+                None => self.store.alloc_note_id(&mut self.engine, &mut tx)?,
+            };
+            let oid = record.oid();
+            let (summary, body) = match record {
+                Record::Note(note) => {
+                    note.id = id;
+                    (note.encode_summary(), note.encode_body())
+                }
+                Record::Stub(stub) => {
+                    stub.id = id;
+                    (stub.encode(), None)
                 }
             };
-            if note.id.is_none() {
-                note.id = self.store.alloc_note_id(&mut self.engine, &mut tx)?;
-            }
-            let id = note.id;
-            self.store.put(
-                &mut self.engine,
-                &mut tx,
-                id,
-                Segment::Summary,
-                &note.encode_summary(),
-            )?;
-            match note.encode_body() {
+            self.store
+                .put(&mut self.engine, &mut tx, id, Segment::Summary, &summary)?;
+            match body {
                 Some(body) => {
                     self.store
                         .put(&mut self.engine, &mut tx, id, Segment::Body, &body)?
@@ -1522,77 +1469,25 @@ impl DbInner {
                         .remove_segment(&mut self.engine, &mut tx, id, Segment::Body)?;
                 }
             }
-            if is_new {
-                self.store
-                    .bind_unid(&mut self.engine, &mut tx, note.unid(), id)?;
-            }
             let seq = domino_storage::BTree::open_existing(&mut self.engine, TREE_SEQ_INDEX)?;
-            if let Some(old_ts) = old_seq_ts {
-                seq.delete(&mut self.engine, &mut tx, seq_key(old_ts, id))?;
+            match replaces {
+                Some((_, old_ts)) => {
+                    seq.delete(&mut self.engine, &mut tx, seq_key(old_ts, id))?;
+                }
+                None => self
+                    .store
+                    .bind_unid(&mut self.engine, &mut tx, oid.unid, id)?,
             }
             seq.insert(
                 &mut self.engine,
                 &mut tx,
-                seq_key(note.oid.seq_time, id),
+                seq_key(oid.seq_time, id),
                 id.0 as u64,
             )?;
-            Ok(())
+            Ok(id)
         })();
         match result {
-            Ok(()) => self.engine.commit(tx),
-            Err(e) => {
-                self.engine.abort(tx)?;
-                Err(e)
-            }
-        }
-    }
-
-    /// Replace a note record with a deletion stub. `old_modified` is the
-    /// seq-index timestamp of the record being replaced (None if this UNID
-    /// is new here).
-    fn write_stub(&mut self, stub: &DeletionStub, _old_modified: Option<Timestamp>) -> Result<()> {
-        let mut tx = self.engine.begin()?;
-        let result = (|| {
-            // Remove the old seq entry, whatever record type was there.
-            let old_ts = match self
-                .store
-                .get(&mut self.engine, stub.id, Segment::Summary)?
-            {
-                Some(bytes) if record_is_stub(&bytes) => {
-                    Some(DeletionStub::decode(stub.id, &bytes)?.oid.seq_time)
-                }
-                Some(bytes) => Some(Note::decode(stub.id, &bytes, None)?.oid.seq_time),
-                None => None,
-            };
-            self.store.put(
-                &mut self.engine,
-                &mut tx,
-                stub.id,
-                Segment::Summary,
-                &stub.encode(),
-            )?;
-            self.store
-                .remove_segment(&mut self.engine, &mut tx, stub.id, Segment::Body)?;
-            // Keep the UNID bound so later updates find the stub.
-            let bound = self.store.lookup_unid(&mut self.engine, stub.oid.unid)?;
-            if bound.is_none() {
-                self.store
-                    .bind_unid(&mut self.engine, &mut tx, stub.oid.unid, stub.id)?;
-            }
-            let seq = domino_storage::BTree::open_existing(&mut self.engine, TREE_SEQ_INDEX)?;
-            if let Some(old_ts) = old_ts {
-                seq.delete(&mut self.engine, &mut tx, seq_key(old_ts, stub.id))?;
-            }
-            seq.insert(
-                &mut self.engine,
-                &mut tx,
-                seq_key(stub.oid.seq_time, stub.id),
-                stub.id.0 as u64,
-            )?;
-            Ok(())
-        })();
-        match result {
-            Ok(()) => self.engine.commit(tx),
+            Ok(id) => self.engine.commit(tx).map(|()| id),
             Err(e) => {
                 self.engine.abort(tx)?;
                 Err(e)

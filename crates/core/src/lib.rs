@@ -34,7 +34,6 @@
 pub mod agent;
 pub mod db;
 pub mod form;
-pub mod lock;
 pub mod merkle;
 pub mod mvcc;
 pub mod note;
@@ -47,10 +46,9 @@ pub use agent::{
 };
 pub use db::{
     ChangeEvent, ChangedNote, CheckpointerHandle, CompactStats, Database, DbConfig, DbInfo,
-    SeedMode, DEFAULT_LOCK_TIMEOUT, DEFAULT_PURGE_INTERVAL,
+    SeedMode, DEFAULT_PURGE_INTERVAL,
 };
 pub use form::{form_for, save_form, stored_forms, FieldKind, FieldSpec, FormDesign};
-pub use lock::{ExclusiveGuard, LockMode, LockStats, LockTable, SharedGuard};
 pub use merkle::{bucket_of, MerkleSummary, MERKLE_BUCKETS};
 pub use mvcc::{Snapshot, SnapshotStats};
 pub use note::{

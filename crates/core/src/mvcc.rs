@@ -360,17 +360,6 @@ impl VersionStore {
         Self::prune_some(&mut st, min_pin, n);
     }
 
-    /// UNID currently bound to a live note at `id` (not a tombstone).
-    pub(crate) fn current_unid(&self, id: NoteId) -> Option<Unid> {
-        let st = self.state.read();
-        let unid = *st.by_id.get(&id)?;
-        let chain = st.chains.get(&unid)?;
-        match chain.versions.last() {
-            Some((_, Some(_))) => Some(unid),
-            _ => None,
-        }
-    }
-
     /// Versions currently retained by this map.
     pub(crate) fn retained_versions(&self) -> usize {
         let st = self.state.read();

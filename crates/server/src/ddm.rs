@@ -61,7 +61,7 @@ pub enum ProbeCondition {
         min_samples: u64,
     },
     /// Latency ceiling: the histogram's p99 over this tick's delta
-    /// exceeded `threshold` (lock waits, request latency).
+    /// exceeded `threshold` (engine-mutex waits, request latency).
     P99Above {
         /// Histogram name.
         metric: &'static str,
@@ -308,7 +308,8 @@ impl ProbeEngine {
 }
 
 /// The stock probe set: worker shedding, replication retry exhaustion,
-/// checkpoint lag, buffer-pool efficiency, and lock-wait latency.
+/// checkpoint lag, buffer-pool efficiency, and writer queueing on the
+/// engine mutex.
 pub fn default_rules() -> Vec<ProbeRule> {
     vec![
         ProbeRule::new(
@@ -349,9 +350,9 @@ pub fn default_rules() -> Vec<ProbeRule> {
             obs::Severity::Warning,
         ),
         ProbeRule::new(
-            "lock.waits.slow",
+            "engine.waits.slow",
             ProbeCondition::P99Above {
-                metric: "Db.Lock.Wait.Micros",
+                metric: "Db.Engine.Wait.Micros",
                 threshold: 100_000,
                 min_samples: 16,
             },

@@ -244,18 +244,20 @@ impl Engine {
 
         // Restart recovery (repeating history) before anything else.
         if let Some(wal) = engine.wal.take() {
-            if !wal.durable_len()?.eq(&0) {
+            // Retained bytes (`len() - start()`), not the logical end: a
+            // cleanly discarded log keeps its LSNs but holds nothing.
+            if wal.durable_len()? != 0 {
                 let mut target = EngineRedo {
                     engine: &mut engine,
                 };
                 let stats = recover(&wal, &mut target)?;
                 engine.recovery = Some(stats);
                 // Recovery rewrote frames; persist them (through the sync
-                // barrier — the log restarts below, so nothing would replay
-                // a lost write after this point) and restart the log.
+                // barrier — the log is discarded below, so nothing would
+                // replay a lost write after this point).
                 engine.flush_all_pages_internal()?;
                 engine.disk.sync()?;
-                wal.truncate_all()?;
+                discard_log(&wal)?;
                 engine.disk.set_recovery_lsn(0)?;
             }
             engine.wal = Some(wal);
@@ -729,7 +731,7 @@ impl Engine {
         self.ckpt_queue = None;
         self.flush_all_pages()?;
         if let Some(wal) = &self.wal {
-            wal.truncate_all()?;
+            discard_log(wal)?;
         }
         self.disk.set_recovery_lsn(0)?;
         Ok(())
@@ -943,6 +945,19 @@ impl Engine {
             h.get_u32(OFF_NEXT_PAGE).max(1) as u64 * PAGE_SIZE as u64
         })
     }
+}
+
+/// Discard every durable log byte once all pages are on disk (clean
+/// shutdown, end of restart recovery; both have just flushed the log).
+/// LSNs keep counting from where they were: pages carry the LSN of their
+/// last logged write, and redo skips a record whose page LSN is already at
+/// or above it, so a log renumbered from 0 would lose the next session's
+/// writes to any page stamped in this one. The master record is cleared
+/// first, so a crash in between leaves a full log that recovery scans from
+/// its start.
+fn discard_log(wal: &LogManager<Box<dyn LogStore>>) -> Result<()> {
+    wal.set_master(Lsn::NIL)?;
+    wal.truncate_prefix(wal.flushed_lsn())
 }
 
 /// Adapter running restart recovery against the engine's pool.

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use crate::record::{LogRecord, Lsn};
 use crate::store::LogStore;
 use domino_obs as obs;
-use domino_types::{DominoError, Result};
+use domino_types::Result;
 
 /// Process-wide registry mirrors of [`LogStats`] (which stays per-manager
 /// and exact). `Log.GroupCommit.GroupSize` is a histogram: its mean is the
@@ -406,23 +406,6 @@ impl<S: LogStore> LogManager<S> {
         self.store.truncate_prefix(cut.0)
     }
 
-    /// Drop the whole log (after a clean shutdown checkpoint).
-    pub fn truncate_all(&self) -> Result<()> {
-        let g = self.lock();
-        let mut g = self.wait_for_leader(g);
-        if !g.buffer.is_empty() {
-            return Err(DominoError::Wal(
-                "cannot truncate with unflushed records".into(),
-            ));
-        }
-        self.store.truncate_all()?;
-        g.buffer_start = Lsn::NIL;
-        g.record_ends.clear();
-        g.next_lsn = Lsn::NIL;
-        g.flushed_lsn = Lsn::NIL;
-        Ok(())
-    }
-
     /// Borrow the underlying store (e.g. to crash a [`crate::MemLogStore`]).
     pub fn store(&self) -> &S {
         &self.store
@@ -624,16 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_requires_flush() {
-        let m = mgr();
-        m.append(&LogRecord::Begin { tx: TxId(1) }).unwrap();
-        assert!(m.truncate_all().is_err());
-        m.flush_all().unwrap();
-        m.truncate_all().unwrap();
-        assert_eq!(m.next_lsn(), Lsn::NIL);
-    }
-
-    #[test]
     fn truncate_prefix_shrinks_durable_len_and_scan_still_works() {
         let m = mgr();
         let mut lsns = Vec::new();
@@ -651,6 +624,12 @@ mod tests {
         let clamped = m.scan(Lsn::NIL).unwrap();
         assert_eq!(clamped.len(), 4);
         assert_eq!(clamped[0].0, lsns[6]);
+        // Cutting at the durable end discards every byte but no LSN: the
+        // next record continues the same numbering.
+        let end = m.next_lsn();
+        m.truncate_prefix(end).unwrap();
+        assert_eq!(m.durable_len().unwrap(), 0);
+        assert_eq!(m.append(&LogRecord::Begin { tx: TxId(10) }).unwrap(), end);
     }
 
     #[test]

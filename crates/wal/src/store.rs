@@ -63,11 +63,6 @@ pub trait LogStore: Send + Sync {
     /// not exceed the durable end). LSNs are unaffected; `start()` becomes
     /// `upto`. Called after a checkpoint so the log stops growing forever.
     fn truncate_prefix(&self, upto: u64) -> Result<()>;
-
-    /// Discard the log entirely (after a successful shutdown checkpoint,
-    /// Domino recycles log extents; we model truncation). Resets `start()`
-    /// and `len()` to 0.
-    fn truncate_all(&self) -> Result<()>;
 }
 
 impl LogStore for Box<dyn LogStore> {
@@ -94,9 +89,6 @@ impl LogStore for Box<dyn LogStore> {
     }
     fn truncate_prefix(&self, upto: u64) -> Result<()> {
         (**self).truncate_prefix(upto)
-    }
-    fn truncate_all(&self) -> Result<()> {
-        (**self).truncate_all()
     }
 }
 
@@ -203,16 +195,6 @@ impl LogStore for MemLogStore {
         g.bytes.drain(..cut);
         g.durable_len -= cut;
         g.base = upto;
-        Ok(())
-    }
-
-    fn truncate_all(&self) -> Result<()> {
-        let mut g = self.inner.lock();
-        g.bytes.clear();
-        g.base = 0;
-        g.durable_len = 0;
-        g.master = Lsn::NIL;
-        g.durable_master = Lsn::NIL;
         Ok(())
     }
 }
@@ -357,16 +339,6 @@ impl LogStore for FileLogStore {
         g.base = upto;
         Ok(())
     }
-
-    fn truncate_all(&self) -> Result<()> {
-        let mut g = self.inner.lock();
-        g.file.set_len(0)?;
-        g.file.sync_data()?;
-        g.base = 0;
-        let _ = std::fs::remove_file(&self.base_path);
-        drop(g);
-        self.set_master(Lsn::NIL)
-    }
 }
 
 /// Shared switch controlling a [`FaultLogStore`] (and mirroring
@@ -482,10 +454,6 @@ impl<S: LogStore> LogStore for FaultLogStore<S> {
         self.plan.tick("log truncate_prefix")?;
         self.store.truncate_prefix(upto)
     }
-    fn truncate_all(&self) -> Result<()> {
-        self.plan.tick("log truncate_all")?;
-        self.store.truncate_all()
-    }
 }
 
 #[cfg(test)]
@@ -528,16 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn mem_store_truncate() {
-        let s = MemLogStore::new();
-        s.append(b"x").unwrap();
-        s.sync().unwrap();
-        s.truncate_all().unwrap();
-        assert!(s.is_empty().unwrap());
-        assert_eq!(s.get_master().unwrap(), Lsn::NIL);
-    }
-
-    #[test]
     fn mem_store_truncate_prefix_keeps_lsn_space() {
         let s = MemLogStore::new();
         s.append(b"0123456789").unwrap();
@@ -558,6 +516,11 @@ mod tests {
         assert_eq!(s.start().unwrap(), 4);
         // Truncating past the durable end is an error.
         assert!(s.truncate_prefix(100).is_err());
+        // Truncating *to* the durable end empties the store and keeps the
+        // LSN space (how the engine discards the log at clean shutdown).
+        s.truncate_prefix(12).unwrap();
+        assert!(s.is_empty().unwrap());
+        assert_eq!(s.len().unwrap(), 12);
     }
 
     #[test]
@@ -592,9 +555,6 @@ mod tests {
         assert_eq!(s.len().unwrap(), 3);
         s.set_master(Lsn(7)).unwrap();
         assert_eq!(s.get_master().unwrap(), Lsn(7));
-        s.truncate_all().unwrap();
-        assert_eq!(s.len().unwrap(), 0);
-        assert_eq!(s.get_master().unwrap(), Lsn::NIL);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -617,6 +577,12 @@ mod tests {
         assert_eq!(s2.start().unwrap(), 6);
         assert_eq!(s2.len().unwrap(), 10);
         assert_eq!(s2.read_from(8).unwrap(), b"89");
+        // Truncating to the end empties the file but not the LSN space.
+        s2.truncate_prefix(10).unwrap();
+        drop(s2);
+        let s3 = FileLogStore::open(&path).unwrap();
+        assert!(s3.is_empty().unwrap());
+        assert_eq!(s3.len().unwrap(), 10);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,9 +5,9 @@
 use std::sync::Arc;
 use std::thread;
 
-use domino::core::{Database, DbConfig, Note};
+use domino::core::{merkle_head, stub_head, Database, DbConfig, MerkleSummary, Note};
 use domino::ftindex::FtIndex;
-use domino::types::{LogicalClock, NoteClass, ReplicaId, Value};
+use domino::types::{LogicalClock, NoteClass, ReplicaId, Timestamp, Value};
 use domino::views::{ColumnSpec, SortDir, View, ViewDesign};
 
 #[test]
@@ -105,7 +105,9 @@ fn optimistic_conflict_under_racing_editors() {
                     match db.save(&mut n) {
                         Ok(()) => break,
                         Err(e) if e.kind() == "update_conflict" => continue,
-                        Err(e) => panic!("unexpected error: {e}"),
+                        // A same-note loser is told to re-read and retry;
+                        // it is never told the database is busy.
+                        Err(e) => panic!("loser saw {} instead of update_conflict: {e}", e.kind()),
                     }
                 }
             }
@@ -122,10 +124,10 @@ fn optimistic_conflict_under_racing_editors() {
     );
 }
 
-/// 8-thread hammer on the snapshot/lock-table concurrency layer: four
-/// writers bump per-note counters under per-note exclusive locks (all
-/// note sets disjoint, so no writer ever waits on another) while four
-/// readers pin snapshots in a tight loop. Readers check that snapshot
+/// 8-thread hammer on the snapshot concurrency layer: four writers bump
+/// per-note counters (all note sets disjoint, so the sequence-number
+/// check never rejects a save) while four readers pin snapshots in a
+/// tight loop. Readers check that snapshot
 /// sequences are monotone and that every snapshot is internally
 /// consistent; afterwards the final snapshot must equal the engine's
 /// current state note-for-note.
@@ -133,7 +135,7 @@ fn optimistic_conflict_under_racing_editors() {
 fn snapshot_readers_against_writer_storm() {
     let db = Arc::new(
         Database::open_in_memory(
-            DbConfig::new("Hammer", ReplicaId(1), ReplicaId(9)).with_lock_table(true),
+            DbConfig::new("Hammer", ReplicaId(1), ReplicaId(9)),
             LogicalClock::new(),
         )
         .unwrap(),
@@ -170,8 +172,7 @@ fn snapshot_readers_against_writer_storm() {
                 let mut n = db.open_note(id).unwrap();
                 let c = n.get("Counter").unwrap().as_number().unwrap();
                 n.set("Counter", Value::Number(c + 1.0));
-                // Disjoint note sets: no other writer holds this lock and
-                // no optimistic conflict is possible.
+                // Disjoint note sets: no optimistic conflict is possible.
                 db.save(&mut n).unwrap();
             }
         }));
@@ -209,6 +210,94 @@ fn snapshot_readers_against_writer_storm() {
         total += doc.get("Counter").unwrap().as_number().unwrap();
     }
     assert_eq!(total as usize, WRITERS * ROUNDS, "a write was lost");
-    // Disjoint writers on a per-note lock table never time out.
-    assert_eq!(db.lock_stats().timeouts, 0);
+}
+
+/// `save`, `delete` and `save_replicated` racing on one UNID. The engine
+/// mutex orders them and the sequence-number check turns the losers away;
+/// whatever order they land in, the record is filed once in the seq
+/// index, and the incrementally maintained Merkle root equals one
+/// recomputed from a scan of what is stored.
+#[test]
+fn save_delete_replicate_race_on_one_unid() {
+    for round in 0..24 {
+        let clock = LogicalClock::new();
+        let open = |instance| {
+            Arc::new(
+                Database::open_in_memory(
+                    DbConfig::new("Race", ReplicaId(1), ReplicaId(instance)),
+                    clock.clone(),
+                )
+                .unwrap(),
+            )
+        };
+        let db = open(9);
+        let mut base = Note::document("Memo");
+        base.set("Counter", Value::Number(0.0));
+        db.save(&mut base).unwrap();
+        // The same note edited on another replica.
+        let other = open(10);
+        let mut remote = other.save_replicated(base.clone()).unwrap();
+        remote.set("Counter", Value::Number(100.0));
+        other.save(&mut remote).unwrap();
+
+        // All four start from the same stored revision and are released
+        // together; the mutators are rotated over the threads so the
+        // spawn order does not fix who wins.
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let (db, barrier) = (db.clone(), barrier.clone());
+                let (mut mine, remote) = (base.clone(), remote.clone());
+                thread::spawn(move || {
+                    barrier.wait();
+                    let role = (t + round) % 4;
+                    let result = match role {
+                        0 => db.delete(mine.id).map(|_| ()),
+                        1 => db.save_replicated(remote).map(|_| ()),
+                        k => {
+                            mine.set("Counter", Value::Number(k as f64));
+                            db.save(&mut mine)
+                        }
+                    };
+                    (role, result)
+                })
+            })
+            .collect();
+        // `delete` and `save_replicated` take whatever is stored, so they
+        // always land. The two savers hold the same revision: at most one
+        // wins, and a loser learns why (someone saved first, or the note
+        // is gone) — never that the database is busy.
+        let mut savers_won = 0;
+        for h in handles {
+            match h.join().unwrap() {
+                (0 | 1, result) => result.unwrap(),
+                (_, Ok(())) => savers_won += 1,
+                (_, Err(e)) => assert!(
+                    matches!(e.kind(), "update_conflict" | "not_found"),
+                    "loser saw {}: {e}",
+                    e.kind()
+                ),
+            }
+        }
+        assert!(savers_won <= 1, "two saves of one revision both won");
+
+        let filed = db.changed_since(Timestamp(0)).unwrap();
+        assert_eq!(filed.len(), 1, "stale seq-index entries: {filed:?}");
+        assert_eq!(filed[0].oid.unid, base.unid());
+
+        let mut scanned = MerkleSummary::new();
+        for id in db.note_ids(None).unwrap() {
+            let n = db.open_note(id).unwrap();
+            scanned.set_head(n.unid(), Some(merkle_head(&n)));
+        }
+        for stub in db.stubs().unwrap() {
+            scanned.set_head(stub.oid.unid, Some(stub_head(&stub.oid)));
+        }
+        assert_eq!(db.merkle_root(), scanned.root());
+        assert_eq!(
+            db.snapshot().contains(base.unid()),
+            !filed[0].is_stub,
+            "snapshot and engine disagree on whether the note is live"
+        );
+    }
 }

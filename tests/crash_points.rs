@@ -13,10 +13,11 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use domino::core::{Database, DbConfig, Note};
 use domino::storage::{
     CommitMode, CrashDisk, CrashMode, Engine, EngineConfig, FaultDisk, MemDisk, NsfFile, PageType,
 };
-use domino::types::DominoError;
+use domino::types::{DominoError, LogicalClock, ReplicaId, Value};
 use domino::wal::{
     FaultLogStore, FaultPlan, FileLogStore, LogManager, LogRecord, Lsn, MemLogStore, TxId,
 };
@@ -369,4 +370,98 @@ fn concurrent_group_commit_crash_durability() {
             "crash lost acknowledged group commits: {acked} acked, {durable} durable (budget {budget})"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// A crash in the session *after* a clean shutdown. Shutdown discards the
+// log; pages keep the LSNs the discarded records stamped on them. If the
+// next session's LSNs restarted below those, redo would skip its records
+// and acknowledged saves would come back in their pre-shutdown state.
+// ---------------------------------------------------------------------------
+
+/// Load with logging on, shut down cleanly, reopen, update every note
+/// under `Force` with no checkpoint, crash, reopen: every acknowledged
+/// save must be present at its new sequence number. `open` opens the
+/// database over the same devices each time; `crash` cuts their power.
+fn crash_after_clean_shutdown(open: &dyn Fn() -> Database, crash: &dyn Fn()) {
+    const NOTES: usize = 120;
+    let db = open();
+    let mut notes = Vec::new();
+    for i in 0..NOTES {
+        let mut n = Note::document("Memo");
+        n.set("Subject", Value::text(format!("loaded {i}")));
+        n.set_body("Body", Value::text("b".repeat(600)));
+        db.save(&mut n).unwrap();
+        notes.push(n);
+    }
+    db.shutdown().unwrap();
+    drop(db);
+
+    let db = open();
+    assert!(db.recovery_stats().is_none(), "clean shutdown left a log");
+    for (i, n) in notes.iter_mut().enumerate() {
+        n.set("Subject", Value::text(format!("updated {i}")));
+        db.save(n).unwrap();
+    }
+    drop(db);
+    crash();
+
+    let db = open();
+    assert!(
+        db.recovery_stats().is_some(),
+        "the crash left nothing to redo"
+    );
+    for n in &notes {
+        let got = db.open_note(n.id).unwrap();
+        assert_eq!(got.oid, n.oid, "acknowledged save of {} lost", n.id);
+        assert_eq!(got.get("Subject"), n.get("Subject"));
+    }
+}
+
+fn force_config() -> DbConfig {
+    DbConfig::new("Crash", ReplicaId(1), ReplicaId(9)).with_engine(EngineConfig {
+        commit_mode: CommitMode::Force,
+        ..EngineConfig::default()
+    })
+}
+
+#[test]
+fn crash_after_clean_shutdown_keeps_acknowledged_saves() {
+    let disk = MemDisk::new();
+    let log = MemLogStore::new();
+    let clock = LogicalClock::new();
+    crash_after_clean_shutdown(
+        &|| {
+            Database::open(
+                Box::new(disk.clone()),
+                Some(Box::new(log.clone())),
+                force_config(),
+                clock.clone(),
+            )
+            .unwrap()
+        },
+        &|| log.crash(),
+    );
+}
+
+#[test]
+fn file_crash_after_clean_shutdown_keeps_acknowledged_saves() {
+    let dir = crash_dir();
+    let data = dir.join("data.nsf");
+    let txn = dir.join("data.txn");
+    let cache = Arc::new(CrashDisk::new(NsfFile::open(&data).unwrap()));
+    let clock = LogicalClock::new();
+    crash_after_clean_shutdown(
+        &|| {
+            Database::open(
+                Box::new(Arc::clone(&cache)),
+                Some(Box::new(FileLogStore::open(&txn).unwrap())),
+                force_config(),
+                clock.clone(),
+            )
+            .unwrap()
+        },
+        &|| cache.crash(CrashMode::DropUnsynced).unwrap(),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -38,12 +38,10 @@ proptest! {
         writers in 1usize..=3,
         notes_per_writer in 1usize..=2,
         ops_per_writer in 1usize..=24,
-        use_lock_table in any::<bool>(),
     ) {
         let db = Arc::new(
             Database::open_in_memory(
-                DbConfig::new("Lin", ReplicaId(1), ReplicaId(9))
-                    .with_lock_table(use_lock_table),
+                DbConfig::new("Lin", ReplicaId(1), ReplicaId(9)),
                 LogicalClock::new(),
             )
             .unwrap(),
