@@ -176,7 +176,7 @@ impl AgentDesign {
 }
 
 /// What one [`AgentScheduler::tick`] did: every agent that fired, with its
-/// run report, in storage order.
+/// run report, in design-collection (ascending UNID) order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AgentTickReport {
     /// `(agent name, what the run did)` for each agent that ran this tick.
@@ -198,8 +198,9 @@ impl AgentTickReport {
 /// since the previous tick — i.e. after new or updated documents arrived
 /// (saves, replication). `Manual` agents never fire from the scheduler.
 ///
-/// The scheduler reloads [`stored_agents`] on every tick, so agents saved
-/// (or replicated in) after construction are picked up automatically. The
+/// The scheduler reloads [`stored_agents`] on every tick (from the design
+/// collection of a snapshot: a handful of chains, no engine read), so
+/// agents saved (or replicated in) after construction are picked up. The
 /// change sequence is re-sampled *after* the tick's runs complete, so an
 /// agent's own `FIELD` writes do not re-trigger `OnUpdate` agents on the
 /// next tick (agent runs are idempotent, so even a pathological re-trigger
@@ -280,26 +281,16 @@ impl AgentScheduler {
 
 /// Store an agent design (replacing any with the same name).
 pub fn save_agent(db: &Database, agent: &AgentDesign) -> Result<()> {
-    for id in db.note_ids(Some(NoteClass::Agent))? {
-        let existing = db.open_note(id)?;
-        if existing.get_text("$TITLE").as_deref() == Some(&agent.name) {
-            let mut updated = agent.to_note();
-            updated.id = existing.id;
-            updated.oid = existing.oid;
-            updated.created = existing.created;
-            return db.save(&mut updated);
-        }
-    }
-    db.save(&mut agent.to_note())
+    db.save_design(&mut agent.to_note())
 }
 
 /// Load all stored agents.
 pub fn stored_agents(db: &Database) -> Result<Vec<AgentDesign>> {
-    let mut out = Vec::new();
-    for id in db.note_ids(Some(NoteClass::Agent))? {
-        out.push(AgentDesign::from_note(&db.open_note(id)?)?);
-    }
-    Ok(out)
+    db.snapshot()
+        .design_notes(NoteClass::Agent)?
+        .iter()
+        .map(|n| AgentDesign::from_note(n))
+        .collect()
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ use domino_wal::MemLogStore;
 
 use crate::merkle::MerkleSummary;
 use crate::mvcc::{Snapshot, SnapshotStats, VersionStore};
-use crate::note::{record_is_stub, DeletionStub, Note};
+use crate::note::{record_is_stub, DeletionStub, Note, ITEM_REVISIONS, ITEM_TITLE};
 use crate::revision;
 
 use domino_types::ContentHash;
@@ -446,8 +446,6 @@ impl Database {
 
     pub fn set_purge_interval(&self, ticks: u64) -> Result<()> {
         let mut g = self.inner.lock();
-        #[allow(unused_variables)]
-        let store = g.store;
         g.purge_interval = ticks;
         let mut tx = g.engine.begin()?;
         g.engine.set_user_slot(&mut tx, SLOT_PURGE, ticks)?;
@@ -753,6 +751,40 @@ impl Database {
         Ok(saved)
     }
 
+    /// Store a design note (form, view or folder, agent). A design
+    /// element is identified by its class and `$TITLE`: if the design
+    /// collection already holds one, `note` replaces it in place (keeping
+    /// its ids and creation time, so the change replicates as an update);
+    /// otherwise `note` is created. Where replication has left two
+    /// elements with one title, the lowest UNID is the one replaced — on
+    /// every replica.
+    pub fn save_design(&self, note: &mut Note) -> Result<()> {
+        let title = match note.get_text(ITEM_TITLE) {
+            Some(title) if note.class != NoteClass::Document => title,
+            _ => {
+                return Err(DominoError::InvalidArgument(format!(
+                    "a design note has a design class and a {ITEM_TITLE}; this is a {:?}",
+                    note.class
+                )))
+            }
+        };
+        if let Some(existing) = self.snapshot().design_note(note.class, &title)? {
+            note.id = existing.id;
+            note.oid = existing.oid;
+            note.created = existing.created;
+            // The revision history rides on the note: without it the
+            // update would replicate as an unrelated note and conflict
+            // with its own ancestor.
+            for name in [ITEM_REVISIONS, revision::ITEM_REVISION_HASHES] {
+                let mut items = existing.items_raw().iter();
+                if let Some(item) = items.find(|it| it.name.eq_ignore_ascii_case(name)) {
+                    note.set_item(item.clone());
+                }
+            }
+        }
+        self.save(note)
+    }
+
     /// Fetch a note by local id. Deletion stubs read as `NotFound`.
     pub fn open_note(&self, id: NoteId) -> Result<Note> {
         m().opened.inc();
@@ -765,7 +797,6 @@ impl Database {
     /// Fetch only the summary items (cheap: touches no body pages).
     pub fn open_summary(&self, id: NoteId) -> Result<Note> {
         let mut g = self.inner.lock();
-        #[allow(unused_variables)]
         let store = g.store;
         let summary = store
             .get(&mut g.engine, id, Segment::Summary)?
@@ -795,7 +826,6 @@ impl Database {
     pub fn open_by_unid(&self, unid: Unid) -> Result<Note> {
         let id = {
             let mut g = self.inner.lock();
-            #[allow(unused_variables)]
             let store = g.store;
             store.lookup_unid(&mut g.engine, unid)?
         }
@@ -806,7 +836,6 @@ impl Database {
     /// Local id bound to a UNID (note or stub), if any.
     pub fn id_of_unid(&self, unid: Unid) -> Result<Option<NoteId>> {
         let mut g = self.inner.lock();
-        #[allow(unused_variables)]
         let store = g.store;
         store.lookup_unid(&mut g.engine, unid)
     }
@@ -855,12 +884,9 @@ impl Database {
     /// classes.
     pub fn note_ids(&self, class: Option<NoteClass>) -> Result<Vec<NoteId>> {
         let mut g = self.inner.lock();
-        #[allow(unused_variables)]
         let store = g.store;
         let mut ids = Vec::new();
         let mut err = None;
-        #[allow(unused_variables)]
-        let store = g.store;
         store.for_each_note(&mut g.engine, |id| {
             ids.push(id);
             true
@@ -905,8 +931,6 @@ impl Database {
     /// ascending by time — the replication candidate set.
     pub fn changed_since(&self, cutoff: Timestamp) -> Result<Vec<ChangedNote>> {
         let mut g = self.inner.lock();
-        #[allow(unused_variables)]
-        let store = g.store;
         let lo = (cutoff.0 as u128) << 32;
         let mut ids = Vec::new();
         let seq = domino_storage::BTree::open_existing(&mut g.engine, TREE_SEQ_INDEX)?;
@@ -975,11 +999,8 @@ impl Database {
     /// All deletion stubs.
     pub fn stubs(&self) -> Result<Vec<DeletionStub>> {
         let mut g = self.inner.lock();
-        #[allow(unused_variables)]
         let store = g.store;
         let mut ids = Vec::new();
-        #[allow(unused_variables)]
-        let store = g.store;
         store.for_each_note(&mut g.engine, |id| {
             ids.push(id);
             true
@@ -1061,8 +1082,6 @@ impl Database {
     pub fn set_acl(&self, acl: &Acl) -> Result<()> {
         let acl_id = {
             let mut g = self.inner.lock();
-            #[allow(unused_variables)]
-            let store = g.store;
             g.engine.user_slot(SLOT_ACL_NOTE)?
         };
         let mut note = if acl_id != 0 {
@@ -1073,8 +1092,6 @@ impl Database {
         note.set("Entries", Value::text_list(acl.to_lines()));
         self.save(&mut note)?;
         let mut g = self.inner.lock();
-        #[allow(unused_variables)]
-        let store = g.store;
         let mut tx = g.engine.begin()?;
         g.engine
             .set_user_slot(&mut tx, SLOT_ACL_NOTE, note.id.0 as u64)?;
@@ -1300,9 +1317,6 @@ impl Database {
     /// Pages a note's segments occupy (experiment accounting).
     pub fn pages_touched(&self, id: NoteId, summary_only: bool) -> Result<usize> {
         let mut g = self.inner.lock();
-        #[allow(unused_variables)]
-        let store = g.store;
-        #[allow(unused_variables)]
         let store = g.store;
         let mut n = store.pages_touched(&mut g.engine, id, Segment::Summary)?;
         if !summary_only {

@@ -12,6 +12,7 @@ use domino_formula::{EvalEnv, Formula};
 use domino_types::{DominoError, ItemFlags, NoteClass, Result, Value};
 
 use crate::db::Database;
+use crate::mvcc::Snapshot;
 use crate::note::Note;
 
 /// How a field gets its value.
@@ -249,43 +250,35 @@ impl FormDesign {
     }
 }
 
-/// Store a form design in the database (so it replicates with the data).
+/// Store a form design in the database (so it replicates with the data),
+/// replacing the stored design of the same name.
 pub fn save_form(db: &Database, form: &FormDesign) -> Result<()> {
-    // Replace an existing design of the same name.
-    for id in db.note_ids(Some(NoteClass::Form))? {
-        let existing = db.open_note(id)?;
-        if existing.get_text("$TITLE").as_deref() == Some(&form.name) {
-            let mut updated = form.to_note();
-            updated.id = existing.id;
-            updated.oid = existing.oid;
-            updated.created = existing.created;
-            return db.save(&mut updated);
-        }
-    }
-    db.save(&mut form.to_note())
+    db.save_design(&mut form.to_note())
 }
 
 /// Load the form design matching a document's `Form` item, if stored.
 pub fn form_for(db: &Database, note: &Note) -> Result<Option<FormDesign>> {
+    form_at(&db.snapshot(), note)
+}
+
+/// [`form_for`] at a snapshot the caller already holds, so the form agrees
+/// with whatever else the caller reads there.
+pub(crate) fn form_at(snap: &Snapshot, note: &Note) -> Result<Option<FormDesign>> {
     let Some(form_name) = note.get_text(crate::note::ITEM_FORM) else {
         return Ok(None);
     };
-    for id in db.note_ids(Some(NoteClass::Form))? {
-        let design_note = db.open_note(id)?;
-        if design_note.get_text("$TITLE").as_deref() == Some(form_name.as_str()) {
-            return Ok(Some(FormDesign::from_note(&design_note)?));
-        }
-    }
-    Ok(None)
+    snap.design_note(NoteClass::Form, &form_name)?
+        .map(|design_note| FormDesign::from_note(&design_note))
+        .transpose()
 }
 
 /// All stored form designs.
 pub fn stored_forms(db: &Database) -> Result<Vec<FormDesign>> {
-    let mut out = Vec::new();
-    for id in db.note_ids(Some(NoteClass::Form))? {
-        out.push(FormDesign::from_note(&db.open_note(id)?)?);
-    }
-    Ok(out)
+    db.snapshot()
+        .design_notes(NoteClass::Form)?
+        .iter()
+        .map(|n| FormDesign::from_note(n))
+        .collect()
 }
 
 #[cfg(test)]
@@ -398,6 +391,12 @@ mod tests {
         let forms = stored_forms(&db).unwrap();
         assert_eq!(forms.len(), 1);
         assert!(forms[0].fields.is_empty());
+        // Replaced in place: one note, whose second revision descends
+        // from its first (so the edit replicates as an update).
+        let stored = db.snapshot().design_notes(NoteClass::Form).unwrap();
+        assert_eq!(stored.len(), 1);
+        assert_eq!(stored[0].oid.seq, 2);
+        assert_eq!(crate::revision::revision_chain(&stored[0]).len(), 2);
     }
 
     #[test]

@@ -35,8 +35,16 @@
 //!   strictly *before* taking the map write lock, and writers backfill
 //!   elided pre-images (already under the inner lock) before superseding
 //!   them, so the inner lock always precedes the map write lock.
+//!
+//! The map also carries the database's *design collection*: the UNIDs of
+//! the chains that hold a non-`Document` version (forms, views, folders,
+//! agents, the ACL). `seed` and `publish` add to it on one class compare
+//! and reclaiming a dead chain removes from it, so
+//! [`Snapshot::design_notes`] and [`Snapshot::design_note`] find a design
+//! element by walking a handful of chains — never the documents — and
+//! see it at exactly the snapshot's sequence, like every other read.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 
@@ -47,7 +55,7 @@ use domino_obs as obs;
 use domino_security::{AccessLevel, Acl, AclEntry};
 use domino_types::{DominoError, NoteClass, NoteId, Result, Unid};
 
-use crate::note::Note;
+use crate::note::{Note, ITEM_TITLE};
 
 /// `Db.Snapshot.*` statistics, summed across every open database.
 struct Metrics {
@@ -108,6 +116,10 @@ struct VersionsInner {
     by_id: HashMap<NoteId, Unid>,
     /// Chains that may have prunable versions, oldest first.
     dirty: VecDeque<Unid>,
+    /// The design collection: every chain holding a non-`Document`
+    /// version. Ordered, because a title stored twice (two replicas each
+    /// created it) resolves to the lowest UNID on every replica.
+    design: BTreeSet<Unid>,
 }
 
 /// Point-in-time counters for the version map (see OPERATIONS.md
@@ -172,6 +184,9 @@ impl VersionStore {
     pub(crate) fn seed(&self, unid: Unid, id: NoteId, note: Arc<Note>, body_elided: bool) {
         let mut st = self.state.write();
         st.by_id.insert(id, unid);
+        if note.class != NoteClass::Document {
+            st.design.insert(unid);
+        }
         st.chains.insert(
             unid,
             Chain {
@@ -244,8 +259,11 @@ impl VersionStore {
     pub(crate) fn publish(&self, unid: Unid, id: NoteId, note: Option<Arc<Note>>) -> u64 {
         let mut st = self.state.write();
         let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
-        if note.is_some() {
+        if let Some(note) = &note {
             st.by_id.insert(id, unid);
+            if note.class != NoteClass::Document {
+                st.design.insert(unid);
+            }
         }
         let chain = st.chains.entry(unid).or_insert_with(|| Chain {
             id,
@@ -338,6 +356,7 @@ impl VersionStore {
                 // A tombstone no snapshot can see equals absence: drop the
                 // chain and its id binding entirely.
                 st.chains.remove(&unid);
+                st.design.remove(&unid);
                 m().versions.add(-1);
                 m().pruned.inc();
                 if st.by_id.get(&id) == Some(&unid) {
@@ -419,10 +438,19 @@ impl Snapshot {
             .and_then(|(_, n)| n.as_ref())
     }
 
+    /// The whole note behind a visible version: a body-elided seed
+    /// version hydrates (one engine read, cached in the version slot for
+    /// every later reader).
+    fn full(&self, (unid, ver): (Unid, Version)) -> Result<Arc<Note>> {
+        if ver.body_elided {
+            self.store.hydrate(unid, ver.note.id, self.seq)
+        } else {
+            Ok(ver.note)
+        }
+    }
+
     /// Fetch a note by local id without cloning the note body (the hot
     /// server path). Deleted or not-yet-created notes read as `NotFound`.
-    /// A body-elided seed version hydrates here (one engine read, cached
-    /// in the version slot for every later reader).
     pub fn open_arc(&self, id: NoteId) -> Result<Arc<Note>> {
         m().reads.inc();
         let found = {
@@ -432,12 +460,7 @@ impl Snapshot {
                 .and_then(|unid| st.chains.get(unid).map(|c| (*unid, c)))
                 .and_then(|(unid, c)| Self::visible(c, self.seq).map(|v| (unid, v.clone())))
         };
-        let (unid, ver) = found.ok_or_else(|| DominoError::NotFound(format!("note {id}")))?;
-        if ver.body_elided {
-            self.store.hydrate(unid, id, self.seq)
-        } else {
-            Ok(ver.note)
-        }
+        self.full(found.ok_or_else(|| DominoError::NotFound(format!("note {id}")))?)
     }
 
     /// Fetch a note by local id (owned copy).
@@ -452,14 +475,10 @@ impl Snapshot {
             let st = self.store.state.read();
             st.chains
                 .get(&unid)
-                .and_then(|c| Self::visible(c, self.seq).map(|v| (c.id, v.clone())))
+                .and_then(|c| Self::visible(c, self.seq).cloned())
         };
-        let (id, ver) = found.ok_or_else(|| DominoError::NotFound(format!("unid {unid}")))?;
-        if ver.body_elided {
-            self.store.hydrate(unid, id, self.seq).map(|n| (*n).clone())
-        } else {
-            Ok((*ver.note).clone())
-        }
+        let ver = found.ok_or_else(|| DominoError::NotFound(format!("unid {unid}")))?;
+        self.full((unid, ver)).map(|n| (*n).clone())
     }
 
     /// Whether a live note with this UNID is visible. (Summary-only: an
@@ -537,15 +556,57 @@ impl Snapshot {
         let mut out = Vec::new();
         for (unid, v) in self.documents_raw() {
             if formula.selects(v.note.as_ref(), env)? {
-                let full = if v.body_elided {
-                    self.store.hydrate(unid, v.note.id, self.seq)?
-                } else {
-                    v.note
-                };
-                out.push((*full).clone());
+                out.push((*self.full((unid, v))?).clone());
             }
         }
         Ok(out)
+    }
+
+    /// Visible versions of `class` in the design collection, ascending by
+    /// UNID. Class, title and the conflict marker are summary items, so
+    /// nothing hydrates here.
+    fn design_raw(&self, class: NoteClass) -> Vec<(Unid, Version)> {
+        m().reads.inc();
+        let st = self.store.state.read();
+        st.design
+            .iter()
+            .filter_map(|unid| {
+                let v = Self::visible(st.chains.get(unid)?, self.seq)?;
+                // A replication-conflict copy keeps its loser's class and
+                // title under a hash-derived UNID; it is a record of the
+                // conflict, never the design.
+                (v.note.class == class && !v.note.is_conflict()).then(|| (*unid, v.clone()))
+            })
+            .collect()
+    }
+
+    /// The design elements of one class (forms, views and folders, agents)
+    /// as of this snapshot, ascending by UNID, one per `$TITLE`: a title
+    /// stored twice (two replicas each created it) resolves to the lowest
+    /// UNID, which is the same note on every replica. Costs O(design
+    /// notes) whatever the number of documents; no engine read unless a
+    /// lazily seeded element still has to load its body.
+    pub fn design_notes(&self, class: NoteClass) -> Result<Vec<Arc<Note>>> {
+        let mut titles = HashSet::new();
+        self.design_raw(class)
+            .into_iter()
+            .filter(|(_, v)| {
+                v.note
+                    .get_text(ITEM_TITLE)
+                    .is_none_or(|title| titles.insert(title))
+            })
+            .map(|found| self.full(found))
+            .collect()
+    }
+
+    /// The design element of `class` whose `$TITLE` is `title`, if stored
+    /// (the first of [`Snapshot::design_notes`] bearing it).
+    pub fn design_note(&self, class: NoteClass, title: &str) -> Result<Option<Arc<Note>>> {
+        self.design_raw(class)
+            .into_iter()
+            .find(|(_, v)| v.note.get_text(ITEM_TITLE).as_deref() == Some(title))
+            .map(|found| self.full(found))
+            .transpose()
     }
 
     /// The ACL as of this snapshot. Wide open (default Manager) when no
@@ -644,6 +705,150 @@ mod tests {
         drop(pinned);
         store.sweep();
         assert_eq!(store.retained_versions(), 1, "unpinned history reclaimed");
+    }
+
+    fn design(id: u32, unid: u128, class: NoteClass, title: &str) -> Arc<Note> {
+        let mut n = Note::new(class);
+        n.id = NoteId(id);
+        n.oid = Oid::new(Unid(unid), Timestamp(id as u64));
+        n.set(ITEM_TITLE, domino_types::Value::text(title));
+        Arc::new(n)
+    }
+
+    fn titles(snap: &Snapshot, class: NoteClass) -> Vec<(u128, String)> {
+        snap.design_notes(class)
+            .unwrap()
+            .iter()
+            .map(|n| (n.unid().0, n.get_text(ITEM_TITLE).unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn design_collection_is_snapshot_scoped_and_skips_documents() {
+        let store = Arc::new(VersionStore::new());
+        store.publish(Unid(1), NoteId(1), Some(note(1, 1, "a document")));
+        let before = store.pin();
+        store.publish(
+            Unid(9),
+            NoteId(2),
+            Some(design(2, 9, NoteClass::Form, "Task")),
+        );
+        store.publish(
+            Unid(5),
+            NoteId(3),
+            Some(design(3, 5, NoteClass::Agent, "Task")),
+        );
+        let after = store.pin();
+        assert!(before.design_notes(NoteClass::Form).unwrap().is_empty());
+        assert!(before
+            .design_note(NoteClass::Form, "Task")
+            .unwrap()
+            .is_none());
+        assert_eq!(
+            titles(&after, NoteClass::Form),
+            vec![(9, "Task".to_string())]
+        );
+        // Same title, other class: a different element.
+        assert_eq!(
+            after
+                .design_note(NoteClass::Agent, "Task")
+                .unwrap()
+                .unwrap()
+                .unid(),
+            Unid(5)
+        );
+        assert!(after
+            .design_note(NoteClass::Form, "Memo")
+            .unwrap()
+            .is_none());
+        // Only the two design chains are in the collection.
+        assert_eq!(store.state.read().design.len(), 2);
+        // An update is seen by later snapshots only.
+        store.publish(
+            Unid(9),
+            NoteId(2),
+            Some(design(2, 9, NoteClass::Form, "Job")),
+        );
+        assert!(after
+            .design_note(NoteClass::Form, "Task")
+            .unwrap()
+            .is_some());
+        assert_eq!(
+            titles(&store.pin(), NoteClass::Form),
+            vec![(9, "Job".to_string())]
+        );
+    }
+
+    #[test]
+    fn duplicate_design_titles_resolve_to_the_lowest_unid() {
+        let store = Arc::new(VersionStore::new());
+        // Local id order is the reverse of UNID order, as on the replica
+        // that received the other one's form second.
+        store.publish(
+            Unid(70),
+            NoteId(1),
+            Some(design(1, 70, NoteClass::Form, "Task")),
+        );
+        store.publish(
+            Unid(30),
+            NoteId(2),
+            Some(design(2, 30, NoteClass::Form, "Task")),
+        );
+        store.publish(
+            Unid(50),
+            NoteId(3),
+            Some(design(3, 50, NoteClass::Form, "Memo")),
+        );
+        // A replication-conflict copy is never the design, whatever its
+        // UNID.
+        let mut loser = (*design(4, 10, NoteClass::Form, "Task")).clone();
+        loser.set(crate::note::ITEM_CONFLICT, domino_types::Value::text("1"));
+        store.publish(Unid(10), NoteId(4), Some(Arc::new(loser)));
+        let snap = store.pin();
+        assert_eq!(
+            snap.design_note(NoteClass::Form, "Task")
+                .unwrap()
+                .unwrap()
+                .unid(),
+            Unid(30)
+        );
+        assert_eq!(
+            titles(&snap, NoteClass::Form),
+            vec![(30, "Task".to_string()), (50, "Memo".to_string())],
+            "ascending UNID, the shadowed duplicate left out"
+        );
+    }
+
+    #[test]
+    fn deleted_design_notes_leave_the_collection_on_sweep() {
+        let store = Arc::new(VersionStore::new());
+        store.seed(
+            Unid(4),
+            NoteId(1),
+            design(1, 4, NoteClass::View, "All"),
+            false,
+        );
+        store.publish(
+            Unid(8),
+            NoteId(2),
+            Some(design(2, 8, NoteClass::Form, "Task")),
+        );
+        let pinned = store.pin();
+        store.publish(Unid(4), NoteId(1), None);
+        store.publish(Unid(8), NoteId(2), None);
+        assert!(store
+            .pin()
+            .design_notes(NoteClass::Form)
+            .unwrap()
+            .is_empty());
+        // The pin still reads both, so neither chain may be reclaimed.
+        store.sweep();
+        assert_eq!(titles(&pinned, NoteClass::View).len(), 1);
+        assert_eq!(store.state.read().design.len(), 2);
+        drop(pinned);
+        store.sweep();
+        assert!(store.state.read().design.is_empty(), "no leak past reclaim");
+        assert_eq!(store.retained_versions(), 0);
     }
 
     #[test]

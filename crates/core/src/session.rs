@@ -8,10 +8,13 @@
 use std::sync::Arc;
 
 use domino_formula::{EvalEnv, Formula};
+use domino_security::acl::EffectiveAccess;
 use domino_security::{can_edit_document, can_read_document, AccessLevel, Directory};
 use domino_types::{Clock, DominoError, ItemFlags, NoteId, Result, Unid, Value};
 
 use crate::db::Database;
+use crate::form::form_at;
+use crate::mvcc::Snapshot;
 use crate::note::Note;
 
 /// Item stamped with the creating user (used for Author-level edit checks).
@@ -45,6 +48,24 @@ pub struct Session {
     directory: Directory,
 }
 
+/// One database state and this user's rights in it. Every [`Session`]
+/// operation pins exactly one: the ACL (parsed once), the form design and
+/// the stored copy it decides on all come from the same snapshot, so the
+/// decision describes one state of the database, and nothing in it reads
+/// the engine (bar the one-time hydration of a lazily seeded note).
+struct Scope {
+    snap: Snapshot,
+    access: EffectiveAccess,
+    /// Every name the user answers to (themself included), lowercased.
+    names: Vec<String>,
+}
+
+impl Scope {
+    fn can_read(&self, note: &Note) -> bool {
+        can_read_document(&self.access, &self.names, &note.readers())
+    }
+}
+
 impl Session {
     pub fn new(db: Arc<Database>, user: &str, directory: Directory) -> Session {
         Session {
@@ -72,35 +93,18 @@ impl Session {
         }
     }
 
-    fn access(&self) -> Result<domino_security::acl::EffectiveAccess> {
-        Ok(self.db.acl()?.effective(&self.directory, &self.user))
+    fn scope(&self) -> Result<Scope> {
+        let snap = self.db.snapshot();
+        let access = snap.acl()?.effective(&self.directory, &self.user);
+        Ok(Scope {
+            snap,
+            access,
+            names: self.directory.names_of(&self.user),
+        })
     }
 
-    fn names(&self) -> Vec<String> {
-        self.directory.names_of(&self.user)
-    }
-
-    /// Open a note, enforcing reader access. Reads come from a pinned
-    /// snapshot and never wait on writers.
-    pub fn open_note(&self, id: NoteId) -> Result<Note> {
-        let note = self.db.snapshot().open_note(id)?;
-        self.check_readable(&note)?;
-        Ok(note)
-    }
-
-    pub fn open_by_unid(&self, unid: Unid) -> Result<Note> {
-        let note = self.db.snapshot().open_by_unid(unid)?;
-        self.check_readable(&note)?;
-        Ok(note)
-    }
-
-    fn check_readable(&self, note: &Note) -> Result<()> {
-        let access = self.access()?;
-        let mut names = self.names();
-        // A user always reads documents they authored (Notes behaviour for
-        // author-restricted drafts).
-        names.push(self.user.to_lowercase());
-        if can_read_document(&access, &names, &note.readers()) {
+    fn readable(&self, scope: &Scope, note: &Note) -> Result<()> {
+        if scope.can_read(note) {
             Ok(())
         } else {
             Err(DominoError::AccessDenied(format!(
@@ -111,13 +115,32 @@ impl Session {
         }
     }
 
+    /// Open a note, enforcing reader access. Reads come from a pinned
+    /// snapshot and never wait on writers.
+    pub fn open_note(&self, id: NoteId) -> Result<Note> {
+        let scope = self.scope()?;
+        let note = scope.snap.open_note(id)?;
+        self.readable(&scope, &note)?;
+        Ok(note)
+    }
+
+    pub fn open_by_unid(&self, unid: Unid) -> Result<Note> {
+        let scope = self.scope()?;
+        let note = scope.snap.open_by_unid(unid)?;
+        self.readable(&scope, &note)?;
+        Ok(note)
+    }
+
     /// Save (create or update) with create/edit enforcement. Creations are
     /// stamped with a `From` item naming the author. If a form design
     /// matching the note's `Form` item is stored in the database, its
-    /// default/computed/validation formulas run first.
+    /// default/computed/validation formulas run first. The first engine
+    /// read is the commit's own.
     pub fn save(&self, note: &mut Note) -> Result<()> {
-        let access = self.access()?;
-        if note.is_draft() {
+        let scope = self.scope()?;
+        let access = &scope.access;
+        let is_new = note.is_draft();
+        if is_new {
             if !access.level.can_create() {
                 return Err(DominoError::AccessDenied(format!(
                     "{} ({}) may not create documents",
@@ -128,22 +151,20 @@ impl Session {
             if !note.has(ITEM_FROM) {
                 note.set(ITEM_FROM, Value::text(self.user.clone()));
             }
-            stamp_updated_by(note, &self.user);
-            if let Some(form) = crate::form::form_for(&self.db, note)? {
-                form.process(note, &self.env(), true)?;
-            }
-            return self.db.save(note);
         }
         stamp_updated_by(note, &self.user);
-        if let Some(form) = crate::form::form_for(&self.db, note)? {
-            form.process(note, &self.env(), false)?;
+        if let Some(form) = form_at(&scope.snap, note)? {
+            form.process(note, &self.env(), is_new)?;
+        }
+        if is_new {
+            return self.db.save(note);
         }
 
         // Update path: check edit rights against the stored copy.
-        let stored = self.db.open_note(note.id)?;
-        self.check_readable(&stored)?;
+        let stored = scope.snap.open_arc(note.id)?;
+        self.readable(&scope, &stored)?;
         let author = stored.get_text(ITEM_FROM).unwrap_or_default();
-        if !can_edit_document(&access, &self.names(), &stored.authors(), &author) {
+        if !can_edit_document(access, &scope.names, &stored.authors(), &author) {
             return Err(DominoError::AccessDenied(format!(
                 "{} may not edit {}",
                 self.user,
@@ -176,13 +197,14 @@ impl Session {
 
     /// Delete with enforcement (Editor+, or the document's author).
     pub fn delete(&self, id: NoteId) -> Result<()> {
-        let access = self.access()?;
-        let stored = self.db.open_note(id)?;
-        self.check_readable(&stored)?;
+        let scope = self.scope()?;
+        let stored = scope.snap.open_arc(id)?;
+        self.readable(&scope, &stored)?;
         let author = stored.get_text(ITEM_FROM).unwrap_or_default();
-        let may = access.level.can_delete()
-            || (access.level == AccessLevel::Author
-                && self.names().iter().any(|n| n.eq_ignore_ascii_case(&author)));
+        let level = scope.access.level;
+        let may = level.can_delete()
+            || (level == AccessLevel::Author
+                && scope.names.iter().any(|n| n.eq_ignore_ascii_case(&author)));
         if !may {
             return Err(DominoError::AccessDenied(format!(
                 "{} may not delete {}",
@@ -196,32 +218,26 @@ impl Session {
     /// Search, returning only documents the user may read. Runs against
     /// one snapshot, so results are a consistent point-in-time answer.
     pub fn search(&self, formula: &Formula) -> Result<Vec<Note>> {
-        let all = self.db.snapshot().search(formula, &self.env())?;
-        let access = self.access()?;
-        if !access.level.can_read() {
+        let scope = self.scope()?;
+        if !scope.access.level.can_read() {
             return Err(DominoError::AccessDenied(format!(
                 "{} may not read {}",
                 self.user,
                 self.db.title()
             )));
         }
-        let names = self.names();
-        Ok(all
-            .into_iter()
-            .filter(|n| can_read_document(&access, &names, &n.readers()))
-            .collect())
+        let mut found = scope.snap.search(formula, &self.env())?;
+        found.retain(|n| scope.can_read(n));
+        Ok(found)
     }
 
     /// Unread documents for this user (readable ones only).
     pub fn unread(&self) -> Result<Vec<Unid>> {
         let unids = self.db.unread_unids(&self.user)?;
-        let access = self.access()?;
-        let names = self.names();
-        let snap = self.db.snapshot();
+        let scope = self.scope()?;
         let mut out = Vec::new();
         for unid in unids {
-            let note = snap.open_by_unid(unid)?;
-            if can_read_document(&access, &names, &note.readers()) {
+            if scope.can_read(&scope.snap.open_by_unid(unid)?) {
                 out.push(unid);
             }
         }

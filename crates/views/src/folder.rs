@@ -25,10 +25,13 @@ impl std::fmt::Debug for Folder {
 }
 
 impl Folder {
-    /// Create a folder (error if the name is taken by another folder).
+    /// Create a folder (error if the name is taken by another folder or
+    /// by a stored view design: the two share a namespace).
     pub fn create(db: &Arc<Database>, name: &str) -> Result<Folder> {
-        if find_folder_note(db, name)?.is_some() {
-            return Err(DominoError::AlreadyExists(format!("folder {name:?}")));
+        if db.snapshot().design_note(NoteClass::View, name)?.is_some() {
+            return Err(DominoError::AlreadyExists(format!(
+                "view or folder {name:?}"
+            )));
         }
         let mut note = Note::new(NoteClass::View);
         note.set("$TITLE", Value::text(name));
@@ -145,27 +148,26 @@ impl Folder {
     }
 }
 
-fn find_folder_note(db: &Database, name: &str) -> Result<Option<Note>> {
-    for id in db.note_ids(Some(NoteClass::View))? {
-        let note = db.open_note(id)?;
-        if note.get_text("Type").as_deref() == Some(FOLDER_TYPE)
-            && note.get_text("$TITLE").as_deref() == Some(name)
-        {
-            return Ok(Some(note));
-        }
-    }
-    Ok(None)
+pub(crate) fn is_folder(note: &Note) -> bool {
+    note.get_text("Type").as_deref() == Some(FOLDER_TYPE)
+}
+
+/// The folder titled `name`. Folders and views share the `View` class and
+/// with it one namespace: a title a view design holds is not a folder.
+pub(crate) fn find_folder_note(db: &Database, name: &str) -> Result<Option<Arc<Note>>> {
+    let note = db.snapshot().design_note(NoteClass::View, name)?;
+    Ok(note.filter(|n| is_folder(n)))
 }
 
 /// Names of every folder in the database.
 pub fn list_folders(db: &Database) -> Result<Vec<String>> {
-    let mut out = Vec::new();
-    for id in db.note_ids(Some(NoteClass::View))? {
-        let note = db.open_note(id)?;
-        if note.get_text("Type").as_deref() == Some(FOLDER_TYPE) {
-            out.push(note.get_text("$TITLE").unwrap_or_default());
-        }
-    }
+    let mut out: Vec<String> = db
+        .snapshot()
+        .design_notes(NoteClass::View)?
+        .iter()
+        .filter(|note| is_folder(note))
+        .map(|note| note.get_text("$TITLE").unwrap_or_default())
+        .collect();
     out.sort();
     Ok(out)
 }

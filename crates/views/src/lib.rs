@@ -44,7 +44,7 @@ use parking_lot::RwLock;
 
 use domino_core::{ChangeEvent, Database, Note};
 use domino_formula::EvalEnv;
-use domino_types::{NoteClass, Result, Unid, Value};
+use domino_types::{DominoError, NoteClass, Result, Unid, Value};
 
 /// Adapter: a database as a [`NoteSource`] for re-keying.
 struct DbSource {
@@ -119,7 +119,7 @@ impl View {
     fn db(&self) -> Result<Arc<Database>> {
         self.db
             .upgrade()
-            .ok_or_else(|| domino_types::DominoError::InvalidArgument("database dropped".into()))
+            .ok_or_else(|| DominoError::InvalidArgument("database dropped".into()))
     }
 
     /// Recompute the whole index from the database.
@@ -251,11 +251,20 @@ impl View {
     }
 
     /// Store the design as a `View`-class design note in the database (so
-    /// it replicates); returns the note's unid.
+    /// it replicates), replacing the stored design of the same name;
+    /// returns the note's unid. Views and folders share one namespace (as
+    /// in Notes): a name a folder holds is refused, not overwritten.
     pub fn save_design(&self) -> Result<Unid> {
         let db = self.db()?;
-        let mut note = self.state.read().design().to_note();
-        db.save(&mut note)?;
+        let design = self.design();
+        if folder::find_folder_note(&db, &design.name)?.is_some() {
+            return Err(DominoError::AlreadyExists(format!(
+                "folder {:?}",
+                design.name
+            )));
+        }
+        let mut note = design.to_note();
+        db.save_design(&mut note)?;
         Ok(note.unid())
     }
 }
@@ -264,16 +273,12 @@ impl View {
 /// share the `View` note class but are not query designs; they are
 /// skipped — use [`list_folders`] for those).
 pub fn stored_designs(db: &Database) -> Result<Vec<ViewDesign>> {
-    let ids = db.note_ids(Some(NoteClass::View))?;
-    let mut out = Vec::with_capacity(ids.len());
-    for id in ids {
-        let note = db.open_note(id)?;
-        if note.get_text("Type").as_deref() == Some("Folder") {
-            continue;
-        }
-        out.push(ViewDesign::from_note(&note)?);
-    }
-    Ok(out)
+    db.snapshot()
+        .design_notes(NoteClass::View)?
+        .iter()
+        .filter(|note| !folder::is_folder(note))
+        .map(|note| ViewDesign::from_note(note))
+        .collect()
 }
 
 #[cfg(test)]
@@ -613,6 +618,25 @@ mod tests {
         assert_eq!(
             all.iter().map(|e| e.unid).collect::<Vec<_>>(),
             view.rows().iter().map(|e| e.unid).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn saving_a_design_twice_replaces_it() {
+        let db = db();
+        let view = task_view(&db);
+        let first = view.save_design().unwrap();
+        let second = view.save_design().unwrap();
+        assert_eq!(first, second, "the stored design is updated in place");
+        assert_eq!(db.note_ids(Some(NoteClass::View)).unwrap().len(), 1);
+        assert_eq!(stored_designs(&db).unwrap().len(), 1);
+        // A folder's name is not a view's to take (one namespace).
+        Folder::create(&db, "Hot").unwrap();
+        let hot = View::detached(&db, ViewDesign::new("Hot", "SELECT @All").unwrap()).unwrap();
+        assert_eq!(hot.save_design().unwrap_err().kind(), "already_exists");
+        assert_eq!(
+            Folder::create(&db, "Tasks").unwrap_err().kind(),
+            "already_exists"
         );
     }
 

@@ -218,3 +218,52 @@ fn whole_application_replicates() {
     assert_eq!(b.note_ids(Some(NoteClass::Agent)).unwrap().len(), 1);
     assert_eq!(b.note_ids(Some(NoteClass::View)).unwrap().len(), 2); // view + folder
 }
+
+/// Two replicas that each create a form titled `Task` hold two `Form`
+/// notes with one title after they sync. Every replica must pick the
+/// same one — the lowest UNID — or the same document gets different
+/// defaults depending on where it is saved, and `save_form` on one
+/// replica edits a design the other never consults.
+#[test]
+fn conflicting_form_titles_resolve_alike_on_every_replica() {
+    use domino::core::{form_for, save_form, FieldSpec, FormDesign};
+
+    let a = new_db(6, 1);
+    let b = new_db(6, 2);
+    let task = |field: &str| FormDesign::new("Task").field(FieldSpec::editable(field));
+    save_form(&a, &task("FromA")).unwrap();
+    save_form(&b, &task("FromB")).unwrap();
+    let mut r = Replicator::new(ReplicationOptions::default());
+    r.sync(&a, &b).unwrap();
+    r.sync(&b, &a).unwrap();
+    for db in [&a, &b] {
+        assert_eq!(db.note_ids(Some(NoteClass::Form)).unwrap().len(), 2);
+    }
+
+    let fields = |db: &Database| -> Vec<String> {
+        form_for(db, &Note::document("Task"))
+            .unwrap()
+            .expect("a Task form is stored")
+            .fields
+            .iter()
+            .map(|f| f.name.clone())
+            .collect()
+    };
+    let winner = fields(&a);
+    assert_eq!(winner, fields(&b), "replicas disagree on which form wins");
+    // The listing shows the winner once, not both.
+    assert_eq!(domino::core::stored_forms(&a).unwrap().len(), 1);
+    assert_eq!(domino::core::stored_forms(&b).unwrap().len(), 1);
+
+    // Editing the form on either replica edits that same note: no third
+    // note appears and both replicas serve the new design after a sync.
+    for (editor, field) in [(&a, "EditedOnA"), (&b, "EditedOnB")] {
+        save_form(editor, &task(field)).unwrap();
+        r.sync(&a, &b).unwrap();
+        r.sync(&b, &a).unwrap();
+        assert_eq!(fields(&a), vec![field.to_string()]);
+        assert_eq!(fields(&b), vec![field.to_string()]);
+        assert_eq!(a.note_ids(Some(NoteClass::Form)).unwrap().len(), 2);
+        assert_eq!(b.note_ids(Some(NoteClass::Form)).unwrap().len(), 2);
+    }
+}

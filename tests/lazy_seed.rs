@@ -131,3 +131,136 @@ fn pinned_snapshot_survives_overwrite_of_elided_note() {
     assert!(db.snapshot().open_by_unid(unids[11]).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// The design collection is seeded by the same open path as everything
+// else: a stored form is found — and, when its body was elided, hydrated
+// through the body loader — without enumerating the note store, whichever
+// way the database came up.
+// ---------------------------------------------------------------------------
+
+use domino::core::{form_for, save_form, FieldSpec, FormDesign, Session};
+use domino::security::Directory;
+use domino::types::NoteClass;
+
+/// Store a `Task` form whose note carries a rich-text layout, so the
+/// design note has a body segment a lazy open elides.
+fn store_task_form(db: &Database) {
+    let form = FormDesign::new("Task").field(
+        FieldSpec::editable("Status")
+            .with_default(r#""new""#)
+            .unwrap(),
+    );
+    save_form(db, &form).unwrap();
+    let stored = db
+        .snapshot()
+        .design_note(NoteClass::Form, "Task")
+        .unwrap()
+        .expect("the form was just stored");
+    let mut with_layout = (*stored).clone();
+    with_layout.set_body("$Body", Value::RichText(vec![0x5A; 3000]));
+    db.save(&mut with_layout).unwrap();
+}
+
+/// The first `Session::save` of a `Task` gets the form's default.
+fn first_save_applies_the_default(db: &Arc<Database>) {
+    let session = Session::new(db.clone(), "ann", Directory::new());
+    let mut task = Note::document("Task");
+    task.set("Subject", Value::text("first save after open"));
+    session.save(&mut task).unwrap();
+    assert_eq!(task.get_text("Status").as_deref(), Some("new"));
+}
+
+fn hydrated() -> u64 {
+    domino::obs::snapshot().counter("Db.Snapshot.Hydrated")
+}
+
+#[test]
+fn stored_form_applies_after_lazy_and_eager_reopen() {
+    let dir = temp_dir("form");
+    let clock = LogicalClock::new();
+    let (path, _) = build(&dir, &clock);
+    let db = reopen(&path, &clock, SeedMode::Eager);
+    store_task_form(&db);
+    db.shutdown().unwrap();
+    drop(db);
+
+    // Lazy: the form's seed version is summary-only. Finding it reads the
+    // form note through the body loader — a few pages, once — and never
+    // the DOCS documents around it.
+    let lazy = reopen(&path, &clock, SeedMode::Lazy);
+    let (reads, hydrations) = (lazy.engine_stats().reads, hydrated());
+    assert!(form_for(&lazy, &Note::document("Task")).unwrap().is_some());
+    let loaded = lazy.engine_stats().reads - reads;
+    assert!(
+        (1..DOCS as u64 / 2).contains(&loaded),
+        "hydrating one design note read {loaded} pages"
+    );
+    assert!(hydrated() > hydrations, "the body loader did not run");
+    let reads = lazy.engine_stats().reads;
+    assert!(form_for(&lazy, &Note::document("Task")).unwrap().is_some());
+    assert_eq!(
+        lazy.engine_stats().reads,
+        reads,
+        "second lookup must be served from the version slot"
+    );
+    first_save_applies_the_default(&lazy);
+    drop(lazy);
+
+    // Eager: nothing is elided, so the lookup never touches the engine.
+    let eager = reopen(&path, &clock, SeedMode::Eager);
+    let reads = eager.engine_stats().reads;
+    assert!(form_for(&eager, &Note::document("Task")).unwrap().is_some());
+    assert_eq!(eager.engine_stats().reads, reads);
+    first_save_applies_the_default(&eager);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stored_form_applies_after_crash_recovery() {
+    use domino::storage::{CommitMode, CrashDisk, CrashMode, EngineConfig, NsfFile};
+    use domino::wal::FileLogStore;
+
+    let dir = temp_dir("form-crash");
+    let data = dir.join("data.nsf");
+    let txn = dir.join("data.txn");
+    let cache = Arc::new(CrashDisk::new(NsfFile::open(&data).unwrap()));
+    let clock = LogicalClock::new();
+    let open = || {
+        Arc::new(
+            Database::open(
+                Box::new(Arc::clone(&cache)),
+                Some(Box::new(FileLogStore::open(&txn).unwrap())),
+                config(SeedMode::Lazy).with_engine(EngineConfig {
+                    commit_mode: CommitMode::Force,
+                    ..EngineConfig::default()
+                }),
+                clock.clone(),
+            )
+            .unwrap(),
+        )
+    };
+    let db = open();
+    for i in 0..DOCS {
+        let mut n = Note::document("Memo");
+        n.set("I", Value::Number(i as f64));
+        db.save(&mut n).unwrap();
+    }
+    store_task_form(&db);
+    // Power cut: no shutdown, and the OS cache loses what was not synced.
+    drop(db);
+    cache.crash(CrashMode::DropUnsynced).unwrap();
+
+    let db = open();
+    assert!(
+        db.recovery_stats().is_some(),
+        "the crash left nothing to redo"
+    );
+    let hydrations = hydrated();
+    first_save_applies_the_default(&db);
+    assert!(
+        hydrated() > hydrations,
+        "the recovered form was not hydrated"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
