@@ -10,7 +10,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use domino_bench::workload::{make_db, populate, rng};
 use domino_core::Note;
 use domino_formula::EvalEnv;
-use domino_types::NoteClass;
 use domino_views::index::{NoSource, ViewIndex};
 use domino_views::{ColumnSpec, SortDir, ViewDesign};
 
@@ -40,8 +39,12 @@ fn bench_rebuild_par(c: &mut Criterion) {
     // One 100k corpus; smaller sizes are prefixes of it.
     let db = make_db("bench", 1, 1);
     populate(&db, &mut rng(3), 100_000, 4, 32, 0);
-    let ids = db.note_ids(Some(NoteClass::Document)).unwrap();
-    let docs: Vec<Note> = ids.iter().map(|id| db.open_summary(*id).unwrap()).collect();
+    let docs: Vec<Note> = db
+        .snapshot()
+        .document_summaries()
+        .iter()
+        .map(|doc| Note::clone(doc))
+        .collect();
 
     for &n in &[1_000usize, 10_000, 100_000] {
         let samples = match n {

@@ -123,11 +123,12 @@ pub fn run(scale: Scale) -> Table {
         let stats = db.recovery_stats().expect("recovery ran");
 
         // Fixup: what a log-less server must do — scan and verify every
-        // note in the file.
-        let t0 = Instant::now();
+        // note in the file (`stored_note` reads the engine's record, not
+        // the version map).
         let ids = db.note_ids(Some(NoteClass::Document)).expect("ids");
+        let t0 = Instant::now();
         for id in &ids {
-            db.open_note(*id).expect("fixup scan");
+            db.stored_note(*id).expect("fixup scan");
         }
         let fixup = t0.elapsed();
 

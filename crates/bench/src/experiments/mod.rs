@@ -12,7 +12,6 @@ pub mod e15_http;
 pub mod e16_concurrency;
 pub mod e17_negotiation;
 pub mod e18_sockets;
-pub mod e1_nsf_crud;
 pub mod e2_wal_recovery;
 pub mod e3_view_maintenance;
 pub mod e4_view_read;

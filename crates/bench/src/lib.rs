@@ -40,8 +40,10 @@ impl Scale {
 pub fn all_experiments(scale: Scale) -> Vec<Experiment> {
     let _ = scale;
     vec![
-        ("e1", experiments::e1_nsf_crud::run as fn(Scale) -> Table),
-        ("e2", experiments::e2_wal_recovery::run),
+        (
+            "e2",
+            experiments::e2_wal_recovery::run as fn(Scale) -> Table,
+        ),
         ("e3", experiments::e3_view_maintenance::run),
         ("e4", experiments::e4_view_read::run),
         ("e5", experiments::e5_repl_bandwidth::run),

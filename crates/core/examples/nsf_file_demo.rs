@@ -11,18 +11,18 @@
 
 use std::path::PathBuf;
 
-use domino_core::{Database, DbConfig, Note, SeedMode};
+use domino_core::{Database, DbConfig, Note};
 use domino_types::{ContentHash, LogicalClock, ReplicaId, Value};
 
 const DOCS: usize = 75;
 
-fn config(mode: SeedMode) -> DbConfig {
-    DbConfig::new("NsfDemo", ReplicaId(1), ReplicaId(7)).with_seed_mode(mode)
+fn config() -> DbConfig {
+    DbConfig::new("NsfDemo", ReplicaId(1), ReplicaId(7))
 }
 
 /// Child mode: open the file written by the parent, recover, verify.
 fn child(path: PathBuf, want_root: ContentHash) {
-    let db = Database::open_path(&path, config(SeedMode::Lazy), LogicalClock::new()).unwrap();
+    let db = Database::open_path(&path, config(), LogicalClock::new()).unwrap();
     let snap = db.snapshot();
     assert_eq!(snap.document_count(), DOCS, "child must see every commit");
     assert_eq!(db.merkle_root(), want_root, "replication digest must match");
@@ -56,7 +56,7 @@ fn main() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("demo.nsf");
 
-    let db = Database::open_path(&path, config(SeedMode::Eager), LogicalClock::new()).unwrap();
+    let db = Database::open_path(&path, config(), LogicalClock::new()).unwrap();
     for i in 0..DOCS {
         let mut n = Note::document("Memo");
         n.set("Seq", Value::Number(i as f64));

@@ -24,7 +24,8 @@
 //! thousand-save import as one parallel batch instead of a thousand
 //! single-document updates.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -186,20 +187,6 @@ pub struct ChangedNote {
     pub is_stub: bool,
 }
 
-/// How `Database::open` seeds the snapshot map and Merkle summary from
-/// pre-existing engine state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeedMode {
-    /// Read only each note's summary segment at open; bodies load on
-    /// first read (and writers backfill pre-images before overwriting).
-    /// Opening a body-heavy database touches no body pages at all.
-    #[default]
-    Lazy,
-    /// Load every note in full at open (the pre-lazy behavior, kept for
-    /// comparison — experiment E2 measures the difference).
-    Eager,
-}
-
 /// Configuration for opening a database.
 #[derive(Clone)]
 pub struct DbConfig {
@@ -210,8 +197,6 @@ pub struct DbConfig {
     pub instance_id: ReplicaId,
     pub purge_interval: u64,
     pub engine: EngineConfig,
-    /// Snapshot/Merkle seeding strategy at open (default: lazy).
-    pub seed_mode: SeedMode,
 }
 
 impl DbConfig {
@@ -222,7 +207,6 @@ impl DbConfig {
             instance_id,
             purge_interval: DEFAULT_PURGE_INTERVAL,
             engine: EngineConfig::default(),
-            seed_mode: SeedMode::default(),
         }
     }
 
@@ -235,22 +219,13 @@ impl DbConfig {
         self.engine = engine;
         self
     }
-
-    pub fn with_seed_mode(mut self, mode: SeedMode) -> DbConfig {
-        self.seed_mode = mode;
-        self
-    }
 }
 
+/// Engine state: everything the writer's mutex guards.
 struct DbInner {
     engine: Engine,
     store: NoteStore,
-    title: String,
-    replica_id: ReplicaId,
-    instance_id: ReplicaId,
-    purge_interval: u64,
     unid_counter: u16,
-    unread: std::collections::HashMap<String, std::collections::HashSet<Unid>>,
 }
 
 /// Handle to a background checkpointer thread started by
@@ -285,11 +260,20 @@ impl Drop for CheckpointerHandle {
 /// Concurrency model (DESIGN.md §concurrency): every note mutation runs
 /// under the `inner` engine mutex and publishes its committed state into
 /// `versions` before releasing it; same-note races are settled there by
-/// the sequence-number check in [`Database::save`]. Readers pin a
-/// [`Snapshot`] from `versions` and never touch the engine mutex. Lock
-/// order is `inner` → version map.
+/// the sequence-number check in [`Database::save`]. Every live-note read
+/// pins a [`Snapshot`] from `versions` and never touches the engine mutex;
+/// only deletion stubs, the modified-since index and
+/// [`Database::stored_note`] are read under it. Lock order is `inner` →
+/// version map.
 pub struct Database {
     inner: Arc<Mutex<DbInner>>,
+    title: String,
+    replica_id: ReplicaId,
+    instance_id: ReplicaId,
+    purge_interval: AtomicU64,
+    /// Per-user read marks. Per-replica state: never stored, never
+    /// replicated.
+    read_marks: Mutex<HashMap<String, HashSet<Unid>>>,
     observers: Mutex<Vec<Observer>>,
     batch_observers: Mutex<Vec<BatchObserver>>,
     batch_state: Mutex<BatchState>,
@@ -354,12 +338,7 @@ impl Database {
         let mut inner = DbInner {
             engine,
             store,
-            title: config.title,
-            replica_id,
-            instance_id,
-            purge_interval,
             unid_counter: 0,
-            unread: Default::default(),
         };
 
         // Seed the version map with pre-existing engine state at seq 0,
@@ -368,10 +347,10 @@ impl Database {
         // surviving head (live notes *and* deletion stubs). Both the
         // Merkle head and the snapshot identity of a note derive entirely
         // from its summary items (revision chain, OID, truncation marker
-        // are all summary), so lazy mode reads *only* the summary segment
-        // here — a body-heavy database opens without touching one body
-        // page — and marks notes with a stored body segment as elided
-        // for read-time hydration.
+        // are all summary), so only the summary segment is read here — a
+        // body-heavy database opens without touching one body page — and
+        // notes with a stored body segment are marked elided for
+        // read-time hydration.
         let versions = Arc::new(VersionStore::new());
         let mut merkle = MerkleSummary::new();
         let mut ids = Vec::new();
@@ -388,22 +367,12 @@ impl Database {
                 merkle.set_head(stub.oid.unid, Some(revision::stub_head(&stub.oid)));
                 continue;
             }
-            match config.seed_mode {
-                SeedMode::Lazy => {
-                    let note = Note::decode(id, &bytes, None)?;
-                    let elided = inner
-                        .store
-                        .has_segment(&mut inner.engine, id, Segment::Body)?;
-                    merkle.set_head(note.unid(), Some(revision::merkle_head(&note)));
-                    versions.seed(note.unid(), id, Arc::new(note), elided);
-                }
-                SeedMode::Eager => {
-                    let body = inner.store.get(&mut inner.engine, id, Segment::Body)?;
-                    let note = Note::decode(id, &bytes, body.as_deref())?;
-                    merkle.set_head(note.unid(), Some(revision::merkle_head(&note)));
-                    versions.seed(note.unid(), id, Arc::new(note), false);
-                }
-            }
+            let note = Note::decode(id, &bytes, None)?;
+            let elided = inner
+                .store
+                .has_segment(&mut inner.engine, id, Segment::Body)?;
+            merkle.set_head(note.unid(), Some(revision::merkle_head(&note)));
+            versions.seed(note.unid(), id, Arc::new(note), elided);
         }
         versions.set_acl_note(inner.engine.user_slot(SLOT_ACL_NOTE)?);
 
@@ -413,6 +382,11 @@ impl Database {
 
         Ok(Database {
             inner,
+            title: config.title,
+            replica_id,
+            instance_id,
+            purge_interval: AtomicU64::new(purge_interval),
+            read_marks: Mutex::new(HashMap::new()),
             observers: Mutex::new(Vec::new()),
             batch_observers: Mutex::new(Vec::new()),
             batch_state: Mutex::new(BatchState::default()),
@@ -427,29 +401,30 @@ impl Database {
     // ------------------------------------------------------------------
 
     pub fn title(&self) -> String {
-        self.inner.lock().title.clone()
+        self.title.clone()
     }
 
     /// Lineage id (same across all replicas of this database).
     pub fn replica_id(&self) -> ReplicaId {
-        self.inner.lock().replica_id
+        self.replica_id
     }
 
     /// This physical replica's unique id.
     pub fn instance_id(&self) -> ReplicaId {
-        self.inner.lock().instance_id
+        self.instance_id
     }
 
     pub fn purge_interval(&self) -> u64 {
-        self.inner.lock().purge_interval
+        self.purge_interval.load(Ordering::Relaxed)
     }
 
     pub fn set_purge_interval(&self, ticks: u64) -> Result<()> {
         let mut g = self.inner.lock();
-        g.purge_interval = ticks;
         let mut tx = g.engine.begin()?;
         g.engine.set_user_slot(&mut tx, SLOT_PURGE, ticks)?;
-        g.engine.commit(tx)
+        g.engine.commit(tx)?;
+        self.purge_interval.store(ticks, Ordering::Relaxed);
+        Ok(())
     }
 
     /// The database clock (shared; replication observes remote stamps
@@ -662,11 +637,11 @@ impl Database {
                 // Assign identity.
                 let counter = g.unid_counter;
                 g.unid_counter = g.unid_counter.wrapping_add(1);
-                let unid = Unid::generate(g.instance_id, now, counter);
+                let unid = Unid::generate(self.instance_id, now, counter);
                 note.oid = Oid::new(unid, now);
                 note.created = now;
                 note.modified = now;
-                note.push_revision(g.instance_id);
+                note.push_revision(self.instance_id);
                 for it in note.items_raw_mut() {
                     it.revised = now;
                 }
@@ -689,7 +664,7 @@ impl Database {
                 }
                 note.oid.bump(now);
                 note.modified = now;
-                note.push_revision(g.instance_id);
+                note.push_revision(self.instance_id);
                 // Field-level revision stamps: only changed items advance.
                 // Items dropped entirely (vs tombstoned) would break
                 // field-level replication; re-add them as tombstones, in
@@ -785,26 +760,25 @@ impl Database {
         self.save(note)
     }
 
-    /// Fetch a note by local id. Deletion stubs read as `NotFound`.
+    /// Fetch a note by local id, as of now: a read of a freshly pinned
+    /// [`Snapshot`], like every live-note read below. Deletion stubs read
+    /// as `NotFound`. Callers that read more than once pin one snapshot
+    /// themselves, so all their reads describe one database state.
     pub fn open_note(&self, id: NoteId) -> Result<Note> {
         m().opened.inc();
+        self.snapshot().open_note(id)
+    }
+
+    /// What the engine holds at `id`, bypassing the version map: the
+    /// reference that tests compare snapshot reads against, and what the
+    /// storage experiments time. Takes the engine mutex and decodes the
+    /// record; product code reads through [`Database::open_note`] or a
+    /// [`Snapshot`] instead.
+    pub fn stored_note(&self, id: NoteId) -> Result<Note> {
         self.inner
             .lock()
             .load(id)?
             .ok_or_else(|| DominoError::NotFound(format!("note {id}")))
-    }
-
-    /// Fetch only the summary items (cheap: touches no body pages).
-    pub fn open_summary(&self, id: NoteId) -> Result<Note> {
-        let mut g = self.inner.lock();
-        let store = g.store;
-        let summary = store
-            .get(&mut g.engine, id, Segment::Summary)?
-            .ok_or_else(|| DominoError::NotFound(format!("note {id}")))?;
-        if record_is_stub(&summary) {
-            return Err(DominoError::NotFound(format!("note {id} is deleted")));
-        }
-        Note::decode(id, &summary, None)
     }
 
     /// Fetch the deletion stub at a local id (error if the record is a
@@ -824,13 +798,8 @@ impl Database {
     }
 
     pub fn open_by_unid(&self, unid: Unid) -> Result<Note> {
-        let id = {
-            let mut g = self.inner.lock();
-            let store = g.store;
-            store.lookup_unid(&mut g.engine, unid)?
-        }
-        .ok_or_else(|| DominoError::NotFound(format!("unid {unid}")))?;
-        self.open_note(id)
+        m().opened.inc();
+        self.snapshot().open_by_unid(unid)
     }
 
     /// Local id bound to a UNID (note or stub), if any.
@@ -880,51 +849,21 @@ impl Database {
     // enumeration & search
     // ------------------------------------------------------------------
 
-    /// Ids of all live notes of a class (stubs excluded). `None` = all
-    /// classes.
+    /// Ids of all live notes of a class (stubs excluded), ascending.
+    /// `None` = all classes.
     pub fn note_ids(&self, class: Option<NoteClass>) -> Result<Vec<NoteId>> {
-        let mut g = self.inner.lock();
-        let store = g.store;
-        let mut ids = Vec::new();
-        let mut err = None;
-        store.for_each_note(&mut g.engine, |id| {
-            ids.push(id);
-            true
-        })?;
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            match g.load_summary(id) {
-                Ok(Some(n)) if class.is_none() || Some(n.class) == class => out.push(id),
-                Ok(_) => {}
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        Ok(self.snapshot().note_ids(class))
     }
 
     /// Count of live documents.
     pub fn document_count(&self) -> Result<usize> {
-        Ok(self.note_ids(Some(NoteClass::Document))?.len())
+        Ok(self.snapshot().document_count())
     }
 
     /// All documents matching a selection formula (summary-only
     /// evaluation, like a view refresh).
     pub fn search(&self, formula: &Formula, env: &EvalEnv) -> Result<Vec<Note>> {
-        let ids = self.note_ids(Some(NoteClass::Document))?;
-        let mut out = Vec::new();
-        for id in ids {
-            let note = self.open_summary(id)?;
-            if formula.selects(&note, env)? {
-                out.push(self.open_note(id)?);
-            }
-        }
-        Ok(out)
+        self.snapshot().search(formula, env)
     }
 
     /// Everything (notes and stubs) whose sequence time is `>= cutoff`,
@@ -1055,19 +994,6 @@ impl Database {
         Ok(purged)
     }
 
-    /// Response documents (direct children) of a note.
-    pub fn responses_of(&self, parent: Unid) -> Result<Vec<NoteId>> {
-        let ids = self.note_ids(Some(NoteClass::Document))?;
-        let mut out = Vec::new();
-        for id in ids {
-            let n = self.open_summary(id)?;
-            if n.parent() == Some(parent) {
-                out.push(id);
-            }
-        }
-        Ok(out)
-    }
-
     // ------------------------------------------------------------------
     // ACL
     // ------------------------------------------------------------------
@@ -1080,10 +1006,7 @@ impl Database {
 
     /// Store the ACL (as an ACL-class note, so it replicates).
     pub fn set_acl(&self, acl: &Acl) -> Result<()> {
-        let acl_id = {
-            let mut g = self.inner.lock();
-            g.engine.user_slot(SLOT_ACL_NOTE)?
-        };
+        let acl_id = self.versions.acl_note();
         let mut note = if acl_id != 0 {
             self.open_note(NoteId(acl_id as u32))?
         } else {
@@ -1104,36 +1027,22 @@ impl Database {
     // unread marks
     // ------------------------------------------------------------------
 
-    /// Mark a note read for a user. (Unread tables are per-replica state
-    /// and do not replicate, as in Notes.)
+    /// Mark a note read for a user. (Read marks are per-replica state
+    /// and do not replicate, as in Notes; [`crate::Session::unread`] lists
+    /// what is left.)
     pub fn mark_read(&self, user: &str, unid: Unid) {
-        self.inner
+        self.read_marks
             .lock()
-            .unread
             .entry(user.to_lowercase())
             .or_default()
             .insert(unid);
     }
 
     pub fn is_read(&self, user: &str, unid: Unid) -> bool {
-        self.inner
+        self.read_marks
             .lock()
-            .unread
             .get(&user.to_lowercase())
             .is_some_and(|s| s.contains(&unid))
-    }
-
-    /// UNIDs of documents the user has not read yet.
-    pub fn unread_unids(&self, user: &str) -> Result<Vec<Unid>> {
-        let ids = self.note_ids(Some(NoteClass::Document))?;
-        let mut out = Vec::new();
-        for id in ids {
-            let unid = self.open_summary(id)?.unid();
-            if !self.is_read(user, unid) {
-                out.push(unid);
-            }
-        }
-        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -1184,7 +1093,6 @@ impl Database {
         interval: std::time::Duration,
         pages_per_step: usize,
     ) -> CheckpointerHandle {
-        use std::sync::atomic::Ordering;
         let weak = Arc::downgrade(self);
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
@@ -1239,26 +1147,17 @@ impl Database {
     /// Summary statistics for the database (the File → Database →
     /// Properties panel, roughly).
     pub fn info(&self) -> Result<DbInfo> {
-        let mut documents = 0;
-        let mut design_notes = 0;
-        for id in self.note_ids(None)? {
-            if self.open_summary(id)?.class == NoteClass::Document {
-                documents += 1;
-            } else {
-                design_notes += 1;
-            }
-        }
-        let stubs = self.stubs()?.len();
-        let mut g = self.inner.lock();
+        let snap = self.snapshot();
+        let documents = snap.document_count();
         Ok(DbInfo {
-            title: g.title.clone(),
-            replica_id: g.replica_id,
-            instance_id: g.instance_id,
+            title: self.title(),
+            replica_id: self.replica_id,
+            instance_id: self.instance_id,
             documents,
-            design_notes,
-            deletion_stubs: stubs,
-            logical_bytes: g.engine.logical_bytes()?,
-            purge_interval: g.purge_interval,
+            design_notes: snap.note_ids(None).len() - documents,
+            deletion_stubs: self.stubs()?.len(),
+            logical_bytes: self.inner.lock().engine.logical_bytes()?,
+            purge_interval: self.purge_interval(),
         })
     }
 
@@ -1282,14 +1181,13 @@ impl Database {
             instance_id: self.instance_id(),
             purge_interval: self.purge_interval(),
             engine: self.inner.lock().engine.config().clone(),
-            seed_mode: SeedMode::default(),
         };
         let fresh = Database::open(disk, log, config, self.clock.clone())?;
         // Copy notes in note-id order, preserving identity and lineage
         // (save_replicated keeps OIDs/items byte-for-byte).
-        for id in self.note_ids(None)? {
-            let note = self.open_note(id)?;
-            fresh.save_replicated(note)?;
+        let snap = self.snapshot();
+        for id in snap.note_ids(None) {
+            fresh.save_replicated(snap.open_note(id)?)?;
             stats.notes_copied += 1;
         }
         for stub in self.stubs()? {
@@ -1297,12 +1195,8 @@ impl Database {
             stats.stubs_copied += 1;
         }
         // Preserve the local ACL-note pointer if one is set.
-        let acl_slot = {
-            let mut g = self.inner.lock();
-            g.engine.user_slot(SLOT_ACL_NOTE)?
-        };
-        if acl_slot != 0 {
-            fresh.set_acl(&self.acl()?)?;
+        if self.versions.acl_note() != 0 {
+            fresh.set_acl(&snap.acl()?)?;
         }
         fresh.checkpoint()?;
         stats.bytes_after = fresh.inner.lock().engine.logical_bytes()?;
@@ -1312,17 +1206,6 @@ impl Database {
         reg.compact_bytes_reclaimed
             .add(stats.bytes_before.saturating_sub(stats.bytes_after));
         Ok((fresh, stats))
-    }
-
-    /// Pages a note's segments occupy (experiment accounting).
-    pub fn pages_touched(&self, id: NoteId, summary_only: bool) -> Result<usize> {
-        let mut g = self.inner.lock();
-        let store = g.store;
-        let mut n = store.pages_touched(&mut g.engine, id, Segment::Summary)?;
-        if !summary_only {
-            n += store.pages_touched(&mut g.engine, id, Segment::Body)?;
-        }
-        Ok(n)
     }
 }
 
@@ -1410,17 +1293,6 @@ impl DbInner {
     /// Load a full note; `None` for stubs.
     fn load(&mut self, id: NoteId) -> Result<Option<Note>> {
         Ok(self.stored(id)?.and_then(|s| s.note))
-    }
-
-    /// Load summary only; `None` for stubs.
-    fn load_summary(&mut self, id: NoteId) -> Result<Option<Note>> {
-        let Some(summary) = self.store.get(&mut self.engine, id, Segment::Summary)? else {
-            return Ok(None);
-        };
-        if record_is_stub(&summary) {
-            return Ok(None);
-        }
-        Ok(Some(Note::decode(id, &summary, None)?))
     }
 
     fn changed_entry(&mut self, id: NoteId) -> Result<Option<ChangedNote>> {

@@ -46,14 +46,15 @@ pub use agent::{
 };
 pub use db::{
     ChangeEvent, ChangedNote, CheckpointerHandle, CompactStats, Database, DbConfig, DbInfo,
-    SeedMode, DEFAULT_PURGE_INTERVAL,
+    DEFAULT_PURGE_INTERVAL,
 };
 pub use form::{form_for, save_form, stored_forms, FieldKind, FieldSpec, FormDesign};
 pub use merkle::{bucket_of, MerkleSummary, MERKLE_BUCKETS};
 pub use mvcc::{Snapshot, SnapshotStats};
 pub use note::{
-    revision_fingerprint, same_revision, DeletionStub, Note, ITEM_AUTHORS, ITEM_CONFLICT,
-    ITEM_FORM, ITEM_READERS, ITEM_REF, ITEM_REVISIONS, ITEM_TRUNCATED, MAX_REVISIONS,
+    revision_fingerprint, same_revision, DeletionStub, Note, SummaryItems, ITEM_AUTHORS,
+    ITEM_CONFLICT, ITEM_FORM, ITEM_READERS, ITEM_REF, ITEM_REVISIONS, ITEM_TRUNCATED,
+    MAX_REVISIONS,
 };
 pub use revision::{
     chain_contains, content_hash_of, head_hash as revision_head, latest_common, merged_chain,
@@ -220,9 +221,9 @@ mod tests {
         let mut r2 = Note::document("Response");
         r2.set_parent(parent.unid());
         db.save(&mut r2).unwrap();
-        let kids = db.responses_of(parent.unid()).unwrap();
-        assert_eq!(kids.len(), 2);
-        assert!(db.responses_of(r1.unid()).unwrap().is_empty());
+        let snap = db.snapshot();
+        assert_eq!(snap.responses_of(parent.unid()), vec![r1.id, r2.id]);
+        assert!(snap.responses_of(r1.unid()).is_empty());
     }
 
     #[test]
@@ -243,23 +244,6 @@ mod tests {
         db.save(&mut n).unwrap();
         db.delete(n.id).unwrap();
         assert_eq!(*events.lock(), vec!["create", "update", "delete"]);
-    }
-
-    #[test]
-    fn summary_read_touches_fewer_pages_than_full_read() {
-        let db = db();
-        let mut n = Note::document("M");
-        n.set("Subject", Value::text("s"));
-        n.set_body("Body", Value::RichText(vec![1u8; 30_000]));
-        db.save(&mut n).unwrap();
-        let summary_pages = db.pages_touched(n.id, true).unwrap();
-        let full_pages = db.pages_touched(n.id, false).unwrap();
-        assert!(summary_pages <= 2);
-        assert!(full_pages > summary_pages + 4);
-        // And the summary decode really lacks the body.
-        let s = db.open_summary(n.id).unwrap();
-        assert!(s.get("Body").is_none());
-        assert_eq!(s.get_text("Subject").unwrap(), "s");
     }
 
     #[test]
@@ -331,16 +315,18 @@ mod tests {
 
     #[test]
     fn unread_marks() {
-        let db = db();
+        let db = Arc::new(db());
         let mut a = Note::document("M");
         db.save(&mut a).unwrap();
         let mut b = Note::document("M");
         db.save(&mut b).unwrap();
-        assert_eq!(db.unread_unids("ann").unwrap().len(), 2);
-        db.mark_read("ann", a.unid());
-        assert_eq!(db.unread_unids("ann").unwrap(), vec![b.unid()]);
+        let ann = Session::new(db.clone(), "ann", Directory::new());
+        let bob = Session::new(db.clone(), "bob", Directory::new());
+        assert_eq!(ann.unread().unwrap().len(), 2);
+        ann.mark_read(a.unid());
+        assert_eq!(ann.unread().unwrap(), vec![b.unid()]);
         assert!(db.is_read("ann", a.unid()));
-        assert_eq!(db.unread_unids("bob").unwrap().len(), 2, "per-user");
+        assert_eq!(bob.unread().unwrap().len(), 2, "per-user");
     }
 
     // ---------------- session / security -----------------------------

@@ -29,7 +29,7 @@
 //!   retry loop.
 //! * Unpinning (snapshot drop) touches only the pins mutex; reclamation
 //!   is deferred to the next publish or `VersionStore::sweep`.
-//! * Lazy seeding: `Database::open` may seed chains from the summary
+//! * Lazy seeding: `Database::open` seeds chains from the summary
 //!   segment only (`body_elided`). Reader hydration loads the full note
 //!   through the body loader — which takes the database inner lock —
 //!   strictly *before* taking the map write lock, and writers backfill
@@ -55,7 +55,7 @@ use domino_obs as obs;
 use domino_security::{AccessLevel, Acl, AclEntry};
 use domino_types::{DominoError, NoteClass, NoteId, Result, Unid};
 
-use crate::note::{Note, ITEM_TITLE};
+use crate::note::{Note, SummaryItems, ITEM_TITLE};
 
 /// `Db.Snapshot.*` statistics, summed across every open database.
 struct Metrics {
@@ -150,7 +150,7 @@ pub struct VersionStore {
     /// engine user slot so snapshots resolve the ACL without the engine.
     acl_note: AtomicU64,
     /// Hydrates body-elided seed versions on first full read (set once by
-    /// `Database::open` when seeding lazily).
+    /// `Database::open`).
     body_loader: OnceLock<BodyLoader>,
 }
 
@@ -176,6 +176,11 @@ impl VersionStore {
 
     pub(crate) fn set_acl_note(&self, id: u64) {
         self.acl_note.store(id, Ordering::Release);
+    }
+
+    /// Note id of the stored ACL note (0 = none).
+    pub(crate) fn acl_note(&self) -> u64 {
+        self.acl_note.load(Ordering::Acquire)
     }
 
     /// Install pre-existing engine state at sequence 0 (database open).
@@ -300,7 +305,7 @@ impl VersionStore {
         Snapshot {
             store: Arc::clone(self),
             seq,
-            acl_id: self.acl_note.load(Ordering::Acquire),
+            acl_id: self.acl_note(),
         }
     }
 
@@ -441,9 +446,9 @@ impl Snapshot {
     /// The whole note behind a visible version: a body-elided seed
     /// version hydrates (one engine read, cached in the version slot for
     /// every later reader).
-    fn full(&self, (unid, ver): (Unid, Version)) -> Result<Arc<Note>> {
+    fn full(&self, ver: Version) -> Result<Arc<Note>> {
         if ver.body_elided {
-            self.store.hydrate(unid, ver.note.id, self.seq)
+            self.store.hydrate(ver.note.unid(), ver.note.id, self.seq)
         } else {
             Ok(ver.note)
         }
@@ -457,8 +462,8 @@ impl Snapshot {
             let st = self.store.state.read();
             st.by_id
                 .get(&id)
-                .and_then(|unid| st.chains.get(unid).map(|c| (*unid, c)))
-                .and_then(|(unid, c)| Self::visible(c, self.seq).map(|v| (unid, v.clone())))
+                .and_then(|unid| st.chains.get(unid))
+                .and_then(|c| Self::visible(c, self.seq).cloned())
         };
         self.full(found.ok_or_else(|| DominoError::NotFound(format!("note {id}")))?)
     }
@@ -478,7 +483,7 @@ impl Snapshot {
                 .and_then(|c| Self::visible(c, self.seq).cloned())
         };
         let ver = found.ok_or_else(|| DominoError::NotFound(format!("unid {unid}")))?;
-        self.full((unid, ver)).map(|n| (*n).clone())
+        self.full(ver).map(|n| (*n).clone())
     }
 
     /// Whether a live note with this UNID is visible. (Summary-only: an
@@ -508,55 +513,67 @@ impl Snapshot {
         out
     }
 
-    /// Visible documents with their UNIDs and elision flags, ascending by
-    /// note id — the shared backbone of the full-document reads below.
-    fn documents_raw(&self) -> Vec<(Unid, Version)> {
+    /// Visible document versions, ascending by note id — the shared
+    /// backbone of the document reads below.
+    fn documents_raw(&self) -> Vec<Version> {
+        m().reads.inc();
         let st = self.store.state.read();
-        let mut out: Vec<(Unid, Version)> = st
+        let mut out: Vec<Version> = st
             .chains
-            .iter()
-            .filter_map(|(unid, c)| Self::visible(c, self.seq).map(|v| (*unid, v.clone())))
-            .filter(|(_, v)| v.note.class == NoteClass::Document)
+            .values()
+            .filter_map(|c| Self::visible(c, self.seq))
+            .filter(|v| v.note.class == NoteClass::Document)
+            .cloned()
             .collect();
-        out.sort_unstable_by_key(|(_, v)| v.note.id);
+        out.sort_unstable_by_key(|v| v.note.id);
         out
     }
 
-    /// All visible documents, ascending by note id. Elided versions
-    /// hydrate (full-text indexing and view rebuilds read bodies).
+    /// All visible documents, ascending by note id, without hydration:
+    /// every note carries its summary items; body items are present only
+    /// where the version is already resident. This is what a view refresh,
+    /// log rotation and unread marks read — never an engine page.
+    pub fn document_summaries(&self) -> Vec<Arc<Note>> {
+        self.documents_raw().into_iter().map(|v| v.note).collect()
+    }
+
+    /// All visible documents in full, ascending by note id. Elided
+    /// versions hydrate (full-text indexing and agents read bodies).
     pub fn documents(&self) -> Vec<Arc<Note>> {
-        m().reads.inc();
         self.documents_raw()
             .into_iter()
-            .map(|(unid, v)| {
-                if v.body_elided {
-                    // Hydration can only fail if the note vanished from
-                    // the engine mid-read; fall back to the summary copy.
-                    self.store
-                        .hydrate(unid, v.note.id, self.seq)
-                        .unwrap_or(v.note)
-                } else {
-                    v.note
-                }
+            .map(|v| {
+                // Hydration can only fail if the note vanished from the
+                // engine mid-read; fall back to the summary copy.
+                let summary = Arc::clone(&v.note);
+                self.full(v).unwrap_or(summary)
             })
             .collect()
     }
 
     /// Count of visible documents (no hydration).
     pub fn document_count(&self) -> usize {
-        m().reads.inc();
         self.documents_raw().len()
     }
 
+    /// Response documents (direct children) of a note (no hydration:
+    /// `$REF` is a summary item).
+    pub fn responses_of(&self, parent: Unid) -> Vec<NoteId> {
+        self.documents_raw()
+            .iter()
+            .filter(|v| v.note.parent() == Some(parent))
+            .map(|v| v.note.id)
+            .collect()
+    }
+
     /// Documents matching a selection formula at this snapshot. Selection
-    /// evaluates against summary items (like a view refresh), so only the
-    /// *matching* documents hydrate their bodies.
+    /// sees summary items only (like a view refresh), whether or not a
+    /// version's body is resident; only the *matching* documents hydrate.
     pub fn search(&self, formula: &Formula, env: &EvalEnv) -> Result<Vec<Note>> {
-        m().reads.inc();
         let mut out = Vec::new();
-        for (unid, v) in self.documents_raw() {
-            if formula.selects(v.note.as_ref(), env)? {
-                out.push((*self.full((unid, v))?).clone());
+        for v in self.documents_raw() {
+            if formula.selects(&SummaryItems(v.note.as_ref()), env)? {
+                out.push((*self.full(v)?).clone());
             }
         }
         Ok(out)
@@ -565,7 +582,7 @@ impl Snapshot {
     /// Visible versions of `class` in the design collection, ascending by
     /// UNID. Class, title and the conflict marker are summary items, so
     /// nothing hydrates here.
-    fn design_raw(&self, class: NoteClass) -> Vec<(Unid, Version)> {
+    fn design_raw(&self, class: NoteClass) -> Vec<Version> {
         m().reads.inc();
         let st = self.store.state.read();
         st.design
@@ -575,7 +592,7 @@ impl Snapshot {
                 // A replication-conflict copy keeps its loser's class and
                 // title under a hash-derived UNID; it is a record of the
                 // conflict, never the design.
-                (v.note.class == class && !v.note.is_conflict()).then(|| (*unid, v.clone()))
+                (v.note.class == class && !v.note.is_conflict()).then(|| v.clone())
             })
             .collect()
     }
@@ -590,7 +607,7 @@ impl Snapshot {
         let mut titles = HashSet::new();
         self.design_raw(class)
             .into_iter()
-            .filter(|(_, v)| {
+            .filter(|v| {
                 v.note
                     .get_text(ITEM_TITLE)
                     .is_none_or(|title| titles.insert(title))
@@ -604,7 +621,7 @@ impl Snapshot {
     pub fn design_note(&self, class: NoteClass, title: &str) -> Result<Option<Arc<Note>>> {
         self.design_raw(class)
             .into_iter()
-            .find(|(_, v)| v.note.get_text(ITEM_TITLE).as_deref() == Some(title))
+            .find(|v| v.note.get_text(ITEM_TITLE).as_deref() == Some(title))
             .map(|found| self.full(found))
             .transpose()
     }

@@ -437,6 +437,39 @@ impl DocContext for Note {
     }
 }
 
+/// A note as a view refresh sees it: summary items only. Non-summary
+/// items read as absent whether or not the note's body happens to be in
+/// memory, so a view's rows and a formula search's hits do not depend on
+/// which copy of the note (summary-only seed, hydrated version, change
+/// event) they were computed from.
+pub struct SummaryItems<'a>(pub &'a Note);
+
+impl DocContext for SummaryItems<'_> {
+    fn item(&self, name: &str) -> Option<Value> {
+        self.0
+            .items()
+            .find(|it| it.name.eq_ignore_ascii_case(name))
+            .filter(|it| it.is_summary())
+            .map(|it| it.value.clone())
+    }
+
+    fn created(&self) -> Timestamp {
+        self.0.created
+    }
+
+    fn modified(&self) -> Timestamp {
+        self.0.modified
+    }
+
+    fn unid_text(&self) -> String {
+        self.0.unid_text()
+    }
+
+    fn is_response(&self) -> bool {
+        self.0.is_response()
+    }
+}
+
 /// A deletion stub: what remains of a deleted note so the deletion itself
 /// can replicate. Purged after the database's purge interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

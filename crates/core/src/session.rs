@@ -231,17 +231,19 @@ impl Session {
         Ok(found)
     }
 
-    /// Unread documents for this user (readable ones only).
+    /// Unread documents for this user (readable ones only), ascending by
+    /// note id. Listing and read checks come from one snapshot, so a
+    /// concurrent delete cannot fail the call; reader items are summary
+    /// items (as Notes requires), so no body is read.
     pub fn unread(&self) -> Result<Vec<Unid>> {
-        let unids = self.db.unread_unids(&self.user)?;
         let scope = self.scope()?;
-        let mut out = Vec::new();
-        for unid in unids {
-            if scope.can_read(&scope.snap.open_by_unid(unid)?) {
-                out.push(unid);
-            }
-        }
-        Ok(out)
+        Ok(scope
+            .snap
+            .document_summaries()
+            .iter()
+            .filter(|doc| !self.db.is_read(&self.user, doc.unid()) && scope.can_read(doc))
+            .map(|doc| doc.unid())
+            .collect())
     }
 
     /// Mark a document read for this user.

@@ -47,11 +47,11 @@ pub struct FtIndex {
 
 impl FtIndex {
     /// Index the current contents and stay current via change events.
+    /// Subscribes first; [`FtIndex::rebuild`] then pins its snapshot under
+    /// the index's write lock, so a commit is either in that snapshot or
+    /// its event is applied after the build.
     pub fn attach(db: &Arc<Database>) -> Result<FtIndex> {
-        let ft = FtIndex {
-            state: Arc::new(RwLock::new(InvertedIndex::new())),
-        };
-        ft.rebuild(db)?;
+        let ft = FtIndex::detached();
         let state = ft.state.clone();
         db.subscribe(Arc::new(move |event: &ChangeEvent| {
             let mut g = state.write();
@@ -60,6 +60,7 @@ impl FtIndex {
                 ChangeEvent::Deleted { old, .. } => g.remove(old.unid()),
             }
         }));
+        ft.rebuild(db)?;
         Ok(ft)
     }
 
@@ -70,12 +71,13 @@ impl FtIndex {
         }
     }
 
-    /// Re-index everything from one pinned snapshot: the result is the
-    /// database exactly as of the snapshot's change sequence, with no
-    /// writer lock held while tokenizing.
+    /// Re-index everything from one snapshot, pinned under the index's
+    /// write lock (see [`FtIndex::attach`]): the result is the database
+    /// exactly as of the snapshot's change sequence, with no writer lock
+    /// held while tokenizing.
     pub fn rebuild(&self, db: &Database) -> Result<()> {
-        let snap = db.snapshot();
         let mut g = self.state.write();
+        let snap = db.snapshot();
         *g = InvertedIndex::new();
         for note in snap.documents() {
             g.index_note(note.as_ref());

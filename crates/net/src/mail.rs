@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 use domino_core::Note;
 use domino_obs as obs;
-use domino_types::{Clock, DominoError, NoteId, ReplicaId, Result, Unid, Value};
+use domino_types::{Clock, DominoError, ReplicaId, Result, Unid, Value};
 
 use crate::sim::Network;
 
@@ -152,9 +152,9 @@ impl MailRouter {
         #[allow(clippy::needless_range_loop)]
         for server in 0..net.len() {
             let mailbox = net.db(server, MAILBOX)?;
-            let ids: Vec<NoteId> = mailbox.note_ids(Some(domino_types::NoteClass::Document))?;
-            for id in ids {
-                let memo = mailbox.open_note(id)?;
+            // One state of the mailbox per pass.
+            for memo in mailbox.snapshot().documents() {
+                let id = memo.id;
                 let ready = memo
                     .get("ReadyAt")
                     .and_then(|v| v.as_number().ok())
@@ -205,7 +205,7 @@ impl MailRouter {
                         // in flight: same hold-and-retry treatment.
                         continue;
                     }
-                    self.forward(net, server, next, memo, now)?;
+                    self.forward(net, server, next, &memo, now)?;
                     mailbox.delete(id)?;
                 }
             }
@@ -218,7 +218,7 @@ impl MailRouter {
         net: &mut Network,
         from: usize,
         to: usize,
-        memo: Note,
+        memo: &Note,
         now: u64,
     ) -> Result<()> {
         let bytes = memo.byte_size() as u64;
@@ -304,11 +304,12 @@ impl MailRouter {
             .ok_or_else(|| DominoError::NotFound(format!("no mail user {user:?}")))?
             .clone();
         let db = net.db(u.home_server, &mail_file(&u.name))?;
-        let mut out = Vec::new();
-        for id in db.note_ids(Some(domino_types::NoteClass::Document))? {
-            out.push(db.open_note(id)?.get_text("Subject").unwrap_or_default());
-        }
-        Ok(out)
+        Ok(db
+            .snapshot()
+            .document_summaries()
+            .iter()
+            .map(|memo| memo.get_text("Subject").unwrap_or_default())
+            .collect())
     }
 
     /// Reserve a fresh lineage id (unused helper kept for extensions).

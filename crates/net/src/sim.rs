@@ -804,8 +804,9 @@ impl Network {
 /// current revision fingerprint, plus every stub's UNID + seq.
 fn signature(db: &Database) -> Result<Vec<(u128, u64)>> {
     let mut sig = Vec::new();
-    for id in db.note_ids(None)? {
-        let n = db.open_note(id)?;
+    let snap = db.snapshot();
+    for id in snap.note_ids(None) {
+        let n = snap.open_arc(id)?;
         let fp = n
             .revision_at(n.oid.seq)
             .map(|(f, _)| f)

@@ -263,14 +263,12 @@ fn push_to_peers(inner: &Arc<Mutex<ClusterInner>>, origin: usize, event: &Change
 fn apply_event(peer: &Database, event: &ChangeEvent) -> bool {
     match event {
         ChangeEvent::Saved { new, .. } => {
-            if let Some(id) = peer.id_of_unid(new.unid()).ok().flatten() {
-                if let Ok(existing) = peer.open_note(id) {
-                    if same_revision(&existing, new) {
-                        return false; // echo
-                    }
-                    // The peer has a different revision; let the scheduled
-                    // replicator arbitrate unless ours descends from it.
+            if let Ok(existing) = peer.open_by_unid(new.unid()) {
+                if same_revision(&existing, new) {
+                    return false; // echo
                 }
+                // The peer has a different revision; let the scheduled
+                // replicator arbitrate unless ours descends from it.
             }
             peer.save_replicated(new.clone()).is_ok()
         }

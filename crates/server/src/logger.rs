@@ -46,7 +46,7 @@ use std::time::Duration;
 use domino_core::{Database, DbConfig, Note};
 use domino_obs as obs;
 use domino_security::{AccessLevel, Acl, AclEntry};
-use domino_types::{Clock, LogicalClock, NoteClass, NoteId, ReplicaId, Result, Value};
+use domino_types::{Clock, LogicalClock, NoteId, ReplicaId, Result, Value};
 use domino_views::{ColumnSpec, SortDir, ViewDesign};
 use parking_lot::Mutex;
 
@@ -308,23 +308,20 @@ impl ServerLog {
     /// Delete oldest documents (by `LogSeq`) until at most `ceiling`
     /// remain... if we are over it at all. Returns how many went.
     fn rotate_if_over(&self, ceiling: usize) -> usize {
-        let Ok(ids) = self.db.note_ids(Some(NoteClass::Document)) else {
-            return 0;
-        };
-        if ids.len() <= ceiling {
+        let docs = self.db.snapshot().document_summaries();
+        if docs.len() <= ceiling {
             return 0;
         }
-        let mut entries: Vec<(u64, NoteId)> = Vec::with_capacity(ids.len());
-        for id in ids {
-            let Ok(doc) = self.db.open_summary(id) else {
-                continue;
-            };
-            let seq = doc
-                .get("LogSeq")
-                .and_then(|v| v.as_number().ok())
-                .unwrap_or(0.0) as u64;
-            entries.push((seq, id));
-        }
+        let mut entries: Vec<(u64, NoteId)> = docs
+            .iter()
+            .map(|doc| {
+                let seq = doc
+                    .get("LogSeq")
+                    .and_then(|v| v.as_number().ok())
+                    .unwrap_or(0.0) as u64;
+                (seq, doc.id)
+            })
+            .collect();
         entries.sort_unstable();
         let excess = entries
             .len()

@@ -52,7 +52,7 @@ fn app_database() -> Arc<Database> {
 /// Find the first document in `db` whose `Code` item equals `code`.
 fn doc_with_code(db: &Database, code: &str) -> Option<Note> {
     for id in db.note_ids(Some(NoteClass::Document)).unwrap() {
-        let doc = db.open_summary(id).unwrap();
+        let doc = db.open_note(id).unwrap();
         if doc.get_text("Code").as_deref() == Some(code) {
             return Some(doc);
         }
@@ -103,7 +103,7 @@ fn requests_become_domlog_documents_browsable_under_acl() {
     let db = log.database();
     let mut found_ok = false;
     for id in db.note_ids(Some(NoteClass::Document)).unwrap() {
-        let doc = db.open_summary(id).unwrap();
+        let doc = db.open_note(id).unwrap();
         if doc.get_text("Form").as_deref() == Some("HttpRequest")
             && doc.get_text("Command").as_deref() == Some("/disc.nsf/topics?OpenView")
         {
@@ -237,7 +237,7 @@ fn probe_verdicts_escalate_clear_and_reach_the_console() {
     let db = log.database();
     let mut severities = Vec::new();
     for id in db.note_ids(Some(NoteClass::Document)).unwrap() {
-        let doc = db.open_summary(id).unwrap();
+        let doc = db.open_note(id).unwrap();
         match doc.get_text("Code").as_deref() {
             Some("Ddm.Probe") => {
                 assert_eq!(doc.get_text("Form").as_deref(), Some("Probe"));
@@ -311,7 +311,7 @@ fn rotation_keeps_the_log_bounded_and_newest() {
     let db = log.database();
     let mut max_n = 0u64;
     for id in db.note_ids(Some(NoteClass::Document)).unwrap() {
-        let doc = db.open_summary(id).unwrap();
+        let doc = db.open_note(id).unwrap();
         if let Some(n) = doc.get("N").and_then(|v| v.as_number().ok()) {
             max_n = max_n.max(n as u64);
         }

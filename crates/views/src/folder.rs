@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use domino_core::{Database, Note};
+use domino_core::{Database, Note, Snapshot};
 use domino_types::{DominoError, NoteClass, Result, Unid, Value};
 
 const FOLDER_TYPE: &str = "Folder";
@@ -54,12 +54,15 @@ impl Folder {
         })
     }
 
-    fn load(&self) -> Result<Note> {
-        self.db.open_by_unid(self.unid)
+    /// The folder's design note as of `snap`. Each method below pins one
+    /// snapshot and takes the folder and its member documents from it.
+    fn load(&self, snap: &Snapshot) -> Result<Note> {
+        snap.open_by_unid(self.unid)
     }
 
     pub fn name(&self) -> Result<String> {
-        Ok(self.load()?.get_text("$TITLE").unwrap_or_default())
+        let note = self.load(&self.db.snapshot())?;
+        Ok(note.get_text("$TITLE").unwrap_or_default())
     }
 
     fn members_of(note: &Note) -> Vec<Unid> {
@@ -73,8 +76,7 @@ impl Folder {
             .unwrap_or_default()
     }
 
-    fn store_members(&self, members: &[Unid]) -> Result<()> {
-        let mut note = self.load()?;
+    fn store_members(&self, mut note: Note, members: &[Unid]) -> Result<()> {
         note.set(
             "Members",
             Value::TextList(members.iter().map(|u| format!("{:032X}", u.0)).collect()),
@@ -84,24 +86,29 @@ impl Folder {
 
     /// Add a document (no-op if already present). The document must exist.
     pub fn add(&self, unid: Unid) -> Result<()> {
-        self.db.open_by_unid(unid)?; // must be a live document
-        let mut members = Self::members_of(&self.load()?);
+        let snap = self.db.snapshot();
+        if !snap.contains(unid) {
+            return Err(DominoError::NotFound(format!("unid {unid}")));
+        }
+        let note = self.load(&snap)?;
+        let mut members = Self::members_of(&note);
         if members.contains(&unid) {
             return Ok(());
         }
         members.push(unid);
-        self.store_members(&members)
+        self.store_members(note, &members)
     }
 
     /// Remove a document; returns whether it was present.
     pub fn remove(&self, unid: Unid) -> Result<bool> {
-        let mut members = Self::members_of(&self.load()?);
+        let note = self.load(&self.db.snapshot())?;
+        let mut members = Self::members_of(&note);
         let before = members.len();
         members.retain(|m| *m != unid);
         if members.len() == before {
             return Ok(false);
         }
-        self.store_members(&members)?;
+        self.store_members(note, &members)?;
         Ok(true)
     }
 
@@ -109,18 +116,16 @@ impl Folder {
     /// been deleted are skipped (the stub stays in the list until
     /// [`Folder::prune`]).
     pub fn members(&self) -> Result<Vec<Unid>> {
-        Ok(Self::members_of(&self.load()?))
+        Ok(Self::members_of(&self.load(&self.db.snapshot())?))
     }
 
     /// The live documents, in folder order.
     pub fn documents(&self) -> Result<Vec<Note>> {
-        let mut out = Vec::new();
-        for unid in self.members()? {
-            if let Ok(doc) = self.db.open_by_unid(unid) {
-                out.push(doc);
-            }
-        }
-        Ok(out)
+        let snap = self.db.snapshot();
+        Ok(Self::members_of(&self.load(&snap)?)
+            .into_iter()
+            .filter_map(|unid| snap.open_by_unid(unid).ok())
+            .collect())
     }
 
     pub fn len(&self) -> Result<usize> {
@@ -134,15 +139,17 @@ impl Folder {
     /// Drop members whose documents no longer exist. Returns how many were
     /// pruned.
     pub fn prune(&self) -> Result<usize> {
-        let members = self.members()?;
+        let snap = self.db.snapshot();
+        let note = self.load(&snap)?;
+        let members = Self::members_of(&note);
         let live: Vec<Unid> = members
             .iter()
             .copied()
-            .filter(|u| self.db.open_by_unid(*u).is_ok())
+            .filter(|u| snap.contains(*u))
             .collect();
         let pruned = members.len() - live.len();
         if pruned > 0 {
-            self.store_members(&live)?;
+            self.store_members(note, &live)?;
         }
         Ok(pruned)
     }

@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use rayon::prelude::*;
 
-use domino_core::{ChangeEvent, Note};
+use domino_core::{ChangeEvent, Note, SummaryItems};
 use domino_formula::{EvalEnv, Formula};
 use domino_obs as obs;
 use domino_types::{NoteClass, NoteId, Result, Timestamp, Unid, Value};
@@ -217,6 +217,22 @@ impl ViewIndex {
         Ok(())
     }
 
+    /// The Notes rule, in one place: selection and column formulas see a
+    /// document's *summary* items only. Rebuilds read summary-only
+    /// snapshot versions, incremental maintenance reads a change event's
+    /// whole note; both must yield the same row.
+    fn selected(selection: &Formula, note: &Note, env: &EvalEnv) -> Result<bool> {
+        Ok(selection.eval_full(&SummaryItems(note), env)?.selected)
+    }
+
+    fn column_values(design: &ViewDesign, note: &Note, env: &EvalEnv) -> Result<Vec<Value>> {
+        design
+            .columns
+            .iter()
+            .map(|col| col.formula.eval(&SummaryItems(note), env))
+            .collect()
+    }
+
     pub fn design(&self) -> &ViewDesign {
         &self.design
     }
@@ -288,24 +304,17 @@ impl ViewIndex {
                 if note.class != NoteClass::Document {
                     return Ok(None);
                 }
-                let out = selection.eval_full(note, env)?;
+                let selected = Self::selected(selection, note, env)?;
                 // Columns for selected documents only: an unselected
                 // response may still ride in under its parent, but that
                 // depends on merge-time state — the merge computes its
                 // columns lazily, exactly as the one-event path would.
-                let values = if out.selected {
-                    let mut v = Vec::with_capacity(design.columns.len());
-                    for col in &design.columns {
-                        v.push(col.formula.eval(note, env)?);
-                    }
-                    Some(v)
+                let values = if selected {
+                    Some(Self::column_values(design, note, env)?)
                 } else {
                     None
                 };
-                Ok(Some(PreEval {
-                    selected: out.selected,
-                    values,
-                }))
+                Ok(Some(PreEval { selected, values }))
             })
             .collect();
         let pre = pre?;
@@ -370,18 +379,13 @@ impl ViewIndex {
                 if note.class != NoteClass::Document {
                     return Ok(MainEval::Skip);
                 }
-                let out = selection.eval_full(*note, env)?;
-                if !out.selected {
+                if !Self::selected(selection, note, env)? {
                     return Ok(MainEval::Evaluated);
-                }
-                let mut values = Vec::with_capacity(design.columns.len());
-                for col in &design.columns {
-                    values.push(col.formula.eval(*note, env)?);
                 }
                 let entry = ViewEntry {
                     unid: note.unid(),
                     note_id: note.id,
-                    values,
+                    values: Self::column_values(design, note, env)?,
                     response_level: 0,
                     parent: None,
                     created: note.created,
@@ -526,7 +530,7 @@ impl ViewIndex {
         m().evaluated.inc();
         let (selected, precomputed) = match pre {
             Some(p) => (p.selected, p.values),
-            None => (self.selection.eval_full(note, &self.env)?.selected, None),
+            None => (Self::selected(&self.selection, note, &self.env)?, None),
         };
         let parent = note.parent();
         // Track the response linkage for *every* evaluated response, even
@@ -550,13 +554,7 @@ impl ViewIndex {
         // Compute column values (unless the parallel phase already did).
         let values = match precomputed {
             Some(v) => v,
-            None => {
-                let mut values = Vec::with_capacity(self.design.columns.len());
-                for col in &self.design.columns {
-                    values.push(col.formula.eval(note, &self.env)?);
-                }
-                values
-            }
+            None => Self::column_values(&self.design, note, &self.env)?,
         };
         let (response_level, parent_in_view) = match parent {
             Some(p) if self.design.show_responses => match self.entries.get(&p) {

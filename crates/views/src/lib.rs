@@ -42,18 +42,17 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::RwLock;
 
-use domino_core::{ChangeEvent, Database, Note};
+use domino_core::{ChangeEvent, Database, Note, Snapshot};
 use domino_formula::EvalEnv;
 use domino_types::{DominoError, NoteClass, Result, Unid, Value};
 
-/// Adapter: a database as a [`NoteSource`] for re-keying.
-struct DbSource {
-    db: Weak<Database>,
-}
+/// Adapter: one database state as a [`NoteSource`] for re-keying. Every
+/// lookup of one maintenance step reads the same pinned snapshot.
+struct DbSource(Snapshot);
 
 impl NoteSource for DbSource {
     fn note_by_unid(&self, unid: Unid) -> Option<Note> {
-        self.db.upgrade().and_then(|db| db.open_by_unid(unid).ok())
+        self.0.open_by_unid(unid).ok()
     }
 }
 
@@ -86,18 +85,23 @@ impl View {
     /// arrive as one coalesced slice the index pre-evaluates in parallel
     /// (see [`ViewIndex::apply_batch`]). Multiple attached views are
     /// themselves updated in parallel by the database's dispatch.
+    ///
+    /// Subscribes *before* the initial build, and [`View::rebuild`] pins
+    /// its snapshot while holding the index's write lock: a commit is
+    /// either in that snapshot or its event is applied after the build.
     pub fn attach(db: &Arc<Database>, design: ViewDesign) -> Result<View> {
         let view = View::detached(db, design)?;
-        view.rebuild()?;
         let state = view.state.clone();
         let weak = Arc::downgrade(db);
         db.subscribe_batch(Arc::new(move |events: &[ChangeEvent]| {
-            let src = DbSource { db: weak.clone() };
+            let Some(db) = weak.upgrade() else { return };
+            let mut index = state.write();
             // Observer callbacks cannot surface errors; a failed formula
             // leaves the entry out (matching Notes, where a broken column
             // formula blanks the row rather than wedging the database).
-            let _ = state.write().apply_batch(events, &src);
+            let _ = index.apply_batch(events, &DbSource(db.snapshot()));
         }));
+        view.rebuild()?;
         Ok(view)
     }
 
@@ -122,34 +126,27 @@ impl View {
             .ok_or_else(|| DominoError::InvalidArgument("database dropped".into()))
     }
 
-    /// Recompute the whole index from the database.
+    /// Recompute the whole index from one snapshot of the database,
+    /// pinned under the index's write lock (see [`View::attach`]). No
+    /// engine page is read: a view sees summary items only.
     pub fn rebuild(&self) -> Result<()> {
         let db = self.db()?;
-        let ids = db.note_ids(Some(NoteClass::Document))?;
-        let mut docs = Vec::with_capacity(ids.len());
-        for id in ids {
-            docs.push(db.open_summary(id)?);
-        }
-        let src = DbSource {
-            db: self.db.clone(),
-        };
-        self.state.write().rebuild(docs.iter(), &src)
+        let mut index = self.state.write();
+        let snap = db.snapshot();
+        let docs = snap.document_summaries();
+        index.rebuild(docs.iter().map(|doc| doc.as_ref()), &DbSource(snap))
     }
 
     /// Apply one change event manually (detached views).
     pub fn apply(&self, event: &ChangeEvent) -> Result<()> {
-        let src = DbSource {
-            db: self.db.clone(),
-        };
+        let src = DbSource(self.db()?.snapshot());
         self.state.write().apply(event, &src)
     }
 
     /// Apply a coalesced batch of change events manually (detached
     /// views); events are pre-evaluated in parallel and merged in order.
     pub fn apply_batch(&self, events: &[ChangeEvent]) -> Result<()> {
-        let src = DbSource {
-            db: self.db.clone(),
-        };
+        let src = DbSource(self.db()?.snapshot());
         self.state.write().apply_batch(events, &src)
     }
 

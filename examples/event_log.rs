@@ -154,7 +154,7 @@ fn main() -> domino::types::Result<()> {
     let mut escalation_doc = None;
     let mut recovery_doc = None;
     for id in db.note_ids(Some(NoteClass::Document))? {
-        let doc = db.open_summary(id)?;
+        let doc = db.open_note(id)?;
         match doc.get_text("Form").as_deref() {
             Some("HttpRequest") if request_doc.is_none() => request_doc = Some(doc),
             Some("Replication") if replication_doc.is_none() => replication_doc = Some(doc),

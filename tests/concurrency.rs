@@ -205,7 +205,7 @@ fn snapshot_readers_against_writer_storm() {
     assert_eq!(snap.seq(), db.change_seq());
     let mut total = 0.0;
     for doc in snap.documents() {
-        let live = db.open_note(doc.id).unwrap();
+        let live = db.stored_note(doc.id).unwrap();
         assert_eq!(*doc, live, "snapshot diverged from engine state");
         total += doc.get("Counter").unwrap().as_number().unwrap();
     }
@@ -287,7 +287,7 @@ fn save_delete_replicate_race_on_one_unid() {
 
         let mut scanned = MerkleSummary::new();
         for id in db.note_ids(None).unwrap() {
-            let n = db.open_note(id).unwrap();
+            let n = db.stored_note(id).unwrap();
             scanned.set_head(n.unid(), Some(merkle_head(&n)));
         }
         for stub in db.stubs().unwrap() {

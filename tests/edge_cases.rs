@@ -106,10 +106,11 @@ fn unread_marks_follow_deletions() {
     db.save(&mut a).unwrap();
     let mut b = Note::document("M");
     db.save(&mut b).unwrap();
-    assert_eq!(db.unread_unids("u").unwrap().len(), 2);
-    db.mark_read("u", a.unid());
+    let u = Session::new(db.clone(), "u", Directory::new());
+    assert_eq!(u.unread().unwrap().len(), 2);
+    u.mark_read(a.unid());
     db.delete(b.id).unwrap();
-    assert!(db.unread_unids("u").unwrap().is_empty());
+    assert!(u.unread().unwrap().is_empty());
 }
 
 /// Formula corner cases crossing several features at once.

@@ -1,13 +1,13 @@
-//! Lazy snapshot/Merkle seeding: `Database::open` in `SeedMode::Lazy`
-//! reads only summary segments — body pages stay untouched until a reader
-//! actually needs them — yet every observable surface (Merkle digests,
-//! snapshot reads, pinned-snapshot isolation across overwrites) matches
-//! the eager-seeded database exactly.
+//! Lazy snapshot/Merkle seeding: `Database::open` reads only summary
+//! segments — body pages stay untouched until a reader actually needs
+//! them — yet every observable surface (Merkle digests, snapshot reads,
+//! pinned-snapshot isolation across overwrites) matches the database as
+//! it stood before shutdown exactly.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use domino::core::{Database, DbConfig, Note, SeedMode};
+use domino::core::{Database, DbConfig, Note};
 use domino::types::{LogicalClock, ReplicaId, Value};
 
 const DOCS: usize = 40;
@@ -20,15 +20,15 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn config(mode: SeedMode) -> DbConfig {
-    DbConfig::new("LazySeed", ReplicaId(1), ReplicaId(9)).with_seed_mode(mode)
+fn config() -> DbConfig {
+    DbConfig::new("LazySeed", ReplicaId(1), ReplicaId(9))
 }
 
 /// Build a body-heavy database on disk and return the file path plus the
 /// saved UNIDs (in save order).
 fn build(dir: &Path, clock: &LogicalClock) -> (PathBuf, Vec<domino::types::Unid>) {
     let path = dir.join("data.nsf");
-    let db = Database::open_path(&path, config(SeedMode::Eager), clock.clone()).unwrap();
+    let db = Database::open_path(&path, config(), clock.clone()).unwrap();
     let mut unids = Vec::new();
     for i in 0..DOCS {
         let mut n = Note::document("Memo");
@@ -41,32 +41,40 @@ fn build(dir: &Path, clock: &LogicalClock) -> (PathBuf, Vec<domino::types::Unid>
     (path, unids)
 }
 
-fn reopen(path: &Path, clock: &LogicalClock, mode: SeedMode) -> Arc<Database> {
-    Arc::new(Database::open_path(path, config(mode), clock.clone()).unwrap())
+fn reopen(path: &Path, clock: &LogicalClock) -> Arc<Database> {
+    Arc::new(Database::open_path(path, config(), clock.clone()).unwrap())
 }
 
 #[test]
-fn lazy_open_reads_fewer_pages_but_matches_eager_merkle() {
+fn lazy_open_skips_body_pages_and_matches_the_merkle_before_shutdown() {
     let dir = temp_dir("merkle");
     let clock = LogicalClock::new();
     let (path, _) = build(&dir, &clock);
 
-    let eager = reopen(&path, &clock, SeedMode::Eager);
-    let eager_reads = eager.engine_stats().reads;
-    let eager_root = eager.merkle_root();
-    let eager_len = eager.merkle_len();
-    drop(eager);
+    // The database as it stands before shutdown: every version resident.
+    let before = reopen(&path, &clock);
+    before.snapshot().documents();
+    let (root, len) = (before.merkle_root(), before.merkle_len());
+    before.shutdown().unwrap();
+    drop(before);
 
-    let lazy = reopen(&path, &clock, SeedMode::Lazy);
-    let lazy_reads = lazy.engine_stats().reads;
+    let lazy = reopen(&path, &clock);
     // Identical digests: Merkle heads derive from summary items only.
-    assert_eq!(lazy.merkle_root(), eager_root);
-    assert_eq!(lazy.merkle_len(), eager_len);
-    // And the lazy open never touched the bodies: each note's ~8 KB body
-    // spans at least 2 heap pages, all skipped.
+    assert_eq!(lazy.merkle_root(), root);
+    assert_eq!(lazy.merkle_len(), len);
+    // And the lazy open never touched the bodies: reading every record in
+    // full through the engine now misses the buffer pool on each of the
+    // (at least) 2 heap pages a note's ~8 KB body spans.
+    let opened = lazy.engine_stats();
+    for id in lazy.note_ids(None).unwrap() {
+        lazy.stored_note(id).unwrap();
+    }
+    let scanned = lazy.engine_stats();
+    assert_eq!(scanned.evictions, 0, "the pool holds the whole file");
+    let body_misses = scanned.pool_misses - opened.pool_misses;
     assert!(
-        lazy_reads + 2 * DOCS as u64 <= eager_reads,
-        "lazy open must skip every body page: lazy {lazy_reads}, eager {eager_reads}"
+        body_misses >= 2 * DOCS as u64,
+        "lazy open must skip every body page: {body_misses} left unread"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -76,7 +84,7 @@ fn lazy_seeded_snapshot_hydrates_full_bodies_on_read() {
     let dir = temp_dir("hydrate");
     let clock = LogicalClock::new();
     let (path, unids) = build(&dir, &clock);
-    let db = reopen(&path, &clock, SeedMode::Lazy);
+    let db = reopen(&path, &clock);
 
     // Point read by UNID: the body must hydrate transparently.
     let snap = db.snapshot();
@@ -100,7 +108,7 @@ fn pinned_snapshot_survives_overwrite_of_elided_note() {
     let dir = temp_dir("backfill");
     let clock = LogicalClock::new();
     let (path, unids) = build(&dir, &clock);
-    let db = reopen(&path, &clock, SeedMode::Lazy);
+    let db = reopen(&path, &clock);
 
     // Pin BEFORE touching note 7, then overwrite its body. The writer
     // must backfill the elided seed version, so the pinned snapshot
@@ -176,19 +184,25 @@ fn hydrated() -> u64 {
 }
 
 #[test]
-fn stored_form_applies_after_lazy_and_eager_reopen() {
+fn stored_form_applies_before_shutdown_and_after_lazy_reopen() {
     let dir = temp_dir("form");
     let clock = LogicalClock::new();
     let (path, _) = build(&dir, &clock);
-    let db = reopen(&path, &clock, SeedMode::Eager);
+    let db = reopen(&path, &clock);
     store_task_form(&db);
+    // Before shutdown the form's version is resident, so the lookup never
+    // touches the engine.
+    let reads = db.engine_stats().reads;
+    assert!(form_for(&db, &Note::document("Task")).unwrap().is_some());
+    assert_eq!(db.engine_stats().reads, reads);
+    first_save_applies_the_default(&db);
     db.shutdown().unwrap();
     drop(db);
 
     // Lazy: the form's seed version is summary-only. Finding it reads the
     // form note through the body loader — a few pages, once — and never
     // the DOCS documents around it.
-    let lazy = reopen(&path, &clock, SeedMode::Lazy);
+    let lazy = reopen(&path, &clock);
     let (reads, hydrations) = (lazy.engine_stats().reads, hydrated());
     assert!(form_for(&lazy, &Note::document("Task")).unwrap().is_some());
     let loaded = lazy.engine_stats().reads - reads;
@@ -205,14 +219,6 @@ fn stored_form_applies_after_lazy_and_eager_reopen() {
         "second lookup must be served from the version slot"
     );
     first_save_applies_the_default(&lazy);
-    drop(lazy);
-
-    // Eager: nothing is elided, so the lookup never touches the engine.
-    let eager = reopen(&path, &clock, SeedMode::Eager);
-    let reads = eager.engine_stats().reads;
-    assert!(form_for(&eager, &Note::document("Task")).unwrap().is_some());
-    assert_eq!(eager.engine_stats().reads, reads);
-    first_save_applies_the_default(&eager);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -231,7 +237,7 @@ fn stored_form_applies_after_crash_recovery() {
             Database::open(
                 Box::new(Arc::clone(&cache)),
                 Some(Box::new(FileLogStore::open(&txn).unwrap())),
-                config(SeedMode::Lazy).with_engine(EngineConfig {
+                config().with_engine(EngineConfig {
                     commit_mode: CommitMode::Force,
                     ..EngineConfig::default()
                 }),

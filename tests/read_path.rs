@@ -1,0 +1,235 @@
+//! One read path: every live-note read is a read of a pinned snapshot.
+//!
+//! * What a read costs the engine: nothing, once the note is resident. The
+//!   counts are `EngineStats::reads` deltas (logical page reads), so they
+//!   repeat exactly.
+//! * Attaching a view or a full-text index while a writer is committing
+//!   loses no commit: the index subscribes first and builds from a snapshot
+//!   pinned under its own write lock.
+//! * A view sees summary items only, whichever copy of a note (change
+//!   event, resident version, summary-only seed) a row was computed from.
+
+use std::sync::{mpsc, Arc};
+use std::thread;
+
+use domino::core::{Database, DbConfig, Note, Session};
+use domino::formula::{EvalEnv, Formula};
+use domino::ftindex::FtIndex;
+use domino::security::Directory;
+use domino::storage::MemDisk;
+use domino::types::{LogicalClock, NoteClass, ReplicaId, Value};
+use domino::views::{ColumnSpec, SortDir, View, ViewDesign};
+use domino::wal::MemLogStore;
+
+fn config() -> DbConfig {
+    DbConfig::new("ReadPath", ReplicaId(1), ReplicaId(7))
+}
+
+/// Stores that outlive the database over them, so it can be shut down
+/// and reopened.
+#[derive(Default)]
+struct Stores {
+    disk: MemDisk,
+    log: MemLogStore,
+    clock: LogicalClock,
+}
+
+impl Stores {
+    fn open(&self) -> Arc<Database> {
+        let log = Box::new(self.log.clone());
+        let db = Database::open(
+            Box::new(self.disk.clone()),
+            Some(log),
+            config(),
+            self.clock.clone(),
+        );
+        Arc::new(db.unwrap())
+    }
+}
+
+fn memo(i: usize) -> Note {
+    let mut n = Note::document("Memo");
+    n.set("Subject", Value::text(format!("memo {i:05}")));
+    if i.is_multiple_of(4) {
+        n.set_body("Body", Value::RichText(vec![i as u8; 6000]));
+    }
+    n
+}
+
+fn by_subject() -> ViewDesign {
+    ViewDesign::new("BySubject", r#"SELECT Form = "Memo""#)
+        .unwrap()
+        .column(
+            ColumnSpec::new("Subject", "Subject")
+                .unwrap()
+                .sorted(SortDir::Ascending),
+        )
+}
+
+/// Engine page reads `op` causes.
+fn reads<T>(db: &Database, op: impl FnOnce() -> T) -> (u64, T) {
+    let before = db.engine_stats().reads;
+    let out = op();
+    (db.engine_stats().reads - before, out)
+}
+
+#[test]
+fn resident_reads_never_touch_the_engine() {
+    for docs in [500, 4_000] {
+        let db = Arc::new(Database::open_in_memory(config(), LogicalClock::new()).unwrap());
+        let saved: Vec<Note> = (0..docs)
+            .map(|i| {
+                let mut n = memo(i);
+                db.save(&mut n).unwrap();
+                n
+            })
+            .collect();
+        let probe = &saved[docs / 2];
+        let ann = Session::new(db.clone(), "ann", Directory::new());
+        ann.mark_read(saved[0].unid());
+        let select = Formula::compile(r#"SELECT Subject = "memo 00007""#).unwrap();
+
+        let cost = |what: &str, n: u64| assert_eq!(n, 0, "{what} at {docs} documents");
+        let (n, got) = reads(&db, || db.open_note(probe.id).unwrap());
+        cost("open_note", n);
+        assert_eq!(&got, probe);
+        let (n, got) = reads(&db, || db.open_by_unid(probe.unid()).unwrap());
+        cost("open_by_unid", n);
+        assert_eq!(&got, probe);
+        let (n, ids) = reads(&db, || db.note_ids(None).unwrap());
+        cost("note_ids", n);
+        assert_eq!(ids.len(), docs);
+        let (n, count) = reads(&db, || db.document_count().unwrap());
+        cost("document_count", n);
+        assert_eq!(count, docs);
+        let (n, hits) = reads(&db, || db.search(&select, &EvalEnv::default()).unwrap());
+        cost("search", n);
+        assert_eq!(hits.len(), 1);
+        let (n, view) = reads(&db, || View::attach(&db, by_subject()).unwrap());
+        cost("View::attach", n);
+        assert_eq!(view.len(), docs);
+        let (n, ft) = reads(&db, || FtIndex::attach(&db).unwrap());
+        cost("FtIndex::attach", n);
+        assert_eq!(ft.stats().documents, docs);
+        let (n, unread) = reads(&db, || ann.unread().unwrap());
+        cost("Session::unread", n);
+        assert_eq!(unread.len(), docs - 1);
+    }
+}
+
+#[test]
+fn a_reopened_note_hydrates_once_and_matches_the_engine() {
+    let stores = Stores::default();
+    let db = stores.open();
+    let ids: Vec<_> = (0..40)
+        .map(|i| {
+            let mut n = memo(i);
+            db.save(&mut n).unwrap();
+            n.id
+        })
+        .collect();
+    db.shutdown().unwrap();
+    drop(db);
+
+    let db = stores.open();
+    // This is the only test in the binary that hydrates, so the
+    // process-wide counter moves by exactly what it does here.
+    let hydrated = || domino::obs::snapshot().counter("Db.Snapshot.Hydrated");
+    let before = hydrated();
+    let with_body = ids[4];
+    let (first, note) = reads(&db, || db.open_note(with_body).unwrap());
+    assert!(first > 0, "the body has to come from the engine");
+    assert_eq!(hydrated(), before + 1);
+    assert_eq!(note.get("Body"), Some(&Value::RichText(vec![4u8; 6000])));
+    let (second, again) = reads(&db, || db.open_note(with_body).unwrap());
+    assert_eq!(second, 0, "the hydrated body stays in the version slot");
+    assert_eq!(hydrated(), before + 1);
+    assert_eq!(again, note);
+
+    // A note without a body segment was whole at open.
+    let (n, _) = reads(&db, || db.open_note(ids[5]).unwrap());
+    assert_eq!(n, 0);
+
+    for id in db.note_ids(Some(NoteClass::Document)).unwrap() {
+        assert_eq!(db.open_note(id).unwrap(), db.stored_note(id).unwrap());
+    }
+}
+
+#[test]
+fn attach_while_a_writer_commits_loses_nothing() {
+    const ROUNDS: usize = 20;
+    const DOCS: usize = 600;
+    for round in 0..ROUNDS {
+        let db = Arc::new(Database::open_in_memory(config(), LogicalClock::new()).unwrap());
+        let (started, attach_now) = mpsc::channel();
+        let writer = {
+            let db = db.clone();
+            thread::spawn(move || {
+                for i in 0..DOCS {
+                    db.save(&mut memo(i)).unwrap();
+                    if i == DOCS / 6 {
+                        started.send(()).unwrap();
+                    }
+                }
+            })
+        };
+        // Attach in the middle of the stream of commits.
+        attach_now.recv().unwrap();
+        let view = View::attach(&db, by_subject()).unwrap();
+        let ft = FtIndex::attach(&db).unwrap();
+        writer.join().unwrap();
+
+        let docs = db.document_count().unwrap();
+        assert_eq!(docs, DOCS);
+        assert_eq!(view.len(), docs, "round {round}: the view lost commits");
+        let fresh = View::detached(&db, by_subject()).unwrap();
+        fresh.rebuild().unwrap();
+        assert_eq!(view.rows(), fresh.rows(), "round {round}");
+        assert_eq!(
+            ft.stats().documents,
+            docs,
+            "round {round}: the full-text index lost commits"
+        );
+    }
+}
+
+#[test]
+fn a_body_column_reads_the_same_incrementally_rebuilt_and_reopened() {
+    let stores = Stores::default();
+    let design = || by_subject().column(ColumnSpec::new("Body", "Body").unwrap());
+    let body_cells = |view: &View| -> Vec<Value> {
+        view.rows()
+            .iter()
+            .map(|row| row.values[1].clone())
+            .collect()
+    };
+
+    let db = stores.open();
+    let view = View::attach(&db, design()).unwrap();
+    let mut n = Note::document("Memo");
+    n.set("Subject", Value::text("with a body"));
+    n.set_body("Body", Value::text("first body"));
+    db.save(&mut n).unwrap();
+    n.set_body("Body", Value::text("hello body"));
+    db.save(&mut n).unwrap();
+
+    let incremental = body_cells(&view);
+    assert_eq!(incremental.len(), 1);
+    assert_ne!(
+        incremental[0],
+        Value::text("hello body"),
+        "a view column saw a non-summary item"
+    );
+    view.rebuild().unwrap();
+    assert_eq!(body_cells(&view), incremental, "after rebuild()");
+
+    db.shutdown().unwrap();
+    drop(view);
+    drop(db);
+    let db = stores.open();
+    let view = View::attach(&db, design()).unwrap();
+    assert_eq!(body_cells(&view), incremental, "after shutdown and reopen");
+    // The document itself still carries the item.
+    let doc = db.open_by_unid(n.unid()).unwrap();
+    assert_eq!(doc.get("Body"), Some(&Value::text("hello body")));
+}
