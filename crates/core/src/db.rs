@@ -626,6 +626,7 @@ impl Database {
                 note.unid()
             )));
         }
+        note.keep_access_items_in_summary();
         let target = if note.is_draft() {
             Target::New
         } else {
@@ -715,7 +716,8 @@ impl Database {
     /// Write a note exactly as received from another replica: identity,
     /// stamps, and item revisions are preserved. Replaces any existing
     /// note *or stub* with the same UNID.
-    pub fn save_replicated(&self, note: Note) -> Result<Note> {
+    pub fn save_replicated(&self, mut note: Note) -> Result<Note> {
+        note.keep_access_items_in_summary();
         let mut saved = note.clone();
         let id = self.commit(Target::Unid(note.unid()), |_, _| {
             self.clock.observe(note.oid.seq_time);
@@ -863,7 +865,9 @@ impl Database {
     /// All documents matching a selection formula (summary-only
     /// evaluation, like a view refresh).
     pub fn search(&self, formula: &Formula, env: &EvalEnv) -> Result<Vec<Note>> {
-        self.snapshot().search(formula, env)
+        let hits = self.snapshot().search(formula, env)?;
+        m().opened.add(hits.len() as u64);
+        Ok(hits)
     }
 
     /// Everything (notes and stubs) whose sequence time is `>= cutoff`,
@@ -1149,12 +1153,13 @@ impl Database {
     pub fn info(&self) -> Result<DbInfo> {
         let snap = self.snapshot();
         let documents = snap.document_count();
+        let notes = snap.count(None);
         Ok(DbInfo {
             title: self.title(),
             replica_id: self.replica_id,
             instance_id: self.instance_id,
             documents,
-            design_notes: snap.note_ids(None).len() - documents,
+            design_notes: notes - documents,
             deletion_stubs: self.stubs()?.len(),
             logical_bytes: self.inner.lock().engine.logical_bytes()?,
             purge_interval: self.purge_interval(),

@@ -513,6 +513,17 @@ impl Snapshot {
         out
     }
 
+    /// How many notes of `class` (`None` = every class) are visible.
+    pub(crate) fn count(&self, class: Option<NoteClass>) -> usize {
+        m().reads.inc();
+        let st = self.store.state.read();
+        st.chains
+            .values()
+            .filter_map(|c| Self::visible(c, self.seq))
+            .filter(|v| class.is_none() || Some(v.note.class) == class)
+            .count()
+    }
+
     /// Visible document versions, ascending by note id — the shared
     /// backbone of the document reads below.
     fn documents_raw(&self) -> Vec<Version> {
@@ -553,7 +564,7 @@ impl Snapshot {
 
     /// Count of visible documents (no hydration).
     pub fn document_count(&self) -> usize {
-        self.documents_raw().len()
+        self.count(Some(NoteClass::Document))
     }
 
     /// Response documents (direct children) of a note (no hydration:

@@ -214,6 +214,19 @@ impl Note {
         self.collect_flagged(ItemFlags::AUTHORS)
     }
 
+    /// Reader and author items are summary items, as Notes requires:
+    /// access checks run on summary-only copies (a reopened database's
+    /// seed versions, view rows), which would read a restriction kept in
+    /// the body segment as "unrestricted". `Database` applies this to
+    /// every note it stores.
+    pub fn keep_access_items_in_summary(&mut self) {
+        for it in &mut self.items {
+            if it.flags.contains(ItemFlags::READERS) || it.flags.contains(ItemFlags::AUTHORS) {
+                it.flags = it.flags | ItemFlags::SUMMARY;
+            }
+        }
+    }
+
     fn collect_flagged(&self, flag: ItemFlags) -> Vec<String> {
         let mut out = Vec::new();
         for it in self.items() {

@@ -233,8 +233,9 @@ impl Session {
 
     /// Unread documents for this user (readable ones only), ascending by
     /// note id. Listing and read checks come from one snapshot, so a
-    /// concurrent delete cannot fail the call; reader items are summary
-    /// items (as Notes requires), so no body is read.
+    /// concurrent delete cannot fail the call; the store keeps reader items
+    /// in the summary (`Note::keep_access_items_in_summary`), so no body is
+    /// read.
     pub fn unread(&self) -> Result<Vec<Unid>> {
         let scope = self.scope()?;
         Ok(scope

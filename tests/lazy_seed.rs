@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use domino::core::{Database, DbConfig, Note};
-use domino::types::{LogicalClock, ReplicaId, Value};
+use domino::types::{ContentHash, LogicalClock, ReplicaId, Value};
 
 const DOCS: usize = 40;
 const BODY_BYTES: usize = 8000;
@@ -27,6 +27,16 @@ fn config() -> DbConfig {
 /// Build a body-heavy database on disk and return the file path plus the
 /// saved UNIDs (in save order).
 fn build(dir: &Path, clock: &LogicalClock) -> (PathBuf, Vec<domino::types::Unid>) {
+    let (path, unids, _) = build_with_merkle(dir, clock);
+    (path, unids)
+}
+
+/// [`build`], plus the Merkle root and leaf count of the live database
+/// just before shutdown — heads computed from full notes at commit.
+fn build_with_merkle(
+    dir: &Path,
+    clock: &LogicalClock,
+) -> (PathBuf, Vec<domino::types::Unid>, (ContentHash, usize)) {
     let path = dir.join("data.nsf");
     let db = Database::open_path(&path, config(), clock.clone()).unwrap();
     let mut unids = Vec::new();
@@ -37,8 +47,9 @@ fn build(dir: &Path, clock: &LogicalClock) -> (PathBuf, Vec<domino::types::Unid>
         db.save(&mut n).unwrap();
         unids.push(n.unid());
     }
+    let merkle = (db.merkle_root(), db.merkle_len());
     db.shutdown().unwrap();
-    (path, unids)
+    (path, unids, merkle)
 }
 
 fn reopen(path: &Path, clock: &LogicalClock) -> Arc<Database> {
@@ -49,14 +60,9 @@ fn reopen(path: &Path, clock: &LogicalClock) -> Arc<Database> {
 fn lazy_open_skips_body_pages_and_matches_the_merkle_before_shutdown() {
     let dir = temp_dir("merkle");
     let clock = LogicalClock::new();
-    let (path, _) = build(&dir, &clock);
-
-    // The database as it stands before shutdown: every version resident.
-    let before = reopen(&path, &clock);
-    before.snapshot().documents();
-    let (root, len) = (before.merkle_root(), before.merkle_len());
-    before.shutdown().unwrap();
-    drop(before);
+    // The digests of the database as it stood before shutdown, every
+    // head computed from the full note its commit wrote.
+    let (path, _, (root, len)) = build_with_merkle(&dir, &clock);
 
     let lazy = reopen(&path, &clock);
     // Identical digests: Merkle heads derive from summary items only.

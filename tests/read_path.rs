@@ -17,7 +17,7 @@ use domino::formula::{EvalEnv, Formula};
 use domino::ftindex::FtIndex;
 use domino::security::Directory;
 use domino::storage::MemDisk;
-use domino::types::{LogicalClock, NoteClass, ReplicaId, Value};
+use domino::types::{ItemFlags, LogicalClock, NoteClass, ReplicaId, Value};
 use domino::views::{ColumnSpec, SortDir, View, ViewDesign};
 use domino::wal::MemLogStore;
 
@@ -232,4 +232,44 @@ fn a_body_column_reads_the_same_incrementally_rebuilt_and_reopened() {
     // The document itself still carries the item.
     let doc = db.open_by_unid(n.unid()).unwrap();
     assert_eq!(doc.get("Body"), Some(&Value::text("hello body")));
+}
+
+#[test]
+fn a_reader_restriction_stored_without_the_summary_flag_holds_after_reopen() {
+    // `set_with_flags` replaces every flag, so this item would land in
+    // the body segment — and a reopened database checks access on
+    // summary-only versions. The store keeps reader items in the summary.
+    let restrict = |n: &mut Note| {
+        n.set("Subject", Value::text("board only"));
+        n.set_with_flags("DocReaders", Value::text("bea"), ItemFlags::READERS);
+    };
+    let stores = Stores::default();
+    let db = stores.open();
+    let mut open = memo(1);
+    db.save(&mut open).unwrap();
+    let mut local = memo(2);
+    restrict(&mut local);
+    db.save(&mut local).unwrap();
+    // The same restriction arriving by replication, unnormalised.
+    let mut remote = memo(3);
+    restrict(&mut remote);
+    let other = Database::open_in_memory(config(), stores.clock.clone()).unwrap();
+    other.save(&mut remote).unwrap();
+    restrict(&mut remote);
+    let remote = db.save_replicated(remote).unwrap();
+    db.shutdown().unwrap();
+    drop(db);
+
+    let db = stores.open();
+    let unread = |user: &str| Session::new(db.clone(), user, Directory::new()).unread();
+    let engine = db.engine_stats().reads;
+    assert_eq!(unread("ann").unwrap(), vec![open.unid()]);
+    assert_eq!(
+        unread("bea").unwrap(),
+        vec![open.unid(), local.unid(), remote.unid()]
+    );
+    assert_eq!(db.engine_stats().reads, engine, "no body was read");
+    let select = Formula::compile(r#"SELECT Form = "Memo""#).unwrap();
+    let ann = Session::new(db.clone(), "ann", Directory::new());
+    assert_eq!(ann.search(&select).unwrap().len(), 1);
 }
