@@ -491,13 +491,20 @@ mod compact_tests {
             LogicalClock::new(),
         )
         .unwrap();
-        // Create churn: big bodies, updates, deletions.
-        let mut keep = Vec::new();
+        // Big bodies first, then updates and deletions in bulk: the pages
+        // they empty go to the free-page bitmap, and the file keeps its
+        // length. (Interleaved, each save would take the page the last
+        // delete freed and there would be nothing to reclaim.)
+        let mut notes = Vec::new();
         for i in 0..100 {
             let mut n = Note::document("Doc");
             n.set("I", Value::Number(i as f64));
             n.set_body("Body", Value::RichText(vec![i as u8; 6000]));
             db.save(&mut n).unwrap();
+            notes.push(n);
+        }
+        let mut keep = Vec::new();
+        for (i, mut n) in notes.into_iter().enumerate() {
             if i % 2 == 0 {
                 db.delete(n.id).unwrap();
             } else {

@@ -279,11 +279,9 @@ fn int_child(page: &PageBuf, i: usize) -> PageId {
     }
 }
 
-/// Which child should `key` descend into?
-fn route(page: &PageBuf, key: u128) -> PageId {
-    let n = count(page);
-    // Find the last key <= `key` (its child), else child 0.
-    let (mut lo, mut hi) = (0usize, n);
+/// Index of the child `key` routes to: the number of keys `<= key`.
+fn int_search(page: &PageBuf, key: u128) -> usize {
+    let (mut lo, mut hi) = (0usize, count(page));
     while lo < hi {
         let mid = (lo + hi) / 2;
         if int_key(page, mid) <= key {
@@ -292,7 +290,12 @@ fn route(page: &PageBuf, key: u128) -> PageId {
             hi = mid;
         }
     }
-    int_child(page, lo)
+    lo
+}
+
+/// Which child should `key` descend into?
+fn route(page: &PageBuf, key: u128) -> PageId {
+    int_child(page, int_search(page, key))
 }
 
 // ---------------------------------------------------------------------------
@@ -307,101 +310,112 @@ fn insert_rec(
     key: u128,
     value: u64,
 ) -> Result<InsertOutcome> {
-    let ptype = engine.with_page(page_id, |p| p.page_type())?;
-    match ptype {
-        PageType::BTreeLeaf => {
-            let page = engine.fetch(page_id)?;
-            leaf_insert(engine, tx, page, key, value)
-        }
+    // Route (or find out this is the leaf) without cloning the node.
+    let step = engine.with_page(page_id, |page| match page.page_type() {
+        PageType::BTreeLeaf => Ok(None),
         PageType::BTreeInternal => {
-            // Route without cloning the node.
-            let (child_idx, child) = engine.with_page(page_id, |page| {
-                let n = count(page);
-                let (mut lo, mut hi) = (0usize, n);
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if int_key(page, mid) <= key {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                (lo, int_child(page, lo))
-            })?;
-            let (old, split) = insert_rec(engine, tx, child, key, value)?;
-            let Some((sep, right)) = split else {
-                return Ok((old, None));
-            };
-            // Insert (sep, right) after child_idx. Splits mutate this node,
-            // so take a snapshot for the region arithmetic.
-            let page = engine.fetch(page_id)?;
-            Ok((old, int_insert(engine, tx, page, child_idx, sep, right)?))
+            let child_idx = int_search(page, key);
+            Ok(Some((child_idx, int_child(page, child_idx))))
         }
         other => Err(DominoError::Corrupt(format!(
             "b-tree insert hit a {other:?} page"
         ))),
-    }
+    })??;
+    let Some((child_idx, child)) = step else {
+        return leaf_insert(engine, tx, page_id, key, value);
+    };
+    let (old, split) = insert_rec(engine, tx, child, key, value)?;
+    let Some((sep, right)) = split else {
+        return Ok((old, None));
+    };
+    Ok((old, int_insert(engine, tx, page_id, child_idx, sep, right)?))
+}
+
+/// `[entry] ++ page[start..end]`: the bytes that, written at `start`, open a
+/// gap for `entry` by shifting the tail right.
+fn shifted(page: &PageBuf, start: usize, end: usize, entry: &[u8]) -> Vec<u8> {
+    let mut region = Vec::with_capacity(entry.len() + end - start);
+    region.extend_from_slice(entry);
+    region.extend_from_slice(page.bytes(start, end - start));
+    region
+}
+
+/// What an insert does to a node that is not split, worked out inside the
+/// buffer pool so only the bytes to be written are copied.
+enum Edit {
+    /// The key exists at entry `pos` with value `old`.
+    Overwrite { pos: usize, old: u64 },
+    /// Write `region` at byte `start` and raise the count to `n + 1`.
+    Shift {
+        n: usize,
+        start: usize,
+        region: Vec<u8>,
+    },
+    /// The node is full.
+    Split,
 }
 
 fn leaf_insert(
     engine: &mut Engine,
     tx: &mut Tx,
-    page: PageBuf,
+    page_id: PageId,
     key: u128,
     value: u64,
 ) -> Result<InsertOutcome> {
-    let page_id = page.id;
-    let n = count(&page);
-    match leaf_search(&page, n, key) {
-        Ok(pos) => {
-            // Overwrite in place.
-            let old = leaf_value(&page, pos);
-            engine.write(
-                tx,
-                page_id,
-                (LEAF_ENTRIES + pos * ENTRY_SIZE + 16) as u16,
-                &value.to_le_bytes(),
-            )?;
+    let mut entry = [0u8; ENTRY_SIZE];
+    entry[..16].copy_from_slice(&key.to_le_bytes());
+    entry[16..].copy_from_slice(&value.to_le_bytes());
+    let edit = engine.with_page(page_id, |page| {
+        let n = count(page);
+        match leaf_search(page, n, key) {
+            Ok(pos) => Edit::Overwrite {
+                pos,
+                old: leaf_value(page, pos),
+            },
+            Err(pos) if n < LEAF_CAP => {
+                let start = LEAF_ENTRIES + pos * ENTRY_SIZE;
+                let end = LEAF_ENTRIES + n * ENTRY_SIZE;
+                Edit::Shift {
+                    n,
+                    start,
+                    region: shifted(page, start, end, &entry),
+                }
+            }
+            Err(_) => Edit::Split,
+        }
+    })?;
+    match edit {
+        Edit::Overwrite { pos, old } => {
+            let at = LEAF_ENTRIES + pos * ENTRY_SIZE + 16;
+            engine.write(tx, page_id, at as u16, &entry[16..])?;
             Ok((Some(old), None))
         }
-        Err(pos) if n < LEAF_CAP => {
-            // Shift the tail right by one entry and place the new entry.
-            let start = LEAF_ENTRIES + pos * ENTRY_SIZE;
-            let end = LEAF_ENTRIES + n * ENTRY_SIZE;
-            let mut region = Vec::with_capacity(end - start + ENTRY_SIZE);
-            region.extend_from_slice(&key.to_le_bytes());
-            region.extend_from_slice(&value.to_le_bytes());
-            region.extend_from_slice(page.bytes(start, end - start));
+        Edit::Shift { n, start, region } => {
             engine.write(tx, page_id, start as u16, &region)?;
             write_count(engine, tx, page_id, (n + 1) as u16)?;
             Ok((None, None))
         }
-        Err(pos) => {
-            // Split: upper half moves to a fresh right sibling.
+        Edit::Split => {
+            // Upper half moves to a fresh right sibling. The writes below
+            // change this node, so work from a stable image of it.
+            let page = engine.fetch(page_id)?;
+            let n = count(&page);
             let mid = n / 2;
             let right_id = engine.alloc_page(tx, PageType::BTreeLeaf)?;
-            let moved = page
-                .bytes(LEAF_ENTRIES + mid * ENTRY_SIZE, (n - mid) * ENTRY_SIZE)
-                .to_vec();
+            let moved = page.bytes(LEAF_ENTRIES + mid * ENTRY_SIZE, (n - mid) * ENTRY_SIZE);
             let mut right_init = Vec::with_capacity(2 + moved.len());
             right_init.extend_from_slice(&((n - mid) as u16).to_le_bytes());
-            right_init.extend_from_slice(&moved);
+            right_init.extend_from_slice(moved);
             engine.write(tx, right_id, OFF_COUNT as u16, &right_init)?;
             // Sibling chain: right inherits the old link; left points right.
-            let old_link = page.link();
-            engine.write(tx, right_id, 10, &old_link.to_le_bytes())?;
+            engine.write(tx, right_id, 10, &page.link().to_le_bytes())?;
             engine.write(tx, page_id, 10, &right_id.to_le_bytes())?;
             write_count(engine, tx, page_id, mid as u16)?;
 
-            let sep = page.get_u128(LEAF_ENTRIES + mid * ENTRY_SIZE);
             // Insert the pending key into whichever side owns it.
-            let target = if pos < mid || key < sep {
-                page_id
-            } else {
-                right_id
-            };
-            let tpage = engine.fetch(target)?;
-            let (old, split2) = leaf_insert(engine, tx, tpage, key, value)?;
+            let sep = leaf_key(&page, mid);
+            let target = if key < sep { page_id } else { right_id };
+            let (old, split2) = leaf_insert(engine, tx, target, key, value)?;
             debug_assert!(split2.is_none(), "freshly split leaf cannot split again");
             debug_assert!(old.is_none());
             Ok((old, Some((sep, right_id))))
@@ -413,27 +427,38 @@ fn leaf_insert(
 fn int_insert(
     engine: &mut Engine,
     tx: &mut Tx,
-    page: PageBuf,
+    page_id: PageId,
     child_idx: usize,
     sep: u128,
     right: PageId,
 ) -> Result<Option<(u128, PageId)>> {
-    let page_id = page.id;
-    let n = count(&page);
-    if n < INT_CAP {
-        let pos = child_idx; // new key goes at index child_idx
-        let start = INT_ENTRIES + pos * INT_ENTRY_SIZE;
+    let mut entry = [0u8; INT_ENTRY_SIZE];
+    entry[..16].copy_from_slice(&sep.to_le_bytes());
+    entry[16..].copy_from_slice(&right.to_le_bytes());
+    let edit = engine.with_page(page_id, |page| {
+        let n = count(page);
+        if n == INT_CAP {
+            return Edit::Split;
+        }
+        // The new key goes at index `child_idx`.
+        let start = INT_ENTRIES + child_idx * INT_ENTRY_SIZE;
         let end = INT_ENTRIES + n * INT_ENTRY_SIZE;
-        let mut region = Vec::with_capacity(end - start + INT_ENTRY_SIZE);
-        region.extend_from_slice(&sep.to_le_bytes());
-        region.extend_from_slice(&right.to_le_bytes());
-        region.extend_from_slice(page.bytes(start, end - start));
+        Edit::Shift {
+            n,
+            start,
+            region: shifted(page, start, end, &entry),
+        }
+    })?;
+    if let Edit::Shift { n, start, region } = edit {
         engine.write(tx, page_id, start as u16, &region)?;
         write_count(engine, tx, page_id, (n + 1) as u16)?;
         return Ok(None);
     }
 
-    // Split the internal node. Keys: k0..k(n-1); promote k_mid.
+    // Split the internal node, from a stable image of it. Keys:
+    // k0..k(n-1); promote k_mid.
+    let page = engine.fetch(page_id)?;
+    let n = count(&page);
     let mid = n / 2;
     let promoted = int_key(&page, mid);
     let right_id = engine.alloc_page(tx, PageType::BTreeInternal)?;
@@ -450,21 +475,11 @@ fn int_insert(
     engine.write(tx, right_id, OFF_COUNT as u16, &right_init)?;
     write_count(engine, tx, page_id, mid as u16)?;
 
-    // Now insert (sep, right) into the correct half.
+    // Now insert (sep, right) into the correct half, at the child index
+    // `sep` routes to there.
     let target_id = if sep < promoted { page_id } else { right_id };
-    let tpage = engine.fetch(target_id)?;
-    // Recompute the child index in the target node by routing on `sep`.
-    let tn = count(&tpage);
-    let (mut lo, mut hi) = (0usize, tn);
-    while lo < hi {
-        let m = (lo + hi) / 2;
-        if int_key(&tpage, m) <= sep {
-            lo = m + 1;
-        } else {
-            hi = m;
-        }
-    }
-    let split2 = int_insert(engine, tx, tpage, lo, sep, right)?;
+    let idx = engine.with_page(target_id, |target| int_search(target, sep))?;
+    let split2 = int_insert(engine, tx, target_id, idx, sep, right)?;
     debug_assert!(
         split2.is_none(),
         "freshly split internal node cannot split again"

@@ -43,7 +43,7 @@
 //! 30..34  count of free (reusable) pages tracked by the map
 //! 34..98  eight u64 slots for the layers above (replica id, counters...)
 //! 98..130 eight u32 B-tree root slots
-//! 130..134 heap free-space chain head
+//! 130..134 reserved (head of the retired heap free-space chain; ignored)
 //! ```
 //!
 //! Free pages are tracked by a bitmap, not a chain: each [`PageType::FreeMap`]
@@ -56,6 +56,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::disk::Disk;
+use crate::heap::FreeSpace;
 use crate::page::{PageBuf, PageId, PageType, PAGE_HEADER, PAGE_SIZE};
 use crate::pool::{BufferPool, Frame};
 use domino_obs as obs;
@@ -111,7 +112,6 @@ pub(crate) const OFF_FREE_MAP: usize = 26;
 pub(crate) const OFF_FREE_COUNT: usize = 30;
 pub(crate) const OFF_USER_SLOTS: usize = 34; // 8 x u64
 pub(crate) const OFF_TREE_ROOTS: usize = 98; // 8 x u32
-pub(crate) const OFF_HEAP_AVAIL: usize = 130;
 
 /// Pages covered by one free-map page: one bit per page in the payload.
 pub(crate) const BITS_PER_MAP: u32 = ((PAGE_SIZE - PAGE_HEADER) * 8) as u32;
@@ -207,6 +207,8 @@ pub struct Engine {
     next_tx: u64,
     active_tx: Option<TxId>,
     stats: EngineStats,
+    /// Volatile free-space hints for the record heap (`crate::heap`).
+    free_space: FreeSpace,
     /// Stats of the restart recovery performed at open, if any.
     pub recovery: Option<RecoveryStats>,
 }
@@ -239,6 +241,7 @@ impl Engine {
             next_tx: 1,
             active_tx: None,
             stats: EngineStats::default(),
+            free_space: FreeSpace::default(),
             recovery: None,
         };
 
@@ -464,16 +467,24 @@ impl Engine {
             frame.page.bytes(offset as usize, bytes.len()).to_vec()
         };
         let prev_lsn = tx.last_lsn;
-        let lsn = match &self.wal {
-            Some(wal) => Some(wal.append(&LogRecord::Update {
-                tx: tx.id,
-                prev: prev_lsn,
-                page: id,
-                offset,
-                before: before.clone(),
-                after: bytes.to_vec(),
-            })?),
-            None => None,
+        let (lsn, before) = match &self.wal {
+            Some(wal) => {
+                let record = LogRecord::Update {
+                    tx: tx.id,
+                    prev: prev_lsn,
+                    page: id,
+                    offset,
+                    before,
+                    after: bytes.to_vec(),
+                };
+                let lsn = wal.append(&record)?;
+                // The log has its copy; the undo list takes the image back.
+                let LogRecord::Update { before, .. } = record else {
+                    unreachable!("built as an update just above")
+                };
+                (Some(lsn), before)
+            }
+            None => (None, before),
         };
         let slot = self.pool.lookup(id).expect("resident: loaded above");
         let frame = self.pool.frame_mut(slot);
@@ -753,14 +764,18 @@ impl Engine {
                 next
             }
         };
-        // Re-initialize the page header (type + cleared link). Structures
-        // initialize their own fields; stale bytes beyond logged ranges are
-        // never interpreted because counts are always written.
-        self.write(tx, id, 8, &[ptype.code(), 0])?;
-        self.write(tx, id, 10, &0u32.to_le_bytes())?;
+        // Structures initialize their own fields; stale bytes beyond logged
+        // ranges are never interpreted because counts are always written.
+        self.write_type(tx, id, ptype)?;
         self.stats.pages_allocated += 1;
         m().pages_allocated.inc();
         Ok(id)
+    }
+
+    /// Re-initialize a page header — type, cleared flags, cleared link
+    /// (@8..14) — as one logged write.
+    fn write_type(&mut self, tx: &mut Tx, id: PageId, ptype: PageType) -> Result<()> {
+        self.write(tx, id, 8, &[ptype.code(), 0, 0, 0, 0, 0])
     }
 
     /// Return a page to the free map.
@@ -775,14 +790,18 @@ impl Engine {
                 "cannot free a free-map page".into(),
             ));
         }
-        self.write(tx, id, 8, &[PageType::Free.code(), 0])?;
-        self.write(tx, id, 10, &0u32.to_le_bytes())?;
+        self.write_type(tx, id, PageType::Free)?;
         self.write_map_bit(tx, id, false)?;
-        let count = self.with_page(0, |h| h.get_u32(OFF_FREE_COUNT))?;
+        let count = self.free_pages()?;
         self.write(tx, 0, OFF_FREE_COUNT as u16, &(count + 1).to_le_bytes())?;
         self.stats.pages_freed += 1;
         m().pages_freed.inc();
         Ok(())
+    }
+
+    /// Free (reusable) pages the map tracks: the catalog's count.
+    pub fn free_pages(&mut self) -> Result<u32> {
+        self.with_page(0, |h| h.get_u32(OFF_FREE_COUNT))
     }
 
     /// The map page whose bits cover `range` (pages `range * BITS_PER_MAP`
@@ -814,8 +833,7 @@ impl Engine {
     fn grow_map(&mut self, tx: &mut Tx, prev: PageId, created: &mut Vec<PageId>) -> Result<PageId> {
         let next = self.with_page(0, |h| h.get_u32(OFF_NEXT_PAGE))?.max(1);
         self.write(tx, 0, OFF_NEXT_PAGE as u16, &(next + 1).to_le_bytes())?;
-        self.write(tx, next, 8, &[PageType::FreeMap.code(), 0])?;
-        self.write(tx, next, 10, &0u32.to_le_bytes())?;
+        self.write_type(tx, next, PageType::FreeMap)?;
         if prev == 0 {
             self.write(tx, 0, OFF_FREE_MAP as u16, &next.to_le_bytes())?;
         } else {
@@ -909,19 +927,15 @@ impl Engine {
         self.write(tx, 0, (OFF_TREE_ROOTS + 4 * i) as u16, &root.to_le_bytes())
     }
 
-    /// Head of the heap free-space chain.
-    pub fn heap_avail(&mut self) -> Result<PageId> {
-        self.with_page(0, |h| h.get_u32(OFF_HEAP_AVAIL))
-    }
-
-    pub fn set_heap_avail(&mut self, tx: &mut Tx, id: PageId) -> Result<()> {
-        self.write(tx, 0, OFF_HEAP_AVAIL as u16, &id.to_le_bytes())
-    }
-
     // ------------------------------------------------------------------
 
     pub fn stats(&self) -> EngineStats {
         self.stats
+    }
+
+    /// The record heap's free-space hints.
+    pub(crate) fn free_space(&mut self) -> &mut FreeSpace {
+        &mut self.free_space
     }
 
     pub fn wal(&self) -> Option<&Wal> {

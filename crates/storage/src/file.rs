@@ -764,14 +764,7 @@ mod tests {
             (16, 20, 22)
         );
         assert_eq!((engine::OFF_FREE_MAP, engine::OFF_FREE_COUNT), (26, 30));
-        assert_eq!(
-            (
-                engine::OFF_USER_SLOTS,
-                engine::OFF_TREE_ROOTS,
-                engine::OFF_HEAP_AVAIL
-            ),
-            (34, 98, 130)
-        );
+        assert_eq!((engine::OFF_USER_SLOTS, engine::OFF_TREE_ROOTS), (34, 98));
         assert_eq!(engine::USER_SLOTS, 8);
         assert_eq!(engine::TREE_ROOT_SLOTS, 8);
 

@@ -2,12 +2,10 @@
 //!
 //! Variable-length note records (summary buckets and non-summary bodies)
 //! live in heap pages. A record larger than one page is chained across
-//! chunks. Pages with free room hang off a free-space chain rooted in the
-//! store header (`Engine::heap_avail`), so inserts find space without
-//! scanning the file.
+//! chunks.
 //!
-//! Page layout after the 16-byte header (header link = free-space chain,
-//! header flag bit 0 = "on the chain"):
+//! Page layout after the 16-byte header (the header's flag byte and link
+//! field are unused on heap pages):
 //!
 //! ```text
 //! @16 slot_count:u16
@@ -15,19 +13,32 @@
 //! @20 slots: slot_count × (offset:u16, len:u16)   (grows up)
 //! ```
 //!
-//! A slot with `offset == 0` is a tombstone and may be reused. Deleted
-//! record bytes are reclaimed lazily: when an insert needs room that exists
-//! only as tombstone space, the page is compacted in place.
+//! A slot with `offset == 0` is a tombstone and may be reused. A page's
+//! *room* is the contiguous gap between the slot array and the data
+//! region. A delete gives bytes back to it by trimming only: trailing
+//! tombstones leave the slot array, dead bytes at the bottom of the data
+//! region leave the region, and a hole between two live records stays a
+//! hole. The page's *free* bytes are its room plus its holes.
+//!
+//! **The page is the truth, the index is a hint, whole pages live in the
+//! bitmap.** A page whose last live record is deleted goes back to the
+//! engine's logged free-page bitmap ([`Engine::free_page`]). Space inside a
+//! page is remembered only by `FreeSpace`, a volatile index every insert,
+//! delete and read refreshes for the page it has in hand; an abort restores
+//! pages, not hints, so an insert re-checks the page itself before placing
+//! and corrects or drops a hint that lied. The order an insert looks for
+//! space in is on `Heap::insert_raw`; the format's view is FORMAT.md §6.2.
+
+use std::collections::{BTreeSet, HashMap};
 
 use crate::engine::{Engine, Tx};
 use crate::page::{PageBuf, PageId, PageType, PAGE_HEADER, PAGE_SIZE};
 use domino_types::{DominoError, Result};
 
 const OFF_SLOT_COUNT: usize = PAGE_HEADER; // u16
-const OFF_FREE_PTR: usize = PAGE_HEADER + 2; // u16
+const OFF_FREE_PTR: usize = PAGE_HEADER + 2; // u16, adjacent: written together
 const SLOTS_START: usize = PAGE_HEADER + 4;
 const SLOT_SIZE: usize = 4;
-const FLAG_ON_CHAIN: u8 = 1;
 
 /// Per-chunk header: flags(1) + next_page(4) + next_slot(2).
 const CHUNK_HEADER: usize = 7;
@@ -36,12 +47,9 @@ const CHUNK_HAS_NEXT: u8 = 1;
 /// Largest payload stored in one chunk.
 pub const MAX_CHUNK: usize = PAGE_SIZE - SLOTS_START - SLOT_SIZE - CHUNK_HEADER;
 
-/// Pages are dropped from the free-space chain once contiguous room falls
-/// below this, and re-added by deletes that free at least this much.
-const MIN_USEFUL: usize = 128;
-
-/// How many chain pages an insert probes before extending the file.
-const CHAIN_PROBES: usize = 8;
+/// Room the smallest possible chunk (an empty payload in a new slot)
+/// needs; a page with less can take no insert and is not worth a hint.
+const MIN_NEED: usize = CHUNK_HEADER + SLOT_SIZE;
 
 /// Location of a record (its first chunk).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,7 +72,104 @@ impl RecordPtr {
     }
 }
 
-/// The record heap. Stateless: all state lives in pages + the store header.
+/// Volatile free-space hints: what each heap page offered when it was last
+/// in hand. One private field of [`Engine`], so it shares the engine mutex
+/// and dies with the engine.
+#[derive(Debug, Default)]
+pub(crate) struct FreeSpace {
+    /// `(room, page)`: pages that can take an insert as they are, ordered
+    /// so an insert gets the tightest fit.
+    by_room: BTreeSet<(u16, PageId)>,
+    /// `(free, page)`: fragmented pages — `free` counts the dead holes a
+    /// compaction would add to the room.
+    by_free: BTreeSet<(u16, PageId)>,
+    /// page → `(room, free)` as entered above.
+    seen: HashMap<PageId, (u16, u16)>,
+}
+
+impl FreeSpace {
+    fn set(&mut self, page: PageId, room: usize, free: usize) {
+        let entry = (room as u16, free as u16); // both < PAGE_SIZE
+        if self.seen.get(&page) == Some(&entry) {
+            return;
+        }
+        self.forget(page);
+        if free < MIN_NEED {
+            return;
+        }
+        if room >= MIN_NEED {
+            self.by_room.insert((entry.0, page));
+        }
+        if free > room {
+            self.by_free.insert((entry.1, page));
+        }
+        self.seen.insert(page, entry);
+    }
+
+    fn forget(&mut self, page: PageId) {
+        if let Some((room, free)) = self.seen.remove(&page) {
+            self.by_room.remove(&(room, page));
+            self.by_free.remove(&(free, page));
+        }
+    }
+
+    /// The page whose room covers `need` most tightly; failing that, and
+    /// if the caller is willing to `compact`, the fragmented page whose
+    /// free bytes do.
+    fn best_fit(&self, need: usize, compact: bool) -> Option<PageId> {
+        let need = u16::try_from(need).ok()?;
+        let first = |set: &BTreeSet<(u16, PageId)>| set.range((need, 0)..).next().map(|e| e.1);
+        first(&self.by_room).or_else(|| first(&self.by_free).filter(|_| compact))
+    }
+}
+
+/// The space accounting of one heap page.
+#[derive(Debug)]
+struct Layout {
+    slot_count: usize,
+    free_ptr: usize,
+    /// Bytes not held by the slot array or a live record: the room plus
+    /// the dead holes in the data region.
+    free: usize,
+    /// A tombstoned slot to reuse, if any.
+    tombstone: Option<usize>,
+}
+
+impl Layout {
+    /// A page with no live record — also one fresh from
+    /// [`Engine::alloc_page`]: whatever bytes it holds, no slot is
+    /// counted, so none is ever interpreted.
+    const EMPTY: Layout = Layout {
+        slot_count: 0,
+        free_ptr: PAGE_SIZE,
+        free: PAGE_SIZE - SLOTS_START,
+        tombstone: None,
+    };
+
+    /// `None` unless `page` is a heap page.
+    fn of(page: &PageBuf) -> Option<Layout> {
+        if page.page_type() != PageType::Heap {
+            return None;
+        }
+        let slot_count = page.get_u16(OFF_SLOT_COUNT) as usize;
+        let held: usize = live_slots(page).map(|(_, _, len)| len).sum();
+        Some(Layout {
+            slot_count,
+            free_ptr: page.get_u16(OFF_FREE_PTR) as usize,
+            free: (PAGE_SIZE - SLOTS_START).saturating_sub(slot_count * SLOT_SIZE + held),
+            tombstone: (0..slot_count).find(|i| page.get_u16(SLOTS_START + i * SLOT_SIZE) == 0),
+        })
+    }
+
+    /// Contiguous bytes between the slot array and the data region.
+    fn room(&self) -> usize {
+        self.free_ptr
+            .saturating_sub(SLOTS_START + self.slot_count * SLOT_SIZE)
+    }
+}
+
+/// The record heap. Stateless: records live in pages, free whole pages in
+/// the engine's bitmap, and the room hints in the engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Heap;
 
@@ -97,61 +202,71 @@ impl Heap {
     }
 
     /// Read a whole record. Chunks are copied straight out of the buffer
-    /// pool (`Engine::with_page`), never cloning whole pages.
+    /// pool (`Engine::with_page`), never cloning whole pages. Every page
+    /// the read passes through refreshes its free-space hint, which is how
+    /// a reopened store learns where its room is without a scan.
     pub fn read(&self, engine: &mut Engine, ptr: RecordPtr) -> Result<Vec<u8>> {
         let mut out = Vec::new();
         let mut cur = Some(ptr);
         while let Some(ptr) = cur {
-            cur = engine.with_page(ptr.page, |page| -> Result<Option<RecordPtr>> {
-                if page.page_type() != PageType::Heap {
-                    return Err(DominoError::Corrupt(format!(
-                        "record pointer into non-heap page {}",
-                        ptr.page
-                    )));
-                }
-                let (off, len) = slot(page, ptr.slot)?;
+            let (next, layout) = engine.with_page(ptr.page, |page| {
+                let (layout, off, len) = slot(page, ptr.slot)?;
                 let raw = page.bytes(off, len);
-                if raw.len() < CHUNK_HEADER {
-                    return Err(DominoError::Corrupt("short heap chunk".into()));
-                }
                 out.extend_from_slice(&raw[CHUNK_HEADER..]);
-                Ok(chunk_next(raw))
+                Ok::<_, DominoError>((chunk_next(raw), layout))
             })??;
+            hint(engine, ptr.page, &layout);
+            cur = next;
         }
         Ok(out)
     }
 
-    /// Number of pages a record's chunks touch (experiment accounting for
-    /// summary-vs-full reads).
-    pub fn pages_of(&self, engine: &mut Engine, ptr: RecordPtr) -> Result<Vec<PageId>> {
-        let mut pages = Vec::new();
-        let mut cur = Some(ptr);
-        while let Some(ptr) = cur {
-            pages.push(ptr.page);
-            cur = engine.with_page(ptr.page, |page| -> Result<Option<RecordPtr>> {
-                let (off, len) = slot(page, ptr.slot)?;
-                Ok(chunk_next(page.bytes(off, len)))
-            })??;
-        }
-        Ok(pages)
+    /// The free-space hints as `(page, room, free)` (test and experiment
+    /// accounting: a hint may be stale, the page is the truth).
+    pub fn hints(&self, engine: &mut Engine) -> Vec<(PageId, usize, usize)> {
+        let seen = &engine.free_space().seen;
+        let mut hints: Vec<_> = seen
+            .iter()
+            .map(|(page, (room, free))| (*page, *room as usize, *free as usize))
+            .collect();
+        hints.sort_unstable();
+        hints
     }
 
-    /// Delete a record (all its chunks become tombstones).
+    /// Delete a record. Each chunk's slot becomes a tombstone; trailing
+    /// tombstones and the dead bytes at the bottom of the data region are
+    /// trimmed back into the page's room; a page left with no live record
+    /// goes back to the engine's free-page bitmap.
     pub fn delete(&self, engine: &mut Engine, tx: &mut Tx, ptr: RecordPtr) -> Result<()> {
         let mut cur = Some(ptr);
         while let Some(ptr) = cur {
-            cur = engine.with_page(ptr.page, |page| -> Result<Option<RecordPtr>> {
-                let (off, len) = slot(page, ptr.slot)?;
-                Ok(chunk_next(page.bytes(off, len)))
+            let gone = ptr.slot as usize;
+            let (next, old, new) = engine.with_page(ptr.page, |page| {
+                let (old, off, len) = slot(page, ptr.slot)?;
+                // What the page shrinks to without this slot.
+                let mut new = Layout::EMPTY;
+                for (i, off, len) in live_slots(page).filter(|s| s.0 != gone) {
+                    new.slot_count = i + 1;
+                    new.free_ptr = new.free_ptr.min(off);
+                    new.free -= len;
+                }
+                new.free -= new.slot_count * SLOT_SIZE;
+                Ok::<_, DominoError>((chunk_next(page.bytes(off, len)), old, new))
             })??;
-            // Tombstone the slot.
-            let slot_off = SLOTS_START + ptr.slot as usize * SLOT_SIZE;
-            engine.write(tx, ptr.page, slot_off as u16, &[0u8; 4])?;
-            // A page with reclaimable room goes back on the chain.
-            let (chained, free) = engine.with_page(ptr.page, |p| (on_chain(p), total_free(p)))?;
-            if !chained && free >= MIN_USEFUL {
-                self.push_chain(engine, tx, ptr.page)?;
+            cur = next;
+            if new.slot_count == 0 {
+                engine.free_space().forget(ptr.page);
+                engine.free_page(tx, ptr.page)?;
+                continue;
             }
+            if gone < new.slot_count {
+                let slot_off = SLOTS_START + gone * SLOT_SIZE;
+                engine.write(tx, ptr.page, slot_off as u16, &[0u8; SLOT_SIZE])?;
+            }
+            if (new.slot_count, new.free_ptr) != (old.slot_count, old.free_ptr) {
+                write_counts(engine, tx, ptr.page, &new)?;
+            }
+            hint(engine, ptr.page, &new);
         }
         Ok(())
     }
@@ -170,205 +285,131 @@ impl Heap {
 
     // ------------------------------------------------------------------
 
-    /// Store one pre-encoded chunk, finding or making a page with room.
+    /// Store one pre-encoded chunk: on the hinted page that fits it most
+    /// tightly, else on a whole free page, else on a fragmented page
+    /// compacted to fit, else on a page that extends the file.
     fn insert_raw(&self, engine: &mut Engine, tx: &mut Tx, bytes: &[u8]) -> Result<RecordPtr> {
         let need = bytes.len() + SLOT_SIZE;
-        // Probe the free-space chain.
-        let mut prev: Option<PageId> = None;
-        let mut cur = engine.heap_avail()?;
-        let mut probes = 0;
-        while cur != 0 && probes < CHAIN_PROBES {
-            let (total, contiguous, link) =
-                engine.with_page(cur, |p| (total_free(p), contiguous_free(p), p.link()))?;
-            if total >= need {
-                if contiguous < need {
-                    self.compact_page(engine, tx, cur)?;
+        // Compaction moves records and logs the moves; a free page in the
+        // bitmap costs neither. Compact only to keep the file from growing.
+        let may_compact = engine.free_pages()? == 0;
+        while let Some(id) = engine.free_space().best_fit(need, may_compact) {
+            // The page is the truth: an abort may have undone what the
+            // hint saw, down to the page's allocation.
+            match engine.with_page(id, Layout::of)? {
+                Some(layout) if layout.room() >= need => {
+                    return self.place(engine, tx, id, layout, bytes);
                 }
-                let ptr = self.place(engine, tx, cur, bytes)?;
-                // Drop exhausted pages from the chain.
-                if engine.with_page(cur, total_free)? < MIN_USEFUL {
-                    self.unlink_chain(engine, tx, prev, cur)?;
+                Some(layout) if may_compact && layout.free >= need => {
+                    let layout = self.compact(engine, tx, id, layout)?;
+                    return self.place(engine, tx, id, layout, bytes);
                 }
-                return Ok(ptr);
+                // Corrected below `need` or dropped: the loop ends.
+                Some(layout) => hint(engine, id, &layout),
+                None => engine.free_space().forget(id),
             }
-            prev = Some(cur);
-            cur = link;
-            probes += 1;
         }
-        // No room in the probed chain: extend the file.
         let id = engine.alloc_page(tx, PageType::Heap)?;
-        let mut init = [0u8; 4];
-        init[2..4].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
-        engine.write(tx, id, OFF_SLOT_COUNT as u16, &init)?;
-        self.push_chain(engine, tx, id)?;
-        self.place(engine, tx, id, bytes)
+        self.place(engine, tx, id, Layout::EMPTY, bytes)
     }
 
-    /// Put a chunk on a page known to have contiguous room.
+    /// Put a chunk on a page whose `layout` has room for it.
     fn place(
         &self,
         engine: &mut Engine,
         tx: &mut Tx,
         id: PageId,
+        mut layout: Layout,
         bytes: &[u8],
     ) -> Result<RecordPtr> {
-        let (n, free_ptr, slot_idx) = engine.with_page(id, |page| {
-            let n = page.get_u16(OFF_SLOT_COUNT) as usize;
-            let free_ptr = page.get_u16(OFF_FREE_PTR) as usize;
-            // Reuse a tombstone slot if one exists.
-            let mut slot_idx = None;
-            for i in 0..n {
-                if page.get_u16(SLOTS_START + i * SLOT_SIZE) == 0 {
-                    slot_idx = Some(i);
-                    break;
-                }
-            }
-            (n, free_ptr, slot_idx)
-        })?;
-        let new_off = free_ptr - bytes.len();
+        let idx = layout.tombstone.unwrap_or(layout.slot_count);
+        let grows = idx == layout.slot_count;
+        let taken = bytes.len() + if grows { SLOT_SIZE } else { 0 };
+        assert!(taken <= layout.room(), "place() on a page without room");
+        layout.slot_count += grows as usize;
+        layout.free_ptr -= bytes.len();
+        layout.free -= taken;
 
-        let (idx, grew) = match slot_idx {
-            Some(i) => (i, false),
-            None => (n, true),
-        };
-        debug_assert!(
-            new_off >= SLOTS_START + (n + if grew { 1 } else { 0 }) * SLOT_SIZE,
-            "place() on a page without room"
-        );
-
-        engine.write(tx, id, new_off as u16, bytes)?;
-        let mut slot_bytes = [0u8; 4];
-        slot_bytes[0..2].copy_from_slice(&(new_off as u16).to_le_bytes());
+        engine.write(tx, id, layout.free_ptr as u16, bytes)?;
+        let mut slot_bytes = [0u8; SLOT_SIZE];
+        slot_bytes[0..2].copy_from_slice(&(layout.free_ptr as u16).to_le_bytes());
         slot_bytes[2..4].copy_from_slice(&(bytes.len() as u16).to_le_bytes());
         engine.write(tx, id, (SLOTS_START + idx * SLOT_SIZE) as u16, &slot_bytes)?;
-        if grew {
-            engine.write(
-                tx,
-                id,
-                OFF_SLOT_COUNT as u16,
-                &((n + 1) as u16).to_le_bytes(),
-            )?;
-        }
-        engine.write(tx, id, OFF_FREE_PTR as u16, &(new_off as u16).to_le_bytes())?;
+        write_counts(engine, tx, id, &layout)?;
+        hint(engine, id, &layout);
         Ok(RecordPtr {
             page: id,
             slot: idx as u16,
         })
     }
 
-    /// Rewrite the data region dropping tombstoned bytes.
-    fn compact_page(&self, engine: &mut Engine, tx: &mut Tx, id: PageId) -> Result<()> {
-        // Gather live records.
-        let (n, live) = engine.with_page(id, |page| {
-            let n = page.get_u16(OFF_SLOT_COUNT) as usize;
-            let mut live: Vec<(usize, Vec<u8>)> = Vec::new();
-            for i in 0..n {
-                let off = page.get_u16(SLOTS_START + i * SLOT_SIZE) as usize;
-                let len = page.get_u16(SLOTS_START + i * SLOT_SIZE + 2) as usize;
-                if off != 0 {
-                    live.push((i, page.bytes(off, len).to_vec()));
-                }
-            }
-            (n, live)
-        })?;
-        // Rebuild from the top down.
-        let mut cursor = PAGE_SIZE;
-        let mut data_start = PAGE_SIZE;
-        let mut region = vec![0u8; 0];
-        let mut new_slots = vec![[0u8; 4]; n];
-        for (i, bytes) in &live {
-            cursor -= bytes.len();
-            data_start = cursor;
-            new_slots[*i][0..2].copy_from_slice(&(cursor as u16).to_le_bytes());
-            new_slots[*i][2..4].copy_from_slice(&(bytes.len() as u16).to_le_bytes());
-        }
-        // Build the contiguous data image in slot order of placement.
-        let mut at = PAGE_SIZE;
-        let mut placed: Vec<(usize, &Vec<u8>)> = live.iter().map(|(i, b)| (*i, b)).collect();
-        region.resize(PAGE_SIZE - data_start, 0);
-        for (_, bytes) in placed.iter_mut() {
-            at -= bytes.len();
-            region[at - data_start..at - data_start + bytes.len()].copy_from_slice(bytes);
-        }
-        if !region.is_empty() {
-            engine.write(tx, id, data_start as u16, &region)?;
-        }
-        let mut slot_region = Vec::with_capacity(n * SLOT_SIZE);
-        for s in &new_slots {
-            slot_region.extend_from_slice(s);
-        }
-        if !slot_region.is_empty() {
-            engine.write(tx, id, SLOTS_START as u16, &slot_region)?;
-        }
-        engine.write(
-            tx,
-            id,
-            OFF_FREE_PTR as u16,
-            &(data_start as u16).to_le_bytes(),
-        )?;
-        Ok(())
-    }
-
-    fn push_chain(&self, engine: &mut Engine, tx: &mut Tx, id: PageId) -> Result<()> {
-        let head = engine.heap_avail()?;
-        engine.write(tx, id, 10, &head.to_le_bytes())?;
-        engine.write(tx, id, 9, &[FLAG_ON_CHAIN])?;
-        engine.set_heap_avail(tx, id)
-    }
-
-    fn unlink_chain(
+    /// Close the dead holes in the data region, logging only the records
+    /// that move. The last resort before the file grows.
+    fn compact(
         &self,
         engine: &mut Engine,
         tx: &mut Tx,
-        prev: Option<PageId>,
         id: PageId,
-    ) -> Result<()> {
-        let next = engine.with_page(id, |p| p.link())?;
-        match prev {
-            Some(p) => engine.write(tx, p, 10, &next.to_le_bytes())?,
-            None => engine.set_heap_avail(tx, next)?,
+        mut layout: Layout,
+    ) -> Result<Layout> {
+        let (mut live, mut slots) = engine.with_page(id, |page| {
+            let live: Vec<_> = live_slots(page).collect();
+            let slots = page.bytes(SLOTS_START, layout.slot_count * SLOT_SIZE);
+            (live, slots.to_vec())
+        })?;
+        // Top of the page down; a record only ever moves up, into space
+        // the records above it have already left.
+        live.sort_unstable_by_key(|&(_, off, _)| std::cmp::Reverse(off));
+        layout.free_ptr = PAGE_SIZE;
+        for (i, off, len) in live {
+            layout.free_ptr -= len;
+            if layout.free_ptr != off {
+                let record = engine.with_page(id, |page| page.bytes(off, len).to_vec())?;
+                engine.write(tx, id, layout.free_ptr as u16, &record)?;
+                let at = i * SLOT_SIZE;
+                slots[at..at + 2].copy_from_slice(&(layout.free_ptr as u16).to_le_bytes());
+            }
         }
-        engine.write(tx, id, 9, &[0u8])?;
-        engine.write(tx, id, 10, &0u32.to_le_bytes())?;
-        Ok(())
+        engine.write(tx, id, SLOTS_START as u16, &slots)?;
+        write_counts(engine, tx, id, &layout)?;
+        Ok(layout)
     }
 }
 
-fn on_chain(page: &PageBuf) -> bool {
-    page.data[9] & FLAG_ON_CHAIN != 0
+/// Remember what `page` offers.
+fn hint(engine: &mut Engine, page: PageId, layout: &Layout) {
+    engine.free_space().set(page, layout.room(), layout.free);
 }
 
-/// Contiguous bytes between the slot array and the data region.
-fn contiguous_free(page: &PageBuf) -> usize {
-    let n = page.get_u16(OFF_SLOT_COUNT) as usize;
-    let free_ptr = page.get_u16(OFF_FREE_PTR) as usize;
-    free_ptr.saturating_sub(SLOTS_START + n * SLOT_SIZE)
+/// `slot_count` and `free_ptr` are adjacent: one logged write.
+fn write_counts(engine: &mut Engine, tx: &mut Tx, id: PageId, layout: &Layout) -> Result<()> {
+    let mut counts = [0u8; 4];
+    counts[0..2].copy_from_slice(&(layout.slot_count as u16).to_le_bytes());
+    counts[2..4].copy_from_slice(&(layout.free_ptr as u16).to_le_bytes());
+    engine.write(tx, id, OFF_SLOT_COUNT as u16, &counts)
 }
 
-/// Payload bytes available after compaction. Conservative: the whole slot
-/// array (including tombstoned slots, which compaction does not shrink) is
-/// charged, so a successful check guarantees `place()` succeeds.
-fn total_free(page: &PageBuf) -> usize {
-    let n = page.get_u16(OFF_SLOT_COUNT) as usize;
-    let mut live = 0usize;
-    for i in 0..n {
-        let off = page.get_u16(SLOTS_START + i * SLOT_SIZE) as usize;
-        let len = page.get_u16(SLOTS_START + i * SLOT_SIZE + 2) as usize;
-        if off != 0 {
-            live += len;
-        }
-    }
-    PAGE_SIZE
-        .saturating_sub(SLOTS_START)
-        .saturating_sub(live)
-        .saturating_sub(n * SLOT_SIZE)
+/// `(index, offset, length)` of every slot that is not a tombstone.
+fn live_slots(page: &PageBuf) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    (0..page.get_u16(OFF_SLOT_COUNT) as usize).filter_map(move |i| {
+        let at = SLOTS_START + i * SLOT_SIZE;
+        let off = page.get_u16(at) as usize;
+        (off != 0).then(|| (i, off, page.get_u16(at + 2) as usize))
+    })
 }
 
-fn slot(page: &PageBuf, idx: u16) -> Result<(usize, usize)> {
-    let n = page.get_u16(OFF_SLOT_COUNT);
-    if idx >= n {
+/// The page's layout and the offset and length of its live slot `idx`.
+fn slot(page: &PageBuf, idx: u16) -> Result<(Layout, usize, usize)> {
+    let Some(layout) = Layout::of(page) else {
+        return Err(DominoError::Corrupt(format!(
+            "record pointer into non-heap page {}",
+            page.id
+        )));
+    };
+    if idx as usize >= layout.slot_count {
         return Err(DominoError::NotFound(format!(
-            "slot {idx} out of range (page has {n})"
+            "slot {idx} out of range (page has {})",
+            layout.slot_count
         )));
     }
     let off = page.get_u16(SLOTS_START + idx as usize * SLOT_SIZE) as usize;
@@ -379,7 +420,10 @@ fn slot(page: &PageBuf, idx: u16) -> Result<(usize, usize)> {
     if off + len > PAGE_SIZE {
         return Err(DominoError::Corrupt("slot runs past page end".into()));
     }
-    Ok((off, len))
+    if len < CHUNK_HEADER {
+        return Err(DominoError::Corrupt("short heap chunk".into()));
+    }
+    Ok((layout, off, len))
 }
 
 fn chunk_next(raw: &[u8]) -> Option<RecordPtr> {
@@ -440,7 +484,7 @@ mod tests {
         let ptr = h.insert(&mut e, &mut tx, &data).unwrap();
         e.commit(tx).unwrap();
         assert_eq!(h.read(&mut e, ptr).unwrap(), data);
-        assert!(h.pages_of(&mut e, ptr).unwrap().len() >= 5);
+        assert!(e.stats().pages_allocated >= 5);
     }
 
     #[test]

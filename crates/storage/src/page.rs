@@ -6,8 +6,8 @@
 //! offset 0..8   page LSN (last log record applied to this page)
 //! offset 8      page type tag
 //! offset 9      flags (unused, reserved)
-//! offset 10..14 next-available link (heap pages: free-space chain;
-//!               free-map pages: next map page; B-tree leaves: right sibling)
+//! offset 10..14 link (free-map pages: next map page; B-tree leaves: right
+//!               sibling)
 //! offset 14..16 on-disk page checksum (stamped by `NsfFile` at write time;
 //!               0 = never stamped, i.e. a page that has not been through a
 //!               file write — in-memory disks leave it 0)
@@ -104,7 +104,7 @@ impl PageBuf {
         self.data[8] = t.code();
     }
 
-    /// The header's link field (free-list / sibling / free-space chain).
+    /// The header's link field (next free-map page / right sibling).
     pub fn link(&self) -> PageId {
         u32::from_le_bytes(self.data[10..14].try_into().expect("4"))
     }

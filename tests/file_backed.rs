@@ -86,12 +86,18 @@ fn file_compact_shrinks_store() {
     let dir = temp_dir("compact");
     let clock = LogicalClock::new();
     let db = open_file_db(&dir, clock.clone());
+    // Fill, then delete in bulk: a delete interleaved with the saves would
+    // hand its pages straight to the next save and leave nothing to shrink.
+    let mut ids = Vec::new();
     for i in 0..80 {
         let mut n = Note::document("Doc");
         n.set_body("Body", Value::RichText(vec![i as u8; 8000]));
         db.save(&mut n).unwrap();
+        ids.push(n.id);
+    }
+    for (i, id) in ids.into_iter().enumerate() {
         if i % 4 != 0 {
-            db.delete(n.id).unwrap();
+            db.delete(id).unwrap();
         }
     }
     let dir2 = temp_dir("compact-out");
@@ -105,8 +111,8 @@ fn file_compact_shrinks_store() {
         "compact: {} -> {} bytes",
         stats.bytes_before, stats.bytes_after
     );
-    // Interleaved deletes let the source reuse freed pages, so the win
-    // here is moderate; the churn-heavy core test shows the >2x case.
+    // The emptied pages sit in the source's free-page bitmap, but a file
+    // never gets shorter in place; the copy has no use for them.
     assert!(
         stats.bytes_after * 4 < stats.bytes_before * 3,
         "{} -> {}",
