@@ -550,6 +550,43 @@ mod compact_tests {
         );
     }
 
+    #[test]
+    fn interleaved_churn_leaves_little_to_compact() {
+        // Each save is followed at once by its delete or its shrinking
+        // update, so the next save takes the pages just freed: the source
+        // does not bloat under churn, and a copy has little to win back.
+        let db = Database::open_in_memory(
+            DbConfig::new("Churny", ReplicaId(5), ReplicaId(6)),
+            LogicalClock::new(),
+        )
+        .unwrap();
+        for i in 0..100 {
+            let mut n = Note::document("Doc");
+            n.set("I", Value::Number(i as f64));
+            n.set_body("Body", Value::RichText(vec![i as u8; 6000]));
+            db.save(&mut n).unwrap();
+            if i % 2 == 0 {
+                db.delete(n.id).unwrap();
+            } else {
+                n.set_body("Body", Value::RichText(vec![i as u8; 100]));
+                db.save(&mut n).unwrap();
+            }
+        }
+        let (fresh, stats) = db
+            .compact_into(Box::new(MemDisk::new()), Some(Box::new(MemLogStore::new())))
+            .unwrap();
+        assert_eq!((stats.notes_copied, stats.stubs_copied), (50, 50));
+        // `compact_reclaims_space_and_preserves_content`'s bound, the
+        // other way round.
+        assert!(
+            stats.bytes_after >= stats.bytes_before / 2,
+            "{} -> {}",
+            stats.bytes_before,
+            stats.bytes_after
+        );
+        assert_eq!(fresh.document_count().unwrap(), 50);
+    }
+
     /// Minimal local stand-in to avoid a circular dev-dependency on
     /// domino-replica: push every changed note across.
     mod domino_replica_stub {

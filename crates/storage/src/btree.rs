@@ -340,8 +340,8 @@ fn shifted(page: &PageBuf, start: usize, end: usize, entry: &[u8]) -> Vec<u8> {
     region
 }
 
-/// What an insert does to a node that is not split, worked out inside the
-/// buffer pool so only the bytes to be written are copied.
+/// What an insert does to a leaf, worked out inside the buffer pool so only
+/// the bytes to be written are copied.
 enum Edit {
     /// The key exists at entry `pos` with value `old`.
     Overwrite { pos: usize, old: u64 },
@@ -351,7 +351,7 @@ enum Edit {
         start: usize,
         region: Vec<u8>,
     },
-    /// The node is full.
+    /// The leaf is full.
     Split,
 }
 
@@ -435,21 +435,14 @@ fn int_insert(
     let mut entry = [0u8; INT_ENTRY_SIZE];
     entry[..16].copy_from_slice(&sep.to_le_bytes());
     entry[16..].copy_from_slice(&right.to_le_bytes());
-    let edit = engine.with_page(page_id, |page| {
+    // Unless the node is full: the new key goes at index `child_idx`.
+    let shift = engine.with_page(page_id, |page| {
         let n = count(page);
-        if n == INT_CAP {
-            return Edit::Split;
-        }
-        // The new key goes at index `child_idx`.
         let start = INT_ENTRIES + child_idx * INT_ENTRY_SIZE;
         let end = INT_ENTRIES + n * INT_ENTRY_SIZE;
-        Edit::Shift {
-            n,
-            start,
-            region: shifted(page, start, end, &entry),
-        }
+        (n < INT_CAP).then(|| (n, start, shifted(page, start, end, &entry)))
     })?;
-    if let Edit::Shift { n, start, region } = edit {
+    if let Some((n, start, region)) = shift {
         engine.write(tx, page_id, start as u16, &region)?;
         write_count(engine, tx, page_id, (n + 1) as u16)?;
         return Ok(None);

@@ -800,7 +800,7 @@ impl Engine {
     }
 
     /// Free (reusable) pages the map tracks: the catalog's count.
-    pub fn free_pages(&mut self) -> Result<u32> {
+    pub(crate) fn free_pages(&mut self) -> Result<u32> {
         self.with_page(0, |h| h.get_u32(OFF_FREE_COUNT))
     }
 

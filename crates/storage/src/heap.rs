@@ -221,8 +221,24 @@ impl Heap {
         Ok(out)
     }
 
-    /// The free-space hints as `(page, room, free)` (test and experiment
-    /// accounting: a hint may be stale, the page is the truth).
+    /// The pages a record's chunks live on, first chunk first (experiment
+    /// accounting for summary-vs-full reads).
+    pub fn pages_of(&self, engine: &mut Engine, ptr: RecordPtr) -> Result<Vec<PageId>> {
+        let mut pages = Vec::new();
+        let mut cur = Some(ptr);
+        while let Some(ptr) = cur {
+            pages.push(ptr.page);
+            cur = engine.with_page(ptr.page, |page| {
+                let (_, off, len) = slot(page, ptr.slot)?;
+                Ok::<_, DominoError>(chunk_next(page.bytes(off, len)))
+            })??;
+        }
+        Ok(pages)
+    }
+
+    /// The free-space hints as `(page, room, free)`. For tests: a hint may
+    /// be stale, the page is the truth.
+    #[doc(hidden)]
     pub fn hints(&self, engine: &mut Engine) -> Vec<(PageId, usize, usize)> {
         let seen = &engine.free_space().seen;
         let mut hints: Vec<_> = seen
@@ -243,14 +259,14 @@ impl Heap {
             let gone = ptr.slot as usize;
             let (next, old, new) = engine.with_page(ptr.page, |page| {
                 let (old, off, len) = slot(page, ptr.slot)?;
-                // What the page shrinks to without this slot.
+                // What the page shrinks to without this slot: its bytes
+                // and the trimmed slots' come free.
                 let mut new = Layout::EMPTY;
-                for (i, off, len) in live_slots(page).filter(|s| s.0 != gone) {
+                for (i, off, _) in live_slots(page).filter(|s| s.0 != gone) {
                     new.slot_count = i + 1;
                     new.free_ptr = new.free_ptr.min(off);
-                    new.free -= len;
                 }
-                new.free -= new.slot_count * SLOT_SIZE;
+                new.free = old.free + len + (old.slot_count - new.slot_count) * SLOT_SIZE;
                 Ok::<_, DominoError>((chunk_next(page.bytes(off, len)), old, new))
             })??;
             cur = next;
@@ -484,7 +500,7 @@ mod tests {
         let ptr = h.insert(&mut e, &mut tx, &data).unwrap();
         e.commit(tx).unwrap();
         assert_eq!(h.read(&mut e, ptr).unwrap(), data);
-        assert!(e.stats().pages_allocated >= 5);
+        assert!(h.pages_of(&mut e, ptr).unwrap().len() >= 5);
     }
 
     #[test]
@@ -539,6 +555,24 @@ mod tests {
         h.delete(&mut e, &mut tx, ptr).unwrap();
         e.commit(tx).unwrap();
         assert!(h.read(&mut e, ptr).is_err());
+    }
+
+    #[test]
+    fn delete_beside_a_corrupt_slot_does_not_underflow() {
+        let mut e = engine();
+        let h = Heap;
+        let mut tx = e.begin().unwrap();
+        let a = h.insert(&mut e, &mut tx, &payload(1, 100)).unwrap();
+        let b = h.insert(&mut e, &mut tx, &payload(2, 100)).unwrap();
+        assert_eq!(a.page, b.page);
+        // Slot b now claims more bytes than a page holds.
+        let len_off = SLOTS_START + b.slot as usize * SLOT_SIZE + 2;
+        e.write(&mut tx, b.page, len_off as u16, &5000u16.to_le_bytes())
+            .unwrap();
+        h.delete(&mut e, &mut tx, a).unwrap();
+        e.commit(tx).unwrap();
+        assert!(h.read(&mut e, a).is_err());
+        assert!(matches!(h.read(&mut e, b), Err(DominoError::Corrupt(_))));
     }
 
     #[test]

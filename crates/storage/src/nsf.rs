@@ -147,6 +147,14 @@ impl NoteStore {
         Ok(self.records.get(engine, record_key(id, seg))?.is_some())
     }
 
+    /// Number of distinct pages reading this segment would touch.
+    pub fn pages_touched(&self, engine: &mut Engine, id: NoteId, seg: Segment) -> Result<usize> {
+        match self.records.get(engine, record_key(id, seg))? {
+            Some(v) => Ok(self.heap.pages_of(engine, RecordPtr::from_u64(v))?.len()),
+            None => Ok(0),
+        }
+    }
+
     // ------------------------------------------------------------------
     // UNID index
     // ------------------------------------------------------------------
@@ -254,6 +262,9 @@ mod tests {
             s.get(&mut e, id, Segment::Body).unwrap().unwrap(),
             vec![7u8; 9000]
         );
+        // A big body spans pages; the summary fits in one.
+        assert_eq!(s.pages_touched(&mut e, id, Segment::Summary).unwrap(), 1);
+        assert!(s.pages_touched(&mut e, id, Segment::Body).unwrap() >= 3);
     }
 
     #[test]

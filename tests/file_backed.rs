@@ -125,6 +125,45 @@ fn file_compact_shrinks_store() {
 }
 
 #[test]
+fn file_interleaved_churn_leaves_little_to_compact() {
+    // Each save is followed by its delete, so the next save takes the
+    // pages just freed: the source does not bloat under churn, and a copy
+    // has little to win back.
+    let dir = temp_dir("churn");
+    let clock = LogicalClock::new();
+    let db = open_file_db(&dir, clock.clone());
+    for i in 0..80 {
+        let mut n = Note::document("Doc");
+        n.set_body("Body", Value::RichText(vec![i as u8; 8000]));
+        db.save(&mut n).unwrap();
+        if i % 4 != 0 {
+            db.delete(n.id).unwrap();
+        }
+    }
+    let dir2 = temp_dir("churn-out");
+    let disk2 = NsfFile::open(&dir2.join("data.nsf")).unwrap();
+    let log2 = FileLogStore::open(&dir2.join("data.txn")).unwrap();
+    let (fresh, stats) = db
+        .compact_into(Box::new(disk2), Some(Box::new(log2)))
+        .unwrap();
+    assert_eq!(stats.notes_copied, 20);
+    println!(
+        "compact: {} -> {} bytes",
+        stats.bytes_before, stats.bytes_after
+    );
+    // `file_compact_shrinks_store`'s bound, the other way round.
+    assert!(
+        stats.bytes_after * 4 >= stats.bytes_before * 3,
+        "{} -> {}",
+        stats.bytes_before,
+        stats.bytes_after
+    );
+    assert_eq!(fresh.document_count().unwrap(), 20);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir2);
+}
+
+#[test]
 fn reopen_round_trip_reads_identical_bytes() {
     // write → close → open → byte-identical reads, at the device level:
     // every page the first handle wrote reads back identically through a

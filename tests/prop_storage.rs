@@ -244,7 +244,8 @@ proptest! {
             if !room_lies {
                 // Free bytes are consulted only once the bitmap has no
                 // whole page left to give: take them all.
-                lens.resize(e.free_pages().unwrap() as usize, 4065);
+                let free_pages = e.fetch(0).unwrap().get_u32(30); // FORMAT.md §4
+                lens.resize(free_pages as usize, 4065);
             }
             lens.push(if room_lies { room } else { free } - 11);
             let mut tx = e.begin().unwrap();
