@@ -292,14 +292,13 @@ fn accept_loop(
 /// Over the connection cap: answer 503 without admitting the socket.
 fn reject_overloaded(mut stream: TcpStream) {
     let body = "server connection limit reached - retry later";
-    let head = format!(
+    let wire = format!(
         "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    let _ = stream.write_all(wire.as_bytes());
 }
 
 /// One admitted connection: parse → serve → respond until close.
@@ -382,13 +381,15 @@ fn serve_http_conn(mut stream: TcpStream, shared: &HttpShared) -> &'static str {
 
 /// Serialize a typed [`Response`] back onto the wire. The
 /// `X-Command-Cache` header surfaces the command-cache diagnostic the
-/// in-process `Response` carries as a boolean.
+/// in-process `Response` carries as a boolean. Head and body leave in one
+/// write: the socket is `TCP_NODELAY`, so two writes would be two
+/// segments (and two syscalls) per response.
 fn write_response(
     stream: &mut TcpStream,
     resp: &Response,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let head = format!(
+    let mut wire = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n\
          X-Command-Cache: {}\r\nConnection: {}\r\n\r\n",
         resp.status.code(),
@@ -398,8 +399,9 @@ fn write_response(
         if resp.from_cache { "hit" } else { "miss" },
         if keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(resp.body.as_bytes())?;
+    wire.reserve_exact(resp.body.len());
+    wire.push_str(&resp.body);
+    stream.write_all(wire.as_bytes())?;
     stream.flush()
 }
 
@@ -407,14 +409,13 @@ fn write_response(
 /// `400`/`413` directly and close.
 fn write_parse_error(stream: &mut TcpStream, e: &ParseError) -> std::io::Result<()> {
     let body = format!("{} {}: {}\n", e.status_code(), e.reason(), e.detail());
-    let head = format!(
+    let wire = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: text/plain\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n",
+         Connection: close\r\n\r\n{body}",
         e.status_code(),
         e.reason(),
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(wire.as_bytes())?;
     stream.flush()
 }

@@ -11,16 +11,19 @@
 //! could never tell them apart; a cached page can therefore never leak a
 //! document across an access boundary.
 //!
-//! Invalidation is by *version pair*: each page records the view-index
-//! version and the snapshot change sequence
-//! ([`Snapshot::seq`](domino_core::Snapshot::seq)) it was rendered from,
-//! and a lookup only hits when both still match. The view version covers
-//! everything the rendered rows depend on (index contents, ordering,
-//! totals); the snapshot sequence covers the per-row document reads the
-//! renderer performed outside the index. Equal pairs imply byte-identical
-//! pages — the index mutates under an exclusive guard that bumps its
-//! version, and snapshots at equal sequences are immutable — so a
-//! concurrent writer can only make a page expire, never hit stale.
+//! Invalidation is by [`PageStamp`]: each page records which attached
+//! index its rows came from and the version of that index they were read
+//! at, and a lookup only hits when both still match. The stamp covers
+//! everything the rendered bytes depend on besides the key — row values,
+//! reader lists, ordering, totals all live in the index, and a page is
+//! built from the index alone. Under one instance, equal versions imply
+//! byte-identical pages — the index mutates under an exclusive guard that
+//! bumps its version — so a concurrent writer can only make a page
+//! expire, never hit stale. The instance half is there because a version
+//! counts one index's mutations from zero: a view or database registered
+//! again under a name already in use reaches the old numbers with other
+//! rows, and must not hit the pages of the one it replaced. That is also
+//! what lets the executor probe the cache *before* it reads a single row.
 //! Eviction beyond that is FIFO within a fixed capacity.
 
 use std::collections::{HashMap, VecDeque};
@@ -74,13 +77,22 @@ pub struct CacheKey {
     pub access_class: u64,
 }
 
+/// The index state a page was rendered from; a page hits only under an
+/// equal stamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageStamp {
+    /// Which attached index, unique in the process: a name (part of the
+    /// key) can be given to another index later.
+    pub view_instance: u64,
+    /// That index's version when the rows were taken.
+    pub view_version: u64,
+}
+
 /// One cached rendered page.
 #[derive(Debug, Clone)]
 pub struct CachedPage {
-    /// The view-index version the rows were taken at.
-    pub view_version: u64,
-    /// The snapshot change sequence the per-row reads ran against.
-    pub snapshot_seq: u64,
+    /// The index state the rows were taken at.
+    pub stamp: PageStamp,
     /// Rendered bytes.
     pub body: String,
     /// MIME type of `body`.
@@ -113,22 +125,15 @@ impl CommandCache {
     }
 
     /// Look up a page, hitting only if it was rendered at exactly this
-    /// `(view_version, snapshot_seq)` pair. A present-but-stale page
-    /// counts as an invalidation and is dropped.
-    pub fn lookup(
-        &self,
-        key: &CacheKey,
-        view_version: u64,
-        snapshot_seq: u64,
-    ) -> Option<CachedPage> {
+    /// `stamp`. A present-but-stale page counts as an invalidation and is
+    /// dropped.
+    pub fn lookup(&self, key: &CacheKey, stamp: PageStamp) -> Option<CachedPage> {
         if self.capacity == 0 {
             return None;
         }
         let mut g = self.inner.lock();
         match g.map.get(key) {
-            Some(page)
-                if page.view_version == view_version && page.snapshot_seq == snapshot_seq =>
-            {
+            Some(page) if page.stamp == stamp => {
                 m().hits.inc();
                 Some(page.clone())
             }
@@ -194,76 +199,83 @@ mod tests {
         }
     }
 
-    fn page(view_version: u64, snapshot_seq: u64, body: &str) -> CachedPage {
-        CachedPage {
+    fn at(view_version: u64) -> PageStamp {
+        PageStamp {
+            view_instance: 1,
             view_version,
-            snapshot_seq,
+        }
+    }
+
+    fn page(view_version: u64, body: &str) -> CachedPage {
+        CachedPage {
+            stamp: at(view_version),
             body: body.into(),
             content_type: "text/html",
         }
     }
 
     #[test]
-    fn hits_only_at_matching_version_pair() {
+    fn hits_only_at_the_version_rendered_from() {
         let c = CommandCache::new(8);
-        c.insert(key(1, 0), page(3, 5, "v5"));
-        assert_eq!(c.lookup(&key(1, 0), 3, 5).unwrap().body, "v5");
-        // A database commit (snapshot seq moved) expires the page...
-        assert!(c.lookup(&key(1, 0), 3, 6).is_none());
+        c.insert(key(1, 0), page(3, "v3"));
+        assert_eq!(c.lookup(&key(1, 0), at(3)).unwrap().body, "v3");
+        // A view mutation (version moved) expires the page...
+        assert!(c.lookup(&key(1, 0), at(4)).is_none());
         // ...and the stale entry was dropped, not resurrected.
-        assert!(c.lookup(&key(1, 0), 3, 5).is_none());
-        // A view mutation alone (version moved) expires it too.
-        c.insert(key(2, 0), page(3, 5, "w"));
-        assert!(c.lookup(&key(2, 0), 4, 5).is_none());
+        assert!(c.lookup(&key(1, 0), at(3)).is_none());
     }
 
-    /// The old single-sequence scheme had a caveat: a page rendered while
-    /// a commit was mid-flight could be validated against a sequence that
-    /// no longer described the rows ("races only expire early"). With the
-    /// pair key there is no such window: the rows come from one view
-    /// guard (whose version is captured under that same guard) and one
-    /// immutable snapshot, so a page inserted by a racing renderer is
-    /// either byte-identical to what the pair describes, or carries a
-    /// different pair and can never hit.
+    /// A renderer that raced a writer inserts under the version its rows
+    /// were actually read at (captured under the same guard as the rows),
+    /// so its page is either what the current version describes or can
+    /// never hit.
     #[test]
     fn racing_renderer_cannot_publish_a_stale_hit() {
         let c = CommandCache::new(8);
-        // Renderer A paged the view at version 7 against snapshot 10.
-        c.insert(key(1, 0), page(7, 10, "rows as of v7/s10"));
-        // A writer commits (snapshot 11) and the view applies the event
-        // (version 8) while renderer B is mid-render. Whatever B saw, its
-        // insert carries the pair it actually read under its guards:
-        c.insert(key(1, 0), page(8, 11, "rows as of v8/s11"));
-        // A reader validating at the current pair gets the current bytes;
-        // the old pair can no longer hit at all.
-        assert_eq!(
-            c.lookup(&key(1, 0), 8, 11).unwrap().body,
-            "rows as of v8/s11"
-        );
-        assert!(c.lookup(&key(1, 0), 7, 10).is_none());
+        // Renderer A paged the view at version 7.
+        c.insert(key(1, 0), page(7, "rows as of v7"));
+        // A writer's event is applied (version 8) while renderer B is
+        // mid-render; B's insert carries the version it read under:
+        c.insert(key(1, 0), page(8, "rows as of v8"));
+        assert_eq!(c.lookup(&key(1, 0), at(8)).unwrap().body, "rows as of v8");
+        assert!(c.lookup(&key(1, 0), at(7)).is_none());
+    }
+
+    /// An index attached later under the same name counts its versions
+    /// from zero again: an equal version is not an equal state.
+    #[test]
+    fn a_replaced_index_cannot_hit_its_predecessors_pages() {
+        let c = CommandCache::new(8);
+        c.insert(key(1, 0), page(3, "old design"));
+        let successor = PageStamp {
+            view_instance: 2,
+            view_version: 3,
+        };
+        assert!(c.lookup(&key(1, 0), successor).is_none());
+        assert!(c.is_empty(), "and the orphan is dropped");
     }
 
     #[test]
     fn access_class_partitions_the_cache() {
         let c = CommandCache::new(8);
-        c.insert(key(1, 0xA), page(1, 1, "alice's page"));
-        assert!(c.lookup(&key(1, 0xB), 1, 1).is_none());
-        assert_eq!(c.lookup(&key(1, 0xA), 1, 1).unwrap().body, "alice's page");
+        c.insert(key(1, 0xA), page(1, "alice's page"));
+        assert!(c.lookup(&key(1, 0xB), at(1)).is_none());
+        assert_eq!(c.lookup(&key(1, 0xA), at(1)).unwrap().body, "alice's page");
     }
 
     #[test]
     fn fifo_eviction_and_zero_capacity() {
         let c = CommandCache::new(2);
-        c.insert(key(1, 0), page(1, 1, "a"));
-        c.insert(key(2, 0), page(1, 1, "b"));
-        c.insert(key(3, 0), page(1, 1, "c"));
+        c.insert(key(1, 0), page(1, "a"));
+        c.insert(key(2, 0), page(1, "b"));
+        c.insert(key(3, 0), page(1, "c"));
         assert_eq!(c.len(), 2);
-        assert!(c.lookup(&key(1, 0), 1, 1).is_none(), "oldest evicted");
-        assert!(c.lookup(&key(3, 0), 1, 1).is_some());
+        assert!(c.lookup(&key(1, 0), at(1)).is_none(), "oldest evicted");
+        assert!(c.lookup(&key(3, 0), at(1)).is_some());
 
         let off = CommandCache::new(0);
-        off.insert(key(1, 0), page(1, 1, "a"));
-        assert!(off.lookup(&key(1, 0), 1, 1).is_none());
+        off.insert(key(1, 0), page(1, "a"));
+        assert!(off.lookup(&key(1, 0), at(1)).is_none());
         assert!(off.is_empty());
     }
 }

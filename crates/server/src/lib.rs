@@ -19,9 +19,9 @@
 //! * [`WorkerPool`] — a fixed set of worker threads behind a bounded
 //!   queue; overload answers `503` instead of queueing unboundedly.
 //! * [`CommandCache`] — rendered view pages keyed by
-//!   `(db, view, window, access class)` and expired by the database
-//!   [change sequence](domino_core::Database::change_seq), so hot pages
-//!   are served without touching the view index.
+//!   `(db, view, window, access class)` and expired by the view index's
+//!   [version](domino_views::View::version) (and by the index being
+//!   replaced), so hot pages are served without touching the view index.
 //! * An "amgr" driver ([`DominoServer::amgr_tick`] /
 //!   [`DominoServer::start_amgr`]) running stored agents on schedule and
 //!   on database change.

@@ -7,6 +7,8 @@
 //! access-filtered) and the renderer only formats it, so every byte that
 //! can reach a cache or a wire goes through the escapers below.
 
+use std::fmt::Write;
+
 use domino_core::Note;
 use domino_types::Unid;
 
@@ -25,25 +27,33 @@ pub struct Row {
     pub cells: Vec<String>,
 }
 
+/// Append `s` to `out`, escaped for HTML element/attribute content.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(i) = rest.find(['&', '<', '>', '"', '\'']) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => "&#39;",
+        });
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+}
+
 /// Escape text for HTML element/attribute content.
 pub fn html_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 
-/// Escape text for a JSON string literal (quotes not included).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append `s` to `out`, escaped for a JSON string literal (quotes not
+/// included).
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -51,20 +61,28 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
-/// A minimal page shell shared by every HTML response.
+// The minimal page shell shared by every HTML response: open, the
+// escaped title, `SHELL_BODY`, the body, close.
+const SHELL_OPEN: &str = "<!DOCTYPE html><html><head><title>";
+const SHELL_BODY: &str = "</title></head><body>";
+const SHELL_CLOSE: &str = "</body></html>";
+
 fn shell(title: &str, body: &str) -> String {
-    format!(
-        "<!DOCTYPE html><html><head><title>{}</title></head><body>{}</body></html>",
-        html_escape(title),
-        body
-    )
+    let mut out = String::with_capacity(title.len() + body.len() + 96);
+    out.push_str(SHELL_OPEN);
+    escape_into(&mut out, title);
+    out.push_str(SHELL_BODY);
+    out.push_str(body);
+    out.push_str(SHELL_CLOSE);
+    out
 }
 
 /// A one-line message page (save confirmations, error bodies).
@@ -79,8 +97,15 @@ pub fn message_page(title: &str, detail: &str) -> String {
     )
 }
 
+/// Bytes of cell text in `rows`: what a page's size scales with.
+fn cell_bytes(rows: &[Row]) -> usize {
+    rows.iter().flat_map(|r| &r.cells).map(String::len).sum()
+}
+
 /// An `?OpenView` page: the column titles and one table row per entry,
 /// with next/previous paging links and each row linked to its document.
+/// Written into one buffer sized for the page — a row costs no
+/// allocation.
 pub fn view_page(
     db: &str,
     view: &str,
@@ -90,54 +115,63 @@ pub fn view_page(
     count: usize,
     total: usize,
 ) -> String {
-    let mut b = String::new();
-    b.push_str(&format!(
-        "<h1>{} — {}</h1><p>{} documents, showing from {}</p>",
-        html_escape(db),
-        html_escape(view),
-        total,
-        start
-    ));
-    b.push_str("<table border=\"1\"><tr>");
+    let link = 2 * (db.len() + view.len()) + 96;
+    let mut b = String::with_capacity(512 + 2 * cell_bytes(rows) + rows.len() * link);
+    b.push_str(SHELL_OPEN);
+    escape_into(&mut b, view);
+    b.push_str(" - ");
+    escape_into(&mut b, db);
+    b.push_str(SHELL_BODY);
+    b.push_str("<h1>");
+    escape_into(&mut b, db);
+    b.push_str(" — ");
+    escape_into(&mut b, view);
+    let _ = write!(
+        b,
+        "</h1><p>{total} documents, showing from {start}</p><table border=\"1\"><tr>"
+    );
     for c in columns {
-        b.push_str(&format!("<th>{}</th>", html_escape(c)));
+        b.push_str("<th>");
+        escape_into(&mut b, c);
+        b.push_str("</th>");
     }
     b.push_str("</tr>");
     for row in rows {
         b.push_str("<tr>");
         for (i, cell) in row.cells.iter().enumerate() {
-            let indent = if i == 0 {
-                "&nbsp;&nbsp;".repeat(row.response_level as usize)
-            } else {
-                String::new()
-            };
+            b.push_str("<td>");
             if i == 0 {
-                b.push_str(&format!(
-                    "<td>{}<a href=\"/{}.nsf/{}/{}?OpenDocument\">{}</a></td>",
-                    indent,
-                    html_escape(db),
-                    html_escape(view),
-                    row.unid,
-                    html_escape(cell)
-                ));
+                for _ in 0..row.response_level {
+                    b.push_str("&nbsp;&nbsp;");
+                }
+                b.push_str("<a href=\"/");
+                escape_into(&mut b, db);
+                b.push_str(".nsf/");
+                escape_into(&mut b, view);
+                let _ = write!(b, "/{}?OpenDocument\">", row.unid);
+                escape_into(&mut b, cell);
+                b.push_str("</a>");
             } else {
-                b.push_str(&format!("<td>{}</td>", html_escape(cell)));
+                escape_into(&mut b, cell);
             }
+            b.push_str("</td>");
         }
         b.push_str("</tr>");
     }
     b.push_str("</table>");
-    let next = start + count;
+    let next = start.saturating_add(count);
     if next <= total {
-        b.push_str(&format!(
-            "<p><a href=\"/{}.nsf/{}?OpenView&amp;Start={}&amp;Count={}\">Next</a></p>",
-            html_escape(db),
-            html_escape(view),
-            next,
-            count
-        ));
+        b.push_str("<p><a href=\"/");
+        escape_into(&mut b, db);
+        b.push_str(".nsf/");
+        escape_into(&mut b, view);
+        let _ = write!(
+            b,
+            "?OpenView&amp;Start={next}&amp;Count={count}\">Next</a></p>"
+        );
     }
-    shell(&format!("{view} - {db}"), &b)
+    b.push_str(SHELL_CLOSE);
+    b
 }
 
 /// A `?ReadViewEntries` payload: the Domino JSON shape
@@ -150,28 +184,30 @@ pub fn view_entries_json(
     count: usize,
     total: usize,
 ) -> String {
-    let mut b = String::new();
-    b.push_str(&format!(
+    let names: usize = columns.iter().map(String::len).sum();
+    let mut b = String::with_capacity(128 + 2 * cell_bytes(rows) + rows.len() * (128 + 2 * names));
+    let _ = write!(
+        b,
         "{{\"@toplevelentries\":{total},\"@start\":{start},\"@count\":{count},\"viewentry\":["
-    ));
+    );
     for (i, row) in rows.iter().enumerate() {
         if i > 0 {
             b.push(',');
         }
-        b.push_str(&format!(
+        let _ = write!(
+            b,
             "{{\"@position\":\"{}\",\"@unid\":\"{}\",\"@responselevel\":{},\"entrydata\":[",
             row.position, row.unid, row.response_level
-        ));
+        );
         for (j, cell) in row.cells.iter().enumerate() {
             if j > 0 {
                 b.push(',');
             }
-            let name = columns.get(j).map(String::as_str).unwrap_or("");
-            b.push_str(&format!(
-                "{{\"@name\":\"{}\",\"text\":\"{}\"}}",
-                json_escape(name),
-                json_escape(cell)
-            ));
+            b.push_str("{\"@name\":\"");
+            json_escape_into(&mut b, columns.get(j).map_or("", String::as_str));
+            b.push_str("\",\"text\":\"");
+            json_escape_into(&mut b, cell);
+            b.push_str("\"}");
         }
         b.push_str("]}");
     }
@@ -236,23 +272,26 @@ pub fn edit_page(db: &str, note: &Note) -> String {
 
 /// A `?SearchView` result page: scored hits linked to their documents.
 pub fn search_page(db: &str, view: &str, query: &str, hits: &[(Unid, f32, String)]) -> String {
-    let mut b = String::new();
-    b.push_str(&format!(
-        "<h1>Search {} for \u{201c}{}\u{201d}</h1><p>{} hits</p><ol>",
-        html_escape(view),
-        html_escape(query),
-        hits.len()
-    ));
+    let titles: usize = hits.iter().map(|(_, _, t)| t.len()).sum();
+    let mut b = String::with_capacity(256 + 2 * titles + hits.len() * (96 + 2 * db.len()));
+    b.push_str(SHELL_OPEN);
+    b.push_str("Search");
+    b.push_str(SHELL_BODY);
+    b.push_str("<h1>Search ");
+    escape_into(&mut b, view);
+    b.push_str(" for \u{201c}");
+    escape_into(&mut b, query);
+    let _ = write!(b, "\u{201d}</h1><p>{} hits</p><ol>", hits.len());
     for (unid, score, title) in hits {
-        b.push_str(&format!(
-            "<li><a href=\"/{}.nsf/{}?OpenDocument\">{}</a> ({score:.3})</li>",
-            html_escape(db),
-            unid,
-            html_escape(title)
-        ));
+        b.push_str("<li><a href=\"/");
+        escape_into(&mut b, db);
+        let _ = write!(b, ".nsf/{unid}?OpenDocument\">");
+        escape_into(&mut b, title);
+        let _ = write!(b, "</a> ({score:.3})</li>");
     }
     b.push_str("</ol>");
-    shell("Search", &b)
+    b.push_str(SHELL_CLOSE);
+    b
 }
 
 #[cfg(test)]
@@ -266,7 +305,9 @@ mod tests {
             html_escape("<b a=\"x\">&'"),
             "&lt;b a=&quot;x&quot;&gt;&amp;&#39;"
         );
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let mut json = String::new();
+        json_escape_into(&mut json, "a\"b\\c\nd");
+        assert_eq!(json, "a\\\"b\\\\c\\nd");
     }
 
     #[test]
@@ -290,6 +331,60 @@ mod tests {
         assert!(html.contains(&format!("{}?OpenDocument", Unid(0xFEED))));
         // More rows remain: a Next link to Start=2.
         assert!(html.contains("Start=2"));
+    }
+
+    /// The bytes of an HTML page, a JSON page and a search page, as the
+    /// per-cell `format!` renderer (PR 19) produced them: markup and quote
+    /// characters in every position, a response-level indent, a control
+    /// character, and a last page without a Next link.
+    #[test]
+    fn pages_are_byte_identical_to_the_per_cell_renderer() {
+        let rows = vec![
+            Row {
+                position: 31,
+                unid: Unid(0xFEED),
+                response_level: 0,
+                cells: vec!["Q&A <\"urgent\"> it's".into(), "ann".into()],
+            },
+            Row {
+                position: 32,
+                unid: Unid(0xBEEF_0000_0000_0000_0000_0000_0000_0001),
+                response_level: 2,
+                cells: vec!["re: Q&A\tnext\nline \\ \u{1}".into(), "".into()],
+            },
+        ];
+        let cols: Vec<String> = vec!["Subject <&>".into(), "From \"who\"".into()];
+        assert_eq!(
+            view_page("disc&co", "By \"Author\"", &cols, &rows, 31, 2, 40),
+            "<!DOCTYPE html><html><head><title>By &quot;Author&quot; - disc&amp;co</title></head><body><h1>disc&amp;co — By &quot;Author&quot;</h1><p>40 documents, showing from 31</p><table border=\"1\"><tr><th>Subject &lt;&amp;&gt;</th><th>From &quot;who&quot;</th></tr><tr><td><a href=\"/disc&amp;co.nsf/By &quot;Author&quot;/0000000000000000000000000000FEED?OpenDocument\">Q&amp;A &lt;&quot;urgent&quot;&gt; it&#39;s</a></td><td>ann</td></tr><tr><td>&nbsp;&nbsp;&nbsp;&nbsp;<a href=\"/disc&amp;co.nsf/By &quot;Author&quot;/BEEF0000000000000000000000000001?OpenDocument\">re: Q&amp;A\tnext\nline \\ \u{1}</a></td><td></td></tr></table><p><a href=\"/disc&amp;co.nsf/By &quot;Author&quot;?OpenView&amp;Start=33&amp;Count=2\">Next</a></p></body></html>"
+        );
+        assert_eq!(
+            view_page("disc", "topics", &cols, &rows[..1], 40, 2, 40),
+            "<!DOCTYPE html><html><head><title>topics - disc</title></head><body><h1>disc — topics</h1><p>40 documents, showing from 40</p><table border=\"1\"><tr><th>Subject &lt;&amp;&gt;</th><th>From &quot;who&quot;</th></tr><tr><td><a href=\"/disc.nsf/topics/0000000000000000000000000000FEED?OpenDocument\">Q&amp;A &lt;&quot;urgent&quot;&gt; it&#39;s</a></td><td>ann</td></tr></table></body></html>"
+        );
+        assert_eq!(
+            view_entries_json(&cols, &rows, 31, 2, 40),
+            "{\"@toplevelentries\":40,\"@start\":31,\"@count\":2,\"viewentry\":[{\"@position\":\"31\",\"@unid\":\"0000000000000000000000000000FEED\",\"@responselevel\":0,\"entrydata\":[{\"@name\":\"Subject <&>\",\"text\":\"Q&A <\\\"urgent\\\"> it's\"},{\"@name\":\"From \\\"who\\\"\",\"text\":\"ann\"}]},{\"@position\":\"32\",\"@unid\":\"BEEF0000000000000000000000000001\",\"@responselevel\":2,\"entrydata\":[{\"@name\":\"Subject <&>\",\"text\":\"re: Q&A\\tnext\\nline \\\\ \\u0001\"},{\"@name\":\"From \\\"who\\\"\",\"text\":\"\"}]}]}"
+        );
+        let hits = vec![
+            (
+                Unid(0xFEED),
+                1.23456f32,
+                "Q&A <\"urgent\"> it's".to_string(),
+            ),
+            (Unid(7), 0.5f32, "plain".to_string()),
+        ];
+        assert_eq!(
+            search_page("disc&co", "By \"Author\"", "a<b & \"c\"", &hits),
+            "<!DOCTYPE html><html><head><title>Search</title></head><body><h1>Search By &quot;Author&quot; for “a&lt;b &amp; &quot;c&quot;”</h1><p>2 hits</p><ol><li><a href=\"/disc&amp;co.nsf/0000000000000000000000000000FEED?OpenDocument\">Q&amp;A &lt;&quot;urgent&quot;&gt; it&#39;s</a> (1.235)</li><li><a href=\"/disc&amp;co.nsf/00000000000000000000000000000007?OpenDocument\">plain</a> (0.500)</li></ol></body></html>"
+        );
+    }
+
+    /// Hostile windows saturate instead of overflowing.
+    #[test]
+    fn a_window_at_the_end_of_usize_renders() {
+        let html = view_page("d", "v", &[], &[], usize::MAX, usize::MAX, 3);
+        assert!(html.contains("3 documents") && !html.contains("Next"));
     }
 
     #[test]

@@ -16,21 +16,21 @@
 //! 5. render, consulting the command cache for view pages.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use domino_core::{AgentScheduler, AgentTickReport, Database, Note, Session};
+use domino_core::{AgentScheduler, AgentTickReport, Database, Note, Session, ITEM_READERS};
 use domino_ftindex::FtIndex;
 use domino_obs as obs;
 use domino_security::acl::EffectiveAccess;
 use domino_security::{can_read_document, Directory};
-use domino_types::{Clock, DominoError, Result, Value};
+use domino_types::{Clock, DominoError, ItemFlags, Result, Value};
 use domino_views::{stored_designs, View, ViewDesign};
 use parking_lot::Mutex;
 
-use crate::cache::{CacheKey, CachedPage, CommandCache, PageKind};
+use crate::cache::{CacheKey, CachedPage, CommandCache, PageKind, PageStamp};
 use crate::http::{Credentials, Request, Response, Status};
 use crate::pool::WorkerPool;
 use crate::render::{self, Row};
@@ -89,11 +89,18 @@ struct SiteView {
     name: String,
     columns: Vec<String>,
     view: View,
+    /// Unique in the process. `View::version` counts this index's
+    /// mutations from zero, and `add_view`/`register_database` may put
+    /// another index under the same name: the command cache tells the two
+    /// apart by this.
+    instance: u64,
 }
 
 impl SiteView {
     fn attach(db: &Arc<Database>, design: ViewDesign) -> Result<SiteView> {
+        static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
         Ok(SiteView {
+            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
             name: design.name.clone(),
             columns: design.columns.iter().map(|c| c.title.clone()).collect(),
             view: View::attach(db, design)?,
@@ -147,6 +154,30 @@ fn access_class(access: &EffectiveAccess, names: &[String]) -> u64 {
     roles.hash(&mut h);
     names.hash(&mut h);
     h.finish()
+}
+
+/// Set one posted form field. A form carries names and text, not item
+/// flags, so a field keeps the flags of the item it overwrites: a reader
+/// or author list edited through `?EditDocument` still restricts.
+/// `$Readers` is a reserved name: whoever posts it, it is the reader list
+/// Notes treats it as, not a text field that happens to be called that.
+/// A reader or author item is a names list (`;`-separated, as
+/// `?EditDocument` shows it).
+fn set_field(note: &mut Note, name: &str, text: String) {
+    // (`items` skips tombstones: a removed field comes back plain.)
+    let mut flags = note
+        .items()
+        .find(|it| it.name.eq_ignore_ascii_case(name))
+        .map_or(ItemFlags::SUMMARY, |it| it.flags);
+    if name.eq_ignore_ascii_case(ITEM_READERS) {
+        flags = flags | ItemFlags::SUMMARY | ItemFlags::READERS;
+    }
+    let value = if flags.contains(ItemFlags::READERS) || flags.contains(ItemFlags::AUTHORS) {
+        Value::text_list(text.split(';').map(str::trim).filter(|n| !n.is_empty()))
+    } else {
+        Value::text(text)
+    };
+    note.set_with_flags(name, value, flags);
 }
 
 /// Map an execution error to a Domino status. Access denials become 401
@@ -523,7 +554,7 @@ impl Inner {
                 let session = self.session(site, user);
                 let mut note = session.open_by_unid(*unid)?;
                 for (k, v) in fields {
-                    note.set(&k, Value::text(v));
+                    set_field(&mut note, &k, v);
                 }
                 session.save(&mut note)?;
                 Ok(Response::html(render::message_page(
@@ -535,7 +566,7 @@ impl Inner {
                 let mut note = Note::document(form);
                 for (k, v) in url::parse_form(&req.body)? {
                     if !k.eq_ignore_ascii_case("form") {
-                        note.set(&k, Value::text(v));
+                        set_field(&mut note, &k, v);
                     }
                 }
                 self.session(site, user).save(&mut note)?;
@@ -561,13 +592,18 @@ impl Inner {
         }
     }
 
-    /// Render (or serve from cache) one `?OpenView`/`?ReadViewEntries`
-    /// window. The whole read runs against a pinned snapshot and a single
-    /// consistent view page ([`domino_views::ViewPage`]) — no writer lock
-    /// is ever taken. The finished page is cached under the requester's
-    /// access class, keyed by the `(view version, snapshot seq)` pair it
-    /// was rendered from, so a hit is byte-identical by construction and
-    /// any concurrent commit or index mutation expires it.
+    /// Serve one `?OpenView`/`?ReadViewEntries` window from the command
+    /// cache, or build it from the view index alone. The cache is probed
+    /// first, with the index version only; a miss takes one consistent
+    /// [`domino_views::ViewPage`] under a shared guard — no writer lock,
+    /// and no note is opened: a row's cells and its `$Readers` list sit
+    /// in the same index entry, written together from one version of the
+    /// document, so a row is shown iff the requester may read the version
+    /// whose values it shows. The finished page is cached under the
+    /// requester's access class and stamped with this index instance and
+    /// the version its rows were read at, so a hit is byte-identical by
+    /// construction, any index mutation expires it, and an index attached
+    /// later under the same name never hits it.
     fn view_page(
         &self,
         site: &Site,
@@ -577,8 +613,7 @@ impl Inner {
         count: usize,
         kind: PageKind,
     ) -> Result<Response> {
-        let snap = site.db.snapshot();
-        let (access, names) = self.access_of(&snap, user)?;
+        let (access, names) = self.access_of(&site.db.snapshot(), user)?;
         if !access.level.can_read() {
             return Err(DominoError::AccessDenied(format!(
                 "{user} may not open database {}",
@@ -596,11 +631,11 @@ impl Inner {
         let sv = site
             .view(view_name)
             .ok_or_else(|| DominoError::NotFound(format!("no view {view_name:?}")))?;
-        // One shared-access read: rows, total, and version from the same
-        // guard, so they are mutually consistent (satellite: no writer
-        // lock, shared view access only).
-        let page = sv.view.page(0, start - 1, count);
-        if let Some(hit) = self.cache.lookup(&key, page.version, snap.seq()) {
+        let probe = PageStamp {
+            view_instance: sv.instance,
+            view_version: sv.view.version(),
+        };
+        if let Some(hit) = self.cache.lookup(&key, probe) {
             return Ok(Response {
                 status: Status::Ok,
                 content_type: hit.content_type,
@@ -609,26 +644,21 @@ impl Inner {
             });
         }
         let _span = obs::span!("Http.View.Render");
-        let total = page.total;
-        let mut rows = Vec::new();
-        for (i, entry) in page.rows.iter().enumerate() {
-            // Reader fields are enforced per row: the view index itself is
-            // not access-partitioned. Rows read from the snapshot, so a
-            // commit between the index read and here cannot tear the page.
-            let note = match snap.open_arc(entry.note_id) {
-                Ok(n) => n,
-                Err(_) => continue, // not visible at this snapshot
-            };
-            if !can_read_document(&access, &names, &note.readers()) {
-                continue;
-            }
-            rows.push(Row {
-                position: start + i,
+        let page = sv.view.page(0, start - 1, count);
+        // Reader fields are enforced per row: the view index itself is
+        // not access-partitioned.
+        let rows: Vec<Row> = page
+            .rows
+            .iter()
+            .enumerate()
+            .filter(|(_, entry)| can_read_document(&access, &names, &entry.readers))
+            .map(|(i, entry)| Row {
+                position: start.saturating_add(i),
                 unid: entry.unid,
                 response_level: entry.response_level,
-                cells: entry.values.iter().map(|v| v.to_text()).collect(),
-            });
-        }
+                cells: entry.values.iter().map(Value::to_text).collect(),
+            })
+            .collect();
         let (body, content_type) = match kind {
             PageKind::Html => (
                 render::view_page(
@@ -638,20 +668,22 @@ impl Inner {
                     &rows,
                     start,
                     count,
-                    total,
+                    page.total,
                 ),
                 "text/html",
             ),
             PageKind::Json => (
-                render::view_entries_json(&sv.columns, &rows, start, count, total),
+                render::view_entries_json(&sv.columns, &rows, start, count, page.total),
                 "application/json",
             ),
         };
         self.cache.insert(
             key,
             CachedPage {
-                view_version: page.version,
-                snapshot_seq: snap.seq(),
+                stamp: PageStamp {
+                    view_instance: sv.instance,
+                    view_version: page.version,
+                },
                 body: body.clone(),
                 content_type,
             },
@@ -692,10 +724,18 @@ impl Inner {
             if hits.len() >= count {
                 break;
             }
-            if sv.view.position_of(hit.unid).is_none() {
+            // The index entry answers membership, and spares the read of
+            // a document it already knows to be out of the user's reach.
+            let Some(entry) = sv.view.entry(hit.unid) else {
+                continue;
+            };
+            if !can_read_document(&access, &names, &entry.readers) {
                 continue;
             }
-            let note = match snap.open_by_unid(hit.unid) {
+            // The title comes from the snapshot, which a commit may have
+            // put ahead of or behind the index: the version whose title
+            // is shown is the one whose reader list decides.
+            let note = match snap.open_arc(entry.note_id) {
                 Ok(n) => n,
                 Err(_) => continue,
             };
@@ -780,6 +820,56 @@ mod tests {
         db.save(&mut n).unwrap();
         let third = server.handle(&req);
         assert!(!third.from_cache);
+    }
+
+    /// A view's version counts that index's mutations from zero, so an
+    /// index attached later under the same name passes through the
+    /// numbers its predecessor was cached at. Its pages must be its own.
+    #[test]
+    fn a_replaced_view_or_database_never_hits_its_predecessors_pages() {
+        let (server, db) = discussion();
+        let req = Request::get("/disc.nsf/topics?OpenView&Count=5").as_user("alice", "pw-a");
+        let commit = |db: &Database, i: usize| {
+            let mut n = Note::document("Topic");
+            n.set("Subject", Value::text(format!("later {i}")));
+            n.set("Other", Value::text(format!("other {i}")));
+            db.save(&mut n).unwrap();
+        };
+        // Same view name, another design, the same number of commits
+        // after attach: the version the old pages were cached at.
+        (0..3).for_each(|i| commit(&db, i));
+        assert!(server.handle(&req).body.contains("topic 00"));
+        assert!(server.handle(&req).from_cache);
+        let mut design = ViewDesign::new("topics", r#"SELECT Form = "Topic""#).unwrap();
+        design.columns = vec![ColumnSpec::new("Other", "Other")
+            .unwrap()
+            .sorted(domino_views::SortDir::Descending)];
+        server.add_view("disc", design).unwrap();
+        (3..6).for_each(|i| commit(&db, i));
+        let replaced = server.handle(&req);
+        assert!(!replaced.from_cache);
+        assert!(replaced.body.contains("other 5") && !replaced.body.contains("topic 00"));
+
+        // Same path, another database.
+        let other = Arc::new(
+            Database::open_in_memory(
+                DbConfig::new("Elsewhere", ReplicaId(2), ReplicaId(9)),
+                LogicalClock::new(),
+            )
+            .unwrap(),
+        );
+        other.set_acl(&db.snapshot().acl().unwrap()).unwrap();
+        server.register_database("disc", &other).unwrap();
+        let mut design = ViewDesign::new("topics", r#"SELECT Form = "Topic""#).unwrap();
+        design.columns = vec![ColumnSpec::new("Other", "Other")
+            .unwrap()
+            .sorted(domino_views::SortDir::Descending)];
+        server.add_view("disc", design).unwrap();
+        (6..9).for_each(|i| commit(&other, i));
+        let elsewhere = server.handle(&req);
+        assert!(!elsewhere.from_cache);
+        assert!(elsewhere.body.contains("other 8") && !elsewhere.body.contains("other 5"));
+        assert!(server.handle(&req).from_cache);
     }
 
     #[test]

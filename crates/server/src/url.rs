@@ -23,6 +23,11 @@ use domino_types::{DominoError, Result, Unid};
 /// Rows per view page when `Count=` is absent (Domino's default).
 pub const DEFAULT_COUNT: usize = 30;
 
+/// Most rows one page or search returns, whatever `Count=` asks for
+/// (Domino's default "maximum lines per view page"): a request cannot
+/// make the server render, and cache, a whole view.
+pub const MAX_COUNT: usize = 1000;
+
 /// A parsed Domino URL command. `start` is 1-based, as in Domino URLs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UrlCommand {
@@ -186,6 +191,11 @@ fn arg_usize(args: &[(String, String)], key: &str, default: usize) -> Result<usi
     Ok(default)
 }
 
+/// `Count=`, capped at [`MAX_COUNT`].
+fn arg_count(args: &[(String, String)]) -> Result<usize> {
+    Ok(arg_usize(args, "count", DEFAULT_COUNT)?.min(MAX_COUNT))
+}
+
 fn arg_text(args: &[(String, String)], key: &str) -> Option<String> {
     args.iter()
         .find(|(k, _)| k.eq_ignore_ascii_case(key))
@@ -248,13 +258,13 @@ pub fn parse(target: &str) -> Result<UrlCommand> {
             db,
             view: one_segment(rest_segs, "view")?.to_string(),
             start: arg_usize(&args, "start", 1)?.max(1),
-            count: arg_usize(&args, "count", DEFAULT_COUNT)?,
+            count: arg_count(&args)?,
         }),
         "readviewentries" => Ok(UrlCommand::ReadViewEntries {
             db,
             view: one_segment(rest_segs, "view")?.to_string(),
             start: arg_usize(&args, "start", 1)?.max(1),
-            count: arg_usize(&args, "count", DEFAULT_COUNT)?,
+            count: arg_count(&args)?,
         }),
         "opendocument" => Ok(UrlCommand::OpenDocument {
             db,
@@ -281,7 +291,7 @@ pub fn parse(target: &str) -> Result<UrlCommand> {
             view: one_segment(rest_segs, "view")?.to_string(),
             query: arg_text(&args, "query")
                 .ok_or_else(|| invalid("SearchView requires &Query="))?,
-            count: arg_usize(&args, "count", DEFAULT_COUNT)?,
+            count: arg_count(&args)?,
         }),
         other => Err(invalid(format!("unknown URL command {other:?}"))),
     }
@@ -362,6 +372,28 @@ mod tests {
             let err = parse(bad).unwrap_err();
             assert_eq!(err.kind(), "invalid_argument", "{bad}");
         }
+    }
+
+    #[test]
+    fn count_is_capped() {
+        for (arg, want) in [
+            ("0", 0),
+            ("1000", MAX_COUNT),
+            ("6000", MAX_COUNT),
+            ("18446744073709551615", MAX_COUNT),
+        ] {
+            for command in ["OpenView", "ReadViewEntries", "SearchView&Query=x"] {
+                let count = match parse(&format!("/d.nsf/v?{command}&Count={arg}")).unwrap() {
+                    UrlCommand::OpenView { count, .. }
+                    | UrlCommand::ReadViewEntries { count, .. }
+                    | UrlCommand::SearchView { count, .. } => count,
+                    other => panic!("{other:?}"),
+                };
+                assert_eq!(count, want, "{command} Count={arg}");
+            }
+        }
+        // One past usize is not a number at all.
+        assert!(parse("/d.nsf/v?OpenView&Count=18446744073709551616").is_err());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The view index: ordered, incrementally-maintained query results.
 //!
-//! A [`ViewIndex`] holds one [`ViewEntry`] per selected document, placed in
-//! one ordered map per collation (primary + alternates). Maintenance is
-//! incremental: each database [`ChangeEvent`] re-evaluates just the changed
-//! document — the property E3 measures against full rebuilds.
+//! A [`ViewIndex`] holds one shared [`ViewEntry`] per selected document,
+//! placed in one counted [`Order`] per collation (primary + alternates), so
+//! a page is read by position and a document's position by key without
+//! walking there. Maintenance is incremental: each database
+//! [`ChangeEvent`] re-evaluates just the changed document — the property E3
+//! measures against full rebuilds.
 //!
 //! Response documents (when the design shows them) sort *under their
 //! parent*: a response's key is its parent's full key extended with a
@@ -16,8 +18,8 @@
 //! [`ViewIndex::rebuild`] splits work into a *parallel evaluate* phase and
 //! a *sequential merge* phase. Selection and column formulas are pure, so
 //! every main (parentless) document is evaluated on a rayon worker; the
-//! per-collation orders are then bulk-built from pre-sorted `(key, unid)`
-//! vectors instead of one `BTreeMap::insert` per document. Response
+//! per-collation orders are then bulk-built from pre-sorted `(key, entry)`
+//! vectors instead of one ordered insert per document. Response
 //! placement stays sequential (a response's key embeds its parent's key,
 //! so subtrees are inherently ordered work); [`ViewIndex::rebuild_sequential`]
 //! keeps the single-threaded path as the reference the equivalence
@@ -35,8 +37,8 @@
 //! application, so one parse is shared across views, workers, and apply
 //! calls; per-view hit/miss counts land in [`ViewStats`].
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::OnceLock;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -62,6 +64,7 @@ struct Metrics {
     batch_size: &'static obs::Histogram,
     cache_hits: &'static obs::Counter,
     cache_misses: &'static obs::Counter,
+    pages_built: &'static obs::Counter,
 }
 
 fn m() -> &'static Metrics {
@@ -77,11 +80,13 @@ fn m() -> &'static Metrics {
         batch_size: obs::histogram("View.Batch.Size"),
         cache_hits: obs::counter("View.SelectionCache.Hits"),
         cache_misses: obs::counter("View.SelectionCache.Misses"),
+        pages_built: obs::counter("View.Pages.Built"),
     })
 }
 
 use crate::collate::{encode_key, encode_prefix, prefix_upper_bound, SortDir};
 use crate::design::{Collation, ViewDesign};
+use crate::order::Order;
 
 /// Where the index gets documents it must re-evaluate (parents/children of
 /// changed notes).
@@ -98,13 +103,17 @@ impl NoteSource for NoSource {
     }
 }
 
-/// One row of the view.
+/// One row of the view. Everything a reader needs to show the row — or to
+/// decide it may not — is here, computed from one version of the document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewEntry {
     pub unid: Unid,
     pub note_id: NoteId,
     /// Computed column values, one per design column.
     pub values: Vec<Value>,
+    /// The document's combined `$Readers` lists (empty = unrestricted), as
+    /// of the version `values` were computed from.
+    pub readers: Vec<String>,
     /// 0 = main document, 1 = response, 2 = response-to-response...
     pub response_level: u32,
     pub parent: Option<Unid>,
@@ -161,9 +170,9 @@ pub struct ViewIndex {
     /// cache and shared (via `Arc`'d program) with parallel workers.
     selection: Formula,
     env: EvalEnv,
-    entries: HashMap<Unid, ViewEntry>,
-    /// One ordered map per collation: encoded key -> unid.
-    orders: Vec<BTreeMap<Vec<u8>, Unid>>,
+    entries: HashMap<Unid, Arc<ViewEntry>>,
+    /// One counted order per collation: encoded key -> the shared entry.
+    orders: Vec<Order<Arc<ViewEntry>>>,
     /// unid -> its current key in each collation.
     keys: HashMap<Unid, Vec<Vec<u8>>>,
     /// parent unid -> response unids present in the view.
@@ -186,7 +195,7 @@ impl ViewIndex {
             selection,
             env,
             entries: HashMap::new(),
-            orders: vec![BTreeMap::new(); n_collations],
+            orders: (0..n_collations).map(|_| Order::new()).collect(),
             keys: HashMap::new(),
             children: HashMap::new(),
             stats,
@@ -261,11 +270,28 @@ impl ViewIndex {
     pub fn apply(&mut self, event: &ChangeEvent, src: &dyn NoteSource) -> Result<()> {
         self.version += 1;
         match event {
-            ChangeEvent::Saved { new, .. } => self.consider(new, src),
+            ChangeEvent::Saved { old, new } => {
+                self.unlink_from_old_parent(old.as_ref(), new);
+                self.consider(new, src)
+            }
             ChangeEvent::Deleted { old, .. } => {
                 self.remove_entry(old.unid());
                 self.reconsider_children(old.unid(), src)
             }
+        }
+    }
+
+    /// A response saved under another parent (or under none) leaves its
+    /// old parent's thread: the `children` linkage follows `$REF`, and a
+    /// stale link would let the old parent re-adopt the row the next time
+    /// it moves.
+    fn unlink_from_old_parent(&mut self, old: Option<&Note>, new: &Note) {
+        let was = old.and_then(Note::parent);
+        if let Some(kids) = was
+            .filter(|was| Some(*was) != new.parent())
+            .and_then(|was| self.children.get_mut(&was))
+        {
+            kids.remove(&new.unid());
         }
     }
 
@@ -320,7 +346,10 @@ impl ViewIndex {
         let pre = pre?;
         for (event, p) in events.iter().zip(pre) {
             match event {
-                ChangeEvent::Saved { new, .. } => self.consider_pre(new, p, src)?,
+                ChangeEvent::Saved { old, new } => {
+                    self.unlink_from_old_parent(old.as_ref(), new);
+                    self.consider_pre(new, p, src)?
+                }
                 ChangeEvent::Deleted { old, .. } => {
                     self.remove_entry(old.unid());
                     self.reconsider_children(old.unid(), src)?;
@@ -335,8 +364,8 @@ impl ViewIndex {
     ///
     /// Main documents key independently of each other, so their selection
     /// verdicts, column values, and collation keys are all computed in
-    /// parallel; the per-collation `BTreeMap`s are then bulk-built from
-    /// pre-sorted `(key, unid)` vectors. Responses key under their parent
+    /// parallel; the per-collation orders are then bulk-loaded from
+    /// pre-sorted `(key, entry)` vectors. Responses key under their parent
     /// and are placed sequentially, shallow-to-deep (see
     /// `ViewIndex::place_responses`).
     pub fn rebuild<'a>(
@@ -386,6 +415,7 @@ impl ViewIndex {
                     unid: note.unid(),
                     note_id: note.id,
                     values: Self::column_values(design, note, env)?,
+                    readers: note.readers(),
                     response_level: 0,
                     parent: None,
                     created: note.created,
@@ -398,7 +428,7 @@ impl ViewIndex {
         // Merge phase: account stats, fill the entry/key maps, and
         // bulk-load each collation order from a pre-sorted vector (one
         // sort + linear build instead of n log n tree inserts).
-        let mut per_coll: Vec<Vec<(Vec<u8>, Unid)>> =
+        let mut per_coll: Vec<Vec<(Vec<u8>, Arc<ViewEntry>)>> =
             self.orders.iter().map(|_| Vec::new()).collect();
         let mut evaluated = 0u64;
         let mut placed = 0u64;
@@ -409,8 +439,9 @@ impl ViewIndex {
                 MainEval::Placed(entry, keys) => {
                     evaluated += 1;
                     placed += 1;
+                    let entry = Arc::new(entry);
                     for (ci, k) in keys.iter().enumerate() {
-                        per_coll[ci].push((k.clone(), entry.unid));
+                        per_coll[ci].push((k.clone(), entry.clone()));
                     }
                     self.keys.insert(entry.unid, keys);
                     self.entries.insert(entry.unid, entry);
@@ -423,7 +454,7 @@ impl ViewIndex {
         m().placed.add(placed);
         for (ci, mut pairs) in per_coll.into_iter().enumerate() {
             pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            self.orders[ci] = BTreeMap::from_iter(pairs);
+            self.orders[ci] = Order::from_sorted(pairs);
         }
 
         let result = self.place_responses(responses, src);
@@ -567,6 +598,7 @@ impl ViewIndex {
             unid: note.unid(),
             note_id: note.id,
             values,
+            readers: note.readers(),
             response_level,
             parent: if parent_in_view { parent } else { None },
             created: note.created,
@@ -576,13 +608,19 @@ impl ViewIndex {
         Ok(())
     }
 
-    /// Insert or move an entry in every collation order.
+    /// Insert or move an entry in every collation order. An edit that
+    /// leaves a collation's key as it was swaps the row in place — most
+    /// edits touch no sorted column of most views.
     fn place(&mut self, entry: ViewEntry) {
         let unid = entry.unid;
-        self.remove_from_orders(unid);
         let keys = self.compute_keys(&entry);
-        for (order, key) in self.orders.iter_mut().zip(keys.iter()) {
-            order.insert(key.clone(), unid);
+        let entry = Arc::new(entry);
+        let old_keys = self.keys.remove(&unid);
+        for (ci, (order, key)) in self.orders.iter_mut().zip(&keys).enumerate() {
+            if let Some(old) = old_keys.as_ref().map(|k| &k[ci]).filter(|old| *old != key) {
+                order.remove(old);
+            }
+            order.insert(key.clone(), entry.clone());
         }
         self.keys.insert(unid, keys);
         self.entries.insert(unid, entry);
@@ -693,7 +731,7 @@ impl ViewIndex {
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
         for kid in kids {
-            if let Some(mut entry) = self.entries.get(&kid).cloned() {
+            if let Some(mut entry) = self.entries.get(&kid).map(|e| ViewEntry::clone(e)) {
                 // Parent may have just appeared: adopt it.
                 let parent_level = self.entries.get(&parent).map(|p| p.response_level);
                 if let Some(pl) = parent_level {
@@ -715,15 +753,12 @@ impl ViewIndex {
     // ------------------------------------------------------------------
 
     /// Entries in collation order.
-    pub fn entries(&self, collation: usize) -> Vec<&ViewEntry> {
-        self.orders[collation]
-            .values()
-            .map(|u| &self.entries[u])
-            .collect()
+    pub fn entries(&self, collation: usize) -> impl Iterator<Item = &Arc<ViewEntry>> {
+        self.orders[collation].iter().map(|(_, e)| e)
     }
 
-    /// Entry lookup by unid.
-    pub fn entry(&self, unid: Unid) -> Option<&ViewEntry> {
+    /// Entry lookup by unid — also the O(1) membership test.
+    pub fn entry(&self, unid: Unid) -> Option<&Arc<ViewEntry>> {
         self.entries.get(&unid)
     }
 
@@ -731,12 +766,19 @@ impl ViewIndex {
     /// byte-identity assertion in the parallel/sequential equivalence
     /// property test.
     pub fn order_keys(&self, collation: usize) -> Vec<Vec<u8>> {
-        self.orders[collation].keys().cloned().collect()
+        self.orders[collation]
+            .iter()
+            .map(|(k, _)| k.to_vec())
+            .collect()
     }
 
     /// Entries whose leading sorted columns equal `prefix_values`
     /// (logarithmic positioning + linear in matches).
-    pub fn entries_by_prefix(&self, collation: usize, prefix_values: &[Value]) -> Vec<&ViewEntry> {
+    pub fn entries_by_prefix(
+        &self,
+        collation: usize,
+        prefix_values: &[Value],
+    ) -> Vec<&Arc<ViewEntry>> {
         let coll = &self.design.collations()[collation];
         let cols: Vec<(Value, SortDir)> = coll
             .keys
@@ -745,33 +787,24 @@ impl ViewIndex {
             .map(|((_, d), v)| (v.clone(), *d))
             .collect();
         let prefix = encode_prefix(&cols);
-        let range = match prefix_upper_bound(&prefix) {
-            Some(ub) => self.orders[collation].range(prefix.clone()..ub),
-            None => self.orders[collation].range(prefix.clone()..),
-        };
-        range
+        self.orders[collation]
+            .range(&prefix, prefix_upper_bound(&prefix))
             .filter(|(k, _)| k.starts_with(&prefix))
-            .map(|(_, u)| &self.entries[u])
+            .map(|(_, e)| e)
             .collect()
-    }
-
-    /// One page of entries: `offset` rows into the collation, up to
-    /// `limit` rows (scrolling a view window).
-    pub fn entries_page(&self, collation: usize, offset: usize, limit: usize) -> Vec<&ViewEntry> {
-        self.entries_range(collation, offset, limit)
     }
 
     /// The paged read primitive: up to `count` entries starting `start`
     /// rows (zero-based) into the collation order. This is what the HTTP
-    /// task's `?OpenView`/`?ReadViewEntries` handlers walk — cost is
-    /// O(start + count) iterator steps over the collation B-tree, never a
-    /// clone of the full entry set.
-    pub fn entries_range(&self, collation: usize, start: usize, count: usize) -> Vec<&ViewEntry> {
+    /// task's `?OpenView`/`?ReadViewEntries` handlers read — the first row
+    /// is found by position ([`Order::iter_from`]), so the last page of a
+    /// view costs what the first does, and a row is a pointer bump.
+    pub fn page(&self, collation: usize, start: usize, count: usize) -> Vec<Arc<ViewEntry>> {
+        m().pages_built.inc();
         self.orders[collation]
-            .values()
-            .skip(start)
+            .iter_from(start)
             .take(count)
-            .map(|u| &self.entries[u])
+            .map(|(_, e)| e.clone())
             .collect()
     }
 
@@ -779,7 +812,7 @@ impl ViewIndex {
     /// client needs to scroll to a just-opened document).
     pub fn position_of(&self, collation: usize, unid: Unid) -> Option<usize> {
         let key = self.keys.get(&unid)?.get(collation)?;
-        Some(self.orders[collation].range(..key.clone()).count())
+        Some(self.orders[collation].rank(key))
     }
 
     /// Sum of a totaled column over the whole view.
@@ -813,7 +846,7 @@ impl ViewIndex {
             return Vec::new();
         }
         let mut rows: Vec<CategoryRow> = Vec::new();
-        for entry in self.orders[collation].values().map(|u| &self.entries[u]) {
+        for entry in self.entries(collation) {
             let path: Vec<Value> = cat_cols.iter().map(|i| entry.values[*i].clone()).collect();
             let matches = rows
                 .last()
@@ -841,5 +874,67 @@ impl ViewIndex {
             }
         }
         rows
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::design::ColumnSpec;
+    use crate::order::STEPS;
+
+    fn memo(i: u32) -> Note {
+        let mut n = Note::document("Memo");
+        n.id = NoteId(i + 1);
+        n.oid.unid = Unid(u128::from(i) + 1);
+        n.set("Subject", Value::text(format!("memo {i:06}")));
+        n
+    }
+
+    /// Probes `read` made outside the rows it returned.
+    fn steps<T>(read: impl FnOnce() -> T) -> (usize, T) {
+        STEPS.with(|s| s.set(0));
+        let out = read();
+        (STEPS.with(|s| s.get()), out)
+    }
+
+    /// Positional reads are flat: the first, the middle and the last page
+    /// of a 100 000-row view each cost a bounded number of probes, as does
+    /// the position of a document — counted, not timed.
+    #[test]
+    fn page_and_position_cost_the_same_anywhere_in_100_000_rows() {
+        const ROWS: u32 = 100_000;
+        let design = ViewDesign::new("BySubject", "SELECT @All").unwrap().column(
+            ColumnSpec::new("Subject", "Subject")
+                .unwrap()
+                .sorted(SortDir::Ascending),
+        );
+        let mut index = ViewIndex::new(design, EvalEnv::default()).unwrap();
+        let notes: Vec<Note> = (0..ROWS).map(memo).collect();
+        index.rebuild(notes.iter(), &NoSource).unwrap();
+        // Incremental maintenance on top of the bulk load: move every
+        // 50th row to the front, so chunks have split as well.
+        for (i, n) in notes.iter().enumerate().filter(|(i, _)| i % 50 == 0) {
+            let mut new = n.clone();
+            new.set("Subject", Value::text(format!("a moved {i:06}")));
+            let event = ChangeEvent::Saved {
+                old: Some(n.clone()),
+                new,
+            };
+            index.apply(&event, &NoSource).unwrap();
+        }
+        let n = index.len();
+        assert_eq!(n, ROWS as usize);
+
+        let all: Vec<Unid> = index.entries(0).map(|e| e.unid).collect();
+        for start in [0, n / 2, n - 30] {
+            let (cost, page) = steps(|| index.page(0, start, 30));
+            assert!(cost <= 64, "page at {start}: {cost} probes");
+            let got: Vec<Unid> = page.iter().map(|e| e.unid).collect();
+            assert_eq!(got, all[start..start + 30]);
+            let (cost, pos) = steps(|| index.position_of(0, all[start]));
+            assert!(cost <= 64, "position of row {start}: {cost} probes");
+            assert_eq!(pos, Some(start));
+        }
     }
 }

@@ -32,6 +32,7 @@ pub mod collate;
 pub mod design;
 pub mod folder;
 pub mod index;
+pub mod order;
 
 pub use collate::SortDir;
 pub use design::{Collation, ColumnSpec, ViewDesign};
@@ -66,13 +67,14 @@ pub struct View {
     state: Arc<RwLock<ViewIndex>>,
 }
 
-/// One consistent paged read of a view: the rows, the total row count,
-/// and the index [version](View::version) they were taken at — all under
-/// a single shared guard, so the three agree with each other (the HTTP
-/// command cache keys pages on `(version, snapshot seq)`).
+/// One consistent paged read of a view: the rows (shared with the index,
+/// not copied), the total row count, and the index
+/// [version](View::version) they were taken at — all under a single
+/// shared guard, so the three agree with each other (the HTTP command
+/// cache validates pages on the version).
 #[derive(Debug, Clone)]
 pub struct ViewPage {
-    pub rows: Vec<ViewEntry>,
+    pub rows: Vec<Arc<ViewEntry>>,
     pub total: usize,
     pub version: u64,
 }
@@ -174,23 +176,18 @@ impl View {
     }
 
     /// Rows in primary collation order.
-    pub fn rows(&self) -> Vec<ViewEntry> {
+    pub fn rows(&self) -> Vec<Arc<ViewEntry>> {
         self.rows_in(0)
     }
 
     /// Rows in the given collation's order (0 = primary).
-    pub fn rows_in(&self, collation: usize) -> Vec<ViewEntry> {
-        self.state
-            .read()
-            .entries(collation)
-            .into_iter()
-            .cloned()
-            .collect()
+    pub fn rows_in(&self, collation: usize) -> Vec<Arc<ViewEntry>> {
+        self.state.read().entries(collation).cloned().collect()
     }
 
     /// Rows whose leading sorted column(s) equal `prefix` — category
     /// navigation.
-    pub fn rows_by_prefix(&self, collation: usize, prefix: &[Value]) -> Vec<ViewEntry> {
+    pub fn rows_by_prefix(&self, collation: usize, prefix: &[Value]) -> Vec<Arc<ViewEntry>> {
         self.state
             .read()
             .entries_by_prefix(collation, prefix)
@@ -199,37 +196,23 @@ impl View {
             .collect()
     }
 
-    /// One page of rows (`offset`, `limit`) in a collation's order.
-    pub fn rows_page(&self, collation: usize, offset: usize, limit: usize) -> Vec<ViewEntry> {
-        self.rows_range(collation, offset, limit)
-    }
-
     /// Up to `count` rows starting `start` rows (zero-based) into a
-    /// collation's order — the paged read the HTTP task serves
-    /// `?OpenView`/`?ReadViewEntries` from (see
-    /// [`ViewIndex::entries_range`]).
-    pub fn rows_range(&self, collation: usize, start: usize, count: usize) -> Vec<ViewEntry> {
-        self.state
-            .read()
-            .entries_range(collation, start, count)
-            .into_iter()
-            .cloned()
-            .collect()
-    }
-
-    /// One page plus the total row count and index version, read under a
-    /// single shared guard so all three are mutually consistent.
+    /// collation's order, plus the total row count and index version,
+    /// read under a single shared guard so all three are mutually
+    /// consistent — the paged read the HTTP task serves
+    /// `?OpenView`/`?ReadViewEntries` from (see [`ViewIndex::page`]).
     pub fn page(&self, collation: usize, start: usize, count: usize) -> ViewPage {
         let g = self.state.read();
         ViewPage {
-            rows: g
-                .entries_range(collation, start, count)
-                .into_iter()
-                .cloned()
-                .collect(),
+            rows: g.page(collation, start, count),
             total: g.len(),
             version: g.version(),
         }
+    }
+
+    /// The row of a document, if the view shows it (an O(1) lookup).
+    pub fn entry(&self, unid: Unid) -> Option<Arc<ViewEntry>> {
+        self.state.read().entry(unid).cloned()
     }
 
     /// Zero-based position of a document in the primary collation.
@@ -588,34 +571,25 @@ mod tests {
         for i in 0..20 {
             notes.push(task(&db, &format!("t{i:02}"), "open", 1.0));
         }
-        let page = view.rows_page(0, 5, 3);
-        assert_eq!(page.len(), 3);
-        assert_eq!(page[0].values[1], Value::text("t05"));
-        assert_eq!(page[2].values[1], Value::text("t07"));
+        let page = view.page(0, 5, 3);
+        assert_eq!((page.rows.len(), page.total), (3, 20));
+        assert_eq!(page.rows[0].values[1], Value::text("t05"));
+        assert_eq!(page.rows[2].values[1], Value::text("t07"));
         // Positions agree with row order.
         for (i, row) in view.rows().iter().enumerate() {
             assert_eq!(view.position_of(row.unid), Some(i));
         }
         assert_eq!(view.position_of(domino_types::Unid(0xDEAD)), None);
         // Past-the-end paging is empty, partial tail works.
-        assert!(view.rows_page(0, 25, 5).is_empty());
-        assert_eq!(view.rows_page(0, 18, 5).len(), 2);
-        // rows_range is the same primitive: collation order, zero-based.
-        let range = view.rows_range(0, 5, 3);
-        assert_eq!(
-            range
-                .iter()
-                .map(|e| e.values[1].clone())
-                .collect::<Vec<_>>(),
-            page.iter().map(|e| e.values[1].clone()).collect::<Vec<_>>()
-        );
-        // A range over everything matches full row order.
-        let all = view.rows_range(0, 0, usize::MAX);
-        assert_eq!(all.len(), view.len());
-        assert_eq!(
-            all.iter().map(|e| e.unid).collect::<Vec<_>>(),
-            view.rows().iter().map(|e| e.unid).collect::<Vec<_>>()
-        );
+        assert!(view.page(0, 25, 5).rows.is_empty());
+        assert!(view.page(0, usize::MAX, usize::MAX).rows.is_empty());
+        assert_eq!(view.page(0, 18, 5).rows.len(), 2);
+        // A page over everything matches full row order.
+        assert_eq!(view.page(0, 0, usize::MAX).rows, view.rows());
+        // A row is found by unid without its position.
+        let row = view.entry(notes[7].unid()).unwrap();
+        assert_eq!(row.values[1], Value::text("t07"));
+        assert!(view.entry(domino_types::Unid(0xDEAD)).is_none());
     }
 
     #[test]

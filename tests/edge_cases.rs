@@ -268,3 +268,61 @@ fn conflicting_form_titles_resolve_alike_on_every_replica() {
         assert_eq!(b.note_ids(Some(NoteClass::Form)).unwrap().len(), 2);
     }
 }
+
+/// Hostile `Start`/`Count` values reach no overflow (this test runs in a
+/// debug build, where one would panic) and no page larger than the cap.
+#[test]
+fn hostile_view_windows_are_clamped() {
+    use domino::server::{DominoServer, Request, ServerConfig};
+    use domino::views::{ColumnSpec, SortDir, ViewDesign};
+
+    const DOCS: usize = 1_200;
+    let db = new_db(9, 9);
+    {
+        let _batch = db.begin_batch();
+        for i in 0..DOCS {
+            let mut n = Note::document("Memo");
+            n.set("Subject", Value::text(format!("memo {i:04}")));
+            db.save(&mut n).unwrap();
+        }
+    }
+    let server = DominoServer::new(ServerConfig::default());
+    server.register_database("edge", &db).unwrap();
+    let design = ViewDesign::new("all", "SELECT @All").unwrap().column(
+        ColumnSpec::new("Subject", "Subject")
+            .unwrap()
+            .sorted(SortDir::Ascending),
+    );
+    server.add_view("edge", design).unwrap();
+
+    let max = usize::MAX;
+    let rows = |body: &str| body.matches("?OpenDocument").count();
+    for (args, want_rows) in [
+        (format!("Start={max}"), 0),
+        (format!("Start={max}&Count={max}"), 0),
+        (format!("Count={max}"), 1_000),
+        ("Count=6000".to_string(), 1_000),
+        ("Start=1101&Count=6000".to_string(), 100),
+        ("Count=0".to_string(), 0),
+    ] {
+        let html = server.handle(&Request::get(&format!("/edge.nsf/all?OpenView&{args}")));
+        assert_eq!(html.status.code(), 200, "OpenView&{args}");
+        assert_eq!(rows(&html.body), want_rows, "OpenView&{args}");
+        let json = server.handle(&Request::get(&format!(
+            "/edge.nsf/all?ReadViewEntries&{args}"
+        )));
+        assert_eq!(json.status.code(), 200, "ReadViewEntries&{args}");
+        assert_eq!(
+            json.body.matches("\"@unid\"").count(),
+            want_rows,
+            "ReadViewEntries&{args}"
+        );
+    }
+    let found = server.handle(&Request::get(&format!(
+        "/edge.nsf/all?SearchView&Query=memo&Count={max}"
+    )));
+    assert_eq!(found.status.code(), 200);
+    assert_eq!(rows(&found.body), 1_000);
+    let none = server.handle(&Request::get("/edge.nsf/all?SearchView&Query=memo&Count=0"));
+    assert_eq!((none.status.code(), rows(&none.body)), (200, 0));
+}

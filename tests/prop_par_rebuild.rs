@@ -105,8 +105,8 @@ fn assert_equivalent(notes: &[Note], design: ViewDesign, src: &dyn NoteSource) {
             seq.order_keys(ci),
             "collation {ci} keys"
         );
-        let pe: Vec<_> = par.entries(ci).into_iter().cloned().collect();
-        let se: Vec<_> = seq.entries(ci).into_iter().cloned().collect();
+        let pe: Vec<_> = par.entries(ci).cloned().collect();
+        let se: Vec<_> = seq.entries(ci).cloned().collect();
         assert_eq!(pe, se, "collation {ci} entries");
     }
     let (ps, ss) = (par.stats(), seq.stats());

@@ -1,12 +1,14 @@
 //! Property: a view maintained incrementally through any sequence of
-//! saves/edits/deletes is identical to one rebuilt from scratch.
+//! saves/edits/deletes/re-parentings is identical to one rebuilt from
+//! scratch, and its positional reads (a page by offset, a document's
+//! position) agree with the full row order in every collation.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use domino::core::{Database, DbConfig, Note};
-use domino::types::{LogicalClock, NoteClass, ReplicaId, Value};
+use domino::types::{LogicalClock, NoteClass, ReplicaId, Unid, Value};
 use domino::views::{ColumnSpec, SortDir, View, ViewDesign};
 
 #[derive(Debug, Clone)]
@@ -24,6 +26,10 @@ enum Op {
     },
     Retag {
         d: usize,
+    },
+    Reparent {
+        d: usize,
+        parent: Option<usize>,
     },
     Delete {
         d: usize,
@@ -46,6 +52,8 @@ fn ops() -> impl Strategy<Value = Op> {
             }),
         (0..32usize, 0..4u8, any::<u8>()).prop_map(|(d, cat, val)| Op::Edit { d, cat, val }),
         (0..32usize).prop_map(|d| Op::Retag { d }),
+        (0..32usize, prop::option::of(0..32usize))
+            .prop_map(|(d, parent)| Op::Reparent { d, parent }),
         (0..32usize).prop_map(|d| Op::Delete { d }),
     ]
 }
@@ -60,6 +68,50 @@ fn design() -> ViewDesign {
                 .sorted(SortDir::Descending),
         )
         .column(ColumnSpec::new("Total", "Val * 2").unwrap().totaled())
+        .alternate(vec![(0, SortDir::Descending), (1, SortDir::Ascending)])
+}
+
+/// Every window of every collation is the matching slice of the full
+/// order, and a document's position is its row's index.
+fn positional_reads_agree(v: &View) {
+    let collations = v.design().collations().len();
+    prop_assert_eq!(collations, 2);
+    for c in 0..collations {
+        let all = v.rows_in(c);
+        prop_assert_eq!(all.len(), v.len());
+        for start in 0..=all.len() + 1 {
+            for count in [0, 1, 3, all.len() + 2] {
+                let page = v.page(c, start, count);
+                let from = start.min(all.len());
+                let to = (start + count).min(all.len());
+                prop_assert_eq!(
+                    &page.rows[..],
+                    &all[from..to],
+                    "collation {} page({}, {})",
+                    c,
+                    start,
+                    count
+                );
+                prop_assert_eq!(page.total, all.len());
+            }
+        }
+    }
+    for (i, row) in v.rows().iter().enumerate() {
+        prop_assert_eq!(v.position_of(row.unid), Some(i));
+        prop_assert_eq!(v.entry(row.unid).as_ref(), Some(row));
+    }
+}
+
+/// Is `unid` the note `ancestor` or somewhere below it?
+fn descends_from(db: &Database, unid: Unid, ancestor: Unid) -> bool {
+    let mut at = Some(unid);
+    while let Some(u) = at {
+        if u == ancestor {
+            return true;
+        }
+        at = db.open_by_unid(u).ok().and_then(|n| n.parent());
+    }
+    false
 }
 
 fn rows_of(v: &View) -> Vec<(String, String, u32)> {
@@ -122,16 +174,30 @@ proptest! {
                     n.set("Form", Value::text(if form == "Task" { "Memo" } else { "Task" }));
                     db.save(&mut n).unwrap();
                 }
+                Op::Reparent { d, parent } => {
+                    if ids.is_empty() { continue; }
+                    let mut n = db.open_note(ids[d % ids.len()]).unwrap();
+                    match parent.map(|p| db.open_note(ids[p % ids.len()]).unwrap().unid()) {
+                        // Never under itself or one of its own descendants:
+                        // a $REF cycle has no thread order to agree on.
+                        Some(p) if !descends_from(&db, p, n.unid()) => { n.set_parent(p); }
+                        _ => { n.remove("$REF"); }
+                    }
+                    db.save(&mut n).unwrap();
+                }
                 Op::Delete { d } => {
                     if ids.is_empty() { continue; }
                     db.delete(ids[d % ids.len()]).unwrap();
                 }
             }
         }
+        positional_reads_agree(&live);
 
         let fresh = View::detached(&db, design()).unwrap();
         fresh.rebuild().unwrap();
         prop_assert_eq!(rows_of(&live), rows_of(&fresh));
+        prop_assert_eq!(live.rows_in(1), fresh.rows_in(1));
+        positional_reads_agree(&fresh);
         // Category rollups agree too.
         prop_assert_eq!(live.categories(), fresh.categories());
         // And totals.

@@ -8,18 +8,26 @@
 //!   pinned under its own write lock.
 //! * A view sees summary items only, whichever copy of a note (change
 //!   event, resident version, summary-only seed) a row was computed from.
+//! * A view page over HTTP is read from the index alone: it opens no
+//!   document, and a command-cache hit does not touch the index either.
 
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, RwLock};
 use std::thread;
 
 use domino::core::{Database, DbConfig, Note, Session};
 use domino::formula::{EvalEnv, Formula};
 use domino::ftindex::FtIndex;
-use domino::security::Directory;
+use domino::security::{AccessLevel, Acl, Directory};
+use domino::server::{DominoServer, Request, ServerConfig};
 use domino::storage::MemDisk;
 use domino::types::{ItemFlags, LogicalClock, NoteClass, ReplicaId, Value};
 use domino::views::{ColumnSpec, SortDir, View, ViewDesign};
 use domino::wal::MemLogStore;
+
+/// `Db.Snapshot.Reads` and `View.Pages.Built` are process-wide: the test
+/// that takes exact deltas of them holds this exclusively, every other
+/// test in the binary shares it.
+static COUNTERS: RwLock<()> = RwLock::new(());
 
 fn config() -> DbConfig {
     DbConfig::new("ReadPath", ReplicaId(1), ReplicaId(7))
@@ -75,6 +83,7 @@ fn reads<T>(db: &Database, op: impl FnOnce() -> T) -> (u64, T) {
 
 #[test]
 fn resident_reads_never_touch_the_engine() {
+    let _shared = COUNTERS.read().unwrap();
     for docs in [500, 4_000] {
         let db = Arc::new(Database::open_in_memory(config(), LogicalClock::new()).unwrap());
         let saved: Vec<Note> = (0..docs)
@@ -119,6 +128,7 @@ fn resident_reads_never_touch_the_engine() {
 
 #[test]
 fn a_reopened_note_hydrates_once_and_matches_the_engine() {
+    let _shared = COUNTERS.read().unwrap();
     let stores = Stores::default();
     let db = stores.open();
     let ids: Vec<_> = (0..40)
@@ -157,6 +167,7 @@ fn a_reopened_note_hydrates_once_and_matches_the_engine() {
 
 #[test]
 fn attach_while_a_writer_commits_loses_nothing() {
+    let _shared = COUNTERS.read().unwrap();
     const ROUNDS: usize = 20;
     const DOCS: usize = 600;
     for round in 0..ROUNDS {
@@ -195,6 +206,7 @@ fn attach_while_a_writer_commits_loses_nothing() {
 
 #[test]
 fn a_body_column_reads_the_same_incrementally_rebuilt_and_reopened() {
+    let _shared = COUNTERS.read().unwrap();
     let stores = Stores::default();
     let design = || by_subject().column(ColumnSpec::new("Body", "Body").unwrap());
     let body_cells = |view: &View| -> Vec<Value> {
@@ -236,6 +248,7 @@ fn a_body_column_reads_the_same_incrementally_rebuilt_and_reopened() {
 
 #[test]
 fn a_reader_restriction_stored_without_the_summary_flag_holds_after_reopen() {
+    let _shared = COUNTERS.read().unwrap();
     // `set_with_flags` replaces every flag, so this item would land in
     // the body segment — and a reopened database checks access on
     // summary-only versions. The store keeps reader items in the summary.
@@ -272,4 +285,65 @@ fn a_reader_restriction_stored_without_the_summary_flag_holds_after_reopen() {
     let select = Formula::compile(r#"SELECT Form = "Memo""#).unwrap();
     let ann = Session::new(db.clone(), "ann", Directory::new());
     assert_eq!(ann.search(&select).unwrap().len(), 1);
+}
+
+#[test]
+fn a_view_page_opens_no_document_and_a_cache_hit_no_index_page() {
+    let _alone = COUNTERS.write().unwrap();
+    let snapshot_reads = || domino::obs::snapshot().counter("Db.Snapshot.Reads");
+    let pages_built = || domino::obs::snapshot().counter("View.Pages.Built");
+    // With an ACL note a request reads that one note, and nothing else.
+    for acl_reads in [0, 1] {
+        let db = Arc::new(Database::open_in_memory(config(), LogicalClock::new()).unwrap());
+        if acl_reads == 1 {
+            db.set_acl(&Acl::new(AccessLevel::Reader)).unwrap();
+        }
+        for i in 0..200 {
+            let mut n = memo(i);
+            if i % 10 == 3 {
+                n.set_with_flags("DocReaders", Value::text("bea"), ItemFlags::READERS);
+            }
+            db.save(&mut n).unwrap();
+        }
+        let server = DominoServer::new(ServerConfig::default());
+        server.register_database("mail", &db).unwrap();
+        server.add_view("mail", by_subject()).unwrap();
+
+        for (command, link) in [
+            ("OpenView", "?OpenDocument"),
+            ("ReadViewEntries", "\"@unid\""),
+        ] {
+            let req = Request::get(&format!("/mail.nsf/BySubject?{command}&Start=61&Count=30"));
+            let (reads, built) = (snapshot_reads(), pages_built());
+            let miss = server.handle(&req);
+            assert_eq!(snapshot_reads() - reads, acl_reads, "uncached {command}");
+            assert_eq!(pages_built() - built, 1);
+            assert!(!miss.from_cache);
+            // Rows 61..=90 hold memos 60..90; three of them are bea's.
+            assert_eq!(miss.body.matches(link).count(), 27, "{command}");
+
+            let (reads, built) = (snapshot_reads(), pages_built());
+            let hit = server.handle(&req);
+            assert!(hit.from_cache);
+            assert_eq!(hit.body, miss.body);
+            assert_eq!(pages_built(), built, "a cache hit built an index page");
+            assert_eq!(snapshot_reads() - reads, acl_reads, "cached {command}");
+        }
+
+        // A search opens the documents it shows (for their titles) and no
+        // others: not the ones outside the view, not the ones the index
+        // entry already rules out for this user.
+        let mut outside = Note::document("Other");
+        outside.set("Subject", Value::text("memo outside the view"));
+        db.save(&mut outside).unwrap();
+        let (reads, built) = (snapshot_reads(), pages_built());
+        let found = server.handle(&Request::get(
+            "/mail.nsf/BySubject?SearchView&Query=memo&Count=50",
+        ));
+        let shown = found.body.matches("?OpenDocument").count() as u64;
+        assert_eq!(shown, 50);
+        assert!(!found.body.contains("outside the view"));
+        assert_eq!(snapshot_reads() - reads, shown + acl_reads);
+        assert_eq!(pages_built(), built);
+    }
 }

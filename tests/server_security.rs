@@ -1,9 +1,11 @@
 //! Security integration tests for the Domino HTTP task: ACL and
 //! `$Readers` denials must surface as the right status codes (401 for
 //! anonymous callers, 403 for named ones), restricted documents must
-//! vanish from rendered views and search results, and — the property at
-//! the bottom — the command cache must never serve one user's page to a
-//! user with different access.
+//! vanish from rendered views and search results — on every surface, for
+//! every access class, from the first request after the restriction is
+//! saved, and across a restart — and — the property at the bottom — the
+//! command cache must never serve one user's page to a user with
+//! different access.
 
 use std::sync::Arc;
 
@@ -12,8 +14,10 @@ use proptest::prelude::*;
 use domino::core::{Database, DbConfig, Note};
 use domino::security::{AccessLevel, Acl, AclEntry};
 use domino::server::{DominoServer, Request, ServerConfig};
+use domino::storage::MemDisk;
 use domino::types::{ItemFlags, LogicalClock, ReplicaId, Unid, Value};
 use domino::views::{ColumnSpec, SortDir, ViewDesign};
+use domino::wal::MemLogStore;
 
 /// A discussion db where Anonymous may read, alice edits with the
 /// [Board] role, bob authors, rita only reads — plus one public topic
@@ -135,6 +139,201 @@ fn restricted_rows_vanish_from_views_and_search_for_outsiders() {
         &Request::get("/board.nsf/all?SearchView&Query=acquisition").as_user("alice", "pw-a"),
     );
     assert!(alice_search.body.contains("acquisition plan"));
+}
+
+/// The three surfaces a view row can reach a browser through.
+fn surfaces(view: &str, term: &str) -> [String; 3] {
+    [
+        format!("/board.nsf/{view}?OpenView"),
+        format!("/board.nsf/{view}?ReadViewEntries"),
+        format!("/board.nsf/{view}?SearchView&Query={term}"),
+    ]
+}
+
+fn get(server: &DominoServer, target: &str, user: Option<(&str, &str)>) -> String {
+    let req = match user {
+        Some((name, password)) => Request::get(target).as_user(name, password),
+        None => Request::get(target),
+    };
+    let resp = server.handle(&req);
+    assert_eq!(resp.status.code(), 200, "{target} as {user:?}");
+    resp.body
+}
+
+/// The index entry is now what the row filter reads: a restricted row is
+/// absent for every access class off its reader list — a Manager
+/// included — on HTML, JSON and search, uncached and cached, and still
+/// after shutdown and reopen, where rows are rebuilt from summary-only
+/// versions (one restriction is stored without the `SUMMARY` flag).
+#[test]
+fn restricted_rows_are_absent_on_every_surface_for_every_class_and_after_reopen() {
+    let (disk, log, clock) = (
+        MemDisk::default(),
+        MemLogStore::default(),
+        LogicalClock::new(),
+    );
+    let open = || {
+        let db = Database::open(
+            Box::new(disk.clone()),
+            Some(Box::new(log.clone())),
+            DbConfig::new("Board", ReplicaId(0xB0A2), ReplicaId(0x5EC)),
+            clock.clone(),
+        );
+        Arc::new(db.unwrap())
+    };
+    let serve = |db: &Arc<Database>| {
+        let server = DominoServer::new(ServerConfig::default());
+        server.register_database("board", db).unwrap();
+        let mut design = ViewDesign::new("all", r#"SELECT Form = "Topic""#).unwrap();
+        design.columns = vec![ColumnSpec::new("Subject", "Subject")
+            .unwrap()
+            .sorted(SortDir::Ascending)];
+        server.add_view("board", design).unwrap();
+        for (name, password) in [
+            ("mo", "pw-m"),
+            ("alice", "pw-a"),
+            ("bob", "pw-b"),
+            ("rita", "pw-r"),
+        ] {
+            server.register_user(name, password);
+        }
+        server
+    };
+
+    let db = open();
+    let mut acl = Acl::new(AccessLevel::Reader);
+    acl.set("mo", AclEntry::new(AccessLevel::Manager));
+    acl.set(
+        "alice",
+        AclEntry::new(AccessLevel::Editor).with_role("Board"),
+    );
+    acl.set("bob", AclEntry::new(AccessLevel::Author));
+    acl.set("rita", AclEntry::new(AccessLevel::Reader));
+    db.set_acl(&acl).unwrap();
+    let topic = |subject: &str, readers: Option<(&str, ItemFlags)>| {
+        let mut n = Note::document("Topic");
+        n.set("Subject", Value::text(subject));
+        if let Some((who, flags)) = readers {
+            n.set_with_flags("DocReaders", Value::text(who), flags);
+        }
+        db.save(&mut n).unwrap();
+    };
+    topic("board minutes", None);
+    topic(
+        "board acquisition",
+        Some(("[Board]", ItemFlags::SUMMARY | ItemFlags::READERS)),
+    );
+    // Stored without SUMMARY: the store keeps reader items in the summary.
+    topic("board merger", Some(("alice", ItemFlags::READERS)));
+
+    let check = |server: &DominoServer, when: &str| {
+        let users = [
+            Some(("mo", "pw-m")),
+            Some(("bob", "pw-b")),
+            Some(("rita", "pw-r")),
+            None,
+        ];
+        for target in surfaces("all", "board") {
+            // Twice: rendered, then from the command cache.
+            for round in 0..2 {
+                for user in users {
+                    let body = get(server, &target, user);
+                    assert!(body.contains("board minutes"), "{when} {target} {user:?}");
+                    for secret in ["acquisition", "merger"] {
+                        assert!(
+                            !body.contains(secret),
+                            "{when}, round {round}: {target} showed {secret} to {user:?}"
+                        );
+                    }
+                }
+                let body = get(server, &target, Some(("alice", "pw-a")));
+                for subject in ["board minutes", "board acquisition", "board merger"] {
+                    assert!(
+                        body.contains(subject),
+                        "{when} {target}: alice lost {subject}"
+                    );
+                }
+            }
+        }
+    };
+    let server = serve(&db);
+    check(&server, "live");
+    drop(server);
+    db.shutdown().unwrap();
+    drop(db);
+
+    let db = open();
+    check(&serve(&db), "reopened");
+}
+
+/// A restriction added over HTTP takes effect on the very next request:
+/// the save bumps the view's version, so no page cached for an excluded
+/// user survives it, and the rebuilt row carries the new reader list.
+#[test]
+fn adding_readers_by_save_document_hides_the_row_on_the_next_request() {
+    let (server, _db, public, _secret) = board_site();
+    let bob = Some(("bob", "pw-b"));
+    for target in surfaces("all", "minutes") {
+        // Rendered, then cached.
+        for _ in 0..2 {
+            assert!(get(&server, &target, bob).contains("minutes (public)"));
+        }
+    }
+    let save = Request::post(
+        &format!("/board.nsf/{public}?SaveDocument"),
+        "%24Readers=%5BBoard%5D%3B+carol",
+    )
+    .as_user("alice", "pw-a");
+    assert_eq!(server.handle(&save).status.code(), 200);
+    for target in surfaces("all", "minutes") {
+        for user in [bob, Some(("rita", "pw-r")), None] {
+            let body = get(&server, &target, user);
+            assert!(!body.contains("minutes (public)"), "{target} {user:?}");
+        }
+        let alice = get(&server, &target, Some(("alice", "pw-a")));
+        assert!(alice.contains("minutes (public)"), "{target}");
+    }
+    // It is a reader list, not a text field of that name.
+    let opened = server
+        .handle(&Request::get(&format!("/board.nsf/{public}?OpenDocument")).as_user("bob", "pw-b"));
+    assert_eq!(opened.status.code(), 403);
+}
+
+/// An `?EditDocument` form posts every visible field back, a reader item
+/// with a name of its own (`DocReaders`) among them, as text. The save
+/// must leave it the reader list it was: a member editing the subject —
+/// or the list itself — does not publish the document.
+#[test]
+fn an_edit_form_round_trip_keeps_a_reader_item_a_reader_item() {
+    let (server, db, _public, secret) = board_site();
+    let form = get(
+        &server,
+        &format!("/board.nsf/{secret}?EditDocument"),
+        Some(("alice", "pw-a")),
+    );
+    assert!(form.contains("name=\"DocReaders\" value=\"[Board]\""));
+    for posted in [
+        "Subject=acquisition+plan+v2&DocReaders=%5BBoard%5D",
+        "DocReaders=%5BBoard%5D%3B+carol",
+    ] {
+        let save = Request::post(&format!("/board.nsf/{secret}?SaveDocument"), posted)
+            .as_user("alice", "pw-a");
+        assert_eq!(server.handle(&save).status.code(), 200);
+        for target in surfaces("all", "acquisition") {
+            for user in [Some(("bob", "pw-b")), Some(("rita", "pw-r")), None] {
+                let body = get(&server, &target, user);
+                assert!(!body.contains("acquisition plan"), "{target} {user:?}");
+            }
+            let alice = get(&server, &target, Some(("alice", "pw-a")));
+            assert!(alice.contains("acquisition plan v2"), "{target}");
+        }
+        let opened = server.handle(
+            &Request::get(&format!("/board.nsf/{secret}?OpenDocument")).as_user("bob", "pw-b"),
+        );
+        assert_eq!(opened.status.code(), 403);
+    }
+    let stored = db.snapshot().open_by_unid(secret).unwrap();
+    assert_eq!(stored.readers(), ["[Board]", "carol"]);
 }
 
 /// Who may read a generated document, by reader-list code:
