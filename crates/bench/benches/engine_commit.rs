@@ -20,7 +20,7 @@ use domino_bench::workload::{make_doc, rng};
 use domino_core::{Database, DbConfig};
 use domino_storage::{CommitMode, EngineConfig, MemDisk};
 use domino_types::{LogicalClock, ReplicaId, Result};
-use domino_wal::{LogManager, LogRecord, LogStore, Lsn, MemLogStore, TxId};
+use domino_wal::{LogManager, LogRecord, LogStore, MemLogStore, TxId};
 
 const SYNC_DELAY: Duration = Duration::from_micros(250);
 
@@ -53,12 +53,6 @@ impl LogStore for SlowLogStore {
     }
     fn start(&self) -> Result<u64> {
         self.inner.start()
-    }
-    fn set_master(&self, lsn: Lsn) -> Result<()> {
-        self.inner.set_master(lsn)
-    }
-    fn get_master(&self) -> Result<Lsn> {
-        self.inner.get_master()
     }
     fn truncate_prefix(&self, upto: u64) -> Result<()> {
         self.inner.truncate_prefix(upto)

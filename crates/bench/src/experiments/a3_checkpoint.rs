@@ -1,6 +1,7 @@
 //! A3 (ablation) — checkpoint interval: runtime overhead vs recovery time.
 //!
-//! Design choice being ablated: sharp checkpoints (flush + master record).
+//! Design choice being ablated: sharp checkpoints (flush every dirty page,
+//! then truncate the log at its end — the retained log is the restart point).
 //! Frequent checkpoints bound restart recovery tightly but pay page flushes
 //! during normal running; rare checkpoints are cheap until the crash.
 

@@ -66,7 +66,7 @@ fn main() {
         db.save(&mut n).unwrap();
         if i == 49 {
             // Checkpoint mid-stream: pages 0..=49 reach the file, the
-            // log truncates, and the superblock records the redo point.
+            // log is rewritten to start at the redo point.
             db.checkpoint().unwrap();
         }
     }

@@ -299,9 +299,10 @@ impl Database {
 
     /// Open a real on-disk database: the single NSF file at `path` plus
     /// its transaction log as a sibling file with a `.txn` extension
-    /// (Domino keeps its log outside the NSF too; the superblock carries
-    /// the recovery-start LSN). If the database crashed, the on-disk log
-    /// tail is replayed here and exactly the committed prefix survives.
+    /// (Domino keeps its log outside the NSF too; the log's header names
+    /// its first retained LSN, where restart begins). If the database
+    /// crashed, the on-disk log tail is replayed here and exactly the
+    /// committed prefix survives.
     pub fn open_path(
         path: &std::path::Path,
         config: DbConfig,

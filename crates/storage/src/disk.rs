@@ -42,19 +42,6 @@ pub trait Disk: Send {
         Ok(())
     }
 
-    /// Persist the recovery-start LSN in the device header (the NSF
-    /// superblock mirror of the log's master record; 0 = cleanly closed).
-    /// Durable when it returns. Devices without a header ignore it.
-    fn set_recovery_lsn(&self, _lsn: u64) -> Result<()> {
-        Ok(())
-    }
-
-    /// The recovery-start LSN last persisted via
-    /// [`Disk::set_recovery_lsn`] (0 for devices without a header).
-    fn recovery_lsn(&self) -> Result<u64> {
-        Ok(0)
-    }
-
     /// Number of pages ever written + 1 (i.e. one past the highest id).
     fn page_count(&self) -> Result<u32>;
 
@@ -82,14 +69,6 @@ impl<D: Disk + Sync + ?Sized> Disk for Arc<D> {
 
     fn sync(&self) -> Result<()> {
         (**self).sync()
-    }
-
-    fn set_recovery_lsn(&self, lsn: u64) -> Result<()> {
-        (**self).set_recovery_lsn(lsn)
-    }
-
-    fn recovery_lsn(&self) -> Result<u64> {
-        (**self).recovery_lsn()
     }
 
     fn page_count(&self) -> Result<u32> {
@@ -177,15 +156,6 @@ impl<D: Disk> Disk for FaultDisk<D> {
     fn sync(&self) -> Result<()> {
         self.plan.tick("disk sync")?;
         self.disk.sync()
-    }
-
-    fn set_recovery_lsn(&self, lsn: u64) -> Result<()> {
-        self.plan.tick("disk set_recovery_lsn")?;
-        self.disk.set_recovery_lsn(lsn)
-    }
-
-    fn recovery_lsn(&self) -> Result<u64> {
-        self.disk.recovery_lsn()
     }
 
     fn page_count(&self) -> Result<u32> {

@@ -15,9 +15,10 @@
 //! Checkpoints are fuzzy and incremental: [`Engine::begin_checkpoint`]
 //! snapshots the dirty-page table, [`Engine::checkpoint_step`] writes a
 //! few pages back (oldest recovery-LSN first) between transactions without
-//! blocking writers, and [`Engine::complete_checkpoint`] logs the
-//! checkpoint record, advances the master record, and truncates the log
-//! prefix below the new checkpoint's redo point.
+//! blocking writers, and [`Engine::complete_checkpoint`] flushes the log
+//! and truncates it at the redo point: the oldest recovery LSN of a page
+//! still dirty, or the log's end. The first retained log byte is then
+//! where the next restart begins; nothing else records it.
 //!
 //! The engine is single-writer: `domino_core::Database` serializes
 //! transactions, which is what makes physical before-image undo sound.
@@ -29,8 +30,7 @@
 //! truncated at checkpoint completion, after restart recovery's writeback,
 //! and at clean shutdown. Between barriers, any lost page write is
 //! re-created by redo because its updates sit above the retained redo
-//! point. After each barrier the on-disk recovery-start LSN mirror
-//! ([`Disk::set_recovery_lsn`]) is updated (0 = cleanly closed).
+//! point.
 //!
 //! Page 0 is the store header (the engine *catalog* page — the file-level
 //! superblock is `crate::file`'s concern; byte spec in FORMAT.md):
@@ -248,22 +248,18 @@ impl Engine {
         // Restart recovery (repeating history) before anything else.
         if let Some(wal) = engine.wal.take() {
             // Retained bytes (`len() - start()`), not the logical end: a
-            // cleanly discarded log keeps its LSNs but holds nothing.
+            // cleanly closed log keeps its LSNs but holds nothing.
             if wal.durable_len()? != 0 {
                 let mut target = EngineRedo {
                     engine: &mut engine,
                 };
-                let stats = recover(&wal, &mut target)?;
-                engine.recovery = Some(stats);
-                // Recovery rewrote frames; persist them (through the sync
-                // barrier — the log is discarded below, so nothing would
-                // replay a lost write after this point).
-                engine.flush_all_pages_internal()?;
-                engine.disk.sync()?;
-                discard_log(&wal)?;
-                engine.disk.set_recovery_lsn(0)?;
+                engine.recovery = Some(recover(&wal, &mut target)?);
             }
             engine.wal = Some(wal);
+        }
+        if engine.recovery.is_some() {
+            // Recovery rewrote frames: close the way a shutdown does.
+            engine.shutdown()?;
         }
 
         engine.format_if_needed()?;
@@ -662,10 +658,9 @@ impl Engine {
         Ok(true)
     }
 
-    /// Finish the checkpoint: drain any remaining queued writeback, log a
-    /// checkpoint record carrying the (fuzzy) current dirty-page table,
-    /// advance the master record, and truncate the log prefix below the
-    /// new redo point. Call between transactions.
+    /// Finish the checkpoint: drain any remaining queued writeback, sync
+    /// the device, and truncate the log at the new redo point. Call
+    /// between transactions.
     pub fn complete_checkpoint(&mut self) -> Result<()> {
         if self.active_tx.is_some() {
             return Err(DominoError::InvalidArgument(
@@ -696,25 +691,19 @@ impl Engine {
             .with("pages_written", self.stats.page_writes)
             .with("dirty_remaining", self.dirty_table.len()),
         );
+        self.truncate_log()
+    }
+
+    /// Flush the log, then cut it at the redo point: the oldest recovery
+    /// LSN of a page still dirty (pages dirtied since `begin_checkpoint`
+    /// ride along fuzzily), or the log's end when none is. Nothing below
+    /// is read again: redo starts there, and no transaction needing undo
+    /// spans the cut, since none is open. Callers have synced the device.
+    fn truncate_log(&self) -> Result<()> {
         let Some(wal) = &self.wal else { return Ok(()) };
-        // Pages dirtied since begin_checkpoint ride along fuzzily: their
-        // recovery LSNs bound where redo must start.
-        let dirty: Vec<(u32, Lsn)> = self.dirty_table.iter().map(|(p, l)| (*p, *l)).collect();
-        let lsn = wal.append(&LogRecord::Checkpoint {
-            active: vec![],
-            dirty: dirty.clone(),
-        })?;
-        wal.flush(lsn)?;
-        wal.set_master(lsn)?;
-        // Nothing below min(dirty recLSNs, checkpoint LSN) is ever read
-        // again: redo starts there, and no transaction needing undo spans
-        // the checkpoint (none is active).
-        let redo_point = dirty.iter().map(|(_, l)| *l).min().unwrap_or(lsn).min(lsn);
-        wal.truncate_prefix(redo_point)?;
-        // Mirror the redo point into the device header (the NSF
-        // superblock): where replay starts if we crash from here.
-        self.disk.set_recovery_lsn(redo_point.0)?;
-        Ok(())
+        wal.flush_all()?;
+        let end = wal.flushed_lsn();
+        wal.truncate_prefix(self.dirty_table.values().copied().min().unwrap_or(end))
     }
 
     /// Checkpoint in one call: snapshot, drain, complete (with log
@@ -736,16 +725,15 @@ impl Engine {
         self.ckpt_queue.is_some()
     }
 
-    /// Clean shutdown: flush pages (through the sync barrier), truncate
-    /// the log, and mark the device header cleanly closed.
+    /// Clean shutdown: flush pages (through the sync barrier), then cut
+    /// the log at its end. LSNs keep counting from there: pages carry the
+    /// LSN of their last logged write, and redo skips a record at or below
+    /// its page's LSN, so a log renumbered from 0 would lose the next
+    /// session's writes to any page stamped in this one.
     pub fn shutdown(&mut self) -> Result<()> {
         self.ckpt_queue = None;
         self.flush_all_pages()?;
-        if let Some(wal) = &self.wal {
-            discard_log(wal)?;
-        }
-        self.disk.set_recovery_lsn(0)?;
-        Ok(())
+        self.truncate_log()
     }
 
     // ------------------------------------------------------------------
@@ -961,19 +949,6 @@ impl Engine {
     }
 }
 
-/// Discard every durable log byte once all pages are on disk (clean
-/// shutdown, end of restart recovery; both have just flushed the log).
-/// LSNs keep counting from where they were: pages carry the LSN of their
-/// last logged write, and redo skips a record whose page LSN is already at
-/// or above it, so a log renumbered from 0 would lose the next session's
-/// writes to any page stamped in this one. The master record is cleared
-/// first, so a crash in between leaves a full log that recovery scans from
-/// its start.
-fn discard_log(wal: &LogManager<Box<dyn LogStore>>) -> Result<()> {
-    wal.set_master(Lsn::NIL)?;
-    wal.truncate_prefix(wal.flushed_lsn())
-}
-
 /// Adapter running restart recovery against the engine's pool.
 struct EngineRedo<'a> {
     engine: &'a mut Engine,
@@ -1149,7 +1124,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_bounds_recovery_work() {
+    fn truncation_bounds_recovery_work() {
         let disk = MemDisk::new();
         let log = MemLogStore::new();
         let mut e = open(disk.clone(), log.clone(), 64);
@@ -1159,18 +1134,23 @@ mod tests {
         e.commit(tx).unwrap();
         e.flush_all_pages().unwrap();
         e.checkpoint().unwrap();
+        let base = e.wal().unwrap().next_lsn();
 
         let mut tx = e.begin().unwrap();
         let p2 = e.alloc_page(&mut tx, PageType::Heap).unwrap();
         e.write(&mut tx, p2, 64, b"new").unwrap();
         e.commit(tx).unwrap();
+        let retained = e.wal().unwrap().scan(Lsn::NIL).unwrap().len() as u64;
         e.crash();
         log.crash();
 
         let mut e2 = open(disk, log, 64);
         let stats = e2.recovery.expect("recovery ran");
-        // Analysis started at the checkpoint, not LSN 0.
-        assert!(!stats.start_lsn.is_nil());
+        // Analysis started at the checkpoint's cut, not LSN 0, and read
+        // exactly what the cut kept.
+        assert!(!base.is_nil());
+        assert_eq!(stats.start_lsn, base);
+        assert_eq!(stats.analyzed, retained);
         assert_eq!(e2.fetch(p1).unwrap().bytes(64, 3), b"old");
         assert_eq!(e2.fetch(p2).unwrap().bytes(64, 3), b"new");
     }

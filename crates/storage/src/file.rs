@@ -1,7 +1,7 @@
 //! The single-file NSF device: one real file, positioned I/O, checksums.
 //!
 //! [`NsfFile`] is the on-disk [`Disk`]: a fixed superblock at file offset 0
-//! (magic, format version, page size, recovery-start LSN, header checksum)
+//! (magic, format version, page size, header checksum)
 //! followed by the engine's page space, with engine page `i` at file offset
 //! `(i + 1) * PAGE_SIZE`. All I/O is `pread`/`pwrite`-style positioned I/O
 //! (`FileExt::read_at` / `write_at`), so concurrent readers never contend
@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
@@ -73,8 +73,7 @@ pub const SB_MAGIC: usize = 0; // 8 bytes
 pub const SB_VERSION: usize = 8; // u16
 pub const SB_FLAGS: usize = 10; // u16, reserved (zero)
 pub const SB_PAGE_SIZE: usize = 12; // u32
-pub const SB_RECOVERY_LSN: usize = 16; // u64, 0 = cleanly closed
-pub const SB_RESERVED: usize = 24; // 32 bytes, zero
+pub const SB_RESERVED: usize = 16; // 40 bytes, written zero, ignored on read
 pub const SB_CHECKSUM: usize = 56; // u64 FNV-1a over bytes 0..56
 /// Bytes of the superblock that carry meaning (the rest of page 0 is zero).
 pub const SB_LEN: usize = 64;
@@ -113,8 +112,6 @@ pub struct SuperBlock {
     pub version: u16,
     pub flags: u16,
     pub page_size: u32,
-    /// Where redo must start on the next open; 0 = cleanly closed.
-    pub recovery_lsn: u64,
 }
 
 impl SuperBlock {
@@ -123,7 +120,6 @@ impl SuperBlock {
             version: NSF_VERSION,
             flags: 0,
             page_size: PAGE_SIZE as u32,
-            recovery_lsn: 0,
         }
     }
 
@@ -134,8 +130,6 @@ impl SuperBlock {
         page[SB_VERSION..SB_VERSION + 2].copy_from_slice(&self.version.to_le_bytes());
         page[SB_FLAGS..SB_FLAGS + 2].copy_from_slice(&self.flags.to_le_bytes());
         page[SB_PAGE_SIZE..SB_PAGE_SIZE + 4].copy_from_slice(&self.page_size.to_le_bytes());
-        page[SB_RECOVERY_LSN..SB_RECOVERY_LSN + 8]
-            .copy_from_slice(&self.recovery_lsn.to_le_bytes());
         let sum = fnv64(&[&page[..SB_CHECKSUM]]);
         page[SB_CHECKSUM..SB_CHECKSUM + 8].copy_from_slice(&sum.to_le_bytes());
         page
@@ -174,11 +168,6 @@ impl SuperBlock {
             version,
             flags: u16::from_le_bytes(page[SB_FLAGS..SB_FLAGS + 2].try_into().expect("2")),
             page_size,
-            recovery_lsn: u64::from_le_bytes(
-                page[SB_RECOVERY_LSN..SB_RECOVERY_LSN + 8]
-                    .try_into()
-                    .expect("8"),
-            ),
         })
     }
 }
@@ -186,8 +175,6 @@ impl SuperBlock {
 /// Integrity report from [`NsfFile::verify`].
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
-    /// The superblock (already validated).
-    pub recovery_lsn: u64,
     /// Engine pages present in the file.
     pub pages: u32,
     /// Pages carrying a (verified) checksum stamp.
@@ -200,11 +187,7 @@ pub struct VerifyReport {
 pub struct NsfFile {
     file: File,
     path: PathBuf,
-    recovery_lsn: AtomicU64,
     delete_on_drop: AtomicBool,
-    /// Serializes superblock rewrites (page I/O itself needs no lock —
-    /// positioned reads/writes are thread-safe on a shared `File`).
-    sb_lock: Mutex<()>,
 }
 
 impl NsfFile {
@@ -218,23 +201,19 @@ impl NsfFile {
             .write(true)
             .open(path)?;
         let len = file.metadata()?.len();
-        let sb = if len == 0 {
-            let sb = SuperBlock::fresh();
-            file.write_at(&sb.encode()[..], 0)?;
+        if len == 0 {
+            file.write_at(&SuperBlock::fresh().encode()[..], 0)?;
             file.sync_data()?;
-            sb
         } else {
             let mut page0 = vec![0u8; PAGE_SIZE.min(len as usize)];
             file.read_exact_at(&mut page0, 0)?;
-            SuperBlock::decode(&page0)?
-        };
+            SuperBlock::decode(&page0)?;
+        }
         m().opens.inc();
         Ok(NsfFile {
             file,
             path: path.to_path_buf(),
-            recovery_lsn: AtomicU64::new(sb.recovery_lsn),
             delete_on_drop: AtomicBool::new(false),
-            sb_lock: Mutex::new(()),
         })
     }
 
@@ -273,10 +252,9 @@ impl NsfFile {
         }
         let mut page0 = [0u8; PAGE_SIZE];
         file.read_exact_at(&mut page0, 0)?;
-        let sb = SuperBlock::decode(&page0)?;
+        SuperBlock::decode(&page0)?;
         let pages = (len / PAGE_SIZE as u64).saturating_sub(1) as u32;
         let mut report = VerifyReport {
-            recovery_lsn: sb.recovery_lsn,
             pages,
             ..VerifyReport::default()
         };
@@ -353,20 +331,6 @@ impl Disk for NsfFile {
         m().syncs.inc();
         self.file.sync_data()?;
         Ok(())
-    }
-
-    fn set_recovery_lsn(&self, lsn: u64) -> Result<()> {
-        let _g = self.sb_lock.lock();
-        let mut sb = self.superblock()?;
-        sb.recovery_lsn = lsn;
-        self.file.write_at(&sb.encode()[..], 0)?;
-        self.file.sync_data()?;
-        self.recovery_lsn.store(lsn, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn recovery_lsn(&self) -> Result<u64> {
-        Ok(self.recovery_lsn.load(Ordering::Relaxed))
     }
 
     fn page_count(&self) -> Result<u32> {
@@ -520,14 +484,6 @@ impl<D: Disk> Disk for CrashDisk<D> {
         self.inner.sync()
     }
 
-    fn set_recovery_lsn(&self, lsn: u64) -> Result<()> {
-        self.inner.set_recovery_lsn(lsn)
-    }
-
-    fn recovery_lsn(&self) -> Result<u64> {
-        self.inner.recovery_lsn()
-    }
-
     fn page_count(&self) -> Result<u32> {
         let buffered = self
             .pending
@@ -556,7 +512,6 @@ mod tests {
             version: NSF_VERSION,
             flags: 0,
             page_size: PAGE_SIZE as u32,
-            recovery_lsn: 0xDEAD,
         };
         let page = sb.encode();
         assert_eq!(SuperBlock::decode(&page[..]).unwrap(), sb);
@@ -567,7 +522,7 @@ mod tests {
             5,
             SB_VERSION,
             SB_PAGE_SIZE,
-            SB_RECOVERY_LSN,
+            SB_RESERVED,
             SB_CHECKSUM,
         ] {
             let mut bad = page.clone();
@@ -636,16 +591,20 @@ mod tests {
     }
 
     #[test]
-    fn recovery_lsn_persists_in_superblock() {
-        let path = temp_path("recovery-lsn");
+    fn reserved_superblock_bytes_are_ignored_on_read() {
+        // Files written before the log carried its own base kept a
+        // recovery LSN at bytes 16..24; they open unchanged.
+        let path = temp_path("reserved");
         let _ = std::fs::remove_file(&path);
-        {
-            let disk = NsfFile::open(&path).unwrap();
-            disk.set_recovery_lsn(777).unwrap();
-        }
+        drop(NsfFile::open(&path).unwrap());
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert!(bytes[SB_RESERVED..SB_CHECKSUM].iter().all(|b| *b == 0));
+        bytes[SB_RESERVED..SB_RESERVED + 8].copy_from_slice(&777u64.to_le_bytes());
+        let sum = fnv64(&[&bytes[..SB_CHECKSUM]]);
+        bytes[SB_CHECKSUM..SB_CHECKSUM + 8].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
         let disk = NsfFile::open(&path).unwrap();
-        assert_eq!(disk.recovery_lsn().unwrap(), 777);
-        assert_eq!(disk.superblock().unwrap().recovery_lsn, 777);
+        assert_eq!(disk.superblock().unwrap(), SuperBlock::fresh());
         disk.set_delete_on_drop(true);
     }
 
@@ -724,6 +683,9 @@ mod tests {
     fn format_spec_layout_matches_constants() {
         use crate::engine;
         use crate::page::{PageType, PAGE_HEADER};
+        use domino_wal::store::{
+            LH_BASE, LH_CHECKSUM, LH_MAGIC, LH_VERSION, LOG_HEADER_LEN, LOG_MAGIC, LOG_VERSION,
+        };
         use domino_wal::{LogRecord, TxId};
 
         // FORMAT.md §2 — superblock.
@@ -733,7 +695,7 @@ mod tests {
             (SB_MAGIC, SB_VERSION, SB_FLAGS, SB_PAGE_SIZE),
             (0, 8, 10, 12)
         );
-        assert_eq!((SB_RECOVERY_LSN, SB_RESERVED, SB_CHECKSUM), (16, 24, 56));
+        assert_eq!((SB_RESERVED, SB_CHECKSUM), (16, 56));
         assert_eq!(SB_LEN, 64);
 
         // §1/§3 — geometry and the common page header.
@@ -774,7 +736,12 @@ mod tests {
         // §6.1 — largest single-chunk payload.
         assert_eq!(crate::heap::MAX_CHUNK, 4065);
 
-        // §9 — log record framing: [len:u32][checksum:u32][tag:u8][payload].
+        // §9 — the `data.txn` header, then record framing:
+        // [len:u32][checksum:u32][tag:u8][payload].
+        assert_eq!(LOG_MAGIC, *b"DTXN");
+        assert_eq!(LOG_VERSION, 1);
+        assert_eq!((LH_MAGIC, LH_VERSION, LH_BASE, LH_CHECKSUM), (0, 4, 8, 16));
+        assert_eq!(LOG_HEADER_LEN, 20);
         let bytes = LogRecord::Commit { tx: TxId(7) }.encode();
         assert_eq!(bytes.len(), 8 + 1 + 8);
         let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
@@ -785,13 +752,6 @@ mod tests {
             (LogRecord::Begin { tx: TxId(1) }, 1u8),
             (LogRecord::Commit { tx: TxId(1) }, 4),
             (LogRecord::Abort { tx: TxId(1) }, 5),
-            (
-                LogRecord::Checkpoint {
-                    active: vec![],
-                    dirty: vec![],
-                },
-                6,
-            ),
         ] {
             assert_eq!(rec.encode()[8], tag);
         }

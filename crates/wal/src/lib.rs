@@ -9,16 +9,17 @@
 //!
 //! This crate is the log itself, independent of any particular page store:
 //!
-//! * [`LogRecord`] — begin/update/CLR/commit/abort/checkpoint records with a
+//! * [`LogRecord`] — begin/update/CLR/commit/abort records with a
 //!   compact binary encoding and per-record checksums (torn tails at the
 //!   end of the log are detected and ignored, mid-log corruption is an
 //!   error),
 //! * [`LogStore`] — where log bytes live: an in-memory store whose
 //!   [`MemLogStore::crash`] discards everything after the last sync
-//!   (powering crash-injection tests), or a real file,
+//!   (powering crash-injection tests), or a real file whose header names
+//!   the LSN of its first retained byte — the restart point,
 //! * [`LogManager`] — append/flush with group-commit accounting,
-//! * [`recovery`] — the three-pass restart algorithm, generic over a
-//!   [`RedoTarget`] page store.
+//! * [`recovery`] — analysis, redo and undo from one scan of the retained
+//!   log, generic over a [`RedoTarget`] page store.
 
 pub mod manager;
 pub mod record;

@@ -363,25 +363,14 @@ impl<S: LogStore> LogManager<S> {
         Ok(self.store.len()?.saturating_sub(self.store.start()?))
     }
 
-    /// Record the master (checkpoint) LSN durably.
-    pub fn set_master(&self, lsn: Lsn) -> Result<()> {
-        self.store.set_master(lsn)?;
-        self.store.sync()
-    }
-
-    pub fn get_master(&self) -> Result<Lsn> {
-        self.store.get_master()
-    }
-
     /// Read all durable records with LSN >= `from`.
     ///
     /// Returns `(lsn, record)` pairs. Stops cleanly at a torn tail. A
     /// `from` below the store's truncated base is clamped up to it (those
     /// records are below every checkpoint and never needed again).
     pub fn scan(&self, from: Lsn) -> Result<Vec<(Lsn, LogRecord)>> {
-        // `from` must be a record boundary; recovery only passes LSNs it got
-        // from appends or the master record, which always are. The base is a
-        // record boundary by construction (truncation cuts at one).
+        // `from` must be a record boundary: an LSN returned by `append`, or
+        // the base, which truncation only ever cuts at a record boundary.
         let base = self.store.start()?;
         let from = Lsn(from.0.max(base));
         let bytes = self.store.read_from(from.0)?;
@@ -630,13 +619,5 @@ mod tests {
         m.truncate_prefix(end).unwrap();
         assert_eq!(m.durable_len().unwrap(), 0);
         assert_eq!(m.append(&LogRecord::Begin { tx: TxId(10) }).unwrap(), end);
-    }
-
-    #[test]
-    fn master_record_roundtrip() {
-        let m = mgr();
-        assert_eq!(m.get_master().unwrap(), Lsn::NIL);
-        m.set_master(Lsn(64)).unwrap();
-        assert_eq!(m.get_master().unwrap(), Lsn(64));
     }
 }

@@ -66,27 +66,10 @@ pub enum LogRecord {
     Abort {
         tx: TxId,
     },
-    /// Fuzzy checkpoint: a snapshot of the active-transaction table and
-    /// dirty-page table. `(tx, last_lsn)` and `(page, recovery_lsn)`.
-    Checkpoint {
-        active: Vec<(TxId, Lsn)>,
-        dirty: Vec<(u32, Lsn)>,
-    },
 }
 
 impl LogRecord {
-    /// Transaction this record belongs to (checkpoints belong to none).
-    pub fn tx(&self) -> Option<TxId> {
-        match self {
-            LogRecord::Begin { tx }
-            | LogRecord::Update { tx, .. }
-            | LogRecord::Clr { tx, .. }
-            | LogRecord::Commit { tx }
-            | LogRecord::Abort { tx } => Some(*tx),
-            LogRecord::Checkpoint { .. } => None,
-        }
-    }
-
+    /// Tag 6 is reserved: it was the retired fuzzy-checkpoint record.
     fn tag(&self) -> u8 {
         match self {
             LogRecord::Begin { .. } => 1,
@@ -94,7 +77,6 @@ impl LogRecord {
             LogRecord::Clr { .. } => 3,
             LogRecord::Commit { .. } => 4,
             LogRecord::Abort { .. } => 5,
-            LogRecord::Checkpoint { .. } => 6,
         }
     }
 
@@ -136,18 +118,6 @@ impl LogRecord {
                 payload.extend_from_slice(&(after.len() as u32).to_le_bytes());
                 payload.extend_from_slice(after);
                 payload.extend_from_slice(&undo_next.0.to_le_bytes());
-            }
-            LogRecord::Checkpoint { active, dirty } => {
-                payload.extend_from_slice(&(active.len() as u32).to_le_bytes());
-                for (tx, lsn) in active {
-                    payload.extend_from_slice(&tx.0.to_le_bytes());
-                    payload.extend_from_slice(&lsn.0.to_le_bytes());
-                }
-                payload.extend_from_slice(&(dirty.len() as u32).to_le_bytes());
-                for (page, lsn) in dirty {
-                    payload.extend_from_slice(&page.to_le_bytes());
-                    payload.extend_from_slice(&lsn.0.to_le_bytes());
-                }
             }
         }
         let mut out = Vec::with_capacity(payload.len() + 8);
@@ -222,23 +192,6 @@ impl LogRecord {
                     undo_next,
                 }
             }
-            6 => {
-                let na = get_u32(payload, &mut p)? as usize;
-                let mut active = Vec::with_capacity(na.min(4096));
-                for _ in 0..na {
-                    let tx = TxId(get_u64(payload, &mut p)?);
-                    let lsn = Lsn(get_u64(payload, &mut p)?);
-                    active.push((tx, lsn));
-                }
-                let nd = get_u32(payload, &mut p)? as usize;
-                let mut dirty = Vec::with_capacity(nd.min(4096));
-                for _ in 0..nd {
-                    let page = get_u32(payload, &mut p)?;
-                    let lsn = Lsn(get_u64(payload, &mut p)?);
-                    dirty.push((page, lsn));
-                }
-                LogRecord::Checkpoint { active, dirty }
-            }
             t => return Err(DominoError::Corrupt(format!("unknown log record tag {t}"))),
         };
         Ok(Some(rec))
@@ -246,7 +199,7 @@ impl LogRecord {
 }
 
 /// FNV-1a, enough to detect torn writes (not adversarial corruption).
-fn checksum(bytes: &[u8]) -> u32 {
+pub(crate) fn checksum(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c9dc5;
     for b in bytes {
         h ^= *b as u32;
@@ -303,10 +256,6 @@ mod tests {
             },
             LogRecord::Commit { tx: TxId(7) },
             LogRecord::Abort { tx: TxId(8) },
-            LogRecord::Checkpoint {
-                active: vec![(TxId(1), Lsn(5)), (TxId(2), Lsn(9))],
-                dirty: vec![(4, Lsn(2))],
-            },
         ]
     }
 
@@ -357,16 +306,17 @@ mod tests {
     }
 
     #[test]
-    fn tx_accessor() {
-        assert_eq!(LogRecord::Begin { tx: TxId(3) }.tx(), Some(TxId(3)));
-        assert_eq!(
-            LogRecord::Checkpoint {
-                active: vec![],
-                dirty: vec![]
-            }
-            .tx(),
-            None
-        );
+    fn reserved_tag_is_refused() {
+        // Tag 6, the retired checkpoint record, decodes as corruption.
+        let mut bytes = LogRecord::Commit { tx: TxId(1) }.encode();
+        bytes[8] = 6;
+        let sum = checksum(&bytes[8..]);
+        bytes[4..8].copy_from_slice(&sum.to_le_bytes());
+        let mut pos = 0;
+        assert!(matches!(
+            LogRecord::decode(&bytes, &mut pos),
+            Err(DominoError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! ARIES-style restart recovery: analysis, redo, undo.
 //!
-//! * **Analysis** scans forward from the last checkpoint rebuilding the
-//!   active-transaction table (ATT) and dirty-page table (DPT).
-//! * **Redo** *repeats history*: every logged update (including CLRs) whose
-//!   LSN is at or above the page's DPT recovery-LSN and above the page's
-//!   on-disk LSN is re-applied, whether its transaction won or lost.
+//! The retained log begins at the redo point of the last checkpoint
+//! (completion truncates it there), and a checkpoint completes only with
+//! no transaction open, so every record restart needs lies in one forward
+//! scan from the first retained byte:
+//!
+//! * **Analysis** rebuilds the active-transaction table (ATT): whoever has
+//!   records but no commit or abort is a loser.
+//! * **Redo** *repeats history* in the same pass: every logged update
+//!   (including CLRs) above the page's on-disk LSN is re-applied, whether
+//!   its transaction won or lost.
 //! * **Undo** rolls back loser transactions newest-record-first, writing a
 //!   compensation record (CLR) per undone update so a crash during recovery
 //!   never undoes twice.
@@ -33,7 +38,7 @@ pub trait RedoTarget {
 /// What restart did, for E2's recovery-cost accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Records examined during analysis.
+    /// Records examined during analysis (every retained record).
     pub analyzed: u64,
     /// Updates re-applied during redo.
     pub redone: u64,
@@ -43,7 +48,7 @@ pub struct RecoveryStats {
     pub undone: u64,
     /// Loser transactions rolled back.
     pub loser_txs: u64,
-    /// LSN where the analysis pass began (the checkpoint).
+    /// LSN where the scan began: the first retained byte of the log.
     pub start_lsn: Lsn,
 }
 
@@ -56,84 +61,42 @@ pub fn recover<S: LogStore>(
     log: &LogManager<S>,
     target: &mut dyn RedoTarget,
 ) -> Result<RecoveryStats> {
-    let mut stats = RecoveryStats::default();
+    let mut stats = RecoveryStats {
+        start_lsn: Lsn(log.store().start()?),
+        ..RecoveryStats::default()
+    };
+    let records = log.scan(stats.start_lsn)?;
+    stats.analyzed = records.len() as u64;
 
-    // ---- analysis -------------------------------------------------------
-    let master = log.get_master()?;
-    stats.start_lsn = master;
-    let records = log.scan(master)?;
-
-    // ATT: tx -> last LSN logged. DPT: page -> recovery LSN.
+    // ---- analysis + redo: one forward pass ------------------------------
+    // ATT: tx -> last LSN logged.
     let mut att: HashMap<TxId, Lsn> = HashMap::new();
-    let mut dpt: HashMap<u32, Lsn> = HashMap::new();
-
     for (lsn, rec) in &records {
-        stats.analyzed += 1;
-        match rec {
-            LogRecord::Checkpoint { active, dirty } => {
-                for (tx, last) in active {
-                    att.entry(*tx).or_insert(*last);
-                }
-                for (page, rec_lsn) in dirty {
-                    dpt.entry(*page).or_insert(*rec_lsn);
-                }
-            }
+        let (tx, page, offset, image) = match rec {
             LogRecord::Begin { tx } => {
                 att.insert(*tx, *lsn);
-            }
-            LogRecord::Update { tx, page, .. } | LogRecord::Clr { tx, page, .. } => {
-                att.insert(*tx, *lsn);
-                dpt.entry(*page).or_insert(*lsn);
+                continue;
             }
             LogRecord::Commit { tx } | LogRecord::Abort { tx } => {
                 att.remove(tx);
+                continue;
             }
-        }
-    }
-
-    // Index records by LSN for the undo pass. Undo chains can reach records
-    // older than the checkpoint; those are loaded lazily below.
-    let mut by_lsn: HashMap<Lsn, LogRecord> = records
-        .iter()
-        .map(|(lsn, rec)| (*lsn, rec.clone()))
-        .collect();
-    let mut full_scan_done = master.is_nil();
-
-    // ---- redo -----------------------------------------------------------
-    // Redo begins at the *oldest recovery LSN in the DPT*, which can
-    // precede the checkpoint (a page dirtied before the checkpoint and
-    // still unflushed at the crash). Re-scan from there when needed.
-    let redo_start = dpt.values().copied().min().unwrap_or(master);
-    let redo_records: Vec<(Lsn, LogRecord)> = if redo_start < master {
-        log.scan(redo_start)?
-    } else {
-        records.clone()
-    };
-    for (lsn, rec) in &redo_records {
-        if *lsn < redo_start {
-            continue;
-        }
-        let (page, offset, image) = match rec {
             LogRecord::Update {
+                tx,
                 page,
                 offset,
                 after,
                 ..
-            } => (*page, *offset, after),
-            LogRecord::Clr {
+            }
+            | LogRecord::Clr {
+                tx,
                 page,
                 offset,
                 after,
                 ..
-            } => (*page, *offset, after),
-            _ => continue,
+            } => (tx, *page, *offset, after),
         };
-        let Some(rec_lsn) = dpt.get(&page) else {
-            continue;
-        };
-        if lsn < rec_lsn {
-            continue;
-        }
+        att.insert(*tx, *lsn);
         if target.page_lsn(page)? >= *lsn {
             stats.redo_skipped += 1;
             continue;
@@ -158,20 +121,13 @@ pub fn recover<S: LogStore>(
             cursors.swap_remove(idx);
             continue;
         }
-        if !by_lsn.contains_key(&lsn) && !full_scan_done {
-            // The chain reached back past the checkpoint: pull in the rest
-            // of the log (rare — only long-running loser transactions).
-            for (l, rec) in log.scan(Lsn::NIL)? {
-                by_lsn.entry(l).or_insert(rec);
-            }
-            full_scan_done = true;
-        }
-        let Some(rec) = by_lsn.get(&lsn) else {
+        // `records` is in LSN order.
+        let Ok(i) = records.binary_search_by_key(&lsn, |(l, _)| *l) else {
             return Err(DominoError::Wal(format!(
                 "undo chain of {tx} points at missing record {lsn}"
             )));
         };
-        match rec {
+        match &records[i].1 {
             LogRecord::Update {
                 prev,
                 page,
@@ -392,22 +348,16 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_bounds_analysis() {
+    fn truncation_bounds_analysis() {
         let mut h = Harness::new();
-        // Old, fully-applied committed work before the checkpoint.
+        // Old, fully-applied committed work, then a checkpoint: page 1
+        // reached disk, so the log is cut at its end.
         h.log.append(&LogRecord::Begin { tx: TxId(1) }).unwrap();
         h.update(TxId(1), Lsn::NIL, 1, 0, 0, 3, true);
         h.log.append(&LogRecord::Commit { tx: TxId(1) }).unwrap();
-        // Page 1 was flushed, so the checkpoint's DPT is empty.
-        let cp = h
-            .log
-            .append(&LogRecord::Checkpoint {
-                active: vec![],
-                dirty: vec![],
-            })
-            .unwrap();
         h.log.flush_all().unwrap();
-        h.log.set_master(cp).unwrap();
+        let base = h.log.next_lsn();
+        h.log.truncate_prefix(base).unwrap();
 
         // New committed work after the checkpoint, not flushed.
         h.log.append(&LogRecord::Begin { tx: TxId(2) }).unwrap();
@@ -415,31 +365,34 @@ mod tests {
         h.log.append(&LogRecord::Commit { tx: TxId(2) }).unwrap();
         h.log.flush_all().unwrap();
 
+        let retained = h.log.scan(Lsn::NIL).unwrap().len() as u64;
         let stats = recover(&h.log, &mut h.pages).unwrap();
-        assert_eq!(stats.start_lsn, cp);
-        // Only post-checkpoint records were analyzed (checkpoint + 3).
-        assert_eq!(stats.analyzed, 4);
+        assert_eq!(stats.start_lsn, base);
+        assert_eq!(stats.analyzed, retained);
+        assert_eq!(stats.analyzed, 3);
         assert_eq!(h.pages.byte(2, 0), 4);
         assert_eq!(h.pages.byte(1, 0), 3, "pre-checkpoint state intact");
     }
 
     #[test]
-    fn checkpoint_carries_active_tx_into_undo() {
+    fn loser_starting_at_the_retained_base_is_undone() {
         let mut h = Harness::new();
-        h.log.append(&LogRecord::Begin { tx: TxId(9) }).unwrap();
-        let u = h.update(TxId(9), Lsn::NIL, 1, 0, 0, 6, true);
-        let cp = h
-            .log
-            .append(&LogRecord::Checkpoint {
-                active: vec![(TxId(9), u)],
-                dirty: vec![(1, u)],
-            })
-            .unwrap();
+        h.log.append(&LogRecord::Begin { tx: TxId(1) }).unwrap();
+        h.log.append(&LogRecord::Commit { tx: TxId(1) }).unwrap();
         h.log.flush_all().unwrap();
-        h.log.set_master(cp).unwrap();
+        let base = h.log.next_lsn();
+        h.log.truncate_prefix(base).unwrap();
+        // The loser's first record is the first retained byte; its page
+        // reached disk before the crash (steal).
+        let begin = h.log.append(&LogRecord::Begin { tx: TxId(9) }).unwrap();
+        assert_eq!(begin, base);
+        h.update(TxId(9), Lsn::NIL, 1, 0, 0, 6, true);
+        h.log.flush_all().unwrap();
 
         let stats = recover(&h.log, &mut h.pages).unwrap();
+        assert_eq!(stats.start_lsn, base);
         assert_eq!(stats.loser_txs, 1);
+        assert_eq!(stats.undone, 1);
         assert_eq!(h.pages.byte(1, 0), 0);
     }
 

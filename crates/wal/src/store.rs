@@ -1,14 +1,16 @@
 //! Physical log storage.
 //!
 //! A [`LogStore`] is an append-only byte device with an explicit `sync`
-//! barrier and a one-slot *master record* holding the LSN of the most
-//! recent checkpoint (Domino keeps this in the log control file).
+//! barrier.
 //!
 //! LSNs are byte offsets into the *logical* log, which only ever grows.
-//! [`LogStore::truncate_prefix`] discards the physical bytes below a
-//! checkpoint without renumbering anything: the store remembers a base
-//! offset ([`LogStore::start`]) and `len()` keeps returning the logical
-//! end, so `len() - start()` is the bytes actually retained on disk.
+//! [`LogStore::truncate_prefix`] discards the physical bytes below the redo
+//! point without renumbering anything: the store remembers a base offset
+//! ([`LogStore::start`]) and `len()` keeps returning the logical end, so
+//! `len() - start()` is the bytes actually retained. Truncation only ever
+//! cuts at the redo point of a checkpoint taken with no transaction open,
+//! so the first retained byte *is* the restart point: recovery needs no
+//! other record of where to begin.
 //!
 //! [`MemLogStore`] models a disk honestly enough for crash experiments:
 //! appended bytes sit in a volatile tail until `sync`; [`MemLogStore::crash`]
@@ -17,13 +19,14 @@
 //! I/O after a scripted number of operations, for crash-point tests.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::io::Write;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::record::Lsn;
+use crate::record::checksum;
 use domino_types::{DominoError, Result};
 
 /// Append-only storage for log bytes.
@@ -53,12 +56,6 @@ pub trait LogStore: Send + Sync {
         Ok(self.len()? == self.start()?)
     }
 
-    /// Persist the checkpoint master record.
-    fn set_master(&self, lsn: Lsn) -> Result<()>;
-
-    /// Read the checkpoint master record (NIL if never set).
-    fn get_master(&self) -> Result<Lsn>;
-
     /// Discard all physical bytes below logical offset `upto` (which must
     /// not exceed the durable end). LSNs are unaffected; `start()` becomes
     /// `upto`. Called after a checkpoint so the log stops growing forever.
@@ -81,12 +78,6 @@ impl LogStore for Box<dyn LogStore> {
     fn start(&self) -> Result<u64> {
         (**self).start()
     }
-    fn set_master(&self, lsn: Lsn) -> Result<()> {
-        (**self).set_master(lsn)
-    }
-    fn get_master(&self) -> Result<Lsn> {
-        (**self).get_master()
-    }
     fn truncate_prefix(&self, upto: u64) -> Result<()> {
         (**self).truncate_prefix(upto)
     }
@@ -106,8 +97,6 @@ struct MemLogInner {
     base: u64,
     /// Durable length *within* `bytes` (relative).
     durable_len: usize,
-    master: Lsn,
-    durable_master: Lsn,
     /// Count of sync calls, for group-commit accounting in benches.
     syncs: u64,
 }
@@ -117,12 +106,11 @@ impl MemLogStore {
         MemLogStore::default()
     }
 
-    /// Simulate power loss: un-synced bytes and master writes vanish.
+    /// Simulate power loss: un-synced bytes vanish.
     pub fn crash(&self) {
         let mut g = self.inner.lock();
         let durable = g.durable_len;
         g.bytes.truncate(durable);
-        g.master = g.durable_master;
     }
 
     /// Number of `sync` barriers issued so far.
@@ -145,7 +133,6 @@ impl LogStore for MemLogStore {
     fn sync(&self) -> Result<()> {
         let mut g = self.inner.lock();
         g.durable_len = g.bytes.len();
-        g.durable_master = g.master;
         g.syncs += 1;
         Ok(())
     }
@@ -171,15 +158,6 @@ impl LogStore for MemLogStore {
         Ok(self.inner.lock().base)
     }
 
-    fn set_master(&self, lsn: Lsn) -> Result<()> {
-        self.inner.lock().master = lsn;
-        Ok(())
-    }
-
-    fn get_master(&self) -> Result<Lsn> {
-        Ok(self.inner.lock().master)
-    }
-
     fn truncate_prefix(&self, upto: u64) -> Result<()> {
         let mut g = self.inner.lock();
         if upto <= g.base {
@@ -199,56 +177,133 @@ impl LogStore for MemLogStore {
     }
 }
 
-/// File-backed log store. The master record lives in a sibling file with a
-/// `.master` suffix, written atomically via rename; the logical base offset
-/// (for prefix truncation) lives in a `.base` sibling the same way.
+/// `data.txn` header (FORMAT.md §9): magic, log format version, the base
+/// LSN of the first record byte, and FNV-1a-32 over the 16 bytes before it.
+pub const LOG_MAGIC: [u8; 4] = *b"DTXN";
+pub const LOG_VERSION: u32 = 1;
+pub const LH_MAGIC: usize = 0; // 4 bytes
+pub const LH_VERSION: usize = 4; // u32
+pub const LH_BASE: usize = 8; // u64
+pub const LH_CHECKSUM: usize = 16; // u32 over bytes 0..16
+pub const LOG_HEADER_LEN: usize = 20;
+
+fn encode_header(base: u64) -> [u8; LOG_HEADER_LEN] {
+    let mut h = [0u8; LOG_HEADER_LEN];
+    h[LH_MAGIC..LH_VERSION].copy_from_slice(&LOG_MAGIC);
+    h[LH_VERSION..LH_BASE].copy_from_slice(&LOG_VERSION.to_le_bytes());
+    h[LH_BASE..LH_CHECKSUM].copy_from_slice(&base.to_le_bytes());
+    let sum = checksum(&h[..LH_CHECKSUM]);
+    h[LH_CHECKSUM..].copy_from_slice(&sum.to_le_bytes());
+    h
+}
+
+/// The base LSN a header names. Anything but a whole, intact header of
+/// this version is corruption: reading it as base 0 would restart LSNs
+/// below the ones the data file's pages already carry.
+fn decode_header(h: &[u8]) -> Result<u64> {
+    let corrupt = |what: &str| Err(DominoError::Corrupt(format!("transaction log {what}")));
+    if h.len() < LOG_HEADER_LEN {
+        return corrupt("header cut short");
+    }
+    if h[LH_MAGIC..LH_VERSION] != LOG_MAGIC {
+        return corrupt("has no header (bad magic)");
+    }
+    let stored = u32::from_le_bytes(h[LH_CHECKSUM..LOG_HEADER_LEN].try_into().expect("4"));
+    if stored != checksum(&h[..LH_CHECKSUM]) {
+        return corrupt("header checksum mismatch");
+    }
+    let version = u32::from_le_bytes(h[LH_VERSION..LH_BASE].try_into().expect("4"));
+    if version != LOG_VERSION {
+        return corrupt(&format!("format version {version} is not {LOG_VERSION}"));
+    }
+    Ok(u64::from_le_bytes(
+        h[LH_BASE..LH_CHECKSUM].try_into().expect("8"),
+    ))
+}
+
+/// Replace the log at `path` with a header naming `base` followed by
+/// `records`: write a temp file, `fdatasync` it, `rename` it over the log,
+/// fsync the directory. A crash leaves the old log or the new one, never
+/// a mix. Every rewrite — creation and every prefix truncation — is this.
+/// `install` gets the new file the moment it is in place, so a failing
+/// directory sync cannot leave appends going to the replaced one.
+fn rewrite(path: &Path, base: u64, records: &[u8], install: impl FnOnce(File)) -> Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut f = File::create(&tmp)?;
+    f.write_all(&encode_header(base))?;
+    f.write_all(records)?;
+    f.sync_data()?;
+    let log = OpenOptions::new().read(true).append(true).open(&tmp)?;
+    std::fs::rename(&tmp, path)?;
+    install(log);
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
+/// File-backed log store: one self-describing file whose header carries
+/// the logical LSN of the first record byte after it.
 pub struct FileLogStore {
     inner: Mutex<FileInner>,
-    log_path: std::path::PathBuf,
-    master_path: std::path::PathBuf,
-    base_path: std::path::PathBuf,
+    path: PathBuf,
 }
 
 struct FileInner {
     file: File,
-    /// Logical offset of physical byte 0 of the log file.
+    /// Logical offset of the first byte after the header.
     base: u64,
 }
 
+impl FileInner {
+    /// Record bytes held (the file minus its header).
+    fn held(&self) -> Result<u64> {
+        Ok(self
+            .file
+            .metadata()?
+            .len()
+            .saturating_sub(LOG_HEADER_LEN as u64))
+    }
+
+    /// Record bytes from logical offset `from` (at or above the base) to
+    /// the end.
+    fn records_from(&self, from: u64) -> Result<Vec<u8>> {
+        let held = self.held()?;
+        let rel = (from - self.base).min(held);
+        let mut out = vec![0u8; (held - rel) as usize];
+        self.file
+            .read_exact_at(&mut out, LOG_HEADER_LEN as u64 + rel)?;
+        Ok(out)
+    }
+}
+
 impl FileLogStore {
+    /// Open the log at `path`. Only a missing file is a fresh log (created
+    /// with base 0); a file without an intact header is refused as
+    /// [`DominoError::Corrupt`].
     pub fn open(path: &Path) -> Result<FileLogStore> {
-        let file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(path)?;
-        let master_path = path.with_extension("master");
-        let base_path = path.with_extension("base");
-        let base = match std::fs::read(&base_path) {
-            Ok(bytes) if bytes.len() == 8 => u64::from_le_bytes(bytes.try_into().expect("len 8")),
-            Ok(_) => 0,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
+        let (file, base) = match OpenOptions::new().read(true).append(true).open(path) {
+            Ok(file) => {
+                let len = file.metadata()?.len().min(LOG_HEADER_LEN as u64) as usize;
+                let mut header = vec![0u8; len];
+                file.read_exact_at(&mut header, 0)?;
+                let base = decode_header(&header)?;
+                (file, base)
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                let mut created = None;
+                rewrite(path, 0, &[], |f| created = Some(f))?;
+                (created.expect("installed on success"), 0)
+            }
             Err(e) => return Err(e.into()),
         };
         Ok(FileLogStore {
             inner: Mutex::new(FileInner { file, base }),
-            log_path: path.to_path_buf(),
-            master_path,
-            base_path,
+            path: path.to_path_buf(),
         })
-    }
-
-    fn write_sidecar(path: &Path, value: u64) -> Result<()> {
-        let tmp = path.with_extension("sidecar.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&value.to_le_bytes())?;
-            // The rename is the commit point; the content must be durable
-            // before it, or a crash can publish an empty sidecar.
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
     }
 }
 
@@ -264,44 +319,23 @@ impl LogStore for FileLogStore {
     }
 
     fn read_from(&self, from: u64) -> Result<Vec<u8>> {
-        let mut g = self.inner.lock();
+        let g = self.inner.lock();
         if from < g.base {
             return Err(DominoError::Wal(format!(
                 "read_from({from}) below truncated log base {}",
                 g.base
             )));
         }
-        let rel = from - g.base;
-        let mut out = Vec::new();
-        g.file.seek(SeekFrom::Start(rel))?;
-        g.file.read_to_end(&mut out)?;
-        // Restore append position (append mode seeks on write anyway).
-        g.file.seek(SeekFrom::End(0))?;
-        Ok(out)
+        g.records_from(from)
     }
 
     fn len(&self) -> Result<u64> {
         let g = self.inner.lock();
-        Ok(g.base + g.file.metadata()?.len())
+        Ok(g.base + g.held()?)
     }
 
     fn start(&self) -> Result<u64> {
         Ok(self.inner.lock().base)
-    }
-
-    fn set_master(&self, lsn: Lsn) -> Result<()> {
-        FileLogStore::write_sidecar(&self.master_path, lsn.0)
-    }
-
-    fn get_master(&self) -> Result<Lsn> {
-        match std::fs::read(&self.master_path) {
-            Ok(bytes) if bytes.len() == 8 => {
-                Ok(Lsn(u64::from_le_bytes(bytes.try_into().expect("len 8"))))
-            }
-            Ok(_) => Ok(Lsn::NIL),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Lsn::NIL),
-            Err(e) => Err(e.into()),
-        }
     }
 
     fn truncate_prefix(&self, upto: u64) -> Result<()> {
@@ -309,35 +343,16 @@ impl LogStore for FileLogStore {
         if upto <= g.base {
             return Ok(());
         }
-        let end = g.base + g.file.metadata()?.len();
+        let end = g.base + g.held()?;
         if upto > end {
             return Err(DominoError::Wal(format!(
                 "truncate_prefix({upto}) past log end {end}"
             )));
         }
-        // Copy the retained suffix into a fresh file and rename it over the
-        // log, so a crash mid-truncation leaves either the old or the new
-        // log intact. The base sidecar is updated *after* the rename; a
-        // crash between the two leaves base stale (too small), which only
-        // means `read_from` sees a shifted view — so the sidecar is written
-        // first and the rename is the commit point of the truncation.
-        let rel = upto - g.base;
-        g.file.seek(SeekFrom::Start(rel))?;
-        let mut suffix = Vec::new();
-        g.file.read_to_end(&mut suffix)?;
-        let tmp = self.log_path.with_extension("log.tmp");
-        std::fs::write(&tmp, &suffix)?;
-        FileLogStore::write_sidecar(&self.base_path, upto)?;
-        std::fs::rename(&tmp, &self.log_path)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&self.log_path)?;
-        file.sync_data()?;
-        g.file = file;
-        g.base = upto;
-        Ok(())
+        let kept = g.records_from(upto)?;
+        rewrite(&self.path, upto, &kept, |file| {
+            *g = FileInner { file, base: upto }
+        })
     }
 }
 
@@ -406,7 +421,7 @@ impl FaultPlan {
 }
 
 /// A [`LogStore`] wrapper that injects I/O failures after a scripted number
-/// of mutating operations (append/sync/set_master/truncate). Reads are
+/// of mutating operations (append/sync/truncate). Reads are
 /// never failed, so post-crash recovery can run against the same store
 /// after [`FaultPlan::disarm`].
 #[derive(Clone)]
@@ -443,13 +458,6 @@ impl<S: LogStore> LogStore for FaultLogStore<S> {
     fn start(&self) -> Result<u64> {
         self.store.start()
     }
-    fn set_master(&self, lsn: Lsn) -> Result<()> {
-        self.plan.tick("log set_master")?;
-        self.store.set_master(lsn)
-    }
-    fn get_master(&self) -> Result<Lsn> {
-        self.store.get_master()
-    }
     fn truncate_prefix(&self, upto: u64) -> Result<()> {
         self.plan.tick("log truncate_prefix")?;
         self.store.truncate_prefix(upto)
@@ -481,18 +489,6 @@ mod tests {
         s.crash();
         assert_eq!(s.read_from(0).unwrap(), b"durable");
         assert_eq!(s.total_len(), 7);
-    }
-
-    #[test]
-    fn mem_store_master_survives_only_after_sync() {
-        let s = MemLogStore::new();
-        s.set_master(Lsn(99)).unwrap();
-        s.crash();
-        assert_eq!(s.get_master().unwrap(), Lsn::NIL);
-        s.set_master(Lsn(42)).unwrap();
-        s.sync().unwrap();
-        s.crash();
-        assert_eq!(s.get_master().unwrap(), Lsn(42));
     }
 
     #[test]
@@ -541,30 +537,35 @@ mod tests {
         assert_eq!(plan.ops_seen(), 6);
     }
 
-    #[test]
-    fn file_store_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("domino-wal-test-{}", std::process::id()));
+    fn temp_log(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("domino-wal-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("test.log");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("base"));
+        dir.join("data.txn")
+    }
+
+    #[test]
+    fn file_store_header_roundtrip() {
+        let path = temp_log("header");
         let s = FileLogStore::open(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), encode_header(0));
         s.append(b"abc").unwrap();
         s.sync().unwrap();
         assert_eq!(s.read_from(0).unwrap(), b"abc");
         assert_eq!(s.len().unwrap(), 3);
-        s.set_master(Lsn(7)).unwrap();
-        assert_eq!(s.get_master().unwrap(), Lsn(7));
-        let _ = std::fs::remove_dir_all(&dir);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(decode_header(&bytes).unwrap(), 0);
+        assert_eq!(&bytes[LOG_HEADER_LEN..], b"abc");
+        assert_eq!(
+            decode_header(&encode_header(u64::MAX - 1)).unwrap(),
+            u64::MAX - 1
+        );
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]
     fn file_store_truncate_prefix_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("domino-wal-trunc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trunc.log");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("base"));
+        let path = temp_log("trunc");
         let s = FileLogStore::open(&path).unwrap();
         s.append(b"0123456789").unwrap();
         s.sync().unwrap();
@@ -577,12 +578,17 @@ mod tests {
         assert_eq!(s2.start().unwrap(), 6);
         assert_eq!(s2.len().unwrap(), 10);
         assert_eq!(s2.read_from(8).unwrap(), b"89");
-        // Truncating to the end empties the file but not the LSN space.
+        // Truncating to the end leaves a header-only file with a non-zero
+        // base: the cleanly closed state. The LSN space survives reopen.
         s2.truncate_prefix(10).unwrap();
         drop(s2);
+        assert_eq!(std::fs::read(&path).unwrap(), encode_header(10));
         let s3 = FileLogStore::open(&path).unwrap();
         assert!(s3.is_empty().unwrap());
         assert_eq!(s3.len().unwrap(), 10);
-        let _ = std::fs::remove_dir_all(&dir);
+        s3.append(b"ab").unwrap();
+        s3.sync().unwrap();
+        assert_eq!(s3.read_from(10).unwrap(), b"ab");
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 }

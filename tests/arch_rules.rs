@@ -1,0 +1,183 @@
+//! Architecture rules: what the source must not say, checked by
+//! `cargo test` (these were `grep` gates in CI, which the tier-1 command
+//! never ran). Each rule names the design decision it guards.
+
+use std::path::{Path, PathBuf};
+
+use domino::core::{Database, DbConfig, Note};
+use domino::types::{LogicalClock, ReplicaId};
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every `.rs` file under `crates/*/src`: (path relative to the root, text).
+fn sources() -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root().join("crates")).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    files
+        .into_iter()
+        .map(|p| {
+            let rel = p
+                .strip_prefix(root())
+                .unwrap()
+                .to_string_lossy()
+                .into_owned();
+            (rel, std::fs::read_to_string(&p).unwrap())
+        })
+        .collect()
+}
+
+/// `file:line: text` of each line in `files` that `bad` flags.
+fn offending<'a>(
+    files: impl IntoIterator<Item = (&'a str, &'a str)>,
+    bad: impl Fn(&str) -> bool,
+) -> Vec<String> {
+    let mut out = Vec::new();
+    for (file, text) in files {
+        for (i, line) in text.lines().enumerate() {
+            if bad(line) {
+                out.push(format!("{file}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    out
+}
+
+/// `word` occurs in `line` with no identifier character on either side.
+fn has_word(line: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(word).any(|(i, _)| {
+        !line[..i].chars().next_back().is_some_and(ident)
+            && !line[i + word.len()..].chars().next().is_some_and(ident)
+    })
+}
+
+fn assert_none(rule: &str, hits: Vec<String>) {
+    assert!(hits.is_empty(), "{rule}:\n{}", hits.join("\n"));
+}
+
+#[test]
+fn stored_note_is_the_engine_side_reference_not_a_read_path() {
+    let files = sources();
+    let others = files
+        .iter()
+        .filter(|(f, _)| f != "crates/core/src/db.rs" && !f.starts_with("crates/bench/"))
+        .map(|(f, t)| (f.as_str(), t.as_str()));
+    assert_none(
+        "`stored_note` outside domino-core",
+        offending(others, |l| l.contains("stored_note")),
+    );
+}
+
+#[test]
+fn a_view_page_and_a_search_are_read_from_the_index() {
+    let files = sources();
+    let file = |name: &str| {
+        let (f, t) = files.iter().find(|(f, _)| f == name).unwrap();
+        (f.as_str(), t.as_str())
+    };
+    let server = files
+        .iter()
+        .filter(|(f, _)| f.starts_with("crates/server/src/"))
+        .map(|(f, t)| (f.as_str(), t.as_str()));
+    assert_none(
+        "no walk to a position in the server",
+        offending(server, |l| l.contains("position_of(")),
+    );
+    // From `fn view_page(` to the test module: no note is opened.
+    let (f, text) = file("crates/server/src/server.rs");
+    let start = text.find("fn view_page(").expect("view_page exists");
+    let end = text[start..]
+        .find("\n#[cfg(test)]")
+        .map_or(text.len(), |e| start + e);
+    assert_none(
+        "a view page opens no document",
+        offending([(f, &text[start..end])], |l| {
+            l.contains("open_by_unid(") || l.contains("open_note(")
+        }),
+    );
+    assert_none(
+        "one positional collation order, no B-tree kept beside it",
+        offending([file("crates/views/src/index.rs")], |l| {
+            l.contains(".skip(") || l.contains("BTreeMap")
+        }),
+    );
+}
+
+#[test]
+fn the_heap_free_space_chain_is_gone() {
+    let files = sources();
+    let names = [
+        "heap_avail",
+        "set_heap_avail",
+        "OFF_HEAP_AVAIL",
+        "push_chain",
+        "unlink_chain",
+        "on_chain",
+        "FLAG_ON_CHAIN",
+        "CHAIN_PROBES",
+        "MIN_USEFUL",
+    ];
+    assert_none(
+        "free-space chain names",
+        offending(files.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            names.iter().any(|n| has_word(l, n))
+        }),
+    );
+}
+
+#[test]
+fn the_retained_log_is_the_only_restart_point() {
+    let files = sources();
+    let retired = [
+        "set_master",
+        "get_master",
+        "recovery_lsn",
+        "write_sidecar",
+        "Checkpoint {",
+    ];
+    assert_none(
+        "master record, sidecars, checkpoint record or superblock LSN",
+        offending(files.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            retired.iter().any(|r| l.contains(r))
+        }),
+    );
+}
+
+#[test]
+fn a_closed_store_is_two_files() {
+    let dir = std::env::temp_dir().join(format!("domino-arch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = DbConfig::new("Arch", ReplicaId(1), ReplicaId(9));
+    let db = Database::open_path(&dir.join("data.nsf"), config, LogicalClock::new()).unwrap();
+    db.save(&mut Note::document("Memo")).unwrap();
+    db.checkpoint().unwrap();
+    db.save(&mut Note::document("Memo")).unwrap();
+    db.shutdown().unwrap();
+    drop(db);
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(names, ["data.nsf", "data.txn"]);
+}

@@ -465,3 +465,130 @@ fn file_crash_after_clean_shutdown_keeps_acknowledged_saves() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// A crash between the file-system steps of a log truncation. Truncation is
+// where `data.txn` is rewritten; every mix of old and new files such a
+// crash can leave on disk must reopen with each acknowledged save, and the
+// next session's LSNs must stay above the ones the pages carry.
+// ---------------------------------------------------------------------------
+
+/// Every file in `dir`, by name.
+fn store_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+/// Open `nsf` and check every note reads back as last acknowledged.
+fn open_with_saves(
+    nsf: &std::path::Path,
+    clock: &LogicalClock,
+    notes: &[Note],
+) -> Result<Database, String> {
+    let db = Database::open_path(nsf, force_config(), clock.clone())
+        .map_err(|e| format!("open: {e}"))?;
+    for n in notes {
+        let got = db.open_note(n.id).map_err(|e| format!("{}: {e}", n.id))?;
+        if got.oid != n.oid || got.get("Subject") != n.get("Subject") {
+            return Err(format!("acknowledged save of {} lost", n.id));
+        }
+    }
+    Ok(db)
+}
+
+/// Reopen an image, then run one more session on it: update every note,
+/// cut the power before any page is written back, reopen. Redo must
+/// replay that session, so its LSNs must sit above the pages'.
+fn check_image(nsf: &std::path::Path, clock: &LogicalClock, notes: &[Note]) -> Result<(), String> {
+    let db = open_with_saves(nsf, clock, notes)?;
+    let mut next = notes.to_vec();
+    for n in &mut next {
+        n.set("Subject", Value::text(format!("after {}", n.id)));
+        db.save(n).map_err(|e| format!("save: {e}"))?;
+    }
+    drop(db);
+    open_with_saves(nsf, clock, &next).map(drop)
+}
+
+#[test]
+fn file_log_truncation_leaves_old_or_new_log() {
+    let dir = crash_dir();
+    let nsf = dir.join("data.nsf");
+    let clock = LogicalClock::new();
+    let db = Database::open_path(&nsf, force_config(), clock.clone()).unwrap();
+    let mut notes: Vec<Note> = (0..40).map(|_| Note::document("Memo")).collect();
+    for (round, upto) in [(0, 20), (1, 40)] {
+        for (i, n) in notes[..upto].iter_mut().enumerate() {
+            n.set("Subject", Value::text(format!("round {round} note {i}")));
+            n.set_body("Body", Value::text("b".repeat(300)));
+            db.save(n).unwrap();
+        }
+        if round == 0 {
+            db.checkpoint().unwrap(); // so the log already has a base
+        }
+    }
+    // The next checkpoint syncs `data.nsf`, then truncates the log; the
+    // process dies right after. Copies from either side of it give every
+    // file's old and new contents.
+    let before = store_files(&dir);
+    db.checkpoint().unwrap();
+    let after = store_files(&dir);
+    drop(db);
+
+    // `data.nsf` was synced before the truncation began. Each other file
+    // is old or new, in any mix (each rename reaches the disk on its own),
+    // and a temp copy of the new log, whole or cut short, may sit beside.
+    let names: std::collections::BTreeSet<&String> = before.keys().chain(after.keys()).collect();
+    let new_log = &after["data.txn"];
+    let mut files: Vec<(String, Vec<Option<&Vec<u8>>>)> = names
+        .into_iter()
+        .filter(|n| n.as_str() != "data.nsf")
+        .map(|n| {
+            let mut versions = vec![before.get(n), after.get(n)];
+            versions.dedup();
+            (n.clone(), versions)
+        })
+        .collect();
+    let half = new_log[..new_log.len() / 2].to_vec();
+    files.push((
+        "data.txn.tmp".into(),
+        vec![None, Some(&half), Some(new_log)],
+    ));
+
+    let mut failures = Vec::new();
+    let images: usize = files.iter().map(|(_, v)| v.len()).product();
+    for k in 0..images {
+        let img_dir = dir.join(format!("image-{k}"));
+        std::fs::create_dir_all(&img_dir).unwrap();
+        std::fs::write(img_dir.join("data.nsf"), &after["data.nsf"]).unwrap();
+        let (mut rest, mut label) = (k, Vec::new());
+        for (name, versions) in &files {
+            let version = versions[rest % versions.len()];
+            rest /= versions.len();
+            if let Some(bytes) = version {
+                std::fs::write(img_dir.join(name), bytes).unwrap();
+                let age = if before.get(name) == Some(bytes) {
+                    "old"
+                } else {
+                    "new"
+                };
+                label.push(format!("{age} {name}"));
+            }
+        }
+        if let Err(e) = check_image(&img_dir.join("data.nsf"), &clock, &notes) {
+            failures.push(format!("[{}]: {e}", label.join(", ")));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        failures.is_empty(),
+        "images that lose saves:\n{}",
+        failures.join("\n")
+    );
+}

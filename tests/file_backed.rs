@@ -2,15 +2,16 @@
 //! lives in one NSF file (plus a `.txn` log sibling) and survives
 //! process-style close/reopen and crash/reopen cycles. Also the file
 //! lifecycle: byte-identical reads across reopen, header-corruption
-//! rejection, and tempfile cleanup on drop.
+//! rejection (NSF and log), and tempfile cleanup on drop.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use domino::core::{Database, DbConfig, Note};
 use domino::storage::{Disk, NsfFile, PageBuf};
-use domino::types::{LogicalClock, ReplicaId, Value};
-use domino::wal::FileLogStore;
+use domino::types::{DominoError, LogicalClock, ReplicaId, Value};
+use domino::wal::store::LOG_HEADER_LEN;
+use domino::wal::{FileLogStore, LogRecord, TxId};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("domino-file-test-{}-{tag}", std::process::id()));
@@ -217,6 +218,46 @@ fn corrupted_header_rejected_at_open() {
         clock,
     );
     assert!(err.is_err(), "corrupt header must not open");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Only a missing `data.txn` is a fresh log. Anything else without an
+/// intact header is refused: read as base 0, it would restart LSNs below
+/// the ones the pages carry and lose the next session's writes.
+#[test]
+fn corrupt_log_is_refused_not_read_as_base_zero() {
+    let dir = temp_dir("badlog");
+    let path = dir.join("data.nsf");
+    let txn = dir.join("data.txn");
+    let clock = LogicalClock::new();
+    let config = || DbConfig::new("FileDb", ReplicaId(1), ReplicaId(9));
+    let db = open_file_db(&dir, clock.clone());
+    db.save(&mut Note::document("Memo")).unwrap();
+    db.shutdown().unwrap();
+    drop(db);
+    let closed = std::fs::read(&txn).unwrap();
+    assert_eq!(closed.len(), LOG_HEADER_LEN, "closed cleanly: header only");
+
+    let mut bad: Vec<(String, Vec<u8>)> = (0..LOG_HEADER_LEN)
+        .map(|i| {
+            let mut b = closed.clone();
+            b[i] ^= 0x01;
+            (format!("flip at {i}"), b)
+        })
+        .collect();
+    bad.extend((0..LOG_HEADER_LEN).map(|n| (format!("cut to {n}"), closed[..n].to_vec())));
+    let old_format = LogRecord::Begin { tx: TxId(1) }.encode();
+    bad.push(("headerless".into(), old_format));
+    for (what, bytes) in bad {
+        std::fs::write(&txn, &bytes).unwrap();
+        match Database::open_path(&path, config(), clock.clone()) {
+            Err(DominoError::Corrupt(_)) => {}
+            other => panic!("{what}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+    std::fs::write(&txn, &closed).unwrap();
+    let db = Database::open_path(&path, config(), clock).unwrap();
+    assert_eq!(db.document_count().unwrap(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
