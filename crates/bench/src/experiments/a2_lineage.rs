@@ -4,13 +4,13 @@
 //! of a note. The original bounded `$Revisions` fingerprint list (32
 //! entries, like Notes) could not prove descent once a replica fell more
 //! than 32 revisions behind, so replication conservatively manufactured a
-//! `$Conflict` document — a false positive. The content-addressed
-//! revision chain (`$RevisionHashes`) is unbounded: every copy carries
-//! its full hash lineage, so descent is provable at *any* edit depth.
-//! This table re-runs the old sweep (and deeper) and verifies the
-//! anomaly is gone: zero spurious conflicts at every depth.
+//! `$Conflict` document — a false positive. That list is gone; the
+//! content-addressed history (`$RevisionHashes`) is unbounded, so descent
+//! is provable at *any* edit depth. This table re-runs the old sweep
+//! (across and past the old 32-entry limit) and verifies the anomaly stays
+//! gone: zero spurious conflicts at every depth.
 
-use domino_core::{Note, MAX_REVISIONS};
+use domino_core::Note;
 use domino_replica::{ReplicationOptions, Replicator};
 use domino_types::{NoteClass, Value};
 
@@ -24,29 +24,21 @@ pub fn run(scale: Scale) -> Table {
         "Ablation 2",
         "Unbounded revision chains: spurious conflicts eliminated at every depth",
         "Design choice: ancestry is proven from the content-addressed hash \
-         chain ($RevisionHashes) instead of the bounded $Revisions \
-         fingerprint list; the chain carries the full lineage, so an \
+         history ($RevisionHashes), which replaced the bounded $Revisions \
+         fingerprint list; it carries the full lineage, so an \
          arbitrarily stale replica can still prove the newer copy descends \
          from its own",
     )
     .columns(&[
         "updates between syncs",
-        "fingerprint depth (old oracle)",
         "clean updates",
         "conflicts (spurious)",
         "data preserved",
     ]);
     let _ = scale;
 
-    for k in [
-        4usize,
-        16,
-        MAX_REVISIONS - 1,
-        MAX_REVISIONS,
-        MAX_REVISIONS + 4,
-        64,
-        256,
-    ] {
+    // 31, 32 and 36 straddle the deleted fingerprint list's depth.
+    for k in [4usize, 16, 31, 32, 36, 64, 256] {
         let a = make_db("a2", 2, 1);
         let b = make_db("a2", 2, 2);
         let mut repl = Replicator::new(ReplicationOptions::default());
@@ -76,7 +68,6 @@ pub fn run(scale: Scale) -> Table {
             });
         table.row(vec![
             fmt(k as f64),
-            fmt(MAX_REVISIONS as f64),
             fmt(into_b.updated as f64),
             fmt(into_b.conflicts as f64),
             if preserved { "yes" } else { "NO" }.to_string(),
@@ -88,9 +79,9 @@ pub fn run(scale: Scale) -> Table {
         );
     }
     table.takeaway(
-        "spurious conflicts: 0 at every depth — the unbounded hash chain \
+        "spurious conflicts: 0 at every depth — the unbounded hash history \
          proves ancestry even when a replica falls hundreds of revisions \
-         behind, where the bounded fingerprint list used to manufacture a \
+         behind, where the deleted fingerprint list used to manufacture a \
          conflict document past its 32-entry depth",
     );
     table

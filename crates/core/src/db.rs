@@ -44,7 +44,7 @@ use domino_wal::MemLogStore;
 
 use crate::merkle::MerkleSummary;
 use crate::mvcc::{Snapshot, SnapshotStats, VersionStore};
-use crate::note::{record_is_stub, DeletionStub, Note, ITEM_REVISIONS, ITEM_TITLE};
+use crate::note::{record_is_stub, DeletionStub, Note, ITEM_TITLE};
 use crate::revision;
 
 use domino_types::ContentHash;
@@ -643,7 +643,6 @@ impl Database {
                 note.oid = Oid::new(unid, now);
                 note.created = now;
                 note.modified = now;
-                note.push_revision(self.instance_id);
                 for it in note.items_raw_mut() {
                     it.revised = now;
                 }
@@ -666,7 +665,6 @@ impl Database {
                 }
                 note.oid.bump(now);
                 note.modified = now;
-                note.push_revision(self.instance_id);
                 // Field-level revision stamps: only changed items advance.
                 // Items dropped entirely (vs tombstoned) would break
                 // field-level replication; re-add them as tombstones, in
@@ -753,11 +751,8 @@ impl Database {
             // The revision history rides on the note: without it the
             // update would replicate as an unrelated note and conflict
             // with its own ancestor.
-            for name in [ITEM_REVISIONS, revision::ITEM_REVISION_HASHES] {
-                let mut items = existing.items_raw().iter();
-                if let Some(item) = items.find(|it| it.name.eq_ignore_ascii_case(name)) {
-                    note.set_item(item.clone());
-                }
+            if let Some(chain) = existing.get(revision::ITEM_REVISION_HASHES) {
+                note.set(revision::ITEM_REVISION_HASHES, chain.clone());
             }
         }
         self.save(note)

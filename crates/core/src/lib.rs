@@ -52,14 +52,10 @@ pub use form::{form_for, save_form, stored_forms, FieldKind, FieldSpec, FormDesi
 pub use merkle::{bucket_of, MerkleSummary, MERKLE_BUCKETS};
 pub use mvcc::{Snapshot, SnapshotStats};
 pub use note::{
-    revision_fingerprint, same_revision, DeletionStub, Note, SummaryItems, ITEM_AUTHORS,
-    ITEM_CONFLICT, ITEM_FORM, ITEM_READERS, ITEM_REF, ITEM_REVISIONS, ITEM_TRUNCATED,
-    MAX_REVISIONS,
+    DeletionStub, Note, SummaryItems, ITEM_AUTHORS, ITEM_CONFLICT, ITEM_FORM, ITEM_READERS,
+    ITEM_REF, ITEM_TRUNCATED,
 };
-pub use revision::{
-    chain_contains, content_hash_of, head_hash as revision_head, latest_common, merged_chain,
-    merkle_head, push_head, revision_chain, set_chain, stub_head, ITEM_REVISION_HASHES,
-};
+pub use revision::{merkle_head, stub_head, ITEM_REVISION_HASHES};
 pub use session::{Session, ITEM_FROM, ITEM_UPDATED_BY};
 
 #[cfg(test)]

@@ -16,29 +16,6 @@ use domino_types::{
 
 /// Reserved item names.
 pub const ITEM_REF: &str = "$REF";
-pub const ITEM_REVISIONS: &str = "$Revisions";
-
-/// How many revision fingerprints a note carries (Domino's `$Revisions`
-/// is similarly bounded). Replicas that diverge by more than this many
-/// revisions can no longer prove ancestry and fall back to conflict
-/// handling.
-pub const MAX_REVISIONS: usize = 32;
-
-/// Fingerprint of one saved revision: identifies `(instance, seq, time)`
-/// compactly so replicas can check whether one copy descends from another.
-pub fn revision_fingerprint(instance: domino_types::ReplicaId, seq: u32, time: Timestamp) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    mix(&instance.0.to_le_bytes());
-    mix(&seq.to_le_bytes());
-    mix(&time.0.to_le_bytes());
-    h
-}
 pub const ITEM_FORM: &str = "Form";
 pub const ITEM_CONFLICT: &str = "$Conflict";
 pub const ITEM_READERS: &str = "$Readers";
@@ -240,56 +217,6 @@ impl Note {
             }
         }
         out
-    }
-
-    /// Parsed `$Revisions` lineage: `(fingerprint, seq_time)` per revision,
-    /// oldest first, ending with the current revision.
-    pub fn revisions(&self) -> Vec<(u64, Timestamp)> {
-        let Some(v) = self.get(ITEM_REVISIONS) else {
-            return Vec::new();
-        };
-        v.iter_scalars()
-            .iter()
-            .filter_map(|s| {
-                let t = s.to_text();
-                let (fp, time) = t.split_once('|')?;
-                Some((
-                    u64::from_str_radix(fp, 16).ok()?,
-                    Timestamp(u64::from_str_radix(time, 16).ok()?),
-                ))
-            })
-            .collect()
-    }
-
-    /// The lineage entry for sequence number `seq`, if still retained.
-    /// The last entry corresponds to `oid.seq`, the one before to
-    /// `oid.seq - 1`, and so on.
-    pub fn revision_at(&self, seq: u32) -> Option<(u64, Timestamp)> {
-        if seq == 0 || seq > self.oid.seq {
-            return None;
-        }
-        let revs = self.revisions();
-        let back = (self.oid.seq - seq) as usize;
-        if back >= revs.len() {
-            return None;
-        }
-        Some(revs[revs.len() - 1 - back])
-    }
-
-    /// Append the current revision's fingerprint to `$Revisions`
-    /// (maintained by `Database::save`).
-    pub(crate) fn push_revision(&mut self, instance: domino_types::ReplicaId) {
-        let fp = revision_fingerprint(instance, self.oid.seq, self.oid.seq_time);
-        let mut entries: Vec<String> = match self.get(ITEM_REVISIONS) {
-            Some(v) => v.iter_scalars().iter().map(|s| s.to_text()).collect(),
-            None => Vec::new(),
-        };
-        entries.push(format!("{fp:016x}|{:016x}", self.oid.seq_time.0));
-        if entries.len() > MAX_REVISIONS {
-            let drop = entries.len() - MAX_REVISIONS;
-            entries.drain(..drop);
-        }
-        self.set(ITEM_REVISIONS, Value::TextList(entries));
     }
 
     /// Is this a truncated (summary-only) copy received by partial
@@ -521,20 +448,6 @@ impl DeletionStub {
             deleted_at,
         })
     }
-}
-
-/// Are two copies of a note the *same revision*? Sequence numbers and
-/// times can coincide across replicas (two edits at the same logical
-/// tick), so identity is decided by the revision fingerprint, which mixes
-/// in the editing replica's instance id.
-pub fn same_revision(a: &Note, b: &Note) -> bool {
-    a.unid() == b.unid()
-        && a.oid.seq == b.oid.seq
-        && match (a.revision_at(a.oid.seq), b.revision_at(b.oid.seq)) {
-            (Some(ra), Some(rb)) => ra == rb,
-            // Lineage missing (hand-built notes): fall back to OID equality.
-            _ => a.oid == b.oid,
-        }
 }
 
 /// Peek at a stored summary record's tag without full decode.

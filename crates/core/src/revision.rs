@@ -1,6 +1,4 @@
-//! Content-addressed revision history: the unbounded hash chain that
-//! replaces the depth-capped `$Revisions` fingerprints as the ancestry
-//! oracle.
+//! Content-addressed revision history, and the one module that reads it.
 //!
 //! Every committed save appends one entry to the note's
 //! [`ITEM_REVISION_HASHES`] item: the [`ContentHash`] of the new revision
@@ -9,11 +7,14 @@
 //! full *ancestor set*, oldest first, ending with the current head — for
 //! linear histories a chain, after a merge the deterministic union of
 //! both parents' sets plus the merge revision itself. Because entries are
-//! never dropped, a replica can prove descent at **any** edit depth: `a`
-//! descends from `b` iff `b`'s head hash appears in `a`'s set. The
-//! bounded `$Revisions` list is still maintained for compatibility
-//! (convergence signatures, older tooling) but no longer decides
-//! ancestry.
+//! never dropped, a replica can prove descent at **any** edit depth.
+//!
+//! Replication asks this module, and only this module, the four
+//! questions it needs about two copies of a note: are they the
+//! [`same_revision`], does one [`descends_from`] the other, when did they
+//! last agree ([`merge_base_time`]), and which survives a conflict
+//! ([`winner_key`]). The replicator, cluster push and the simulator call
+//! these and parse no chain themselves.
 //!
 //! The hash is a pure function of history: it covers the note's UNID,
 //! sequence stamp, class, canonical item encodings, and parent hashes —
@@ -21,6 +22,8 @@
 //! state — so every replica holding the same copy computes the same
 //! head, and the digests are directly comparable across the wire (the
 //! basis of Merkle negotiation, [`crate::merkle`]).
+
+use std::collections::HashSet;
 
 use domino_types::{ContentHash, ContentHasher, Item, Oid, Timestamp, Value};
 
@@ -54,23 +57,39 @@ pub fn head_hash(note: &Note) -> Option<ContentHash> {
     revision_chain(note).last().map(|(h, _)| *h)
 }
 
-/// Does `note`'s ancestor set contain `hash`? (Reflexive: a note
-/// contains its own head.)
-pub fn chain_contains(note: &Note, hash: ContentHash) -> bool {
-    revision_chain(note).iter().any(|(h, _)| *h == hash)
+/// Are two copies of a note the *same revision*? Same OID and same head
+/// hash: sequence stamps can coincide across replicas (two edits at the
+/// same logical tick), the content-addressed head cannot.
+pub fn same_revision(a: &Note, b: &Note) -> bool {
+    a.oid == b.oid && head_hash(a) == head_hash(b)
 }
 
-/// The *latest* revision present in both notes' ancestor sets — the
-/// lowest common ancestor used as the merge base. "Latest" is decided by
-/// `(seq_time, hash)` so both replicas pick the same entry. `None` when
-/// the histories share nothing (or either chain is missing).
-pub fn latest_common(a: &Note, b: &Note) -> Option<(ContentHash, Timestamp)> {
-    let in_a: std::collections::HashSet<ContentHash> =
-        revision_chain(a).iter().map(|(h, _)| *h).collect();
+/// Does `a` descend from `b`, i.e. is `b`'s head in `a`'s ancestor set?
+/// Exact at any edit depth. A note without a chain (hand-built, never
+/// saved) proves nothing and descends from nothing.
+pub fn descends_from(a: &Note, b: &Note) -> bool {
+    head_hash(b).is_some_and(|bh| revision_chain(a).iter().any(|(h, _)| *h == bh))
+}
+
+/// Sequence time of the latest revision two divergent copies share — the
+/// merge base a field-wise merge compares item stamps against. `None`
+/// when the histories share nothing (or either chain is missing).
+pub fn merge_base_time(a: &Note, b: &Note) -> Option<Timestamp> {
+    let in_a: HashSet<ContentHash> = revision_chain(a).iter().map(|(h, _)| *h).collect();
     revision_chain(b)
         .into_iter()
         .filter(|(h, _)| in_a.contains(h))
-        .max_by_key(|(h, t)| (*t, h.0))
+        .map(|(_, t)| t)
+        .max()
+}
+
+/// Total order picking the surviving copy of a conflict: higher sequence
+/// wins, then later sequence time, then the higher head hash — so two
+/// replicas that edited at the same logical instant still agree on one
+/// winner.
+pub fn winner_key(n: &Note) -> (u32, Timestamp, u128) {
+    let head = head_hash(n).unwrap_or(ContentHash::NONE);
+    (n.oid.seq, n.oid.seq_time, head.0)
 }
 
 /// Content hash of the note's current state given its parent revision
@@ -108,8 +127,8 @@ pub fn content_hash_of(note: &Note, parents: &[ContentHash]) -> ContentHash {
     h.finish()
 }
 
-/// Replace the note's chain item wholesale (merge construction).
-pub fn set_chain(note: &mut Note, entries: &[(ContentHash, Timestamp)]) {
+/// Replace the note's chain item wholesale.
+fn set_chain(note: &mut Note, entries: &[(ContentHash, Timestamp)]) {
     let encoded: Vec<String> = entries
         .iter()
         .map(|(h, t)| format!("{}|{:016x}", h.to_hex(), t.0))
@@ -126,17 +145,31 @@ pub fn push_head(note: &mut Note, hash: ContentHash, time: Timestamp) {
 
 /// The deterministic ancestor-set union for a merge: the winner's entries
 /// in order, then every loser entry not already present, in the loser's
-/// order. Both replicas resolve winner/loser the same way, so both build
-/// the same union (the merge head itself is appended by the caller).
-pub fn merged_chain(winner: &Note, loser: &Note) -> Vec<(ContentHash, Timestamp)> {
+/// order.
+fn merged_chain(winner: &Note, loser: &Note) -> Vec<(ContentHash, Timestamp)> {
     let mut out = revision_chain(winner);
-    let seen: std::collections::HashSet<ContentHash> = out.iter().map(|(h, _)| *h).collect();
+    let seen: HashSet<ContentHash> = out.iter().map(|(h, _)| *h).collect();
     for entry in revision_chain(loser) {
         if !seen.contains(&entry.0) {
             out.push(entry);
         }
     }
     out
+}
+
+/// Give `merged`, a field-wise merge of `winner` and `other` already
+/// stamped with its new OID, its history: the union of both parents'
+/// ancestor sets, then its own head hashed over the merged items and both
+/// parent heads. Both replicas resolve winner and other alike, so both
+/// mint the identical chain — and the identical Merkle head.
+pub fn record_merge(merged: &mut Note, winner: &Note, other: &Note) {
+    set_chain(merged, &merged_chain(winner, other));
+    let parents: Vec<ContentHash> = [head_hash(winner), head_hash(other)]
+        .into_iter()
+        .flatten()
+        .collect();
+    let head = content_hash_of(merged, &parents);
+    push_head(merged, head, merged.oid.seq_time);
 }
 
 /// Head hash of a deletion stub: derived from the stub's OID (which
@@ -154,9 +187,8 @@ pub fn stub_head(oid: &Oid) -> ContentHash {
 /// The head hash a note contributes to the Merkle summary. Normally the
 /// chain head; truncated (summary-only) copies mix in a marker so a
 /// partial copy never digest-matches the full revision (a full pull must
-/// still be able to upgrade it). Notes without a chain (hand-built,
-/// pre-upgrade data) fall back to a digest of the OID plus the last
-/// `$Revisions` fingerprint — also replica-independent.
+/// still be able to upgrade it). Notes without a chain (hand-built) fall
+/// back to a digest of the OID — also replica-independent.
 pub fn merkle_head(note: &Note) -> ContentHash {
     let base = match head_hash(note) {
         Some(h) => h,
@@ -166,9 +198,6 @@ pub fn merkle_head(note: &Note) -> ContentHash {
             h.update_u128(note.unid().0);
             h.update_u64(note.oid.seq as u64);
             h.update_u64(note.oid.seq_time.0);
-            if let Some((fp, _)) = note.revision_at(note.oid.seq) {
-                h.update_u64(fp);
-            }
             h.finish()
         }
     };
@@ -211,8 +240,6 @@ mod tests {
             vec![(h1, Timestamp(10)), (h2, Timestamp(20))]
         );
         assert_eq!(head_hash(&n), Some(h2));
-        assert!(chain_contains(&n, h1));
-        assert!(!chain_contains(&n, ContentHash(0xdead)));
     }
 
     #[test]
@@ -240,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn latest_common_picks_newest_shared_entry() {
+    fn merge_base_is_the_newest_shared_entry() {
         let mut a = note_at(1, 3, 30);
         let mut b = note_at(1, 3, 30);
         let shared_old = (ContentHash(10), Timestamp(10));
@@ -253,7 +280,38 @@ mod tests {
             &mut b,
             &[shared_old, shared_new, (ContentHash(32), Timestamp(30))],
         );
-        assert_eq!(latest_common(&a, &b), Some(shared_new));
+        assert_eq!(merge_base_time(&a, &b), Some(shared_new.1));
+    }
+
+    #[test]
+    fn ancestry_decisions_read_the_chain() {
+        let mut base = note_at(1, 1, 10);
+        let h1 = content_hash_of(&base, &[]);
+        push_head(&mut base, h1, Timestamp(10));
+        let mut child = base.clone();
+        child.oid.bump(Timestamp(20));
+        child.set("Subject", Value::text("edit"));
+        let h2 = content_hash_of(&child, &[h1]);
+        push_head(&mut child, h2, Timestamp(20));
+
+        assert!(same_revision(&base, &base.clone()));
+        assert!(!same_revision(&base, &child));
+        assert!(descends_from(&child, &base) && descends_from(&child, &child));
+        assert!(!descends_from(&base, &child));
+        assert!(!descends_from(&child, &note_at(1, 1, 10)), "chainless");
+        assert_eq!(merge_base_time(&child, &base), Some(Timestamp(10)));
+
+        // Same stamp, different content: not the same revision, and the
+        // head hash alone breaks the winner tie, alike from either side.
+        let mut twin = base.clone();
+        twin.oid.bump(Timestamp(20));
+        twin.set("Subject", Value::text("other edit"));
+        let h3 = content_hash_of(&twin, &[h1]);
+        push_head(&mut twin, h3, Timestamp(20));
+        assert_eq!(twin.oid, child.oid);
+        assert!(!same_revision(&twin, &child));
+        assert_eq!(winner_key(&twin).2, h3.0);
+        assert_ne!(winner_key(&twin), winner_key(&child));
     }
 
     #[test]

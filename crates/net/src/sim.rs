@@ -21,6 +21,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
+use domino_core::revision::{merkle_head, stub_head};
 use domino_core::{Database, DbConfig};
 use domino_obs as obs;
 use domino_replica::{ReplicationOptions, ReplicationReport, Replicator, RetryPolicy, Transport};
@@ -800,21 +801,17 @@ impl Network {
     }
 }
 
-/// Canonical content signature of a replica: every live note's UNID +
-/// current revision fingerprint, plus every stub's UNID + seq.
-fn signature(db: &Database) -> Result<Vec<(u128, u64)>> {
+/// Canonical content signature of a replica: every live note's UNID and
+/// Merkle head, plus every stub's UNID and stub head.
+fn signature(db: &Database) -> Result<Vec<(u128, u128)>> {
     let mut sig = Vec::new();
     let snap = db.snapshot();
     for id in snap.note_ids(None) {
         let n = snap.open_arc(id)?;
-        let fp = n
-            .revision_at(n.oid.seq)
-            .map(|(f, _)| f)
-            .unwrap_or(n.oid.seq as u64);
-        sig.push((n.unid().0, fp));
+        sig.push((n.unid().0, merkle_head(&n).0));
     }
     for stub in db.stubs()? {
-        sig.push((stub.oid.unid.0, 0x5EB0_0000_0000_0000 | stub.oid.seq as u64));
+        sig.push((stub.oid.unid.0, stub_head(&stub.oid).0));
     }
     sig.sort_unstable();
     Ok(sig)

@@ -6,9 +6,11 @@
 //! the in-flight event. E12 measures exactly this difference.
 //!
 //! The cluster replicator subscribes to each member's change events and
-//! applies them to the other members immediately. Echo suppression is by
-//! version: an incoming note identical to the stored copy (same OID) is
-//! skipped, so propagation terminates.
+//! applies them to the other members immediately. A mate takes a pushed
+//! note only if it descends from the mate's own copy: an echo is the same
+//! revision and is skipped, so propagation terminates, and a copy that
+//! diverged is left to the scheduled replicator, which keeps the losing
+//! edit as a `$Conflict` document instead of overwriting it.
 //!
 //! # The failover-window contract
 //!
@@ -30,7 +32,8 @@ use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
-use domino_core::{same_revision, ChangeEvent, Database};
+use domino_core::revision::descends_from;
+use domino_core::{ChangeEvent, Database};
 use domino_obs as obs;
 use domino_types::Result;
 
@@ -61,7 +64,8 @@ fn m() -> &'static Metrics {
 pub struct ClusterStats {
     /// Events pushed to peers.
     pub pushed: u64,
-    /// Pushes skipped because the peer was already current (echoes).
+    /// Pushes skipped because the peer already held this revision (an
+    /// echo), a newer one, or one that diverged from it.
     pub suppressed: u64,
     /// Events lost to catch-up queue overflow while paused. Nonzero means
     /// the failover window exceeded the queue: see [`ClusterStats::lossy`].
@@ -259,16 +263,17 @@ fn push_to_peers(inner: &Arc<Mutex<ClusterInner>>, origin: usize, event: &Change
     }
 }
 
-/// Apply one event to a peer; false if the peer was already current.
+/// Apply one event to a peer; false if the peer was left as it was.
 fn apply_event(peer: &Database, event: &ChangeEvent) -> bool {
     match event {
         ChangeEvent::Saved { new, .. } => {
             if let Ok(existing) = peer.open_by_unid(new.unid()) {
-                if same_revision(&existing, new) {
-                    return false; // echo
+                // An echo descends from itself; a copy that diverged from
+                // ours (or is newer) is left to the scheduled replicator,
+                // which keeps the loser as a `$Conflict` document.
+                if descends_from(&existing, new) || !descends_from(new, &existing) {
+                    return false;
                 }
-                // The peer has a different revision; let the scheduled
-                // replicator arbitrate unless ours descends from it.
             }
             peer.save_replicated(new.clone()).is_ok()
         }
@@ -406,6 +411,45 @@ mod tests {
         r.sync(&members[0], &members[1]).unwrap();
         for n in &notes {
             assert!(members[1].open_by_unid(n.unid()).is_ok());
+        }
+    }
+
+    #[test]
+    fn edits_on_both_mates_during_a_pause_survive_resume_and_replication() {
+        let members: Vec<Arc<Database>> = (0..2)
+            .map(|i| {
+                Arc::new(
+                    Database::open_in_memory(
+                        DbConfig::new("C", ReplicaId(5), ReplicaId(300 + i)),
+                        LogicalClock::starting_at(Timestamp(i * 7)),
+                    )
+                    .unwrap(),
+                )
+            })
+            .collect();
+        let cluster = Cluster::join(&members).unwrap();
+        let mut n = Note::document("Memo");
+        members[0].save(&mut n).unwrap();
+        cluster.pause();
+        for (m, text) in members.iter().zip(["edit on A", "edit on B"]) {
+            let mut copy = m.open_by_unid(n.unid()).unwrap();
+            copy.set("Subject", Value::text(text));
+            m.save(&mut copy).unwrap();
+        }
+        cluster.resume();
+        let mut r = crate::Replicator::new(crate::ReplicationOptions::default());
+        r.sync(&members[0], &members[1]).unwrap();
+        r.sync(&members[0], &members[1]).unwrap();
+        // In the winner or in a `$Conflict` document, never overwritten.
+        for m in &members {
+            let mut subjects: Vec<String> = m
+                .note_ids(Some(domino_types::NoteClass::Document))
+                .unwrap()
+                .into_iter()
+                .filter_map(|id| m.open_note(id).ok()?.get_text("Subject"))
+                .collect();
+            subjects.sort();
+            assert_eq!(subjects, ["edit on A", "edit on B"]);
         }
     }
 

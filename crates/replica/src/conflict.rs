@@ -1,9 +1,10 @@
 //! Conflict documents.
 //!
 //! When both replicas edited a note between syncs, the copy with the
-//! lower `(seq, seq_time)` loses. The loser is preserved as a *conflict
-//! document*: a response to the winner carrying a `$Conflict` item — no
-//! update is ever silently discarded.
+//! lower `(seq, seq_time, head hash)` loses
+//! (`domino_core::revision::winner_key`). The loser is preserved as a
+//! *conflict document*: a response to the winner carrying a `$Conflict`
+//! item — no update is ever silently discarded.
 //!
 //! Both sides of a conflicting pair detect the conflict independently, so
 //! the conflict document's identity must be *deterministic*: its UNID is
@@ -12,23 +13,16 @@
 //! deduplicates by UNID when it replicates.
 
 use domino_core::{Note, ITEM_CONFLICT};
-use domino_types::{Oid, Timestamp, Unid, Value};
+use domino_types::{ContentHasher, Oid, Timestamp, Unid, Value};
 
 /// Deterministic UNID for the conflict document preserving `loser`.
 pub fn conflict_unid(original: Unid, loser_seq: u32, loser_time: Timestamp) -> Unid {
-    // FNV-1a over the identifying fields, widened to 128 bits.
-    let mut h: u128 = 0x6c62272e07bb014262b821756295c58d;
-    let mut mix = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= *b as u128;
-            h = h.wrapping_mul(0x0000000001000000000000000000013B);
-        }
-    };
-    mix(&original.0.to_le_bytes());
-    mix(&loser_seq.to_le_bytes());
-    mix(&loser_time.0.to_le_bytes());
-    mix(b"$Conflict");
-    Unid(h)
+    let mut h = ContentHasher::new();
+    h.update_u128(original.0);
+    h.update(&loser_seq.to_le_bytes());
+    h.update_u64(loser_time.0);
+    h.update(b"$Conflict");
+    Unid(h.finish().0)
 }
 
 /// Build the conflict document for `loser` (a copy of the losing revision,
@@ -69,6 +63,8 @@ mod tests {
         let a = conflict_unid(Unid(42), 3, Timestamp(30));
         let b = conflict_unid(Unid(42), 3, Timestamp(30));
         assert_eq!(a, b);
+        // Pinned: stores already hold conflict documents under this UNID.
+        assert_eq!(a, Unid(0x9d35f71fc72ee3afb7214d3e27b60528));
         assert_ne!(a, conflict_unid(Unid(42), 4, Timestamp(30)));
         assert_ne!(a, conflict_unid(Unid(42), 3, Timestamp(31)));
         assert_ne!(a, conflict_unid(Unid(43), 3, Timestamp(30)));

@@ -4,9 +4,9 @@
 //! at or after the history cutoff and brings `dst` up to date:
 //!
 //! * unseen UNIDs are added; unchanged ones are skipped,
-//! * ancestry is decided from the notes' `$Revisions` lineage: if one
-//!   copy's lineage contains the other's current revision fingerprint,
-//!   the descendant wins cleanly,
+//! * ancestry is decided by `domino_core::revision` from the notes'
+//!   content-addressed `$RevisionHashes` history: if one copy's history
+//!   contains the other's head hash, the descendant wins cleanly,
 //! * divergent copies (neither descends from the other) are *conflicts*:
 //!   with `merge_conflicts` on and disjoint field edits, the copies merge
 //!   field-wise; otherwise the loser is preserved as a deterministic
@@ -33,19 +33,16 @@
 //! differs. Two converged replicas exchange one root and stop — no
 //! shared history needed — so a cold-start pair (cleared history, or an
 //! ad-hoc pass that never kept any) diffs in O(buckets + changed) rather
-//! than re-examining every note. Ancestry itself is decided from the
-//! unbounded `$RevisionHashes` chain when present, so a replica any
-//! number of revisions behind still proves clean descent (the bounded
-//! `$Revisions` fingerprints remain as a fallback for chainless notes).
+//! than re-examining every note. The history is unbounded, so a replica
+//! any number of revisions behind still proves clean descent.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use domino_core::{
-    chain_contains, content_hash_of, latest_common, merged_chain, push_head, revision_chain,
-    revision_head, same_revision, set_chain, ChangedNote, Database, Note, ITEM_REVISIONS,
-    ITEM_REVISION_HASHES, MAX_REVISIONS,
+use domino_core::revision::{
+    descends_from, merge_base_time, record_merge, same_revision, winner_key,
 };
+use domino_core::{ChangedNote, Database, Note, ITEM_REVISION_HASHES};
 use domino_formula::{EvalEnv, Formula};
 use domino_obs as obs;
 use domino_types::{Clock, ContentHash, DominoError, Item, ReplicaId, Result, Timestamp, Unid};
@@ -792,7 +789,7 @@ impl Replicator {
                 return Ok(());
             }
         }
-        let (winner, loser) = if note_winner_key(&local) >= note_winner_key(&remote) {
+        let (winner, loser) = if winner_key(&local) >= winner_key(&remote) {
             (local, remote)
         } else {
             (remote, local)
@@ -848,64 +845,13 @@ impl Replicator {
     }
 }
 
-/// Total order picking the surviving copy of a conflict. Higher sequence
-/// wins, then later time; the final tiebreak is the revision fingerprint
-/// (which mixes in the editing replica's id), so two replicas that edited
-/// at the same logical instant still agree on one winner.
-fn note_winner_key(n: &Note) -> (u32, Timestamp, u64) {
-    let fp = n.revision_at(n.oid.seq).map(|(f, _)| f).unwrap_or(0);
-    (n.oid.seq, n.oid.seq_time, fp)
-}
-
-/// Does `a` descend from `b` (i.e. `b`'s current revision appears in `a`'s
-/// lineage)?
-///
-/// When both copies carry a `$RevisionHashes` chain the answer is exact
-/// at **any** edit depth: `a` descends from `b` iff `b`'s head hash is in
-/// `a`'s ancestor set. Chainless (pre-upgrade, hand-built) notes fall
-/// back to the bounded `$Revisions` fingerprints, which can only prove
-/// descent within [`MAX_REVISIONS`] edits.
-fn descends_from(a: &Note, b: &Note) -> bool {
-    if let Some(bh) = revision_head(b) {
-        if !revision_chain(a).is_empty() {
-            return chain_contains(a, bh);
-        }
-    }
-    if a.oid.seq < b.oid.seq {
-        return false;
-    }
-    match (a.revision_at(b.oid.seq), b.revision_at(b.oid.seq)) {
-        (Some(ra), Some(rb)) => ra == rb,
-        _ => false,
-    }
-}
-
-/// Latest common ancestor revision time of two divergent copies, if their
-/// retained lineages still overlap. Hash chains give the exact lowest
-/// common ancestor; chainless notes fall back to the bounded fingerprint
-/// scan.
-fn common_ancestor_time(a: &Note, b: &Note) -> Option<Timestamp> {
-    if let Some((_, t)) = latest_common(a, b) {
-        return Some(t);
-    }
-    let top = a.oid.seq.min(b.oid.seq);
-    for seq in (1..=top).rev() {
-        if let (Some(ra), Some(rb)) = (a.revision_at(seq), b.revision_at(seq)) {
-            if ra == rb {
-                return Some(ra.1);
-            }
-        }
-    }
-    None
-}
-
 /// Merge two divergent copies field-wise. Succeeds only when no single
 /// item was edited on both sides since their common ancestor; the result
 /// (content *and* identity) is identical no matter which replica computes
 /// it, so merged copies deduplicate as they propagate.
 fn merge_field_wise(local: &Note, remote: &Note) -> Option<Note> {
-    let anc = common_ancestor_time(local, remote)?;
-    let (winner, other) = if note_winner_key(local) >= note_winner_key(remote) {
+    let anc = merge_base_time(local, remote)?;
+    let (winner, other) = if winner_key(local) >= winner_key(remote) {
         (local, remote)
     } else {
         (remote, local)
@@ -913,10 +859,8 @@ fn merge_field_wise(local: &Note, remote: &Note) -> Option<Note> {
     let mut merged = winner.clone();
     let mut took_any = false;
     for it in other.items_raw() {
-        // Lineage bookkeeping is rebuilt below, never merged field-wise.
-        if it.name.eq_ignore_ascii_case(ITEM_REVISIONS)
-            || it.name.eq_ignore_ascii_case(ITEM_REVISION_HASHES)
-        {
+        // The history is rebuilt below, never merged field-wise.
+        if it.name.eq_ignore_ascii_case(ITEM_REVISION_HASHES) {
             continue;
         }
         let ours: Option<&Item> = winner
@@ -952,54 +896,13 @@ fn merge_field_wise(local: &Note, remote: &Note) -> Option<Note> {
     // A real merge is a new revision with a *deterministic* identity
     // derived from both parents, so independently-computed merges of the
     // same pair coincide.
-    let (wfp, _) = winner.revision_at(winner.oid.seq)?;
-    let (ofp, _) = other.revision_at(other.oid.seq)?;
-    let new_seq = winner.oid.seq.max(other.oid.seq) + 1;
-    let new_time = winner.oid.seq_time.max(other.oid.seq_time);
     merged.oid = domino_types::Oid {
         unid: winner.unid(),
-        seq: new_seq,
-        seq_time: new_time,
+        seq: winner.oid.seq.max(other.oid.seq) + 1,
+        seq_time: winner.oid.seq_time.max(other.oid.seq_time),
     };
     merged.modified = winner.modified.max(other.modified);
-    let merge_fp = {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in wfp
-            .to_le_bytes()
-            .iter()
-            .chain(ofp.to_le_bytes().iter())
-            .chain(b"$merge".iter())
-        {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    };
-    let mut entries: Vec<String> = match merged.get(ITEM_REVISIONS) {
-        Some(v) => v.iter_scalars().iter().map(|s| s.to_text()).collect(),
-        None => Vec::new(),
-    };
-    entries.push(format!("{merge_fp:016x}|{:016x}", new_time.0));
-    if entries.len() > MAX_REVISIONS {
-        let drop = entries.len() - MAX_REVISIONS;
-        entries.drain(..drop);
-    }
-    let mut rev_item = Item::new(ITEM_REVISIONS, domino_types::Value::TextList(entries));
-    rev_item.revised = new_time;
-    merged.set_item(rev_item);
-    // The merge's hash chain: the deterministic union of both parents'
-    // ancestor sets, then the merge revision's own head (hashed over the
-    // merged items plus both parent heads). Both replicas resolve
-    // winner/other identically, so they mint the identical chain — and the
-    // identical Merkle head.
-    let union = merged_chain(winner, other);
-    set_chain(&mut merged, &union);
-    let parents: Vec<ContentHash> = [revision_head(winner), revision_head(other)]
-        .into_iter()
-        .flatten()
-        .collect();
-    let head = content_hash_of(&merged, &parents);
-    push_head(&mut merged, head, new_time);
+    record_merge(&mut merged, winner, other);
     Some(merged)
 }
 
@@ -1697,13 +1600,13 @@ mod tests {
     }
 
     #[test]
-    fn deep_edit_runs_apply_cleanly_beyond_fingerprint_depth() {
+    fn deep_edit_runs_apply_cleanly() {
         // The A2 anomaly, eliminated: with the unbounded hash chain a
         // replica any number of edits behind still proves clean descent.
         let (a, b, mut r) = pair();
         let n = doc(&a, "v0");
         r.sync(&a, &b).unwrap();
-        for i in 0..(MAX_REVISIONS * 4) {
+        for i in 0..128 {
             let mut d = a.open_by_unid(n.unid()).unwrap();
             d.set("Subject", Value::text(format!("v{}", i + 1)));
             a.save(&mut d).unwrap();
@@ -1716,9 +1619,49 @@ mod tests {
                 .unwrap()
                 .get_text("Subject")
                 .unwrap(),
-            format!("v{}", MAX_REVISIONS * 4)
+            format!("v{}", 128)
         );
         assert_eq!(a.document_count().unwrap(), 1, "no conflict documents");
+    }
+
+    #[test]
+    fn edits_at_one_stamp_resolve_alike_in_either_pull_order() {
+        // Two instances, one clock start, one edit each at the same
+        // `(seq, seq_time)`: only the head hash tells the copies apart.
+        let run = |a_first: bool| {
+            let [a, b] = [1, 2].map(|i| {
+                Database::open_in_memory(
+                    DbConfig::new("Disc", ReplicaId(77), ReplicaId(i)),
+                    LogicalClock::new(),
+                )
+                .unwrap()
+            });
+            let mut r = Replicator::new(ReplicationOptions::default());
+            let n = doc(&a, "base");
+            r.pull(&b, &a).unwrap();
+            a.clock().observe(b.clock().peek());
+            b.clock().observe(a.clock().peek());
+            let mut stamps = Vec::new();
+            for (db, text) in [(&a, "a-edit"), (&b, "b-edit")] {
+                let mut d = db.open_by_unid(n.unid()).unwrap();
+                d.set("Subject", Value::text(text));
+                db.save(&mut d).unwrap();
+                stamps.push(d.oid);
+            }
+            assert_eq!(stamps[0], stamps[1], "both edits carry one stamp");
+            let (first, second) = if a_first { (&a, &b) } else { (&b, &a) };
+            r.pull(first, second).unwrap();
+            r.pull(second, first).unwrap();
+            assert_eq!(a.merkle_root(), b.merkle_root());
+            assert!(docs_equal(&a, &b));
+            all_docs(&a)
+        };
+        let a_first = run(true);
+        assert_eq!(a_first, run(false));
+        // One winner and one `$Conflict` document, both edits kept.
+        let subjects: Vec<&str> = a_first.iter().map(|(_, _, s)| s.as_str()).collect();
+        assert_eq!(a_first.len(), 2, "{a_first:?}");
+        assert!(subjects.contains(&"a-edit") && subjects.contains(&"b-edit"));
     }
 
     #[test]

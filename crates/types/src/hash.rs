@@ -9,8 +9,8 @@
 //! identical clocks produce identical chains.
 //!
 //! The digest is FNV-1a widened to 128 bits. That is not a cryptographic
-//! hash; it is the same family the engine already uses for revision
-//! fingerprints and conflict UNIDs, it needs no external crates, and at
+//! hash; it is the one hasher the engine uses for revision heads, Merkle
+//! nodes and conflict UNIDs, it needs no external crates, and at
 //! 128 bits accidental collisions are out of reach for any database this
 //! engine can hold. Swapping in a cryptographic digest later only means
 //! replacing [`ContentHasher`]'s mixing step.

@@ -181,3 +181,54 @@ fn a_closed_store_is_two_files() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(names, ["data.nsf", "data.txn"]);
 }
+
+#[test]
+fn one_revision_history_read_in_one_module() {
+    let files = sources();
+    let retired = [
+        "ITEM_REVISIONS",
+        "MAX_REVISIONS",
+        "revision_fingerprint",
+        "revision_at",
+        "push_revision",
+    ];
+    assert_none(
+        "the `$Revisions` fingerprint list",
+        offending(files.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            retired.iter().any(|r| has_word(l, r)) || l.contains("\"$Revisions\"")
+        }),
+    );
+    // Ancestry is decided in `core::revision`; everyone else asks it.
+    let others = files
+        .iter()
+        .filter(|(f, _)| f != "crates/core/src/revision.rs")
+        .map(|(f, t)| {
+            let end = t.find("\n#[cfg(test)]").unwrap_or(t.len());
+            (f.as_str(), &t[..end])
+        });
+    assert_none(
+        "chain parsing outside `core::revision`",
+        offending(others, |l| {
+            ["revision_chain(", "chain_contains(", "latest_common("]
+                .iter()
+                .any(|c| l.contains(c))
+        }),
+    );
+    // And a saved note carries exactly one history item.
+    let db = Database::open_in_memory(
+        DbConfig::new("Arch", ReplicaId(1), ReplicaId(9)),
+        LogicalClock::new(),
+    )
+    .unwrap();
+    let mut note = Note::document("Memo");
+    db.save(&mut note).unwrap();
+    db.save(&mut note).unwrap();
+    let saved = db.open_note(note.id).unwrap();
+    let history: Vec<&str> = saved
+        .items_raw()
+        .iter()
+        .map(|it| it.name.as_str())
+        .filter(|n| n.starts_with('$'))
+        .collect();
+    assert_eq!(history, ["$RevisionHashes"]);
+}
