@@ -1,4 +1,4 @@
-//! Durability walkthrough: group commit, incremental fuzzy checkpointing,
+//! Durability walkthrough: force-at-commit, incremental fuzzy checkpointing,
 //! the background checkpointer, log truncation, and crash recovery —
 //! driven through the public `Database` surface over shareable in-memory
 //! stores so the "machine" can be power-cycled.
@@ -17,10 +17,7 @@ use domino_wal::{LogStore, MemLogStore};
 
 fn open(disk: MemDisk, log: MemLogStore, clock: LogicalClock) -> Arc<Database> {
     let engine = EngineConfig {
-        commit_mode: CommitMode::GroupCommit {
-            max_wait: Duration::ZERO,
-            max_batch: 8,
-        },
+        commit_mode: CommitMode::Force,
         ..EngineConfig::default()
     };
     Arc::new(
@@ -44,7 +41,7 @@ fn main() {
     let clock = LogicalClock::new();
     let db = open(disk.clone(), log.clone(), clock.clone());
 
-    // --- commit a batch of documents under group-commit mode ----------
+    // --- commit a batch of documents, each forced to the log ----------
     let mut ids = Vec::new();
     for i in 0..200 {
         let mut d = domino_core::Note::document("Doc");

@@ -9,7 +9,7 @@
 //!
 //! * **Metrics registry** ([`counter`], [`gauge`], [`histogram`]) —
 //!   process-wide metrics interned once under hierarchical Domino-style
-//!   dotted names (`Database.Pool.Hits`, `Log.GroupCommit.Flushes`,
+//!   dotted names (`Database.Pool.Hits`, `Log.Flush.Nanos`,
 //!   `View.Rebuild.Millis`, `Replica.Pass.NotesPushed`). Registration
 //!   takes a lock *once*; the returned `&'static` handles record with
 //!   relaxed atomics only — an increment or histogram sample on a hot

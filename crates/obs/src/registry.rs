@@ -1,7 +1,7 @@
 //! The process-wide metrics registry.
 //!
 //! Metrics are registered once under hierarchical Domino-style dotted
-//! names (`Database.Pool.Hits`, `Log.GroupCommit.Flushes`, …) and live for
+//! names (`Database.Pool.Hits`, `Log.Flush.Nanos`, …) and live for
 //! the life of the process: [`counter`], [`gauge`], and [`histogram`]
 //! intern the name under a mutex and hand back a `&'static` handle.
 //! Callers cache the handle (typically in a `OnceLock`-initialized struct

@@ -8,9 +8,9 @@
 //! a slotted [`BufferPool`] with clock-sweep replacement, so a page hit is
 //! a hash probe and a reference-bit store.
 //!
-//! Commit durability is governed by [`CommitMode`]: force the log, defer
-//! it, or group-commit (one device sync shared across concurrent
-//! committers — see `domino_wal::LogManager::commit_group`).
+//! Commit durability is governed by [`CommitMode`]: force the log through
+//! the commit record (`domino_wal::LogManager::flush`, which shares one
+//! device sync among concurrent callers), or defer it.
 //!
 //! Checkpoints are fuzzy and incremental: [`Engine::begin_checkpoint`]
 //! snapshots the dirty-page table, [`Engine::checkpoint_step`] writes a
@@ -53,7 +53,6 @@
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use crate::disk::Disk;
 use crate::heap::FreeSpace;
@@ -129,17 +128,6 @@ pub enum CommitMode {
     /// Don't force: commits become durable at the next flush or
     /// checkpoint. A crash can lose recently "committed" transactions.
     NoForce,
-    /// Durable like [`CommitMode::Force`], but the sync is shared: the
-    /// committer enters the log's group-commit protocol, where one leader
-    /// drains the buffer and issues a single append+sync for every
-    /// committer whose record it covers. `max_wait` lets the leader hold
-    /// the door open for stragglers (zero = sync immediately; batching
-    /// then comes from commits arriving while a sync is in flight);
-    /// `max_batch` caps how many it waits for.
-    GroupCommit {
-        max_wait: Duration,
-        max_batch: usize,
-    },
 }
 
 /// Tuning and behaviour switches.
@@ -503,15 +491,10 @@ impl Engine {
         match self.config.commit_mode {
             CommitMode::Force => wal.flush(lsn),
             CommitMode::NoForce => Ok(()),
-            CommitMode::GroupCommit {
-                max_wait,
-                max_batch,
-            } => wal.commit_group(lsn, max_wait, max_batch),
         }
     }
 
-    /// Commit: log the commit record, then force/group-force it per
-    /// [`CommitMode`].
+    /// Commit: log the commit record, then force it per [`CommitMode`].
     pub fn commit(&mut self, tx: Tx) -> Result<()> {
         if self.active_tx != Some(tx.id) {
             return Err(DominoError::InvalidArgument(
@@ -1303,32 +1286,6 @@ mod tests {
         e.write(&mut tx, p, 10, b"oops").unwrap();
         e.abort(tx).unwrap();
         assert_eq!(e.fetch(p).unwrap().bytes(10, 4), b"fast");
-    }
-
-    #[test]
-    fn group_commit_mode_is_durable() {
-        let disk = MemDisk::new();
-        let log = MemLogStore::new();
-        let mut e = Engine::open(
-            Box::new(disk.clone()),
-            Some(Box::new(log.clone())),
-            EngineConfig {
-                commit_mode: CommitMode::GroupCommit {
-                    max_wait: Duration::ZERO,
-                    max_batch: 8,
-                },
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        let mut tx = e.begin().unwrap();
-        let p = e.alloc_page(&mut tx, PageType::Heap).unwrap();
-        e.write(&mut tx, p, 100, b"grouped").unwrap();
-        e.commit(tx).unwrap();
-        e.crash();
-        log.crash();
-        let mut e2 = open(disk, log, 64);
-        assert_eq!(e2.fetch(p).unwrap().bytes(100, 7), b"grouped");
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   [`MemLogStore::crash`] discards everything after the last sync
 //!   (powering crash-injection tests), or a real file whose header names
 //!   the LSN of its first retained byte — the restart point,
-//! * [`LogManager`] — append/flush with group-commit accounting,
+//! * [`LogManager`] — append, and one `flush` that shares a device sync
+//!   among concurrent callers and stays failed after a store error,
 //! * [`recovery`] — analysis, redo and undo from one scan of the retained
 //!   log, generic over a [`RedoTarget`] page store.
 

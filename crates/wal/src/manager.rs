@@ -1,39 +1,35 @@
-//! The log manager: append, flush, group commit, scan.
+//! The log manager: append, flush, scan.
 //!
 //! LSNs are byte offsets into the log, as in ARIES. Records are buffered in
-//! memory and pushed to the [`LogStore`] on [`LogManager::flush`]. The
-//! manager tracks record boundaries, so a committer forcing a small `upto`
-//! writes only the bytes through its own record — a lagging committer never
-//! pays for later appends' bytes.
+//! memory and pushed to the [`LogStore`] by [`LogManager::flush`], the one
+//! way to make them durable. A flush that finds its record not yet durable
+//! and no write in flight becomes the *leader*: it drains the whole buffer,
+//! issues a single `append` + `sync` with the lock released, and wakes
+//! every parked caller. Callers arriving while the leader's sync is in
+//! flight park, and the next leader's sync covers all of them, so under
+//! concurrency one device sync serves many flushes.
 //!
-//! [`LogManager::commit_group`] is the real group-commit protocol:
-//! committers enqueue their target LSN; one becomes the *leader*, drains
-//! the shared buffer, issues a single `append` + `sync` with the lock
-//! released, and wakes every waiter whose LSN the flush covered.
-//! Committers arriving while the leader's sync is in flight park and form
-//! the next group, so under concurrency one device sync amortizes across
-//! many commits. [`LogStats`] exposes a group-size histogram so E2 can
-//! measure the batching.
+//! A failed store write is sticky. The drained records never reached the
+//! store, so no later flush may report them durable: every flush after
+//! the first store error returns that error. Reopening the log and running
+//! restart recovery, which stops at the torn tail, is the only way on.
 
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::record::{LogRecord, Lsn};
 use crate::store::LogStore;
 use domino_obs as obs;
-use domino_types::Result;
+use domino_types::{DominoError, Result};
 
 /// Process-wide registry mirrors of [`LogStats`] (which stays per-manager
-/// and exact). `Log.GroupCommit.GroupSize` is a histogram: its mean is the
-/// flushes-per-commit figure E2 tracks, its P99 the worst batching.
+/// and exact). `Log.Flushes` over `Database.Txn.Commits` is the
+/// flushes-per-commit figure.
 struct Metrics {
     records: &'static obs::Counter,
     bytes: &'static obs::Counter,
     flushes: &'static obs::Counter,
     noop_flushes: &'static obs::Counter,
-    group_committers: &'static obs::Counter,
-    group_flushes: &'static obs::Counter,
-    group_size: &'static obs::Histogram,
     flush_nanos: &'static obs::Histogram,
 }
 
@@ -44,20 +40,13 @@ fn m() -> &'static Metrics {
         bytes: obs::counter("Log.BytesAppended"),
         flushes: obs::counter("Log.Flushes"),
         noop_flushes: obs::counter("Log.NoopFlushes"),
-        group_committers: obs::counter("Log.GroupCommit.Committers"),
-        group_flushes: obs::counter("Log.GroupCommit.Flushes"),
-        group_size: obs::histogram("Log.GroupCommit.GroupSize"),
         flush_nanos: obs::histogram("Log.Flush.Nanos"),
     })
 }
 
-/// Upper bound on how long a group-commit follower parks per wait; purely
-/// a lost-wakeup backstop (the leader always notifies on completion).
+/// Upper bound on how long a parked flush waits per round; purely a
+/// lost-wakeup backstop (the leader always notifies on completion).
 const FOLLOWER_PARK: Duration = Duration::from_millis(10);
-
-/// Number of buckets in [`LogStats::group_size_hist`]: group sizes
-/// 1, 2, 3-4, 5-8, 9-16, 17+.
-pub const GROUP_SIZE_BUCKETS: usize = 6;
 
 /// Counters exposed for experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,55 +57,22 @@ pub struct LogStats {
     pub bytes: u64,
     /// Flush calls that actually wrote + synced.
     pub flushes: u64,
-    /// Flush calls satisfied by a previous flush (group-commit wins).
+    /// Flush calls satisfied by an earlier flush's sync.
     pub noop_flushes: u64,
-    /// Committers that entered [`LogManager::commit_group`].
-    pub group_committers: u64,
-    /// Leader flushes issued on behalf of a commit group.
-    pub group_flushes: u64,
-    /// Histogram of committers covered per group flush:
-    /// buckets for sizes 1, 2, 3-4, 5-8, 9-16, 17+.
-    pub group_size_hist: [u64; GROUP_SIZE_BUCKETS],
-    /// Largest group a single flush covered.
-    pub max_group_size: u64,
-}
-
-impl LogStats {
-    fn record_group(&mut self, size: u64) {
-        let bucket = match size {
-            0 | 1 => 0,
-            2 => 1,
-            3..=4 => 2,
-            5..=8 => 3,
-            9..=16 => 4,
-            _ => 5,
-        };
-        self.group_size_hist[bucket] += 1;
-        self.group_flushes += 1;
-        self.max_group_size = self.max_group_size.max(size);
-        m().group_flushes.inc();
-        m().group_size.record(size);
-    }
 }
 
 struct Inner {
     /// Encoded-but-unflushed bytes.
     buffer: Vec<u8>,
-    /// LSN of the first byte in `buffer`.
-    buffer_start: Lsn,
-    /// Logical end offset (absolute LSN) of each buffered record, in append
-    /// order. Lets `flush(upto)` split the buffer at a record boundary.
-    record_ends: Vec<u64>,
     /// LSN one past the last appended record.
     next_lsn: Lsn,
     /// Everything below this LSN is durable.
     flushed_lsn: Lsn,
-    /// A leader (of `flush` or `commit_group`) has store I/O in flight;
-    /// all other store writes must park until it completes, since log
-    /// bytes have to reach the store in LSN order.
+    /// A leader has store I/O in flight; every other store write parks
+    /// until it completes, since log bytes reach the store in LSN order.
     leader_active: bool,
-    /// Committers currently parked in `commit_group` (plus the leader).
-    group_waiters: u64,
+    /// The first store write error. Once set, every flush returns it.
+    failed: Option<DominoError>,
     stats: LogStats,
 }
 
@@ -128,7 +84,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct LogManager<S: LogStore> {
     store: S,
     inner: Mutex<Inner>,
-    /// Signals leader completion to followers and parked flushers.
+    /// Signals leader completion to parked flushers.
     flushed: Condvar,
 }
 
@@ -140,12 +96,10 @@ impl<S: LogStore> LogManager<S> {
             store,
             inner: Mutex::new(Inner {
                 buffer: Vec::new(),
-                buffer_start: Lsn(end),
-                record_ends: Vec::new(),
                 next_lsn: Lsn(end),
                 flushed_lsn: Lsn(end),
                 leader_active: false,
-                group_waiters: 0,
+                failed: None,
                 stats: LogStats::default(),
             }),
             flushed: Condvar::new(),
@@ -163,8 +117,6 @@ impl<S: LogStore> LogManager<S> {
         let lsn = g.next_lsn;
         g.buffer.extend_from_slice(&bytes);
         g.next_lsn = Lsn(g.next_lsn.0 + bytes.len() as u64);
-        let end = g.next_lsn.0;
-        g.record_ends.push(end);
         g.stats.records += 1;
         g.stats.bytes += bytes.len() as u64;
         m().records.inc();
@@ -172,28 +124,40 @@ impl<S: LogStore> LogManager<S> {
         Ok(lsn)
     }
 
-    /// Write `buffer[..split]` to the store with the lock *released* during
-    /// I/O, honoring the leader protocol (only one store writer at a time,
-    /// in LSN order). Returns the guard re-acquired after completion.
+    /// Park once until a leader signals completion (or the backstop
+    /// timeout passes). Returns the re-acquired guard.
+    fn park<'a>(&'a self, g: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
+        self.flushed
+            .wait_timeout(g, FOLLOWER_PARK)
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .0
+    }
+
+    /// Make the log durable up to and including the record at `upto`.
     ///
-    /// On entry the caller must have verified `upto` is not yet durable.
-    /// `split == buffer.len()` is the whole-buffer (group leader) path.
-    fn write_out<'a>(
-        &'a self,
-        mut g: MutexGuard<'a, Inner>,
-        split: usize,
-    ) -> Result<MutexGuard<'a, Inner>> {
-        debug_assert!(!g.leader_active);
+    /// Returns at once if that record is already durable; parks while
+    /// another caller's write is in flight; otherwise leads: drains the
+    /// whole buffer, writes and syncs it once, and wakes every parked
+    /// caller. After any store error, returns that error forever.
+    pub fn flush(&self, upto: Lsn) -> Result<()> {
+        let mut g = self.lock();
+        loop {
+            if let Some(e) = &g.failed {
+                return Err(e.clone());
+            }
+            if g.flushed_lsn > upto {
+                g.stats.noop_flushes += 1;
+                m().noop_flushes.inc();
+                return Ok(());
+            }
+            if !g.leader_active {
+                break;
+            }
+            g = self.park(g);
+        }
         g.leader_active = true;
-        let chunk: Vec<u8> = g.buffer.drain(..split).collect();
-        let target = Lsn(g.buffer_start.0 + chunk.len() as u64);
-        g.buffer_start = target;
-        let keep = g
-            .record_ends
-            .iter()
-            .position(|e| *e > target.0)
-            .unwrap_or(g.record_ends.len());
-        g.record_ends.drain(..keep);
+        let chunk: Vec<u8> = g.buffer.drain(..).collect();
+        let target = g.next_lsn;
         drop(g);
 
         let io_timer = m().flush_nanos.time();
@@ -207,64 +171,18 @@ impl<S: LogStore> LogManager<S> {
 
         let mut g = self.lock();
         g.leader_active = false;
-        match io {
+        match &io {
             Ok(()) => {
-                g.flushed_lsn = g.flushed_lsn.max(target);
+                g.flushed_lsn = target;
                 g.stats.flushes += 1;
                 m().flushes.inc();
-                self.flushed.notify_all();
-                Ok(g)
             }
-            Err(e) => {
-                // The store may hold a torn tail past flushed_lsn; the
-                // per-record checksums make recovery stop cleanly there.
-                // Wake everyone so waiters observe the failure path (they
-                // will retry and surface their own errors).
-                self.flushed.notify_all();
-                Err(e)
-            }
+            // The store may hold a torn tail past `flushed_lsn`; the
+            // per-record checksums make recovery stop cleanly there.
+            Err(e) => g.failed = Some(e.clone()),
         }
-    }
-
-    /// Park until no leader has I/O in flight. Returns the re-acquired guard.
-    fn wait_for_leader<'a>(&'a self, mut g: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
-        while g.leader_active {
-            g = self
-                .flushed
-                .wait_timeout(g, FOLLOWER_PARK)
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0;
-        }
-        g
-    }
-
-    /// Make the log durable up to and including the record at `upto`.
-    ///
-    /// Splits the buffer at the containing record's boundary: only bytes
-    /// through that record are written, so a small force does not pay for
-    /// appends that happened after it (the group-commit leader path flushes
-    /// the whole buffer instead).
-    pub fn flush(&self, upto: Lsn) -> Result<()> {
-        let mut g = self.lock();
-        loop {
-            if g.flushed_lsn > upto {
-                g.stats.noop_flushes += 1;
-                m().noop_flushes.inc();
-                return Ok(());
-            }
-            if !g.leader_active {
-                break;
-            }
-            g = self.wait_for_leader(g);
-        }
-        // First buffered record whose end covers `upto` marks the split.
-        let split_end = match g.record_ends.iter().find(|e| **e > upto.0) {
-            Some(end) => *end,
-            None => g.next_lsn.0, // `upto` beyond the last boundary: take all
-        };
-        let split = (split_end - g.buffer_start.0) as usize;
-        drop(self.write_out(g, split)?);
-        Ok(())
+        self.flushed.notify_all();
+        io
     }
 
     /// Force everything appended so far.
@@ -274,73 +192,6 @@ impl<S: LogStore> LogManager<S> {
             return Ok(());
         }
         self.flush(Lsn(upto.0 - 1))
-    }
-
-    /// Group commit: make the record at `upto` durable, sharing the device
-    /// sync with every other concurrent committer.
-    ///
-    /// The first committer to find no flush in flight becomes the leader:
-    /// it waits up to `max_wait` for up to `max_batch` committers to
-    /// enqueue (a zero `max_wait` skips the window — batching then comes
-    /// purely from commits that arrive while a sync is in flight), drains
-    /// the whole buffer, writes + syncs once, and wakes all covered
-    /// waiters. Followers park; by the time they are woken their record is
-    /// durable, or they retry (and may lead the next group).
-    pub fn commit_group(&self, upto: Lsn, max_wait: Duration, max_batch: usize) -> Result<()> {
-        let mut g = self.lock();
-        g.stats.group_committers += 1;
-        m().group_committers.inc();
-        if g.flushed_lsn > upto {
-            g.stats.noop_flushes += 1;
-            m().noop_flushes.inc();
-            return Ok(());
-        }
-        g.group_waiters += 1;
-        loop {
-            if g.flushed_lsn > upto {
-                // Covered by another leader's flush (our registration was
-                // consumed when that leader drained the group).
-                return Ok(());
-            }
-            if !g.leader_active {
-                // Become leader. Optionally hold the door for followers.
-                if !max_wait.is_zero() && max_batch > 1 {
-                    let deadline = Instant::now() + max_wait;
-                    while (g.group_waiters as usize) < max_batch {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (g2, _timeout) = self
-                            .flushed
-                            .wait_timeout(g, deadline - now)
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                        g = g2;
-                        if g.leader_active {
-                            // Someone else led meanwhile; re-evaluate.
-                            break;
-                        }
-                    }
-                    if g.leader_active || g.flushed_lsn > upto {
-                        continue;
-                    }
-                }
-                // Every registered committer appended before enqueueing, so
-                // draining the whole buffer covers all of them.
-                let served = g.group_waiters;
-                g.group_waiters = 0;
-                let split = g.buffer.len();
-                g = self.write_out(g, split)?;
-                g.stats.record_group(served);
-                return Ok(());
-            }
-            // A leader is flushing; park until it completes, then re-check.
-            g = self
-                .flushed
-                .wait_timeout(g, FOLLOWER_PARK)
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0;
-        }
     }
 
     /// LSN the next record will receive.
@@ -388,8 +239,10 @@ impl<S: LogStore> LogManager<S> {
     /// most recent checkpoint's min recovery-LSN). Only durable bytes can
     /// be dropped; LSNs keep their values.
     pub fn truncate_prefix(&self, upto: Lsn) -> Result<()> {
-        let g = self.lock();
-        let g = self.wait_for_leader(g);
+        let mut g = self.lock();
+        while g.leader_active {
+            g = self.park(g);
+        }
         let cut = upto.min(g.flushed_lsn);
         drop(g);
         self.store.truncate_prefix(cut.0)
@@ -405,7 +258,8 @@ impl<S: LogStore> LogManager<S> {
 mod tests {
     use super::*;
     use crate::record::TxId;
-    use crate::store::MemLogStore;
+    use crate::store::{FaultLogStore, FaultPlan, MemLogStore};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn mgr() -> LogManager<MemLogStore> {
@@ -468,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_noop_flush() {
+    fn flush_of_a_durable_record_is_a_noop() {
         let m = mgr();
         let a = m.append(&LogRecord::Begin { tx: TxId(1) }).unwrap();
         let b = m.append(&LogRecord::Begin { tx: TxId(2) }).unwrap();
@@ -479,58 +333,40 @@ mod tests {
         assert_eq!(stats.noop_flushes, 1);
     }
 
-    #[test]
-    fn partial_flush_stops_at_record_boundary() {
-        let m = mgr();
-        let a = m.append(&LogRecord::Begin { tx: TxId(1) }).unwrap();
-        let b = m.append(&LogRecord::Begin { tx: TxId(2) }).unwrap();
-        let c = m.append(&LogRecord::Begin { tx: TxId(3) }).unwrap();
-        // Forcing the first record must not write the later two.
-        m.flush(a).unwrap();
-        assert!(m.flushed_lsn() > a);
-        assert!(m.flushed_lsn() <= b);
-        assert_eq!(m.scan(Lsn::NIL).unwrap().len(), 1);
-        // The rest still flushes cleanly afterwards.
-        m.flush(c).unwrap();
-        assert_eq!(m.scan(Lsn::NIL).unwrap().len(), 3);
-        assert_eq!(m.stats().flushes, 2);
+    /// A [`MemLogStore`] whose `sync` takes as long as a fast device's, so
+    /// concurrent flushes arrive while one is in flight.
+    #[derive(Default)]
+    struct SlowSyncStore {
+        inner: MemLogStore,
+        syncs: AtomicU64,
+    }
+
+    impl LogStore for SlowSyncStore {
+        fn append(&self, bytes: &[u8]) -> Result<()> {
+            self.inner.append(bytes)
+        }
+        fn sync(&self) -> Result<()> {
+            std::thread::sleep(Duration::from_micros(200));
+            self.syncs.fetch_add(1, Ordering::Relaxed);
+            self.inner.sync()
+        }
+        fn read_from(&self, from: u64) -> Result<Vec<u8>> {
+            self.inner.read_from(from)
+        }
+        fn len(&self) -> Result<u64> {
+            self.inner.len()
+        }
+        fn start(&self) -> Result<u64> {
+            self.inner.start()
+        }
+        fn truncate_prefix(&self, upto: u64) -> Result<()> {
+            self.inner.truncate_prefix(upto)
+        }
     }
 
     #[test]
-    fn partial_flush_bytes_match_record_sizes() {
-        let m = mgr();
-        let rec_small = LogRecord::Begin { tx: TxId(1) };
-        let small_len = rec_small.encode().len() as u64;
-        m.append(&rec_small).unwrap();
-        // A big record buffered after the small one.
-        m.append(&LogRecord::Update {
-            tx: TxId(1),
-            prev: Lsn::NIL,
-            page: 1,
-            offset: 0,
-            before: vec![0u8; 2048],
-            after: vec![1u8; 2048],
-        })
-        .unwrap();
-        m.flush(Lsn::NIL).unwrap(); // force only the small record
-        assert_eq!(m.durable_len().unwrap(), small_len);
-    }
-
-    #[test]
-    fn group_commit_single_thread_is_durable() {
-        let m = mgr();
-        let lsn = m.append(&LogRecord::Commit { tx: TxId(1) }).unwrap();
-        m.commit_group(lsn, Duration::ZERO, 8).unwrap();
-        assert!(m.flushed_lsn() > lsn);
-        let stats = m.stats();
-        assert_eq!(stats.group_committers, 1);
-        assert_eq!(stats.group_flushes, 1);
-        assert_eq!(stats.group_size_hist[0], 1);
-    }
-
-    #[test]
-    fn group_commit_many_threads_share_syncs() {
-        let m = Arc::new(mgr());
+    fn concurrent_flushes_share_syncs() {
+        let m = Arc::new(LogManager::open(SlowSyncStore::default()).unwrap());
         let threads = 8;
         let per_thread = 50;
         let handles: Vec<_> = (0..threads)
@@ -543,7 +379,7 @@ mod tests {
                                 tx: TxId((t * 1000 + i) as u64),
                             })
                             .unwrap();
-                        m.commit_group(lsn, Duration::from_micros(200), 8).unwrap();
+                        m.flush(lsn).unwrap();
                         assert!(m.flushed_lsn() > lsn);
                     }
                 })
@@ -552,20 +388,38 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let stats = m.stats();
-        assert_eq!(stats.group_committers, (threads * per_thread) as u64);
+        let calls = (threads * per_thread) as u64;
         // Every record made it out, in order, decodable.
-        let recs = m.scan(Lsn::NIL).unwrap();
-        assert_eq!(recs.len(), threads * per_thread);
-        // Group commit must have batched at least some syncs.
+        assert_eq!(m.scan(Lsn::NIL).unwrap().len() as u64, calls);
+        let syncs = m.store().syncs.load(Ordering::Relaxed);
+        assert_eq!(syncs, m.stats().flushes);
         assert!(
-            stats.flushes < stats.group_committers,
-            "expected batching: {} flushes for {} committers",
-            stats.flushes,
-            stats.group_committers
+            syncs < calls,
+            "expected shared syncs: {syncs} device syncs for {calls} flush calls"
         );
-        let hist_total: u64 = stats.group_size_hist.iter().sum();
-        assert_eq!(hist_total, stats.group_flushes);
+    }
+
+    #[test]
+    fn a_failed_log_write_stays_failed() {
+        let plan = FaultPlan::new();
+        let store = MemLogStore::new();
+        let m = LogManager::open(FaultLogStore::new(store.clone(), plan.clone())).unwrap();
+        let a = m.append(&LogRecord::Begin { tx: TxId(1) }).unwrap();
+        plan.arm(0);
+        assert!(m.flush(a).is_err());
+        // The device recovers, but record `a` never reached it: no later
+        // flush may call it, or anything after it, durable.
+        plan.disarm();
+        assert!(m.flush(a).is_err());
+        let b = m.append(&LogRecord::Begin { tx: TxId(2) }).unwrap();
+        assert!(m.flush(b).is_err());
+        assert!(m.flush_all().is_err());
+        assert_eq!(m.flushed_lsn(), Lsn::NIL);
+        // After the crash, nothing scans back under a wrong LSN.
+        store.crash();
+        let m2 = LogManager::open(store).unwrap();
+        assert!(m2.scan(Lsn::NIL).unwrap().is_empty());
+        assert_eq!(m2.next_lsn(), Lsn::NIL);
     }
 
     #[test]

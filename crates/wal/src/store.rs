@@ -97,8 +97,6 @@ struct MemLogInner {
     base: u64,
     /// Durable length *within* `bytes` (relative).
     durable_len: usize,
-    /// Count of sync calls, for group-commit accounting in benches.
-    syncs: u64,
 }
 
 impl MemLogStore {
@@ -111,11 +109,6 @@ impl MemLogStore {
         let mut g = self.inner.lock();
         let durable = g.durable_len;
         g.bytes.truncate(durable);
-    }
-
-    /// Number of `sync` barriers issued so far.
-    pub fn sync_count(&self) -> u64 {
-        self.inner.lock().syncs
     }
 
     /// Total bytes physically held (durable or not).
@@ -133,7 +126,6 @@ impl LogStore for MemLogStore {
     fn sync(&self) -> Result<()> {
         let mut g = self.inner.lock();
         g.durable_len = g.bytes.len();
-        g.syncs += 1;
         Ok(())
     }
 

@@ -162,6 +162,33 @@ fn the_retained_log_is_the_only_restart_point() {
 }
 
 #[test]
+fn the_log_is_forced_one_way() {
+    let files = sources();
+    let retired = [
+        "commit_group",
+        "GroupCommit",
+        "Log.GroupCommit",
+        "record_ends",
+    ];
+    assert_none(
+        "group-commit mode or a second log force",
+        offending(files.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            retired.iter().any(|r| l.contains(r))
+        }),
+    );
+    // `ViewStats::max_batch` is the largest view maintenance batch, not
+    // the deleted commit-batch cap.
+    let others = files
+        .iter()
+        .filter(|(f, _)| !f.starts_with("crates/views/src/"))
+        .map(|(f, t)| (f.as_str(), t.as_str()));
+    assert_none(
+        "a commit batch cap",
+        offending(others, |l| has_word(l, "max_batch")),
+    );
+}
+
+#[test]
 fn a_closed_store_is_two_files() {
     let dir = std::env::temp_dir().join(format!("domino-arch-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

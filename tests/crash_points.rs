@@ -9,7 +9,6 @@
 //! and crashes with dropped, reordered, or torn unsynced page writes.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -150,17 +149,6 @@ proptest! {
     #[test]
     fn recovery_is_prefix_consistent_force(budget in 0u64..40, txs in 1u32..12) {
         crash_at_log_op(budget, txs, CommitMode::Force);
-    }
-
-    /// Group commit: the leader's append+sync is the crash site; a fault
-    /// mid-group-commit must not tear the group.
-    #[test]
-    fn recovery_is_prefix_consistent_group_commit(budget in 0u64..40, txs in 1u32..12) {
-        crash_at_log_op(
-            budget,
-            txs,
-            CommitMode::GroupCommit { max_wait: Duration::ZERO, max_batch: 8 },
-        );
     }
 
     /// Crash in the *disk* (page writeback) mid-checkpoint: committed data
@@ -329,10 +317,10 @@ proptest! {
     }
 }
 
-/// Eight concurrent group committers racing a log-store fault: every
-/// commit_group() that returned Ok must be durable across the crash.
+/// Eight threads flushing concurrently race a log-store fault: every
+/// flush() that returned Ok must be durable across the crash.
 #[test]
-fn concurrent_group_commit_crash_durability() {
+fn concurrent_flush_crash_durability() {
     for budget in [1u64, 3, 7, 15, 40] {
         let store = MemLogStore::new();
         let plan = FaultPlan::new();
@@ -351,7 +339,7 @@ fn concurrent_group_commit_crash_durability() {
                         let Ok(lsn) = mgr.append(&LogRecord::Commit { tx }) else {
                             break;
                         };
-                        match mgr.commit_group(lsn, Duration::from_micros(100), 8) {
+                        match mgr.flush(lsn) {
                             Ok(()) => ok += 1,
                             Err(_) => break,
                         }
@@ -367,9 +355,55 @@ fn concurrent_group_commit_crash_durability() {
         let durable = mgr2.scan(Lsn::NIL).unwrap().len() as u64;
         assert!(
             durable >= acked,
-            "crash lost acknowledged group commits: {acked} acked, {durable} durable (budget {budget})"
+            "crash lost acknowledged flushes: {acked} acked, {durable} durable (budget {budget})"
         );
     }
+}
+
+/// A commit whose log write failed must not reach the disk later. The log
+/// stays failed after the device recovers, so the WAL-rule flush before
+/// evicting the page the transaction dirtied fails too and the page is
+/// never written; otherwise it would carry bytes no durable record
+/// explains, and recovery could not undo them.
+#[test]
+fn a_failed_commit_never_reaches_the_disk() {
+    let disk = MemDisk::new();
+    let log = MemLogStore::new();
+    let plan = FaultPlan::new();
+    let mut e = engine_over(
+        Box::new(disk.clone()),
+        Box::new(FaultLogStore::new(log.clone(), plan.clone())),
+        CommitMode::Force,
+    );
+    // Twice the pool's 16 frames, so fetching them all evicts every frame.
+    let mut tx = e.begin().unwrap();
+    let pages: Vec<u32> = (0..32)
+        .map(|_| e.alloc_page(&mut tx, PageType::Heap).unwrap())
+        .collect();
+    e.commit(tx).unwrap();
+
+    let victim = pages[0];
+    let mut tx = e.begin().unwrap();
+    e.write(&mut tx, victim, PATTERN_OFF, b"UNCOMMIT!").unwrap();
+    plan.arm(0);
+    assert!(e.commit(tx).is_err(), "the commit's log write fails");
+    plan.disarm();
+    let refused = pages[1..].iter().filter(|p| e.fetch(**p).is_err()).count();
+    assert!(refused > 0, "evicting the uncommitted page must fail");
+    e.crash();
+    log.crash();
+
+    let mut e = Engine::open(
+        Box::new(disk),
+        Some(Box::new(log)),
+        EngineConfig {
+            buffer_capacity: 16,
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let got = e.fetch(victim).unwrap();
+    assert_eq!(got.bytes(PATTERN_OFF as usize, 9), &[0u8; 9][..]);
 }
 
 // ---------------------------------------------------------------------------
