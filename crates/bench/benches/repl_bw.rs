@@ -37,18 +37,6 @@ fn bench_replication(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("full_compare_sync_1k_docs", |b| {
-        let a = make_db("bench", 5, 1);
-        let bb = make_db("bench", 5, 2);
-        populate(&a, &mut rng(3), 1_000, 8, 64, 0);
-        let mut r = Replicator::new(ReplicationOptions {
-            use_history: false,
-            ..ReplicationOptions::default()
-        });
-        r.sync(&a, &bb).unwrap();
-        b.iter(|| r.sync(&a, &bb).unwrap());
-    });
-
     group.finish();
 }
 

@@ -454,9 +454,8 @@ mod tests {
         // Agents are notes: they replicate like everything else. (Using the
         // low-level apply path to avoid a dev-dependency cycle on
         // domino-replica.)
-        for c in a.changed_since(domino_types::Timestamp::ZERO).unwrap() {
-            let note = a.open_note(c.id).unwrap();
-            b.save_replicated(note).unwrap();
+        for id in a.note_ids(None).unwrap() {
+            b.save_replicated(a.open_note(id).unwrap()).unwrap();
         }
         let agents = stored_agents(&b).unwrap();
         assert_eq!(agents.len(), 1);

@@ -76,8 +76,6 @@ fn m() -> &'static Metrics {
     })
 }
 
-/// Tree slot for the modified-time index: key `(seq_time << 32) | note_id`.
-const TREE_SEQ_INDEX: usize = 2;
 /// User slot holding the shared replica (lineage) id.
 const SLOT_LINEAGE: usize = 2;
 /// User slot holding the purge interval in ticks.
@@ -179,7 +177,7 @@ fn coalesce(events: Vec<ChangeEvent>) -> Vec<ChangeEvent> {
     out
 }
 
-/// Summary entry for replication: one changed thing since a cutoff.
+/// Summary entry for replication: one note or stub a pull examines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChangedNote {
     pub id: NoteId,
@@ -262,7 +260,7 @@ impl Drop for CheckpointerHandle {
 /// `versions` before releasing it; same-note races are settled there by
 /// the sequence-number check in [`Database::save`]. Every live-note read
 /// pins a [`Snapshot`] from `versions` and never touches the engine mutex;
-/// only deletion stubs, the modified-since index and
+/// only deletion stubs, a pull's candidate entries and
 /// [`Database::stored_note`] are read under it. Lock order is `inner` →
 /// version map.
 pub struct Database {
@@ -332,8 +330,6 @@ impl Database {
         let replica_id = ReplicaId(engine.user_slot(SLOT_LINEAGE)?);
         let purge_interval = engine.user_slot(SLOT_PURGE)?;
         let instance_id = store.replica_id(&mut engine)?;
-        // The seq index tree.
-        domino_storage::BTree::open(&mut engine, &mut tx, TREE_SEQ_INDEX)?;
         engine.commit(tx)?;
 
         let mut inner = DbInner {
@@ -569,7 +565,7 @@ impl Database {
                 }
             };
             let (replaces, old) = match stored {
-                Some(s) => (Some((s.id, s.seq_time)), s.note),
+                Some(s) => (Some(s.id), s.note),
                 None => (None, None),
             };
             let Some(mut record) = decide(&mut g, old.as_ref())? else {
@@ -866,32 +862,11 @@ impl Database {
         Ok(hits)
     }
 
-    /// Everything (notes and stubs) whose sequence time is `>= cutoff`,
-    /// ascending by time — the replication candidate set.
-    pub fn changed_since(&self, cutoff: Timestamp) -> Result<Vec<ChangedNote>> {
-        let mut g = self.inner.lock();
-        let lo = (cutoff.0 as u128) << 32;
-        let mut ids = Vec::new();
-        let seq = domino_storage::BTree::open_existing(&mut g.engine, TREE_SEQ_INDEX)?;
-        seq.scan(&mut g.engine, lo, u128::MAX, |_, v| {
-            ids.push(NoteId(v as u32));
-            true
-        })?;
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            if let Some(entry) = g.changed_entry(id)? {
-                out.push(entry);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Replication-candidate entries for an explicit UNID set (the
-    /// digest-negotiated path): only the named notes/stubs are touched,
-    /// so a negotiated pull costs O(differing) engine reads instead of a
-    /// cutoff scan. Unknown UNIDs are skipped. Entries come back in
-    /// `(seq_time, unid)` order — the same order `changed_since`-based
-    /// cursors batch in.
+    /// Replication-candidate entries for the UNIDs a Merkle diff found
+    /// differing: only the named notes/stubs are touched, so a pull costs
+    /// O(differing) engine reads. Unknown UNIDs are skipped. Entries come
+    /// back in `(seq_time, unid)` order, the order a pull cursor batches
+    /// and resumes in.
     pub fn changed_entries_for(&self, unids: &[Unid]) -> Result<Vec<ChangedNote>> {
         let mut g = self.inner.lock();
         let store = g.store;
@@ -956,13 +931,20 @@ impl Database {
         Ok(out)
     }
 
+    /// The oldest deletion time a stub here may carry: `clock − purge
+    /// interval`. [`Database::purge_stubs`] removes stubs below it, and a
+    /// replicator does not adopt a stub below it for a UNID this replica
+    /// holds no record of.
+    pub fn purge_horizon(&self) -> Timestamp {
+        Timestamp(self.clock.peek().0.saturating_sub(self.purge_interval()))
+    }
+
     /// Remove stubs older than the purge interval. Returns how many were
     /// purged. After a stub is purged, the deletion can no longer
     /// propagate — replicating with a stale replica may resurrect the
     /// document (experiment E8).
     pub fn purge_stubs(&self) -> Result<usize> {
-        let now = self.clock.peek();
-        let horizon = Timestamp(now.0.saturating_sub(self.purge_interval()));
+        let horizon = self.purge_horizon();
         let stubs = self.stubs()?;
         let mut purged = 0;
         for stub in stubs {
@@ -980,8 +962,6 @@ impl Database {
             let mut tx = g.engine.begin()?;
             store.remove(&mut g.engine, &mut tx, stub.id)?;
             store.unbind_unid(&mut g.engine, &mut tx, stub.oid.unid)?;
-            let seq = domino_storage::BTree::open_existing(&mut g.engine, TREE_SEQ_INDEX)?;
-            seq.delete(&mut g.engine, &mut tx, seq_key(stub.oid.seq_time, stub.id))?;
             g.engine.commit(tx)?;
             // The purged UNID leaves the Merkle summary entirely: two
             // replicas that both purged it converge to equal digests.
@@ -1232,10 +1212,6 @@ pub struct CompactStats {
     pub bytes_after: u64,
 }
 
-fn seq_key(ts: Timestamp, id: NoteId) -> u128 {
-    ((ts.0 as u128) << 32) | id.0 as u128
-}
-
 /// Where a mutation finds the record it replaces.
 enum Target {
     /// Nowhere: a draft gets a fresh UNID no other writer can reach.
@@ -1262,8 +1238,6 @@ impl Record {
 /// The record found under a mutation's target, read once per commit.
 struct Stored {
     id: NoteId,
-    /// Sequence time the record is filed under in the seq index.
-    seq_time: Timestamp,
     /// The live note; `None` when the record is a deletion stub.
     note: Option<Note>,
 }
@@ -1275,18 +1249,12 @@ impl DbInner {
             return Ok(None);
         };
         if record_is_stub(&summary) {
-            let stub = DeletionStub::decode(id, &summary)?;
-            return Ok(Some(Stored {
-                id,
-                seq_time: stub.oid.seq_time,
-                note: None,
-            }));
+            return Ok(Some(Stored { id, note: None }));
         }
         let body = self.store.get(&mut self.engine, id, Segment::Body)?;
         let note = Note::decode(id, &summary, body.as_deref())?;
         Ok(Some(Stored {
             id,
-            seq_time: note.oid.seq_time,
             note: Some(note),
         }))
     }
@@ -1317,23 +1285,19 @@ impl DbInner {
         }
     }
 
-    /// Write a note or stub record and move its seq-index entry, in one
-    /// transaction. `replaces` is the id and seq-index time of the record
-    /// being overwritten; without one the record gets a fresh local id
-    /// (any id it arrived with is another replica's) and its UNID is
-    /// bound to it. A stub keeps the binding, so later updates find it.
-    fn write_record(
-        &mut self,
-        record: &mut Record,
-        replaces: Option<(NoteId, Timestamp)>,
-    ) -> Result<NoteId> {
+    /// Write a note or stub record in one transaction. `replaces` is the
+    /// id of the record being overwritten; without one the record gets a
+    /// fresh local id (any id it arrived with is another replica's) and
+    /// its UNID is bound to it. A stub keeps the binding, so later updates
+    /// find it.
+    fn write_record(&mut self, record: &mut Record, replaces: Option<NoteId>) -> Result<NoteId> {
         let mut tx = self.engine.begin()?;
         let result = (|| {
             let id = match replaces {
-                Some((id, _)) => id,
+                Some(id) => id,
                 None => self.store.alloc_note_id(&mut self.engine, &mut tx)?,
             };
-            let oid = record.oid();
+            let unid = record.oid().unid;
             let (summary, body) = match record {
                 Record::Note(note) => {
                     note.id = id;
@@ -1356,21 +1320,9 @@ impl DbInner {
                         .remove_segment(&mut self.engine, &mut tx, id, Segment::Body)?;
                 }
             }
-            let seq = domino_storage::BTree::open_existing(&mut self.engine, TREE_SEQ_INDEX)?;
-            match replaces {
-                Some((_, old_ts)) => {
-                    seq.delete(&mut self.engine, &mut tx, seq_key(old_ts, id))?;
-                }
-                None => self
-                    .store
-                    .bind_unid(&mut self.engine, &mut tx, oid.unid, id)?,
+            if replaces.is_none() {
+                self.store.bind_unid(&mut self.engine, &mut tx, unid, id)?;
             }
-            seq.insert(
-                &mut self.engine,
-                &mut tx,
-                seq_key(oid.seq_time, id),
-                id.0 as u64,
-            )?;
             Ok(id)
         })();
         match result {

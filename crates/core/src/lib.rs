@@ -64,7 +64,7 @@ mod tests {
     use domino_formula::{EvalEnv, Formula};
     use domino_security::{AccessLevel, Acl, AclEntry, Directory};
     use domino_storage::MemDisk;
-    use domino_types::{Clock, ItemFlags, LogicalClock, NoteClass, ReplicaId, Timestamp, Value};
+    use domino_types::{ItemFlags, LogicalClock, NoteClass, ReplicaId, Timestamp, Unid, Value};
     use domino_wal::MemLogStore;
     use std::sync::Arc;
 
@@ -173,24 +173,28 @@ mod tests {
     }
 
     #[test]
-    fn changed_since_tracks_modifications_and_deletions() {
+    fn changed_entries_track_modifications_and_deletions() {
         let db = db();
         let mut a = Note::document("M");
         db.save(&mut a).unwrap();
-        let t1 = db.clock().now();
         let mut b = Note::document("M");
         db.save(&mut b).unwrap();
         a.set("X", Value::Number(1.0));
         db.save(&mut a).unwrap();
         db.delete(b.id).unwrap();
 
-        let all = db.changed_since(Timestamp::ZERO).unwrap();
-        assert_eq!(all.len(), 2);
-        let since = db.changed_since(t1).unwrap();
-        assert_eq!(since.len(), 2, "a (updated) and b (stub) both changed");
-        assert!(since.iter().any(|c| c.is_stub));
-        // Times ascend.
-        assert!(since[0].oid.seq_time <= since[1].oid.seq_time);
+        let entries = db.changed_entries_for(&[a.unid(), b.unid()]).unwrap();
+        assert_eq!(entries.len(), 2, "a (updated) and b (stub) both listed");
+        assert_eq!((entries[0].oid, entries[0].is_stub), (a.oid, false));
+        assert_eq!((entries[1].oid.unid, entries[1].is_stub), (b.unid(), true));
+        assert_eq!(entries[1].oid.seq, 2, "the stub carries the bumped seq");
+        // `(seq_time, unid)` order whatever the request order; unknown
+        // UNIDs are skipped.
+        assert!(entries[0].oid.seq_time < entries[1].oid.seq_time);
+        let asked_backwards = db
+            .changed_entries_for(&[b.unid(), Unid(42), a.unid()])
+            .unwrap();
+        assert_eq!(asked_backwards, entries);
     }
 
     #[test]
@@ -584,16 +588,15 @@ mod compact_tests {
     }
 
     /// Minimal local stand-in to avoid a circular dev-dependency on
-    /// domino-replica: push every changed note across.
+    /// domino-replica: push every note and stub across.
     mod domino_replica_stub {
         use super::*;
         pub fn sync(a: &Database, b: &Database) -> domino_types::Result<()> {
-            for c in a.changed_since(domino_types::Timestamp::ZERO)? {
-                if c.is_stub {
-                    b.apply_remote_deletion(&a.open_stub(c.id)?)?;
-                } else {
-                    b.save_replicated(a.open_note(c.id)?)?;
-                }
+            for id in a.note_ids(None)? {
+                b.save_replicated(a.open_note(id)?)?;
+            }
+            for stub in a.stubs()? {
+                b.apply_remote_deletion(&stub)?;
             }
             Ok(())
         }

@@ -197,13 +197,8 @@ pub struct Network {
     /// Per-link fault accounting.
     faults: HashMap<(usize, usize), LinkFaults>,
     /// Persistent replicators for ad-hoc (unscheduled) passes, so their
-    /// resume cursors survive interrupted rounds. Keyed by link + db;
-    /// full-compare semantics (no history) are preserved.
+    /// resume cursors survive interrupted rounds. Keyed by link + db.
     adhoc: HashMap<(usize, usize, String), Replicator>,
-    /// Options new ad-hoc replicators are built with. Defaults to
-    /// history-off (full compare each round) with digest negotiation on;
-    /// experiments flip negotiation off to measure the baseline.
-    adhoc_options: ReplicationOptions,
 }
 
 impl Network {
@@ -234,19 +229,7 @@ impl Network {
             retry: RetryPolicy::none(),
             faults: HashMap::new(),
             adhoc: HashMap::new(),
-            adhoc_options: ReplicationOptions {
-                use_history: false,
-                ..ReplicationOptions::default()
-            },
         }
-    }
-
-    /// Replace the options used for ad-hoc (unscheduled) replication
-    /// passes, discarding any existing ad-hoc replicators (and their
-    /// parked cursors) so every link restarts under the new options.
-    pub fn set_adhoc_options(&mut self, options: ReplicationOptions) {
-        self.adhoc_options = options;
-        self.adhoc.clear();
     }
 
     /// Number of servers.
@@ -652,8 +635,8 @@ impl Network {
                 continue;
             }
             // Use the scheduled replicator for this link when present so
-            // history accrues; otherwise a persistent full-compare
-            // replicator (no history, but its cursor survives faults).
+            // history accrues; otherwise a persistent ad-hoc replicator
+            // (its cursor survives faults).
             let idx = self
                 .schedules
                 .iter()
@@ -671,13 +654,11 @@ impl Network {
                         .replicator
                         .sync_with_retry(&da, &db_, &mut transport, &policy)
                 }
-                None => {
-                    let options = self.adhoc_options.clone();
-                    self.adhoc
-                        .entry((a, b, db.to_string()))
-                        .or_insert_with(|| Replicator::new(options))
-                        .sync_with_retry(&da, &db_, &mut transport, &policy)
-                }
+                None => self
+                    .adhoc
+                    .entry((a, b, db.to_string()))
+                    .or_insert_with(|| Replicator::new(ReplicationOptions::default()))
+                    .sync_with_retry(&da, &db_, &mut transport, &policy),
             };
             let Some((ra, rb)) = self.settle_pass(a, b, transport.dropped, result)? else {
                 continue;

@@ -1,38 +1,39 @@
-//! Replication history: the per-peer incremental cutoff.
+//! Replication history: when each pair last completed a pass.
 //!
 //! After each successful pull the replicator records the source's clock
-//! reading from the *start* of that pull. The next pull examines only
-//! notes whose sequence time is at or after that cutoff — this is what
-//! makes replication cost proportional to change volume, not database
-//! size (measured in E6).
+//! reading from the *start* of that pull. Candidates do not depend on it
+//! (a pull finds them by Merkle diff); it answers the administrator's
+//! question behind [`Replicator::purge_safety`](crate::Replicator::purge_safety):
+//! has every peer replicated recently enough that purging deletion stubs
+//! cannot resurrect a document (E8)?
 //!
 //! History lives with the replicator instance (a substitution from
-//! Domino, which persists it in the database header; see DESIGN.md §2 —
-//! the incremental behaviour being measured is identical). Clearing the
-//! history forces a full compare, exactly like Domino's
-//! "clear replication history" recovery action.
+//! Domino, which persists it in the database header; see DESIGN.md §2).
+//! Clearing it, like Domino's "clear replication history", costs nothing
+//! but the purge-safety evidence.
 
 use std::collections::HashMap;
 
 use domino_types::{ReplicaId, Timestamp};
 
-/// Cutoffs per `(destination instance, source instance)` pair. One
-/// replicator may serve many replica pairs; each direction of each pair
-/// keeps its own cutoff (as each Domino server does per database pair).
+/// Last completed pass per `(destination instance, source instance)`
+/// pair. One replicator may serve many replica pairs; each direction of
+/// each pair keeps its own entry (as each Domino server does per database
+/// pair).
 #[derive(Debug, Clone, Default)]
 pub struct ReplicationHistory {
     last_pull: HashMap<(ReplicaId, ReplicaId), Timestamp>,
 }
 
 impl ReplicationHistory {
-    /// An empty history: every pair starts with a full compare.
+    /// An empty history: no pair has completed a pass.
     pub fn new() -> ReplicationHistory {
         ReplicationHistory::default()
     }
 
-    /// Cutoff for `dst` pulling from `src` (ZERO = never synced → full
-    /// compare).
-    pub fn cutoff(&self, dst: ReplicaId, src: ReplicaId) -> Timestamp {
+    /// Start of the last completed pull into `dst` from `src` (ZERO =
+    /// never synced).
+    pub fn last_pass(&self, dst: ReplicaId, src: ReplicaId) -> Timestamp {
         self.last_pull
             .get(&(dst, src))
             .copied()
@@ -48,7 +49,7 @@ impl ReplicationHistory {
         }
     }
 
-    /// Forget everything (force full compares).
+    /// Forget everything.
     pub fn clear(&mut self) {
         self.last_pull.clear();
     }
@@ -67,9 +68,8 @@ impl ReplicationHistory {
         self.last_pull.is_empty()
     }
 
-    /// Drop every cutoff involving `instance` (as destination or source).
-    /// The next pull touching that instance starts with a full compare —
-    /// safe, exactly like clearing history, but scoped to one peer.
+    /// Drop every entry involving `instance` (as destination or source),
+    /// exactly like clearing history but scoped to one peer.
     pub fn forget(&mut self, instance: ReplicaId) {
         self.last_pull
             .retain(|(dst, src), _| *dst != instance && *src != instance);
@@ -88,31 +88,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unknown_pair_has_zero_cutoff() {
+    fn unknown_pair_has_zero_last_pass() {
         let h = ReplicationHistory::new();
-        assert_eq!(h.cutoff(ReplicaId(9), ReplicaId(8)), Timestamp::ZERO);
+        assert_eq!(h.last_pass(ReplicaId(9), ReplicaId(8)), Timestamp::ZERO);
     }
 
     #[test]
     fn record_advances_monotonically() {
         let mut h = ReplicationHistory::new();
         h.record(ReplicaId(1), ReplicaId(2), Timestamp(100));
-        assert_eq!(h.cutoff(ReplicaId(1), ReplicaId(2)), Timestamp(100));
+        assert_eq!(h.last_pass(ReplicaId(1), ReplicaId(2)), Timestamp(100));
         h.record(ReplicaId(1), ReplicaId(2), Timestamp(50));
         assert_eq!(
-            h.cutoff(ReplicaId(1), ReplicaId(2)),
+            h.last_pass(ReplicaId(1), ReplicaId(2)),
             Timestamp(100),
             "never regresses"
         );
         h.record(ReplicaId(1), ReplicaId(2), Timestamp(200));
-        assert_eq!(h.cutoff(ReplicaId(1), ReplicaId(2)), Timestamp(200));
+        assert_eq!(h.last_pass(ReplicaId(1), ReplicaId(2)), Timestamp(200));
     }
 
     #[test]
     fn directions_are_independent() {
         let mut h = ReplicationHistory::new();
         h.record(ReplicaId(1), ReplicaId(2), Timestamp(100));
-        assert_eq!(h.cutoff(ReplicaId(2), ReplicaId(1)), Timestamp::ZERO);
+        assert_eq!(h.last_pass(ReplicaId(2), ReplicaId(1)), Timestamp::ZERO);
     }
 
     #[test]
@@ -120,7 +120,7 @@ mod tests {
         let mut h = ReplicationHistory::new();
         h.record(ReplicaId(1), ReplicaId(9), Timestamp(100));
         assert_eq!(
-            h.cutoff(ReplicaId(2), ReplicaId(9)),
+            h.last_pass(ReplicaId(2), ReplicaId(9)),
             Timestamp::ZERO,
             "a second destination pulling from the same source starts fresh"
         );
@@ -136,9 +136,9 @@ mod tests {
         assert!(!h.is_empty());
         h.forget(ReplicaId(2));
         assert_eq!(h.len(), 1, "both directions involving 2 dropped");
-        assert_eq!(h.cutoff(ReplicaId(1), ReplicaId(3)), Timestamp(100));
-        assert_eq!(h.cutoff(ReplicaId(1), ReplicaId(2)), Timestamp::ZERO);
-        assert_eq!(h.cutoff(ReplicaId(2), ReplicaId(1)), Timestamp::ZERO);
+        assert_eq!(h.last_pass(ReplicaId(1), ReplicaId(3)), Timestamp(100));
+        assert_eq!(h.last_pass(ReplicaId(1), ReplicaId(2)), Timestamp::ZERO);
+        assert_eq!(h.last_pass(ReplicaId(2), ReplicaId(1)), Timestamp::ZERO);
     }
 
     #[test]
@@ -148,7 +148,7 @@ mod tests {
         h.record(ReplicaId(2), ReplicaId(1), Timestamp(100));
         assert_eq!(h.pairs().len(), 2);
         h.clear();
-        assert_eq!(h.cutoff(ReplicaId(1), ReplicaId(2)), Timestamp::ZERO);
+        assert_eq!(h.last_pass(ReplicaId(1), ReplicaId(2)), Timestamp::ZERO);
         assert!(h.pairs().is_empty());
     }
 }

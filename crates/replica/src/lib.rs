@@ -1,10 +1,10 @@
 //! Multi-master replication — the defining Notes capability.
 //!
 //! Replication is *pairwise and pull-based*: a replicator pulls changes
-//! from a source database into a destination, using a per-peer
-//! [`history`] cutoff so only notes modified since the last successful
-//! sync are examined. Updates ship either whole documents (R3 style) or
-//! only changed fields (R4 style); concurrent edits are never merged
+//! from a source database into a destination, diffing the two replicas'
+//! Merkle summaries so only notes whose heads differ are examined.
+//! Updates ship either whole documents (R3 style) or only changed fields
+//! (R4 style); concurrent edits are never merged
 //! silently — the loser becomes a `$Conflict` *response document* of the
 //! winner, deterministically on both sides so conflict documents
 //! themselves converge. Deletions travel as stubs; purge-interval
@@ -15,9 +15,9 @@
 //!
 //! Replication survives unreliable networks: passes stream candidates in
 //! bounded batches through a [`Transport`], an interrupted pull keeps a
-//! resumable cursor (the history cutoff never advances past what was
-//! durably applied), and [`Replicator::pull_with_retry`] rides out
-//! transient faults with bounded exponential backoff:
+//! resumable cursor (its negotiated candidate set and the position of the
+//! last durably applied candidate), and [`Replicator::pull_with_retry`]
+//! rides out transient faults with bounded exponential backoff:
 //!
 //! ```
 //! use std::sync::Arc;

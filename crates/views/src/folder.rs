@@ -283,8 +283,8 @@ mod tests {
         let folder = Folder::create(&a, "Shared").unwrap();
         let d = doc(&a, "in folder");
         folder.add(d.unid()).unwrap();
-        for c in a.changed_since(domino_types::Timestamp::ZERO).unwrap() {
-            b.save_replicated(a.open_note(c.id).unwrap()).unwrap();
+        for id in a.note_ids(None).unwrap() {
+            b.save_replicated(a.open_note(id).unwrap()).unwrap();
         }
         let remote = Folder::open(&b, "Shared").unwrap();
         assert_eq!(remote.members().unwrap(), vec![d.unid()]);

@@ -259,3 +259,22 @@ fn one_revision_history_read_in_one_module() {
         .collect();
     assert_eq!(history, ["$RevisionHashes"]);
 }
+
+#[test]
+fn one_candidate_enumeration() {
+    let files = sources();
+    let retired = [
+        "changed_since",
+        "TREE_SEQ_INDEX",
+        "seq_key",
+        "use_history",
+        "set_adhoc_options",
+        "negotiate:",
+    ];
+    assert_none(
+        "a pull finds its candidates by Merkle diff alone; no cutoff scan or modified-since index",
+        offending(files.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            retired.iter().any(|r| l.contains(r))
+        }),
+    );
+}

@@ -47,28 +47,48 @@ fn selective_filter_does_not_block_deletions() {
     );
 }
 
-/// Purged stubs disappear from changed_since, so they stop being
-/// replication candidates entirely.
+/// A purged stub leaves the Merkle summary, so it stops being a
+/// replication candidate entirely — and a peer that has not purged it yet
+/// does not hand it back.
 #[test]
 fn purge_removes_stubs_from_change_feed() {
     let clock = LogicalClock::new();
-    let db = Arc::new(
-        Database::open_in_memory(
-            DbConfig::new("p", ReplicaId(1), ReplicaId(1)).with_purge_interval(100),
-            clock.clone(),
+    let open = |instance| {
+        Arc::new(
+            Database::open_in_memory(
+                DbConfig::new("p", ReplicaId(1), ReplicaId(instance)).with_purge_interval(100),
+                clock.clone(),
+            )
+            .unwrap(),
         )
-        .unwrap(),
-    );
+    };
+    let (db, peer) = (open(1), open(2));
     let mut n = Note::document("M");
     db.save(&mut n).unwrap();
     db.delete(n.id).unwrap();
-    assert_eq!(db.changed_since(Timestamp::ZERO).unwrap().len(), 1);
+    assert_eq!(db.merkle_len(), 1);
+    let stub_head = db.head_hash(n.unid()).expect("the stub is summarised");
+    let mut repl = Replicator::new(ReplicationOptions::default());
+    repl.sync(&db, &peer).unwrap();
+    assert_eq!(peer.head_hash(n.unid()), Some(stub_head));
+
     clock.advance(10_000);
     assert_eq!(db.purge_stubs().unwrap(), 1);
-    assert_eq!(db.changed_since(Timestamp::ZERO).unwrap().len(), 0);
+    assert_eq!(db.merkle_len(), 0);
+    assert_eq!(db.head_hash(n.unid()), None);
     assert!(db.stubs().unwrap().is_empty());
     // The UNID is fully forgotten: re-creating is a fresh document.
     assert_eq!(db.id_of_unid(n.unid()).unwrap(), None);
+
+    // The peer still holds the stub, older than this replica's purge
+    // horizon: the next sync must not re-create it here.
+    let (into_db, _) = repl.sync(&db, &peer).unwrap();
+    assert_eq!(into_db.deletions, 0, "{into_db:?}");
+    assert!(db.stubs().unwrap().is_empty());
+    assert_eq!(db.head_hash(n.unid()), None);
+    // Once the peer purges too, the pair is converged again.
+    assert_eq!(peer.purge_stubs().unwrap(), 1);
+    assert_eq!(db.merkle_root(), peer.merkle_root());
 }
 
 /// A Depositor can put documents in but read nothing back — the drop-box

@@ -2,14 +2,16 @@
 //! lives in one NSF file (plus a `.txn` log sibling) and survives
 //! process-style close/reopen and crash/reopen cycles. Also the file
 //! lifecycle: byte-identical reads across reopen, header-corruption
-//! rejection (NSF and log), and tempfile cleanup on drop.
+//! rejection (NSF and log), tempfile cleanup on drop, and stores written
+//! by earlier builds.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use domino::core::{Database, DbConfig, Note};
-use domino::storage::{Disk, NsfFile, PageBuf};
-use domino::types::{DominoError, LogicalClock, ReplicaId, Value};
+use domino::replica::replicate;
+use domino::storage::{BTree, Disk, Engine, EngineConfig, NsfFile, PageBuf, PageId};
+use domino::types::{DominoError, LogicalClock, NoteClass, ReplicaId, Timestamp, Value};
 use domino::wal::store::LOG_HEADER_LEN;
 use domino::wal::{FileLogStore, LogRecord, TxId};
 
@@ -279,4 +281,142 @@ fn temp_store_cleaned_up_on_drop() {
         "scratch NSF removed when the handle dropped"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The engine under a closed store at `path`, opened directly.
+fn open_engine(path: &Path) -> Engine {
+    Engine::open(
+        Box::new(NsfFile::open(path).unwrap()),
+        Some(Box::new(
+            FileLogStore::open(&path.with_extension("txn")).unwrap(),
+        )),
+        EngineConfig::default(),
+    )
+    .unwrap()
+}
+
+/// Every document (UNID, OID and items) and every stub, sorted.
+fn content(db: &Database) -> Vec<String> {
+    let mut out: Vec<String> = db
+        .note_ids(Some(NoteClass::Document))
+        .unwrap()
+        .into_iter()
+        .map(|id| {
+            let n = db.open_note(id).unwrap();
+            format!("doc {:?} {:?}", n.oid, n.items_raw())
+        })
+        .chain(
+            db.stubs()
+                .unwrap()
+                .into_iter()
+                .map(|s| format!("stub {:?}", s.oid)),
+        )
+        .collect();
+    out.sort();
+    out
+}
+
+/// Stores written by earlier builds keep a modified-time index in tree
+/// slot 2 (key `(seq_time << 32) | note_id`, value the note id). Nothing
+/// reads or writes it now: such a store opens, saves, replicates,
+/// checkpoints, shuts down and reopens with identical content, the old
+/// tree stays exactly as it was, and a compacted copy leaves the slot
+/// empty.
+#[test]
+fn a_store_with_a_populated_slot_2_tree_still_opens() {
+    const OLD_SLOT: usize = 2;
+    let dir = temp_dir("slot2");
+    let path = dir.join("data.nsf");
+    let clock = LogicalClock::new();
+    {
+        let db = open_file_db(&dir, clock.clone());
+        for i in 0..40 {
+            let mut n = Note::document("Memo");
+            n.set("Subject", Value::text(format!("memo {i}")));
+            n.set_body("Body", Value::RichText(vec![i as u8; 3000]));
+            db.save(&mut n).unwrap();
+        }
+        db.shutdown().unwrap();
+    }
+    // Write the old index the way earlier builds did, through the engine.
+    {
+        let mut engine = open_engine(&path);
+        let mut tx = engine.begin().unwrap();
+        let tree = BTree::open(&mut engine, &mut tx, OLD_SLOT).unwrap();
+        for i in 0..400u128 {
+            tree.insert(
+                &mut engine,
+                &mut tx,
+                ((1000 + i) << 32) | (i + 1),
+                i as u64 + 1,
+            )
+            .unwrap();
+        }
+        engine.commit(tx).unwrap();
+        engine.shutdown().unwrap();
+    }
+    let old_tree = |path: &Path| -> (PageId, Vec<(u128, u64)>) {
+        let mut engine = open_engine(path);
+        let root = engine.tree_root(OLD_SLOT).unwrap();
+        let mut entries = Vec::new();
+        if root != 0 {
+            BTree::open_existing(&mut engine, OLD_SLOT)
+                .unwrap()
+                .scan(&mut engine, 0, u128::MAX, |k, v| {
+                    entries.push((k, v));
+                    true
+                })
+                .unwrap();
+        }
+        engine.shutdown().unwrap();
+        (root, entries)
+    };
+    let before = old_tree(&path);
+    assert_eq!(before.1.len(), 400, "a multi-page tree");
+
+    let expected = {
+        let db = open_file_db(&dir, clock.clone());
+        assert_eq!(db.document_count().unwrap(), 40);
+        let ids = db.note_ids(Some(NoteClass::Document)).unwrap();
+        let mut edit = db.open_note(ids[0]).unwrap();
+        edit.set("Subject", Value::text("edited"));
+        db.save(&mut edit).unwrap();
+        db.delete(ids[1]).unwrap();
+        db.save(&mut Note::document("Memo")).unwrap();
+        let peer = Database::open_in_memory(
+            DbConfig::new("FileDb", ReplicaId(1), ReplicaId(10)),
+            LogicalClock::starting_at(Timestamp(500)),
+        )
+        .unwrap();
+        peer.save(&mut Note::document("From peer")).unwrap();
+        replicate(&db, &peer).unwrap();
+        assert_eq!(db.merkle_root(), peer.merkle_root());
+        assert_eq!(content(&db), content(&peer));
+        assert_eq!(db.document_count().unwrap(), 41);
+        db.checkpoint().unwrap();
+        let expected = content(&db);
+        db.shutdown().unwrap();
+        expected
+    };
+    let db = open_file_db(&dir, clock);
+    assert_eq!(content(&db), expected);
+
+    let dir2 = temp_dir("slot2-compact");
+    let (fresh, _) = db
+        .compact_into(
+            Box::new(NsfFile::open(&dir2.join("data.nsf")).unwrap()),
+            Some(Box::new(
+                FileLogStore::open(&dir2.join("data.txn")).unwrap(),
+            )),
+        )
+        .unwrap();
+    assert_eq!(content(&fresh), expected);
+    fresh.shutdown().unwrap();
+    drop(fresh);
+    db.shutdown().unwrap();
+    drop(db);
+    assert_eq!(old_tree(&path), before, "slot 2 left as it was");
+    assert_eq!(old_tree(&dir2.join("data.nsf")), (0, Vec::new()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir2);
 }

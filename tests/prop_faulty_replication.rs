@@ -1,8 +1,8 @@
 //! Property tests for replication over an unreliable transport: a pull
-//! interrupted at any batch boundary and then resumed must produce a
-//! database byte-identical to an uninterrupted pull (whether the pass is
-//! digest-negotiated or a full enumeration), revision hashes must be
-//! deterministic across replicas that apply the same edit schedule, and
+//! interrupted at any message (negotiation rounds and batches alike) and
+//! then resumed must leave the destination byte-identical to the source
+//! and to an uninterrupted pull, revision hashes must be deterministic
+//! across replicas that apply the same edit schedule, and
 //! retry-with-backoff must converge through a lossy link that defeats
 //! the zero-retry policy within the same budget.
 //!
@@ -84,31 +84,57 @@ fn populate(src: &Database, docs: usize, deletes: usize) {
     }
 }
 
+/// After the destinations converged: `creates` new documents, `edits`
+/// updates and `deletes` deletions of corpus documents on the source, so
+/// the next pull's candidates mix adds, updates and stubs.
+fn churn(src: &Database, creates: usize, edits: usize, deletes: usize) {
+    let ids = src.note_ids(Some(NoteClass::Document)).unwrap();
+    for i in 0..creates {
+        let mut n = Note::document("Memo");
+        n.set("Subject", Value::text(format!("late {i}")));
+        src.save(&mut n).unwrap();
+    }
+    for (k, id) in ids.iter().take(edits).enumerate() {
+        let mut n = src.open_note(*id).unwrap();
+        n.set("Body", Value::text(format!("churned {k}")));
+        src.save(&mut n).unwrap();
+    }
+    for id in ids.iter().rev().take(deletes) {
+        src.delete(*id).unwrap();
+    }
+}
+
 /// The shared interrupt/resume harness, transport-agnostic.
 ///
-/// Pulls `src` into a fresh destination over `faulty` (any transport
-/// that fails deliveries with transient `Unavailable` errors), resuming
-/// the parked cursor until the pass completes, then compares the result
-/// byte-for-byte against an uninterrupted [`CleanTransport`] pull (whose
-/// pass negotiates iff `clean_negotiate`). Panics on any divergence, so
-/// proptest shrinks the failing case whichever transport produced it.
+/// Two destinations first converge on the source's corpus
+/// (`(docs, deletes)`); the source then churns (`(creates, edits,
+/// deletes)`). One destination pulls over `faulty` (any transport that
+/// fails deliveries with transient `Unavailable` errors), resuming the
+/// parked cursor until the pass completes; the other pulls over a
+/// [`CleanTransport`]. The source is the model: both dumps must equal
+/// its own. Panics on any divergence, so proptest shrinks the failing
+/// case whichever transport produced it.
 fn check_interrupted_resume(
-    docs: usize,
-    deletes: usize,
+    corpus: (usize, usize),
+    changes: (usize, usize, usize),
     batch: usize,
-    negotiate: bool,
-    clean_negotiate: bool,
     faulty_transport: &mut dyn Transport,
 ) {
     let src = make_db(1, 0);
-    populate(&src, docs, deletes.min(docs));
+    populate(&src, corpus.0, corpus.1.min(corpus.0));
+    let converged = |instance, skew| {
+        let dst = make_db(instance, skew);
+        let mut r = Replicator::new(ReplicationOptions {
+            batch,
+            ..ReplicationOptions::default()
+        });
+        r.pull(&dst, &src).unwrap();
+        (dst, r)
+    };
+    let (faulty_dst, mut faulty) = converged(2, 100);
+    let (clean_dst, mut clean) = converged(3, 200);
+    churn(&src, changes.0, changes.1, changes.2);
 
-    let faulty_dst = make_db(2, 100);
-    let mut faulty = Replicator::new(ReplicationOptions {
-        batch,
-        negotiate,
-        ..ReplicationOptions::default()
-    });
     let mut guard = 0;
     while faulty
         .pull_via(&faulty_dst, &src, faulty_transport)
@@ -118,50 +144,31 @@ fn check_interrupted_resume(
         assert!(guard <= 64, "pull never completed");
     }
     assert!(!faulty.has_pending(), "cursor must clear on completion");
-
-    let clean_dst = make_db(3, 200);
-    let mut clean = Replicator::new(ReplicationOptions {
-        batch,
-        negotiate: clean_negotiate,
-        ..ReplicationOptions::default()
-    });
     clean
         .pull_via(&clean_dst, &src, &mut CleanTransport)
         .unwrap();
 
-    assert_eq!(dump(&faulty_dst), dump(&clean_dst));
+    let model = dump(&src);
+    assert_eq!(dump(&faulty_dst), model);
+    assert_eq!(dump(&clean_dst), model);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
 
-    /// Interrupt a pull at arbitrary message indices (i.e. any batch
-    /// boundary), resume until it completes, and the destination is
-    /// byte-identical to one filled by an uninterrupted pull.
+    /// Interrupt a pull at arbitrary message indices (negotiation rounds
+    /// and batch boundaries), resume until it completes, and the
+    /// destination is byte-identical to the source and to one filled by
+    /// an uninterrupted pull.
     #[test]
     fn interrupted_resume_is_byte_identical(
-        docs in 1..40usize,
-        deletes in 0..5usize,
-        batch in 1..9usize,
-        fail_at in prop::collection::vec(0..30u64, 0..8),
-    ) {
-        let mut transport = ScriptedTransport::failing_at(fail_at);
-        check_interrupted_resume(docs, deletes, batch, false, false, &mut transport);
-    }
-
-    /// A digest-negotiated pull interrupted at arbitrary message indices
-    /// (negotiation rounds included) and resumed until complete lands the
-    /// same bytes as an uninterrupted full-enumeration pull — the Merkle
-    /// diff may *skip* converged notes but must never change what ships.
-    #[test]
-    fn negotiated_interrupted_matches_full_enumeration(
-        docs in 1..40usize,
-        deletes in 0..5usize,
+        corpus in (1..40usize, 0..5usize),
+        changes in (0..8usize, 0..8usize, 0..4usize),
         batch in 1..9usize,
         fail_at in prop::collection::vec(0..40u64, 0..8),
     ) {
         let mut transport = ScriptedTransport::failing_at(fail_at);
-        check_interrupted_resume(docs, deletes, batch, true, false, &mut transport);
+        check_interrupted_resume(corpus, changes, batch, &mut transport);
     }
 
     /// Two replicas with the same instance identity that apply an
@@ -210,28 +217,15 @@ proptest! {
 
     #[test]
     fn interrupted_resume_is_byte_identical_over_sockets(
-        docs in 1..40usize,
-        deletes in 0..5usize,
-        batch in 1..9usize,
-        fail_at in prop::collection::vec(0..30u64, 0..8),
-    ) {
-        let listener = ReplicaListener::bind("127.0.0.1:0").unwrap();
-        listener.fail_deliveries(fail_at);
-        let mut transport = SocketTransport::connect(&listener.addr());
-        check_interrupted_resume(docs, deletes, batch, false, false, &mut transport);
-    }
-
-    #[test]
-    fn negotiated_interrupted_matches_full_enumeration_over_sockets(
-        docs in 1..40usize,
-        deletes in 0..5usize,
+        corpus in (1..40usize, 0..5usize),
+        changes in (0..8usize, 0..8usize, 0..4usize),
         batch in 1..9usize,
         fail_at in prop::collection::vec(0..40u64, 0..8),
     ) {
         let listener = ReplicaListener::bind("127.0.0.1:0").unwrap();
         listener.fail_deliveries(fail_at);
         let mut transport = SocketTransport::connect(&listener.addr());
-        check_interrupted_resume(docs, deletes, batch, true, false, &mut transport);
+        check_interrupted_resume(corpus, changes, batch, &mut transport);
     }
 }
 
