@@ -549,7 +549,7 @@ impl Database {
                     g
                 }
             };
-            let stored = match target {
+            let mut stored = match target {
                 Target::New => None,
                 Target::Id(id) => g.stored(id)?,
                 Target::Unid(unid) => {
@@ -564,10 +564,7 @@ impl Database {
                     }
                 }
             };
-            let (replaces, old) = match stored {
-                Some(s) => (Some(s.id), s.note),
-                None => (None, None),
-            };
+            let old = stored.as_mut().and_then(|s| s.note.take());
             let Some(mut record) = decide(&mut g, old.as_ref())? else {
                 return Ok(None);
             };
@@ -578,7 +575,7 @@ impl Database {
                 self.versions.backfill(o.unid(), o);
             }
             let unid = record.oid().unid;
-            let id = g.write_record(&mut record, replaces)?;
+            let id = g.write_record(&mut record, stored.as_ref())?;
             let (head, event) = match record {
                 Record::Note(new) => {
                     self.versions.publish(unid, id, Some(Arc::new(new.clone())));
@@ -1240,6 +1237,10 @@ struct Stored {
     id: NoteId,
     /// The live note; `None` when the record is a deletion stub.
     note: Option<Note>,
+    /// The segment bytes as read, so `write_record` re-puts only what
+    /// changed. `body` is `None` when there is no body segment.
+    summary: Vec<u8>,
+    body: Option<Vec<u8>>,
 }
 
 impl DbInner {
@@ -1249,13 +1250,20 @@ impl DbInner {
             return Ok(None);
         };
         if record_is_stub(&summary) {
-            return Ok(Some(Stored { id, note: None }));
+            return Ok(Some(Stored {
+                id,
+                note: None,
+                summary,
+                body: None,
+            }));
         }
         let body = self.store.get(&mut self.engine, id, Segment::Body)?;
         let note = Note::decode(id, &summary, body.as_deref())?;
         Ok(Some(Stored {
             id,
             note: Some(note),
+            summary,
+            body,
         }))
     }
 
@@ -1286,17 +1294,19 @@ impl DbInner {
     }
 
     /// Write a note or stub record in one transaction. `replaces` is the
-    /// id of the record being overwritten; without one the record gets a
-    /// fresh local id (any id it arrived with is another replica's) and
-    /// its UNID is bound to it. A stub keeps the binding, so later updates
-    /// find it.
-    fn write_record(&mut self, record: &mut Record, replaces: Option<NoteId>) -> Result<NoteId> {
+    /// record being overwritten; without one the record gets a fresh local
+    /// id (any id it arrived with is another replica's) and its UNID is
+    /// bound to it. A stub keeps the binding, so later updates find it. A
+    /// segment whose new encoding equals its stored bytes is left alone:
+    /// it keeps its `RecordPtr` and logs nothing.
+    fn write_record(&mut self, record: &mut Record, replaces: Option<&Stored>) -> Result<NoteId> {
         let mut tx = self.engine.begin()?;
         let result = (|| {
             let id = match replaces {
-                Some(id) => id,
+                Some(s) => s.id,
                 None => self.store.alloc_note_id(&mut self.engine, &mut tx)?,
             };
+            let prior_body = replaces.and_then(|s| s.body.as_deref());
             let unid = record.oid().unid;
             let (summary, body) = match record {
                 Record::Note(note) => {
@@ -1308,17 +1318,20 @@ impl DbInner {
                     (stub.encode(), None)
                 }
             };
-            self.store
-                .put(&mut self.engine, &mut tx, id, Segment::Summary, &summary)?;
+            if replaces.map(|s| s.summary.as_slice()) != Some(summary.as_slice()) {
+                self.store
+                    .put(&mut self.engine, &mut tx, id, Segment::Summary, &summary)?;
+            }
             match body {
-                Some(body) => {
+                Some(body) if prior_body != Some(body.as_slice()) => {
                     self.store
                         .put(&mut self.engine, &mut tx, id, Segment::Body, &body)?
                 }
-                None => {
+                None if prior_body.is_some() => {
                     self.store
                         .remove_segment(&mut self.engine, &mut tx, id, Segment::Body)?;
                 }
+                _ => {}
             }
             if replaces.is_none() {
                 self.store.bind_unid(&mut self.engine, &mut tx, unid, id)?;

@@ -278,3 +278,30 @@ fn one_candidate_enumeration() {
         }),
     );
 }
+
+#[test]
+fn one_write_path_into_the_note_store() {
+    // `DbInner::write_record` re-puts a segment only when its bytes
+    // changed; a second caller of `put` or `remove_segment` in core would
+    // bypass that check. Purge's `NoteStore::remove` drops whole records.
+    let writes = |l: &str| l.contains(".put(&mut") || l.contains("remove_segment(");
+    let mut outside = Vec::new();
+    for (f, t) in sources()
+        .iter()
+        .filter(|(f, _)| f.starts_with("crates/core/src/"))
+    {
+        // The lines of `fn write_record`, if this file has it.
+        let allowed = t.find("    fn write_record(").map(|start| {
+            let body = &t[start..start + t[start..].find("\n    }\n").unwrap()];
+            assert!(body.contains(".put(&mut") && body.contains("remove_segment("));
+            let first = t[..start].lines().count();
+            first..first + body.lines().count()
+        });
+        for (i, line) in t.lines().enumerate() {
+            if writes(line) && !allowed.as_ref().is_some_and(|r| r.contains(&i)) {
+                outside.push(format!("{f}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    assert_none("`NoteStore` segment writes outside `write_record`", outside);
+}

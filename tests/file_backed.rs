@@ -6,12 +6,17 @@
 //! by earlier builds.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use domino::core::{Database, DbConfig, Note};
+use domino::obs;
 use domino::replica::replicate;
-use domino::storage::{BTree, Disk, Engine, EngineConfig, NsfFile, PageBuf, PageId};
-use domino::types::{DominoError, LogicalClock, NoteClass, ReplicaId, Timestamp, Value};
+use domino::storage::{
+    BTree, Disk, Engine, EngineConfig, Heap, NsfFile, PageBuf, PageId, RecordPtr,
+};
+use domino::types::{
+    Clock, DominoError, LogicalClock, NoteClass, NoteId, ReplicaId, Timestamp, Value,
+};
 use domino::wal::store::LOG_HEADER_LEN;
 use domino::wal::{FileLogStore, LogRecord, TxId};
 
@@ -20,6 +25,13 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Held by every test here that writes a log, so that one test can read
+/// its own save's share of the process-wide `Log.BytesAppended` counter.
+fn log_writer() -> MutexGuard<'static, ()> {
+    static LOG: Mutex<()> = Mutex::new(());
+    LOG.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn open_file_db(dir: &Path, clock: LogicalClock) -> Arc<Database> {
@@ -35,6 +47,7 @@ fn open_file_db(dir: &Path, clock: LogicalClock) -> Arc<Database> {
 
 #[test]
 fn clean_shutdown_and_reopen() {
+    let _log = log_writer();
     let dir = temp_dir("clean");
     let clock = LogicalClock::new();
     let unid = {
@@ -56,6 +69,7 @@ fn clean_shutdown_and_reopen() {
 
 #[test]
 fn dirty_close_recovers_from_file_log() {
+    let _log = log_writer();
     let dir = temp_dir("dirty");
     let clock = LogicalClock::new();
     let unids: Vec<_> = {
@@ -86,6 +100,7 @@ fn dirty_close_recovers_from_file_log() {
 
 #[test]
 fn file_compact_shrinks_store() {
+    let _log = log_writer();
     let dir = temp_dir("compact");
     let clock = LogicalClock::new();
     let db = open_file_db(&dir, clock.clone());
@@ -129,6 +144,7 @@ fn file_compact_shrinks_store() {
 
 #[test]
 fn file_interleaved_churn_leaves_little_to_compact() {
+    let _log = log_writer();
     // Each save is followed by its delete, so the next save takes the
     // pages just freed: the source does not bloat under churn, and a copy
     // has little to win back.
@@ -201,6 +217,7 @@ fn reopen_round_trip_reads_identical_bytes() {
 
 #[test]
 fn corrupted_header_rejected_at_open() {
+    let _log = log_writer();
     let dir = temp_dir("badheader");
     let path = dir.join("data.nsf");
     let clock = LogicalClock::new();
@@ -228,6 +245,7 @@ fn corrupted_header_rejected_at_open() {
 /// the ones the pages carry and lose the next session's writes.
 #[test]
 fn corrupt_log_is_refused_not_read_as_base_zero() {
+    let _log = log_writer();
     let dir = temp_dir("badlog");
     let path = dir.join("data.nsf");
     let txn = dir.join("data.txn");
@@ -324,6 +342,7 @@ fn content(db: &Database) -> Vec<String> {
 /// empty.
 #[test]
 fn a_store_with_a_populated_slot_2_tree_still_opens() {
+    let _log = log_writer();
     const OLD_SLOT: usize = 2;
     let dir = temp_dir("slot2");
     let path = dir.join("data.nsf");
@@ -419,4 +438,111 @@ fn a_store_with_a_populated_slot_2_tree_still_opens() {
     assert_eq!(old_tree(&dir2.join("data.nsf")), (0, Vec::new()));
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir2);
+}
+
+/// A closed store's body segment for note `id`, read through the engine:
+/// its record pointer, its bytes and the heap pages it spans (the set
+/// `NoteStore::pages_touched` counts). `None` when the note has no body.
+fn body_segment(path: &Path, id: NoteId) -> Option<(u64, Vec<u8>, Vec<PageId>)> {
+    const TREE_RECORDS: usize = 0;
+    let mut engine = open_engine(path);
+    let records = BTree::open_existing(&mut engine, TREE_RECORDS).unwrap();
+    let segment = records
+        .get(&mut engine, ((id.0 as u128) << 1) | 1)
+        .unwrap()
+        .map(|raw| {
+            let ptr = RecordPtr::from_u64(raw);
+            let bytes = Heap.read(&mut engine, ptr).unwrap();
+            (raw, bytes, Heap.pages_of(&mut engine, ptr).unwrap())
+        });
+    engine.shutdown().unwrap();
+    segment
+}
+
+/// A save writes only the segments whose bytes changed. A `Subject` edit
+/// of a note with an 8 KiB rich-text body logs under 1 KiB and leaves the
+/// body where it was, byte for byte; editing or removing the body, and
+/// re-creating the note over its stub, still write it. Every step reads
+/// back identically after close and reopen.
+#[test]
+fn a_summary_edit_leaves_the_body_segment_alone() {
+    let _log = log_writer();
+    let dir = temp_dir("segments");
+    let path = dir.join("data.nsf");
+    let clock = LogicalClock::new();
+    let body = Value::RichText((0..8192u32).map(|i| (i % 251) as u8).collect());
+    // Run `step` on the reopened database, then close it and check that
+    // a second reopen reads every note back as the first left it.
+    let step = |f: &dyn Fn(&Database)| {
+        let db = open_file_db(&dir, clock.clone());
+        f(&db);
+        let expected = content(&db);
+        db.shutdown().unwrap();
+        drop(db);
+        let db = open_file_db(&dir, clock.clone());
+        assert_eq!(content(&db), expected, "reads back identical after reopen");
+        db.shutdown().unwrap();
+    };
+    let memo = {
+        let db = open_file_db(&dir, clock.clone());
+        let mut memo = Note::document("Memo");
+        memo.set("Subject", Value::text("first"));
+        memo.set_body("Body", body.clone());
+        db.save(&mut memo).unwrap();
+        let mut plain = Note::document("Memo");
+        plain.set("Subject", Value::text("no body"));
+        db.save(&mut plain).unwrap();
+        db.shutdown().unwrap();
+        memo
+    };
+    let (unid, id) = (memo.unid(), memo.id);
+    let stored = body_segment(&path, id).expect("the memo has a body");
+    assert!(stored.2.len() >= 2, "an 8 KiB body spans pages");
+
+    step(&|db| {
+        let mut n = db.open_by_unid(unid).unwrap();
+        n.set("Subject", Value::text("second"));
+        let appended = obs::counter("Log.BytesAppended");
+        let before = appended.get();
+        db.save(&mut n).unwrap();
+        let logged = appended.get() - before;
+        assert!(logged < 1024, "a Subject edit logged {logged} bytes");
+    });
+    assert_eq!(
+        body_segment(&path, id),
+        Some(stored.clone()),
+        "the body keeps its bytes, its pointer and its pages"
+    );
+
+    step(&|db| {
+        let mut n = db.open_by_unid(unid).unwrap();
+        n.set_body("Body", Value::RichText(vec![0xB0; 8192]));
+        db.save(&mut n).unwrap();
+    });
+    let edited = body_segment(&path, id).expect("an edited body is stored");
+    assert_ne!(edited.1, stored.1, "editing the body rewrites it");
+
+    step(&|db| {
+        let mut n = db.open_by_unid(unid).unwrap();
+        assert!(n.remove("Body"));
+        db.save(&mut n).unwrap();
+    });
+    assert_eq!(
+        body_segment(&path, id),
+        None,
+        "no rich text, no body segment"
+    );
+
+    step(&|db| {
+        let n = db.open_by_unid(unid).unwrap();
+        db.delete(n.id).unwrap();
+        let mut again = n.clone();
+        again.oid.bump(clock.now());
+        again.set_body("Body", body.clone());
+        db.save_replicated(again).unwrap();
+        assert_eq!(db.open_by_unid(unid).unwrap().get("Body"), Some(&body));
+    });
+    let recreated = body_segment(&path, id).expect("the re-create writes the body again");
+    assert!(recreated.1.len() > 8192);
+    let _ = std::fs::remove_dir_all(&dir);
 }

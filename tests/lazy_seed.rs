@@ -146,6 +146,37 @@ fn pinned_snapshot_survives_overwrite_of_elided_note() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A summary-only edit leaves the body segment as it was, but the pinned
+/// version must still be backfilled: hydrating it afterwards would load
+/// the edited summary from the engine.
+#[test]
+fn pinned_snapshot_survives_a_summary_only_edit_of_elided_note() {
+    let dir = temp_dir("summary-edit");
+    let clock = LogicalClock::new();
+    let (path, unids) = build(&dir, &clock);
+    let db = reopen(&path, &clock);
+
+    let pinned = db.snapshot();
+    let mut n = db.open_by_unid(unids[5]).unwrap();
+    n.set("I", Value::Number(500.0));
+    db.save(&mut n).unwrap();
+
+    let old = pinned.open_by_unid(unids[5]).unwrap();
+    assert_eq!(old.get("I"), Some(&Value::Number(5.0)));
+    assert_eq!(
+        old.get("Body"),
+        Some(&Value::RichText(vec![5u8; BODY_BYTES])),
+        "pinned snapshot must see the pre-edit note, body included"
+    );
+    let new = db.snapshot().open_by_unid(unids[5]).unwrap();
+    assert_eq!(new.get("I"), Some(&Value::Number(500.0)));
+    assert_eq!(
+        new.get("Body"),
+        Some(&Value::RichText(vec![5u8; BODY_BYTES]))
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // The design collection is seeded by the same open path as everything
 // else: a stored form is found — and, when its body was elided, hydrated
