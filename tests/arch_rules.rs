@@ -78,7 +78,7 @@ fn stored_note_is_the_engine_side_reference_not_a_read_path() {
     let files = sources();
     let others = files
         .iter()
-        .filter(|(f, _)| f != "crates/core/src/db.rs" && !f.starts_with("crates/bench/"))
+        .filter(|(f, _)| f != "crates/core/src/db.rs")
         .map(|(f, t)| (f.as_str(), t.as_str()));
     assert_none(
         "`stored_note` outside domino-core",
@@ -304,4 +304,33 @@ fn one_write_path_into_the_note_store() {
         }
     }
     assert_none("`NoteStore` segment writes outside `write_record`", outside);
+}
+
+#[test]
+fn one_measurement_harness() {
+    // `benchmark/` times the system; the paper's claims are the shapes
+    // `tests/paper_claims.rs` asserts. No second harness, no microbenches.
+    assert!(
+        !root().join("crates/bench").exists(),
+        "crates/bench is back"
+    );
+    let mut manifests = vec![root().join("Cargo.toml")];
+    for dir in ["crates", "vendor"] {
+        for member in std::fs::read_dir(root().join(dir)).unwrap() {
+            let manifest = member.unwrap().path().join("Cargo.toml");
+            if manifest.exists() {
+                manifests.push(manifest);
+            }
+        }
+    }
+    let texts: Vec<(String, String)> = manifests
+        .iter()
+        .map(|p| (p.display().to_string(), std::fs::read_to_string(p).unwrap()))
+        .collect();
+    assert_none(
+        "a workspace manifest names `criterion` or a `[[bench]]` target",
+        offending(texts.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            l.contains("criterion") || l.contains("[[bench]]")
+        }),
+    );
 }
