@@ -37,14 +37,12 @@
 
 #![deny(missing_docs)]
 
-pub mod fault;
 pub mod mail;
 pub mod sim;
 pub mod topology;
 
-pub use fault::{FaultClock, LinkFaults, Outage};
 pub use mail::{MailRouter, MailStats, MailUser, MAILBOX};
-pub use sim::{LinkSpec, LinkTraffic, Network, Server};
+pub use sim::{LinkFaults, LinkSpec, LinkTraffic, Network, Server};
 pub use topology::{all_pairs_next_hop, Topology};
 
 #[cfg(test)]

@@ -13,21 +13,23 @@
 //!
 //! Links need not be reliable: a [`LinkSpec`] can declare a per-message
 //! drop rate and a flap rate, servers can have scheduled
-//! [`Outage`] windows, and a [`RetryPolicy`] tells the
+//! outage windows, and a [`RetryPolicy`] tells the
 //! scheduler how hard to lean on a flaky link. All fault decisions come
-//! from one seeded [`FaultClock`], so a faulty run is
+//! from one seeded [`FaultPlan`], so a faulty run is
 //! exactly as reproducible as a clean one.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use domino_core::revision::{merkle_head, stub_head};
 use domino_core::{Database, DbConfig};
 use domino_obs as obs;
-use domino_replica::{ReplicationOptions, ReplicationReport, Replicator, RetryPolicy, Transport};
-use domino_types::{Clock, DominoError, LogicalClock, ReplicaId, Result};
+use domino_replica::{
+    CleanTransport, ReplicationOptions, ReplicationReport, Replicator, RetryPolicy,
+};
+use domino_types::{Clock, DominoError, FaultPlan, Faulty, LogicalClock, ReplicaId, Result};
 
-use crate::fault::{FaultClock, LinkFaults, Outage};
 use crate::topology::{all_pairs_next_hop, Topology};
 
 /// Registry handles for network fault telemetry.
@@ -102,26 +104,6 @@ impl LinkSpec {
     }
 }
 
-/// The simulator's [`Transport`]: drops each message with the link's
-/// `drop_rate`, drawing from the network's shared [`FaultClock`].
-struct SimTransport {
-    rng: FaultClock,
-    drop_rate: f64,
-    dropped: u64,
-}
-
-impl Transport for SimTransport {
-    fn deliver(&mut self, notes: u64) -> Result<()> {
-        if self.rng.chance(self.drop_rate) {
-            self.dropped += 1;
-            return Err(DominoError::Unavailable(format!(
-                "message carrying {notes} note(s) lost in flight"
-            )));
-        }
-        Ok(())
-    }
-}
-
 /// Per-link accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkTraffic {
@@ -132,6 +114,30 @@ pub struct LinkTraffic {
     pub bytes: u64,
     /// Ticks the link was busy (latency + bandwidth-limited transfer time).
     pub busy_ticks: u64,
+}
+
+/// Per-link fault accounting (companion to
+/// [`LinkTraffic`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkFaults {
+    /// Messages lost in flight (per-message drop sampling).
+    pub dropped: u64,
+    /// Replication passes skipped because the link flapped down.
+    pub flaps: u64,
+    /// Passes (or mail hops) blocked by a server outage window.
+    pub outages: u64,
+    /// Passes abandoned with the retry policy exhausted.
+    pub aborted_passes: u64,
+}
+
+impl LinkFaults {
+    /// Fold another link's counters into this one.
+    pub fn merge_from(&mut self, other: &LinkFaults) {
+        self.dropped += other.dropped;
+        self.flaps += other.flaps;
+        self.outages += other.outages;
+        self.aborted_passes += other.aborted_passes;
+    }
 }
 
 /// One simulated server.
@@ -188,10 +194,11 @@ pub struct Network {
     /// Links currently considered down (partition testing).
     down: Vec<(usize, usize)>,
     next_replica_lineage: u64,
-    /// The shared deterministic fault stream.
-    fault_rng: FaultClock,
-    /// Scheduled per-server outage windows.
-    outages: Vec<Outage>,
+    /// The one fault plan: message drops, link flaps and mail-hop drops
+    /// all draw from it.
+    plan: FaultPlan,
+    /// Scheduled outage windows: `(server, ticks)`.
+    outages: Vec<(usize, Range<u64>)>,
     /// How hard replication passes lean on flaky links.
     retry: RetryPolicy,
     /// Per-link fault accounting.
@@ -224,7 +231,7 @@ impl Network {
             traffic: HashMap::new(),
             down: Vec::new(),
             next_replica_lineage: 0xD0_0000,
-            fault_rng: FaultClock::default(),
+            plan: FaultPlan::default(),
             outages: Vec::new(),
             retry: RetryPolicy::none(),
             faults: HashMap::new(),
@@ -398,10 +405,6 @@ impl Network {
         !self.down.contains(&(a.min(b), a.max(b)))
     }
 
-    fn link_up(&self, a: usize, b: usize) -> bool {
-        self.is_link_up(a, b)
-    }
-
     // ------------------------------------------------------------------
     // faults
     // ------------------------------------------------------------------
@@ -409,7 +412,7 @@ impl Network {
     /// Reseed the deterministic fault stream (call before injecting any
     /// fault to make a run reproducible from the seed alone).
     pub fn set_fault_seed(&mut self, seed: u64) {
-        self.fault_rng = FaultClock::seeded(seed);
+        self.plan = FaultPlan::seeded(seed);
     }
 
     /// The retry policy scheduled replication passes use on flaky links.
@@ -446,11 +449,7 @@ impl Network {
     /// Schedule a server outage window: the server neither replicates nor
     /// routes mail while `from <= now < until`.
     pub fn schedule_outage(&mut self, server: usize, from: u64, until: u64) {
-        self.outages.push(Outage {
-            server,
-            from,
-            until,
-        });
+        self.outages.push((server, from..until));
     }
 
     /// Is `server` outside every scheduled outage window at `now`?
@@ -458,7 +457,7 @@ impl Network {
         !self
             .outages
             .iter()
-            .any(|o| o.server == server && o.active_at(now))
+            .any(|(s, ticks)| *s == server && ticks.contains(&now))
     }
 
     /// Fault counters for one link.
@@ -490,7 +489,7 @@ impl Network {
             return false;
         }
         let spec = self.link_spec(a, b);
-        if spec.drop_rate > 0.0 && self.fault_rng.chance(spec.drop_rate) {
+        if self.plan.chance(spec.drop_rate) {
             self.faults.entry((a.min(b), a.max(b))).or_default().dropped += 1;
             m().mail_drops.inc();
             return false;
@@ -503,7 +502,7 @@ impl Network {
     /// schedule simply fires again at its next slot. Outages and flaps are
     /// accounted in [`link_faults`](Network::link_faults).
     fn pass_can_start(&mut self, a: usize, b: usize) -> bool {
-        if !self.link_up(a, b) {
+        if !self.is_link_up(a, b) {
             return false;
         }
         let key = (a.min(b), a.max(b));
@@ -514,7 +513,7 @@ impl Network {
             return false;
         }
         let spec = self.link_spec(a, b);
-        if spec.flap_rate > 0.0 && self.fault_rng.chance(spec.flap_rate) {
+        if self.plan.chance(spec.flap_rate) {
             self.faults.entry(key).or_default().flaps += 1;
             m().flaps.inc();
             return false;
@@ -584,24 +583,10 @@ impl Network {
                 let (Ok(da), Ok(db_)) = (self.db(a, &db_name), self.db(b, &db_name)) else {
                     continue;
                 };
-                let mut transport = SimTransport {
-                    rng: self.fault_rng.clone(),
-                    drop_rate: self.link_spec(a, b).drop_rate,
-                    dropped: 0,
-                };
-                let policy = self.retry;
-                let result = self.schedules[i].replicator.sync_with_retry(
-                    &da,
-                    &db_,
-                    &mut transport,
-                    &policy,
-                );
-                let Some((into_a, into_b)) = self.settle_pass(a, b, transport.dropped, result)?
+                let Some((into_a, into_b)) = self.run_pass(a, b, &da, &db_, Some(i), &db_name)?
                 else {
                     continue;
                 };
-                self.account(a, b, &into_a);
-                self.account(a, b, &into_b);
                 // Incoming changes fire OnUpdate agents on the receiver.
                 if into_a.changed_anything() {
                     self.run_on_update_agents(a, &db_name)?;
@@ -637,62 +622,59 @@ impl Network {
             // Use the scheduled replicator for this link when present so
             // history accrues; otherwise a persistent ad-hoc replicator
             // (its cursor survives faults).
-            let idx = self
+            let schedule = self
                 .schedules
                 .iter()
                 .position(|s| s.a == a && s.b == b && s.db == db);
             let (da, db_) = (self.db(a, db)?, self.db(b, db)?);
-            let mut transport = SimTransport {
-                rng: self.fault_rng.clone(),
-                drop_rate: self.link_spec(a, b).drop_rate,
-                dropped: 0,
-            };
-            let policy = self.retry;
-            let result = match idx {
-                Some(i) => {
-                    self.schedules[i]
-                        .replicator
-                        .sync_with_retry(&da, &db_, &mut transport, &policy)
-                }
-                None => self
-                    .adhoc
-                    .entry((a, b, db.to_string()))
-                    .or_insert_with(|| Replicator::new(ReplicationOptions::default()))
-                    .sync_with_retry(&da, &db_, &mut transport, &policy),
-            };
-            let Some((ra, rb)) = self.settle_pass(a, b, transport.dropped, result)? else {
+            let Some((ra, rb)) = self.run_pass(a, b, &da, &db_, schedule, db)? else {
                 continue;
             };
-            self.account(a, b, &ra);
-            self.account(a, b, &rb);
             out.push(ra);
             out.push(rb);
         }
         Ok(out)
     }
 
-    /// Shared epilogue for a possibly-faulty replication pass: account the
-    /// transport's drops, swallow a transient failure (the cursor is
-    /// parked; the pass resumes at its next slot), surface real errors.
-    #[allow(clippy::type_complexity)]
-    fn settle_pass(
+    /// One replication pass over `(a, b)` through the link's transport: a
+    /// [`Faulty`] clean transport that drops messages at the link's
+    /// `drop_rate`, run by schedule `schedule`'s replicator or else by the
+    /// link's ad-hoc replicator for `db`. A transient failure is swallowed (`None`: the cursor is parked and the
+    /// pass resumes at its next slot); real errors surface.
+    fn run_pass(
         &mut self,
         a: usize,
         b: usize,
-        dropped: u64,
-        result: Result<(
-            ReplicationReport,
-            ReplicationReport,
-            domino_replica::RetryStats,
-        )>,
+        da: &Database,
+        db_: &Database,
+        schedule: Option<usize>,
+        db: &str,
     ) -> Result<Option<(ReplicationReport, ReplicationReport)>> {
         let key = (a.min(b), a.max(b));
+        let mut transport = Faulty::new(
+            CleanTransport,
+            self.plan.dropping(self.link_spec(a, b).drop_rate),
+        );
+        let faults_before = self.plan.faults();
+        let replicator = match schedule {
+            Some(i) => &mut self.schedules[i].replicator,
+            None => self
+                .adhoc
+                .entry((a, b, db.to_string()))
+                .or_insert_with(|| Replicator::new(ReplicationOptions::default())),
+        };
+        let result = replicator.sync_with_retry(da, db_, &mut transport, &self.retry);
+        let dropped = self.plan.faults() - faults_before;
         if dropped > 0 {
             self.faults.entry(key).or_default().dropped += dropped;
             m().dropped.add(dropped);
         }
         match result {
-            Ok((ra, rb, _stats)) => Ok(Some((ra, rb))),
+            Ok((ra, rb, _stats)) => {
+                self.account(a, b, &ra);
+                self.account(a, b, &rb);
+                Ok(Some((ra, rb)))
+            }
             Err(e) if e.is_transient() => {
                 self.faults.entry(key).or_default().aborted_passes += 1;
                 m().aborted.inc();

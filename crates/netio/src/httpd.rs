@@ -30,6 +30,7 @@ use domino_server::{DominoServer, Response};
 use domino_types::{DominoError, Result};
 
 use crate::parser::{HttpParser, ParseError, ParserLimits};
+use crate::ConnThreads;
 
 struct Metrics {
     accepted: &'static obs::Counter,
@@ -111,7 +112,7 @@ pub struct HttpListener {
     addr: std::net::SocketAddr,
     shared: Arc<HttpShared>,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conn_threads: Arc<ConnThreads>,
 }
 
 impl HttpListener {
@@ -129,7 +130,7 @@ impl HttpListener {
             active: Mutex::new(0),
             all_idle: Condvar::new(),
         });
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
+        let conn_threads = Arc::new(ConnThreads::default());
         let accept_shared = shared.clone();
         let accept_conns = conn_threads.clone();
         let accept_thread = std::thread::Builder::new()
@@ -188,11 +189,7 @@ impl HttpListener {
         let remaining = *active;
         drop(active);
         if remaining == 0 {
-            for t in
-                std::mem::take(&mut *self.conn_threads.lock().unwrap_or_else(|p| p.into_inner()))
-            {
-                let _ = t.join();
-            }
+            self.conn_threads.join_all();
             // Finish whatever the connections queued before joining is
             // observable: the pool's explicit drain.
             self.shared.server.drain();
@@ -219,7 +216,7 @@ fn accept_loop(
     listener: &TcpListener,
     addr: std::net::SocketAddr,
     shared: &Arc<HttpShared>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: &ConnThreads,
 ) {
     let task = obs::register_task("http-listener", "HTTP listener");
     task.set_status(&format!("Listen http://{addr}/"));
@@ -274,7 +271,7 @@ fn accept_loop(
                     .with("outcome", outcome),
                 );
             }) {
-            Ok(h) => conns.lock().unwrap_or_else(|p| p.into_inner()).push(h),
+            Ok(h) => conns.hold(h),
             Err(_) => {
                 // Could not spawn: undo the admission.
                 m().active.add(-1);
@@ -418,4 +415,25 @@ fn write_parse_error(stream: &mut TcpStream, e: &ParseError) -> std::io::Result<
     );
     stream.write_all(wire.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use domino_server::ServerConfig;
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let server = DominoServer::new(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let listener = HttpListener::start(server, HttpConfig::default()).unwrap();
+        crate::assert_finished_connections_reaped(&listener.conn_threads, || {
+            let mut s = TcpStream::connect(listener.addr()).unwrap();
+            s.write_all(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let _ = s.read_to_end(&mut Vec::new());
+        });
+    }
 }

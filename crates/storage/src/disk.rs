@@ -17,7 +17,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
-use domino_types::Result;
+use domino_types::{Faulty, Result};
 
 /// An array of pages with an explicit durability barrier.
 pub trait Disk: Send {
@@ -118,48 +118,31 @@ impl Disk for MemDisk {
     }
 }
 
-/// A disk that injects a failure after a budgeted number of page writes —
-/// the storage-side half of crash-point testing (the log side is
-/// `domino_wal::FaultLogStore`). Sharing one `FaultPlan` across both
-/// lets a test kill the *whole* I/O stack at an exact global operation
-/// count. Reads never fail: a crashed machine can still be read back.
-pub struct FaultDisk<D: Disk> {
-    disk: D,
-    plan: domino_wal::FaultPlan,
-}
-
-impl<D: Disk> FaultDisk<D> {
-    pub fn new(disk: D, plan: domino_wal::FaultPlan) -> FaultDisk<D> {
-        FaultDisk { disk, plan }
-    }
-
-    pub fn plan(&self) -> &domino_wal::FaultPlan {
-        &self.plan
-    }
-}
-
-impl<D: Disk> Disk for FaultDisk<D> {
+/// The fault decorator over a page device: page writes and syncs tick
+/// the plan; reads never fail. One plan shared with the log's decorator
+/// kills the whole I/O stack at one global operation index.
+impl<D: Disk> Disk for Faulty<D> {
     fn read_page(&self, id: PageId, buf: &mut PageBuf) -> Result<()> {
-        self.disk.read_page(id, buf)
+        self.inner.read_page(id, buf)
     }
 
     fn write_page(&self, id: PageId, buf: &PageBuf) -> Result<()> {
-        self.plan.tick("disk write_page")?;
-        self.disk.write_page(id, buf)
+        self.io("disk write_page")?;
+        self.inner.write_page(id, buf)
     }
 
     fn write_page_raw(&self, id: PageId, buf: &PageBuf) -> Result<()> {
-        self.plan.tick("disk write_page_raw")?;
-        self.disk.write_page_raw(id, buf)
+        self.io("disk write_page_raw")?;
+        self.inner.write_page_raw(id, buf)
     }
 
     fn sync(&self) -> Result<()> {
-        self.plan.tick("disk sync")?;
-        self.disk.sync()
+        self.io("disk sync")?;
+        self.inner.sync()
     }
 
     fn page_count(&self) -> Result<u32> {
-        self.disk.page_count()
+        self.inner.page_count()
     }
 }
 

@@ -36,7 +36,7 @@ use parking_lot::Mutex;
 use crate::disk::Disk;
 use crate::page::{PageBuf, PageId, PAGE_CHECKSUM_OFFSET, PAGE_SIZE};
 use domino_obs as obs;
-use domino_types::{DominoError, Result};
+use domino_types::{splitmix64, DominoError, Result};
 
 /// Registry handles for file-device telemetry (`Nsf.File.*`).
 struct Metrics {
@@ -372,14 +372,6 @@ pub enum CrashMode {
 pub struct CrashDisk<D: Disk> {
     inner: D,
     pending: Mutex<BTreeMap<PageId, Box<[u8; PAGE_SIZE]>>>,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl<D: Disk> CrashDisk<D> {

@@ -35,7 +35,7 @@ pub mod page;
 pub mod pool;
 
 pub use btree::BTree;
-pub use disk::{Disk, FaultDisk, MemDisk};
+pub use disk::{Disk, MemDisk};
 pub use engine::{CommitMode, Engine, EngineConfig, EngineStats, Tx};
 pub use file::{CrashDisk, CrashMode, NsfFile, SuperBlock, VerifyReport};
 pub use heap::{Heap, RecordPtr};

@@ -19,6 +19,7 @@
 
 pub mod datetime;
 pub mod error;
+pub mod fault;
 pub mod hash;
 pub mod id;
 pub mod item;
@@ -28,6 +29,7 @@ pub mod wire;
 
 pub use datetime::{days_in_month, Civil, SECONDS_PER_DAY};
 pub use error::{DominoError, Result};
+pub use fault::{splitmix64, FaultPlan, Faulty};
 pub use hash::{content_hash, mix128, ContentHash, ContentHasher};
 pub use id::{NoteClass, NoteId, Oid, ReplicaId, Unid};
 pub use item::{Item, ItemFlags};

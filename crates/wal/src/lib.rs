@@ -30,4 +30,4 @@ pub mod store;
 pub use manager::{LogManager, LogStats};
 pub use record::{LogRecord, Lsn, TxId};
 pub use recovery::{recover, RecoveryStats, RedoTarget};
-pub use store::{FaultLogStore, FaultPlan, FileLogStore, LogStore, MemLogStore};
+pub use store::{FileLogStore, LogStore, MemLogStore};

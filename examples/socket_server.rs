@@ -129,7 +129,7 @@ fn main() -> domino::types::Result<()> {
         "socket replication pull: {} notes added, {} documents in replica, {} wire frames delivered",
         pass.added,
         pulled,
-        transport.sent()
+        wire.deliveries()
     );
     assert_eq!(pulled, 13, "12 topics + the posted document");
     drop(transport);

@@ -334,3 +334,35 @@ fn one_measurement_harness() {
         }),
     );
 }
+
+#[test]
+fn one_fault_plan() {
+    // Every injected failure comes from `domino_types::fault`: one
+    // seeded `FaultPlan` and one `Faulty` decorator.
+    let files = sources();
+    let retired = [
+        "FaultDisk",
+        "FaultLogStore",
+        "ScriptedTransport",
+        "SimTransport",
+        "FaultClock",
+        "fail_deliveries",
+    ];
+    assert_none(
+        "a second fault injector",
+        offending(files.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            retired.iter().any(|r| has_word(l, r))
+        }),
+    );
+    // One SplitMix64: its increment is written down in one file.
+    let gamma: Vec<&str> = files
+        .iter()
+        .filter(|(_, t)| {
+            t.replace('_', "")
+                .to_lowercase()
+                .contains("9e3779b97f4a7c15")
+        })
+        .map(|(f, _)| f.as_str())
+        .collect();
+    assert_eq!(gamma, ["crates/types/src/fault.rs"]);
+}
