@@ -1,0 +1,135 @@
+//! The reference monitor: the one place that decides who may read, write
+//! or delete a note.
+//!
+//! A [`Principal`] is resolved once per operation from one snapshot's ACL
+//! and the group directory: effective level and roles, the sorted alias
+//! set, and the command-cache access class digesting them. It answers
+//! three questions about one version of one note, by class: a Document by
+//! the ACL and its own `$Readers`/`$Authors` items (a view row by the
+//! reader list it carries), a form, view or agent by Designer, the ACL
+//! and info notes by Manager; any level from Reader up reads a design or
+//! ACL note. DESIGN.md §5, "security: Reference monitor", has the table.
+
+use std::fmt::Display;
+use std::hash::{Hash, Hasher};
+
+use domino_security::acl::EffectiveAccess;
+use domino_security::{can_edit_document, can_read_document, AccessLevel, Directory};
+use domino_types::{DominoError, ItemFlags, NoteClass, Result};
+
+use crate::mvcc::Snapshot;
+use crate::note::Note;
+use crate::session::ITEM_FROM;
+
+/// One user's rights in one database state.
+#[derive(Debug, Clone)]
+pub struct Principal {
+    user: String,
+    access: EffectiveAccess,
+    /// Every name the user answers to (themself included), lowercased,
+    /// sorted and deduplicated.
+    names: Vec<String>,
+    access_class: u64,
+}
+
+/// Who may write or delete a note of `class` where the class alone
+/// decides: every class but Document.
+fn by_class(level: AccessLevel, class: NoteClass) -> Option<bool> {
+    match class {
+        NoteClass::Document => None,
+        NoteClass::Form | NoteClass::View | NoteClass::Agent => Some(level.can_change_design()),
+        NoteClass::Acl | NoteClass::Info => Some(level.can_change_acl()),
+    }
+}
+
+impl Principal {
+    /// `user`'s rights under the ACL stored at `snap`.
+    pub fn resolve(snap: &Snapshot, directory: &Directory, user: &str) -> Result<Principal> {
+        let mut access = snap.acl()?.effective(directory, user);
+        access.roles.sort_unstable();
+        let mut names = directory.names_of(user);
+        names.sort_unstable();
+        names.dedup();
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        (&access.level, &access.roles, &names).hash(&mut h);
+        Ok(Principal {
+            user: user.to_string(),
+            access,
+            names,
+            access_class: h.finish(),
+        })
+    }
+
+    /// Digest of everything the read question consumes: principals share
+    /// it only if no reader list can tell them apart, so a cached page
+    /// keyed by it never crosses an access boundary.
+    pub fn access_class(&self) -> u64 {
+        self.access_class
+    }
+
+    /// May this version of `note` be read?
+    pub fn may_read(&self, note: &Note) -> bool {
+        match note.class {
+            NoteClass::Document => self.may_read_row(&note.readers()),
+            _ => self.access.level.can_read(),
+        }
+    }
+
+    /// May a Document version whose combined `$Readers` list is `readers`
+    /// be read (a view row carries the list of the version it shows)? An
+    /// empty list is unrestricted, so `may_read_row(&[])` is whether the
+    /// principal may read the database at all.
+    pub fn may_read_row(&self, readers: &[String]) -> bool {
+        can_read_document(&self.access, &self.names, readers)
+    }
+
+    /// May `note` be saved over `stored` (`None`: `note` is new)? A
+    /// class change must be allowed for both classes.
+    pub fn may_write(&self, stored: Option<&Note>, note: &Note) -> bool {
+        let level = self.access.level;
+        let Some(stored) = stored else {
+            return by_class(level, note.class).unwrap_or(level.can_create());
+        };
+        by_class(level, note.class).unwrap_or(true)
+            && by_class(level, stored.class).unwrap_or_else(|| {
+                self.may_edit(stored, &stored.authors())
+                    && (level.can_edit_any() || protected_unchanged(stored, note))
+            })
+    }
+
+    /// May this version of `stored` be deleted? A `$Authors` list grants
+    /// editing, not deletion.
+    pub fn may_delete(&self, stored: &Note) -> bool {
+        by_class(self.access.level, stored.class).unwrap_or_else(|| self.may_edit(stored, &[]))
+    }
+
+    /// Readable, and at Editor and up, or at Author level with this
+    /// principal its creator or named in `authors`.
+    fn may_edit(&self, stored: &Note, authors: &[String]) -> bool {
+        let creator = stored.get_text(ITEM_FROM).unwrap_or_default();
+        self.may_read(stored) && can_edit_document(&self.access, &self.names, authors, &creator)
+    }
+
+    /// `Ok` if `allowed`, else the denial naming what was refused.
+    pub fn require(&self, allowed: bool, action: &str, target: impl Display) -> Result<()> {
+        if allowed {
+            return Ok(());
+        }
+        let level = self.access.level.name();
+        let denial = format!("{} ({level}) may not {action} {target}", self.user);
+        Err(DominoError::AccessDenied(denial))
+    }
+}
+
+/// Every `PROTECTED` item of `stored` is in `note` with the same value.
+fn protected_unchanged(stored: &Note, note: &Note) -> bool {
+    stored
+        .items_raw()
+        .iter()
+        .filter(|old| old.flags.contains(ItemFlags::PROTECTED))
+        .all(|old| {
+            note.items_raw()
+                .iter()
+                .any(|new| new.name.eq_ignore_ascii_case(&old.name) && new.value == old.value)
+        })
+}

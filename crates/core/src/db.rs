@@ -1019,11 +1019,10 @@ impl Database {
 
     /// Store the ACL (as an ACL-class note, so it replicates).
     pub fn set_acl(&self, acl: &Acl) -> Result<()> {
-        let acl_id = self.versions.acl_note();
-        let mut note = if acl_id != 0 {
-            self.open_note(NoteId(acl_id as u32))?
-        } else {
-            Note::new(NoteClass::Acl)
+        // None stored yet, or the stored one deleted: start a new note.
+        let mut note = match self.open_note(NoteId(self.versions.acl_note() as u32)) {
+            Err(DominoError::NotFound(_)) => Note::new(NoteClass::Acl),
+            found => found?,
         };
         note.set("Entries", Value::text_list(acl.to_lines()));
         self.save(&mut note)?;

@@ -31,6 +31,7 @@
 //! assert_eq!(memo.get_text("From").unwrap(), "ann");
 //! ```
 
+pub mod access;
 pub mod agent;
 pub mod db;
 pub mod form;
@@ -40,6 +41,7 @@ pub mod note;
 pub mod revision;
 pub mod session;
 
+pub use access::Principal;
 pub use agent::{
     save_agent, stored_agents, AgentDesign, AgentRunReport, AgentScheduler, AgentTickReport,
     AgentTrigger,
@@ -281,17 +283,16 @@ mod tests {
     fn acl_stored_and_reloaded() {
         let db = db();
         // Default is wide open.
-        let dir = Directory::new();
         assert_eq!(
-            db.acl().unwrap().effective(&dir, "anyone").level,
+            db.acl().unwrap().default_entry().level,
             AccessLevel::Manager
         );
         let mut acl = Acl::new(AccessLevel::Reader);
         acl.set("boss", AclEntry::new(AccessLevel::Manager));
         db.set_acl(&acl).unwrap();
         let loaded = db.acl().unwrap();
-        assert_eq!(loaded.effective(&dir, "someone").level, AccessLevel::Reader);
-        assert_eq!(loaded.effective(&dir, "boss").level, AccessLevel::Manager);
+        assert_eq!(loaded.default_entry().level, AccessLevel::Reader);
+        assert_eq!(loaded.get("boss").unwrap().level, AccessLevel::Manager);
         // The ACL lives in an ACL-class note.
         assert_eq!(db.note_ids(Some(NoteClass::Acl)).unwrap().len(), 1);
     }

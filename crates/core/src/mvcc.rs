@@ -52,7 +52,7 @@ use parking_lot::RwLock;
 
 use domino_formula::{EvalEnv, Formula};
 use domino_obs as obs;
-use domino_security::{AccessLevel, Acl, AclEntry};
+use domino_security::Acl;
 use domino_types::{DominoError, NoteClass, NoteId, Result, Unid};
 
 use crate::note::{Note, SummaryItems, ITEM_TITLE};
@@ -411,12 +411,6 @@ impl VersionStore {
     }
 }
 
-fn wide_open_acl() -> Acl {
-    let mut acl = Acl::new(AccessLevel::NoAccess);
-    acl.set_default(AclEntry::new(AccessLevel::Manager));
-    acl
-}
-
 /// A pinned, immutable view of the database at one change sequence.
 /// Every lookup resolves against the version chains under a shared lock;
 /// no reader ever touches the writer path. Dropping the snapshot
@@ -637,18 +631,25 @@ impl Snapshot {
             .transpose()
     }
 
-    /// The ACL as of this snapshot. Wide open (default Manager) when no
-    /// ACL note existed yet — the pre-ACL database admits everyone, as
-    /// [`crate::Database::acl`] always has.
+    /// The ACL as of this snapshot. Wide open (default Manager) only when
+    /// no ACL note exists at this snapshot: none was ever stored, or it
+    /// was stored after the pin. An ACL note that was deleted (here or by
+    /// a replicated stub), or that cannot be read, is an error: the
+    /// database fails closed until [`crate::Database::set_acl`] stores one.
     pub fn acl(&self) -> Result<Acl> {
-        if self.acl_id == 0 {
-            return Ok(wide_open_acl());
-        }
-        let note = match self.open_arc(NoteId(self.acl_id as u32)) {
-            Ok(n) => n,
-            // The ACL note postdates this snapshot.
-            Err(_) => return Ok(wide_open_acl()),
+        let id = NoteId(self.acl_id as u32);
+        let absent = self.acl_id == 0 || {
+            let st = self.store.state.read();
+            let chain = st.by_id.get(&id).and_then(|unid| st.chains.get(unid));
+            chain.is_some_and(|c| c.versions.first().is_some_and(|(s, _)| *s > self.seq))
         };
+        if absent {
+            return Ok(Acl::wide_open());
+        }
+        let note = self.open_arc(id).map_err(|e| match e {
+            DominoError::NotFound(_) => DominoError::AccessDenied("the ACL note is deleted".into()),
+            e => e,
+        })?;
         let lines: Vec<String> = match note.get("Entries") {
             Some(v) => v.iter_scalars().iter().map(|s| s.to_text()).collect(),
             None => Vec::new(),

@@ -1,17 +1,17 @@
 //! Sessions: the ACL-enforcing face of a database.
 //!
 //! A [`Session`] binds a database to a user (and the group directory) and
-//! checks every operation against the effective ACL level, per-document
-//! `$Readers`/`$Authors` items, and protected-item rules — the enforcement
-//! points the paper describes for Notes clients and servers.
+//! asks the reference monitor ([`crate::access`]) about every operation —
+//! the enforcement points the paper describes for Notes clients and
+//! servers.
 
 use std::sync::Arc;
 
 use domino_formula::{EvalEnv, Formula};
-use domino_security::acl::EffectiveAccess;
-use domino_security::{can_edit_document, can_read_document, AccessLevel, Directory};
-use domino_types::{Clock, DominoError, ItemFlags, NoteId, Result, Unid, Value};
+use domino_security::Directory;
+use domino_types::{Clock, DominoError, NoteClass, NoteId, Result, Unid, Value};
 
+use crate::access::Principal;
 use crate::db::Database;
 use crate::form::form_at;
 use crate::mvcc::Snapshot;
@@ -41,46 +41,21 @@ fn stamp_updated_by(note: &mut Note, user: &str) {
     }
 }
 
-/// A user's handle on a database.
+/// A user's handle on a database. Each operation decides on one snapshot
+/// and the user's [`Principal`] in it.
 pub struct Session {
     db: Arc<Database>,
     user: String,
-    directory: Directory,
-}
-
-/// One database state and this user's rights in it. Every [`Session`]
-/// operation pins exactly one: the ACL (parsed once), the form design and
-/// the stored copy it decides on all come from the same snapshot, so the
-/// decision describes one state of the database, and nothing in it reads
-/// the engine (bar the one-time hydration of a lazily seeded note).
-struct Scope {
-    snap: Snapshot,
-    access: EffectiveAccess,
-    /// Every name the user answers to (themself included), lowercased.
-    names: Vec<String>,
-}
-
-impl Scope {
-    fn can_read(&self, note: &Note) -> bool {
-        can_read_document(&self.access, &self.names, &note.readers())
-    }
+    directory: Arc<Directory>,
 }
 
 impl Session {
-    pub fn new(db: Arc<Database>, user: &str, directory: Directory) -> Session {
+    pub fn new(db: Arc<Database>, user: &str, directory: impl Into<Arc<Directory>>) -> Session {
         Session {
             db,
             user: user.to_string(),
-            directory,
+            directory: directory.into(),
         }
-    }
-
-    pub fn user(&self) -> &str {
-        &self.user
-    }
-
-    pub fn database(&self) -> &Arc<Database> {
-        &self.db
     }
 
     /// Formula environment for this user (deterministic `@Now`).
@@ -93,41 +68,40 @@ impl Session {
         }
     }
 
-    fn scope(&self) -> Result<Scope> {
+    fn scope(&self) -> Result<(Snapshot, Principal)> {
         let snap = self.db.snapshot();
-        let access = snap.acl()?.effective(&self.directory, &self.user);
-        Ok(Scope {
-            snap,
-            access,
-            names: self.directory.names_of(&self.user),
-        })
-    }
-
-    fn readable(&self, scope: &Scope, note: &Note) -> Result<()> {
-        if scope.can_read(note) {
-            Ok(())
-        } else {
-            Err(DominoError::AccessDenied(format!(
-                "{} may not read {}",
-                self.user,
-                note.unid()
-            )))
-        }
+        let who = Principal::resolve(&snap, &self.directory, &self.user)?;
+        Ok((snap, who))
     }
 
     /// Open a note, enforcing reader access. Reads come from a pinned
     /// snapshot and never wait on writers.
     pub fn open_note(&self, id: NoteId) -> Result<Note> {
-        let scope = self.scope()?;
-        let note = scope.snap.open_note(id)?;
-        self.readable(&scope, &note)?;
+        let (snap, who) = self.scope()?;
+        let note = snap.open_note(id)?;
+        who.require(who.may_read(&note), "read", note.unid())?;
         Ok(note)
     }
 
+    /// Open a document by UNID (the URL commands' lookup): any other
+    /// class of note is as unknown as a UNID never stored.
     pub fn open_by_unid(&self, unid: Unid) -> Result<Note> {
-        let scope = self.scope()?;
-        let note = scope.snap.open_by_unid(unid)?;
-        self.readable(&scope, &note)?;
+        self.document(unid, false)
+    }
+
+    /// [`Session::open_by_unid`], for a user who may also edit it (`?EditDocument`).
+    pub fn open_for_edit(&self, unid: Unid) -> Result<Note> {
+        self.document(unid, true)
+    }
+
+    fn document(&self, unid: Unid, edit: bool) -> Result<Note> {
+        let (snap, who) = self.scope()?;
+        let note = snap.open_by_unid(unid)?;
+        if note.class != NoteClass::Document {
+            return Err(DominoError::NotFound(format!("unid {unid}")));
+        }
+        who.require(who.may_read(&note), "read", unid)?;
+        who.require(!edit || who.may_write(Some(&note), &note), "edit", unid)?;
         Ok(note)
     }
 
@@ -137,97 +111,44 @@ impl Session {
     /// default/computed/validation formulas run first. The first engine
     /// read is the commit's own.
     pub fn save(&self, note: &mut Note) -> Result<()> {
-        let scope = self.scope()?;
-        let access = &scope.access;
+        let (snap, who) = self.scope()?;
         let is_new = note.is_draft();
         if is_new {
-            if !access.level.can_create() {
-                return Err(DominoError::AccessDenied(format!(
-                    "{} ({}) may not create documents",
-                    self.user,
-                    access.level.name()
-                )));
-            }
+            who.require(
+                who.may_write(None, note),
+                "create notes in",
+                self.db.title(),
+            )?;
             if !note.has(ITEM_FROM) {
                 note.set(ITEM_FROM, Value::text(self.user.clone()));
             }
         }
         stamp_updated_by(note, &self.user);
-        if let Some(form) = form_at(&scope.snap, note)? {
+        if let Some(form) = form_at(&snap, note)? {
             form.process(note, &self.env(), is_new)?;
         }
-        if is_new {
-            return self.db.save(note);
-        }
-
-        // Update path: check edit rights against the stored copy.
-        let stored = scope.snap.open_arc(note.id)?;
-        self.readable(&scope, &stored)?;
-        let author = stored.get_text(ITEM_FROM).unwrap_or_default();
-        if !can_edit_document(access, &scope.names, &stored.authors(), &author) {
-            return Err(DominoError::AccessDenied(format!(
-                "{} may not edit {}",
-                self.user,
-                note.unid()
-            )));
-        }
-        // Author-level users may not alter protected items.
-        if !access.level.can_edit_any() {
-            for old in stored.items_raw() {
-                if old.flags.contains(ItemFlags::PROTECTED) {
-                    let changed = match note
-                        .items_raw()
-                        .iter()
-                        .find(|n| n.name.eq_ignore_ascii_case(&old.name))
-                    {
-                        Some(new) => new.value != old.value,
-                        None => true,
-                    };
-                    if changed {
-                        return Err(DominoError::AccessDenied(format!(
-                            "item {} is protected",
-                            old.name
-                        )));
-                    }
-                }
-            }
+        if !is_new {
+            let stored = snap.open_arc(note.id)?;
+            who.require(who.may_write(Some(&stored), note), "edit", note.unid())?;
         }
         self.db.save(note)
     }
 
-    /// Delete with enforcement (Editor+, or the document's author).
+    /// Delete with enforcement (see [`Principal::may_delete`]).
     pub fn delete(&self, id: NoteId) -> Result<()> {
-        let scope = self.scope()?;
-        let stored = scope.snap.open_arc(id)?;
-        self.readable(&scope, &stored)?;
-        let author = stored.get_text(ITEM_FROM).unwrap_or_default();
-        let level = scope.access.level;
-        let may = level.can_delete()
-            || (level == AccessLevel::Author
-                && scope.names.iter().any(|n| n.eq_ignore_ascii_case(&author)));
-        if !may {
-            return Err(DominoError::AccessDenied(format!(
-                "{} may not delete {}",
-                self.user, id
-            )));
-        }
-        self.db.delete(id)?;
-        Ok(())
+        let (snap, who) = self.scope()?;
+        let stored = snap.open_arc(id)?;
+        who.require(who.may_delete(&stored), "delete", id)?;
+        self.db.delete(id).map(drop)
     }
 
     /// Search, returning only documents the user may read. Runs against
     /// one snapshot, so results are a consistent point-in-time answer.
     pub fn search(&self, formula: &Formula) -> Result<Vec<Note>> {
-        let scope = self.scope()?;
-        if !scope.access.level.can_read() {
-            return Err(DominoError::AccessDenied(format!(
-                "{} may not read {}",
-                self.user,
-                self.db.title()
-            )));
-        }
-        let mut found = scope.snap.search(formula, &self.env())?;
-        found.retain(|n| scope.can_read(n));
+        let (snap, who) = self.scope()?;
+        who.require(who.may_read_row(&[]), "search", self.db.title())?;
+        let mut found = snap.search(formula, &self.env())?;
+        found.retain(|n| who.may_read(n));
         Ok(found)
     }
 
@@ -237,12 +158,11 @@ impl Session {
     /// in the summary (`Note::keep_access_items_in_summary`), so no body is
     /// read.
     pub fn unread(&self) -> Result<Vec<Unid>> {
-        let scope = self.scope()?;
-        Ok(scope
-            .snap
+        let (snap, who) = self.scope()?;
+        Ok(snap
             .document_summaries()
             .iter()
-            .filter(|doc| !self.db.is_read(&self.user, doc.unid()) && scope.can_read(doc))
+            .filter(|doc| !self.db.is_read(&self.user, doc.unid()) && who.may_read(doc))
             .map(|doc| doc.unid())
             .collect())
     }

@@ -73,7 +73,6 @@ pub struct MailStats {
 pub struct MailRouter {
     users: Vec<MailUser>,
     stats: MailStats,
-    next_lineage: u64,
 }
 
 impl MailRouter {
@@ -99,7 +98,6 @@ impl MailRouter {
         Ok(MailRouter {
             users: users.to_vec(),
             stats: MailStats::default(),
-            next_lineage: 0,
         })
     }
 
@@ -310,13 +308,6 @@ impl MailRouter {
             .iter()
             .map(|memo| memo.get_text("Subject").unwrap_or_default())
             .collect())
-    }
-
-    /// Reserve a fresh lineage id (unused helper kept for extensions).
-    #[allow(dead_code)]
-    fn fresh_lineage(&mut self) -> ReplicaId {
-        self.next_lineage += 1;
-        ReplicaId(0xBEEF_0000 + self.next_lineage)
     }
 }
 

@@ -73,11 +73,6 @@ impl AccessLevel {
     pub fn can_change_acl(self) -> bool {
         self >= AccessLevel::Manager
     }
-
-    /// May delete documents they can edit.
-    pub fn can_delete(self) -> bool {
-        self >= AccessLevel::Editor
-    }
 }
 
 /// One ACL row: a level plus role memberships.

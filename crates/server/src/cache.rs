@@ -4,11 +4,9 @@
 //! server-wide *command cache* so hot view pages are served without
 //! touching the view index at all. A cached page is keyed by everything
 //! that can change its bytes: database, view, window (`start`, `count`),
-//! output flavor, and the requesting user's *access class* — a digest of
-//! their ACL level, roles, and full alias set. Because the alias set
-//! includes the user's own name (the same inputs the `$Readers` check
-//! consumes), two users share a class only when the reader-field check
-//! could never tell them apart; a cached page can therefore never leak a
+//! output flavor, and the requester's *access class*
+//! (`Principal::access_class`): two users share a class only when no
+//! reader list could tell them apart, so a cached page never leaks a
 //! document across an access boundary.
 //!
 //! Invalidation is by [`PageStamp`]: each page records which attached
@@ -73,7 +71,7 @@ pub struct CacheKey {
     pub count: usize,
     /// HTML or JSON.
     pub kind: PageKind,
-    /// Digest of the user's ACL level, roles, and alias set.
+    /// The requester's `Principal::access_class`.
     pub access_class: u64,
 }
 

@@ -9,10 +9,10 @@
 //! 2. authenticate the claimed identity against the user registry
 //!    (`401` on a bad name/password; no header means `Anonymous`),
 //! 3. resolve the database (`404`),
-//! 4. execute under a [`Session`] so the ACL, `$Readers`, and
-//!    protected-item rules all apply — denials map to `401` for
-//!    anonymous callers (the browser should ask for credentials) and
-//!    `403` for authenticated ones,
+//! 4. execute under a [`Session`], or for view pages and searches the
+//!    requester's [`Principal`], so the reference monitor's rules all
+//!    apply — denials map to `401` for anonymous callers (the browser
+//!    should ask for credentials) and `403` for authenticated ones,
 //! 5. render, consulting the command cache for view pages.
 
 use std::collections::HashMap;
@@ -21,11 +21,12 @@ use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use domino_core::{AgentScheduler, AgentTickReport, Database, Note, Session, ITEM_READERS};
+use domino_core::{
+    AgentScheduler, AgentTickReport, Database, Note, Principal, Session, ITEM_READERS,
+};
 use domino_ftindex::FtIndex;
 use domino_obs as obs;
-use domino_security::acl::EffectiveAccess;
-use domino_security::{can_read_document, Directory};
+use domino_security::Directory;
 use domino_types::{Clock, DominoError, ItemFlags, Result, Value};
 use domino_views::{stored_designs, View, ViewDesign};
 use parking_lot::Mutex;
@@ -127,7 +128,7 @@ impl Site {
 struct Inner {
     sites: Mutex<HashMap<String, Arc<Site>>>,
     users: Mutex<HashMap<String, String>>,
-    directory: Mutex<Directory>,
+    directory: Mutex<Arc<Directory>>,
     cache: CommandCache,
 }
 
@@ -139,21 +140,6 @@ fn normalize_db(path: &str) -> String {
         .unwrap_or(&lower)
         .trim_matches('/')
         .to_string()
-}
-
-/// Digest of everything the reader-field check consumes for a user: ACL
-/// level, sorted roles, sorted alias set (which includes the user's own
-/// name). Two users get the same class only if no `$Readers` list could
-/// distinguish them. (`DefaultHasher` is deterministic per process.)
-fn access_class(access: &EffectiveAccess, names: &[String]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    access.level.hash(&mut h);
-    let mut roles: Vec<&str> = access.roles.iter().map(String::as_str).collect();
-    roles.sort_unstable();
-    roles.hash(&mut h);
-    names.hash(&mut h);
-    h.finish()
 }
 
 /// Set one posted form field. A form carries names and text, not item
@@ -219,7 +205,7 @@ impl DominoServer {
             inner: Arc::new(Inner {
                 sites: Mutex::new(HashMap::new()),
                 users: Mutex::new(HashMap::new()),
-                directory: Mutex::new(Directory::new()),
+                directory: Mutex::new(Arc::new(Directory::new())),
                 cache: CommandCache::new(config.cache_capacity),
             }),
             pool: Arc::new(WorkerPool::new(config.workers, config.queue_bound)),
@@ -276,7 +262,7 @@ impl DominoServer {
 
     /// Install the group directory used for ACL evaluation.
     pub fn set_directory(&self, dir: Directory) {
-        *self.inner.directory.lock() = dir;
+        *self.inner.directory.lock() = Arc::new(dir);
     }
 
     /// Execute a request synchronously on the calling thread (bypasses
@@ -499,27 +485,13 @@ impl Inner {
         }
     }
 
-    /// Effective ACL access plus the alias set used by reader-field
-    /// checks (the session's own-author rule included: the user's plain
-    /// name is always present). The ACL is read from the caller's pinned
-    /// snapshot so the access decision and the page rows describe the
-    /// same database state.
-    fn access_of(
-        &self,
-        snap: &domino_core::Snapshot,
-        user: &str,
-    ) -> Result<(EffectiveAccess, Vec<String>)> {
-        let dir = self.directory.lock().clone();
-        let access = snap.acl()?.effective(&dir, user);
-        let mut names = dir.names_of(user);
-        names.push(user.to_lowercase());
-        names.sort_unstable();
-        names.dedup();
-        Ok((access, names))
+    /// The group directory (shared, not copied, per request).
+    fn directory(&self) -> Arc<Directory> {
+        self.directory.lock().clone()
     }
 
     fn session(&self, site: &Site, user: &str) -> Session {
-        Session::new(site.db.clone(), user, self.directory.lock().clone())
+        Session::new(site.db.clone(), user, self.directory())
     }
 
     fn execute(
@@ -541,7 +513,7 @@ impl Inner {
                 Ok(Response::html(render::document_page(&site.name, &note)))
             }
             UrlCommand::EditDocument { unid, .. } => {
-                let note = self.session(site, user).open_by_unid(*unid)?;
+                let note = self.session(site, user).open_for_edit(*unid)?;
                 Ok(Response::html(render::edit_page(&site.name, &note)))
             }
             UrlCommand::SaveDocument { unid, .. } => {
@@ -576,11 +548,8 @@ impl Inner {
                 )))
             }
             UrlCommand::DeleteDocument { unid, .. } => {
-                let id = site
-                    .db
-                    .id_of_unid(*unid)?
-                    .ok_or_else(|| DominoError::NotFound(format!("no document {unid}")))?;
-                self.session(site, user).delete(id)?;
+                let session = self.session(site, user);
+                session.delete(session.open_by_unid(*unid)?.id)?;
                 Ok(Response::html(render::message_page(
                     "Document deleted",
                     &unid.to_string(),
@@ -613,20 +582,15 @@ impl Inner {
         count: usize,
         kind: PageKind,
     ) -> Result<Response> {
-        let (access, names) = self.access_of(&site.db.snapshot(), user)?;
-        if !access.level.can_read() {
-            return Err(DominoError::AccessDenied(format!(
-                "{user} may not open database {}",
-                site.name
-            )));
-        }
+        let who = Principal::resolve(&site.db.snapshot(), &self.directory(), user)?;
+        who.require(who.may_read_row(&[]), "open", &site.name)?;
         let key = CacheKey {
             db: site.name.clone(),
             view: view_name.to_lowercase(),
             start,
             count,
             kind,
-            access_class: access_class(&access, &names),
+            access_class: who.access_class(),
         };
         let sv = site
             .view(view_name)
@@ -651,7 +615,7 @@ impl Inner {
             .rows
             .iter()
             .enumerate()
-            .filter(|(_, entry)| can_read_document(&access, &names, &entry.readers))
+            .filter(|(_, entry)| who.may_read_row(&entry.readers))
             .map(|(i, entry)| Row {
                 position: start.saturating_add(i),
                 unid: entry.unid,
@@ -708,13 +672,8 @@ impl Inner {
         count: usize,
     ) -> Result<Response> {
         let snap = site.db.snapshot();
-        let (access, names) = self.access_of(&snap, user)?;
-        if !access.level.can_read() {
-            return Err(DominoError::AccessDenied(format!(
-                "{user} may not search database {}",
-                site.name
-            )));
-        }
+        let who = Principal::resolve(&snap, &self.directory(), user)?;
+        who.require(who.may_read_row(&[]), "search", &site.name)?;
         let sv = site
             .view(view_name)
             .ok_or_else(|| DominoError::NotFound(format!("no view {view_name:?}")))?;
@@ -729,7 +688,7 @@ impl Inner {
             let Some(entry) = sv.view.entry(hit.unid) else {
                 continue;
             };
-            if !can_read_document(&access, &names, &entry.readers) {
+            if !who.may_read_row(&entry.readers) {
                 continue;
             }
             // The title comes from the snapshot, which a commit may have
@@ -739,7 +698,7 @@ impl Inner {
                 Ok(n) => n,
                 Err(_) => continue,
             };
-            if !can_read_document(&access, &names, &note.readers()) {
+            if !who.may_read(&note) {
                 continue;
             }
             let title = note

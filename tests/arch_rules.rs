@@ -394,3 +394,31 @@ fn one_change_feed() {
         }),
     );
 }
+
+#[test]
+fn one_reference_monitor() {
+    // Who may read, write or delete a note is decided in
+    // `domino_core::access` over `domino-security`'s policy; no other
+    // file resolves an ACL or matches a reader list itself.
+    let files = sources();
+    let policy = [
+        "can_read_document",
+        "can_edit_document",
+        ".effective(",
+        "names_of(",
+        "can_change_design",
+        "can_change_acl",
+    ];
+    assert_none(
+        "an access decision outside the reference monitor",
+        offending(
+            files
+                .iter()
+                .filter(|(f, _)| {
+                    !f.starts_with("crates/security/src/") && f != "crates/core/src/access.rs"
+                })
+                .map(|(f, t)| (f.as_str(), t.as_str())),
+            |l| policy.iter().any(|p| l.contains(p)),
+        ),
+    );
+}

@@ -1,11 +1,11 @@
-//! Security integration tests for the Domino HTTP task: ACL and
-//! `$Readers` denials must surface as the right status codes (401 for
-//! anonymous callers, 403 for named ones), restricted documents must
-//! vanish from rendered views and search results — on every surface, for
-//! every access class, from the first request after the restriction is
-//! saved, and across a restart — and — the property at the bottom — the
-//! command cache must never serve one user's page to a user with
-//! different access.
+//! Security integration tests for the Domino HTTP task: the status codes
+//! of denials (401 for anonymous callers, 403 for named ones, 404 for a
+//! UNID that is no document), restricted documents vanishing from rendered
+//! views and search results — on every surface, for every access class,
+//! from the first request after the restriction is saved, and across a
+//! restart — and — the property at the bottom — the command cache never
+//! serving one user's page to a user with different access. The general
+//! model of who sees what on every surface is `tests/prop_visibility.rs`.
 
 use std::sync::Arc;
 
@@ -15,7 +15,7 @@ use domino::core::{Database, DbConfig, Note};
 use domino::security::{AccessLevel, Acl, AclEntry};
 use domino::server::{DominoServer, Request, ServerConfig};
 use domino::storage::MemDisk;
-use domino::types::{ItemFlags, LogicalClock, ReplicaId, Unid, Value};
+use domino::types::{ItemFlags, LogicalClock, NoteClass, ReplicaId, Unid, Value};
 use domino::views::{ColumnSpec, SortDir, ViewDesign};
 use domino::wal::MemLogStore;
 
@@ -139,6 +139,50 @@ fn restricted_rows_vanish_from_views_and_search_for_outsiders() {
         &Request::get("/board.nsf/all?SearchView&Query=acquisition").as_user("alice", "pw-a"),
     );
     assert!(alice_search.body.contains("acquisition plan"));
+}
+
+/// The ACL note is no document: every URL document command answers 404
+/// at its UNID, as at an unknown one, so nobody reads its lines, rewrites
+/// it or deletes it (which would have left the database wide open).
+#[test]
+fn the_acl_note_is_not_a_document() {
+    let (server, db, _public, _secret) = board_site();
+    let acl = db
+        .open_note(db.note_ids(Some(NoteClass::Acl)).unwrap()[0])
+        .unwrap()
+        .unid();
+    let anon = server.handle(&Request::get(&format!("/board.nsf/{acl}?OpenDocument")));
+    assert_eq!(anon.status.code(), 404);
+    assert!(!anon.body.contains("Manager"));
+    for req in [
+        Request::post(
+            &format!("/board.nsf/{acl}?SaveDocument"),
+            "Entries=-Default-%7CManager%7C",
+        ),
+        Request::get(&format!("/board.nsf/{acl}?DeleteDocument")),
+    ] {
+        assert_eq!(
+            server.handle(&req.as_user("alice", "pw-a")).status.code(),
+            404
+        );
+    }
+    assert_eq!(db.acl().unwrap().default_entry().level, AccessLevel::Reader);
+    let create = Request::post("/board.nsf/Topic?CreateDocument", "Subject=x");
+    assert_eq!(server.handle(&create).status.code(), 401);
+}
+
+/// `?EditDocument` shows its form only to who may save it.
+#[test]
+fn an_edit_form_is_401_anonymous_403_reader_200_editor() {
+    let (server, _db, public, _secret) = board_site();
+    let edit = Request::get(&format!("/board.nsf/{public}?EditDocument"));
+    assert_eq!(server.handle(&edit).status.code(), 401);
+    let rita = server.handle(&edit.clone().as_user("rita", "pw-r"));
+    assert_eq!(rita.status.code(), 403);
+    assert_eq!(
+        server.handle(&edit.as_user("alice", "pw-a")).status.code(),
+        200
+    );
 }
 
 /// The three surfaces a view row can reach a browser through.
