@@ -35,7 +35,9 @@
 //!   [`LoggerConfig::max_documents`], the oldest documents (by file
 //!   order) are deleted down to [`LoggerConfig::rotate_to`] and the
 //!   deletion stubs purged — the same machinery application databases
-//!   use, because the log is one.
+//!   use, because the log is one. A rotation that deleted documents
+//!   ends in a checkpoint, which cuts the database's in-memory
+//!   write-ahead log as well.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -243,6 +245,9 @@ impl ServerLog {
         let suppressed = obs::counter("Obs.Event.Suppressed").get() - suppressed_before;
         report.suppressed = suppressed;
         self.recursion.fetch_add(suppressed, Ordering::Relaxed);
+        if report.rotated > 0 {
+            self.checkpoint();
+        }
         m().filed.add(report.written as u64);
         let mut tail = self.tail.lock();
         for event in events {
@@ -344,11 +349,27 @@ impl ServerLog {
         deleted
     }
 
+    /// Cut log.nsf's write-ahead log after a rotation. The database is in
+    /// memory and nothing else checkpoints it, so its log would otherwise
+    /// keep every filed and rotated-away document for the life of the
+    /// server. The checkpoint's own event is housekeeping, not recursion:
+    /// it is discarded outside the drain's count.
+    fn checkpoint(&self) {
+        let _guard = obs::suppress();
+        if self.db.checkpoint().is_err() {
+            m().write_errors.inc();
+        }
+    }
+
     /// Force a rotation down to [`LoggerConfig::rotate_to`] regardless
     /// of the ceiling (the `tell logger rotate` console command).
     pub fn rotate(&self) -> usize {
         let _guard = obs::suppress();
-        self.rotate_if_over(self.cfg.rotate_to)
+        let rotated = self.rotate_if_over(self.cfg.rotate_to);
+        if rotated > 0 {
+            self.checkpoint();
+        }
+        rotated
     }
 
     /// Live documents currently in `log.nsf`.

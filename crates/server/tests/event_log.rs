@@ -321,6 +321,46 @@ fn rotation_keeps_the_log_bounded_and_newest() {
     assert!(db.stubs().unwrap().is_empty());
 }
 
+/// Rotation bounds log.nsf's write-ahead log too, not only its document
+/// count: over any number of fill/rotate cycles the log never holds more
+/// than it did before the first rotation.
+#[test]
+fn rotation_keeps_the_write_ahead_log_bounded() {
+    let _bus = exclusive_bus();
+
+    let log = ServerLog::with_config(LoggerConfig {
+        max_documents: 40,
+        rotate_to: 20,
+        stats_every: 0,
+        probe_every: 0,
+        tail: 8,
+        ..LoggerConfig::default()
+    })
+    .unwrap();
+    let mut before_first_rotation = 0;
+    let mut rotations = 0;
+    for cycle in 0..30u64 {
+        for i in 0..15 {
+            obs::emit(
+                obs::Event::new(obs::EventKind::Misc, obs::Severity::Info, "Test.Fill")
+                    .with("n", cycle * 15 + i),
+            );
+        }
+        rotations += usize::from(log.drain().rotated > 0);
+        let retained = log.database().log_stats().unwrap().retained;
+        if rotations == 0 {
+            before_first_rotation = before_first_rotation.max(retained);
+        } else {
+            assert!(
+                retained <= before_first_rotation,
+                "cycle {cycle}: log.nsf holds {retained} log bytes, \
+                 {before_first_rotation} before its first rotation"
+            );
+        }
+    }
+    assert!(rotations >= 10, "only {rotations} rotations");
+}
+
 #[test]
 fn background_logger_task_files_events_and_shows_in_roster() {
     let _bus = exclusive_bus();

@@ -678,7 +678,7 @@ mod tests {
         use domino_wal::store::{
             LH_BASE, LH_CHECKSUM, LH_MAGIC, LH_VERSION, LOG_HEADER_LEN, LOG_MAGIC, LOG_VERSION,
         };
-        use domino_wal::{LogRecord, TxId};
+        use domino_wal::{LogRecord, Lsn, TxId};
 
         // FORMAT.md §2 — superblock.
         assert_eq!(NSF_MAGIC, [0x89, b'N', b'S', b'F', 0x0D, 0x0A, 0x1A, 0x0A]);
@@ -731,7 +731,7 @@ mod tests {
         // §9 — the `data.txn` header, then record framing:
         // [len:u32][checksum:u32][tag:u8][payload].
         assert_eq!(LOG_MAGIC, *b"DTXN");
-        assert_eq!(LOG_VERSION, 1);
+        assert_eq!(LOG_VERSION, 2);
         assert_eq!((LH_MAGIC, LH_VERSION, LH_BASE, LH_CHECKSUM), (0, 4, 8, 16));
         assert_eq!(LOG_HEADER_LEN, 20);
         let bytes = LogRecord::Commit { tx: TxId(7) }.encode();
@@ -740,13 +740,29 @@ mod tests {
         assert_eq!(len as usize, bytes.len() - 8, "len covers tag+payload");
         assert_eq!(bytes[8], 4, "Commit tag");
         assert_eq!(u64::from_le_bytes(bytes[9..17].try_into().unwrap()), 7);
+        let update = |before: Vec<u8>| LogRecord::Update {
+            tx: TxId(1),
+            prev: Lsn(9),
+            page: 2,
+            offset: 3,
+            before,
+            after: vec![5; 4],
+        };
         for (rec, tag) in [
             (LogRecord::Begin { tx: TxId(1) }, 1u8),
+            (update(vec![1; 4]), 2),
             (LogRecord::Commit { tx: TxId(1) }, 4),
             (LogRecord::Abort { tx: TxId(1) }, 5),
+            (update(vec![0; 4]), 7),
         ] {
             assert_eq!(rec.encode()[8], tag);
         }
+        // Tag 7: tx, prev_lsn, page, offset, before_len, after_len, after[].
+        let bytes = update(vec![0; 4]).encode();
+        assert_eq!(bytes.len(), 8 + 1 + 8 + 8 + 4 + 2 + 4 + 4 + 4);
+        assert_eq!(u32::from_le_bytes(bytes[31..35].try_into().unwrap()), 4);
+        assert_eq!(u32::from_le_bytes(bytes[35..39].try_into().unwrap()), 4);
+        assert_eq!(&bytes[39..], &[5; 4]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! LSNs are byte offsets into the log, as in ARIES. Records are buffered in
 //! memory and pushed to the [`LogStore`] by [`LogManager::flush`], the one
 //! way to make them durable. A flush that finds its record not yet durable
-//! and no write in flight becomes the *leader*: it drains the whole buffer,
+//! and no write in flight becomes the *leader*: it takes the whole buffer,
 //! issues a single `append` + `sync` with the lock released, and wakes
 //! every parked caller. Callers arriving while the leader's sync is in
 //! flight park, and the next leader's sync covers all of them, so under
@@ -59,6 +59,9 @@ pub struct LogStats {
     pub flushes: u64,
     /// Flush calls satisfied by an earlier flush's sync.
     pub noop_flushes: u64,
+    /// Bytes the log holds now: appended and not yet cut off by a
+    /// prefix truncation, durable or still buffered.
+    pub retained: u64,
 }
 
 struct Inner {
@@ -66,6 +69,8 @@ struct Inner {
     buffer: Vec<u8>,
     /// LSN one past the last appended record.
     next_lsn: Lsn,
+    /// LSN of the first byte the store still holds.
+    base: Lsn,
     /// Everything below this LSN is durable.
     flushed_lsn: Lsn,
     /// A leader has store I/O in flight; every other store write parks
@@ -92,11 +97,13 @@ impl<S: LogStore> LogManager<S> {
     /// Open over a store; `next_lsn` resumes at the durable end.
     pub fn open(store: S) -> Result<LogManager<S>> {
         let end = store.len()?;
+        let base = store.start()?;
         Ok(LogManager {
             store,
             inner: Mutex::new(Inner {
                 buffer: Vec::new(),
                 next_lsn: Lsn(end),
+                base: Lsn(base),
                 flushed_lsn: Lsn(end),
                 leader_active: false,
                 failed: None,
@@ -110,17 +117,19 @@ impl<S: LogStore> LogManager<S> {
         lock_recover(&self.inner)
     }
 
-    /// Append a record; returns its LSN. Not yet durable.
+    /// Append a record; returns its LSN. Not yet durable. The record is
+    /// encoded straight into the buffer the next flush hands the store.
     pub fn append(&self, rec: &LogRecord) -> Result<Lsn> {
-        let bytes = rec.encode();
         let mut g = self.lock();
         let lsn = g.next_lsn;
-        g.buffer.extend_from_slice(&bytes);
-        g.next_lsn = Lsn(g.next_lsn.0 + bytes.len() as u64);
+        let start = g.buffer.len();
+        rec.encode_into(&mut g.buffer);
+        let len = (g.buffer.len() - start) as u64;
+        g.next_lsn = Lsn(lsn.0 + len);
         g.stats.records += 1;
-        g.stats.bytes += bytes.len() as u64;
+        g.stats.bytes += len;
         m().records.inc();
-        m().bytes.add(bytes.len() as u64);
+        m().bytes.add(len);
         Ok(lsn)
     }
 
@@ -136,7 +145,7 @@ impl<S: LogStore> LogManager<S> {
     /// Make the log durable up to and including the record at `upto`.
     ///
     /// Returns at once if that record is already durable; parks while
-    /// another caller's write is in flight; otherwise leads: drains the
+    /// another caller's write is in flight; otherwise leads: takes the
     /// whole buffer, writes and syncs it once, and wakes every parked
     /// caller. After any store error, returns that error forever.
     pub fn flush(&self, upto: Lsn) -> Result<()> {
@@ -156,7 +165,7 @@ impl<S: LogStore> LogManager<S> {
             g = self.park(g);
         }
         g.leader_active = true;
-        let chunk: Vec<u8> = g.buffer.drain(..).collect();
+        let mut chunk = std::mem::take(&mut g.buffer);
         let target = g.next_lsn;
         drop(g);
 
@@ -171,6 +180,12 @@ impl<S: LogStore> LogManager<S> {
 
         let mut g = self.lock();
         g.leader_active = false;
+        // Hand the written buffer back for the next appends, unless some
+        // arrived meanwhile: steady state allocates nothing per flush.
+        if g.buffer.is_empty() {
+            chunk.clear();
+            g.buffer = chunk;
+        }
         match &io {
             Ok(()) => {
                 g.flushed_lsn = target;
@@ -205,7 +220,11 @@ impl<S: LogStore> LogManager<S> {
     }
 
     pub fn stats(&self) -> LogStats {
-        self.lock().stats
+        let g = self.lock();
+        LogStats {
+            retained: g.next_lsn.0 - g.base.0,
+            ..g.stats
+        }
     }
 
     /// Durable log size in bytes: what the store physically retains, i.e.
@@ -245,7 +264,10 @@ impl<S: LogStore> LogManager<S> {
         }
         let cut = upto.min(g.flushed_lsn);
         drop(g);
-        self.store.truncate_prefix(cut.0)
+        self.store.truncate_prefix(cut.0)?;
+        let mut g = self.lock();
+        g.base = g.base.max(cut);
+        Ok(())
     }
 
     /// Borrow the underlying store (e.g. to crash a [`crate::MemLogStore`]).
@@ -473,6 +495,9 @@ mod tests {
         let end = m.next_lsn();
         m.truncate_prefix(end).unwrap();
         assert_eq!(m.durable_len().unwrap(), 0);
+        assert_eq!(m.stats().retained, 0);
         assert_eq!(m.append(&LogRecord::Begin { tx: TxId(10) }).unwrap(), end);
+        // Buffered bytes count as held before they are durable.
+        assert_eq!(m.stats().retained, m.next_lsn().0 - end.0);
     }
 }

@@ -68,26 +68,30 @@ pub enum LogRecord {
     },
 }
 
+/// Tag of an `Update` whose before-image is all zero bytes: the image is
+/// logged as its length. Tag 6 is reserved: it was the retired
+/// fuzzy-checkpoint record.
+const TAG_UPDATE_ZERO_BEFORE: u8 = 7;
+
 impl LogRecord {
-    /// Tag 6 is reserved: it was the retired fuzzy-checkpoint record.
-    fn tag(&self) -> u8 {
-        match self {
-            LogRecord::Begin { .. } => 1,
-            LogRecord::Update { .. } => 2,
-            LogRecord::Clr { .. } => 3,
-            LogRecord::Commit { .. } => 4,
-            LogRecord::Abort { .. } => 5,
-        }
+    /// Serialize as `[len:u32][checksum:u32][tag:u8][payload]`. `len` covers
+    /// tag+payload. The log manager encodes straight into its buffer with
+    /// [`LogRecord::encode_into`]; this copy is for tests and tools.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
     }
 
-    /// Serialize as `[len:u32][checksum:u32][tag:u8][payload]`. `len` covers
-    /// tag+payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = vec![self.tag()];
+    /// Append the framed record to `out`. The payload is written in place
+    /// and checksummed there; `len` and `checksum` are filled in last.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 8]);
         match self {
-            LogRecord::Begin { tx } | LogRecord::Commit { tx } | LogRecord::Abort { tx } => {
-                payload.extend_from_slice(&tx.0.to_le_bytes());
-            }
+            LogRecord::Begin { tx } => put_tx(out, 1, *tx),
+            LogRecord::Commit { tx } => put_tx(out, 4, *tx),
+            LogRecord::Abort { tx } => put_tx(out, 5, *tx),
             LogRecord::Update {
                 tx,
                 prev,
@@ -96,14 +100,21 @@ impl LogRecord {
                 before,
                 after,
             } => {
-                payload.extend_from_slice(&tx.0.to_le_bytes());
-                payload.extend_from_slice(&prev.0.to_le_bytes());
-                payload.extend_from_slice(&page.to_le_bytes());
-                payload.extend_from_slice(&offset.to_le_bytes());
-                payload.extend_from_slice(&(before.len() as u32).to_le_bytes());
-                payload.extend_from_slice(before);
-                payload.extend_from_slice(&(after.len() as u32).to_le_bytes());
-                payload.extend_from_slice(after);
+                // Fresh heap and page space is zero, and its undo is "write
+                // zeros back": such a before-image is logged as its length.
+                // Only one no longer than the after-image qualifies, which
+                // bounds what decoding allocates by the bytes present.
+                let zero = before.len() <= after.len() && before.iter().all(|b| *b == 0);
+                put_tx(out, if zero { TAG_UPDATE_ZERO_BEFORE } else { 2 }, *tx);
+                out.extend_from_slice(&prev.0.to_le_bytes());
+                out.extend_from_slice(&page.to_le_bytes());
+                out.extend_from_slice(&offset.to_le_bytes());
+                out.extend_from_slice(&(before.len() as u32).to_le_bytes());
+                if !zero {
+                    out.extend_from_slice(before);
+                }
+                out.extend_from_slice(&(after.len() as u32).to_le_bytes());
+                out.extend_from_slice(after);
             }
             LogRecord::Clr {
                 tx,
@@ -112,19 +123,18 @@ impl LogRecord {
                 after,
                 undo_next,
             } => {
-                payload.extend_from_slice(&tx.0.to_le_bytes());
-                payload.extend_from_slice(&page.to_le_bytes());
-                payload.extend_from_slice(&offset.to_le_bytes());
-                payload.extend_from_slice(&(after.len() as u32).to_le_bytes());
-                payload.extend_from_slice(after);
-                payload.extend_from_slice(&undo_next.0.to_le_bytes());
+                put_tx(out, 3, *tx);
+                out.extend_from_slice(&page.to_le_bytes());
+                out.extend_from_slice(&offset.to_le_bytes());
+                out.extend_from_slice(&(after.len() as u32).to_le_bytes());
+                out.extend_from_slice(after);
+                out.extend_from_slice(&undo_next.0.to_le_bytes());
             }
         }
-        let mut out = Vec::with_capacity(payload.len() + 8);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&checksum(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        let len = (out.len() - start - 8) as u32;
+        let sum = checksum(&out[start + 8..]);
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        out[start + 4..start + 8].copy_from_slice(&sum.to_le_bytes());
     }
 
     /// Decode one record starting at `buf[*pos]`.
@@ -159,15 +169,27 @@ impl LogRecord {
             5 => LogRecord::Abort {
                 tx: TxId(get_u64(payload, &mut p)?),
             },
-            2 => {
+            tag @ (2 | TAG_UPDATE_ZERO_BEFORE) => {
                 let tx = TxId(get_u64(payload, &mut p)?);
                 let prev = Lsn(get_u64(payload, &mut p)?);
                 let page = get_u32(payload, &mut p)?;
                 let offset = get_u16(payload, &mut p)?;
                 let blen = get_u32(payload, &mut p)? as usize;
-                let before = get_bytes(payload, &mut p, blen)?;
+                let stored = match tag {
+                    2 => Some(get_bytes(payload, &mut p, blen)?),
+                    _ => None,
+                };
                 let alen = get_u32(payload, &mut p)? as usize;
                 let after = get_bytes(payload, &mut p, alen)?;
+                let before = match stored {
+                    Some(before) => before,
+                    None if blen <= alen => vec![0; blen],
+                    None => {
+                        return Err(DominoError::Corrupt(
+                            "zero before-image longer than its after-image".into(),
+                        ))
+                    }
+                };
                 LogRecord::Update {
                     tx,
                     prev,
@@ -196,6 +218,11 @@ impl LogRecord {
         };
         Ok(Some(rec))
     }
+}
+
+fn put_tx(out: &mut Vec<u8>, tag: u8, tx: TxId) {
+    out.push(tag);
+    out.extend_from_slice(&tx.0.to_le_bytes());
 }
 
 /// FNV-1a, enough to detect torn writes (not adversarial corruption).
@@ -235,6 +262,7 @@ fn get_bytes(buf: &[u8], pos: &mut usize, n: usize) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn samples() -> Vec<LogRecord> {
         vec![
@@ -246,6 +274,14 @@ mod tests {
                 offset: 100,
                 before: vec![1, 2, 3],
                 after: vec![4, 5, 6, 7],
+            },
+            LogRecord::Update {
+                tx: TxId(7),
+                prev: Lsn(30),
+                page: 4,
+                offset: 0,
+                before: vec![0; 16],
+                after: vec![8; 16],
             },
             LogRecord::Clr {
                 tx: TxId(7),
@@ -317,6 +353,87 @@ mod tests {
             LogRecord::decode(&bytes, &mut pos),
             Err(DominoError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn zero_before_image_is_logged_as_its_length() {
+        let update = |before: Vec<u8>| LogRecord::Update {
+            tx: TxId(7),
+            prev: Lsn(12),
+            page: 3,
+            offset: 100,
+            before,
+            after: vec![9; 64],
+        };
+        let zero = update(vec![0; 64]).encode();
+        let stored = update(vec![1; 64]).encode();
+        assert_eq!(zero[8], TAG_UPDATE_ZERO_BEFORE);
+        assert_eq!(stored[8], 2);
+        assert_eq!(stored.len() - zero.len(), 64, "only the image itself goes");
+        // A zero image longer than the after-image keeps tag 2.
+        assert_eq!(update(vec![0; 65]).encode()[8], 2);
+    }
+
+    #[test]
+    fn zero_before_image_longer_than_its_after_image_is_refused() {
+        let mut bytes = LogRecord::Update {
+            tx: TxId(1),
+            prev: Lsn::NIL,
+            page: 1,
+            offset: 0,
+            before: vec![0; 4],
+            after: vec![1; 4],
+        }
+        .encode();
+        // before_len sits after tag, tx, prev, page and offset.
+        let at = 8 + 1 + 8 + 8 + 4 + 2;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let sum = checksum(&bytes[8..]);
+        bytes[4..8].copy_from_slice(&sum.to_le_bytes());
+        let mut pos = 0;
+        assert!(matches!(
+            LogRecord::decode(&bytes, &mut pos),
+            Err(DominoError::Corrupt(_))
+        ));
+    }
+
+    fn before_image() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            Just(Vec::new()),
+            (1usize..300).prop_map(|n| vec![0u8; n]),
+            prop::collection::vec(any::<u8>(), 1..300),
+        ]
+    }
+
+    proptest! {
+        /// An update decodes to itself whether its before-image is zero,
+        /// non-zero or empty, and every strict prefix of its encoding
+        /// (a tag-7 record's included) reads as a cleanly torn tail.
+        #[test]
+        fn update_roundtrips_and_every_prefix_is_a_torn_tail(
+            before in before_image(),
+            after in prop::collection::vec(any::<u8>(), 0..300),
+            page in any::<u32>(),
+            offset in any::<u16>(),
+        ) {
+            let rec = LogRecord::Update {
+                tx: TxId(3),
+                prev: Lsn(40),
+                page,
+                offset,
+                before,
+                after,
+            };
+            let bytes = rec.encode();
+            let mut pos = 0;
+            prop_assert_eq!(LogRecord::decode(&bytes, &mut pos).unwrap(), Some(rec));
+            prop_assert_eq!(pos, bytes.len());
+            for cut in 0..bytes.len() {
+                let mut pos = 0;
+                prop_assert_eq!(LogRecord::decode(&bytes[..cut], &mut pos).unwrap(), None);
+                prop_assert_eq!(pos, 0);
+            }
+        }
     }
 
     #[test]

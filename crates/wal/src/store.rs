@@ -83,6 +83,12 @@ impl LogStore for Box<dyn LogStore> {
     }
 }
 
+/// Capacity a truncated [`MemLogStore`] keeps even when it retains less.
+/// The log refills between checkpoints; regrown from nothing through many
+/// small reallocations, it left heap fragments that raised the
+/// `replicate` benchmark's peak RSS by 3 MB (EXPERIMENTS.md E2).
+const MEM_LOG_KEEP: usize = 1 << 20;
+
 /// In-memory log with an explicit durability watermark.
 #[derive(Clone, Default)]
 pub struct MemLogStore {
@@ -163,6 +169,12 @@ impl LogStore for MemLogStore {
         }
         let cut = (upto - g.base) as usize;
         g.bytes.drain(..cut);
+        // `drain` keeps the capacity: without giving it back, a log cut at
+        // every checkpoint would hold its high-water mark for good.
+        let keep = g.bytes.len().max(MEM_LOG_KEEP);
+        if g.bytes.capacity() > 2 * keep {
+            g.bytes.shrink_to(keep);
+        }
         g.durable_len -= cut;
         g.base = upto;
         Ok(())
@@ -171,8 +183,10 @@ impl LogStore for MemLogStore {
 
 /// `data.txn` header (FORMAT.md §9): magic, log format version, the base
 /// LSN of the first record byte, and FNV-1a-32 over the 16 bytes before it.
+/// Version 2 added record tag 7; a version-1 log holds tags 1–5 only, so it
+/// opens as is and its header is rewritten as version 2 at open.
 pub const LOG_MAGIC: [u8; 4] = *b"DTXN";
-pub const LOG_VERSION: u32 = 1;
+pub const LOG_VERSION: u32 = 2;
 pub const LH_MAGIC: usize = 0; // 4 bytes
 pub const LH_VERSION: usize = 4; // u32
 pub const LH_BASE: usize = 8; // u64
@@ -189,10 +203,10 @@ fn encode_header(base: u64) -> [u8; LOG_HEADER_LEN] {
     h
 }
 
-/// The base LSN a header names. Anything but a whole, intact header of
-/// this version is corruption: reading it as base 0 would restart LSNs
-/// below the ones the data file's pages already carry.
-fn decode_header(h: &[u8]) -> Result<u64> {
+/// The format version and base LSN a header names. Anything but a whole,
+/// intact header of version 1 or 2 is corruption: reading it as base 0
+/// would restart LSNs below the ones the data file's pages already carry.
+fn decode_header(h: &[u8]) -> Result<(u32, u64)> {
     let corrupt = |what: &str| Err(DominoError::Corrupt(format!("transaction log {what}")));
     if h.len() < LOG_HEADER_LEN {
         return corrupt("header cut short");
@@ -205,18 +219,20 @@ fn decode_header(h: &[u8]) -> Result<u64> {
         return corrupt("header checksum mismatch");
     }
     let version = u32::from_le_bytes(h[LH_VERSION..LH_BASE].try_into().expect("4"));
-    if version != LOG_VERSION {
-        return corrupt(&format!("format version {version} is not {LOG_VERSION}"));
+    if !(1..=LOG_VERSION).contains(&version) {
+        return corrupt(&format!(
+            "format version {version} is not 1 or {LOG_VERSION}"
+        ));
     }
-    Ok(u64::from_le_bytes(
-        h[LH_BASE..LH_CHECKSUM].try_into().expect("8"),
-    ))
+    let base = u64::from_le_bytes(h[LH_BASE..LH_CHECKSUM].try_into().expect("8"));
+    Ok((version, base))
 }
 
 /// Replace the log at `path` with a header naming `base` followed by
 /// `records`: write a temp file, `fdatasync` it, `rename` it over the log,
 /// fsync the directory. A crash leaves the old log or the new one, never
-/// a mix. Every rewrite — creation and every prefix truncation — is this.
+/// a mix. Every rewrite — creation, every prefix truncation and the
+/// version-1 upgrade — is this.
 /// `install` gets the new file the moment it is in place, so a failing
 /// directory sync cannot leave appends going to the replaced one.
 fn rewrite(path: &Path, base: u64, records: &[u8], install: impl FnOnce(File)) -> Result<()> {
@@ -275,15 +291,25 @@ impl FileInner {
 impl FileLogStore {
     /// Open the log at `path`. Only a missing file is a fresh log (created
     /// with base 0); a file without an intact header is refused as
-    /// [`DominoError::Corrupt`].
+    /// [`DominoError::Corrupt`]. A version-1 log is rewritten under a
+    /// version-2 header before anything is appended, so no file holding a
+    /// tag-7 record names version 1 and an older build refuses it.
     pub fn open(path: &Path) -> Result<FileLogStore> {
         let (file, base) = match OpenOptions::new().read(true).append(true).open(path) {
             Ok(file) => {
                 let len = file.metadata()?.len().min(LOG_HEADER_LEN as u64) as usize;
                 let mut header = vec![0u8; len];
                 file.read_exact_at(&mut header, 0)?;
-                let base = decode_header(&header)?;
-                (file, base)
+                let (version, base) = decode_header(&header)?;
+                if version == LOG_VERSION {
+                    (file, base)
+                } else {
+                    let old = FileInner { file, base };
+                    let records = old.records_from(base)?;
+                    let mut upgraded = None;
+                    rewrite(path, base, &records, |f| upgraded = Some(f))?;
+                    (upgraded.expect("installed on success"), base)
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 let mut created = None;
@@ -432,6 +458,31 @@ mod tests {
     }
 
     #[test]
+    fn mem_store_truncation_gives_back_the_cut_prefix() {
+        let s = MemLogStore::new();
+        let capacity = || s.inner.lock().bytes.capacity();
+        let bound = |retained: usize| 2 * retained.max(MEM_LOG_KEEP);
+        let mut end = 0;
+        for (append, retain) in [
+            (16 * MEM_LOG_KEEP, 100),
+            (8 * MEM_LOG_KEEP, 3 * MEM_LOG_KEEP),
+        ] {
+            s.append(&vec![7u8; append]).unwrap();
+            s.sync().unwrap();
+            end += append as u64;
+            assert!(capacity() >= s.total_len());
+            s.truncate_prefix(end - retain as u64).unwrap();
+            assert_eq!(s.total_len(), retain);
+            assert!(
+                capacity() <= bound(retain),
+                "{} bytes held for {retain}",
+                capacity()
+            );
+            assert_eq!(s.read_from(end - retain as u64).unwrap(), vec![7u8; retain]);
+        }
+    }
+
+    #[test]
     fn faulty_store_kills_writes_after_budget() {
         let plan = FaultPlan::default();
         let s = Faulty::new(MemLogStore::new(), plan.clone());
@@ -466,12 +517,43 @@ mod tests {
         assert_eq!(s.read_from(0).unwrap(), b"abc");
         assert_eq!(s.len().unwrap(), 3);
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(decode_header(&bytes).unwrap(), 0);
+        assert_eq!(decode_header(&bytes).unwrap(), (LOG_VERSION, 0));
         assert_eq!(&bytes[LOG_HEADER_LEN..], b"abc");
         assert_eq!(
             decode_header(&encode_header(u64::MAX - 1)).unwrap(),
-            u64::MAX - 1
+            (LOG_VERSION, u64::MAX - 1)
         );
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A header naming `version`, with a valid checksum.
+    fn header_of_version(version: u32, base: u64) -> Vec<u8> {
+        let mut h = encode_header(base);
+        h[LH_VERSION..LH_BASE].copy_from_slice(&version.to_le_bytes());
+        let sum = checksum(&h[..LH_CHECKSUM]);
+        h[LH_CHECKSUM..].copy_from_slice(&sum.to_le_bytes());
+        h.to_vec()
+    }
+
+    #[test]
+    fn file_store_upgrades_a_version_1_header_at_open() {
+        let path = temp_log("v1");
+        let mut v1 = header_of_version(1, 40);
+        v1.extend_from_slice(b"records");
+        std::fs::write(&path, &v1).unwrap();
+        let s = FileLogStore::open(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[..LOG_HEADER_LEN], encode_header(40));
+        assert_eq!(&bytes[LOG_HEADER_LEN..], b"records");
+        assert_eq!((s.start().unwrap(), s.len().unwrap()), (40, 47));
+        assert_eq!(s.read_from(40).unwrap(), b"records");
+        // A version this build does not know is refused, never misread.
+        drop(s);
+        std::fs::write(&path, header_of_version(LOG_VERSION + 1, 0)).unwrap();
+        assert!(matches!(
+            FileLogStore::open(&path),
+            Err(DominoError::Corrupt(_))
+        ));
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

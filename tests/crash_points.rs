@@ -14,10 +14,11 @@ use proptest::prelude::*;
 
 use domino::core::{Database, DbConfig, Note};
 use domino::storage::{
-    CommitMode, CrashDisk, CrashMode, Engine, EngineConfig, MemDisk, NsfFile, PageType,
+    CommitMode, CrashDisk, CrashMode, Disk, Engine, EngineConfig, MemDisk, NsfFile, PageBuf,
+    PageType,
 };
 use domino::types::{DominoError, FaultPlan, Faulty, LogicalClock, ReplicaId, Value};
-use domino::wal::{FileLogStore, LogManager, LogRecord, Lsn, MemLogStore, TxId};
+use domino::wal::{FileLogStore, LogManager, LogRecord, LogStore, Lsn, MemLogStore, TxId};
 
 const COUNTER_OFF: u16 = 200;
 const PATTERN_OFF: u16 = 256;
@@ -428,6 +429,72 @@ fn a_failed_commit_never_reaches_the_disk() {
     .unwrap();
     let got = e.fetch(victim).unwrap();
     assert_eq!(got.bytes(PATTERN_OFF as usize, 9), &[0u8; 9][..]);
+}
+
+/// An uncommitted insert into fresh space is stolen to disk, and the
+/// machine dies before the commit. The log holds the write as a tag-7
+/// record, its zero before-image as a bare length (FORMAT.md §9), and
+/// recovery undoes the stolen page from it: the zeros come back.
+#[test]
+fn a_stolen_insert_into_fresh_space_is_undone_from_a_zero_image_record() {
+    let disk = MemDisk::new();
+    let log = MemLogStore::new();
+    let mut e = engine_over(
+        Box::new(disk.clone()),
+        Box::new(log.clone()),
+        CommitMode::Force,
+    );
+    let page = commit_counter_page(&mut e);
+    let mut tx = e.begin().unwrap();
+    e.write(&mut tx, page, PATTERN_OFF, &[0xAB; PATTERN_LEN])
+        .unwrap();
+    // Steal: the log is forced through the write, then the page goes out.
+    e.flush_all_pages().unwrap();
+    e.crash();
+    log.crash();
+
+    let mut on_disk = PageBuf::zeroed(page);
+    disk.read_page(page, &mut on_disk).unwrap();
+    assert_eq!(
+        on_disk.bytes(PATTERN_OFF as usize, PATTERN_LEN),
+        &[0xAB; PATTERN_LEN][..],
+        "the uncommitted write reached the disk"
+    );
+    let bytes = log.read_from(log.start().unwrap()).unwrap();
+    let (mut pos, mut zero_image_records) = (0, 0);
+    while pos < bytes.len() {
+        let tag = bytes[pos + 8];
+        let rec = LogRecord::decode(&bytes, &mut pos).unwrap().unwrap();
+        if let LogRecord::Update {
+            page: p,
+            offset,
+            before,
+            ..
+        } = rec
+        {
+            if (p, offset) == (page, PATTERN_OFF) {
+                assert_eq!((tag, before), (7, vec![0; PATTERN_LEN]));
+                zero_image_records += 1;
+            }
+        }
+    }
+    assert_eq!(zero_image_records, 1);
+
+    let mut e = Engine::open(
+        Box::new(disk),
+        Some(Box::new(log)),
+        EngineConfig {
+            buffer_capacity: 16,
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(e.recovery.map(|r| (r.loser_txs, r.undone)), Some((1, 1)));
+    let got = e.fetch(page).unwrap();
+    assert_eq!(
+        got.bytes(PATTERN_OFF as usize, PATTERN_LEN),
+        &[0u8; PATTERN_LEN][..]
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ use domino::core::{Database, DbConfig, Note};
 use domino::obs;
 use domino::replica::replicate;
 use domino::storage::{
-    BTree, Disk, Engine, EngineConfig, Heap, NsfFile, PageBuf, PageId, RecordPtr,
+    BTree, Disk, Engine, EngineConfig, Heap, NsfFile, PageBuf, PageId, PageType, RecordPtr,
 };
 use domino::types::{
     Clock, DominoError, LogicalClock, NoteClass, NoteId, ReplicaId, Timestamp, Value,
 };
-use domino::wal::store::LOG_HEADER_LEN;
+use domino::wal::store::{LH_BASE, LH_CHECKSUM, LH_VERSION, LOG_HEADER_LEN};
 use domino::wal::{FileLogStore, LogRecord, TxId};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -279,6 +279,67 @@ fn corrupt_log_is_refused_not_read_as_base_zero() {
     let db = Database::open_path(&path, config(), clock).unwrap();
     assert_eq!(db.document_count().unwrap(), 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A version-1 build logged every before-image in full, a zero one
+/// included, under tag 2. A log it left behind with records in it still
+/// opens and replays, and is a version-2 log from then on.
+#[test]
+fn a_version_1_log_with_records_opens_replays_and_is_upgraded() {
+    let _log = log_writer();
+    let dir = temp_dir("v1log");
+    let path = dir.join("data.nsf");
+    let txn = path.with_extension("txn");
+    let page = {
+        let mut e = open_engine(&path);
+        let mut tx = e.begin().unwrap();
+        let page = e.alloc_page(&mut tx, PageType::Heap).unwrap();
+        e.commit(tx).unwrap();
+        e.shutdown().unwrap();
+        page
+    };
+    let closed = std::fs::read(&txn).unwrap();
+    assert_eq!(closed.len(), LOG_HEADER_LEN, "closed cleanly: header only");
+    let base = u64::from_le_bytes(closed[LH_BASE..LH_CHECKSUM].try_into().unwrap());
+
+    // Begin, an update of fresh space with its zero before-image stored
+    // under tag 2, Commit: what a version-1 build wrote for one insert.
+    let tx = 1_000u64;
+    let mut update = vec![2u8];
+    update.extend_from_slice(&tx.to_le_bytes());
+    update.extend_from_slice(&base.to_le_bytes()); // prev: the Begin
+    update.extend_from_slice(&page.to_le_bytes());
+    update.extend_from_slice(&300u16.to_le_bytes());
+    update.extend_from_slice(&8u32.to_le_bytes());
+    update.extend_from_slice(&[0; 8]);
+    update.extend_from_slice(&8u32.to_le_bytes());
+    update.extend_from_slice(b"v1 redo!");
+    let mut v1 = closed.clone();
+    v1[LH_VERSION..LH_BASE].copy_from_slice(&1u32.to_le_bytes());
+    let sum = fnv1a(&v1[..LH_CHECKSUM]);
+    v1[LH_CHECKSUM..LOG_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    v1.extend(LogRecord::Begin { tx: TxId(tx) }.encode());
+    v1.extend_from_slice(&(update.len() as u32).to_le_bytes());
+    v1.extend_from_slice(&fnv1a(&update).to_le_bytes());
+    v1.extend_from_slice(&update);
+    v1.extend(LogRecord::Commit { tx: TxId(tx) }.encode());
+    std::fs::write(&txn, &v1).unwrap();
+
+    let mut e = open_engine(&path);
+    let recovery = e.recovery.expect("the v1 records were replayed");
+    assert_eq!((recovery.analyzed, recovery.redone), (3, 1));
+    assert_eq!(e.fetch(page).unwrap().bytes(300, 8), b"v1 redo!");
+    let upgraded = std::fs::read(&txn).unwrap();
+    assert_eq!(upgraded[LH_VERSION..LH_BASE], 2u32.to_le_bytes());
+    drop(e);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a-32, the checksum of log headers and records (FORMAT.md §9).
+fn fnv1a(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c9dc5u32, |h, b| {
+        (h ^ u32::from(*b)).wrapping_mul(0x01000193)
+    })
 }
 
 #[test]

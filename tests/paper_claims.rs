@@ -135,6 +135,37 @@ fn e2_recovery_work_is_the_log_tail_not_the_database() {
     );
 }
 
+/// E2: the log holds what recovery reads. A load writes fresh space, whose
+/// before-images are zero; each is logged as its length, so loading
+/// documents appends at most 1.4 log bytes per user byte (2.4 when every
+/// zero image went out in full).
+#[test]
+fn e2_loading_documents_logs_little_more_than_the_user_bytes() {
+    let db = in_memory("load", 1);
+    let mut rng = StdRng::seed_from_u64(0xE2);
+    let start = db.log_stats().unwrap().bytes;
+    let mut user = 0;
+    for _ in 0..300 {
+        let body = rng.random_range(512..8192);
+        let mut doc = make_doc(&mut rng, 4, 64, body);
+        user += doc
+            .items()
+            .map(|item| match &item.value {
+                Value::Text(s) => s.len(),
+                Value::RichText(b) => b.len(),
+                _ => 8,
+            })
+            .sum::<usize>();
+        db.save(&mut doc).unwrap();
+    }
+    let logged = db.log_stats().unwrap().bytes - start;
+    let per_user_byte = logged as f64 / user as f64;
+    assert!(
+        per_user_byte <= 1.4,
+        "{logged} log bytes for {user} user bytes ({per_user_byte:.2} B/B)"
+    );
+}
+
 fn by_category() -> ViewDesign {
     ViewDesign::new("by-cat", r#"SELECT Form = "Doc""#)
         .unwrap()

@@ -6,7 +6,15 @@ use proptest::prelude::*;
 use domino::core::Note;
 use domino::formula::Formula;
 use domino::types::{DateTime, Item, ItemFlags, NoteClass, NoteId, Timestamp, Value};
-use domino::wal::LogRecord;
+use domino::wal::{LogRecord, Lsn, TxId};
+
+/// FNV-1a-32, the log's record checksum (FORMAT.md §9), so a damaged
+/// record can be re-checksummed and reach the payload parser.
+fn fnv1a(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c9dc5u32, |h, b| {
+        (h ^ u32::from(*b)).wrapping_mul(0x01000193)
+    })
+}
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -100,6 +108,36 @@ proptest! {
         while let Ok(Some(_)) = LogRecord::decode(&bytes, &mut pos) {
             guard += 1;
             if guard > 1000 { break; }
+        }
+    }
+
+    /// An update record (tag 7 when its before-image is zero, else tag 2)
+    /// with any four payload bytes overwritten and a fixed-up checksum
+    /// decodes or is refused as corruption. It never panics, and no image
+    /// it returns is longer than the record that carried it.
+    #[test]
+    fn damaged_update_record_decodes_or_is_refused(
+        zero in any::<bool>(),
+        len in 0usize..48,
+        at in any::<usize>(),
+        value in any::<u32>(),
+    ) {
+        let mut bytes = LogRecord::Update {
+            tx: TxId(5),
+            prev: Lsn(64),
+            page: 9,
+            offset: 128,
+            before: vec![u8::from(!zero); len],
+            after: vec![3; len],
+        }
+        .encode();
+        let at = 9 + at % (bytes.len() - 12);
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let sum = fnv1a(&bytes[8..]);
+        bytes[4..8].copy_from_slice(&sum.to_le_bytes());
+        let mut pos = 0;
+        if let Ok(Some(LogRecord::Update { before, after, .. })) = LogRecord::decode(&bytes, &mut pos) {
+            prop_assert!(before.len().max(after.len()) <= bytes.len());
         }
     }
 
