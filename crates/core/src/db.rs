@@ -238,33 +238,6 @@ struct DbInner {
     unid_counter: u16,
 }
 
-/// Handle to a background checkpointer thread started by
-/// [`Database::start_checkpointer`]. Stops and joins the thread on drop.
-pub struct CheckpointerHandle {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl CheckpointerHandle {
-    /// Stop the thread and wait for it to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for CheckpointerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// A Notes database. Thread-safe; share via `Arc<Database>`.
 ///
 /// Concurrency model (DESIGN.md §concurrency): every note mutation runs
@@ -1095,45 +1068,31 @@ impl Database {
         self.inner.lock().engine.complete_checkpoint()
     }
 
-    /// Spawn a background checkpointing thread that runs
-    /// [`Database::checkpoint_incremental`] every `interval`. The returned
-    /// handle stops and joins the thread when dropped (or via
-    /// [`CheckpointerHandle::stop`]); the thread also exits on its own once
-    /// the database is dropped.
+    /// Start the background checkpointer task: it runs
+    /// [`Database::checkpoint_incremental`] every `interval`. Stopping or
+    /// dropping the returned task ends it at once; it also ends on its
+    /// own once the database is dropped.
     pub fn start_checkpointer(
         self: &Arc<Database>,
         interval: std::time::Duration,
         pages_per_step: usize,
-    ) -> CheckpointerHandle {
+    ) -> domino_obs::Task {
         let weak = Arc::downgrade(self);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let task_name = format!("checkpointer:{}", self.title());
-        let handle = std::thread::spawn(move || {
-            let task = domino_obs::register_task(&task_name, "Fuzzy checkpoint");
-            // Sleep in short slices so stop() never waits a full interval.
-            let slice = std::time::Duration::from_millis(5)
-                .min(interval)
-                .max(std::time::Duration::from_millis(1));
-            let mut elapsed = std::time::Duration::ZERO;
-            while !stop_flag.load(Ordering::Relaxed) {
-                std::thread::sleep(slice);
-                elapsed += slice;
-                if elapsed < interval {
-                    continue;
-                }
-                elapsed = std::time::Duration::ZERO;
-                let Some(db) = weak.upgrade() else { return };
+        domino_obs::Task::every(
+            &format!("checkpointer:{}", self.title()),
+            "Fuzzy checkpoint",
+            interval,
+            move |_| {
+                let Some(db) = weak.upgrade() else {
+                    return false;
+                };
                 // Best-effort: a failed cycle (e.g. I/O error) is retried
                 // at the next interval.
                 let _ = db.checkpoint_incremental(pages_per_step);
-                task.beat();
-            }
-        });
-        CheckpointerHandle {
-            stop,
-            handle: Some(handle),
-        }
+                true
+            },
+            || {},
+        )
     }
 
     /// Flush everything and truncate the log (clean shutdown).

@@ -47,8 +47,7 @@ pub use agent::{
     AgentTrigger,
 };
 pub use db::{
-    ChangeEvent, ChangedNote, CheckpointerHandle, CompactStats, Database, DbConfig, DbInfo,
-    DEFAULT_PURGE_INTERVAL,
+    ChangeEvent, ChangedNote, CompactStats, Database, DbConfig, DbInfo, DEFAULT_PURGE_INTERVAL,
 };
 pub use form::{form_for, save_form, stored_forms, FieldKind, FieldSpec, FormDesign};
 pub use merkle::{bucket_of, MerkleSummary, MERKLE_BUCKETS};

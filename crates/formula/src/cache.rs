@@ -8,10 +8,9 @@
 //! out cheap clones.
 //!
 //! [`compile_cached`] reports whether the lookup hit so callers (the view
-//! index surfaces this in its `ViewStats`) can account cache behavior;
-//! [`stats`] exposes the process-wide totals. Failed parses are not
-//! cached: errors are rare, and callers treat them as hard failures
-//! anyway.
+//! index surfaces this in its `ViewStats`) can account cache behavior.
+//! Failed parses are not cached: errors are rare, and callers treat them
+//! as hard failures anyway.
 //!
 //! The hit/miss counters are registry-backed (`Formula.Cache.Hits` /
 //! `Formula.Cache.Misses` in `domino-obs`), with `Formula.Cache.Entries`
@@ -47,15 +46,6 @@ fn cache() -> &'static Cache {
     })
 }
 
-/// Snapshot of the process-wide cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    /// Distinct formula sources currently interned.
-    pub entries: usize,
-}
-
 /// Compile via the cache; the `bool` is true on a cache hit.
 pub fn compile_cached(source: &str) -> Result<(Formula, bool)> {
     let c = cache();
@@ -87,17 +77,6 @@ pub fn compile_cached(source: &str) -> Result<(Formula, bool)> {
         },
         false,
     ))
-}
-
-/// Process-wide hit/miss/entry counts — a thin shim over the registry
-/// counters (`Formula.Cache.*`), kept so existing call sites stay green.
-pub fn stats() -> CacheStats {
-    let c = cache();
-    CacheStats {
-        hits: c.hits.get(),
-        misses: c.misses.get(),
-        entries: c.programs.lock().expect("formula cache lock").len(),
-    }
 }
 
 /// Drop all interned programs (counters keep running). Outstanding
@@ -132,8 +111,8 @@ mod tests {
             b.eval(&MapDoc::new(), &EvalEnv::default()).unwrap(),
             Value::Number(39003.0)
         );
-        let s = stats();
-        assert!(s.hits >= 1 && s.misses >= 1 && s.entries >= 1);
+        let c = cache();
+        assert!(c.hits.get() >= 1 && c.misses.get() >= 1 && c.entries.get() >= 1);
 
         // Parse errors are reported every time, never cached.
         assert!(compile_cached("@@@ not a formula %%%").is_err());

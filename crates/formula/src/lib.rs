@@ -31,7 +31,6 @@ pub mod parser;
 pub mod token;
 
 pub use ast::{BinOp, Expr, Program, UnOp};
-pub use cache::CacheStats;
 pub use eval::{DocContext, EvalEnv, EvalOutput, Evaluator, MapDoc};
 pub use parser::parse;
 

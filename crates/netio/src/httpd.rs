@@ -19,18 +19,17 @@
 //! ([`DominoServer::drain`]). Accepted work is never dropped.
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use domino_obs as obs;
 use domino_server::{DominoServer, Response};
-use domino_types::{DominoError, Result};
+use domino_types::Result;
 
+use crate::listener::{Listener, POLL_TICK};
 use crate::parser::{HttpParser, ParseError, ParserLimits};
-use crate::ConnThreads;
 
 struct Metrics {
     accepted: &'static obs::Counter,
@@ -52,9 +51,6 @@ fn m() -> &'static Metrics {
         drained: obs::counter("Http.Conn.Drained"),
     })
 }
-
-/// How often blocked reads wake to check deadlines and the stop flag.
-const POLL_TICK: Duration = Duration::from_millis(25);
 
 /// Sizing and timeout knobs for the listener (OPERATIONS.md §11).
 #[derive(Debug, Clone)]
@@ -96,7 +92,7 @@ pub struct DrainReport {
 struct HttpShared {
     server: DominoServer,
     config: HttpConfig,
-    stop: AtomicBool,
+    stop: Arc<AtomicBool>,
     active: Mutex<usize>,
     all_idle: Condvar,
 }
@@ -107,47 +103,56 @@ impl HttpShared {
     }
 }
 
+/// One connection's place under [`HttpConfig::max_connections`]; dropping
+/// it gives the place back, also when its thread could not be spawned.
+struct Admission(Arc<HttpShared>);
+
+impl Drop for Admission {
+    fn drop(&mut self) {
+        m().active.add(-1);
+        let mut active = self.0.active.lock().unwrap_or_else(|p| p.into_inner());
+        *active -= 1;
+        if *active == 0 {
+            self.0.all_idle.notify_all();
+        }
+    }
+}
+
 /// The running HTTP listener task.
 pub struct HttpListener {
-    addr: std::net::SocketAddr,
     shared: Arc<HttpShared>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
-    conn_threads: Arc<ConnThreads>,
+    listener: Listener,
 }
 
 impl HttpListener {
     /// Bind and start serving `server` at `config.addr`.
     pub fn start(server: DominoServer, config: HttpConfig) -> Result<HttpListener> {
-        let listener = TcpListener::bind(&config.addr)
-            .map_err(|e| DominoError::Unavailable(format!("bind {}: {e}", config.addr)))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| DominoError::Unavailable(format!("local_addr: {e}")))?;
+        let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(HttpShared {
             server,
             config,
-            stop: AtomicBool::new(false),
+            stop: stop.clone(),
             active: Mutex::new(0),
             all_idle: Condvar::new(),
         });
-        let conn_threads = Arc::new(ConnThreads::default());
         let accept_shared = shared.clone();
-        let accept_conns = conn_threads.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("http-listener".into())
-            .spawn(move || accept_loop(&listener, addr, &accept_shared, &accept_conns))
-            .map_err(|e| DominoError::Unavailable(format!("spawn http-listener: {e}")))?;
-        Ok(HttpListener {
-            addr,
-            shared,
-            accept_thread: Mutex::new(Some(accept_thread)),
-            conn_threads,
-        })
+        let listener = Listener::start(
+            &shared.config.addr,
+            "http",
+            "HTTP listener",
+            stop,
+            move |stream| admit(stream, &accept_shared),
+        )?;
+        obs::emit(
+            obs::Event::new(obs::EventKind::Http, obs::Severity::Normal, "Http.Listen")
+                .with("addr", listener.addr.to_string()),
+        );
+        Ok(HttpListener { shared, listener })
     }
 
     /// The bound address, e.g. `127.0.0.1:41237`.
     pub fn addr(&self) -> String {
-        self.addr.to_string()
+        self.listener.addr.to_string()
     }
 
     /// Connections currently open.
@@ -160,36 +165,16 @@ impl HttpListener {
     /// Waits up to `timeout` for connections to finish; idempotent.
     pub fn drain(&self, timeout: Duration) -> DrainReport {
         let connections_at_start = self.shared.active();
-        if !self.shared.stop.swap(true, Ordering::SeqCst) {
-            // First drain: wake the blocking accept and retire it.
-            let _ = TcpStream::connect(self.addr);
-            if let Some(t) = self
-                .accept_thread
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .take()
-            {
-                let _ = t.join();
-            }
-        }
-        let deadline = Instant::now() + timeout;
-        let mut active = self.shared.active.lock().unwrap_or_else(|p| p.into_inner());
-        while *active > 0 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            let (g, _) = self
-                .shared
-                .all_idle
-                .wait_timeout(active, left)
-                .unwrap_or_else(|p| p.into_inner());
-            active = g;
-        }
-        let remaining = *active;
-        drop(active);
+        self.listener.close();
+        let active = self.shared.active.lock().unwrap_or_else(|p| p.into_inner());
+        let remaining = *self
+            .shared
+            .all_idle
+            .wait_timeout_while(active, timeout, |active| *active > 0)
+            .unwrap_or_else(|p| p.into_inner())
+            .0;
         if remaining == 0 {
-            self.conn_threads.join_all();
+            self.listener.join();
             // Finish whatever the connections queued before joining is
             // observable: the pool's explicit drain.
             self.shared.server.drain();
@@ -212,78 +197,40 @@ impl Drop for HttpListener {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    addr: std::net::SocketAddr,
-    shared: &Arc<HttpShared>,
-    conns: &ConnThreads,
-) {
-    let task = obs::register_task("http-listener", "HTTP listener");
-    task.set_status(&format!("Listen http://{addr}/"));
-    obs::emit(
-        obs::Event::new(obs::EventKind::Http, obs::Severity::Normal, "Http.Listen")
-            .with("addr", addr.to_string()),
-    );
-    for stream in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        task.beat();
-        {
-            let mut active = shared.active.lock().unwrap_or_else(|p| p.into_inner());
-            if *active >= shared.config.max_connections {
-                drop(active);
-                m().rejected.inc();
-                obs::emit(
-                    obs::Event::new(
-                        obs::EventKind::Http,
-                        obs::Severity::Warning,
-                        "Http.Conn.Rejected",
-                    )
-                    .with("max", shared.config.max_connections as u64),
-                );
-                reject_overloaded(stream);
-                continue;
-            }
-            *active += 1;
-        }
-        m().accepted.inc();
-        m().active.add(1);
-        let conn_shared = shared.clone();
-        match std::thread::Builder::new()
-            .name("http-conn".into())
-            .spawn(move || {
-                let outcome = serve_http_conn(stream, &conn_shared);
-                m().active.add(-1);
-                let mut active = conn_shared.active.lock().unwrap_or_else(|p| p.into_inner());
-                *active -= 1;
-                if *active == 0 {
-                    conn_shared.all_idle.notify_all();
-                }
-                drop(active);
-                obs::emit(
-                    obs::Event::new(
-                        obs::EventKind::Http,
-                        obs::Severity::Info,
-                        "Http.Conn.Closed",
-                    )
-                    .with("outcome", outcome),
-                );
-            }) {
-            Ok(h) => conns.hold(h),
-            Err(_) => {
-                // Could not spawn: undo the admission.
-                m().active.add(-1);
-                let mut active = shared.active.lock().unwrap_or_else(|p| p.into_inner());
-                *active -= 1;
-                if *active == 0 {
-                    shared.all_idle.notify_all();
-                }
-            }
-        }
+/// Admit an accepted socket under the connection cap, or answer it `503`.
+fn admit(stream: TcpStream, shared: &Arc<HttpShared>) -> Option<impl FnOnce() + Send> {
+    let mut active = shared.active.lock().unwrap_or_else(|p| p.into_inner());
+    if *active >= shared.config.max_connections {
+        drop(active);
+        m().rejected.inc();
+        obs::emit(
+            obs::Event::new(
+                obs::EventKind::Http,
+                obs::Severity::Warning,
+                "Http.Conn.Rejected",
+            )
+            .with("max", shared.config.max_connections as u64),
+        );
+        reject_overloaded(stream);
+        return None;
     }
-    task.set_status("Quit");
+    *active += 1;
+    drop(active);
+    m().accepted.inc();
+    m().active.add(1);
+    let admission = Admission(shared.clone());
+    Some(move || {
+        let outcome = serve_http_conn(stream, &admission.0);
+        drop(admission);
+        obs::emit(
+            obs::Event::new(
+                obs::EventKind::Http,
+                obs::Severity::Info,
+                "Http.Conn.Closed",
+            )
+            .with("outcome", outcome),
+        );
+    })
 }
 
 /// Over the connection cap: answer 503 without admitting the socket.
@@ -429,7 +376,7 @@ mod tests {
             ..ServerConfig::default()
         });
         let listener = HttpListener::start(server, HttpConfig::default()).unwrap();
-        crate::assert_finished_connections_reaped(&listener.conn_threads, || {
+        crate::listener::assert_finished_connections_reaped(&listener.listener, || {
             let mut s = TcpStream::connect(listener.addr()).unwrap();
             s.write_all(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
                 .unwrap();

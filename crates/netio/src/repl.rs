@@ -23,17 +23,16 @@
 //! points line up one-to-one.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use domino_obs as obs;
 use domino_replica::Transport;
 use domino_types::{DominoError, FaultPlan, Frame, FrameDecoder, Opcode, Result};
 
-use crate::ConnThreads;
+use crate::listener::{Listener, POLL_TICK};
 
 struct Metrics {
     accepted: &'static obs::Counter,
@@ -60,11 +59,8 @@ fn m() -> &'static Metrics {
 /// gone (both sides use it as their I/O deadline).
 const IO_DEADLINE: Duration = Duration::from_secs(5);
 
-/// The poll tick idle server connections use to notice a shutdown.
-const POLL_TICK: Duration = Duration::from_millis(25);
-
 struct ListenerShared {
-    stop: AtomicBool,
+    stop: Arc<AtomicBool>,
     /// `Deliver` frames received, across all connections.
     deliveries: AtomicU64,
     /// Ticked once per `Deliver` frame; a failed tick is a nack.
@@ -76,10 +72,8 @@ struct ListenerShared {
 /// Bound to an ephemeral loopback port by default; hand
 /// [`ReplicaListener::addr`] to a [`SocketTransport`].
 pub struct ReplicaListener {
-    addr: std::net::SocketAddr,
     shared: Arc<ListenerShared>,
-    accept_thread: Option<JoinHandle<()>>,
-    conn_threads: Arc<ConnThreads>,
+    listener: Listener,
 }
 
 impl ReplicaListener {
@@ -87,57 +81,34 @@ impl ReplicaListener {
     /// picks an ephemeral port (read it back with
     /// [`ReplicaListener::addr`]).
     pub fn bind(addr: &str) -> Result<ReplicaListener> {
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| DominoError::Unavailable(format!("bind {addr}: {e}")))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| DominoError::Unavailable(format!("local_addr: {e}")))?;
+        let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(ListenerShared {
-            stop: AtomicBool::new(false),
+            stop: stop.clone(),
             deliveries: AtomicU64::new(0),
             plan: FaultPlan::default(),
         });
-        let conn_threads = Arc::new(ConnThreads::default());
         let accept_shared = shared.clone();
-        let accept_conns = conn_threads.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("replica-listener".into())
-            .spawn(move || {
-                let task = obs::register_task("replica-listener", "Replication wire listener");
-                task.set_status(&format!("Listen {local}"));
-                obs::emit(
-                    obs::Event::new(obs::EventKind::Replica, obs::Severity::Normal, "Net.Listen")
-                        .with("addr", local.to_string()),
-                );
-                for stream in listener.incoming() {
-                    if accept_shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    m().accepted.inc();
-                    task.beat();
-                    let conn_shared = accept_shared.clone();
-                    if let Ok(h) = std::thread::Builder::new()
-                        .name("replica-conn".into())
-                        .spawn(move || serve_connection(stream, &conn_shared))
-                    {
-                        accept_conns.hold(h);
-                    }
-                }
-                task.set_status("Quit");
-            })
-            .map_err(|e| DominoError::Unavailable(format!("spawn listener: {e}")))?;
-        Ok(ReplicaListener {
-            addr: local,
-            shared,
-            accept_thread: Some(accept_thread),
-            conn_threads,
-        })
+        let listener = Listener::start(
+            addr,
+            "replica",
+            "Replication wire listener",
+            stop,
+            move |stream| {
+                m().accepted.inc();
+                let conn_shared = accept_shared.clone();
+                Some(move || serve_connection(stream, &conn_shared))
+            },
+        )?;
+        obs::emit(
+            obs::Event::new(obs::EventKind::Replica, obs::Severity::Normal, "Net.Listen")
+                .with("addr", listener.addr.to_string()),
+        );
+        Ok(ReplicaListener { shared, listener })
     }
 
     /// The bound address (connect a [`SocketTransport`] here).
     pub fn addr(&self) -> String {
-        self.addr.to_string()
+        self.listener.addr.to_string()
     }
 
     /// The plan every `Deliver` frame ticks, across connections and
@@ -154,15 +125,9 @@ impl ReplicaListener {
 
     /// Stop accepting and join every connection thread.
     pub fn shutdown(&mut self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
+        if self.listener.close() {
+            self.listener.join();
         }
-        // Unblock the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        self.conn_threads.join_all();
     }
 }
 
@@ -421,7 +386,7 @@ mod tests {
     #[test]
     fn finished_connection_threads_are_reaped() {
         let listener = ReplicaListener::bind("127.0.0.1:0").unwrap();
-        crate::assert_finished_connections_reaped(&listener.conn_threads, || {
+        crate::listener::assert_finished_connections_reaped(&listener.listener, || {
             SocketTransport::connect(&listener.addr())
                 .deliver(1)
                 .unwrap()

@@ -27,9 +27,10 @@
 //!   fields) that the `log.nsf` logger task drains; emission never
 //!   blocks a hot path (overflow counts into `Obs.Event.Dropped`), and
 //!   the drainer's [`suppress`] guard keeps the log from logging itself.
-//! * **Task roster** ([`register_task`], [`show_tasks`]) — every
-//!   background thread (checkpointer, amgr, logger, probes) registers
-//!   and heart-beats here, reproducing the Domino `show tasks` console.
+//! * **Server tasks** ([`Task`], [`show_tasks`]) — the one runtime for
+//!   long-lived background threads (checkpointer, amgr, logger, socket
+//!   listeners): each is listed and heart-beats here while it runs,
+//!   reproducing the Domino `show tasks` console, and stops at once.
 //!
 //! ## Naming convention
 //!
@@ -93,4 +94,4 @@ pub use span::{
     current_path, enter, enter_timed, set_slow_threshold, slow_ops, slow_threshold, take_slow_ops,
     SlowOp, SpanGuard, SLOW_LOG_CAPACITY,
 };
-pub use task::{register_task, show_tasks, tasks, TaskHandle, TaskInfo};
+pub use task::{show_tasks, tasks, Task, TaskHandle, TaskInfo};

@@ -81,7 +81,7 @@ pub use cache::{CacheKey, CachedPage, CommandCache, PageKind};
 pub use console::{Console, TellHandler};
 pub use ddm::{default_rules, ProbeCondition, ProbeEngine, ProbeOutcome, ProbeRule};
 pub use http::{Credentials, Method, Request, Response, Status};
-pub use logger::{DrainReport, LoggerConfig, LoggerHandle, ServerLog};
+pub use logger::{DrainReport, LoggerConfig, ServerLog};
 pub use pool::WorkerPool;
-pub use server::{AmgrHandle, DominoServer, ServerConfig, ANONYMOUS};
+pub use server::{DominoServer, ServerConfig, ANONYMOUS};
 pub use url::{parse, UrlCommand, DEFAULT_COUNT};

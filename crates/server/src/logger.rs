@@ -40,9 +40,8 @@
 //!   write-ahead log as well.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use domino_core::{Database, DbConfig, Note};
@@ -396,82 +395,37 @@ impl ServerLog {
         out
     }
 
-    /// Drive [`drain`](ServerLog::drain) from a background thread every
-    /// `every` (the logger task proper). The thread registers on the
-    /// task roster (`show tasks`) and holds only a weak reference: drop
-    /// the last [`ServerLog`] and it exits on its own. Stopping the
-    /// handle performs a final drain so shutdown never strands events.
-    pub fn start(self: &Arc<ServerLog>, every: Duration) -> LoggerHandle {
+    /// Start the logger task proper: it runs
+    /// [`drain`](ServerLog::drain) every `every`, listed on the task
+    /// roster (`show tasks`). It holds only a weak reference: drop the
+    /// last [`ServerLog`] and it ends on its own. Stopping the task
+    /// performs a final drain so shutdown never strands events.
+    pub fn start(self: &Arc<ServerLog>, every: Duration) -> obs::Task {
         let weak = Arc::downgrade(self);
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = stop.clone();
-        let join = std::thread::Builder::new()
-            .name("logger".into())
-            .spawn(move || {
-                let task = obs::register_task("logger", "Event log writer");
-                let slice = Duration::from_millis(5)
-                    .min(every)
-                    .max(Duration::from_millis(1));
-                let mut elapsed = Duration::ZERO;
-                let mut filed: u64 = 0;
-                loop {
-                    if flag.load(Ordering::Relaxed) {
-                        // Final drain: whatever is on the bus gets filed
-                        // before the task exits.
-                        if let Some(log) = weak.upgrade() {
-                            log.drain();
-                        }
-                        return;
-                    }
-                    std::thread::sleep(slice);
-                    elapsed += slice;
-                    if elapsed < every {
-                        continue;
-                    }
-                    elapsed = Duration::ZERO;
-                    let Some(log) = weak.upgrade() else { return };
-                    let report = log.drain();
-                    filed += report.written as u64;
-                    task.beat();
-                    task.set_status(&format!(
-                        "{} docs filed, {} in log",
-                        filed,
-                        log.document_count()
-                    ));
+        let last = weak.clone();
+        let mut filed: u64 = 0;
+        obs::Task::every(
+            "logger",
+            "Event log writer",
+            every,
+            move |task| {
+                let Some(log) = weak.upgrade() else {
+                    return false;
+                };
+                filed += log.drain().written as u64;
+                task.set_status(&format!(
+                    "{} docs filed, {} in log",
+                    filed,
+                    log.document_count()
+                ));
+                true
+            },
+            move || {
+                if let Some(log) = last.upgrade() {
+                    log.drain();
                 }
-            })
-            .expect("spawn logger");
-        LoggerHandle {
-            stop,
-            join: Some(join),
-        }
-    }
-}
-
-/// Handle on the background logger thread; stops (with a final drain)
-/// when dropped.
-pub struct LoggerHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl LoggerHandle {
-    /// Stop the logger thread, flush the bus one last time, and wait.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-impl Drop for LoggerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
+            },
+        )
     }
 }
 

@@ -16,9 +16,8 @@
 //! 5. render, consulting the command cache for view pages.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use domino_core::{
@@ -325,62 +324,24 @@ impl DominoServer {
         self.inner.amgr_tick()
     }
 
-    /// Drive [`DominoServer::amgr_tick`] from a background thread every
-    /// `every`. The thread holds only a weak reference: dropping the last
-    /// server clone ends it, as does dropping (or stopping) the handle.
-    pub fn start_amgr(&self, every: Duration) -> AmgrHandle {
-        let stop = Arc::new(AtomicBool::new(false));
+    /// Start the agent manager task: it runs [`DominoServer::amgr_tick`]
+    /// every `every`. It holds only a weak reference: dropping the last
+    /// server clone ends it, as does stopping or dropping the task.
+    pub fn start_amgr(&self, every: Duration) -> obs::Task {
         let weak = Arc::downgrade(&self.inner);
-        let flag = stop.clone();
-        let join = std::thread::Builder::new()
-            .name("http-amgr".into())
-            .spawn(move || {
-                let task = obs::register_task("http-amgr", "Agent manager");
-                while !flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(every);
-                    if flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    match weak.upgrade() {
-                        Some(inner) => {
-                            let _ = inner.amgr_tick();
-                            task.beat();
-                        }
-                        None => break,
-                    }
-                }
-            })
-            .expect("spawn http-amgr");
-        AmgrHandle {
-            stop,
-            join: Some(join),
-        }
-    }
-}
-
-/// Handle on the background agent-manager thread; stops it when dropped.
-pub struct AmgrHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl AmgrHandle {
-    /// Stop the amgr thread and wait for it to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-impl Drop for AmgrHandle {
-    fn drop(&mut self) {
-        self.shutdown();
+        obs::Task::every(
+            "http-amgr",
+            "Agent manager",
+            every,
+            move |_| {
+                let Some(inner) = weak.upgrade() else {
+                    return false;
+                };
+                let _ = inner.amgr_tick();
+                true
+            },
+            || {},
+        )
     }
 }
 

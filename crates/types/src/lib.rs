@@ -35,4 +35,4 @@ pub use id::{NoteClass, NoteId, Oid, ReplicaId, Unid};
 pub use item::{Item, ItemFlags};
 pub use time::{Clock, LogicalClock, Timestamp};
 pub use value::{DateTime, Value, ValueType};
-pub use wire::{Frame, FrameDecoder, Opcode, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};
+pub use wire::{fnv1a32, Frame, FrameDecoder, Opcode, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};

@@ -53,8 +53,9 @@ const FNV32_OFFSET: u32 = 0x811c_9dc5;
 /// FNV-1a-32 prime.
 const FNV32_PRIME: u32 = 0x0100_0193;
 
-/// FNV-1a-32 over `bytes` — the frame checksum (and cheap enough to run
-/// per message on the hot path).
+/// FNV-1a-32 over `bytes`: the frame checksum and the log's record and
+/// header checksum. Cheap enough to run per message on the hot path, and
+/// enough to detect torn writes (not adversarial corruption).
 pub fn fnv1a32(bytes: &[u8]) -> u32 {
     let mut h = FNV32_OFFSET;
     for b in bytes {

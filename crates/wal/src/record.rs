@@ -1,6 +1,6 @@
 //! Log sequence numbers, transaction ids, and log records.
 
-use domino_types::{DominoError, Result};
+use domino_types::{fnv1a32, DominoError, Result};
 
 /// A log sequence number: the byte offset of a record in the log. LSN 0 is
 /// "nil" (before everything).
@@ -132,7 +132,7 @@ impl LogRecord {
             }
         }
         let len = (out.len() - start - 8) as u32;
-        let sum = checksum(&out[start + 8..]);
+        let sum = fnv1a32(&out[start + 8..]);
         out[start..start + 4].copy_from_slice(&len.to_le_bytes());
         out[start + 4..start + 8].copy_from_slice(&sum.to_le_bytes());
     }
@@ -154,7 +154,7 @@ impl LogRecord {
             return Ok(None);
         }
         let payload = &buf[*pos + 8..*pos + 8 + len];
-        if checksum(payload) != want_sum {
+        if fnv1a32(payload) != want_sum {
             return Ok(None);
         }
         *pos += 8 + len;
@@ -223,16 +223,6 @@ impl LogRecord {
 fn put_tx(out: &mut Vec<u8>, tag: u8, tx: TxId) {
     out.push(tag);
     out.extend_from_slice(&tx.0.to_le_bytes());
-}
-
-/// FNV-1a, enough to detect torn writes (not adversarial corruption).
-pub(crate) fn checksum(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c9dc5;
-    for b in bytes {
-        h ^= *b as u32;
-        h = h.wrapping_mul(0x01000193);
-    }
-    h
 }
 
 fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
@@ -346,7 +336,7 @@ mod tests {
         // Tag 6, the retired checkpoint record, decodes as corruption.
         let mut bytes = LogRecord::Commit { tx: TxId(1) }.encode();
         bytes[8] = 6;
-        let sum = checksum(&bytes[8..]);
+        let sum = fnv1a32(&bytes[8..]);
         bytes[4..8].copy_from_slice(&sum.to_le_bytes());
         let mut pos = 0;
         assert!(matches!(
@@ -388,7 +378,7 @@ mod tests {
         // before_len sits after tag, tx, prev, page and offset.
         let at = 8 + 1 + 8 + 8 + 4 + 2;
         bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let sum = checksum(&bytes[8..]);
+        let sum = fnv1a32(&bytes[8..]);
         bytes[4..8].copy_from_slice(&sum.to_le_bytes());
         let mut pos = 0;
         assert!(matches!(

@@ -26,8 +26,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::record::checksum;
-use domino_types::{DominoError, Faulty, Result};
+use domino_types::{fnv1a32, DominoError, Faulty, Result};
 
 /// Append-only storage for log bytes.
 pub trait LogStore: Send + Sync {
@@ -198,7 +197,7 @@ fn encode_header(base: u64) -> [u8; LOG_HEADER_LEN] {
     h[LH_MAGIC..LH_VERSION].copy_from_slice(&LOG_MAGIC);
     h[LH_VERSION..LH_BASE].copy_from_slice(&LOG_VERSION.to_le_bytes());
     h[LH_BASE..LH_CHECKSUM].copy_from_slice(&base.to_le_bytes());
-    let sum = checksum(&h[..LH_CHECKSUM]);
+    let sum = fnv1a32(&h[..LH_CHECKSUM]);
     h[LH_CHECKSUM..].copy_from_slice(&sum.to_le_bytes());
     h
 }
@@ -215,7 +214,7 @@ fn decode_header(h: &[u8]) -> Result<(u32, u64)> {
         return corrupt("has no header (bad magic)");
     }
     let stored = u32::from_le_bytes(h[LH_CHECKSUM..LOG_HEADER_LEN].try_into().expect("4"));
-    if stored != checksum(&h[..LH_CHECKSUM]) {
+    if stored != fnv1a32(&h[..LH_CHECKSUM]) {
         return corrupt("header checksum mismatch");
     }
     let version = u32::from_le_bytes(h[LH_VERSION..LH_BASE].try_into().expect("4"));
@@ -530,7 +529,7 @@ mod tests {
     fn header_of_version(version: u32, base: u64) -> Vec<u8> {
         let mut h = encode_header(base);
         h[LH_VERSION..LH_BASE].copy_from_slice(&version.to_le_bytes());
-        let sum = checksum(&h[..LH_CHECKSUM]);
+        let sum = fnv1a32(&h[..LH_CHECKSUM]);
         h[LH_CHECKSUM..].copy_from_slice(&sum.to_le_bytes());
         h.to_vec()
     }

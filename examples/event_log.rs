@@ -61,12 +61,16 @@ fn main() -> domino::types::Result<()> {
             DbConfig::new("Ledger", ReplicaId(5), ReplicaId(50)),
             clock.clone(),
         )?;
-        for i in 0..60 {
+        for i in 0..80 {
             let mut n = Note::document("Entry");
             n.set("Seq", Value::Number(i as f64));
             db.save(&mut n)?;
+            if i == 59 {
+                // Saves after the checkpoint are committed only in the
+                // log: restart recovery replays them.
+                db.checkpoint()?;
+            }
         }
-        db.checkpoint()?;
         wal.crash(); // power cut
     }
     let ledger = Database::open(

@@ -422,3 +422,36 @@ fn one_reference_monitor() {
         ),
     );
 }
+
+#[test]
+fn one_task_runtime() {
+    // Every long-lived server thread is a `domino_obs::Task`: started,
+    // listed, stopped and joined in `obs/src/task.rs`. The HTTP worker
+    // pool is the one other owner of threads.
+    let files = sources();
+    let non_test = files.iter().map(|(f, t)| {
+        let end = t.find("\n#[cfg(test)]\nmod ").unwrap_or(t.len());
+        (f.as_str(), &t[..end])
+    });
+    assert_none(
+        "a thread spawned outside the task runtime",
+        offending(
+            non_test.filter(|(f, _)| {
+                *f != "crates/obs/src/task.rs" && *f != "crates/server/src/pool.rs"
+            }),
+            |l| l.contains("thread::spawn") || l.contains("thread::Builder"),
+        ),
+    );
+    let retired = [
+        "AmgrHandle",
+        "LoggerHandle",
+        "CheckpointerHandle",
+        "ConnThreads",
+    ];
+    assert_none(
+        "a second task handle or connection-thread holder",
+        offending(files.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            retired.iter().any(|r| has_word(l, r))
+        }),
+    );
+}
