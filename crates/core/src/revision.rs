@@ -13,8 +13,8 @@
 //! questions it needs about two copies of a note: are they the
 //! [`same_revision`], does one [`descends_from`] the other, when did they
 //! last agree ([`merge_base_time`]), and which survives a conflict
-//! ([`winner_key`]). The replicator, cluster push and the simulator call
-//! these and parse no chain themselves.
+//! ([`winner_key`]). The replicator (a cluster push is one of its passes)
+//! and the simulator call these and parse no chain themselves.
 //!
 //! The hash is a pure function of history: it covers the note's UNID,
 //! sequence stamp, class, canonical item encodings, and parent hashes —

@@ -10,8 +10,10 @@
 //! themselves converge. Deletions travel as stubs; purge-interval
 //! interactions are reproduced faithfully (experiment E8).
 //!
-//! [`cluster`] implements the R5 clustering variant: event-driven push
-//! replication that keeps failover replicas nearly current.
+//! [`cluster`] implements the R5 clustering variant, event-driven
+//! replication that keeps failover replicas nearly current: a commit on
+//! one mate makes every other mate pull exactly the UNIDs that changed,
+//! through the same pass and decisions as a scheduled pull.
 //!
 //! Replication survives unreliable networks: passes stream candidates in
 //! bounded batches through a [`Transport`], an interrupted pull keeps a
@@ -84,7 +86,7 @@ pub mod history;
 pub mod replicator;
 pub mod transport;
 
-pub use cluster::{Cluster, ClusterStats, DEFAULT_CATCH_UP_CAPACITY};
+pub use cluster::Cluster;
 pub use conflict::conflict_unid;
 pub use history::ReplicationHistory;
 pub use replicator::{

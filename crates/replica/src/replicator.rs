@@ -275,6 +275,9 @@ pub struct Replicator {
     pub history: ReplicationHistory,
     /// Interrupted passes by `(dst instance, src instance)`.
     cursors: HashMap<(ReplicaId, ReplicaId), PullCursor>,
+    /// The next pass's candidate set when it is fixed instead of
+    /// negotiated (see [`Replicator::pull_changed`]).
+    preset: Option<Vec<Unid>>,
 }
 
 impl Replicator {
@@ -284,7 +287,25 @@ impl Replicator {
             options,
             history: ReplicationHistory::new(),
             cursors: HashMap::new(),
+            preset: None,
         }
+    }
+
+    /// Pull `src` into `dst` for exactly `unids`: a cluster push, whose
+    /// candidates are the UNIDs that changed. A fresh replicator hands the
+    /// set to its pass pre-negotiated, as a parked cursor's is on
+    /// resumption, so the pass runs the same per-note decisions as any
+    /// other, skips the digest exchange and is not a resumption.
+    pub(crate) fn pull_changed(
+        dst: &Database,
+        src: &Database,
+        unids: Vec<Unid>,
+    ) -> Result<ReplicationReport> {
+        Replicator {
+            preset: Some(unids),
+            ..Replicator::new(ReplicationOptions::default())
+        }
+        .pull(dst, src)
     }
 
     /// Pull changes from `src` into `dst` over a perfectly reliable
@@ -419,14 +440,18 @@ impl Replicator {
     /// differing bucket) its entries for those buckets — after which the
     /// source knows exactly the notes whose head hashes differ. Every
     /// round crosses the transport, so fault injection applies to
-    /// negotiation messages just as to candidate batches.
+    /// negotiation messages just as to candidate batches. A preset set is
+    /// the answer as it stands, with no exchange.
     fn negotiate_unids(
-        &self,
+        &mut self,
         dst: &Database,
         src: &Database,
         transport: &mut dyn Transport,
         report: &mut ReplicationReport,
     ) -> Result<Vec<Unid>> {
+        if let Some(unids) = self.preset.take() {
+            return Ok(unids);
+        }
         let _span = obs::span!("Replica.Negotiate");
         report.negotiated += 1;
         // Round 1: the destination ships its root.
@@ -696,6 +721,17 @@ impl Replicator {
                 return Ok(());
             }
         }
+        self.take_note(dst, remote, report)
+    }
+
+    /// Decide what `dst` keeps of `remote`: add it, update to it, keep a
+    /// newer local copy or deletion, or resolve a conflict.
+    fn take_note(
+        &self,
+        dst: &Database,
+        remote: Note,
+        report: &mut ReplicationReport,
+    ) -> Result<()> {
         let local_id = dst.id_of_unid(remote.unid())?;
         let Some(local_id) = local_id else {
             // Brand new here.
@@ -775,7 +811,11 @@ impl Replicator {
             unreachable!("conflicting copies share a UNID");
         }
         dst.save_replicated(winner)?;
-        dst.save_replicated(conflict_doc)?;
+        // Two losers stamped alike share a conflict UNID, and the conflict
+        // document may have been deleted here since: it is taken as any
+        // pulled note is, so neither is overwritten. Its cost and outcome
+        // are the conflict's.
+        self.take_note(dst, conflict_doc, &mut ReplicationReport::default())?;
         report.conflicts += 1;
         Ok(())
     }
@@ -1049,6 +1089,82 @@ mod tests {
         ];
         assert!(texts.contains(&"a-edit".to_string()));
         assert!(texts.contains(&"b-edit".to_string()));
+    }
+
+    fn edit(db: &Database, unid: Unid, subject: &str) -> Note {
+        let mut n = db.open_by_unid(unid).unwrap();
+        n.set("Subject", Value::text(subject));
+        db.save(&mut n).unwrap();
+        n
+    }
+
+    fn subjects(db: &Database) -> Vec<String> {
+        let mut v: Vec<String> = all_docs(db).into_iter().map(|(_, _, s)| s).collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn losers_stamped_alike_keep_both_conflict_documents() {
+        // Three replicas; A's and B's edits carry one stamp, so both
+        // losers map to one conflict UNID.
+        let open = |i| {
+            Arc::new(
+                Database::open_in_memory(
+                    DbConfig::new("Disc", ReplicaId(77), ReplicaId(i)),
+                    LogicalClock::starting_at(domino_types::Timestamp(100)),
+                )
+                .unwrap(),
+            )
+        };
+        let (a, b, c) = (open(1), open(2), open(3));
+        let mut r = Replicator::new(ReplicationOptions::default());
+        let n = doc(&a, "base");
+        r.pull(&b, &a).unwrap();
+        r.pull(&c, &a).unwrap();
+        let (ea, eb) = (edit(&a, n.unid(), "from A"), edit(&b, n.unid(), "from B"));
+        assert_eq!(ea.oid, eb.oid, "the two edits share a stamp");
+        edit(&c, n.unid(), "C once");
+        edit(&c, n.unid(), "from C");
+        r.pull(&a, &b).unwrap();
+        // C takes A's conflict document first, then A's winner, which
+        // loses to C's newer copy: its conflict document has that UNID.
+        let only_conflicts =
+            domino_formula::Formula::compile(&format!("SELECT {ITEM_CONFLICT} = \"1\"")).unwrap();
+        Replicator::new(ReplicationOptions {
+            selective: Some(only_conflicts),
+            ..ReplicationOptions::default()
+        })
+        .pull(&c, &a)
+        .unwrap();
+        r.pull(&c, &a).unwrap();
+        assert_eq!(subjects(&c), ["from A", "from B", "from C"]);
+    }
+
+    #[test]
+    fn a_deleted_conflict_document_stays_deleted() {
+        let (a, b, mut r) = pair();
+        let c = Arc::new(
+            Database::open_in_memory(
+                DbConfig::new("Disc", ReplicaId(77), ReplicaId(3)),
+                LogicalClock::new(),
+            )
+            .unwrap(),
+        );
+        let n = doc(&a, "base");
+        r.sync(&a, &b).unwrap();
+        let loser = edit(&a, n.unid(), "a-edit");
+        r.pull(&c, &a).unwrap();
+        edit(&b, n.unid(), "b-edit");
+        edit(&b, n.unid(), "b-edit again");
+        r.pull(&a, &b).unwrap();
+        let conflict = crate::conflict_unid(n.unid(), loser.oid.seq, loser.oid.seq_time);
+        a.delete(a.id_of_unid(conflict).unwrap().unwrap()).unwrap();
+        // C still holds the loser, so A meets the same conflict again.
+        let report = r.pull(&a, &c).unwrap();
+        assert_eq!(report.conflicts, 1);
+        assert!(a.open_by_unid(conflict).is_err());
+        assert_eq!(subjects(&a), ["b-edit again"]);
     }
 
     #[test]

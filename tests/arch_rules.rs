@@ -455,3 +455,56 @@ fn one_task_runtime() {
         }),
     );
 }
+
+#[test]
+fn one_replication_decision() {
+    // A cluster push is a `Replicator` pass restricted to the UNIDs that
+    // changed: what a pull writes, and whether one revision descends from
+    // another, is decided in `replicator.rs` alone.
+    let files = sources();
+    let replica = files
+        .iter()
+        .filter(|(f, _)| {
+            f.starts_with("crates/replica/src/") && f != "crates/replica/src/replicator.rs"
+        })
+        .map(|(f, t)| {
+            let end = t.find("\n#[cfg(test)]\nmod ").unwrap_or(t.len());
+            (f.as_str(), &t[..end])
+        });
+    assert_none(
+        "a replication decision outside the replicator",
+        offending(replica, |l| {
+            [
+                "save_replicated(",
+                "apply_remote_deletion(",
+                "descends_from",
+            ]
+            .iter()
+            .any(|c| l.contains(c))
+        }),
+    );
+    // The cluster's own accept/decline copy and its lossy catch-up queue
+    // are gone from every Rust file.
+    let mut everywhere = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root().join(dir), &mut everywhere);
+    }
+    let texts: Vec<(String, String)> = everywhere
+        .iter()
+        .filter(|p| !p.ends_with("tests/arch_rules.rs"))
+        .map(|p| (p.display().to_string(), std::fs::read_to_string(p).unwrap()))
+        .collect();
+    let retired = [
+        "apply_event",
+        "holds_stub_as_new",
+        "join_with_capacity",
+        "ClusterStats",
+        "CATCH_UP",
+    ];
+    assert_none(
+        "a second replication decision or the cluster catch-up queue",
+        offending(texts.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            retired.iter().any(|r| l.contains(r))
+        }),
+    );
+}

@@ -4,7 +4,9 @@
 //! delete, a `$Readers` restriction — the view and the full-text index
 //! must end at B's state, as a rebuild would, and cluster mates must not
 //! bring a deleted document back. A commit from inside an observer and a
-//! panicking observer must not wedge the feed.
+//! panicking observer must not wedge the feed. A cluster pushes through
+//! its mates' feeds: it stops when dropped, keeps what it could not push,
+//! and loses nothing to a pause of any length.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -15,8 +17,12 @@ use std::time::{Duration, Instant};
 use domino::core::{ChangeEvent, Database, DbConfig, Note, ITEM_READERS};
 use domino::ftindex::FtIndex;
 use domino::replica::Cluster;
-use domino::types::{ItemFlags, LogicalClock, ReplicaId, Timestamp, Unid, Value};
+use domino::storage::MemDisk;
+use domino::types::{
+    FaultPlan, Faulty, ItemFlags, LogicalClock, ReplicaId, Timestamp, Unid, Value,
+};
 use domino::views::{ColumnSpec, SortDir, View, ViewDesign, ViewEntry};
+use domino::wal::MemLogStore;
 
 fn design() -> ViewDesign {
     ViewDesign::new("Memos", r#"SELECT Form = "Memo""#)
@@ -262,5 +268,55 @@ fn a_cluster_delete_during_delivery_of_an_earlier_save_stays_deleted_on_every_ma
             1,
             "{name} lost the deletion stub"
         );
+    }
+}
+
+#[test]
+fn a_dropped_cluster_pushes_nothing() {
+    let mates = [open(402), open(403)];
+    drop(Cluster::join(&mates).unwrap());
+    let doc = memo(&mates[0], "after the drop");
+    assert!(mates[1].open_by_unid(doc.unid()).is_err());
+}
+
+/// B's log fails the append of A's pushed save: the push is kept dirty
+/// for a retry, not counted as suppressed and forgotten.
+#[test]
+fn a_failed_push_stays_dirty() {
+    let plan = FaultPlan::default();
+    let b = Arc::new(
+        Database::open(
+            Box::new(MemDisk::new()),
+            Some(Box::new(Faulty::new(MemLogStore::new(), plan.clone()))),
+            DbConfig::new("Feed", ReplicaId(5), ReplicaId(405)),
+            LogicalClock::starting_at(Timestamp(405 * 7)),
+        )
+        .unwrap(),
+    );
+    let a = open(404);
+    let cluster = Cluster::join(&[a.clone(), b.clone()]).unwrap();
+    plan.arm(0);
+    let doc = memo(&a, "not yet on B");
+    plan.disarm();
+    assert!(b.open_by_unid(doc.unid()).is_err());
+    assert_eq!(cluster.backlog(), 1, "the failed push was dropped");
+}
+
+#[test]
+fn a_pause_of_any_length_loses_nothing() {
+    let mates = [open(406), open(407), open(408)];
+    let cluster = Cluster::join(&mates).unwrap();
+    cluster.pause();
+    let unids: Vec<Unid> = (0..1100)
+        .map(|i| memo(&mates[i % 2], &format!("m{i}")).unid())
+        .collect();
+    assert_eq!(cluster.backlog(), unids.len());
+    assert_eq!(cluster.resume(), unids.len() as u64);
+    assert_eq!(cluster.backlog(), 0);
+    for mate in &mates {
+        assert_eq!(mate.document_count().unwrap(), unids.len());
+        for unid in &unids {
+            assert!(mate.open_by_unid(*unid).is_ok());
+        }
     }
 }
