@@ -235,13 +235,24 @@ impl AgentScheduler {
     /// ticks past its last run (a never-run agent is due immediately —
     /// the catch-up semantics an operator expects after a restart).
     pub fn tick(&mut self, now: u64) -> Result<AgentTickReport> {
+        self.run_due(now, true)
+    }
+
+    /// Run only the `OnUpdate` agents, if the change sequence moved since
+    /// the previous tick: what a replication pass that delivered documents
+    /// triggers. `Scheduled` agents wait for the next [`tick`](Self::tick).
+    pub fn tick_on_update(&mut self, now: u64) -> Result<AgentTickReport> {
+        self.run_due(now, false)
+    }
+
+    fn run_due(&mut self, now: u64, scheduled: bool) -> Result<AgentTickReport> {
         let updated = self.db.change_seq() != self.seen_seq;
         let mut report = AgentTickReport::default();
         for agent in stored_agents(&self.db)? {
             let due = match agent.trigger {
                 AgentTrigger::Manual => false,
                 AgentTrigger::Scheduled(every) => {
-                    if every == 0 {
+                    if every == 0 || !scheduled {
                         false
                     } else {
                         match self.last_run.get(&agent.name) {

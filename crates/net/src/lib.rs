@@ -3,9 +3,12 @@
 //! Real Domino evaluations need racks of servers; this crate substitutes a
 //! discrete-time simulation (DESIGN.md §2): a [`Network`] of servers
 //! connected by a [`Topology`] with per-link latency/bandwidth, hosting
-//! database replica sets, scheduled replication, cluster replication, and
-//! the mail router ([`MailRouter`]). Time is a shared logical clock, so
-//! every run is reproducible tick-for-tick.
+//! database replica sets, scheduled replication, agent managers, cluster
+//! replication, and the mail router ([`MailRouter`]). Time is a shared
+//! logical clock, and timed work — replication passes and agent-manager
+//! ticks — is `domino_obs::Task`s on one timeline that [`Network::step`]
+//! fires in due-tick, then registration, order, so every run is
+//! reproducible tick-for-tick from its fault seed.
 //!
 //! Links can be made unreliable — and replication still converges, which
 //! is the paper's central operational claim:

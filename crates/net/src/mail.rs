@@ -277,8 +277,9 @@ impl MailRouter {
         Ok(())
     }
 
-    /// Step (advancing one tick each pass) until all sent mail is
-    /// delivered or `max_steps` elapse. Returns ticks taken.
+    /// Route, then [`Network::step`] one tick (so scheduled passes that
+    /// fall due while mail routes fire), until all sent mail is delivered
+    /// or `max_steps` elapse. Returns ticks taken.
     pub fn run_until_delivered(&mut self, net: &mut Network, max_steps: u64) -> Result<u64> {
         let start = net.clock().peek().0;
         for _ in 0..max_steps {
@@ -286,7 +287,7 @@ impl MailRouter {
             if self.stats.delivered + self.stats.dead_lettered >= self.stats.sent {
                 return Ok(net.clock().peek().0 - start);
             }
-            net.clock().advance(1);
+            net.step(1)?;
         }
         Err(DominoError::Replication(format!(
             "{} of {} messages still undelivered after {max_steps} steps",
@@ -426,5 +427,27 @@ mod tests {
         assert_eq!(router.stats().delivered, 20);
         assert_eq!(router.inbox(&n, "alice").unwrap().len(), 10);
         assert_eq!(router.inbox(&n, "bob").unwrap().len(), 10);
+    }
+
+    #[test]
+    fn scheduled_passes_fire_while_mail_routes() {
+        let mut n = Network::new(
+            3,
+            Topology::Chain,
+            LinkSpec {
+                latency: 5,
+                ..LinkSpec::default()
+            },
+            LogicalClock::new(),
+        );
+        n.create_replica_set("d").unwrap();
+        n.schedule_replication("d", 10, domino_replica::ReplicationOptions::default());
+        let mut router = MailRouter::setup(&mut n, &users()).unwrap();
+        router.send(&n, 0, "alice", "bob", "memo", "b").unwrap();
+        let mut doc = Note::document("Memo");
+        n.db(0, "d").unwrap().save(&mut doc).unwrap();
+        let took = router.run_until_delivered(&mut n, 100).unwrap();
+        assert!(took >= 10, "two hops of latency 5 took {took} ticks");
+        assert!(n.converged("d").unwrap(), "the passes due at tick 10 fired");
     }
 }

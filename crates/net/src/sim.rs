@@ -2,10 +2,12 @@
 //!
 //! A [`Network`] hosts N servers, each holding replicas of named
 //! databases, connected by a [`Topology`] with per-link latency and
-//! bandwidth. Time is the shared [`LogicalClock`]: `step()` advances it
-//! and fires whatever replication passes are due. Link traffic (bytes,
-//! messages, transfer ticks) is accounted per link so the experiments can
-//! report bandwidth and latency figures.
+//! bandwidth. Time is the shared [`LogicalClock`]. Scheduled replication
+//! passes and agent-manager ticks are `domino_obs::Task`s on one
+//! [`Timeline`](obs::Timeline): `step()` advances the clock to each due
+//! tick and fires it, ordered by due tick and then by registration. Link
+//! traffic (bytes, messages, transfer ticks) is accounted per link so the
+//! experiments can report bandwidth and latency figures.
 //!
 //! This is the substitution for a real multi-server Domino deployment
 //! (DESIGN.md §2): topology, scheduling, message counts, and byte volumes
@@ -23,12 +25,15 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use domino_core::revision::{merkle_head, stub_head};
-use domino_core::{Database, DbConfig};
+use domino_core::{AgentScheduler, Database, DbConfig};
 use domino_obs as obs;
 use domino_replica::{
     CleanTransport, ReplicationOptions, ReplicationReport, Replicator, RetryPolicy,
 };
-use domino_types::{Clock, DominoError, FaultPlan, Faulty, LogicalClock, ReplicaId, Result};
+use domino_types::{
+    Clock, DominoError, FaultPlan, Faulty, LogicalClock, ReplicaId, Result, Timestamp,
+};
+use parking_lot::Mutex;
 
 use crate::topology::{all_pairs_next_hop, Topology};
 
@@ -163,22 +168,156 @@ impl Server {
     }
 }
 
-/// A scheduled agent pass for one database replica.
-struct AgentSchedule {
-    server: usize,
-    db: String,
-    interval: u64,
-    next_at: u64,
+/// What replication passes read and write, shared by the network and its
+/// scheduled tasks: link specs, partitions, outages, the fault plan and
+/// retry policy, traffic and fault counters, one replicator per (link,
+/// database) that serves scheduled and ad-hoc passes alike, and each
+/// replica with its agent manager (the [`AgentScheduler`] a
+/// `DominoServer` runs).
+#[derive(Default)]
+struct Links {
+    specs: HashMap<(usize, usize), LinkSpec>,
+    /// Links currently considered down (partition testing).
+    down: Vec<(usize, usize)>,
+    /// The one fault plan: message drops, link flaps and mail-hop drops
+    /// all draw from it.
+    plan: FaultPlan,
+    /// Scheduled outage windows: `(server, ticks)`.
+    outages: Vec<(usize, Range<u64>)>,
+    /// How hard replication passes lean on flaky links.
+    retry: RetryPolicy,
+    traffic: HashMap<(usize, usize), LinkTraffic>,
+    faults: HashMap<(usize, usize), LinkFaults>,
+    /// Keyed by link + db, so resume cursors survive interrupted passes.
+    replicators: HashMap<(usize, usize, String), Replicator>,
+    /// Keyed by server + db; a pass looks its replicas up when it fires.
+    replicas: HashMap<(usize, String), (Arc<Database>, AgentScheduler)>,
+    /// The first error a scheduled task met; the `step` firing it returns it.
+    error: Option<DominoError>,
 }
 
-/// A scheduled replication pass over one link for one database.
-struct Schedule {
-    a: usize,
-    b: usize,
-    db: String,
-    interval: u64,
-    next_at: u64,
-    replicator: Replicator,
+fn key(a: usize, b: usize) -> (usize, usize) {
+    (a.min(b), a.max(b))
+}
+
+impl Links {
+    fn spec(&self, a: usize, b: usize) -> LinkSpec {
+        self.specs.get(&key(a, b)).copied().unwrap_or_default()
+    }
+
+    fn faults(&mut self, a: usize, b: usize) -> &mut LinkFaults {
+        self.faults.entry(key(a, b)).or_default()
+    }
+
+    fn stash(&mut self, result: Result<()>) {
+        if let Err(e) = result {
+            self.error.get_or_insert(e);
+        }
+    }
+
+    /// The agent manager of `db` on `server`.
+    fn amgr(&mut self, server: usize, db: &str) -> Result<&mut AgentScheduler> {
+        let replica = self.replicas.get_mut(&(server, db.to_string()));
+        let (_, amgr) = replica.ok_or_else(|| {
+            DominoError::NotFound(format!("no replica of {db} on server {server}"))
+        })?;
+        Ok(amgr)
+    }
+
+    /// True, and counted, when either end of `(a, b)` is in an outage
+    /// window at `now`.
+    fn out(&mut self, a: usize, b: usize, now: u64) -> bool {
+        let out = self
+            .outages
+            .iter()
+            .any(|(s, ticks)| (*s == a || *s == b) && ticks.contains(&now));
+        if out {
+            self.faults(a, b).outages += 1;
+            m().outages.inc();
+        }
+        out
+    }
+
+    /// Is a replication pass over `(a, b)` able to start at `now`?
+    /// Skipped passes (partition, outage, flap) are not errors: the
+    /// schedule simply fires again at its next slot. Outages and flaps are
+    /// accounted in the link's fault counters.
+    fn pass_can_start(&mut self, a: usize, b: usize, now: u64) -> bool {
+        if self.down.contains(&key(a, b)) || self.out(a, b, now) {
+            return false;
+        }
+        let flapped = self.plan.chance(self.spec(a, b).flap_rate);
+        if flapped {
+            self.faults(a, b).flaps += 1;
+            m().flaps.inc();
+        }
+        !flapped
+    }
+
+    /// One replication pass over `(a, b)` for `db` at `now`, run by the
+    /// link's replicator through a [`Faulty`] clean transport that drops
+    /// messages at the link's `drop_rate`. A replica the pass changed
+    /// then runs its `OnUpdate` agents. `None` when the pass could not
+    /// start, an end holds no replica of `db`, or the pass failed
+    /// transiently (the cursor is parked and the pass resumes at its next
+    /// slot); real errors surface.
+    fn pass(
+        &mut self,
+        a: usize,
+        b: usize,
+        db: &str,
+        now: u64,
+    ) -> Result<Option<(ReplicationReport, ReplicationReport)>> {
+        if !self.pass_can_start(a, b, now) {
+            return Ok(None);
+        }
+        let replica = |s: usize| self.replicas.get(&(s, db.to_string())).map(|r| r.0.clone());
+        let (Some(da), Some(db_)) = (replica(a), replica(b)) else {
+            return Ok(None);
+        };
+        let mut transport = Faulty::new(
+            CleanTransport,
+            self.plan.dropping(self.spec(a, b).drop_rate),
+        );
+        let faults_before = self.plan.faults();
+        let replicator = self
+            .replicators
+            .entry((a, b, db.to_string()))
+            .or_insert_with(|| Replicator::new(ReplicationOptions::default()));
+        let result = replicator.sync_with_retry(&da, &db_, &mut transport, &self.retry);
+        let dropped = self.plan.faults() - faults_before;
+        if dropped > 0 {
+            self.faults(a, b).dropped += dropped;
+            m().dropped.add(dropped);
+        }
+        let (into_a, into_b) = match result {
+            Ok((into_a, into_b, _stats)) => (into_a, into_b),
+            Err(e) if e.is_transient() => {
+                self.faults(a, b).aborted_passes += 1;
+                m().aborted.inc();
+                return Ok(None);
+            }
+            Err(e) => return Err(e),
+        };
+        for (report, server) in [(&into_a, a), (&into_b, b)] {
+            if report.bytes_shipped > 0 {
+                self.account(a, b, report.bytes_shipped);
+            }
+            if report.changed_anything() {
+                self.amgr(server, db)?.tick_on_update(now)?;
+            }
+        }
+        Ok(Some((into_a, into_b)))
+    }
+
+    fn account(&mut self, a: usize, b: usize, bytes: u64) -> u64 {
+        let ticks = self.spec(a, b).transfer_ticks(bytes);
+        let t = self.traffic.entry(key(a, b)).or_default();
+        t.transfers += 1;
+        t.bytes += bytes;
+        t.busy_ticks += ticks;
+        ticks
+    }
 }
 
 /// The simulated network of Domino servers.
@@ -187,25 +326,11 @@ pub struct Network {
     servers: Vec<Server>,
     topology: Topology,
     links: Vec<(usize, usize)>,
-    link_specs: HashMap<(usize, usize), LinkSpec>,
-    schedules: Vec<Schedule>,
-    agent_schedules: Vec<AgentSchedule>,
-    traffic: HashMap<(usize, usize), LinkTraffic>,
-    /// Links currently considered down (partition testing).
-    down: Vec<(usize, usize)>,
     next_replica_lineage: u64,
-    /// The one fault plan: message drops, link flaps and mail-hop drops
-    /// all draw from it.
-    plan: FaultPlan,
-    /// Scheduled outage windows: `(server, ticks)`.
-    outages: Vec<(usize, Range<u64>)>,
-    /// How hard replication passes lean on flaky links.
-    retry: RetryPolicy,
-    /// Per-link fault accounting.
-    faults: HashMap<(usize, usize), LinkFaults>,
-    /// Persistent replicators for ad-hoc (unscheduled) passes, so their
-    /// resume cursors survive interrupted rounds. Keyed by link + db.
-    adhoc: HashMap<(usize, usize, String), Replicator>,
+    shared: Arc<Mutex<Links>>,
+    /// Scheduled replication passes and agent runs, due on `clock`.
+    timeline: obs::Timeline,
+    tasks: Vec<obs::Task>,
 }
 
 impl Network {
@@ -219,23 +344,20 @@ impl Network {
             })
             .collect();
         let links = topology.links(n);
-        let link_specs = links.iter().map(|l| (*l, spec)).collect();
+        let shared = Links {
+            specs: links.iter().map(|l| (*l, spec)).collect(),
+            retry: RetryPolicy::none(),
+            ..Links::default()
+        };
         Network {
             clock,
             servers,
             topology,
             links,
-            link_specs,
-            schedules: Vec::new(),
-            agent_schedules: Vec::new(),
-            traffic: HashMap::new(),
-            down: Vec::new(),
             next_replica_lineage: 0xD0_0000,
-            plan: FaultPlan::default(),
-            outages: Vec::new(),
-            retry: RetryPolicy::none(),
-            faults: HashMap::new(),
-            adhoc: HashMap::new(),
+            shared: Arc::new(Mutex::new(shared)),
+            timeline: obs::Timeline::new(),
+            tasks: Vec::new(),
         }
     }
 
@@ -305,6 +427,8 @@ impl Network {
         self.servers[server]
             .databases
             .insert(name.to_string(), db.clone());
+        let amgr = AgentScheduler::new(db.clone(), &self.servers[server].name);
+        (self.shared.lock().replicas).insert((server, name.to_string()), (db.clone(), amgr));
         Ok(db)
     }
 
@@ -327,59 +451,49 @@ impl Network {
             .collect()
     }
 
-    /// Schedule replication of `db` over every topology link, every
-    /// `interval` ticks.
+    /// Schedule replication of `db` every `interval` ticks over every
+    /// topology link: one task per link on the network's timeline. A pass
+    /// looks its two replicas up when it fires, so a replica created later
+    /// joins the schedule, and a link without both ends skips its pass.
     pub fn schedule_replication(&mut self, db: &str, interval: u64, options: ReplicationOptions) {
-        let start = self.now();
+        let first = self.now() + interval;
         for (a, b) in self.links.clone() {
-            self.schedules.push(Schedule {
-                a,
-                b,
-                db: db.to_string(),
-                interval,
-                next_at: start + interval,
-                replicator: Replicator::new(options.clone()),
-            });
+            let (shared, clock, db) = (self.shared.clone(), self.clock.clone(), db.to_string());
+            let replicator = Replicator::new(options.clone());
+            (shared.lock().replicators).insert((a, b, db.clone()), replicator);
+            self.tasks.push(obs::Task::every(
+                &format!("replicator:server{a}-server{b}:{db}"),
+                "Replicator",
+                obs::Cadence::Ticks(self.timeline.clone(), first, interval),
+                move |_| {
+                    let mut links = shared.lock();
+                    let pass = links.pass(a, b, &db, clock.peek().0);
+                    links.stash(pass.map(drop));
+                    true
+                },
+                || {},
+            ));
         }
     }
 
-    /// Run every stored scheduled agent of `db` on `server` every
-    /// `interval` ticks (the Domino agent manager's job).
+    /// Tick the agent manager of `db` on `server` every `interval` ticks:
+    /// each stored agent runs as its own trigger says (the Domino agent
+    /// manager's job).
     pub fn schedule_agents(&mut self, server: usize, db: &str, interval: u64) {
-        let start = self.now();
-        self.agent_schedules.push(AgentSchedule {
-            server,
-            db: db.to_string(),
-            interval,
-            next_at: start + interval,
-        });
-    }
-
-    /// Run all stored agents of `db` on `server` immediately.
-    pub fn run_agents(
-        &mut self,
-        server: usize,
-        db: &str,
-    ) -> Result<Vec<domino_core::AgentRunReport>> {
-        let database = self.db(server, db)?;
-        let mut out = Vec::new();
-        for agent in domino_core::stored_agents(&database)? {
-            out.push(agent.run(&database, &format!("server{server}"))?);
-        }
-        Ok(out)
-    }
-
-    /// Run the `OnUpdate`-triggered agents of one replica (fired after a
-    /// replication pass delivers changes, like Domino's
-    /// "after new mail arrives"/"after documents change" agents).
-    fn run_on_update_agents(&mut self, server: usize, db: &str) -> Result<()> {
-        let database = self.db(server, db)?;
-        for agent in domino_core::stored_agents(&database)? {
-            if agent.trigger == domino_core::AgentTrigger::OnUpdate {
-                agent.run(&database, &format!("server{server}"))?;
-            }
-        }
-        Ok(())
+        let first = self.now() + interval;
+        let (shared, clock, db) = (self.shared.clone(), self.clock.clone(), db.to_string());
+        self.tasks.push(obs::Task::every(
+            &format!("amgr:server{server}:{db}"),
+            "Agent manager",
+            obs::Cadence::Ticks(self.timeline.clone(), first, interval),
+            move |_| {
+                let mut links = shared.lock();
+                let ran = links.amgr(server, &db).and_then(|a| a.tick(clock.peek().0));
+                links.stash(ran.map(drop));
+                true
+            },
+            || {},
+        ));
     }
 
     // ------------------------------------------------------------------
@@ -388,21 +502,20 @@ impl Network {
 
     /// Take a link down (both directions).
     pub fn partition(&mut self, a: usize, b: usize) {
-        let key = (a.min(b), a.max(b));
-        if !self.down.contains(&key) {
-            self.down.push(key);
+        let mut links = self.shared.lock();
+        if !links.down.contains(&key(a, b)) {
+            links.down.push(key(a, b));
         }
     }
 
     /// Restore a link.
     pub fn heal(&mut self, a: usize, b: usize) {
-        let key = (a.min(b), a.max(b));
-        self.down.retain(|l| *l != key);
+        self.shared.lock().down.retain(|l| *l != key(a, b));
     }
 
     /// Is the link between two servers currently up?
     pub fn is_link_up(&self, a: usize, b: usize) -> bool {
-        !self.down.contains(&(a.min(b), a.max(b)))
+        !self.shared.lock().down.contains(&key(a, b))
     }
 
     // ------------------------------------------------------------------
@@ -412,58 +525,50 @@ impl Network {
     /// Reseed the deterministic fault stream (call before injecting any
     /// fault to make a run reproducible from the seed alone).
     pub fn set_fault_seed(&mut self, seed: u64) {
-        self.plan = FaultPlan::seeded(seed);
+        self.shared.lock().plan = FaultPlan::seeded(seed);
     }
 
     /// The retry policy scheduled replication passes use on flaky links.
     /// Defaults to [`RetryPolicy::none`] — the pre-fault behaviour.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
+        self.shared.lock().retry = policy;
     }
 
     /// The current retry policy.
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
+        self.shared.lock().retry
     }
 
     /// Replace the spec of one link (e.g. to make just the WAN hop lossy).
     pub fn set_link_spec(&mut self, a: usize, b: usize, spec: LinkSpec) {
-        self.link_specs.insert((a.min(b), a.max(b)), spec);
+        self.shared.lock().specs.insert(key(a, b), spec);
     }
 
     /// Replace every link's spec (e.g. a uniform drop rate for E14).
     pub fn set_all_link_specs(&mut self, spec: LinkSpec) {
+        let mut links = self.shared.lock();
         for l in &self.links {
-            self.link_specs.insert(*l, spec);
+            links.specs.insert(*l, spec);
         }
     }
 
     /// The spec of a link (default when the pair is not a topology link).
     pub fn link_spec(&self, a: usize, b: usize) -> LinkSpec {
-        self.link_specs
-            .get(&(a.min(b), a.max(b)))
-            .copied()
-            .unwrap_or_default()
+        self.shared.lock().spec(a, b)
     }
 
     /// Schedule a server outage window: the server neither replicates nor
     /// routes mail while `from <= now < until`.
     pub fn schedule_outage(&mut self, server: usize, from: u64, until: u64) {
-        self.outages.push((server, from..until));
-    }
-
-    /// Is `server` outside every scheduled outage window at `now`?
-    pub fn server_available(&self, server: usize, now: u64) -> bool {
-        !self
-            .outages
-            .iter()
-            .any(|(s, ticks)| *s == server && ticks.contains(&now))
+        self.shared.lock().outages.push((server, from..until));
     }
 
     /// Fault counters for one link.
     pub fn link_faults(&self, a: usize, b: usize) -> LinkFaults {
-        self.faults
-            .get(&(a.min(b), a.max(b)))
+        self.shared
+            .lock()
+            .faults
+            .get(&key(a, b))
             .copied()
             .unwrap_or_default()
     }
@@ -471,7 +576,7 @@ impl Network {
     /// Fault counters summed over all links.
     pub fn total_faults(&self) -> LinkFaults {
         let mut sum = LinkFaults::default();
-        for f in self.faults.values() {
+        for f in self.shared.lock().faults.values() {
             sum.merge_from(f);
         }
         sum
@@ -483,234 +588,68 @@ impl Network {
     /// queued and retries next pass either way).
     pub fn mail_hop_ready(&mut self, a: usize, b: usize) -> bool {
         let now = self.now();
-        if !self.server_available(a, now) || !self.server_available(b, now) {
-            self.faults.entry((a.min(b), a.max(b))).or_default().outages += 1;
-            m().outages.inc();
+        let mut links = self.shared.lock();
+        if links.out(a, b, now) {
             return false;
         }
-        let spec = self.link_spec(a, b);
-        if self.plan.chance(spec.drop_rate) {
-            self.faults.entry((a.min(b), a.max(b))).or_default().dropped += 1;
+        let dropped = links.plan.chance(links.spec(a, b).drop_rate);
+        if dropped {
+            links.faults(a, b).dropped += 1;
             m().mail_drops.inc();
-            return false;
         }
-        true
-    }
-
-    /// Is a replication pass over `(a, b)` able to start right now?
-    /// Skipped passes (partition, outage, flap) are not errors: the
-    /// schedule simply fires again at its next slot. Outages and flaps are
-    /// accounted in [`link_faults`](Network::link_faults).
-    fn pass_can_start(&mut self, a: usize, b: usize) -> bool {
-        if !self.is_link_up(a, b) {
-            return false;
-        }
-        let key = (a.min(b), a.max(b));
-        let now = self.now();
-        if !self.server_available(a, now) || !self.server_available(b, now) {
-            self.faults.entry(key).or_default().outages += 1;
-            m().outages.inc();
-            return false;
-        }
-        let spec = self.link_spec(a, b);
-        if self.plan.chance(spec.flap_rate) {
-            self.faults.entry(key).or_default().flaps += 1;
-            m().flaps.inc();
-            return false;
-        }
-        true
+        !dropped
     }
 
     // ------------------------------------------------------------------
     // time
     // ------------------------------------------------------------------
 
-    /// Advance simulated time by `ticks`, firing due replication passes
-    /// and scheduled agents, interleaved in due-time order (agents run
-    /// before replication at the same instant, so their output ships in
-    /// that pass — matching Domino's agent-manager-then-replicator order).
-    pub fn step(&mut self, ticks: u64) -> Result<Vec<ReplicationReport>> {
+    /// Advance simulated time by `ticks`, firing the network's scheduled
+    /// tasks (replication passes and agent manager ticks) in the
+    /// timeline's order: by due tick, then by registration. The clock is
+    /// moved to each due tick before its tasks fire. Returns the first
+    /// error a task met; the clock then stays at that tick.
+    pub fn step(&mut self, ticks: u64) -> Result<()> {
         let target = self.now() + ticks;
-        let mut reports = Vec::new();
-        loop {
-            let next_repl = self
-                .schedules
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.next_at <= target)
-                .min_by_key(|(_, s)| s.next_at)
-                .map(|(i, s)| (s.next_at, i));
-            let next_agent = self
-                .agent_schedules
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.next_at <= target)
-                .min_by_key(|(_, s)| s.next_at)
-                .map(|(i, s)| (s.next_at, i));
-
-            let run_agent = match (next_agent, next_repl) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some((ta, _)), Some((tr, _))) => ta <= tr,
-            };
-            if run_agent {
-                let (next_at, i) = next_agent.expect("checked");
-                let (server, db_name) = {
-                    let s = &self.agent_schedules[i];
-                    (s.server, s.db.clone())
-                };
-                let now = self.now();
-                if next_at > now {
-                    self.clock.advance(next_at - now);
-                }
-                self.agent_schedules[i].next_at += self.agent_schedules[i].interval;
-                self.run_agents(server, &db_name)?;
-            } else {
-                let (next_at, i) = next_repl.expect("checked");
-                let (a, b, db_name) = {
-                    let s = &self.schedules[i];
-                    (s.a, s.b, s.db.clone())
-                };
-                let now = self.now();
-                if next_at > now {
-                    self.clock.advance(next_at - now);
-                }
-                self.schedules[i].next_at += self.schedules[i].interval;
-                if !self.pass_can_start(a, b) {
-                    continue;
-                }
-                let (Ok(da), Ok(db_)) = (self.db(a, &db_name), self.db(b, &db_name)) else {
-                    continue;
-                };
-                let Some((into_a, into_b)) = self.run_pass(a, b, &da, &db_, Some(i), &db_name)?
-                else {
-                    continue;
-                };
-                // Incoming changes fire OnUpdate agents on the receiver.
-                if into_a.changed_anything() {
-                    self.run_on_update_agents(a, &db_name)?;
-                }
-                if into_b.changed_anything() {
-                    self.run_on_update_agents(b, &db_name)?;
-                }
-                reports.push(into_a);
-                reports.push(into_b);
+        while let Some(due) = self.timeline.next_due().filter(|&due| due <= target) {
+            self.clock.observe(Timestamp(due));
+            self.timeline.run_until(due);
+            if let Some(e) = self.shared.lock().error.take() {
+                return Err(e);
             }
         }
-        let now = self.now();
-        if target > now {
-            self.clock.advance(target - now);
-        }
-        Ok(reports)
+        self.clock.observe(Timestamp(target));
+        Ok(())
     }
 
     /// Run one immediate replication pass over every link for `db`
     /// (ignores schedules). Returns per-pass reports.
     ///
     /// On a faulty link a pass may be skipped (flap, outage) or abandoned
-    /// with the retry policy exhausted — the ad-hoc replicator's resume
-    /// cursor survives, so the next round continues where this one
-    /// stopped instead of restarting.
+    /// with the retry policy exhausted — the link's replicator keeps its
+    /// resume cursor, so the next round continues where this one stopped
+    /// instead of restarting.
     pub fn replicate_all_links(&mut self, db: &str) -> Result<Vec<ReplicationReport>> {
-        let links = self.links.clone();
         let mut out = Vec::new();
-        for (a, b) in links {
-            if !self.pass_can_start(a, b) {
-                continue;
-            }
-            // Use the scheduled replicator for this link when present so
-            // history accrues; otherwise a persistent ad-hoc replicator
-            // (its cursor survives faults).
-            let schedule = self
-                .schedules
-                .iter()
-                .position(|s| s.a == a && s.b == b && s.db == db);
-            let (da, db_) = (self.db(a, db)?, self.db(b, db)?);
-            let Some((ra, rb)) = self.run_pass(a, b, &da, &db_, schedule, db)? else {
-                continue;
-            };
-            out.push(ra);
-            out.push(rb);
+        for &(a, b) in &self.links {
+            self.db(a, db)?;
+            self.db(b, db)?;
+            let pass = self.shared.lock().pass(a, b, db, self.now())?;
+            out.extend(pass.into_iter().flat_map(|(x, y)| [x, y]));
         }
         Ok(out)
     }
 
-    /// One replication pass over `(a, b)` through the link's transport: a
-    /// [`Faulty`] clean transport that drops messages at the link's
-    /// `drop_rate`, run by schedule `schedule`'s replicator or else by the
-    /// link's ad-hoc replicator for `db`. A transient failure is swallowed (`None`: the cursor is parked and the
-    /// pass resumes at its next slot); real errors surface.
-    fn run_pass(
-        &mut self,
-        a: usize,
-        b: usize,
-        da: &Database,
-        db_: &Database,
-        schedule: Option<usize>,
-        db: &str,
-    ) -> Result<Option<(ReplicationReport, ReplicationReport)>> {
-        let key = (a.min(b), a.max(b));
-        let mut transport = Faulty::new(
-            CleanTransport,
-            self.plan.dropping(self.link_spec(a, b).drop_rate),
-        );
-        let faults_before = self.plan.faults();
-        let replicator = match schedule {
-            Some(i) => &mut self.schedules[i].replicator,
-            None => self
-                .adhoc
-                .entry((a, b, db.to_string()))
-                .or_insert_with(|| Replicator::new(ReplicationOptions::default())),
-        };
-        let result = replicator.sync_with_retry(da, db_, &mut transport, &self.retry);
-        let dropped = self.plan.faults() - faults_before;
-        if dropped > 0 {
-            self.faults.entry(key).or_default().dropped += dropped;
-            m().dropped.add(dropped);
-        }
-        match result {
-            Ok((ra, rb, _stats)) => {
-                self.account(a, b, &ra);
-                self.account(a, b, &rb);
-                Ok(Some((ra, rb)))
-            }
-            Err(e) if e.is_transient() => {
-                self.faults.entry(key).or_default().aborted_passes += 1;
-                m().aborted.inc();
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn account(&mut self, a: usize, b: usize, report: &ReplicationReport) {
-        let key = (a.min(b), a.max(b));
-        let spec = self.link_specs.get(&key).copied().unwrap_or_default();
-        let t = self.traffic.entry(key).or_default();
-        if report.bytes_shipped > 0 {
-            t.transfers += 1;
-            t.bytes += report.bytes_shipped;
-            t.busy_ticks += spec.transfer_ticks(report.bytes_shipped);
-        }
-    }
-
-    /// Record an arbitrary transfer (used by the mail router).
+    /// Record an arbitrary transfer (used by the mail router); returns
+    /// the ticks it occupies the link.
     pub fn account_bytes(&mut self, a: usize, b: usize, bytes: u64) -> u64 {
-        let key = (a.min(b), a.max(b));
-        let spec = self.link_specs.get(&key).copied().unwrap_or_default();
-        let ticks = spec.transfer_ticks(bytes);
-        let t = self.traffic.entry(key).or_default();
-        t.transfers += 1;
-        t.bytes += bytes;
-        t.busy_ticks += ticks;
-        ticks
+        self.shared.lock().account(a, b, bytes)
     }
 
     /// Total traffic over all links.
     pub fn total_traffic(&self) -> LinkTraffic {
         let mut sum = LinkTraffic::default();
-        for t in self.traffic.values() {
+        for t in self.shared.lock().traffic.values() {
             sum.transfers += t.transfers;
             sum.bytes += t.bytes;
             sum.busy_ticks += t.busy_ticks;
@@ -720,8 +659,10 @@ impl Network {
 
     /// Traffic counters for one link.
     pub fn link_traffic(&self, a: usize, b: usize) -> LinkTraffic {
-        self.traffic
-            .get(&(a.min(b), a.max(b)))
+        self.shared
+            .lock()
+            .traffic
+            .get(&key(a, b))
             .copied()
             .unwrap_or_default()
     }
@@ -1090,5 +1031,143 @@ mod tests {
         for r in net.replicas("d") {
             assert_eq!(r.document_count().unwrap(), 0);
         }
+    }
+
+    #[test]
+    fn schedule_agents_honours_each_agents_trigger() {
+        use domino_core::{save_agent, AgentDesign};
+        let mut net = Network::new(1, Topology::Mesh, LinkSpec::default(), LogicalClock::new());
+        net.create_replica_set("d").unwrap();
+        let db = net.db(0, "d").unwrap();
+        let manual = r#"SELECT Form = "Memo"; FIELD Touched := "yes""#;
+        save_agent(&db, &AgentDesign::new("touch", manual).unwrap()).unwrap();
+        let count = r#"SELECT Form = "Memo"; FIELD Runs := Runs + 1"#;
+        let count = AgentDesign::new("count", count).unwrap().scheduled(300);
+        save_agent(&db, &count).unwrap();
+        let mut memo = Note::document("Memo");
+        memo.set("Runs", Value::Number(0.0));
+        db.save(&mut memo).unwrap();
+        net.schedule_agents(0, "d", 100);
+
+        let runs = |net: &mut Network, ticks: u64| {
+            net.step(ticks).unwrap();
+            let memo = net.db(0, "d").unwrap().open_by_unid(memo.unid()).unwrap();
+            assert_eq!(memo.get_text("Touched"), None, "a Manual agent never runs");
+            memo.get("Runs").unwrap().as_number().unwrap()
+        };
+        // Ticks at 100, 200, …: the Scheduled(300) agent first runs at
+        // 100, then at 400, 700 and 1000.
+        assert_eq!(runs(&mut net, 150), 1.0);
+        assert_eq!(runs(&mut net, 200), 1.0);
+        assert_eq!(runs(&mut net, 100), 2.0);
+        assert_eq!(runs(&mut net, 600), 4.0);
+    }
+
+    #[test]
+    fn a_scheduled_agent_runs_only_where_its_agent_manager_does() {
+        use domino_core::{save_agent, AgentDesign, ITEM_CONFLICT};
+        let mut net = Network::new(2, Topology::Mesh, LinkSpec::default(), LogicalClock::new());
+        net.create_replica_set("d").unwrap();
+        net.schedule_replication("d", 100, ReplicationOptions::default());
+        net.schedule_agents(0, "d", 100);
+        let stamp = r#"SELECT Form = "Memo" & Stamped = ""; FIELD Stamped := @UserName"#;
+        let stamp = AgentDesign::new("stamp", stamp).unwrap().scheduled(100);
+        save_agent(&net.db(0, "d").unwrap(), &stamp).unwrap();
+        for i in 0..4 {
+            doc(&net.db(i % 2, "d").unwrap(), &format!("memo {i}"));
+        }
+        net.step(1_000).unwrap();
+        assert!(net.converged("d").unwrap());
+        for r in net.replicas("d") {
+            let docs = r.snapshot().documents();
+            assert_eq!(docs.len(), 4, "no $Conflict document was filed");
+            for n in docs {
+                assert_eq!(n.get_text("Stamped").as_deref(), Some("server0"));
+                assert!(n.get(ITEM_CONFLICT).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn a_replica_created_later_joins_the_schedule() {
+        let mut net = Network::new(2, Topology::Mesh, LinkSpec::default(), LogicalClock::new());
+        let lineage = ReplicaId(0xD1);
+        net.create_replica_on(0, "d", lineage).unwrap();
+        net.schedule_replication("d", 100, ReplicationOptions::default());
+        doc(&net.db(0, "d").unwrap(), "early");
+        net.step(150).unwrap();
+        net.create_replica_on(1, "d", lineage).unwrap();
+        assert!(!net.converged("d").unwrap());
+        net.step(100).unwrap();
+        assert!(
+            net.converged("d").unwrap(),
+            "the pass at t=200 found both ends"
+        );
+    }
+
+    #[test]
+    fn one_seed_replays_one_run() {
+        use crate::mail::{MailRouter, MailUser};
+        use domino_core::{save_agent, AgentDesign};
+        let run = || {
+            let spec = LinkSpec::default().with_drop_rate(0.2);
+            let mut net = Network::new(4, Topology::Ring, spec, LogicalClock::new());
+            net.set_fault_seed(0x5EED);
+            net.set_retry_policy(RetryPolicy::standard());
+            net.create_replica_set("d").unwrap();
+            net.schedule_replication("d", 40, ReplicationOptions::default());
+            let db0 = net.db(0, "d").unwrap();
+            let stamp = r#"SELECT Form = "Memo" & Stamped != "yes"; FIELD Stamped := "yes""#;
+            let stamp = AgentDesign::new("stamp", stamp).unwrap().scheduled(100);
+            save_agent(&db0, &stamp).unwrap();
+            let greet = r#"SELECT Form = "Memo" & Greeted != "yes"; FIELD Greeted := "yes""#;
+            let greet = AgentDesign::new("greet", greet).unwrap().on_update();
+            save_agent(&net.db(2, "d").unwrap(), &greet).unwrap();
+            net.schedule_agents(0, "d", 50);
+            let users: Vec<MailUser> = (0..4)
+                .map(|i| MailUser {
+                    name: format!("u{i}"),
+                    home_server: i,
+                })
+                .collect();
+            let mut router = MailRouter::setup(&mut net, &users).unwrap();
+            for i in 0..12 {
+                doc(&net.db(i % 4, "d").unwrap(), &format!("memo {i}"));
+                let (from, to) = (i % 4, (i + 2) % 4);
+                router
+                    .send(
+                        &net,
+                        from,
+                        &format!("u{from}"),
+                        &format!("u{to}"),
+                        "hi",
+                        "b",
+                    )
+                    .unwrap();
+                net.step(30).unwrap();
+                router.step(&mut net).unwrap();
+            }
+            router.run_until_delivered(&mut net, 1_000).unwrap();
+            net.step(400).unwrap();
+            assert!(net.converged("d").unwrap());
+            let ran = |server, item| {
+                let snap = net.db(server, "d").unwrap().snapshot();
+                let docs = snap.documents();
+                docs.iter().filter(|n| n.get_text(item).is_some()).count()
+            };
+            assert!(ran(0, "Stamped") >= 12 && ran(2, "Greeted") >= 12);
+            let signatures: Vec<_> = net
+                .replicas("d")
+                .iter()
+                .map(|r| signature(r).unwrap())
+                .collect();
+            let traffic = net.total_traffic();
+            let faults = net.total_faults();
+            (signatures, traffic, faults, router.stats(), net.now())
+        };
+        let first = run();
+        assert!(first.2.dropped > 0, "faults were injected");
+        assert_eq!(first.3.delivered, 12);
+        assert_eq!(first, run());
     }
 }

@@ -28,9 +28,11 @@
 //!   blocks a hot path (overflow counts into `Obs.Event.Dropped`), and
 //!   the drainer's [`suppress`] guard keeps the log from logging itself.
 //! * **Server tasks** ([`Task`], [`show_tasks`]) — the one runtime for
-//!   long-lived background threads (checkpointer, amgr, logger, socket
-//!   listeners): each is listed and heart-beats here while it runs,
-//!   reproducing the Domino `show tasks` console, and stops at once.
+//!   periodic and long-lived background work (checkpointer, amgr, logger,
+//!   socket listeners, the simulator's replication passes and agent runs):
+//!   each is listed and heart-beats here while it runs, reproducing the
+//!   Domino `show tasks` console, and stops at once. A periodic task
+//!   ticks on the wall clock or on a logical [`Timeline`].
 //!
 //! ## Naming convention
 //!
@@ -94,4 +96,4 @@ pub use span::{
     current_path, enter, enter_timed, set_slow_threshold, slow_ops, slow_threshold, take_slow_ops,
     SlowOp, SpanGuard, SLOW_LOG_CAPACITY,
 };
-pub use task::{show_tasks, tasks, Task, TaskHandle, TaskInfo};
+pub use task::{show_tasks, tasks, Cadence, Task, TaskHandle, TaskInfo, Timeline};

@@ -12,8 +12,8 @@ use domino::types::LogicalClock;
 
 fn main() -> domino::types::Result<()> {
     println!(
-        "{:<12} {:>8} {:>10} {:>12} {:>12}",
-        "topology", "hops", "mean lat", "max lat", "link bytes"
+        "{:<12} {:>9} {:>8} {:>10} {:>12} {:>12}",
+        "topology", "delivered", "hops", "mean lat", "max lat", "link bytes"
     );
     for topology in [Topology::Mesh, Topology::HubSpoke, Topology::Chain] {
         let mut net = Network::new(
@@ -53,8 +53,9 @@ fn main() -> domino::types::Result<()> {
         let s = router.stats();
         assert_eq!(s.delivered, 30);
         println!(
-            "{:<12} {:>8} {:>10.1} {:>12} {:>12}",
+            "{:<12} {:>9} {:>8} {:>10.1} {:>12} {:>12}",
             topology.name(),
+            format!("{}/{}", s.delivered, s.sent),
             s.forwarded,
             s.total_latency as f64 / s.delivered as f64,
             s.max_latency,

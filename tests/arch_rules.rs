@@ -508,3 +508,47 @@ fn one_replication_decision() {
         }),
     );
 }
+
+#[test]
+fn one_scheduler() {
+    // Timed work, on the wall clock or on a simulated one, is an
+    // `obs::Task` whose due ticks live in `obs/src/task.rs`; which stored
+    // agents run is the agent manager's decision in `core/src/agent.rs`.
+    let files = sources();
+    assert_none(
+        "a due-list outside the task runtime",
+        offending(
+            files
+                .iter()
+                .filter(|(f, _)| f != "crates/obs/src/task.rs")
+                .map(|(f, t)| (f.as_str(), t.as_str())),
+            |l| has_word(l, "next_at"),
+        ),
+    );
+    let non_test = files.iter().map(|(f, t)| {
+        let end = t.find("\n#[cfg(test)]\nmod ").unwrap_or(t.len());
+        (f.as_str(), &t[..end])
+    });
+    assert_none(
+        "stored agents run outside the agent manager",
+        offending(
+            non_test.filter(|(f, _)| *f != "crates/core/src/agent.rs"),
+            |l| l.contains("stored_agents("),
+        ),
+    );
+    let mut everywhere = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root().join(dir), &mut everywhere);
+    }
+    let texts: Vec<(String, String)> = everywhere
+        .iter()
+        .filter(|p| !p.ends_with("tests/arch_rules.rs"))
+        .map(|p| (p.display().to_string(), std::fs::read_to_string(p).unwrap()))
+        .collect();
+    assert_none(
+        "the simulator's own agent schedule",
+        offending(texts.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            has_word(l, "AgentSchedule") || l.contains("run_on_update_agents")
+        }),
+    );
+}
