@@ -38,7 +38,7 @@ use parking_lot::Mutex;
 use domino_formula::{EvalEnv, Formula};
 use domino_obs as obs;
 use domino_security::Acl;
-use domino_storage::{Engine, EngineConfig, MemDisk, NoteStore, Segment};
+use domino_storage::{Engine, EngineConfig, MemDisk, NoteStore, Segment, Tx};
 use domino_types::{
     Clock, DominoError, ItemFlags, LogicalClock, NoteClass, NoteId, Oid, ReplicaId, Result,
     Timestamp, Unid, Value,
@@ -83,7 +83,7 @@ fn m() -> &'static Metrics {
 const SLOT_LINEAGE: usize = 2;
 /// User slot holding the purge interval in ticks.
 const SLOT_PURGE: usize = 3;
-/// User slot holding the per-open UNID disambiguation counter seed.
+/// User slot holding the note id of the ACL note in force (0 = none).
 const SLOT_ACL_NOTE: usize = 4;
 
 /// Default purge interval (ticks). Domino defaults to 90 days of its
@@ -306,17 +306,18 @@ impl Database {
         clock: LogicalClock,
     ) -> Result<Database> {
         let mut engine = Engine::open(disk, log, config.engine.clone())?;
-        let mut tx = engine.begin()?;
-        let store = NoteStore::open(&mut engine, &mut tx, config.instance_id)?;
-        // Persist lineage + purge settings on first open.
-        if engine.user_slot(SLOT_LINEAGE)? == 0 {
-            engine.set_user_slot(&mut tx, SLOT_LINEAGE, config.replica_id.0)?;
-            engine.set_user_slot(&mut tx, SLOT_PURGE, config.purge_interval)?;
-        }
-        let replica_id = ReplicaId(engine.user_slot(SLOT_LINEAGE)?);
-        let purge_interval = engine.user_slot(SLOT_PURGE)?;
-        let instance_id = store.replica_id(&mut engine)?;
-        engine.commit(tx)?;
+        let (store, replica_id, purge_interval, instance_id) =
+            DbInner::transact(&mut engine, |engine, tx| {
+                let store = NoteStore::open(engine, tx, config.instance_id)?;
+                // Persist lineage + purge settings on first open.
+                if engine.user_slot(SLOT_LINEAGE)? == 0 {
+                    engine.set_user_slot(tx, SLOT_LINEAGE, config.replica_id.0)?;
+                    engine.set_user_slot(tx, SLOT_PURGE, config.purge_interval)?;
+                }
+                let replica_id = ReplicaId(engine.user_slot(SLOT_LINEAGE)?);
+                let purge_interval = engine.user_slot(SLOT_PURGE)?;
+                Ok((store, replica_id, purge_interval, store.replica_id(engine)?))
+            })?;
 
         let mut inner = DbInner {
             engine,
@@ -401,10 +402,9 @@ impl Database {
     }
 
     pub fn set_purge_interval(&self, ticks: u64) -> Result<()> {
-        let mut g = self.inner.lock();
-        let mut tx = g.engine.begin()?;
-        g.engine.set_user_slot(&mut tx, SLOT_PURGE, ticks)?;
-        g.engine.commit(tx)?;
+        DbInner::transact(&mut self.inner.lock().engine, |engine, tx| {
+            engine.set_user_slot(tx, SLOT_PURGE, ticks)
+        })?;
         self.purge_interval.store(ticks, Ordering::Relaxed);
         Ok(())
     }
@@ -578,10 +578,15 @@ impl Database {
                 self.versions.backfill(o.unid(), o);
             }
             let unid = record.oid().unid;
-            let id = g.write_record(&mut record, stored.as_ref())?;
+            let (id, is_acl) = g.write_record(&mut record, stored.as_ref())?;
             let (head, event) = match record {
                 Record::Note(new) => {
                     self.versions.publish(unid, id, Some(Arc::new(new.clone())));
+                    // After the publish: a snapshot pinned in between
+                    // still reads the ACL it had.
+                    if is_acl {
+                        self.versions.set_acl_note(id.0 as u64);
+                    }
                     m().saved.inc();
                     (
                         revision::merkle_head(&new),
@@ -965,10 +970,10 @@ impl Database {
                 Some(bytes) if record_is_stub(&bytes) => {}
                 _ => continue,
             }
-            let mut tx = g.engine.begin()?;
-            store.remove(&mut g.engine, &mut tx, stub.id)?;
-            store.unbind_unid(&mut g.engine, &mut tx, stub.oid.unid)?;
-            g.engine.commit(tx)?;
+            DbInner::transact(&mut g.engine, |engine, tx| {
+                store.remove(engine, tx, stub.id)?;
+                store.unbind_unid(engine, tx, stub.oid.unid)
+            })?;
             // The purged UNID leaves the Merkle summary entirely: two
             // replicas that both purged it converge to equal digests.
             self.merkle.lock().set_head(stub.oid.unid, None);
@@ -990,7 +995,8 @@ impl Database {
         self.snapshot().acl()
     }
 
-    /// Store the ACL (as an ACL-class note, so it replicates).
+    /// Store the ACL (as an ACL-class note, so it replicates). The save
+    /// points the ACL slot at the note in its own transaction.
     pub fn set_acl(&self, acl: &Acl) -> Result<()> {
         // None stored yet, or the stored one deleted: start a new note.
         let mut note = match self.open_note(NoteId(self.versions.acl_note() as u32)) {
@@ -998,14 +1004,7 @@ impl Database {
             found => found?,
         };
         note.set("Entries", Value::text_list(acl.to_lines()));
-        self.save(&mut note)?;
-        let mut g = self.inner.lock();
-        let mut tx = g.engine.begin()?;
-        g.engine
-            .set_user_slot(&mut tx, SLOT_ACL_NOTE, note.id.0 as u64)?;
-        g.engine.commit(tx)?;
-        self.versions.set_acl_note(note.id.0 as u64);
-        Ok(())
+        self.save(&mut note)
     }
 
     // ------------------------------------------------------------------
@@ -1154,10 +1153,14 @@ impl Database {
             purge_interval: self.purge_interval(),
             engine: self.inner.lock().engine.config().clone(),
         };
+        // A database whose ACL note is deleted fails closed; a copy
+        // without that note would be wide open.
+        let snap = self.snapshot();
+        snap.acl()?;
         let fresh = Database::open(disk, log, config, self.clock.clone())?;
         // Copy notes in note-id order, preserving identity and lineage
-        // (save_replicated keeps OIDs/items byte-for-byte).
-        let snap = self.snapshot();
+        // (save_replicated keeps OIDs/items byte-for-byte); copying the
+        // ACL note points the copy's ACL slot at it.
         for id in snap.note_ids(None) {
             fresh.save_replicated(snap.open_note(id)?)?;
             stats.notes_copied += 1;
@@ -1165,10 +1168,6 @@ impl Database {
         for stub in self.stubs()? {
             fresh.apply_remote_deletion(&stub)?;
             stats.stubs_copied += 1;
-        }
-        // Preserve the local ACL-note pointer if one is set.
-        if self.versions.acl_note() != 0 {
-            fresh.set_acl(&snap.acl()?)?;
         }
         fresh.checkpoint()?;
         stats.bytes_after = fresh.inner.lock().engine.logical_bytes()?;
@@ -1287,18 +1286,40 @@ impl DbInner {
         }
     }
 
+    /// Run `work` in one engine transaction: commit what it did, or abort it
+    /// on any error. Every note-store write goes through here, so no failure
+    /// leaves the engine's one transaction open.
+    fn transact<T>(
+        engine: &mut Engine,
+        work: impl FnOnce(&mut Engine, &mut Tx) -> Result<T>,
+    ) -> Result<T> {
+        let mut tx = engine.begin()?;
+        match work(engine, &mut tx) {
+            Ok(v) => engine.commit(tx).map(|()| v),
+            Err(e) => {
+                engine.abort(tx)?;
+                Err(e)
+            }
+        }
+    }
+
     /// Write a note or stub record in one transaction. `replaces` is the
     /// record being overwritten; without one the record gets a fresh local
     /// id (any id it arrived with is another replica's) and its UNID is
     /// bound to it. A stub keeps the binding, so later updates find it. A
     /// segment whose new encoding equals its stored bytes is left alone:
-    /// it keeps its `RecordPtr` and logs nothing.
-    fn write_record(&mut self, record: &mut Record, replaces: Option<&Stored>) -> Result<NoteId> {
-        let mut tx = self.engine.begin()?;
-        let result = (|| {
+    /// it keeps its `RecordPtr` and logs nothing. Returns the id and
+    /// whether the ACL slot names the record afterwards.
+    fn write_record(
+        &mut self,
+        record: &mut Record,
+        replaces: Option<&Stored>,
+    ) -> Result<(NoteId, bool)> {
+        let store = self.store;
+        DbInner::transact(&mut self.engine, |engine, tx| {
             let id = match replaces {
                 Some(s) => s.id,
-                None => self.store.alloc_note_id(&mut self.engine, &mut tx)?,
+                None => store.alloc_note_id(engine, tx)?,
             };
             let prior_body = replaces.and_then(|s| s.body.as_deref());
             let unid = record.oid().unid;
@@ -1313,33 +1334,52 @@ impl DbInner {
                 }
             };
             if replaces.map(|s| s.summary.as_slice()) != Some(summary.as_slice()) {
-                self.store
-                    .put(&mut self.engine, &mut tx, id, Segment::Summary, &summary)?;
+                store.put(engine, tx, id, Segment::Summary, &summary)?;
             }
             match body {
                 Some(body) if prior_body != Some(body.as_slice()) => {
-                    self.store
-                        .put(&mut self.engine, &mut tx, id, Segment::Body, &body)?
+                    store.put(engine, tx, id, Segment::Body, &body)?
                 }
                 None if prior_body.is_some() => {
-                    self.store
-                        .remove_segment(&mut self.engine, &mut tx, id, Segment::Body)?;
+                    store.remove_segment(engine, tx, id, Segment::Body)?;
                 }
                 _ => {}
             }
             if replaces.is_none() {
-                self.store.bind_unid(&mut self.engine, &mut tx, unid, id)?;
+                store.bind_unid(engine, tx, unid, id)?;
             }
-            Ok(id)
-        })();
-        match result {
-            Ok(id) => self.engine.commit(tx).map(|()| id),
-            Err(e) => {
-                self.engine.abort(tx)?;
-                Err(e)
-            }
-        }
+            let acl = matches!(record, Record::Note(n) if n.class == NoteClass::Acl);
+            Ok((id, acl && point_acl_slot(engine, store, tx, id, unid)?))
+        })
     }
+}
+
+/// Point the ACL slot at ACL note `id` (UNID `unid`) unless a live ACL
+/// note with a lower UNID holds it: replicas whose ACLs meet keep the
+/// lowest UNID, as design elements do for a title, so every replica
+/// enforces the same one. Returns whether the slot names `id`.
+fn point_acl_slot(
+    engine: &mut Engine,
+    store: NoteStore,
+    tx: &mut Tx,
+    id: NoteId,
+    unid: Unid,
+) -> Result<bool> {
+    let held = NoteId(engine.user_slot(SLOT_ACL_NOTE)? as u32);
+    if held == id {
+        return Ok(true);
+    }
+    let kept = match store.get(engine, held, Segment::Summary)? {
+        Some(summary) if !record_is_stub(&summary) => {
+            let note = Note::decode(held, &summary, None)?;
+            note.class == NoteClass::Acl && note.unid() < unid
+        }
+        _ => false,
+    };
+    if !kept {
+        engine.set_user_slot(tx, SLOT_ACL_NOTE, id.0 as u64)?;
+    }
+    Ok(!kept)
 }
 
 #[cfg(test)]

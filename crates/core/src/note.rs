@@ -11,7 +11,7 @@
 
 use domino_formula::DocContext;
 use domino_types::{
-    DominoError, Item, ItemFlags, NoteClass, NoteId, Oid, Result, Timestamp, Unid, Value,
+    DominoError, Item, ItemFlags, NoteClass, NoteId, Oid, Reader, Result, Timestamp, Unid, Value,
 };
 
 /// Reserved item names.
@@ -288,71 +288,47 @@ impl Note {
 
     /// Decode from stored segments.
     pub fn decode(id: NoteId, summary: &[u8], body: Option<&[u8]>) -> Result<Note> {
-        let mut pos = 0usize;
-        let need = |pos: usize, n: usize| -> Result<()> {
-            if pos + n > summary.len() {
-                Err(DominoError::Corrupt("truncated note summary".into()))
-            } else {
-                Ok(())
-            }
-        };
-        need(pos, 2)?;
-        if summary[0] != 0 {
+        let mut r = Reader::new(summary);
+        let tag = r.u8("note record tag")?;
+        if tag != 0 {
             return Err(DominoError::Corrupt(format!(
-                "record tag {} is not a note",
-                summary[0]
+                "record tag {tag} is not a note"
             )));
         }
-        let class = NoteClass::from_code(summary[1])
+        let class = NoteClass::from_code(r.u8("note class")?)
             .ok_or_else(|| DominoError::Corrupt("bad note class".into()))?;
-        pos += 2;
-        need(pos, 16 + 4 + 8 + 8 + 8 + 2)?;
-        let unid = Unid::from_bytes(summary[pos..pos + 16].try_into().expect("16"));
-        pos += 16;
-        let seq = u32::from_le_bytes(summary[pos..pos + 4].try_into().expect("4"));
-        pos += 4;
-        let seq_time = Timestamp(u64::from_le_bytes(
-            summary[pos..pos + 8].try_into().expect("8"),
-        ));
-        pos += 8;
-        let created = Timestamp(u64::from_le_bytes(
-            summary[pos..pos + 8].try_into().expect("8"),
-        ));
-        pos += 8;
-        let modified = Timestamp(u64::from_le_bytes(
-            summary[pos..pos + 8].try_into().expect("8"),
-        ));
-        pos += 8;
-        let n = u16::from_le_bytes(summary[pos..pos + 2].try_into().expect("2")) as usize;
-        pos += 2;
-        let mut items = Vec::with_capacity(n);
+        let oid = read_oid(&mut r)?;
+        let created = Timestamp(r.u64("note created time")?);
+        let modified = Timestamp(r.u64("note modified time")?);
+        let n = r.u16("note summary item count")?;
+        let mut items = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            items.push(Item::decode(summary, &mut pos)?);
+            items.push(Item::read(&mut r)?);
         }
         if let Some(body) = body {
-            let mut bpos = 0usize;
-            if body.len() < 2 {
-                return Err(DominoError::Corrupt("truncated note body".into()));
-            }
-            let bn = u16::from_le_bytes(body[0..2].try_into().expect("2")) as usize;
-            bpos += 2;
-            for _ in 0..bn {
-                items.push(Item::decode(body, &mut bpos)?);
+            let mut r = Reader::new(body);
+            for _ in 0..r.u16("note body item count")? {
+                items.push(Item::read(&mut r)?);
             }
         }
         Ok(Note {
             id,
-            oid: Oid {
-                unid,
-                seq,
-                seq_time,
-            },
+            oid,
             class,
             created,
             modified,
             items,
         })
     }
+}
+
+/// An OID as stored: UNID bytes, sequence number, sequence time.
+fn read_oid(r: &mut Reader<'_>) -> Result<Oid> {
+    Ok(Oid {
+        unid: Unid::from_bytes(r.array("unid")?),
+        seq: r.u32("sequence number")?,
+        seq_time: Timestamp(r.u64("sequence time")?),
+    })
 }
 
 impl DocContext for Note {
@@ -431,21 +407,14 @@ impl DeletionStub {
     }
 
     pub fn decode(id: NoteId, buf: &[u8]) -> Result<DeletionStub> {
-        if buf.len() < 1 + 16 + 4 + 8 + 8 || buf[0] != 1 {
+        let mut r = Reader::new(buf);
+        if r.u8("deletion stub tag")? != 1 {
             return Err(DominoError::Corrupt("bad deletion stub record".into()));
         }
-        let unid = Unid::from_bytes(buf[1..17].try_into().expect("16"));
-        let seq = u32::from_le_bytes(buf[17..21].try_into().expect("4"));
-        let seq_time = Timestamp(u64::from_le_bytes(buf[21..29].try_into().expect("8")));
-        let deleted_at = Timestamp(u64::from_le_bytes(buf[29..37].try_into().expect("8")));
         Ok(DeletionStub {
             id,
-            oid: Oid {
-                unid,
-                seq,
-                seq_time,
-            },
-            deleted_at,
+            oid: read_oid(&mut r)?,
+            deleted_at: Timestamp(r.u64("deletion time")?),
         })
     }
 }

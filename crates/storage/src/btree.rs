@@ -74,9 +74,9 @@ impl BTree {
         let mut page_id = self.root(engine)?;
         loop {
             let step = engine.with_page(page_id, |page| match page.page_type() {
-                PageType::BTreeInternal => Ok(Descent::Down(route(page, key))),
+                PageType::BTreeInternal => Ok(Descent::Down(route(page, key)?)),
                 PageType::BTreeLeaf => {
-                    let n = count(page);
+                    let n = count(page)?;
                     Ok(Descent::Found(match leaf_search(page, n, key) {
                         Ok(pos) => Some(leaf_value(page, pos)),
                         Err(_) => None,
@@ -124,9 +124,9 @@ impl BTree {
             // Leaf hit yields (entry count, position, old value, tail bytes
             // to shift left); the copies happen inside the pool.
             let step = engine.with_page(page_id, |page| match page.page_type() {
-                PageType::BTreeInternal => Ok(Descent::Down(route(page, key))),
+                PageType::BTreeInternal => Ok(Descent::Down(route(page, key)?)),
                 PageType::BTreeLeaf => {
-                    let n = count(page);
+                    let n = count(page)?;
                     let Ok(pos) = leaf_search(page, n, key) else {
                         return Ok(Descent::Found(None));
                     };
@@ -173,7 +173,7 @@ impl BTree {
         let mut page_id = self.root(engine)?;
         loop {
             let step = engine.with_page(page_id, |page| match page.page_type() {
-                PageType::BTreeInternal => Ok(Descent::Down(route(page, lo))),
+                PageType::BTreeInternal => Ok(Descent::Down(route(page, lo)?)),
                 PageType::BTreeLeaf => Ok(Descent::Found(())),
                 other => Err(DominoError::Corrupt(format!(
                     "b-tree descent hit a {other:?} page"
@@ -187,18 +187,18 @@ impl BTree {
         // Walk the leaf chain, invoking the callback inside the pool.
         loop {
             let next = engine.with_page(page_id, |page| {
-                let n = count(page);
+                let n = count(page)?;
                 let start = match leaf_search(page, n, lo) {
                     Ok(p) | Err(p) => p,
                 };
                 for pos in start..n {
                     let k = leaf_key(page, pos);
                     if k > hi || !f(k, leaf_value(page, pos)) {
-                        return 0;
+                        return Ok(0);
                     }
                 }
-                page.link()
-            })?;
+                Ok::<_, DominoError>(page.link())
+            })??;
             if next == 0 {
                 return Ok(());
             }
@@ -236,8 +236,21 @@ enum Descent<T> {
 // node accessors
 // ---------------------------------------------------------------------------
 
-fn count(page: &PageBuf) -> usize {
-    page.get_u16(OFF_COUNT) as usize
+/// A node's entry count; one above its page type's capacity is `Corrupt`,
+/// so no entry offset past the page end is ever computed.
+fn count(page: &PageBuf) -> Result<usize> {
+    let n = page.get_u16(OFF_COUNT) as usize;
+    let cap = match page.page_type() {
+        PageType::BTreeInternal => INT_CAP,
+        _ => LEAF_CAP,
+    };
+    if n > cap {
+        return Err(DominoError::Corrupt(format!(
+            "b-tree page {} holds {n} entries, more than its {cap}",
+            page.id
+        )));
+    }
+    Ok(n)
 }
 
 fn write_count(engine: &mut Engine, tx: &mut Tx, id: PageId, n: u16) -> Result<()> {
@@ -280,8 +293,8 @@ fn int_child(page: &PageBuf, i: usize) -> PageId {
 }
 
 /// Index of the child `key` routes to: the number of keys `<= key`.
-fn int_search(page: &PageBuf, key: u128) -> usize {
-    let (mut lo, mut hi) = (0usize, count(page));
+fn int_search(page: &PageBuf, key: u128) -> Result<usize> {
+    let (mut lo, mut hi) = (0usize, count(page)?);
     while lo < hi {
         let mid = (lo + hi) / 2;
         if int_key(page, mid) <= key {
@@ -290,12 +303,12 @@ fn int_search(page: &PageBuf, key: u128) -> usize {
             hi = mid;
         }
     }
-    lo
+    Ok(lo)
 }
 
 /// Which child should `key` descend into?
-fn route(page: &PageBuf, key: u128) -> PageId {
-    int_child(page, int_search(page, key))
+fn route(page: &PageBuf, key: u128) -> Result<PageId> {
+    Ok(int_child(page, int_search(page, key)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -314,7 +327,7 @@ fn insert_rec(
     let step = engine.with_page(page_id, |page| match page.page_type() {
         PageType::BTreeLeaf => Ok(None),
         PageType::BTreeInternal => {
-            let child_idx = int_search(page, key);
+            let child_idx = int_search(page, key)?;
             Ok(Some((child_idx, int_child(page, child_idx))))
         }
         other => Err(DominoError::Corrupt(format!(
@@ -366,8 +379,8 @@ fn leaf_insert(
     entry[..16].copy_from_slice(&key.to_le_bytes());
     entry[16..].copy_from_slice(&value.to_le_bytes());
     let edit = engine.with_page(page_id, |page| {
-        let n = count(page);
-        match leaf_search(page, n, key) {
+        let n = count(page)?;
+        Ok::<_, DominoError>(match leaf_search(page, n, key) {
             Ok(pos) => Edit::Overwrite {
                 pos,
                 old: leaf_value(page, pos),
@@ -382,8 +395,8 @@ fn leaf_insert(
                 }
             }
             Err(_) => Edit::Split,
-        }
-    })?;
+        })
+    })??;
     match edit {
         Edit::Overwrite { pos, old } => {
             let at = LEAF_ENTRIES + pos * ENTRY_SIZE + 16;
@@ -399,7 +412,7 @@ fn leaf_insert(
             // Upper half moves to a fresh right sibling. The writes below
             // change this node, so work from a stable image of it.
             let page = engine.fetch(page_id)?;
-            let n = count(&page);
+            let n = count(&page)?;
             let mid = n / 2;
             let right_id = engine.alloc_page(tx, PageType::BTreeLeaf)?;
             let moved = page.bytes(LEAF_ENTRIES + mid * ENTRY_SIZE, (n - mid) * ENTRY_SIZE);
@@ -437,11 +450,11 @@ fn int_insert(
     entry[16..].copy_from_slice(&right.to_le_bytes());
     // Unless the node is full: the new key goes at index `child_idx`.
     let shift = engine.with_page(page_id, |page| {
-        let n = count(page);
+        let n = count(page)?;
         let start = INT_ENTRIES + child_idx * INT_ENTRY_SIZE;
         let end = INT_ENTRIES + n * INT_ENTRY_SIZE;
-        (n < INT_CAP).then(|| (n, start, shifted(page, start, end, &entry)))
-    })?;
+        Ok::<_, DominoError>((n < INT_CAP).then(|| (n, start, shifted(page, start, end, &entry))))
+    })??;
     if let Some((n, start, region)) = shift {
         engine.write(tx, page_id, start as u16, &region)?;
         write_count(engine, tx, page_id, (n + 1) as u16)?;
@@ -451,7 +464,7 @@ fn int_insert(
     // Split the internal node, from a stable image of it. Keys:
     // k0..k(n-1); promote k_mid.
     let page = engine.fetch(page_id)?;
-    let n = count(&page);
+    let n = count(&page)?;
     let mid = n / 2;
     let promoted = int_key(&page, mid);
     let right_id = engine.alloc_page(tx, PageType::BTreeInternal)?;
@@ -471,7 +484,7 @@ fn int_insert(
     // Now insert (sep, right) into the correct half, at the child index
     // `sep` routes to there.
     let target_id = if sep < promoted { page_id } else { right_id };
-    let idx = engine.with_page(target_id, |target| int_search(target, sep))?;
+    let idx = engine.with_page(target_id, |target| int_search(target, sep))??;
     let split2 = int_insert(engine, tx, target_id, idx, sep, right)?;
     debug_assert!(
         split2.is_none(),
@@ -483,7 +496,7 @@ fn int_insert(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::MemDisk;
+    use crate::disk::{Disk, MemDisk};
     use crate::engine::EngineConfig;
     use domino_wal::MemLogStore;
 
@@ -689,6 +702,35 @@ mod tests {
         for i in tree_keys..900 {
             assert_eq!(t.get(&mut e, i).unwrap(), None, "uncommitted key {i}");
         }
+    }
+
+    #[test]
+    fn a_count_above_capacity_is_corrupt_not_a_panic() {
+        let (disk, log) = (MemDisk::new(), MemLogStore::new());
+        let open = || {
+            let (disk, log) = (Box::new(disk.clone()), Some(Box::new(log.clone()) as _));
+            Engine::open(disk, log, EngineConfig::default()).unwrap()
+        };
+        let mut e = open();
+        let mut tx = e.begin().unwrap();
+        let t = BTree::open(&mut e, &mut tx, 0).unwrap();
+        t.insert(&mut e, &mut tx, 5, 50).unwrap();
+        e.commit(tx).unwrap();
+        let root = e.tree_root(0).unwrap();
+        e.shutdown().unwrap();
+        // The leaf's count is overwritten underneath the engine.
+        let mut page = PageBuf::zeroed(root);
+        disk.read_page(root, &mut page).unwrap();
+        page.put_u16(OFF_COUNT, 60_000);
+        disk.write_page(root, &page).unwrap();
+
+        let mut e = open();
+        let corrupt = |r: Result<()>| matches!(r, Err(DominoError::Corrupt(_)));
+        assert!(corrupt(t.get(&mut e, 5).map(drop)));
+        assert!(corrupt(t.scan(&mut e, 0, u128::MAX, |_, _| true)));
+        let mut tx = e.begin().unwrap();
+        assert!(corrupt(t.insert(&mut e, &mut tx, 6, 60).map(drop)));
+        e.abort(tx).unwrap();
     }
 
     #[test]

@@ -495,6 +495,12 @@ impl Engine {
     }
 
     /// Commit: log the commit record, then force it per [`CommitMode`].
+    ///
+    /// A commit whose force fails did not happen: its pages are rolled
+    /// back as by [`Engine::abort`], the engine is free for the next
+    /// transaction, and the log's error is returned. The log stays failed,
+    /// so every later commit returns that error too until a reopen runs
+    /// recovery.
     pub fn commit(&mut self, tx: Tx) -> Result<()> {
         if self.active_tx != Some(tx.id) {
             return Err(DominoError::InvalidArgument(
@@ -504,7 +510,11 @@ impl Engine {
         let _commit_time = m().commit_nanos.time();
         if let Some(wal) = &self.wal {
             let lsn = wal.append(&LogRecord::Commit { tx: tx.id })?;
-            self.force_commit_record(lsn)?;
+            if let Err(e) = self.force_commit_record(lsn) {
+                // The abort's own force meets the same failed log.
+                let _ = self.abort(tx);
+                return Err(e);
+            }
         }
         self.active_tx = None;
         self.stats.txs_committed += 1;
@@ -512,7 +522,9 @@ impl Engine {
         Ok(())
     }
 
-    /// Roll back: re-apply before images newest-first, logging CLRs.
+    /// Roll back: re-apply before images newest-first, logging CLRs. Once
+    /// the pages are restored the engine is free for the next transaction,
+    /// whether or not the abort record could be forced.
     pub fn abort(&mut self, tx: Tx) -> Result<()> {
         if self.active_tx != Some(tx.id) {
             return Err(DominoError::InvalidArgument(
@@ -546,14 +558,17 @@ impl Engine {
                 self.dirty_table.entry(*page).or_insert(lsn);
             }
         }
-        if let Some(wal) = &self.wal {
-            let lsn = wal.append(&LogRecord::Abort { tx: tx.id })?;
-            self.force_commit_record(lsn)?;
-        }
+        let forced = match &self.wal {
+            Some(wal) => {
+                let lsn = wal.append(&LogRecord::Abort { tx: tx.id })?;
+                self.force_commit_record(lsn)
+            }
+            None => Ok(()),
+        };
         self.active_tx = None;
         self.stats.txs_aborted += 1;
         m().aborts.inc();
-        Ok(())
+        forced
     }
 
     // ------------------------------------------------------------------

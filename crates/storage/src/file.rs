@@ -36,7 +36,7 @@ use parking_lot::Mutex;
 use crate::disk::Disk;
 use crate::page::{PageBuf, PageId, PAGE_CHECKSUM_OFFSET, PAGE_SIZE};
 use domino_obs as obs;
-use domino_types::{splitmix64, DominoError, Result};
+use domino_types::{splitmix64, DominoError, Reader, Result};
 
 /// Registry handles for file-device telemetry (`Nsf.File.*`).
 struct Metrics {
@@ -138,27 +138,26 @@ impl SuperBlock {
     /// Decode and validate a superblock page. Rejects bad magic, an
     /// unsupported version, a foreign page size, and checksum mismatches.
     pub fn decode(page: &[u8]) -> Result<SuperBlock> {
-        if page.len() < SB_LEN {
-            return Err(DominoError::Corrupt("superblock truncated".into()));
-        }
-        if page[SB_MAGIC..SB_MAGIC + 8] != NSF_MAGIC {
+        let mut r = Reader::new(page);
+        if r.array("superblock magic")? != NSF_MAGIC {
             return Err(DominoError::Corrupt("not an NSF file (bad magic)".into()));
         }
-        let stored = u64::from_le_bytes(page[SB_CHECKSUM..SB_CHECKSUM + 8].try_into().expect("8"));
+        let version = r.u16("superblock version")?;
+        let flags = r.u16("superblock flags")?;
+        let page_size = r.u32("superblock page size")?;
+        r.bytes(SB_CHECKSUM - SB_RESERVED, "superblock reserved bytes")?;
+        let stored = r.u64("superblock checksum")?;
         let computed = fnv64(&[&page[..SB_CHECKSUM]]);
         if stored != computed {
             return Err(DominoError::Corrupt(format!(
                 "superblock checksum mismatch (stored {stored:#x}, computed {computed:#x})"
             )));
         }
-        let version = u16::from_le_bytes(page[SB_VERSION..SB_VERSION + 2].try_into().expect("2"));
         if version != NSF_VERSION {
             return Err(DominoError::Corrupt(format!(
                 "unsupported NSF format version {version}"
             )));
         }
-        let page_size =
-            u32::from_le_bytes(page[SB_PAGE_SIZE..SB_PAGE_SIZE + 4].try_into().expect("4"));
         if page_size != PAGE_SIZE as u32 {
             return Err(DominoError::Corrupt(format!(
                 "NSF page size {page_size} (this build uses {PAGE_SIZE})"
@@ -166,7 +165,7 @@ impl SuperBlock {
         }
         Ok(SuperBlock {
             version,
-            flags: u16::from_le_bytes(page[SB_FLAGS..SB_FLAGS + 2].try_into().expect("2")),
+            flags,
             page_size,
         })
     }
@@ -264,11 +263,7 @@ impl NsfFile {
             let off = Self::page_offset(id);
             let avail = (len - off).min(PAGE_SIZE as u64) as usize;
             file.read_exact_at(&mut data[..avail], off)?;
-            let stored = u16::from_le_bytes(
-                data[PAGE_CHECKSUM_OFFSET..PAGE_CHECKSUM_OFFSET + 2]
-                    .try_into()
-                    .expect("2"),
-            );
+            let stored = Reader::at(&data, PAGE_CHECKSUM_OFFSET).u16("page checksum")?;
             if stored == 0 {
                 continue;
             }

@@ -33,7 +33,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use crate::engine::{Engine, Tx};
 use crate::page::{PageBuf, PageId, PageType, PAGE_HEADER, PAGE_SIZE};
-use domino_types::{DominoError, Result};
+use domino_types::{DominoError, Reader, Result};
 
 const OFF_SLOT_COUNT: usize = PAGE_HEADER; // u16
 const OFF_FREE_PTR: usize = PAGE_HEADER + 2; // u16, adjacent: written together
@@ -213,7 +213,7 @@ impl Heap {
                 let (layout, off, len) = slot(page, ptr.slot)?;
                 let raw = page.bytes(off, len);
                 out.extend_from_slice(&raw[CHUNK_HEADER..]);
-                Ok::<_, DominoError>((chunk_next(raw), layout))
+                Ok::<_, DominoError>((chunk_next(raw)?, layout))
             })??;
             hint(engine, ptr.page, &layout);
             cur = next;
@@ -230,7 +230,7 @@ impl Heap {
             pages.push(ptr.page);
             cur = engine.with_page(ptr.page, |page| {
                 let (_, off, len) = slot(page, ptr.slot)?;
-                Ok::<_, DominoError>(chunk_next(page.bytes(off, len)))
+                chunk_next(page.bytes(off, len))
             })??;
         }
         Ok(pages)
@@ -267,7 +267,7 @@ impl Heap {
                     new.free_ptr = new.free_ptr.min(off);
                 }
                 new.free = old.free + len + (old.slot_count - new.slot_count) * SLOT_SIZE;
-                Ok::<_, DominoError>((chunk_next(page.bytes(off, len)), old, new))
+                Ok::<_, DominoError>((chunk_next(page.bytes(off, len))?, old, new))
             })??;
             cur = next;
             if new.slot_count == 0 {
@@ -442,13 +442,15 @@ fn slot(page: &PageBuf, idx: u16) -> Result<(Layout, usize, usize)> {
     Ok((layout, off, len))
 }
 
-fn chunk_next(raw: &[u8]) -> Option<RecordPtr> {
-    if raw[0] & CHUNK_HAS_NEXT == 0 {
-        return None;
+fn chunk_next(raw: &[u8]) -> Result<Option<RecordPtr>> {
+    let mut r = Reader::new(raw);
+    if r.u8("heap chunk flags")? & CHUNK_HAS_NEXT == 0 {
+        return Ok(None);
     }
-    let page = u32::from_le_bytes(raw[1..5].try_into().expect("4"));
-    let slot = u16::from_le_bytes(raw[5..7].try_into().expect("2"));
-    Some(RecordPtr { page, slot })
+    Ok(Some(RecordPtr {
+        page: r.u32("heap chunk next page")?,
+        slot: r.u16("heap chunk next slot")?,
+    }))
 }
 
 #[cfg(test)]

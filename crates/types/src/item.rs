@@ -1,6 +1,7 @@
 //! Items: named, flagged, revision-stamped fields of a note.
 
-use crate::error::{DominoError, Result};
+use crate::error::Result;
+use crate::reader::Reader;
 use crate::time::Timestamp;
 use crate::value::Value;
 
@@ -103,24 +104,19 @@ impl Item {
 
     /// Decode from `buf` at `*pos`, advancing `*pos`.
     pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Item> {
-        if *pos + 2 > buf.len() {
-            return Err(DominoError::Corrupt("truncated item header".into()));
-        }
-        let name_len = u16::from_le_bytes(buf[*pos..*pos + 2].try_into().expect("len 2")) as usize;
-        *pos += 2;
-        if *pos + name_len + 9 > buf.len() {
-            return Err(DominoError::Corrupt("truncated item".into()));
-        }
-        let name = String::from_utf8(buf[*pos..*pos + name_len].to_vec())
-            .map_err(|_| DominoError::Corrupt("invalid utf-8 in item name".into()))?;
-        *pos += name_len;
-        let flags = ItemFlags(buf[*pos]);
-        *pos += 1;
-        let revised = Timestamp(u64::from_le_bytes(
-            buf[*pos..*pos + 8].try_into().expect("len 8"),
-        ));
-        *pos += 8;
-        let value = Value::decode(buf, pos)?;
+        let mut r = Reader::at(buf, *pos);
+        let item = Item::read(&mut r)?;
+        *pos = r.pos();
+        Ok(item)
+    }
+
+    /// Decode an item at the reader's cursor.
+    pub fn read(r: &mut Reader<'_>) -> Result<Item> {
+        let name_len = r.u16("item name length")? as usize;
+        let name = r.text(name_len, "item name")?.to_owned();
+        let flags = ItemFlags(r.u8("item flags")?);
+        let revised = Timestamp(r.u64("item revision time")?);
+        let value = Value::read(r)?;
         Ok(Item {
             name,
             value,

@@ -23,6 +23,7 @@ pub mod fault;
 pub mod hash;
 pub mod id;
 pub mod item;
+pub mod reader;
 pub mod time;
 pub mod value;
 pub mod wire;
@@ -33,6 +34,7 @@ pub use fault::{splitmix64, FaultPlan, Faulty};
 pub use hash::{content_hash, mix128, ContentHash, ContentHasher};
 pub use id::{NoteClass, NoteId, Oid, ReplicaId, Unid};
 pub use item::{Item, ItemFlags};
+pub use reader::Reader;
 pub use time::{Clock, LogicalClock, Timestamp};
 pub use value::{DateTime, Value, ValueType};
 pub use wire::{fnv1a32, Frame, FrameDecoder, Opcode, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};

@@ -9,6 +9,7 @@ use std::cmp::Ordering;
 use std::fmt;
 
 use crate::error::{DominoError, Result};
+use crate::reader::Reader;
 
 /// A date/time value, stored as ticks on the shared timeline (see
 /// [`crate::time::Timestamp`]). Kept as its own newtype so formulas can
@@ -327,71 +328,49 @@ impl Value {
 
     /// Decode a value from `buf` starting at `*pos`, advancing `*pos`.
     pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Value> {
-        fn need<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-            if *pos + n > buf.len() {
-                return Err(DominoError::Corrupt("truncated value".into()));
-            }
-            let s = &buf[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        }
-        fn get_len(buf: &[u8], pos: &mut usize) -> Result<usize> {
-            let b = need(buf, pos, 4)?;
-            Ok(u32::from_le_bytes(b.try_into().expect("len 4")) as usize)
-        }
-        let tag = need(buf, pos, 1)?[0];
-        Ok(match tag {
-            0 => Value::Number(f64::from_le_bytes(
-                need(buf, pos, 8)?.try_into().expect("len 8"),
-            )),
+        let mut r = Reader::at(buf, *pos);
+        let v = Value::read(&mut r)?;
+        *pos = r.pos();
+        Ok(v)
+    }
+
+    /// Decode a value at the reader's cursor.
+    pub fn read(r: &mut Reader<'_>) -> Result<Value> {
+        Ok(match r.u8("value tag")? {
+            0 => Value::Number(r.f64("number")?),
             1 => {
-                let n = get_len(buf, pos)?;
-                let mut v = Vec::with_capacity(n.min(1024));
+                let n = r.u32("value length")?;
+                let mut v = Vec::with_capacity((n as usize).min(1024));
                 for _ in 0..n {
-                    v.push(f64::from_le_bytes(
-                        need(buf, pos, 8)?.try_into().expect("len 8"),
-                    ));
+                    v.push(r.f64("number list")?);
                 }
                 Value::NumberList(v)
             }
             2 => {
-                let n = get_len(buf, pos)?;
-                let bytes = need(buf, pos, n)?;
-                Value::Text(
-                    String::from_utf8(bytes.to_vec())
-                        .map_err(|_| DominoError::Corrupt("invalid utf-8 in text value".into()))?,
-                )
+                let n = r.u32("value length")? as usize;
+                Value::Text(r.text(n, "text value")?.to_owned())
             }
             3 => {
-                let n = get_len(buf, pos)?;
-                let mut v = Vec::with_capacity(n.min(1024));
+                let n = r.u32("value length")?;
+                let mut v = Vec::with_capacity((n as usize).min(1024));
                 for _ in 0..n {
-                    let len = get_len(buf, pos)?;
-                    let bytes = need(buf, pos, len)?;
-                    v.push(
-                        String::from_utf8(bytes.to_vec()).map_err(|_| {
-                            DominoError::Corrupt("invalid utf-8 in text list".into())
-                        })?,
-                    );
+                    let len = r.u32("text list length")? as usize;
+                    v.push(r.text(len, "text list")?.to_owned());
                 }
                 Value::TextList(v)
             }
-            4 => Value::DateTime(DateTime(i64::from_le_bytes(
-                need(buf, pos, 8)?.try_into().expect("len 8"),
-            ))),
+            4 => Value::DateTime(DateTime(r.i64("date/time")?)),
             5 => {
-                let n = get_len(buf, pos)?;
-                let mut v = Vec::with_capacity(n.min(1024));
+                let n = r.u32("value length")?;
+                let mut v = Vec::with_capacity((n as usize).min(1024));
                 for _ in 0..n {
-                    v.push(DateTime(i64::from_le_bytes(
-                        need(buf, pos, 8)?.try_into().expect("len 8"),
-                    )));
+                    v.push(DateTime(r.i64("date/time list")?));
                 }
                 Value::DateTimeList(v)
             }
             6 => {
-                let n = get_len(buf, pos)?;
-                Value::RichText(need(buf, pos, n)?.to_vec())
+                let n = r.u32("value length")? as usize;
+                Value::RichText(r.bytes(n, "rich text")?.to_vec())
             }
             t => return Err(DominoError::Corrupt(format!("unknown value tag {t}"))),
         })

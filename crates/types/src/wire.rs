@@ -26,6 +26,7 @@
 //! discipline FORMAT.md applies to the NSF page format.
 
 use crate::error::{DominoError, Result};
+use crate::reader::Reader;
 
 /// Handshake magic: the first four payload bytes of a [`Opcode::Hello`].
 pub const WIRE_MAGIC: [u8; 4] = *b"NRPC";
@@ -164,12 +165,13 @@ impl Frame {
 
     /// The candidate count of a [`Opcode::Deliver`] payload.
     pub fn deliver_notes(&self) -> Result<u64> {
-        let bytes: [u8; 8] = self
-            .payload
-            .as_slice()
-            .try_into()
-            .map_err(|_| DominoError::Corrupt("Deliver payload is not 8 bytes".into()))?;
-        Ok(u64::from_le_bytes(bytes))
+        let mut r = Reader::new(&self.payload);
+        match (r.u64("Deliver payload"), r.remaining()) {
+            (Ok(notes), 0) => Ok(notes),
+            _ => Err(DominoError::Corrupt(
+                "Deliver payload is not 8 bytes".into(),
+            )),
+        }
     }
 
     /// Serialize to `[len][checksum][opcode][payload]` bytes.
@@ -216,31 +218,22 @@ impl FrameDecoder {
     /// unrecoverable (oversized length, bad checksum, unknown opcode)
     /// and the connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {
-        if self.buf.len() < FRAME_HEADER_LEN - 1 + 1 {
-            // Not even `len` + `checksum` + opcode yet — but check what we
-            // can: a hostile length prefix is rejectable at 4 bytes.
-            if self.buf.len() >= 4 {
-                let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes"));
-                if len == 0 || len > MAX_FRAME_LEN {
-                    return Err(DominoError::Corrupt(format!(
-                        "wire frame length {len} outside 1..={MAX_FRAME_LEN}"
-                    )));
-                }
-            }
+        let mut r = Reader::new(&self.buf);
+        // A hostile length prefix is refused as soon as its 4 bytes are in.
+        let Ok(len) = r.u32("wire frame length") else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes"));
+        };
         if len == 0 || len > MAX_FRAME_LEN {
             return Err(DominoError::Corrupt(format!(
                 "wire frame length {len} outside 1..={MAX_FRAME_LEN}"
             )));
         }
-        let total = FRAME_HEADER_LEN - 1 + len as usize;
-        if self.buf.len() < total {
+        // The checksum and the body have not all arrived yet.
+        if r.remaining() < 4 + len as usize {
             return Ok(None);
         }
-        let checksum = u32::from_le_bytes(self.buf[4..8].try_into().expect("4 bytes"));
-        let body = &self.buf[8..total];
+        let checksum = r.u32("wire frame checksum")?;
+        let body = r.bytes(len as usize, "wire frame body")?;
         if fnv1a32(body) != checksum {
             return Err(DominoError::Corrupt("wire frame checksum mismatch".into()));
         }
@@ -248,6 +241,7 @@ impl FrameDecoder {
             DominoError::Corrupt(format!("unknown wire opcode 0x{:02x}", body[0]))
         })?;
         let payload = body[1..].to_vec();
+        let total = r.pos();
         self.buf.drain(..total);
         Ok(Some(Frame { opcode, payload }))
     }

@@ -1,6 +1,6 @@
 //! Log sequence numbers, transaction ids, and log records.
 
-use domino_types::{fnv1a32, DominoError, Result};
+use domino_types::{fnv1a32, DominoError, Reader, Result};
 
 /// A log sequence number: the byte offset of a record in the log. LSN 0 is
 /// "nil" (before everything).
@@ -145,42 +145,34 @@ impl LogRecord {
     /// is indistinguishable from a torn tail, so recovery treats the first
     /// bad record as end-of-log, exactly like ARIES.
     pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Option<LogRecord>> {
-        if *pos + 8 > buf.len() {
+        let mut r = Reader::at(buf, *pos);
+        let Some(payload) = framed(&mut r) else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("4")) as usize;
-        let want_sum = u32::from_le_bytes(buf[*pos + 4..*pos + 8].try_into().expect("4"));
-        if len == 0 || *pos + 8 + len > buf.len() {
-            return Ok(None);
-        }
-        let payload = &buf[*pos + 8..*pos + 8 + len];
-        if fnv1a32(payload) != want_sum {
-            return Ok(None);
-        }
-        *pos += 8 + len;
-        let mut p = 1;
-        let rec = match payload[0] {
+        };
+        *pos = r.pos();
+        let mut r = Reader::new(payload);
+        let rec = match r.u8("log record tag")? {
             1 => LogRecord::Begin {
-                tx: TxId(get_u64(payload, &mut p)?),
+                tx: get_tx(&mut r)?,
             },
             4 => LogRecord::Commit {
-                tx: TxId(get_u64(payload, &mut p)?),
+                tx: get_tx(&mut r)?,
             },
             5 => LogRecord::Abort {
-                tx: TxId(get_u64(payload, &mut p)?),
+                tx: get_tx(&mut r)?,
             },
             tag @ (2 | TAG_UPDATE_ZERO_BEFORE) => {
-                let tx = TxId(get_u64(payload, &mut p)?);
-                let prev = Lsn(get_u64(payload, &mut p)?);
-                let page = get_u32(payload, &mut p)?;
-                let offset = get_u16(payload, &mut p)?;
-                let blen = get_u32(payload, &mut p)? as usize;
+                let tx = get_tx(&mut r)?;
+                let prev = Lsn(r.u64("log record prev lsn")?);
+                let page = r.u32("log record page")?;
+                let offset = r.u16("log record offset")?;
+                let blen = r.u32("before-image length")? as usize;
                 let stored = match tag {
-                    2 => Some(get_bytes(payload, &mut p, blen)?),
+                    2 => Some(r.bytes(blen, "before-image")?.to_vec()),
                     _ => None,
                 };
-                let alen = get_u32(payload, &mut p)? as usize;
-                let after = get_bytes(payload, &mut p, alen)?;
+                let alen = r.u32("after-image length")? as usize;
+                let after = r.bytes(alen, "after-image")?.to_vec();
                 let before = match stored {
                     Some(before) => before,
                     None if blen <= alen => vec![0; blen],
@@ -200,12 +192,12 @@ impl LogRecord {
                 }
             }
             3 => {
-                let tx = TxId(get_u64(payload, &mut p)?);
-                let page = get_u32(payload, &mut p)?;
-                let offset = get_u16(payload, &mut p)?;
-                let alen = get_u32(payload, &mut p)? as usize;
-                let after = get_bytes(payload, &mut p, alen)?;
-                let undo_next = Lsn(get_u64(payload, &mut p)?);
+                let tx = get_tx(&mut r)?;
+                let page = r.u32("log record page")?;
+                let offset = r.u16("log record offset")?;
+                let alen = r.u32("after-image length")? as usize;
+                let after = r.bytes(alen, "after-image")?.to_vec();
+                let undo_next = Lsn(r.u64("log record undo-next lsn")?);
                 LogRecord::Clr {
                     tx,
                     page,
@@ -220,33 +212,23 @@ impl LogRecord {
     }
 }
 
+/// The payload of the framed record at the cursor, or `None` for a torn
+/// tail: a header or payload cut short, a zero length, or a checksum that
+/// does not match.
+fn framed<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
+    let len = r.u32("log record length").ok()?;
+    let sum = r.u32("log record checksum").ok()?;
+    let payload = r.bytes(len as usize, "log record").ok()?;
+    (len != 0 && fnv1a32(payload) == sum).then_some(payload)
+}
+
 fn put_tx(out: &mut Vec<u8>, tag: u8, tx: TxId) {
     out.push(tag);
     out.extend_from_slice(&tx.0.to_le_bytes());
 }
 
-fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
-    let b = get_bytes(buf, pos, 8)?;
-    Ok(u64::from_le_bytes(b.try_into().expect("8")))
-}
-
-fn get_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    let b = get_bytes(buf, pos, 4)?;
-    Ok(u32::from_le_bytes(b.try_into().expect("4")))
-}
-
-fn get_u16(buf: &[u8], pos: &mut usize) -> Result<u16> {
-    let b = get_bytes(buf, pos, 2)?;
-    Ok(u16::from_le_bytes(b.try_into().expect("2")))
-}
-
-fn get_bytes(buf: &[u8], pos: &mut usize, n: usize) -> Result<Vec<u8>> {
-    if *pos + n > buf.len() {
-        return Err(DominoError::Corrupt("truncated log record payload".into()));
-    }
-    let out = buf[*pos..*pos + n].to_vec();
-    *pos += n;
-    Ok(out)
+fn get_tx(r: &mut Reader<'_>) -> Result<TxId> {
+    r.u64("log record tx").map(TxId)
 }
 
 #[cfg(test)]

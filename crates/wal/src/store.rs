@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use domino_types::{fnv1a32, DominoError, Faulty, Result};
+use domino_types::{fnv1a32, DominoError, Faulty, Reader, Result};
 
 /// Append-only storage for log bytes.
 pub trait LogStore: Send + Sync {
@@ -207,23 +207,20 @@ fn encode_header(base: u64) -> [u8; LOG_HEADER_LEN] {
 /// would restart LSNs below the ones the data file's pages already carry.
 fn decode_header(h: &[u8]) -> Result<(u32, u64)> {
     let corrupt = |what: &str| Err(DominoError::Corrupt(format!("transaction log {what}")));
-    if h.len() < LOG_HEADER_LEN {
-        return corrupt("header cut short");
-    }
-    if h[LH_MAGIC..LH_VERSION] != LOG_MAGIC {
+    let mut r = Reader::new(h);
+    if r.array("transaction log header magic")? != LOG_MAGIC {
         return corrupt("has no header (bad magic)");
     }
-    let stored = u32::from_le_bytes(h[LH_CHECKSUM..LOG_HEADER_LEN].try_into().expect("4"));
-    if stored != fnv1a32(&h[..LH_CHECKSUM]) {
+    let version = r.u32("transaction log header version")?;
+    let base = r.u64("transaction log header base")?;
+    if r.u32("transaction log header checksum")? != fnv1a32(&h[..LH_CHECKSUM]) {
         return corrupt("header checksum mismatch");
     }
-    let version = u32::from_le_bytes(h[LH_VERSION..LH_BASE].try_into().expect("4"));
     if !(1..=LOG_VERSION).contains(&version) {
         return corrupt(&format!(
             "format version {version} is not 1 or {LOG_VERSION}"
         ));
     }
-    let base = u64::from_le_bytes(h[LH_BASE..LH_CHECKSUM].try_into().expect("8"));
     Ok((version, base))
 }
 

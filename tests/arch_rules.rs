@@ -284,7 +284,7 @@ fn one_write_path_into_the_note_store() {
     // `DbInner::write_record` re-puts a segment only when its bytes
     // changed; a second caller of `put` or `remove_segment` in core would
     // bypass that check. Purge's `NoteStore::remove` drops whole records.
-    let writes = |l: &str| l.contains(".put(&mut") || l.contains("remove_segment(");
+    let writes = |l: &str| l.contains(".put(") || l.contains("remove_segment(");
     let mut outside = Vec::new();
     for (f, t) in sources()
         .iter()
@@ -293,7 +293,7 @@ fn one_write_path_into_the_note_store() {
         // The lines of `fn write_record`, if this file has it.
         let allowed = t.find("    fn write_record(").map(|start| {
             let body = &t[start..start + t[start..].find("\n    }\n").unwrap()];
-            assert!(body.contains(".put(&mut") && body.contains("remove_segment("));
+            assert!(body.contains(".put(") && body.contains("remove_segment("));
             let first = t[..start].lines().count();
             first..first + body.lines().count()
         });
@@ -551,4 +551,33 @@ fn one_scheduler() {
             has_word(l, "AgentSchedule") || l.contains("run_on_update_agents")
         }),
     );
+}
+
+#[test]
+fn one_byte_reader() {
+    // Bytes read back from a file or a socket are decoded through
+    // `domino_types::Reader`, whose every read is bounds-checked and
+    // returns `Corrupt`; only it and `PageBuf`'s fixed-offset accessors
+    // turn bytes into integers. Whitespace is ignored, so a call split
+    // over lines counts too.
+    let patterns = [
+        "from_le_bytes(",
+        "try_into().expect(",
+        "try_into().unwrap()",
+    ];
+    let mut hits = Vec::new();
+    for (file, text) in sources() {
+        if file == "crates/types/src/reader.rs" || file == "crates/storage/src/page.rs" {
+            continue;
+        }
+        let code = &text[..text.find("#[cfg(test)]").unwrap_or(text.len())];
+        let squeezed: String = code.chars().filter(|c| !c.is_whitespace()).collect();
+        for p in patterns {
+            let n = squeezed.matches(p).count();
+            if n > 0 {
+                hits.push(format!("{file}: {n} × {p}"));
+            }
+        }
+    }
+    assert_none("a decoder that reads bytes outside the one reader", hits);
 }

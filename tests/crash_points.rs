@@ -431,6 +431,47 @@ fn a_failed_commit_never_reaches_the_disk() {
     assert_eq!(got.bytes(PATTERN_OFF as usize, 9), &[0u8; 9][..]);
 }
 
+/// A save whose commit record cannot be forced leaves no transaction
+/// open behind it. The next save, and any other write, gets the log's
+/// error (not "transaction still active"), the failed note is bound
+/// nowhere, and a reopen over the same stores recovers exactly what was
+/// committed before the failure.
+#[test]
+fn a_failed_commit_leaves_no_transaction_behind() {
+    let (disk, log, plan) = (MemDisk::new(), MemLogStore::new(), FaultPlan::default());
+    let clock = LogicalClock::new();
+    let open = |log: Box<dyn LogStore>| {
+        Database::open(
+            Box::new(disk.clone()),
+            Some(log),
+            force_config(),
+            clock.clone(),
+        )
+        .unwrap()
+    };
+    let db = open(Box::new(Faulty::new(log.clone(), plan.clone())));
+    let mut kept = Note::document("Memo");
+    kept.set("Subject", Value::text("kept"));
+    db.save(&mut kept).unwrap();
+    let before = db_content(&db);
+
+    let mut lost = Note::document("Memo");
+    lost.set("Subject", Value::text("lost"));
+    plan.arm(0);
+    let err = db.save(&mut lost).unwrap_err();
+    plan.disarm();
+    assert!(matches!(err, DominoError::Io(_)), "got {err:?}");
+    let mut next = Note::document("Memo");
+    assert_eq!(db.save(&mut next).unwrap_err(), err);
+    assert_eq!(db.set_purge_interval(5).unwrap_err(), err);
+    assert_eq!(db.id_of_unid(lost.unid()).unwrap(), None);
+    drop(db);
+    log.crash();
+
+    let db = open(Box::new(log));
+    assert_eq!(db_content(&db), before);
+}
+
 /// An uncommitted insert into fresh space is stolen to disk, and the
 /// machine dies before the commit. The log holds the write as a tag-7
 /// record, its zero before-image as a bare length (FORMAT.md §9), and

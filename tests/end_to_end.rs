@@ -88,16 +88,66 @@ fn security_replicates_with_documents() {
     let mut r = Replicator::new(ReplicationOptions::default());
     r.sync(&a, &b).unwrap();
 
-    // The ACL note replicated; enforcement works on replica b. Note: b has
-    // its own stored ACL pointer, so load it from the replicated note set.
+    // The ACL note replicated; enforcement works on replica b.
     let dir = Directory::new();
     let spy = Session::new(b.clone(), "spy", dir.clone());
     let chief = Session::new(b.clone(), "chief", dir);
-    // b's ACL slot isn't set (slot state is local); set it from replica a's.
-    b.set_acl(&a.acl().unwrap()).unwrap();
     let doc_id = b.id_of_unid(secret.unid()).unwrap().unwrap();
     assert_eq!(spy.open_note(doc_id).unwrap_err().kind(), "access_denied");
     assert!(chief.open_note(doc_id).is_ok());
+}
+
+/// A pulled ACL note is the ACL the puller enforces: storing an ACL-class
+/// note, local or replicated, points the ACL slot at it in the same
+/// transaction.
+#[test]
+fn a_pulled_acl_is_enforced() {
+    let a = new_db("locked", 8, 1);
+    let b = new_db("locked", 8, 2);
+    a.set_acl(&Acl::new(AccessLevel::NoAccess)).unwrap();
+    let report = Replicator::new(ReplicationOptions::default())
+        .pull(&b, &a)
+        .unwrap();
+    assert_eq!((report.candidates, report.added), (1, 1));
+    assert_eq!(b.acl().unwrap().to_lines(), a.acl().unwrap().to_lines());
+    let anyone = Session::new(b.clone(), "anyone", Directory::new());
+    assert!(anyone.save(&mut Note::document("Memo")).is_err());
+}
+
+/// Two replicas that each stored an ACL hold both notes after a sync and
+/// enforce the same one: the lowest UNID, as for a design title.
+#[test]
+fn two_replicas_that_each_set_an_acl_converge_on_one() {
+    let a = new_db("pair", 9, 1);
+    let b = new_db("pair", 9, 2);
+    let mut from_a = Acl::new(AccessLevel::Reader);
+    from_a.set("ann", AclEntry::new(AccessLevel::Manager));
+    let mut from_b = Acl::new(AccessLevel::Author);
+    from_b.set("bob", AclEntry::new(AccessLevel::Manager));
+    a.set_acl(&from_a).unwrap();
+    b.set_acl(&from_b).unwrap();
+    Replicator::new(ReplicationOptions::default())
+        .sync(&a, &b)
+        .unwrap();
+    let notes = |db: &Database| db.note_ids(Some(NoteClass::Acl)).unwrap().len();
+    assert_eq!((notes(&a), notes(&b)), (2, 2));
+    assert_eq!(a.acl().unwrap().to_lines(), b.acl().unwrap().to_lines());
+    // The instance id is a UNID's high half, so replica a's note is lower.
+    assert_eq!(b.acl().unwrap().to_lines(), from_a.to_lines());
+}
+
+/// A compacted copy holds the one ACL note it copied, and enforces it.
+#[test]
+fn compaction_keeps_one_acl_note() {
+    let a = new_db("tidy", 10, 1);
+    let mut acl = Acl::new(AccessLevel::Reader);
+    acl.set("boss", AclEntry::new(AccessLevel::Manager));
+    a.set_acl(&acl).unwrap();
+    let (copy, _) = a
+        .compact_into(Box::new(MemDisk::new()), Some(Box::new(MemLogStore::new())))
+        .unwrap();
+    assert_eq!(copy.note_ids(Some(NoteClass::Acl)).unwrap().len(), 1);
+    assert_eq!(copy.acl().unwrap().to_lines(), acl.to_lines());
 }
 
 /// A clustered pair plus a WAL crash on one member: the survivor carries

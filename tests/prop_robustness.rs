@@ -3,10 +3,14 @@
 
 use proptest::prelude::*;
 
-use domino::core::Note;
+use domino::core::{DeletionStub, Note};
 use domino::formula::Formula;
-use domino::types::{DateTime, Item, ItemFlags, NoteClass, NoteId, Timestamp, Value};
-use domino::wal::{LogRecord, Lsn, TxId};
+use domino::storage::{SuperBlock, PAGE_SIZE};
+use domino::types::{
+    DateTime, DominoError, Frame, FrameDecoder, Item, ItemFlags, NoteClass, NoteId, Oid, Opcode,
+    Result, Timestamp, Unid, Value,
+};
+use domino::wal::{FileLogStore, LogRecord, Lsn, TxId};
 
 /// FNV-1a-32, the log's record checksum (FORMAT.md §9), so a damaged
 /// record can be re-checksummed and reach the payload parser.
@@ -14,6 +18,63 @@ fn fnv1a(bytes: &[u8]) -> u32 {
     bytes.iter().fold(0x811c9dc5u32, |h, b| {
         (h ^ u32::from(*b)).wrapping_mul(0x01000193)
     })
+}
+
+/// FNV-1a-64, the superblock checksum (FORMAT.md §2).
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One kind of damage to an encoding: flip a byte's bits, cut the bytes
+/// short, or overwrite (up to) four bytes with a little-endian value.
+#[derive(Debug, Clone)]
+enum Damage {
+    Flip(usize, u8),
+    Cut(usize),
+    Overwrite(usize, u32),
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        (any::<usize>(), any::<u8>()).prop_map(|(at, mask)| Damage::Flip(at, mask.max(1))),
+        any::<usize>().prop_map(Damage::Cut),
+        // Small values land as plausible lengths, counts and tags.
+        (
+            any::<usize>(),
+            prop_oneof![0u32..4, 0u32..64, Just(u32::MAX), any::<u32>()]
+        )
+            .prop_map(|(at, v)| Damage::Overwrite(at, v)),
+    ]
+}
+
+/// Apply `damage` to the first `span` bytes of `bytes` (all of them when
+/// `span` is larger).
+fn damage(bytes: &mut Vec<u8>, damage: &Damage, span: usize) {
+    let span = span.min(bytes.len());
+    if span == 0 {
+        return;
+    }
+    match *damage {
+        Damage::Flip(at, mask) => bytes[at % span] ^= mask,
+        Damage::Cut(at) => bytes.truncate(at % span),
+        Damage::Overwrite(at, v) => {
+            for (i, b) in v.to_le_bytes().into_iter().enumerate() {
+                if let Some(slot) = bytes.get_mut(at % span + i) {
+                    *slot = b;
+                }
+            }
+        }
+    }
+}
+
+/// What every decoder of damaged bytes may return.
+fn decoded_or_corrupt<T: std::fmt::Debug>(got: &Result<T>) {
+    assert!(
+        matches!(got, Ok(_) | Err(DominoError::Corrupt(_))),
+        "neither decoded nor refused as corruption: {got:?}"
+    );
 }
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -138,6 +199,109 @@ proptest! {
         let mut pos = 0;
         if let Ok(Some(LogRecord::Update { before, after, .. })) = LogRecord::decode(&bytes, &mut pos) {
             prop_assert!(before.len().max(after.len()) <= bytes.len());
+        }
+    }
+
+    /// A damaged item decodes or is refused as corruption.
+    #[test]
+    fn damaged_item_decodes_or_is_refused(item in arb_item(), hurt in arb_damage()) {
+        let mut bytes = Vec::new();
+        item.encode(&mut bytes);
+        damage(&mut bytes, &hurt, usize::MAX);
+        let mut pos = 0;
+        let got = Item::decode(&bytes, &mut pos);
+        decoded_or_corrupt(&got);
+        prop_assert!(pos <= bytes.len());
+    }
+
+    /// A damaged deletion stub decodes or is refused as corruption.
+    #[test]
+    fn damaged_deletion_stub_decodes_or_is_refused(
+        unid in any::<u128>(),
+        seq in any::<u32>(),
+        deleted_at in any::<u64>(),
+        hurt in arb_damage(),
+    ) {
+        let stub = DeletionStub {
+            id: NoteId(1),
+            oid: Oid { unid: Unid(unid), seq, seq_time: Timestamp(deleted_at / 2) },
+            deleted_at: Timestamp(deleted_at),
+        };
+        let mut bytes = stub.encode();
+        damage(&mut bytes, &hurt, usize::MAX);
+        decoded_or_corrupt(&DeletionStub::decode(NoteId(1), &bytes));
+    }
+
+    /// A superblock damaged in its meaningful bytes decodes or is refused
+    /// as corruption, with its checksum recomputed (`fix`) or not.
+    #[test]
+    fn damaged_superblock_decodes_or_is_refused(hurt in arb_damage(), fix in any::<bool>()) {
+        let block = SuperBlock { version: 1, flags: 0, page_size: PAGE_SIZE as u32 };
+        let mut bytes = block.encode().to_vec();
+        damage(&mut bytes, &hurt, 64);
+        if fix && bytes.len() >= 64 {
+            let sum = fnv1a64(&bytes[..56]);
+            bytes[56..64].copy_from_slice(&sum.to_le_bytes());
+        }
+        decoded_or_corrupt(&SuperBlock::decode(&bytes));
+    }
+
+    /// A transaction log whose 20-byte header is damaged opens or is
+    /// refused as corruption, with its checksum recomputed (`fix`) or not.
+    #[test]
+    fn damaged_log_header_opens_or_is_refused(hurt in arb_damage(), fix in any::<bool>()) {
+        let dir = std::env::temp_dir().join(format!("domino-log-header-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("data.txn");
+        drop(FileLogStore::open(&path).unwrap());
+        let mut bytes = std::fs::read(&path).unwrap();
+        damage(&mut bytes, &hurt, 20);
+        if fix && bytes.len() >= 20 {
+            let sum = fnv1a(&bytes[..16]);
+            bytes[16..20].copy_from_slice(&sum.to_le_bytes());
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        decoded_or_corrupt(&FileLogStore::open(&path).map(drop));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A damaged stream of wire frames, fed at any split, yields frames
+    /// until it ends or is refused as corruption. The damaged frame's
+    /// checksum is recomputed when `fix` is set and its length still fits.
+    #[test]
+    fn damaged_frames_decode_or_are_refused(
+        notes in any::<u64>(),
+        reason in ".{0,20}",
+        hurt in arb_damage(),
+        fix in any::<bool>(),
+        split in 1usize..16,
+    ) {
+        let frames = [Frame::hello(), Frame::deliver(notes), Frame::nack(&reason)];
+        let mut bytes: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        damage(&mut bytes, &hurt, usize::MAX);
+        if fix && bytes.len() >= 8 {
+            let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+            if let Some(body) = bytes.get(8..8 + len) {
+                let sum = fnv1a(body);
+                bytes[4..8].copy_from_slice(&sum.to_le_bytes());
+            }
+        }
+        let mut dec = FrameDecoder::new();
+        'feed: for chunk in bytes.chunks(split) {
+            dec.feed(chunk);
+            loop {
+                match dec.next_frame() {
+                    Ok(Some(frame)) if frame.opcode == Opcode::Deliver => {
+                        decoded_or_corrupt(&frame.deliver_notes());
+                    }
+                    Ok(Some(_)) => {}
+                    Ok(None) => break,
+                    got => {
+                        decoded_or_corrupt(&got);
+                        break 'feed;
+                    }
+                }
+            }
         }
     }
 
