@@ -4,18 +4,19 @@
 //! Connection model (Domino's, scaled down): an accept thread admits up
 //! to [`HttpConfig::max_connections`] concurrent connections — beyond
 //! that it answers `503` on the spot and closes, the connection-level
-//! twin of the worker pool's load shed. Each admitted connection gets a
-//! thread that only does I/O: it feeds bytes to an incremental
-//! [`HttpParser`] and hands every complete
-//! request to [`DominoServer::serve`], which is the *bounded* worker-pool
-//! front door — a full request queue still answers `503`, exactly as for
-//! in-process callers. Keep-alive connections are closed after
+//! twin of the server's request shed. Each admitted connection gets a
+//! thread that feeds bytes to an incremental [`HttpParser`] and runs
+//! every complete request to completion through [`DominoServer::serve`]
+//! on that same thread: the server's admission gate bounds how many run
+//! at once, and a full wait answers `503`, exactly as for in-process
+//! callers. One `Http.Conn.Request` span covers the parse, the serve and
+//! the write of each request. Keep-alive connections are closed after
 //! [`HttpConfig::idle_timeout`] without a byte; a started request must
 //! complete its I/O within [`HttpConfig::io_timeout`].
 //!
 //! Graceful drain ([`HttpListener::drain`], console `tell http quit`):
 //! stop accepting, let in-flight requests finish, close idle keep-alive
-//! connections, then wait for the worker pool's queue to empty
+//! connections, then wait until no request runs or waits in the server
 //! ([`DominoServer::drain`]). Accepted work is never dropped.
 
 use std::io::{Read, Write};
@@ -161,7 +162,7 @@ impl HttpListener {
     }
 
     /// Graceful shutdown: stop accepting, finish in-flight requests,
-    /// close idle keep-alive connections, then drain the worker pool.
+    /// close idle keep-alive connections, then drain the server.
     /// Waits up to `timeout` for connections to finish; idempotent.
     pub fn drain(&self, timeout: Duration) -> DrainReport {
         let connections_at_start = self.shared.active();
@@ -175,8 +176,7 @@ impl HttpListener {
             .0;
         if remaining == 0 {
             self.listener.join();
-            // Finish whatever the connections queued before joining is
-            // observable: the pool's explicit drain.
+            // In-process callers may still be running requests.
             self.shared.server.drain();
         }
         obs::emit(
@@ -279,9 +279,9 @@ fn serve_http_conn(mut stream: TcpStream, shared: &HttpShared) -> &'static str {
         last_activity = Instant::now();
         let mut chunk = fed;
         loop {
+            let _span = obs::span!("Http.Conn.Request");
             match parser.feed(chunk) {
                 Ok(Some(parsed)) => {
-                    chunk = &[];
                     m().requests.inc();
                     let resp = shared.server.serve(parsed.request);
                     // Honour the client's keep-alive wish unless a drain
@@ -295,6 +295,11 @@ fn serve_http_conn(mut stream: TcpStream, shared: &HttpShared) -> &'static str {
                     if !keep {
                         return "closed";
                     }
+                    if parser.buffered() == 0 {
+                        break;
+                    }
+                    // A pipelined request may already be buffered.
+                    chunk = &[];
                 }
                 Ok(None) => {
                     request_since = if parser.buffered() > 0 {

@@ -8,9 +8,10 @@
 //!
 //! * [`HttpListener`] — a `std::net::TcpListener` front for
 //!   [`DominoServer`](domino_server::DominoServer): incremental HTTP/1.1
-//!   parsing ([`HttpParser`]), keep-alive with idle timeout, per-request
-//!   I/O deadlines, a connection cap with on-the-spot `503`, and a
-//!   graceful drain wired to the console (`tell http quit`).
+//!   parsing ([`HttpParser`]), each request run to completion on the
+//!   connection thread that read it, keep-alive with idle timeout,
+//!   per-request I/O deadlines, a connection cap with on-the-spot `503`,
+//!   and a graceful drain wired to the console (`tell http quit`).
 //! * [`SocketTransport`] / [`ReplicaListener`] — the NRPC stand-in: the
 //!   length-prefixed checksummed framing of
 //!   [`domino_types::wire`] on a real TCP connection, as a second
@@ -18,9 +19,9 @@
 //!   interrupt/resume guarantees run unchanged over a socket.
 //!
 //! Both faces speak to the *same* engine as in-process callers — the
-//! worker-pool load shed, the command cache, ACL checks, and the pull
-//! cursor behave identically whichever door a request came through
-//! (DESIGN.md §"Transport equivalence"), and
+//! server's admission gate and its load shed, the command cache, ACL
+//! checks, and the pull cursor behave identically whichever door a
+//! request came through (DESIGN.md §"Transport equivalence"), and
 //! `tests/prop_faulty_replication.rs` proves it property-by-property.
 
 #![deny(missing_docs)]

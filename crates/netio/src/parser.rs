@@ -84,8 +84,9 @@ pub struct ParsedRequest {
 
 #[derive(Debug)]
 enum Phase {
-    /// Accumulating up to the blank line.
-    Head,
+    /// Accumulating up to the blank line; the first `scanned` buffered
+    /// bytes hold no complete `\r\n\r\n`.
+    Head { scanned: usize },
     /// Head parsed; waiting for `need` body bytes.
     Body { head: Head, need: usize },
 }
@@ -112,7 +113,7 @@ impl HttpParser {
         HttpParser {
             limits,
             buf: Vec::new(),
-            phase: Phase::Head,
+            phase: Phase::Head { scanned: 0 },
         }
     }
 
@@ -130,9 +131,14 @@ impl HttpParser {
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Option<ParsedRequest>, ParseError> {
         self.buf.extend_from_slice(bytes);
         loop {
-            match &self.phase {
-                Phase::Head => {
-                    let Some(head_end) = find_blank_line(&self.buf) else {
+            match &mut self.phase {
+                Phase::Head { scanned } => {
+                    // Resume the search where the last feed left it: a
+                    // head trickled in byte by byte is scanned once.
+                    let from = scanned.saturating_sub(3);
+                    let Some(head_end) = find_blank_line(&self.buf[from..]).map(|i| from + i)
+                    else {
+                        *scanned = self.buf.len();
                         if self.buf.len() > self.limits.max_head_bytes {
                             return Err(ParseError::TooLarge(format!(
                                 "request head exceeds {} bytes",
@@ -160,7 +166,8 @@ impl HttpParser {
                         return Ok(None);
                     }
                     let need = *need;
-                    let Phase::Body { head, .. } = std::mem::replace(&mut self.phase, Phase::Head)
+                    let Phase::Body { head, .. } =
+                        std::mem::replace(&mut self.phase, Phase::Head { scanned: 0 })
                     else {
                         unreachable!("phase checked above");
                     };

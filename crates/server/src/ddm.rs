@@ -26,7 +26,7 @@ use domino_obs as obs;
 #[derive(Debug, Clone)]
 pub enum ProbeCondition {
     /// Counter grew by at least `threshold` this tick (a rate alarm:
-    /// e.g. `Http.Worker.Shed` climbing means the pool is saturated).
+    /// e.g. `Http.Worker.Shed` climbing means the HTTP task is saturated).
     CounterDeltaAtLeast {
         /// Counter name.
         metric: &'static str,
@@ -307,7 +307,7 @@ impl ProbeEngine {
     }
 }
 
-/// The stock probe set: worker shedding, replication retry exhaustion,
+/// The stock probe set: HTTP load shedding, replication retry exhaustion,
 /// checkpoint lag, buffer-pool efficiency, and writer queueing on the
 /// engine mutex.
 pub fn default_rules() -> Vec<ProbeRule> {

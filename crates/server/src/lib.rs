@@ -16,8 +16,10 @@
 //!   `domino-core` [`Session`](domino_core::Session) so ACL levels,
 //!   `$Readers` fields, and protected items are enforced exactly as for
 //!   native clients; denials become `401`/`403`.
-//! * [`WorkerPool`] — a fixed set of worker threads behind a bounded
-//!   queue; overload answers `503` instead of queueing unboundedly.
+//! * An admission gate inside [`DominoServer::serve`]: a request runs on
+//!   the caller's thread, at most `workers` at once with a bounded wait
+//!   in arrival order; overload answers `503` instead of queueing
+//!   unboundedly. The server starts no thread of its own.
 //! * [`CommandCache`] — rendered view pages keyed by
 //!   `(db, view, window, access class)` and expired by the view index's
 //!   [version](domino_views::View::version) (and by the index being
@@ -72,7 +74,6 @@ pub mod console;
 pub mod ddm;
 pub mod http;
 pub mod logger;
-pub mod pool;
 pub mod render;
 mod server;
 pub mod url;
@@ -82,6 +83,5 @@ pub use console::{Console, TellHandler};
 pub use ddm::{default_rules, ProbeCondition, ProbeEngine, ProbeOutcome, ProbeRule};
 pub use http::{Credentials, Method, Request, Response, Status};
 pub use logger::{DrainReport, LoggerConfig, ServerLog};
-pub use pool::WorkerPool;
 pub use server::{DominoServer, ServerConfig, ANONYMOUS};
 pub use url::{parse, UrlCommand, DEFAULT_COUNT};

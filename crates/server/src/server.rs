@@ -1,6 +1,6 @@
 //! The request executor: authentication, ACL enforcement, command
-//! dispatch, the worker-pool front door, and the background agent
-//! manager ("amgr") driver.
+//! dispatch, the admission gate in front of them, and the background
+//! agent manager ("amgr") driver.
 //!
 //! One [`DominoServer`] hosts any number of registered databases. Every
 //! request runs the same pipeline a Domino HTTP worker runs:
@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use domino_core::{
@@ -32,7 +32,6 @@ use parking_lot::Mutex;
 
 use crate::cache::{CacheKey, CachedPage, CommandCache, PageKind, PageStamp};
 use crate::http::{Credentials, Request, Response, Status};
-use crate::pool::WorkerPool;
 use crate::render::{self, Row};
 use crate::url::{self, UrlCommand};
 
@@ -47,6 +46,11 @@ struct Metrics {
     client_err: &'static obs::Counter,
     server_err: &'static obs::Counter,
     agent_runs: &'static obs::Counter,
+    executed: &'static obs::Counter,
+    shed: &'static obs::Counter,
+    queue_depth: &'static obs::Gauge,
+    busy: &'static obs::Gauge,
+    wait: &'static obs::Histogram,
 }
 
 fn m() -> &'static Metrics {
@@ -59,15 +63,20 @@ fn m() -> &'static Metrics {
         client_err: obs::counter("Http.Request.ClientError"),
         server_err: obs::counter("Http.Request.Error"),
         agent_runs: obs::counter("Http.Amgr.AgentRuns"),
+        executed: obs::counter("Http.Worker.Executed"),
+        shed: obs::counter("Http.Worker.Shed"),
+        queue_depth: obs::gauge("Http.Worker.QueueDepth"),
+        busy: obs::gauge("Http.Worker.Busy"),
+        wait: obs::histogram("Http.Worker.Wait.Micros"),
     })
 }
 
 /// Sizing knobs for the HTTP task (see OPERATIONS.md §"The HTTP task").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Worker threads serving requests (Domino: `HTTP.NumberOfWorkers`).
+    /// Requests executing at once (Domino: `HTTP.NumberOfWorkers`).
     pub workers: usize,
-    /// Requests allowed to wait in the queue before load-shedding 503s.
+    /// Requests allowed to wait for a place before load-shedding 503s.
     pub queue_bound: usize,
     /// Rendered view pages the command cache holds (0 disables caching).
     pub cache_capacity: usize,
@@ -129,6 +138,87 @@ struct Inner {
     users: Mutex<HashMap<String, String>>,
     directory: Mutex<Arc<Directory>>,
     cache: CommandCache,
+    gate: Gate,
+}
+
+/// Admission to [`Inner::handle`]: at most `workers` requests execute at
+/// once and at most `queue_bound` more wait, admitted in arrival order;
+/// the next caller is refused. It owns no thread.
+struct Gate {
+    workers: usize,
+    queue_bound: u64,
+    state: std::sync::Mutex<GateState>,
+    /// A place freed with callers waiting, or idle with a drain waiting.
+    changed: Condvar,
+}
+
+/// Every caller takes a ticket; tickets are admitted in order, so
+/// `issued - admitted` callers wait.
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    issued: u64,
+    admitted: u64,
+    drains: usize,
+}
+
+impl GateState {
+    fn waiting(&self) -> u64 {
+        self.issued - self.admitted
+    }
+}
+
+impl Gate {
+    /// Every update leaves the counters consistent, so a poisoned lock's
+    /// state is still good.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A place to execute, after every earlier arrival; `None` when
+    /// `queue_bound` callers already wait. Only a caller that has to wait
+    /// reads the clock.
+    fn enter(&self) -> Option<Permit<'_>> {
+        let mut s = self.lock();
+        if s.waiting() >= self.queue_bound {
+            m().shed.inc();
+            return None;
+        }
+        let ticket = s.issued;
+        s.issued += 1;
+        if s.admitted != ticket || s.running >= self.workers {
+            m().queue_depth.set(s.waiting() as i64);
+            let since = Instant::now();
+            while s.admitted != ticket || s.running >= self.workers {
+                s = self.changed.wait(s).unwrap_or_else(PoisonError::into_inner);
+            }
+            m().wait.record_micros(since.elapsed());
+        }
+        s.admitted += 1;
+        s.running += 1;
+        m().queue_depth.set(s.waiting() as i64);
+        m().busy.set(s.running as i64);
+        if s.waiting() > 0 && s.running < self.workers {
+            // The next ticket may fit beside this one.
+            self.changed.notify_all();
+        }
+        Some(Permit(self))
+    }
+}
+
+/// A place in the gate, given back on drop (also if the request panics).
+struct Permit<'a>(&'a Gate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut s = self.0.lock();
+        s.running -= 1;
+        m().busy.set(s.running as i64);
+        m().executed.inc();
+        if s.waiting() > 0 || (s.drains > 0 && s.running == 0) {
+            self.0.changed.notify_all();
+        }
+    }
 }
 
 /// Strip a `.nsf` suffix and lowercase: the canonical database key.
@@ -191,14 +281,11 @@ fn error_response(anonymous: bool, e: &DominoError) -> Response {
 #[derive(Clone)]
 pub struct DominoServer {
     inner: Arc<Inner>,
-    // Outside `Inner` on purpose: queued jobs hold `Arc<Inner>`, so if the
-    // pool lived inside `Inner` the last job could drop `Inner` *on a
-    // worker thread* and the pool's Drop would join its own thread.
-    pool: Arc<WorkerPool>,
 }
 
 impl DominoServer {
-    /// Start the task: worker threads come up immediately.
+    /// Create the task. It starts no thread: requests run on their
+    /// callers' threads ([`DominoServer::serve`]).
     pub fn new(config: ServerConfig) -> DominoServer {
         DominoServer {
             inner: Arc::new(Inner {
@@ -206,8 +293,13 @@ impl DominoServer {
                 users: Mutex::new(HashMap::new()),
                 directory: Mutex::new(Arc::new(Directory::new())),
                 cache: CommandCache::new(config.cache_capacity),
+                gate: Gate {
+                    workers: config.workers.max(1),
+                    queue_bound: config.queue_bound.max(1) as u64,
+                    state: std::sync::Mutex::default(),
+                    changed: Condvar::new(),
+                },
             }),
-            pool: Arc::new(WorkerPool::new(config.workers, config.queue_bound)),
         }
     }
 
@@ -264,50 +356,43 @@ impl DominoServer {
         *self.inner.directory.lock() = Arc::new(dir);
     }
 
-    /// Execute a request synchronously on the calling thread (bypasses
-    /// the worker pool — used by tests and by the workers themselves).
+    /// Execute a request on the calling thread, bypassing the admission
+    /// gate (tests and in-process tools).
     pub fn handle(&self, req: &Request) -> Response {
         self.inner.handle(req)
     }
 
-    /// Enqueue a request on the worker pool; the response arrives on the
-    /// returned channel. A full queue answers `503` immediately.
-    pub fn submit(&self, req: Request) -> mpsc::Receiver<Response> {
-        let (tx, rx) = mpsc::channel();
-        let inner = self.inner.clone();
-        let tx_job = tx.clone();
-        let accepted = self.pool.try_execute(move || {
-            let _ = tx_job.send(inner.handle(&req));
-        });
-        if !accepted {
-            m().served.inc();
-            m().server_err.inc();
-            let _ = tx.send(Response::error(
-                Status::Unavailable,
-                "request queue is full — retry later",
-            ));
-        }
-        rx
-    }
-
-    /// Enqueue a request and block for its response.
+    /// Execute a request on the calling thread once the admission gate
+    /// lets it in: at most [`ServerConfig::workers`] run at once and at
+    /// most [`ServerConfig::queue_bound`] wait, in arrival order. The next
+    /// caller gets `503` at once, accounted and logged like any request.
     pub fn serve(&self, req: Request) -> Response {
-        self.submit(req)
-            .recv()
-            .unwrap_or_else(|_| Response::error(Status::ServerError, "worker dropped the request"))
+        match self.inner.gate.enter() {
+            Some(_permit) => self.inner.handle(&req),
+            None => account(
+                &req,
+                Response::error(Status::Unavailable, "request queue is full — retry later"),
+                0,
+            ),
+        }
     }
 
-    /// Requests waiting in the pool queue right now.
+    /// Requests waiting for a place right now.
     pub fn queue_depth(&self) -> usize {
-        self.pool.queue_depth()
+        self.inner.gate.lock().waiting() as usize
     }
 
-    /// Block until every request accepted so far has finished executing
-    /// (see [`WorkerPool::drain`]). The listener's graceful-shutdown
-    /// path calls this after its last connection closes, so accepted
-    /// work is never abandoned mid-drain.
+    /// Block until no request runs or waits. New requests stay possible
+    /// throughout (a fence, not a shutdown); the listener's graceful
+    /// drain calls this after its last connection closes.
     pub fn drain(&self) {
-        self.pool.drain();
+        let gate = &self.inner.gate;
+        let mut s = gate.lock();
+        s.drains += 1;
+        while s.running > 0 || s.waiting() > 0 {
+            s = gate.changed.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        s.drains -= 1;
     }
 
     /// Rendered pages currently in the command cache.
@@ -345,6 +430,45 @@ impl DominoServer {
     }
 }
 
+/// Count `resp` under its status and put the domlog.nsf record on the
+/// event bus: one event per request, whatever the outcome, a refusal at
+/// the gate included. The logger task turns these into HttpRequest
+/// documents.
+fn account(req: &Request, resp: Response, micros: u64) -> Response {
+    m().served.inc();
+    match resp.status {
+        Status::Ok => m().ok.inc(),
+        Status::Unauthorized | Status::Forbidden => m().denied.inc(),
+        Status::BadRequest | Status::NotFound | Status::Conflict => m().client_err.inc(),
+        Status::ServerError | Status::Unavailable => m().server_err.inc(),
+    }
+    let user = match &req.credentials {
+        Credentials::Anonymous => ANONYMOUS.to_string(),
+        Credentials::Basic { user, .. } => user.clone(),
+    };
+    obs::emit(
+        obs::Event::new(obs::EventKind::Http, obs::Severity::Info, "Http.Request")
+            .with("method", req.method.as_str())
+            .with("command", req.target.clone())
+            .with("status", u64::from(resp.status.code()))
+            .with("micros", micros)
+            .with("user", user.clone()),
+    );
+    if matches!(resp.status, Status::Unauthorized | Status::Forbidden) {
+        obs::emit(
+            obs::Event::new(
+                obs::EventKind::Security,
+                obs::Severity::Warning,
+                "Http.Denied",
+            )
+            .with("status", u64::from(resp.status.code()))
+            .with("command", req.target.clone())
+            .with("user", user),
+        );
+    }
+    resp
+}
+
 impl Inner {
     fn site(&self, name: &str) -> Option<Arc<Site>> {
         self.sites.lock().get(name).cloned()
@@ -366,43 +490,10 @@ impl Inner {
     fn handle(&self, req: &Request) -> Response {
         let _span = obs::span!("Http.Request");
         let started = Instant::now();
-        m().served.inc();
         let resp = self.dispatch(req);
-        let micros = started.elapsed().as_micros() as u64;
-        m().micros.record_micros(started.elapsed());
-        match resp.status {
-            Status::Ok => m().ok.inc(),
-            Status::Unauthorized | Status::Forbidden => m().denied.inc(),
-            Status::BadRequest | Status::NotFound | Status::Conflict => m().client_err.inc(),
-            Status::ServerError | Status::Unavailable => m().server_err.inc(),
-        }
-        let user = match &req.credentials {
-            Credentials::Anonymous => "Anonymous".to_string(),
-            Credentials::Basic { user, .. } => user.clone(),
-        };
-        // The domlog.nsf record: one event per request, whatever the
-        // outcome. The logger task turns these into HttpRequest documents.
-        obs::emit(
-            obs::Event::new(obs::EventKind::Http, obs::Severity::Info, "Http.Request")
-                .with("method", req.method.as_str())
-                .with("command", req.target.clone())
-                .with("status", u64::from(resp.status.code()))
-                .with("micros", micros)
-                .with("user", user.clone()),
-        );
-        if matches!(resp.status, Status::Unauthorized | Status::Forbidden) {
-            obs::emit(
-                obs::Event::new(
-                    obs::EventKind::Security,
-                    obs::Severity::Warning,
-                    "Http.Denied",
-                )
-                .with("status", u64::from(resp.status.code()))
-                .with("command", req.target.clone())
-                .with("user", user),
-            );
-        }
-        resp
+        let took = started.elapsed();
+        m().micros.record_micros(took);
+        account(req, resp, took.as_micros() as u64)
     }
 
     fn dispatch(&self, req: &Request) -> Response {
@@ -926,25 +1017,88 @@ mod tests {
         assert!(!again.iter().any(|(_, t)| t.fired()));
     }
 
+    /// One request executes and one waits; the next is refused at once,
+    /// and the refusal is counted and logged like any other request.
     #[test]
-    fn pool_front_door_serves_and_sheds() {
-        let (server, _db) = discussion();
-        let resp = server
-            .serve(Request::get("/disc.nsf/topics?OpenView&Count=3").as_user("alice", "pw-a"));
-        assert_eq!(resp.status, Status::Ok);
-        // Flood a tiny server: some requests must shed with 503.
+    fn a_full_gate_sheds_at_once_and_logs_the_refusal() {
+        use std::sync::mpsc;
+
+        let (_, db) = discussion();
         let tiny = DominoServer::new(ServerConfig {
             workers: 1,
-            queue_bound: 2,
+            queue_bound: 1,
             cache_capacity: 0,
         });
-        let rxs: Vec<_> = (0..50)
-            .map(|_| tiny.submit(Request::get("/disc.nsf/topics?OpenView")))
-            .collect();
-        let sheds = rxs
+        tiny.register_database("disc", &db).unwrap();
+        tiny.add_view(
+            "disc",
+            ViewDesign::new("topics", r#"SELECT Form = "Topic""#).unwrap(),
+        )
+        .unwrap();
+        tiny.register_user("alice", "pw-a");
+        tiny.register_user("rita", "pw-r");
+        // Park the save of "parked" inside its commit's delivery, and so
+        // inside `handle`, until released.
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, held) = mpsc::channel::<()>();
+        let hook = std::sync::Mutex::new((entered_tx, held));
+        db.subscribe(Arc::new(move |events: &[domino_core::ChangeEvent]| {
+            let parked = events.iter().any(|e| {
+                matches!(e, domino_core::ChangeEvent::Saved { new, .. }
+                    if new.get_text("Subject").as_deref() == Some("parked"))
+            });
+            if parked {
+                let hook = hook.lock().unwrap();
+                hook.0.send(()).unwrap();
+                hook.1.recv().unwrap();
+            }
+        }));
+        let running = {
+            let tiny = tiny.clone();
+            std::thread::spawn(move || {
+                tiny.serve(
+                    Request::post("/disc.nsf/Topic?CreateDocument", "Subject=parked")
+                        .as_user("alice", "pw-a"),
+                )
+            })
+        };
+        entered.recv_timeout(Duration::from_secs(10)).unwrap();
+        let waiting = {
+            let tiny = tiny.clone();
+            std::thread::spawn(move || tiny.serve(Request::get("/disc.nsf/topics?OpenView")))
+        };
+        while tiny.queue_depth() != 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        obs::drain(usize::MAX);
+        let before = obs::snapshot();
+        let refused = tiny.serve(Request::get("/disc.nsf/topics?OpenView").as_user("rita", "pw-r"));
+        assert_eq!(refused.status, Status::Unavailable);
+        let after = obs::snapshot().diff(&before);
+        assert_eq!(after.counter("Http.Worker.Shed"), 1);
+        let logged: Vec<obs::Event> = obs::drain(usize::MAX)
             .into_iter()
-            .filter(|rx| rx.recv().unwrap().status == Status::Unavailable)
-            .count();
-        assert!(sheds > 0, "flooding a queue of 2 must shed");
+            .filter(|e| {
+                e.code == "Http.Request" && e.field("status").and_then(|v| v.as_u64()) == Some(503)
+            })
+            .collect();
+        assert_eq!(logged.len(), 1, "one Http.Request event per refusal");
+        assert_eq!(
+            logged[0].field("user").map(|v| v.to_text()).as_deref(),
+            Some("rita")
+        );
+
+        let waits = obs::snapshot().histogram("Http.Worker.Wait.Micros").count;
+        release.send(()).unwrap();
+        assert_eq!(running.join().unwrap().status, Status::Ok);
+        assert_eq!(waiting.join().unwrap().status, Status::Ok);
+        tiny.drain();
+        assert_eq!(tiny.queue_depth(), 0);
+        assert_eq!(
+            obs::snapshot().histogram("Http.Worker.Wait.Micros").count,
+            waits + 1,
+            "only the caller that waited records a wait"
+        );
     }
 }

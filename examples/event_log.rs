@@ -1,18 +1,18 @@
 //! `log.nsf`: the server logs itself.
 //!
 //! A workload crashes and recovers a database, replicates between two
-//! replicas, serves HTTP (including a denial), and floods a tiny worker
-//! pool — all of which lands as structured events on the bus. The logger
-//! task files every event as a document in a real `log.nsf`, DDM probes
-//! escalate on the shedding worker pool, and the log is then *browsed
-//! over HTTP* under its own ACL, because the server's log is just
-//! another Notes database.
+//! replicas, serves HTTP (including a denial), and floods a server that
+//! runs one request at a time — all of which lands as structured events
+//! on the bus. The logger task files every event as a document in a real
+//! `log.nsf`, DDM probes escalate on the shedding, and the log is then
+//! *browsed over HTTP* under its own ACL, because the server's log is
+//! just another Notes database.
 //!
 //! Run with: `cargo run --example event_log`
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 
-use domino::core::{Database, DbConfig, Note};
+use domino::core::{ChangeEvent, Database, DbConfig, Note};
 use domino::obs;
 use domino::replica::{CleanTransport, ReplicationOptions, Replicator};
 use domino::security::AccessLevel;
@@ -27,7 +27,7 @@ use domino::wal::MemLogStore;
 
 fn main() -> domino::types::Result<()> {
     // The logger: a real database titled `log`, plus custom DDM probes
-    // watching the worker pool (threshold 1 so the demo flood fires it;
+    // watching the HTTP shed count (threshold 1 so the demo flood fires it;
     // one more firing tick escalates).
     let log = ServerLog::with_config(LoggerConfig {
         stats_every: 4,
@@ -134,13 +134,9 @@ fn main() -> domino::types::Result<()> {
     // Two flood rounds so the shed-rate probe fires, persists, and
     // escalates one severity step.
     for round in 1..=2 {
-        let rxs: Vec<_> = (0..100)
-            .map(|_| server.submit(Request::get("/hq.nsf/topics?OpenView")))
-            .collect();
-        let shed = rxs
-            .into_iter()
-            .filter(|rx| rx.recv().expect("worker reply").status.code() == 503)
-            .count();
+        let write = Request::post("/hq.nsf/Topic?CreateDocument", "Subject=slow+write")
+            .as_user("ada", "secret");
+        let shed = flood(&server, &src, write, "/hq.nsf/topics?OpenView", 100, 2);
         println!("flood round {round}: shed with 503: {shed}");
         assert!(shed > 0, "a bounded queue must shed under flood");
         let drained = log.drain();
@@ -245,4 +241,51 @@ fn main() -> domino::types::Result<()> {
     assert_eq!(log.recursion_events(), 0);
     println!("event log demo complete");
     Ok(())
+}
+
+/// Flood `server`, which runs one request at a time and lets `waiting`
+/// more wait: `write` parks inside its commit, holding the only place,
+/// while `callers` threads released at once on a barrier each `serve` a
+/// GET of `read`. Every caller that cannot wait is refused before the
+/// write goes on. Returns how many callers were shed with 503.
+fn flood(
+    server: &DominoServer,
+    db: &Database,
+    write: Request,
+    read: &str,
+    callers: usize,
+    waiting: usize,
+) -> usize {
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, held) = mpsc::channel::<()>();
+    let hook = Mutex::new((parked_tx, held));
+    db.subscribe(Arc::new(move |_: &[ChangeEvent]| {
+        let hook = hook.lock().unwrap();
+        if hook.0.send(()).is_ok() {
+            let _ = hook.1.recv();
+        }
+    }));
+    let start = Barrier::new(callers);
+    let (code_tx, codes) = mpsc::channel();
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| server.serve(write));
+        parked.recv().expect("the write parks in its commit");
+        for _ in 0..callers {
+            let code_tx = code_tx.clone();
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                let code = server.serve(Request::get(read)).status.code();
+                code_tx.send(code).expect("flood result");
+            });
+        }
+        let shed = codes
+            .iter()
+            .take(callers - waiting)
+            .filter(|&code| code == 503)
+            .count();
+        release.send(()).expect("release the write");
+        assert_eq!(writer.join().expect("writer").status.code(), 200);
+        shed
+    })
 }

@@ -1,13 +1,13 @@
 //! The Domino HTTP task end-to-end: register a discussion database,
-//! serve URL commands through the worker pool, watch the command cache
+//! serve URL commands through its admission gate, watch the command cache
 //! absorb a read-heavy request storm, and see the security pipeline turn
 //! ACL/`$Readers` denials into 401/403 and overload into 503.
 //!
 //! Run with: `cargo run --example web_server`
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 
-use domino::core::{save_agent, AgentDesign, Database, DbConfig, Note};
+use domino::core::{save_agent, AgentDesign, ChangeEvent, Database, DbConfig, Note};
 use domino::security::{AccessLevel, Acl, AclEntry};
 use domino::server::{DominoServer, Request, ServerConfig};
 use domino::types::{ItemFlags, LogicalClock, ReplicaId, Value};
@@ -189,20 +189,61 @@ fn main() -> domino::types::Result<()> {
         cache_capacity: 0,
     });
     tiny.register_database("disc", &db)?;
-    let rxs: Vec<_> = (0..100)
-        .map(|_| tiny.submit(Request::get("/disc.nsf/$all?OpenView")))
-        .collect();
-    let mut ok = 0usize;
-    let mut shed = 0usize;
-    for rx in rxs {
-        match rx.recv().expect("worker reply").status.code() {
-            503 => shed += 1,
-            _ => ok += 1,
-        }
-    }
+    tiny.register_user("alice", "secret-a");
+    let write = Request::post("/disc.nsf/Topic?CreateDocument", "Subject=slow+write")
+        .as_user("alice", "secret-a");
+    let shed = flood(&tiny, &db, write, "/disc.nsf/$all?OpenView", 100, 2);
+    let ok = 100 - shed;
     println!("flood of 100 on 1 worker / queue of 2: {ok} served, shed with 503: {shed}");
     assert!(shed > 0, "a bounded queue must shed under flood");
 
     println!("\nweb server demo complete");
     Ok(())
+}
+
+/// Flood `server`, which runs one request at a time and lets `waiting`
+/// more wait: `write` parks inside its commit, holding the only place,
+/// while `callers` threads released at once on a barrier each `serve` a
+/// GET of `read`. Every caller that cannot wait is refused before the
+/// write goes on. Returns how many callers were shed with 503.
+fn flood(
+    server: &DominoServer,
+    db: &Database,
+    write: Request,
+    read: &str,
+    callers: usize,
+    waiting: usize,
+) -> usize {
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, held) = mpsc::channel::<()>();
+    let hook = Mutex::new((parked_tx, held));
+    db.subscribe(Arc::new(move |_: &[ChangeEvent]| {
+        let hook = hook.lock().unwrap();
+        if hook.0.send(()).is_ok() {
+            let _ = hook.1.recv();
+        }
+    }));
+    let start = Barrier::new(callers);
+    let (code_tx, codes) = mpsc::channel();
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| server.serve(write));
+        parked.recv().expect("the write parks in its commit");
+        for _ in 0..callers {
+            let code_tx = code_tx.clone();
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                let code = server.serve(Request::get(read)).status.code();
+                code_tx.send(code).expect("flood result");
+            });
+        }
+        let shed = codes
+            .iter()
+            .take(callers - waiting)
+            .filter(|&code| code == 503)
+            .count();
+        release.send(()).expect("release the write");
+        assert_eq!(writer.join().expect("writer").status.code(), 200);
+        shed
+    })
 }

@@ -426,8 +426,8 @@ fn one_reference_monitor() {
 #[test]
 fn one_task_runtime() {
     // Every long-lived server thread is a `domino_obs::Task`: started,
-    // listed, stopped and joined in `obs/src/task.rs`. The HTTP worker
-    // pool is the one other owner of threads.
+    // listed, stopped and joined in `obs/src/task.rs`. An HTTP request
+    // runs on the connection thread that read it: no worker pool.
     let files = sources();
     let non_test = files.iter().map(|(f, t)| {
         let end = t.find("\n#[cfg(test)]\nmod ").unwrap_or(t.len());
@@ -436,9 +436,7 @@ fn one_task_runtime() {
     assert_none(
         "a thread spawned outside the task runtime",
         offending(
-            non_test.filter(|(f, _)| {
-                *f != "crates/obs/src/task.rs" && *f != "crates/server/src/pool.rs"
-            }),
+            non_test.filter(|(f, _)| *f != "crates/obs/src/task.rs"),
             |l| l.contains("thread::spawn") || l.contains("thread::Builder"),
         ),
     );
@@ -447,9 +445,11 @@ fn one_task_runtime() {
         "LoggerHandle",
         "CheckpointerHandle",
         "ConnThreads",
+        "WorkerPool",
+        "submit(",
     ];
     assert_none(
-        "a second task handle or connection-thread holder",
+        "a second task handle, connection-thread holder or worker pool",
         offending(files.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
             retired.iter().any(|r| has_word(l, r))
         }),

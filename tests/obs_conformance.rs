@@ -90,7 +90,7 @@ fn mixed_workload() {
     a.save(&mut doc).unwrap();
     drop(cluster);
 
-    // Views, full-text, HTTP (including a denial), worker pool.
+    // Views, full-text, HTTP (including a denial), the admission gate.
     let server = DominoServer::new(ServerConfig::default());
     server.register_database("a", &a).unwrap();
     let design = ViewDesign::new("topics", r#"SELECT Form = "Topic""#)
@@ -100,10 +100,7 @@ fn mixed_workload() {
     server.register_user("ada", "pw");
     server.handle(&Request::get("/a.nsf/topics?OpenView").as_user("ada", "pw"));
     server.handle(&Request::get("/a.nsf/topics?SearchView&Query=welcome").as_user("ada", "pw"));
-    server
-        .submit(Request::get("/a.nsf/topics?OpenView"))
-        .recv()
-        .unwrap();
+    server.serve(Request::get("/a.nsf/topics?OpenView"));
 
     // The logger + DDM stack over the events all of the above emitted.
     let log = ServerLog::with_config(LoggerConfig::default()).unwrap();
