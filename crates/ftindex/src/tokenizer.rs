@@ -15,21 +15,42 @@ fn is_stopword(w: &str) -> bool {
     STOPWORDS.binary_search(&w).is_ok()
 }
 
-/// Split text into `(word, position)` pairs.
-pub fn tokenize(text: &str) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    let mut pos = 0u32;
+/// The one tokenizer: hand each word of `text` to `f` with its position,
+/// numbering from `*pos` and leaving `*pos` one past the last word. Each
+/// word is lowercased into `buf`, which the caller reuses, so an ASCII
+/// word allocates nothing.
+pub(crate) fn for_each_word(
+    text: &str,
+    pos: &mut u32,
+    buf: &mut String,
+    mut f: impl FnMut(&str, u32),
+) {
     for raw in text.split(|c: char| !c.is_alphanumeric()) {
         if raw.len() < 2 {
             continue;
         }
-        let w = raw.to_lowercase();
-        if is_stopword(&w) {
+        buf.clear();
+        if raw.is_ascii() {
+            buf.push_str(raw);
+            buf.make_ascii_lowercase();
+        } else {
+            // `str::to_lowercase` knows the word-final sigma; `char` does not.
+            buf.push_str(&raw.to_lowercase());
+        }
+        if is_stopword(buf) {
             continue;
         }
-        out.push((w, pos));
-        pos += 1;
+        f(buf, *pos);
+        *pos += 1;
     }
+}
+
+/// Split text into `(word, position)` pairs.
+pub fn tokenize(text: &str) -> Vec<(String, u32)> {
+    let mut out = Vec::new();
+    for_each_word(text, &mut 0, &mut String::new(), |w, pos| {
+        out.push((w.to_owned(), pos))
+    });
     out
 }
 
@@ -104,5 +125,7 @@ mod tests {
         let toks = tokenize("naïve café systems");
         assert_eq!(toks.len(), 3);
         assert_eq!(toks[0].0, "naïve");
+        // A word-final capital sigma lowercases as the query side does.
+        assert_eq!(tokenize("ΟΔΟΣ")[0].0, normalize_word("ΟΔΟΣ").unwrap());
     }
 }

@@ -213,6 +213,7 @@ fn every_registered_metric_name_conforms() {
         "Http.Conn.Accepted",
         "Net.Conn.Frames",
         "Ft.Queries",
+        "Ft.Index.Bytes",
         "View.Rebuilds",
         "Mail.Delivered",
         "Logger.Drains",

@@ -1,5 +1,7 @@
 //! Property: the inverted index answers exactly like a naive scan over the
-//! document texts, through arbitrary index/update/remove schedules.
+//! document texts, through arbitrary index/update/remove schedules, and an
+//! index maintained through a schedule of item edits equals one built
+//! fresh from the final notes.
 
 use proptest::prelude::*;
 
@@ -35,6 +37,62 @@ fn naive_contains(docs: &[(u128, String)], word: &str) -> Vec<u128> {
         .collect();
     v.sort_unstable();
     v
+}
+
+/// The items of a several-item note, each absent or a list of texts:
+/// `Subject` (one text), `Body` (rich text) and `Tags` (a text list).
+type Items = [Option<Vec<String>>; 3];
+
+const ITEMS: [&str; 3] = ["Subject", "Body", "Tags"];
+
+fn item() -> impl Strategy<Value = Option<Vec<String>>> {
+    prop::option::of(prop::collection::vec(text(), 1..3))
+}
+
+fn items() -> impl Strategy<Value = Items> {
+    (item(), item(), item()).prop_map(|(s, b, t)| [s, b, t])
+}
+
+fn multi_note(unid: u128, items: &Items) -> Note {
+    let mut n = Note::new(NoteClass::Document);
+    n.oid.unid = Unid(unid);
+    for (i, parts) in items.iter().enumerate() {
+        let Some(parts) = parts else { continue };
+        match i {
+            0 => n.set(ITEMS[i], Value::text(parts.join(" "))),
+            1 => n.set_body(ITEMS[i], Value::RichText(parts.join(" ").into_bytes())),
+            _ => n.set(ITEMS[i], Value::text_list(parts.iter().map(String::as_str))),
+        };
+    }
+    n
+}
+
+/// One step of a maintenance schedule, addressing a note by slot.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Replace (or, with `None`, delete) one item, then re-index.
+    Edit(usize, usize, Option<Vec<String>>),
+    /// Re-index the note unchanged.
+    Reindex(usize),
+    Remove(usize),
+    Add(Items),
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0..16usize, 0..3usize, item()).prop_map(|(slot, i, v)| Step::Edit(slot, i, v)),
+        (0..16usize).prop_map(Step::Reindex),
+        (0..16usize).prop_map(Step::Remove),
+        items().prop_map(Step::Add),
+    ]
+}
+
+/// Every hit with its score, in the order the index ranks them.
+fn ranked(ix: &InvertedIndex, q: &str) -> Vec<(u128, f32)> {
+    ix.execute(&parse_query(q).unwrap())
+        .into_iter()
+        .map(|h| (h.unid.0, h.score))
+        .collect()
 }
 
 fn index_hits(ix: &InvertedIndex, q: &str) -> Vec<u128> {
@@ -138,6 +196,97 @@ proptest! {
             v.sort_unstable();
             v
         };
+        prop_assert_eq!(index_hits(&ix, &format!("\"{w1} {w2}\"")), naive);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+    /// Item edits, re-indexes, removals and additions reuse ordinals and
+    /// retire terms; afterwards the index answers every query kind, with
+    /// the same scores in the same order, and counts the same as a fresh
+    /// index of the final notes.
+    #[test]
+    fn incremental_index_equals_a_fresh_build(
+        initial in prop::collection::vec(items(), 1..8),
+        schedule in prop::collection::vec(step(), 0..24),
+        w1 in words(),
+        w2 in words(),
+        w3 in words(),
+    ) {
+        let mut ix = InvertedIndex::new();
+        let mut docs: Vec<(u128, Items)> = Vec::new();
+        let mut next = 1u128;
+        for step in initial.into_iter().map(Step::Add).chain(schedule) {
+            match step {
+                Step::Add(items) => {
+                    ix.index_note(&multi_note(next, &items));
+                    docs.push((next, items));
+                    next += 1;
+                }
+                _ if docs.is_empty() => {}
+                Step::Edit(slot, i, value) => {
+                    let n = docs.len();
+                    let (unid, items) = &mut docs[slot % n];
+                    items[i] = value;
+                    ix.index_note(&multi_note(*unid, items));
+                }
+                Step::Reindex(slot) => {
+                    let (unid, items) = &docs[slot % docs.len()];
+                    ix.index_note(&multi_note(*unid, items));
+                }
+                Step::Remove(slot) => {
+                    let (unid, _) = docs.remove(slot % docs.len());
+                    ix.remove(Unid(unid));
+                }
+            }
+        }
+        let mut fresh = InvertedIndex::new();
+        for (unid, items) in &docs {
+            fresh.index_note(&multi_note(*unid, items));
+        }
+        for q in [
+            w1.clone(),
+            format!("{w1} AND {w2}"),
+            format!("{w1} OR {w2}"),
+            format!("{w1} NOT {w2}"),
+            format!("\"{w1} {w2}\""),
+            format!("\"{w1} {w2} {w3}\""),
+        ] {
+            prop_assert_eq!(ranked(&ix, &q), ranked(&fresh, &q), "query {}", q);
+        }
+        let counts = |ix: &InvertedIndex| {
+            let s = ix.stats();
+            (s.documents, s.terms, s.postings, s.positions)
+        };
+        prop_assert_eq!(counts(&ix), counts(&fresh));
+    }
+
+    /// A phrase matches within one item, never across two: exactly the
+    /// notes with an item whose token stream holds the words adjacently
+    /// (a text list's elements are one stream).
+    #[test]
+    fn no_phrase_matches_across_two_items(
+        notes in prop::collection::vec(items(), 1..10),
+        w1 in words(),
+        w2 in words(),
+    ) {
+        let mut ix = InvertedIndex::new();
+        for (i, items) in notes.iter().enumerate() {
+            ix.index_note(&multi_note(i as u128 + 1, items));
+        }
+        let naive: Vec<u128> = (1..)
+            .zip(&notes)
+            .filter(|(_, items)| {
+                items.iter().flatten().any(|parts| {
+                    let toks: Vec<String> =
+                        tokenize(&parts.join(" ")).into_iter().map(|(w, _)| w).collect();
+                    toks.windows(2).any(|w| w[0] == w1 && w[1] == w2)
+                })
+            })
+            .map(|(u, _)| u)
+            .collect();
         prop_assert_eq!(index_hits(&ix, &format!("\"{w1} {w2}\"")), naive);
     }
 }
