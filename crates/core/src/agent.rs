@@ -5,7 +5,8 @@
 //! document store" story). Agents are design notes, so they replicate with
 //! the database and run wherever the documents are.
 
-use domino_formula::{EvalEnv, Formula};
+use domino_formula::{EvalEnv, EvalErrors, EvalOutput, Formula};
+use domino_obs::{Event, EventKind, Severity};
 use domino_types::{Clock, DominoError, NoteClass, Result, Value};
 
 use crate::db::Database;
@@ -68,6 +69,10 @@ impl AgentDesign {
     /// the agent then re-evaluates the *current* copy once, which is the
     /// right answer under both outcomes (still selected → apply there;
     /// no longer selected → skip).
+    ///
+    /// A document the formula fails on is skipped, and the run goes on:
+    /// each failure counts in `Formula.Eval.Errors`, and a run that met
+    /// any emits one warning event naming the first.
     pub fn run(&self, db: &Database, user: &str) -> Result<AgentRunReport> {
         let env = EvalEnv {
             username: user.to_string(),
@@ -76,47 +81,37 @@ impl AgentDesign {
             ..EvalEnv::default()
         };
         let mut report = AgentRunReport::default();
+        let mut errors = EvalErrors::default();
+        let mut eval = |doc: &Note| -> Option<EvalOutput> {
+            self.formula
+                .eval_full(doc, &env)
+                .map_err(|e| errors.record(&self.formula, doc.unid(), e))
+                .ok()
+                .filter(|out| out.selected)
+        };
         let snap = db.snapshot();
         for note in snap.documents() {
             report.examined += 1;
-            let out = self.formula.eval_full(note.as_ref(), &env)?;
-            if !out.selected {
+            let Some(out) = eval(&note) else {
                 continue;
-            }
+            };
             report.selected += 1;
             if out.field_writes.is_empty() {
                 continue;
             }
-            let mut doc = (*note).clone();
-            let mut changed = false;
-            for (field, value) in out.field_writes {
-                if doc.get(&field) != Some(&value) {
-                    doc.set(&field, value);
-                    changed = true;
-                }
-            }
-            if !changed {
+            let Some(mut doc) = written((*note).clone(), out) else {
                 continue;
-            }
+            };
             match db.save(&mut doc) {
                 Ok(()) => report.modified += 1,
                 Err(e) if e.kind() == "update_conflict" => {
                     let Ok(current) = db.open_by_unid(note.unid()) else {
                         continue; // deleted mid-run
                     };
-                    let out = self.formula.eval_full(&current, &env)?;
-                    if !out.selected {
+                    let Some(out) = eval(&current) else {
                         continue;
-                    }
-                    let mut doc = current;
-                    let mut changed = false;
-                    for (field, value) in out.field_writes {
-                        if doc.get(&field) != Some(&value) {
-                            doc.set(&field, value);
-                            changed = true;
-                        }
-                    }
-                    if changed {
+                    };
+                    if let Some(mut doc) = written(current, out) {
                         db.save(&mut doc)?;
                         report.modified += 1;
                     }
@@ -124,6 +119,7 @@ impl AgentDesign {
                 Err(e) => return Err(e),
             }
         }
+        errors.report(EventKind::Agent, || format!("agent {}", self.name));
         Ok(report)
     }
 
@@ -173,6 +169,18 @@ impl AgentDesign {
             trigger,
         })
     }
+}
+
+/// `doc` with the formula's `FIELD` writes applied, if they change it.
+fn written(mut doc: Note, out: EvalOutput) -> Option<Note> {
+    let mut changed = false;
+    for (field, value) in out.field_writes {
+        if doc.get(&field) != Some(&value) {
+            doc.set(&field, value);
+            changed = true;
+        }
+    }
+    changed.then_some(doc)
 }
 
 /// What one [`AgentScheduler::tick`] did: every agent that fired, with its
@@ -266,23 +274,33 @@ impl AgentScheduler {
             if !due {
                 continue;
             }
-            let run = agent.run(&self.db, &self.runner)?;
             if let AgentTrigger::Scheduled(_) = agent.trigger {
                 self.last_run.insert(agent.name.clone(), now);
             }
+            // One agent's failure is its own: the agents after it run.
+            let (event, run) = match agent.run(&self.db, &self.runner) {
+                Ok(run) => (
+                    Event::new(EventKind::Agent, Severity::Info, "Agent.Run")
+                        .with("examined", run.examined)
+                        .with("selected", run.selected)
+                        .with("modified", run.modified),
+                    Some(run),
+                ),
+                Err(e) => (
+                    Event::new(EventKind::Agent, Severity::Failure, "Agent.Run.Failed")
+                        .with("error", e.to_string()),
+                    None,
+                ),
+            };
             domino_obs::emit(
-                domino_obs::Event::new(
-                    domino_obs::EventKind::Agent,
-                    domino_obs::Severity::Info,
-                    "Agent.Run",
-                )
-                .at(now)
-                .with("agent", agent.name.clone())
-                .with("db", self.db.title())
-                .with("examined", run.examined)
-                .with("selected", run.selected)
-                .with("modified", run.modified),
+                event
+                    .at(now)
+                    .with("agent", agent.name.clone())
+                    .with("db", self.db.title()),
             );
+            let Some(run) = run else {
+                continue;
+            };
             report.runs.push((agent.name, run));
         }
         self.seen_seq = self.db.change_seq();

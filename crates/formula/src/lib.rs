@@ -34,9 +34,10 @@ pub use ast::{BinOp, Expr, Program, UnOp};
 pub use eval::{DocContext, EvalEnv, EvalOutput, Evaluator, MapDoc};
 pub use parser::parse;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use domino_types::{Result, Value};
+use domino_obs as obs;
+use domino_types::{DominoError, Result, Unid, Value};
 
 /// A compiled, reusable formula.
 ///
@@ -45,9 +46,8 @@ use domino_types::{Result, Value};
 /// evaluation time (Notes items are schemaless).
 ///
 /// The compiled [`Program`] sits behind an `Arc`, so cloning a `Formula`
-/// (to hand to parallel view-index workers, say) shares the parse rather
-/// than repeating it. `Formula` is `Send + Sync`: programs are plain data
-/// and evaluation never mutates them.
+/// shares the parse rather than repeating it. `Formula` is `Send + Sync`:
+/// programs are plain data and evaluation never mutates them.
 #[derive(Debug, Clone)]
 pub struct Formula {
     source: String,
@@ -107,6 +107,51 @@ impl Formula {
     pub fn wants_descendants(&self) -> bool {
         self.program.mentions_function("alldescendants")
             || self.program.mentions_function("allchildren")
+    }
+}
+
+/// The formula failures one operation met — a view's apply or rebuild, a
+/// selective pull pass, an agent run — where a formula that fails on a
+/// note is that note's verdict (not in the view, not selected, skipped),
+/// never the operation's error. Each failure counts in the
+/// `Formula.Eval.Errors` registry counter as it is recorded;
+/// [`EvalErrors::report`] then emits one `Warning` event for the
+/// operation, naming the first failure.
+#[derive(Debug, Clone, Default)]
+pub struct EvalErrors {
+    count: u64,
+    /// Formula source, note and error of the first failure.
+    first: Option<(String, Unid, String)>,
+}
+
+impl EvalErrors {
+    /// Count one failed evaluation of `formula` on the note `unid`.
+    pub fn record(&mut self, formula: &Formula, unid: Unid, err: DominoError) {
+        static ERRORS: OnceLock<&'static obs::Counter> = OnceLock::new();
+        ERRORS
+            .get_or_init(|| obs::counter("Formula.Eval.Errors"))
+            .inc();
+        self.count += 1;
+        if self.first.is_none() {
+            self.first = Some((formula.source().to_string(), unid, err.to_string()));
+        }
+    }
+
+    /// Emit one `Formula.Eval.Errors` warning for `site` (a view, agent
+    /// or replication pass) if any failure was recorded, and start over.
+    /// `site` is only called when there is something to report.
+    pub fn report(&mut self, kind: obs::EventKind, site: impl FnOnce() -> String) {
+        let Some((formula, unid, error)) = self.first.take() else {
+            return;
+        };
+        obs::emit(
+            obs::Event::new(kind, obs::Severity::Warning, "Formula.Eval.Errors")
+                .with("site", site())
+                .with("formula", formula)
+                .with("errors", std::mem::take(&mut self.count))
+                .with("first_unid", unid.to_string())
+                .with("error", error),
+        );
     }
 }
 

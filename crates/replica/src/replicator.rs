@@ -45,7 +45,7 @@ use domino_core::revision::{
     descends_from, merge_base_time, record_merge, same_revision, winner_key,
 };
 use domino_core::{ChangedNote, Database, Note, ITEM_REVISION_HASHES};
-use domino_formula::{EvalEnv, Formula};
+use domino_formula::{EvalEnv, EvalErrors, Formula};
 use domino_obs as obs;
 use domino_types::{Clock, ContentHash, DominoError, Item, ReplicaId, Result, Timestamp, Unid};
 
@@ -256,6 +256,9 @@ pub struct PullCursor {
     resume_after: Option<(Timestamp, u128)>,
     /// Work accumulated across all attempts of this pass.
     report: ReplicationReport,
+    /// Selective-formula failures across all attempts of this pass,
+    /// reported once when it completes.
+    errors: EvalErrors,
 }
 
 impl PullCursor {
@@ -389,7 +392,7 @@ impl Replicator {
                 let applied = if cand.is_stub {
                     self.pull_stub(dst, src, cand, &mut cursor.report)
                 } else {
-                    self.pull_note(dst, src, cand, &mut cursor.report)
+                    self.pull_note(dst, src, cand, &mut cursor)
                 };
                 if let Err(e) = applied {
                     // Apply-side failure: progress so far is durable; park
@@ -405,6 +408,9 @@ impl Replicator {
         dst.clock().observe(cursor.started_at);
         self.history
             .record(dst.instance_id(), src.instance_id(), cursor.started_at);
+        cursor.errors.report(obs::EventKind::Replica, || {
+            format!("selective pull {} <- {}", dst.title(), src.title())
+        });
         let report = cursor.report;
         let reg = m();
         reg.passes.inc();
@@ -701,13 +707,18 @@ impl Replicator {
         Ok(())
     }
 
+    /// Pull one note, unless the selective formula leaves it out. A
+    /// selective formula that fails on the note leaves it out too: it is
+    /// counted as skipped and as the pass's formula failure, and the pass
+    /// goes on.
     fn pull_note(
         &self,
         dst: &Database,
         src: &Database,
         cand: &ChangedNote,
-        report: &mut ReplicationReport,
+        cursor: &mut PullCursor,
     ) -> Result<()> {
+        let report = &mut cursor.report;
         let mut remote = src.open_note(cand.id)?;
         if self.options.truncate_bodies && remote.encode_body().is_some() {
             // Summary-only transfer. The truncated copy keeps the source's
@@ -716,7 +727,11 @@ impl Replicator {
             remote.truncate_to_summary();
         }
         if let Some(f) = &self.options.selective {
-            if !f.selects(&remote, &EvalEnv::default())? {
+            let selected = f.selects(&remote, &EvalEnv::default()).unwrap_or_else(|e| {
+                cursor.errors.record(f, remote.unid(), e);
+                false
+            });
+            if !selected {
                 report.skipped_selective += 1;
                 return Ok(());
             }

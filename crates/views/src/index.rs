@@ -14,34 +14,38 @@
 //! indented-thread order Notes views display. Re-keying cascades when a
 //! parent moves.
 //!
-//! # Evaluate in parallel, merge in order
+//! # One evaluation loop
 //!
-//! Both maintenance paths split work into a *parallel evaluate* phase and
-//! a *sequential merge* phase. Selection and column formulas are pure, so
-//! [`ViewIndex::apply`] pre-evaluates a slice's documents on rayon workers
-//! and then merges strictly in event order: the result equals applying
-//! the events one at a time, and because the feed delivers in commit
-//! order, the last event merged for a document is its latest commit.
-//! [`ViewIndex::rebuild`] evaluates and keys every main (parentless)
-//! document in parallel and bulk-builds the per-collation orders from
-//! pre-sorted `(key, entry)` vectors. Response placement stays sequential
-//! (a response's key embeds its parent's key). A rebuild and incremental
+//! Both maintenance paths evaluate each document on the calling thread,
+//! in one per-note step they share (`ViewIndex::evaluate`): the selection
+//! verdict, then, for a document the view shows, its column values.
+//! [`ViewIndex::apply`] merges strictly in event order, and because the
+//! feed delivers in commit order, the last event merged for a document is
+//! its latest commit. [`ViewIndex::rebuild`] keys every main (parentless)
+//! document and bulk-loads the per-collation orders from sorted
+//! `(key, entry)` vectors; responses are placed after their parents (a
+//! response's key embeds its parent's key). A rebuild and incremental
 //! application of the same notes in save order produce byte-identical
 //! collation orders and entries (`tests/prop_par_rebuild.rs`).
 //!
+//! A document whose selection or column formula fails is not in the
+//! view. The failure is that note's verdict, not the batch's or the
+//! rebuild's: it counts in `Formula.Eval.Errors`, each `apply` or
+//! `rebuild` that met one emits one warning event, and every other
+//! document is maintained as usual. Neither path has an error of its own.
+//!
 //! The selection formula is fetched through the process-wide compiled-
 //! formula cache ([`domino_formula::cache`]) at every rebuild and apply, so
-//! one parse is shared across views, workers, and apply calls; per-view
-//! hit/miss counts land in [`ViewStats`].
+//! one parse is shared across views and apply calls; per-view hit/miss
+//! counts land in [`ViewStats`].
 
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use rayon::prelude::*;
-
 use domino_core::{ChangeEvent, Note, SummaryItems};
-use domino_formula::{EvalEnv, Formula};
+use domino_formula::{EvalEnv, EvalErrors, Formula};
 use domino_obs as obs;
 use domino_types::{NoteClass, NoteId, Result, Timestamp, Unid, Value};
 
@@ -117,6 +121,21 @@ pub struct ViewEntry {
     created: Timestamp,
 }
 
+impl ViewEntry {
+    /// The top-level row of `note` with the given column values.
+    fn main(note: &Note, values: Vec<Value>) -> ViewEntry {
+        ViewEntry {
+            unid: note.unid(),
+            note_id: note.id,
+            values,
+            readers: note.readers(),
+            response_level: 0,
+            parent: None,
+            created: note.created,
+        }
+    }
+}
+
 /// Maintenance counters (E3/E4 read these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ViewStats {
@@ -151,20 +170,10 @@ pub struct CategoryRow {
     pub totals: Vec<(usize, f64)>,
 }
 
-/// A document's selection verdict and (if possibly included) column
-/// values, computed ahead of the sequential merge — the unit of work the
-/// parallel evaluate phase produces.
-struct PreEval {
-    selected: bool,
-    /// `None` when the evaluate phase skipped column computation (the
-    /// merge computes them lazily if inclusion turns out true).
-    values: Option<Vec<Value>>,
-}
-
 pub struct ViewIndex {
     design: ViewDesign,
     /// The selection formula, fetched through the process-wide compile
-    /// cache and shared (via `Arc`'d program) with parallel workers.
+    /// cache.
     selection: Formula,
     env: EvalEnv,
     entries: HashMap<Unid, Arc<ViewEntry>>,
@@ -175,6 +184,8 @@ pub struct ViewIndex {
     /// parent unid -> response unids present in the view.
     children: HashMap<Unid, HashSet<Unid>>,
     stats: ViewStats,
+    /// Formula failures of the `apply` or `rebuild` in progress.
+    errors: EvalErrors,
     /// Bumped on every mutation (non-empty apply, rebuild). Pages
     /// read at equal versions saw byte-identical index state, which is
     /// what lets the HTTP command cache key on it.
@@ -186,7 +197,7 @@ impl ViewIndex {
         design.validate()?;
         let n_collations = design.collations().len();
         let mut stats = ViewStats::default();
-        let selection = Self::cached_selection(&design, &mut stats)?;
+        let selection = Self::cached_selection(&design, &mut stats);
         Ok(ViewIndex {
             design,
             selection,
@@ -196,12 +207,19 @@ impl ViewIndex {
             keys: HashMap::new(),
             children: HashMap::new(),
             stats,
+            errors: EvalErrors::default(),
             version: 0,
         })
     }
 
-    fn cached_selection(design: &ViewDesign, stats: &mut ViewStats) -> Result<Formula> {
-        let (f, hit) = Formula::compile_cached(design.selection.source())?;
+    /// The design's selection, shared through the compile cache. The
+    /// source parsed when the design was built, so the lookup finds or
+    /// re-parses the same program; the design's own copy stands in should
+    /// it ever fail.
+    fn cached_selection(design: &ViewDesign, stats: &mut ViewStats) -> Formula {
+        let Ok((f, hit)) = Formula::compile_cached(design.selection.source()) else {
+            return design.selection.clone();
+        };
         // Per-view and registry counters both derive from this one
         // verdict: hits and misses are accounted at the same place, at
         // the same granularity (one count per view-side lookup).
@@ -212,31 +230,14 @@ impl ViewIndex {
             stats.selection_cache_misses += 1;
             m().cache_misses.inc();
         }
-        Ok(f)
+        f
     }
 
     /// Re-fetch the selection from the compile cache (hit after the first
     /// fetch anywhere in the process; the counters in [`ViewStats`] make
     /// the sharing observable).
-    fn refresh_selection(&mut self) -> Result<()> {
-        self.selection = Self::cached_selection(&self.design, &mut self.stats)?;
-        Ok(())
-    }
-
-    /// The Notes rule, in one place: selection and column formulas see a
-    /// document's *summary* items only. Rebuilds read summary-only
-    /// snapshot versions, incremental maintenance reads a change event's
-    /// whole note; both must yield the same row.
-    fn selected(selection: &Formula, note: &Note, env: &EvalEnv) -> Result<bool> {
-        Ok(selection.eval_full(&SummaryItems(note), env)?.selected)
-    }
-
-    fn column_values(design: &ViewDesign, note: &Note, env: &EvalEnv) -> Result<Vec<Value>> {
-        design
-            .columns
-            .iter()
-            .map(|col| col.formula.eval(&SummaryItems(note), env))
-            .collect()
+    fn refresh_selection(&mut self) {
+        self.selection = Self::cached_selection(&self.design, &mut self.stats);
     }
 
     pub fn design(&self) -> &ViewDesign {
@@ -263,6 +264,54 @@ impl ViewIndex {
     // maintenance
     // ------------------------------------------------------------------
 
+    /// The one per-note evaluation `apply` and `rebuild` share: the row
+    /// values of `note` if the view shows it, `None` if it does not. The
+    /// view shows a document its selection selects or, when the design
+    /// shows responses, a response whose parent is in the view. A
+    /// selection or column formula that fails leaves the document out;
+    /// the failure is recorded for the operation's report.
+    ///
+    /// The Notes rule, in one place: selection and column formulas see a
+    /// document's *summary* items only. Rebuilds read summary-only
+    /// snapshot versions, incremental maintenance reads a change event's
+    /// whole note; both must yield the same row.
+    fn evaluate(&mut self, note: &Note) -> Option<Vec<Value>> {
+        self.stats.evaluated += 1;
+        m().evaluated.inc();
+        let doc = SummaryItems(note);
+        let selected = match self.selection.eval_full(&doc, &self.env) {
+            Ok(out) => out.selected,
+            Err(e) => {
+                self.errors.record(&self.selection, note.unid(), e);
+                return None;
+            }
+        };
+        let adopted = self.design.show_responses
+            && note.parent().is_some_and(|p| self.entries.contains_key(&p));
+        if !selected && !adopted {
+            return None;
+        }
+        let mut values = Vec::with_capacity(self.design.columns.len());
+        for col in &self.design.columns {
+            match col.formula.eval(&doc, &self.env) {
+                Ok(v) => values.push(v),
+                Err(e) => {
+                    self.errors.record(&col.formula, note.unid(), e);
+                    return None;
+                }
+            }
+        }
+        Some(values)
+    }
+
+    /// Emit the finished operation's one event for the formula failures
+    /// it met, if any.
+    fn report_errors(&mut self) {
+        let name = &self.design.name;
+        self.errors
+            .report(obs::EventKind::Misc, || format!("view {name}"));
+    }
+
     /// A response saved under another parent (or under none) leaves its
     /// old parent's thread: the `children` linkage follows `$REF`, and a
     /// stale link would let the old parent re-adopt the row the next time
@@ -277,16 +326,15 @@ impl ViewIndex {
         }
     }
 
-    /// Apply a slice of database changes, in order.
-    ///
-    /// The slice is pre-evaluated in parallel (selection verdict plus, for
-    /// selected documents, column values), then merged strictly in event
-    /// order, so the result is identical to applying the events one at a
-    /// time. Deletions and response adoption (inclusion through a parent
-    /// already in the view) are resolved during the sequential merge
-    /// because they depend on index state as of their position in the
-    /// slice.
-    pub fn apply(&mut self, events: &[ChangeEvent], src: &dyn NoteSource) -> Result<()> {
+    /// Apply a slice of database changes, in order: the result is
+    /// identical to applying the events one at a time. A document whose
+    /// formula fails is left out (see the module docs); nothing else
+    /// fails, which the `Infallible` error type states.
+    pub fn apply(
+        &mut self,
+        events: &[ChangeEvent],
+        src: &dyn NoteSource,
+    ) -> std::result::Result<(), Infallible> {
         self.stats.batches += 1;
         self.stats.batch_events += events.len() as u64;
         self.stats.max_batch = self.stats.max_batch.max(events.len() as u64);
@@ -298,213 +346,109 @@ impl ViewIndex {
             return Ok(());
         }
         self.version += 1;
-        self.refresh_selection()?;
-        let selection = &self.selection;
-        let env = &self.env;
-        let design = &self.design;
-        let pre: Result<Vec<Option<PreEval>>> = events
-            .par_iter()
-            .map(|event| -> Result<Option<PreEval>> {
-                let note = match event {
-                    ChangeEvent::Saved { new, .. } => new,
-                    ChangeEvent::Deleted { .. } => return Ok(None),
-                };
-                if note.class != NoteClass::Document {
-                    return Ok(None);
-                }
-                let selected = Self::selected(selection, note, env)?;
-                // Columns for selected documents only: an unselected
-                // response may still ride in under its parent, but that
-                // depends on merge-time state — the merge computes its
-                // columns lazily.
-                let values = if selected {
-                    Some(Self::column_values(design, note, env)?)
-                } else {
-                    None
-                };
-                Ok(Some(PreEval { selected, values }))
-            })
-            .collect();
-        let pre = pre?;
-        for (event, p) in events.iter().zip(pre) {
+        self.refresh_selection();
+        for event in events {
             match event {
                 ChangeEvent::Saved { old, new } => {
                     self.unlink_from_old_parent(old.as_ref(), new);
-                    self.consider(new, p, src)?
+                    self.consider(new, src);
                 }
                 ChangeEvent::Deleted { old, .. } => {
                     self.remove_entry(old.unid());
-                    self.reconsider_children(old.unid(), src)?;
+                    self.reconsider_children(old.unid(), src);
                 }
             }
         }
+        self.report_errors();
         Ok(())
     }
 
     /// Rebuild from scratch over `docs` (selection + keys recomputed for
-    /// every document), evaluating main documents on parallel workers.
+    /// every document).
     ///
-    /// Main documents key independently of each other, so their selection
-    /// verdicts, column values, and collation keys are all computed in
-    /// parallel; the per-collation orders are then bulk-loaded from
-    /// pre-sorted `(key, entry)` vectors. Responses key under their parent
-    /// and are placed sequentially, shallow-to-deep (see
-    /// `ViewIndex::place_responses`).
+    /// Main documents key independently of each other, so each collation
+    /// order is bulk-loaded from a sorted `(key, entry)` vector (one sort
+    /// and a linear build instead of n log n inserts). Responses key under
+    /// their parent and are placed afterwards, shallow-to-deep (see
+    /// `ViewIndex::place_responses`). Like [`ViewIndex::apply`], a rebuild
+    /// has no error of its own.
     pub fn rebuild<'a>(
         &mut self,
         docs: impl IntoIterator<Item = &'a Note>,
         src: &dyn NoteSource,
-    ) -> Result<()> {
+    ) -> std::result::Result<(), Infallible> {
         let started = Instant::now();
         let _span = obs::span!("View.Rebuild");
-        self.clear_state();
-        self.stats.rebuilds += 1;
-        m().rebuilds.inc();
-        self.refresh_selection()?;
-        let mut mains: Vec<&Note> = Vec::new();
-        let mut responses: Vec<&Note> = Vec::new();
-        for n in docs {
-            if n.parent().is_none() {
-                mains.push(n);
-            } else {
-                responses.push(n);
-            }
-        }
-
-        // Evaluate phase: selection, columns, and keys for every main, in
-        // parallel. Shared state is all read-only (`Formula` programs are
-        // `Arc`'d plain data; `EvalEnv`/`ViewDesign` are owned by `self`).
-        enum MainEval {
-            /// Non-document note classes are never evaluated.
-            Skip,
-            Evaluated,
-            Placed(ViewEntry, Vec<Vec<u8>>),
-        }
-        let selection = &self.selection;
-        let env = &self.env;
-        let design = &self.design;
-        let collations = design.collations();
-        let evals: Result<Vec<MainEval>> = mains
-            .par_iter()
-            .map(|note| -> Result<MainEval> {
-                if note.class != NoteClass::Document {
-                    return Ok(MainEval::Skip);
-                }
-                if !Self::selected(selection, note, env)? {
-                    return Ok(MainEval::Evaluated);
-                }
-                let entry = ViewEntry {
-                    unid: note.unid(),
-                    note_id: note.id,
-                    values: Self::column_values(design, note, env)?,
-                    readers: note.readers(),
-                    response_level: 0,
-                    parent: None,
-                    created: note.created,
-                };
-                let keys = Self::main_keys(&collations, &entry);
-                Ok(MainEval::Placed(entry, keys))
-            })
-            .collect();
-
-        // Merge phase: account stats, fill the entry/key maps, and
-        // bulk-load each collation order from a pre-sorted vector (one
-        // sort + linear build instead of n log n tree inserts).
-        let mut per_coll: Vec<Vec<(Vec<u8>, Arc<ViewEntry>)>> =
-            self.orders.iter().map(|_| Vec::new()).collect();
-        let mut evaluated = 0u64;
-        let mut placed = 0u64;
-        for ev in evals? {
-            match ev {
-                MainEval::Skip => {}
-                MainEval::Evaluated => evaluated += 1,
-                MainEval::Placed(entry, keys) => {
-                    evaluated += 1;
-                    placed += 1;
-                    let entry = Arc::new(entry);
-                    for (ci, k) in keys.iter().enumerate() {
-                        per_coll[ci].push((k.clone(), entry.clone()));
-                    }
-                    self.keys.insert(entry.unid, keys);
-                    self.entries.insert(entry.unid, entry);
-                }
-            }
-        }
-        self.stats.evaluated += evaluated;
-        self.stats.placed += placed;
-        m().evaluated.add(evaluated);
-        m().placed.add(placed);
-        for (ci, mut pairs) in per_coll.into_iter().enumerate() {
-            pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            self.orders[ci] = Order::from_sorted(pairs);
-        }
-
-        let result = self.place_responses(responses, src);
-        m().rebuild_millis.record_millis(started.elapsed());
-        result
-    }
-
-    fn clear_state(&mut self) {
         self.version += 1;
         self.entries.clear();
-        for o in &mut self.orders {
-            o.clear();
-        }
         self.keys.clear();
         self.children.clear();
+        self.stats.rebuilds += 1;
+        m().rebuilds.inc();
+        self.refresh_selection();
+        let collations = self.design.collations();
+        let mut per_coll: Vec<Vec<(Vec<u8>, Arc<ViewEntry>)>> =
+            collations.iter().map(|_| Vec::new()).collect();
+        let mut responses: Vec<&Note> = Vec::new();
+        for note in docs {
+            if note.parent().is_some() {
+                responses.push(note);
+                continue;
+            }
+            if note.class != NoteClass::Document {
+                continue;
+            }
+            let Some(values) = self.evaluate(note) else {
+                continue;
+            };
+            let entry = Arc::new(ViewEntry::main(note, values));
+            let keys = Self::main_keys(&collations, &entry);
+            for (pairs, k) in per_coll.iter_mut().zip(&keys) {
+                pairs.push((k.clone(), entry.clone()));
+            }
+            self.keys.insert(entry.unid, keys);
+            self.entries.insert(entry.unid, entry);
+            self.stats.placed += 1;
+            m().placed.inc();
+        }
+        for (order, mut pairs) in self.orders.iter_mut().zip(per_coll) {
+            pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            *order = Order::from_sorted(pairs);
+        }
+        self.place_responses(responses, src);
+        m().rebuild_millis.record_millis(started.elapsed());
+        self.report_errors();
+        Ok(())
     }
 
-    /// Place response documents in depth passes: each pass places the
-    /// responses whose parent is already in the view, until no pass makes
-    /// progress; the stragglers are orphans (parent excluded or missing),
-    /// included by their own selection merit only.
-    ///
-    /// Each pass compacts the carry-over in place (index-swap retain)
-    /// rather than allocating a fresh vector per pass.
-    fn place_responses(&mut self, pending: Vec<&Note>, src: &dyn NoteSource) -> Result<()> {
-        let mut remaining = pending;
-        loop {
-            let before = remaining.len();
-            if before == 0 {
-                return Ok(());
-            }
-            let mut kept = 0;
-            for i in 0..before {
-                let n = remaining[i];
-                let parent_in = n
-                    .parent()
-                    .map(|p| self.entries.contains_key(&p))
-                    .unwrap_or(false);
+    /// Place response documents in depth passes: each pass places, in
+    /// order, the responses whose parent is already in the view, until no
+    /// pass makes progress; the stragglers are orphans (parent excluded or
+    /// missing), included by their own selection merit only.
+    fn place_responses(&mut self, mut pending: Vec<&Note>, src: &dyn NoteSource) {
+        while !pending.is_empty() {
+            let before = pending.len();
+            pending.retain(|n| {
+                let parent_in = n.parent().is_some_and(|p| self.entries.contains_key(&p));
                 if parent_in {
-                    self.consider(n, None, src)?;
-                } else {
-                    remaining[kept] = n;
-                    kept += 1;
+                    self.consider(n, src);
                 }
-            }
-            remaining.truncate(kept);
-            if remaining.len() == before {
-                for n in remaining {
-                    self.consider(n, None, src)?;
+                !parent_in
+            });
+            if pending.len() == before {
+                for n in pending {
+                    self.consider(n, src);
                 }
-                return Ok(());
+                return;
             }
         }
     }
 
-    /// Evaluate one document and place/remove it, reusing the selection
-    /// verdict / column values the parallel evaluate phase supplied, if
-    /// any.
-    fn consider(&mut self, note: &Note, pre: Option<PreEval>, src: &dyn NoteSource) -> Result<()> {
+    /// Evaluate one document and place or remove it.
+    fn consider(&mut self, note: &Note, src: &dyn NoteSource) {
         if note.class != NoteClass::Document {
-            return Ok(());
+            return;
         }
-        self.stats.evaluated += 1;
-        m().evaluated.inc();
-        let (selected, precomputed) = match pre {
-            Some(p) => (p.selected, p.values),
-            None => (Self::selected(&self.selection, note, &self.env)?, None),
-        };
         let parent = note.parent();
         // Track the response linkage for *every* evaluated response, even
         // ones not (yet) included: if the parent enters the view later,
@@ -514,40 +458,22 @@ impl ViewIndex {
                 self.children.entry(p).or_default().insert(note.unid());
             }
         }
-        let included = selected
-            || (self.design.show_responses
-                && parent
-                    .map(|p| self.entries.contains_key(&p))
-                    .unwrap_or(false));
-        if !included {
+        let Some(values) = self.evaluate(note) else {
             self.remove_entry(note.unid());
-            self.reconsider_children(note.unid(), src)?;
-            return Ok(());
-        }
-        // Compute column values (unless the parallel phase already did).
-        let values = match precomputed {
-            Some(v) => v,
-            None => Self::column_values(&self.design, note, &self.env)?,
+            self.reconsider_children(note.unid(), src);
+            return;
         };
-        let (response_level, parent_in_view) = match parent {
-            Some(p) if self.design.show_responses => match self.entries.get(&p) {
-                Some(pe) => (pe.response_level + 1, true),
-                None => (0, false),
-            },
-            _ => (0, false),
-        };
+        let parent_level = parent
+            .filter(|_| self.design.show_responses)
+            .and_then(|p| self.entries.get(&p))
+            .map(|pe| pe.response_level);
         let entry = ViewEntry {
-            unid: note.unid(),
-            note_id: note.id,
-            values,
-            readers: note.readers(),
-            response_level,
-            parent: if parent_in_view { parent } else { None },
-            created: note.created,
+            response_level: parent_level.map_or(0, |l| l + 1),
+            parent: parent.filter(|_| parent_level.is_some()),
+            ..ViewEntry::main(note, values)
         };
         self.place(entry);
-        self.rekey_descendants(note.unid(), src)?;
-        Ok(())
+        self.rekey_descendants(note.unid(), src, 0);
     }
 
     /// Insert or move an entry in every collation order. An edit that
@@ -590,10 +516,10 @@ impl ViewIndex {
         Self::main_keys(&self.design.collations(), entry)
     }
 
-    /// Collation keys for a main (top-level) entry. A free function of the
-    /// design so the parallel rebuild workers can key entries without
-    /// touching index state; `compute_keys` delegates here, keeping the
-    /// bytes identical between the parallel and incremental paths.
+    /// Collation keys for a main (top-level) entry. A function of the
+    /// design alone, so the rebuild's bulk load keys entries before they
+    /// are placed; `compute_keys` delegates here, keeping the bytes
+    /// identical between the bulk and incremental paths.
     fn main_keys(collations: &[Collation], entry: &ViewEntry) -> Vec<Vec<u8>> {
         collations
             .iter()
@@ -635,7 +561,7 @@ impl ViewIndex {
     }
 
     /// Parent moved or vanished: recompute each child's inclusion and key.
-    fn reconsider_children(&mut self, parent: Unid, src: &dyn NoteSource) -> Result<()> {
+    fn reconsider_children(&mut self, parent: Unid, src: &dyn NoteSource) {
         let kids: Vec<Unid> = self
             .children
             .get(&parent)
@@ -643,29 +569,19 @@ impl ViewIndex {
             .unwrap_or_default();
         for kid in kids {
             if let Some(note) = src.note_by_unid(kid) {
-                self.consider(&note, None, src)?;
+                self.consider(&note, src);
             } else {
                 self.remove_entry(kid);
             }
         }
-        Ok(())
     }
 
     /// Re-key descendants after their ancestor moved.
-    fn rekey_descendants(&mut self, parent: Unid, src: &dyn NoteSource) -> Result<()> {
-        self.rekey_descendants_depth(parent, src, 0)
-    }
-
-    fn rekey_descendants_depth(
-        &mut self,
-        parent: Unid,
-        src: &dyn NoteSource,
-        depth: u32,
-    ) -> Result<()> {
+    fn rekey_descendants(&mut self, parent: Unid, src: &dyn NoteSource, depth: u32) {
         // A $REF cycle would otherwise recurse forever; Notes caps response
         // nesting at 32 levels, so do we.
         if depth > 32 {
-            return Ok(());
+            return;
         }
         let kids: Vec<Unid> = self
             .children
@@ -680,14 +596,13 @@ impl ViewIndex {
                     entry.parent = Some(parent);
                     entry.response_level = pl + 1;
                     self.place(entry);
-                    self.rekey_descendants_depth(kid, src, depth + 1)?;
+                    self.rekey_descendants(kid, src, depth + 1);
                 }
             } else if let Some(note) = src.note_by_unid(kid) {
                 // Child known but not in view (arrived before parent).
-                self.consider(&note, None, src)?;
+                self.consider(&note, src);
             }
         }
-        Ok(())
     }
 
     // ------------------------------------------------------------------

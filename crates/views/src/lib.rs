@@ -86,8 +86,10 @@ impl View {
     ///
     /// The database's change feed delivers events in commit order: a lone
     /// save arrives as a one-event slice, writes made under
-    /// [`Database::begin_batch`] as one coalesced slice the index
-    /// pre-evaluates in parallel (see [`ViewIndex::apply`]).
+    /// [`Database::begin_batch`] as one coalesced slice (see
+    /// [`ViewIndex::apply`]). A document whose selection or column formula
+    /// fails is not in the view, and neither attaching nor maintenance
+    /// fails because of it (see [`index`]).
     ///
     /// Subscribes *before* the initial build, and [`View::rebuild`] pins
     /// its snapshot while holding the index's write lock: a commit is
@@ -101,11 +103,7 @@ impl View {
         let weak = Arc::downgrade(db);
         db.subscribe(Arc::new(move |events: &[ChangeEvent]| {
             let Some(db) = weak.upgrade() else { return };
-            let mut index = state.write();
-            // Observer callbacks cannot surface errors; a failed formula
-            // leaves the entry out (matching Notes, where a broken column
-            // formula blanks the row rather than wedging the database).
-            let _ = index.apply(events, &DbSource(db.snapshot()));
+            let Ok(()) = state.write().apply(events, &DbSource(db.snapshot()));
         }));
         view.rebuild()?;
         Ok(view)
@@ -140,13 +138,15 @@ impl View {
         let mut index = self.state.write();
         let snap = db.snapshot();
         let docs = snap.document_summaries();
-        index.rebuild(docs.iter().map(|doc| doc.as_ref()), &DbSource(snap))
+        let Ok(()) = index.rebuild(docs.iter().map(|doc| doc.as_ref()), &DbSource(snap));
+        Ok(())
     }
 
     /// Apply one change event manually (detached views).
     pub fn apply(&self, event: &ChangeEvent) -> Result<()> {
         let src = DbSource(self.db()?.snapshot());
-        self.state.write().apply(std::slice::from_ref(event), &src)
+        let Ok(()) = self.state.write().apply(std::slice::from_ref(event), &src);
+        Ok(())
     }
 
     pub fn len(&self) -> usize {

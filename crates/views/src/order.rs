@@ -94,10 +94,6 @@ impl<V> Order<V> {
         self.len == 0
     }
 
-    pub fn clear(&mut self) {
-        *self = Order::default();
-    }
-
     /// The first chunk whose last key is `>= key` (`chunks.len()` when
     /// `key` sorts after everything).
     fn chunk_for(&self, key: &[u8]) -> usize {
@@ -369,9 +365,6 @@ mod tests {
         }
         assert!(o.is_empty() && o.chunks.is_empty());
 
-        o.insert(b"k".to_vec(), 1);
-        o.clear();
-        assert!(o.is_empty() && o.nth(0).is_none());
         assert!(Order::<u32>::from_sorted(Vec::new()).is_empty());
     }
 

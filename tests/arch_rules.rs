@@ -22,10 +22,10 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Every `.rs` file under `crates/*/src`: (path relative to the root, text).
-fn sources() -> Vec<(String, String)> {
+/// Every `.rs` file under `{dir}/*/src`: (path relative to the root, text).
+fn sources_under(dir: &str) -> Vec<(String, String)> {
     let mut files = Vec::new();
-    for krate in std::fs::read_dir(root().join("crates")).unwrap() {
+    for krate in std::fs::read_dir(root().join(dir)).unwrap() {
         let src = krate.unwrap().path().join("src");
         if src.is_dir() {
             rust_files(&src, &mut files);
@@ -42,6 +42,11 @@ fn sources() -> Vec<(String, String)> {
             (rel, std::fs::read_to_string(&p).unwrap())
         })
         .collect()
+}
+
+/// Every `.rs` file under `crates/*/src`.
+fn sources() -> Vec<(String, String)> {
+    sources_under("crates")
 }
 
 /// `file:line: text` of each line in `files` that `bad` flags.
@@ -386,10 +391,22 @@ fn one_change_feed() {
             retired.iter().any(|r| l.contains(r))
         }),
     );
-    let manifest = std::fs::read_to_string(root().join("crates/core/Cargo.toml")).unwrap();
+    // No manifest or lock file names the retired rayon shim.
+    let mut manifests = vec!["Cargo.toml".to_string(), "Cargo.lock".to_string()];
+    for krate in std::fs::read_dir(root().join("crates")).unwrap() {
+        let path = krate.unwrap().path().join("Cargo.toml");
+        manifests.push(path.strip_prefix(root()).unwrap().display().to_string());
+    }
+    let texts: Vec<(String, String)> = manifests
+        .into_iter()
+        .map(|m| {
+            let text = std::fs::read_to_string(root().join(&m)).unwrap();
+            (m, text)
+        })
+        .collect();
     assert_none(
-        "`domino-core` depends on rayon",
-        offending([("crates/core/Cargo.toml", manifest.as_str())], |l| {
+        "a manifest names rayon",
+        offending(texts.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
             l.contains("rayon")
         }),
     );
@@ -427,17 +444,23 @@ fn one_reference_monitor() {
 fn one_task_runtime() {
     // Every long-lived server thread is a `domino_obs::Task`: started,
     // listed, stopped and joined in `obs/src/task.rs`. An HTTP request
-    // runs on the connection thread that read it: no worker pool.
-    let files = sources();
+    // runs on the connection thread that read it: no worker pool. A view
+    // evaluates on the calling thread: no fork-join, vendored or not.
+    let mut files = sources();
+    files.extend(sources_under("vendor"));
     let non_test = files.iter().map(|(f, t)| {
         let end = t.find("\n#[cfg(test)]\nmod ").unwrap_or(t.len());
         (f.as_str(), &t[..end])
     });
     assert_none(
-        "a thread spawned outside the task runtime",
+        "a thread started outside the task runtime",
         offending(
             non_test.filter(|(f, _)| *f != "crates/obs/src/task.rs"),
-            |l| l.contains("thread::spawn") || l.contains("thread::Builder"),
+            |l| {
+                ["thread::spawn", "thread::Builder", "thread::scope"]
+                    .iter()
+                    .any(|t| l.contains(t))
+            },
         ),
     );
     let retired = [
@@ -447,9 +470,13 @@ fn one_task_runtime() {
         "ConnThreads",
         "WorkerPool",
         "submit(",
+        "par_iter",
+        "into_par_iter",
+        "PreEval",
+        "MainEval",
     ];
     assert_none(
-        "a second task handle, connection-thread holder or worker pool",
+        "a second task handle, connection-thread holder, worker pool or fork-join",
         offending(files.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
             retired.iter().any(|r| has_word(l, r))
         }),

@@ -1,13 +1,16 @@
 //! Property: a view maintained incrementally through any sequence of
 //! saves/edits/deletes/re-parentings is identical to one rebuilt from
 //! scratch, and its positional reads (a page by offset, a document's
-//! position) agree with the full row order in every collation.
+//! position) agree with the full row order in every collation. A view
+//! whose formulas fail on some documents shows exactly the documents a
+//! per-note model selects, both incrementally and rebuilt.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use domino::core::{Database, DbConfig, Note};
+use domino::formula::{EvalEnv, Formula};
 use domino::types::{LogicalClock, NoteClass, ReplicaId, Unid, Value};
 use domino::views::{ColumnSpec, SortDir, View, ViewDesign};
 
@@ -234,5 +237,111 @@ proptest! {
         let mut sorted = seen.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         prop_assert_eq!(seen, sorted);
+    }
+}
+
+/// Terms over `Val` that fail for some documents: `Val` is sometimes 0
+/// (division, `@Modulo` and `@Round` by zero) and sometimes absent.
+const TERMS: [&str; 4] = ["100 / Val", "@Modulo(7; Val)", "@Round(7; Val)", "Val"];
+
+/// One write of a batch; `None` leaves `Val` absent.
+#[derive(Debug, Clone)]
+enum Write {
+    Create { val: Option<u8> },
+    Edit { d: usize, val: Option<u8> },
+    Delete { d: usize },
+}
+
+fn writes() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        prop::option::of(0..4u8).prop_map(|val| Write::Create { val }),
+        (0..16usize, prop::option::of(0..4u8)).prop_map(|(d, val)| Write::Edit { d, val }),
+        (0..16usize).prop_map(|d| Write::Delete { d }),
+    ]
+}
+
+fn set_val(n: &mut Note, val: Option<u8>) {
+    match val {
+        Some(v) => {
+            n.set("Val", Value::Number(v as f64));
+        }
+        None => {
+            n.remove("Val");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+    /// A document shows in the view exactly when its selection selects it
+    /// and every column evaluates, whatever else its batch holds; the
+    /// incrementally maintained view equals that per-note model and a
+    /// fresh rebuild.
+    #[test]
+    fn failing_formulas_leave_only_their_notes_out(
+        select in prop::option::of(0..4usize),
+        column in 0..4usize,
+        batches in prop::collection::vec(prop::collection::vec(writes(), 1..6), 1..12),
+    ) {
+        let selection = select.map_or("SELECT @All".to_string(), |t| format!("SELECT {} > 1", TERMS[t]));
+        let design = ViewDesign::new("F", &selection)
+            .unwrap()
+            .column(ColumnSpec::new("T", TERMS[column]).unwrap().sorted(SortDir::Ascending))
+            .column(ColumnSpec::new("Val", "Val").unwrap());
+        let db = Arc::new(
+            Database::open_in_memory(
+                DbConfig::new("p", ReplicaId(1), ReplicaId(2)),
+                LogicalClock::new(),
+            )
+            .unwrap(),
+        );
+        let live = View::attach(&db, design.clone()).unwrap();
+        for batch in &batches {
+            let _batch = db.begin_batch();
+            for write in batch {
+                let ids = db.note_ids(Some(NoteClass::Document)).unwrap();
+                match write {
+                    Write::Create { val } => {
+                        let mut n = Note::document("Doc");
+                        set_val(&mut n, *val);
+                        db.save(&mut n).unwrap();
+                    }
+                    Write::Edit { d, val } => {
+                        if ids.is_empty() { continue; }
+                        let mut n = db.open_note(ids[d % ids.len()]).unwrap();
+                        set_val(&mut n, *val);
+                        db.save(&mut n).unwrap();
+                    }
+                    Write::Delete { d } => {
+                        if ids.is_empty() { continue; }
+                        db.delete(ids[d % ids.len()]).unwrap();
+                    }
+                }
+            }
+        }
+
+        let env = EvalEnv::default();
+        let selection = Formula::compile(&selection).unwrap();
+        let columns = [Formula::compile(TERMS[column]).unwrap(), Formula::compile("Val").unwrap()];
+        let mut model: Vec<(Unid, Vec<Value>)> = Vec::new();
+        for id in db.note_ids(Some(NoteClass::Document)).unwrap() {
+            let n = db.open_note(id).unwrap();
+            if selection.selects(&n, &env) != Ok(true) {
+                continue;
+            }
+            if let Ok(values) = columns.iter().map(|c| c.eval(&n, &env)).collect() {
+                model.push((n.unid(), values));
+            }
+        }
+        model.sort_by_key(|(unid, _)| *unid);
+        let mut shown: Vec<(Unid, Vec<Value>)> =
+            live.rows().iter().map(|e| (e.unid, e.values.clone())).collect();
+        shown.sort_by_key(|(unid, _)| *unid);
+        prop_assert_eq!(shown, model);
+
+        let fresh = View::detached(&db, design).unwrap();
+        fresh.rebuild().unwrap();
+        prop_assert_eq!(live.rows(), fresh.rows());
     }
 }
