@@ -189,12 +189,24 @@ fn coalesce(events: Vec<ChangeEvent>) -> Vec<ChangeEvent> {
     out
 }
 
-/// Summary entry for replication: one note or stub a pull examines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChangedNote {
-    pub id: NoteId,
-    pub oid: Oid,
-    pub is_stub: bool,
+/// One replication candidate as the source holds it: a live note, shared
+/// with the snapshot it was read from, or a deletion stub.
+#[derive(Debug)]
+pub enum Candidate {
+    Note(Arc<Note>),
+    Stub(DeletionStub),
+}
+
+impl Candidate {
+    /// `(seq_time, unid)`: the order a pull ships its candidates and its
+    /// cursor resumes in, a total order both replicas agree on.
+    pub fn position(&self) -> (Timestamp, u128) {
+        let oid = match self {
+            Candidate::Note(note) => note.oid,
+            Candidate::Stub(stub) => stub.oid,
+        };
+        (oid.seq_time, oid.unid.0)
+    }
 }
 
 /// Configuration for opening a database.
@@ -243,11 +255,12 @@ struct DbInner {
 /// Concurrency model (DESIGN.md §concurrency): every note mutation runs
 /// under the `inner` engine mutex and publishes its committed state into
 /// `versions` before releasing it; same-note races are settled there by
-/// the sequence-number check in [`Database::save`]. Every live-note read
-/// pins a [`Snapshot`] from `versions` and never touches the engine mutex;
-/// only deletion stubs, a pull's candidate entries and
-/// [`Database::stored_note`] are read under it. Lock order is `inner` →
-/// version map, Merkle summary, change feed.
+/// the sequence-number check in [`Database::save`], and between a local
+/// save and a pull by the replicator's decision inside
+/// [`Database::apply_replicated`]. Every live-note read pins a
+/// [`Snapshot`] from `versions` and never touches the engine mutex; only
+/// deletion stubs and [`Database::stored_note`] are read under it. Lock
+/// order is `inner` → version map, Merkle summary, change feed.
 pub struct Database {
     inner: Arc<Mutex<DbInner>>,
     title: String,
@@ -525,9 +538,9 @@ impl Database {
 
     /// The one write path. Every note mutation is the same choreography
     /// around a different decision: take the engine mutex, read the
-    /// record under `target` once, let `decide` turn the live note there
-    /// (`None` for a stub or nothing) into the record to write — or
-    /// decline with `Ok(None)` — then write it and publish it.
+    /// record under `target` once, let `decide` turn the record there
+    /// (`None` for nothing) into the record to write — or decline with
+    /// `Ok(None)` — then write it and publish it.
     ///
     /// The version map, the Merkle summary and the change feed's queue
     /// are updated *before the engine mutex is released*: commit order
@@ -539,7 +552,7 @@ impl Database {
     fn commit(
         &self,
         target: Target,
-        decide: impl FnOnce(&mut DbInner, Option<&Note>) -> Result<Option<Record>>,
+        decide: impl FnOnce(&mut DbInner, Option<&Record>) -> Result<Option<Record>>,
     ) -> Result<Option<NoteId>> {
         let (id, queued) = {
             let mut g = match self.inner.try_lock() {
@@ -567,9 +580,13 @@ impl Database {
                     }
                 }
             };
-            let old = stored.as_mut().and_then(|s| s.note.take());
-            let Some(mut record) = decide(&mut g, old.as_ref())? else {
+            let held = stored.as_mut().and_then(|s| s.record.take());
+            let Some(mut record) = decide(&mut g, held.as_ref())? else {
                 return Ok(None);
+            };
+            let old = match held {
+                Some(Record::Note(note)) => Some(note),
+                _ => None,
             };
             // A lazily seeded version about to be superseded gets its
             // full pre-image first, so pinned snapshots can still read
@@ -654,8 +671,9 @@ impl Database {
                     it.revised = now;
                 }
             } else {
-                let old =
-                    old.ok_or_else(|| DominoError::NotFound(format!("note {} vanished", note.id)))?;
+                let old = old
+                    .and_then(Record::note)
+                    .ok_or_else(|| DominoError::NotFound(format!("note {} vanished", note.id)))?;
                 if old.unid() != note.unid() {
                     return Err(DominoError::InvalidArgument(
                         "note id/unid mismatch on save".into(),
@@ -722,16 +740,39 @@ impl Database {
     /// Write a note exactly as received from another replica: identity,
     /// stamps, and item revisions are preserved. Replaces any existing
     /// note *or stub* with the same UNID.
-    pub fn save_replicated(&self, mut note: Note) -> Result<Note> {
-        note.keep_access_items_in_summary();
+    pub fn save_replicated(&self, note: Note) -> Result<Note> {
         let mut saved = note.clone();
-        let id = self.commit(Target::Unid(note.unid()), |_, _| {
-            self.clock.observe(note.oid.seq_time);
-            self.clock.observe(note.modified);
-            Ok(Some(Record::Note(note)))
-        })?;
+        saved.keep_access_items_in_summary();
+        let id = self.apply_replicated(note.unid(), |_| Some(Record::Note(note)))?;
         saved.id = id.expect("save_replicated always writes");
         Ok(saved)
+    }
+
+    /// Apply what another replica holds under `unid`, as `decide` rules
+    /// against the record stored here (`None` when there is none): write
+    /// the record it returns, identity and stamps as received, or nothing.
+    /// `decide` runs under the engine mutex, in the commit that writes its
+    /// answer, so no local save can land between the decision and the
+    /// write and be overwritten unseen. It must not call this database.
+    /// Returns the local id written, if any.
+    pub fn apply_replicated(
+        &self,
+        unid: Unid,
+        decide: impl FnOnce(Option<&Record>) -> Option<Record>,
+    ) -> Result<Option<NoteId>> {
+        self.commit(Target::Unid(unid), |_, held| {
+            let mut record = decide(held);
+            match &mut record {
+                Some(Record::Note(note)) => {
+                    note.keep_access_items_in_summary();
+                    self.clock.observe(note.oid.seq_time);
+                    self.clock.observe(note.modified);
+                }
+                Some(Record::Stub(stub)) => self.clock.observe(stub.oid.seq_time),
+                None => {}
+            }
+            Ok(record)
+        })
     }
 
     /// Store a design note (form, view or folder, agent). A design
@@ -818,7 +859,9 @@ impl Database {
     pub fn delete(&self, id: NoteId) -> Result<DeletionStub> {
         let mut written = None;
         self.commit(Target::Id(id), |_, old| {
-            let old = old.ok_or_else(|| DominoError::NotFound(format!("note {id}")))?;
+            let old = old
+                .and_then(Record::note)
+                .ok_or_else(|| DominoError::NotFound(format!("note {id}")))?;
             let now = self.clock.now();
             let mut oid = old.oid;
             oid.bump(now);
@@ -840,12 +883,10 @@ impl Database {
     /// that as a conflict). A UNID never seen here still records the stub,
     /// so the deletion keeps propagating.
     pub fn apply_remote_deletion(&self, remote: &DeletionStub) -> Result<Option<DeletionStub>> {
-        let id = self.commit(Target::Unid(remote.oid.unid), |_, old| {
-            self.clock.observe(remote.oid.seq_time);
-            Ok(match old {
-                Some(local) if local.oid.winner_key() > remote.oid.winner_key() => None,
-                _ => Some(Record::Stub(*remote)),
-            })
+        self.clock.observe(remote.oid.seq_time);
+        let id = self.apply_replicated(remote.oid.unid, |held| match held {
+            Some(Record::Note(local)) if local.oid.winner_key() > remote.oid.winner_key() => None,
+            _ => Some(Record::Stub(*remote)),
         })?;
         Ok(id.map(|id| DeletionStub { id, ..*remote }))
     }
@@ -873,24 +914,39 @@ impl Database {
         Ok(hits)
     }
 
-    /// Replication-candidate entries for the UNIDs a Merkle diff found
-    /// differing: only the named notes/stubs are touched, so a pull costs
-    /// O(differing) engine reads. Unknown UNIDs are skipped. Entries come
-    /// back in `(seq_time, unid)` order, the order a pull cursor batches
-    /// and resumes in.
-    pub fn changed_entries_for(&self, unids: &[Unid]) -> Result<Vec<ChangedNote>> {
-        let mut g = self.inner.lock();
-        let store = g.store;
+    /// Replication candidates for the UNIDs a Merkle diff found
+    /// differing, in [`Candidate::position`] order. A live note comes from
+    /// `snap`, without a copy; the other UNIDs are read as deletion stubs
+    /// under one hold of the engine mutex, and a UNID that is neither is
+    /// skipped.
+    pub fn replication_candidates(
+        &self,
+        snap: &Snapshot,
+        unids: &[Unid],
+    ) -> Result<Vec<Candidate>> {
         let mut out = Vec::with_capacity(unids.len());
+        let mut gone = Vec::new();
         for unid in unids {
-            let Some(id) = store.lookup_unid(&mut g.engine, *unid)? else {
-                continue;
-            };
-            if let Some(entry) = g.changed_entry(id)? {
-                out.push(entry);
+            match snap.open_arc_by_unid(*unid)? {
+                Some(note) => out.push(Candidate::Note(note)),
+                None => gone.push(*unid),
             }
         }
-        out.sort_by_key(|c| (c.oid.seq_time, c.oid.unid.0));
+        let mut g = self.inner.lock();
+        let store = g.store;
+        for unid in gone {
+            let Some(id) = store.lookup_unid(&mut g.engine, unid)? else {
+                continue;
+            };
+            match store.get(&mut g.engine, id, Segment::Summary)? {
+                Some(summary) if record_is_stub(&summary) => {
+                    out.push(Candidate::Stub(DeletionStub::decode(id, &summary)?));
+                }
+                _ => {}
+            }
+        }
+        drop(g);
+        out.sort_by_key(Candidate::position);
         Ok(out)
     }
 
@@ -1210,8 +1266,10 @@ enum Target {
     Unid(Unid),
 }
 
-/// The record a mutation puts in place.
-enum Record {
+/// A stored record: a live note or a deletion stub. What a mutation
+/// finds under its target, and what it puts in place.
+#[derive(Debug)]
+pub enum Record {
     Note(Note),
     Stub(DeletionStub),
 }
@@ -1223,13 +1281,21 @@ impl Record {
             Record::Stub(stub) => stub.oid,
         }
     }
+
+    /// The live note, if this record is one.
+    fn note(&self) -> Option<&Note> {
+        match self {
+            Record::Note(note) => Some(note),
+            Record::Stub(_) => None,
+        }
+    }
 }
 
 /// The record found under a mutation's target, read once per commit.
 struct Stored {
     id: NoteId,
-    /// The live note; `None` when the record is a deletion stub.
-    note: Option<Note>,
+    /// The note or stub, until `commit` takes it.
+    record: Option<Record>,
     /// The segment bytes as read, so `write_record` re-puts only what
     /// changed. `body` is `None` when there is no body segment.
     summary: Vec<u8>,
@@ -1245,7 +1311,7 @@ impl DbInner {
         if record_is_stub(&summary) {
             return Ok(Some(Stored {
                 id,
-                note: None,
+                record: Some(Record::Stub(DeletionStub::decode(id, &summary)?)),
                 summary,
                 body: None,
             }));
@@ -1254,7 +1320,7 @@ impl DbInner {
         let note = Note::decode(id, &summary, body.as_deref())?;
         Ok(Some(Stored {
             id,
-            note: Some(note),
+            record: Some(Record::Note(note)),
             summary,
             body,
         }))
@@ -1262,28 +1328,10 @@ impl DbInner {
 
     /// Load a full note; `None` for stubs.
     fn load(&mut self, id: NoteId) -> Result<Option<Note>> {
-        Ok(self.stored(id)?.and_then(|s| s.note))
-    }
-
-    fn changed_entry(&mut self, id: NoteId) -> Result<Option<ChangedNote>> {
-        let Some(summary) = self.store.get(&mut self.engine, id, Segment::Summary)? else {
-            return Ok(None);
-        };
-        if record_is_stub(&summary) {
-            let stub = DeletionStub::decode(id, &summary)?;
-            Ok(Some(ChangedNote {
-                id,
-                oid: stub.oid,
-                is_stub: true,
-            }))
-        } else {
-            let note = Note::decode(id, &summary, None)?;
-            Ok(Some(ChangedNote {
-                id,
-                oid: note.oid,
-                is_stub: false,
-            }))
-        }
+        Ok(match self.stored(id)?.and_then(|s| s.record) {
+            Some(Record::Note(note)) => Some(note),
+            _ => None,
+        })
     }
 
     /// Run `work` in one engine transaction: commit what it did, or abort it

@@ -47,7 +47,8 @@ pub use agent::{
     AgentTrigger,
 };
 pub use db::{
-    ChangeEvent, ChangedNote, CompactStats, Database, DbConfig, DbInfo, DEFAULT_PURGE_INTERVAL,
+    Candidate, ChangeEvent, CompactStats, Database, DbConfig, DbInfo, Record,
+    DEFAULT_PURGE_INTERVAL,
 };
 pub use form::{form_for, save_form, stored_forms, FieldKind, FieldSpec, FormDesign};
 pub use merkle::{bucket_of, MerkleSummary, MERKLE_BUCKETS};
@@ -174,28 +175,41 @@ mod tests {
     }
 
     #[test]
-    fn changed_entries_track_modifications_and_deletions() {
+    fn replication_candidates_track_modifications_and_deletions() {
         let db = db();
         let mut a = Note::document("M");
         db.save(&mut a).unwrap();
         let mut b = Note::document("M");
         db.save(&mut b).unwrap();
+        let snap = db.snapshot();
         a.set("X", Value::Number(1.0));
         db.save(&mut a).unwrap();
         db.delete(b.id).unwrap();
 
-        let entries = db.changed_entries_for(&[a.unid(), b.unid()]).unwrap();
+        // A live note is read as the snapshot holds it; a deletion after
+        // the pin does not hide it.
+        let pinned = db
+            .replication_candidates(&snap, &[a.unid(), b.unid()])
+            .unwrap();
+        assert!(matches!(&pinned[1], Candidate::Note(n) if n.oid.seq == 1));
+        let snap = db.snapshot();
+        let entries = db
+            .replication_candidates(&snap, &[a.unid(), b.unid()])
+            .unwrap();
         assert_eq!(entries.len(), 2, "a (updated) and b (stub) both listed");
-        assert_eq!((entries[0].oid, entries[0].is_stub), (a.oid, false));
-        assert_eq!((entries[1].oid.unid, entries[1].is_stub), (b.unid(), true));
-        assert_eq!(entries[1].oid.seq, 2, "the stub carries the bumped seq");
+        assert!(matches!(&entries[0], Candidate::Note(n) if n.oid == a.oid));
+        assert!(
+            matches!(&entries[1], Candidate::Stub(s) if s.oid.unid == b.unid() && s.oid.seq == 2),
+            "the stub carries the bumped seq"
+        );
         // `(seq_time, unid)` order whatever the request order; unknown
         // UNIDs are skipped.
-        assert!(entries[0].oid.seq_time < entries[1].oid.seq_time);
+        assert!(entries[0].position() < entries[1].position());
         let asked_backwards = db
-            .changed_entries_for(&[b.unid(), Unid(42), a.unid()])
+            .replication_candidates(&snap, &[b.unid(), Unid(42), a.unid()])
             .unwrap();
-        assert_eq!(asked_backwards, entries);
+        let order = |c: &[Candidate]| c.iter().map(Candidate::position).collect::<Vec<_>>();
+        assert_eq!(order(&asked_backwards), order(&entries));
     }
 
     #[test]

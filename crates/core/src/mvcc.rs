@@ -467,8 +467,9 @@ impl Snapshot {
         self.open_arc(id).map(|n| (*n).clone())
     }
 
-    /// Fetch a note by UNID.
-    pub fn open_by_unid(&self, unid: Unid) -> Result<Note> {
+    /// Fetch a note by UNID without cloning it; `None` when no live note
+    /// with this UNID is visible (a deletion stub, or nothing).
+    pub fn open_arc_by_unid(&self, unid: Unid) -> Result<Option<Arc<Note>>> {
         m().reads.inc();
         let found = {
             let st = self.store.state.read();
@@ -476,8 +477,14 @@ impl Snapshot {
                 .get(&unid)
                 .and_then(|c| Self::visible(c, self.seq).cloned())
         };
-        let ver = found.ok_or_else(|| DominoError::NotFound(format!("unid {unid}")))?;
-        self.full(ver).map(|n| (*n).clone())
+        found.map(|ver| self.full(ver)).transpose()
+    }
+
+    /// Fetch a note by UNID (owned copy).
+    pub fn open_by_unid(&self, unid: Unid) -> Result<Note> {
+        self.open_arc_by_unid(unid)?
+            .map(|n| (*n).clone())
+            .ok_or_else(|| DominoError::NotFound(format!("unid {unid}")))
     }
 
     /// Whether a live note with this UNID is visible. (Summary-only: an

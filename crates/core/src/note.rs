@@ -267,14 +267,15 @@ impl Note {
         buf
     }
 
+    /// Does the note hold a body item (a live non-summary item)?
+    pub fn has_body(&self) -> bool {
+        self.items.iter().any(is_body)
+    }
+
     /// Encode the body segment (non-summary items); `None` if there are
     /// none (no body record is stored at all).
     pub fn encode_body(&self) -> Option<Vec<u8>> {
-        let body: Vec<&Item> = self
-            .items
-            .iter()
-            .filter(|it| !it.is_summary() && !it.flags.contains(ItemFlags::DELETED))
-            .collect();
+        let body: Vec<&Item> = self.items.iter().filter(|it| is_body(it)).collect();
         if body.is_empty() {
             return None;
         }
@@ -320,6 +321,11 @@ impl Note {
             items,
         })
     }
+}
+
+/// Is `it` stored in the body segment: neither summary nor a tombstone?
+fn is_body(it: &Item) -> bool {
+    !it.is_summary() && !it.flags.contains(ItemFlags::DELETED)
 }
 
 /// An OID as stored: UNID bytes, sequence number, sequence time.

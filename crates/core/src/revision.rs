@@ -36,25 +36,38 @@ pub const ITEM_REVISION_HASHES: &str = "$RevisionHashes";
 /// first, ending with the current head. Empty for hand-built notes that
 /// never passed through `Database::save`.
 pub fn revision_chain(note: &Note) -> Vec<(ContentHash, Timestamp)> {
-    let Some(v) = note.get(ITEM_REVISION_HASHES) else {
-        return Vec::new();
-    };
-    v.iter_scalars()
+    chain_entries(note)
         .iter()
-        .filter_map(|s| {
-            let t = s.to_text();
-            let (hash, time) = t.split_once('|')?;
-            Some((
-                ContentHash::from_hex(hash)?,
-                Timestamp(u64::from_str_radix(time, 16).ok()?),
-            ))
-        })
+        .filter_map(|s| parse_entry(s))
         .collect()
 }
 
-/// The note's current head hash, if it carries a chain.
+/// The chain item's raw `hash|time` entries, borrowed from the note.
+fn chain_entries(note: &Note) -> &[String] {
+    match note.get(ITEM_REVISION_HASHES) {
+        Some(Value::TextList(entries)) => entries,
+        Some(Value::Text(entry)) => std::slice::from_ref(entry),
+        _ => &[],
+    }
+}
+
+/// One `hash|time` chain entry, both in hex.
+fn parse_entry(entry: &str) -> Option<(ContentHash, Timestamp)> {
+    let (hash, time) = entry.split_once('|')?;
+    Some((
+        ContentHash::from_hex(hash)?,
+        Timestamp(u64::from_str_radix(time, 16).ok()?),
+    ))
+}
+
+/// The note's current head hash, if it carries a chain: its last
+/// well-formed entry, parsed from the end.
 pub fn head_hash(note: &Note) -> Option<ContentHash> {
-    revision_chain(note).last().map(|(h, _)| *h)
+    chain_entries(note)
+        .iter()
+        .rev()
+        .find_map(|s| parse_entry(s))
+        .map(|(h, _)| h)
 }
 
 /// Are two copies of a note the *same revision*? Same OID and same head
@@ -68,7 +81,12 @@ pub fn same_revision(a: &Note, b: &Note) -> bool {
 /// Exact at any edit depth. A note without a chain (hand-built, never
 /// saved) proves nothing and descends from nothing.
 pub fn descends_from(a: &Note, b: &Note) -> bool {
-    head_hash(b).is_some_and(|bh| revision_chain(a).iter().any(|(h, _)| *h == bh))
+    head_hash(b).is_some_and(|bh| {
+        chain_entries(a)
+            .iter()
+            .filter_map(|s| parse_entry(s))
+            .any(|(h, _)| h == bh)
+    })
 }
 
 /// Sequence time of the latest revision two divergent copies share — the
@@ -109,9 +127,8 @@ pub fn content_hash_of(note: &Note, parents: &[ContentHash]) -> ContentHash {
         .filter(|it| !it.name.eq_ignore_ascii_case(ITEM_REVISION_HASHES))
         .collect();
     items.sort_by(|a, b| {
-        a.name
-            .to_ascii_lowercase()
-            .cmp(&b.name.to_ascii_lowercase())
+        let b_lower = b.name.bytes().map(|c| c.to_ascii_lowercase());
+        a.name.bytes().map(|c| c.to_ascii_lowercase()).cmp(b_lower)
     });
     let mut buf = Vec::new();
     for it in items {
@@ -214,7 +231,7 @@ pub fn merkle_head(note: &Note) -> ContentHash {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use domino_types::{NoteId, Unid};
+    use domino_types::{ItemFlags, NoteId, Unid};
 
     fn note_at(unid: u128, seq: u32, time: u64) -> Note {
         let mut n = Note::document("Memo");
@@ -240,6 +257,49 @@ mod tests {
             vec![(h1, Timestamp(10)), (h2, Timestamp(20))]
         );
         assert_eq!(head_hash(&n), Some(h2));
+    }
+
+    #[test]
+    fn content_hashes_match_the_pinned_digests() {
+        // Digests computed by the `to_ascii_lowercase` sort this module
+        // used before its comparator stopped allocating: mixed-case, `_`
+        // and non-ASCII names, a body item, a tombstone and two parents.
+        let mut n = note_at(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210, 4, 0x5_0000);
+        n.set("subject", Value::text("Golden"));
+        n.set("Body_b", Value::text("b"));
+        n.set("BODY_a", Value::text("a"));
+        n.set_body("Attach", Value::RichText(vec![1, 2, 3]));
+        n.set("Zeta", Value::Number(2.5));
+        n.set("_under", Value::text_list(["x", "y"]));
+        n.set_with_flags("Readers", Value::text("CN=Ann"), ItemFlags::READERS);
+        n.set("Ünï", Value::text("non-ascii"));
+        n.remove("Zeta");
+        let h1 = content_hash_of(&n, &[]);
+        assert_eq!(h1.0, 0xf15ca99e70d3762859f6a6ebec739b3c);
+        push_head(&mut n, h1, Timestamp(0x4_0000));
+        let h2 = content_hash_of(&n, &[ContentHash(0xaaaa), ContentHash(0xbbbb_cccc)]);
+        assert_eq!(h2.0, 0xe9846c1cad5bceff26b6782a81762878);
+        push_head(&mut n, h2, Timestamp(0x5_0000));
+        assert_eq!(head_hash(&n), Some(h2));
+        assert_eq!(merkle_head(&n), h2);
+    }
+
+    #[test]
+    fn head_is_the_last_well_formed_entry() {
+        let mut n = note_at(1, 1, 10);
+        n.set(
+            ITEM_REVISION_HASHES,
+            Value::text_list(["a|1", "b|2", "not an entry"]),
+        );
+        assert_eq!(head_hash(&n), Some(ContentHash(0xb)));
+        assert_eq!(
+            revision_chain(&n).last(),
+            Some(&(ContentHash(0xb), Timestamp(2)))
+        );
+        n.set(ITEM_REVISION_HASHES, Value::text("c|3"));
+        assert_eq!(head_hash(&n), Some(ContentHash(0xc)));
+        n.set(ITEM_REVISION_HASHES, Value::Number(1.0));
+        assert_eq!(head_hash(&n), None);
     }
 
     #[test]

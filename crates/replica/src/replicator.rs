@@ -38,16 +38,17 @@
 //! monotone. [`ReplicationHistory`] records each pair's last completed
 //! pass, which [`Replicator::purge_safety`] reads.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use domino_core::revision::{
     descends_from, merge_base_time, record_merge, same_revision, winner_key,
 };
-use domino_core::{ChangedNote, Database, Note, ITEM_REVISION_HASHES};
+use domino_core::{Candidate, Database, DeletionStub, Note, Record, ITEM_REVISION_HASHES};
 use domino_formula::{EvalEnv, EvalErrors, Formula};
 use domino_obs as obs;
-use domino_types::{Clock, ContentHash, DominoError, Item, ReplicaId, Result, Timestamp, Unid};
+use domino_types::{Clock, DominoError, Item, ReplicaId, Result, Timestamp, Unid};
 
 use crate::conflict::make_conflict_document;
 use crate::history::ReplicationHistory;
@@ -341,6 +342,8 @@ impl Replicator {
         }
         let _span = obs::span!("Replica.Pull");
         let key = (dst.instance_id(), src.instance_id());
+        // One source snapshot serves every live candidate of this attempt.
+        let snap = src.snapshot();
         let mut cursor = match self.cursors.remove(&key) {
             Some(c) => {
                 m().resumed.inc();
@@ -371,12 +374,10 @@ impl Replicator {
                 }
             },
         };
-        // Candidates stream in (seq_time, unid) order — a total order both
-        // sides agree on, which is what makes the cursor meaningful.
-        let mut candidates = src.changed_entries_for(&unids)?;
+        let mut candidates = src.replication_candidates(&snap, &unids)?;
         cursor.negotiated = Some(unids);
         if let Some(after) = cursor.resume_after {
-            candidates.retain(|c| (c.oid.seq_time, c.oid.unid.0) > after);
+            candidates.retain(|c| c.position() > after);
         }
         let batch = self.options.batch.max(1);
         for chunk in candidates.chunks(batch) {
@@ -389,10 +390,9 @@ impl Replicator {
             for cand in chunk {
                 cursor.report.candidates += 1;
                 cursor.report.bytes_shipped += CANDIDATE_HEADER_BYTES;
-                let applied = if cand.is_stub {
-                    self.pull_stub(dst, src, cand, &mut cursor.report)
-                } else {
-                    self.pull_note(dst, src, cand, &mut cursor)
+                let applied = match cand {
+                    Candidate::Stub(stub) => self.pull_stub(dst, stub, &mut cursor.report),
+                    Candidate::Note(note) => self.pull_note(dst, note, &mut cursor),
                 };
                 if let Err(e) = applied {
                     // Apply-side failure: progress so far is durable; park
@@ -401,7 +401,7 @@ impl Replicator {
                     self.cursors.insert(key, cursor);
                     return Err(e);
                 }
-                cursor.resume_after = Some((cand.oid.seq_time, cand.oid.unid.0));
+                cursor.resume_after = Some(cand.position());
             }
         }
         // Success: record the completed pass for `purge_safety`.
@@ -474,17 +474,11 @@ impl Replicator {
         // buckets it holds whose digests disagree (buckets only the
         // destination populates have nothing the source could ship).
         transport.deliver(1)?;
-        let dst_digests: HashMap<u32, ContentHash> =
-            dst.merkle_bucket_digests().into_iter().collect();
+        let dst_digests = dst.merkle_bucket_digests();
         let digest_bytes = dst_digests.len() as u64 * BUCKET_DIGEST_BYTES;
         report.bytes_shipped += digest_bytes;
         report.negotiation_bytes += digest_bytes;
-        let differing: Vec<u32> = src
-            .merkle_bucket_digests()
-            .into_iter()
-            .filter(|(b, d)| dst_digests.get(b) != Some(d))
-            .map(|(b, _)| b)
-            .collect();
+        let differing = src_only(&src.merkle_bucket_digests(), &dst_digests);
         report.buckets_differing += differing.len() as u64;
         if differing.is_empty() {
             // Everything that differs lives only on the destination —
@@ -495,17 +489,12 @@ impl Replicator {
         // the source descends and keeps only notes whose heads differ.
         transport.deliver(1)?;
         let mut unids: Vec<Unid> = Vec::new();
-        for b in &differing {
-            let dst_entries: HashMap<Unid, ContentHash> =
-                dst.merkle_bucket_entries(*b).into_iter().collect();
+        for b in differing {
+            let dst_entries = dst.merkle_bucket_entries(b);
             let entry_bytes = dst_entries.len() as u64 * MERKLE_ENTRY_BYTES;
             report.bytes_shipped += entry_bytes;
             report.negotiation_bytes += entry_bytes;
-            for (unid, head) in src.merkle_bucket_entries(*b) {
-                if dst_entries.get(&unid) != Some(&head) {
-                    unids.push(unid);
-                }
-            }
+            unids.extend(src_only(&src.merkle_bucket_entries(b), &dst_entries));
         }
         Ok(unids)
     }
@@ -677,33 +666,35 @@ impl Replicator {
             .retain(|(dst, src), _| *dst != instance && *src != instance);
     }
 
+    /// Pull one deletion stub, unless `dst` holds a deletion at least as
+    /// new, a newer edit, or nothing of a UNID purged here by now.
     fn pull_stub(
         &self,
         dst: &Database,
-        src: &Database,
-        cand: &ChangedNote,
+        stub: &DeletionStub,
         report: &mut ReplicationReport,
     ) -> Result<()> {
-        let stub = src.open_stub(cand.id)?;
-        let known = match dst.id_of_unid(stub.oid.unid)? {
-            // Is the deletion already known locally?
-            Some(local_id) => dst
-                .open_stub(local_id)
-                .is_ok_and(|local| local.oid.winner_key() >= stub.oid.winner_key()),
-            // No record here: a stub older than this replica's purge
-            // horizon is one it has purged (or would purge at once), so
-            // adopting it would only undo the purge.
-            None => stub.deleted_at < dst.purge_horizon(),
-        };
-        if known {
-            report.unchanged += 1;
-            return Ok(());
-        }
-        report.bytes_shipped += 64;
-        match dst.apply_remote_deletion(&stub)? {
-            Some(_) => report.deletions += 1,
-            None => report.local_newer += 1,
-        }
+        let horizon = dst.purge_horizon();
+        // Declined or not, the deletion advances the clock past it.
+        dst.clock().observe(stub.oid.seq_time);
+        let mut outcome = Outcome::Unchanged;
+        dst.apply_replicated(stub.oid.unid, |held| {
+            let newer = stub.oid.winner_key();
+            outcome = match held {
+                Some(Record::Stub(local)) if local.oid.winner_key() >= newer => Outcome::Unchanged,
+                // No record here: a stub older than this replica's purge
+                // horizon is one it has purged (or would purge at once),
+                // so adopting it would only undo the purge.
+                None if stub.deleted_at < horizon => Outcome::Unchanged,
+                Some(Record::Note(local)) if local.oid.winner_key() > newer => Outcome::LocalNewer,
+                _ => Outcome::Deleted,
+            };
+            if outcome != Outcome::Unchanged {
+                report.bytes_shipped += 64;
+            }
+            (outcome == Outcome::Deleted).then_some(Record::Stub(*stub))
+        })?;
+        report.count(&outcome);
         Ok(())
     }
 
@@ -711,167 +702,185 @@ impl Replicator {
     /// selective formula that fails on the note leaves it out too: it is
     /// counted as skipped and as the pass's formula failure, and the pass
     /// goes on.
-    fn pull_note(
-        &self,
-        dst: &Database,
-        src: &Database,
-        cand: &ChangedNote,
-        cursor: &mut PullCursor,
-    ) -> Result<()> {
-        let report = &mut cursor.report;
-        let mut remote = src.open_note(cand.id)?;
-        if self.options.truncate_bodies && remote.encode_body().is_some() {
+    fn pull_note(&self, dst: &Database, remote: &Note, cursor: &mut PullCursor) -> Result<()> {
+        let remote = if self.options.truncate_bodies && remote.has_body() {
             // Summary-only transfer. The truncated copy keeps the source's
             // OID/lineage but is marked read-only ($Truncated), so the
             // missing bodies can never replicate back as deletions.
-            remote.truncate_to_summary();
-        }
+            let mut copy = remote.clone();
+            copy.truncate_to_summary();
+            Cow::Owned(copy)
+        } else {
+            Cow::Borrowed(remote)
+        };
         if let Some(f) = &self.options.selective {
-            let selected = f.selects(&remote, &EvalEnv::default()).unwrap_or_else(|e| {
-                cursor.errors.record(f, remote.unid(), e);
-                false
-            });
+            let selected = f
+                .selects(&*remote, &EvalEnv::default())
+                .unwrap_or_else(|e| {
+                    cursor.errors.record(f, remote.unid(), e);
+                    false
+                });
             if !selected {
-                report.skipped_selective += 1;
+                cursor.report.skipped_selective += 1;
                 return Ok(());
             }
         }
-        self.take_note(dst, remote, report)
+        self.take_note(dst, &remote, &mut cursor.report)
     }
 
-    /// Decide what `dst` keeps of `remote`: add it, update to it, keep a
-    /// newer local copy or deletion, or resolve a conflict.
+    /// Take `remote` into `dst` as [`Replicator::decide`] rules against the
+    /// copy `dst` holds, in the commit that writes the answer. A conflict's
+    /// `$Conflict` document follows in its own commit.
     fn take_note(
         &self,
         dst: &Database,
-        remote: Note,
+        remote: &Note,
         report: &mut ReplicationReport,
     ) -> Result<()> {
-        let local_id = dst.id_of_unid(remote.unid())?;
-        let Some(local_id) = local_id else {
-            // Brand new here.
-            report.bytes_shipped += self.ship_cost(&remote, None, report);
-            dst.save_replicated(remote)?;
-            report.added += 1;
-            return Ok(());
-        };
-        let local = match dst.open_note(local_id) {
-            Ok(n) => n,
-            Err(_) => {
-                // Local copy is a deletion stub: newer edit resurrects,
-                // newer deletion stands.
-                let stub = dst.open_stub(local_id)?;
-                if remote.oid.winner_key() > stub.oid.winner_key() {
-                    report.bytes_shipped += self.ship_cost(&remote, None, report);
-                    dst.save_replicated(remote)?;
-                    report.updated += 1;
-                } else {
-                    report.local_newer += 1;
-                }
-                return Ok(());
-            }
-        };
-
-        // A local truncated copy of the same revision upgrades to the full
-        // document (bodies were withheld, not diverged).
-        if local.is_truncated() && !remote.is_truncated() && same_revision(&local, &remote) {
-            report.bytes_shipped += self.ship_cost(&remote, Some(&local), report);
-            dst.save_replicated(remote)?;
-            report.updated += 1;
-            return Ok(());
+        let mut outcome = Outcome::Unchanged;
+        dst.apply_replicated(remote.unid(), |held| {
+            let (decided, write) = self.decide(remote, held, report);
+            outcome = decided;
+            write.map(Record::Note)
+        })?;
+        if let Outcome::Conflict(doc) = &outcome {
+            // Two losers stamped alike share a conflict UNID, and the
+            // conflict document may have been deleted here since: it is
+            // taken as any pulled note is, so neither is overwritten. Its
+            // cost and outcome are the conflict's.
+            self.take_note(dst, doc, &mut ReplicationReport::default())?;
         }
-        if same_revision(&local, &remote) {
-            report.unchanged += 1;
-            return Ok(());
-        }
-        if descends_from(&remote, &local) {
-            report.bytes_shipped += self.ship_cost(&remote, Some(&local), report);
-            dst.save_replicated(remote)?;
-            report.updated += 1;
-            return Ok(());
-        }
-        if descends_from(&local, &remote) {
-            report.local_newer += 1;
-            return Ok(());
-        }
-
-        // Divergent histories: a replication conflict.
-        self.resolve_conflict(dst, local, remote, report)
+        report.count(&outcome);
+        Ok(())
     }
 
-    fn resolve_conflict(
+    /// What `dst` keeps of `remote` given what it holds: add it, update to
+    /// it, keep a newer local copy or deletion, merge the two, or keep the
+    /// winner of a conflict and the loser as its `$Conflict` document.
+    /// Returns the outcome and the note to write. Runs under `dst`'s
+    /// engine mutex, so it reads nothing but its arguments.
+    fn decide(
         &self,
-        dst: &Database,
-        local: Note,
-        remote: Note,
+        remote: &Note,
+        held: Option<&Record>,
         report: &mut ReplicationReport,
-    ) -> Result<()> {
-        report.bytes_shipped += self.ship_cost(&remote, Some(&local), report);
+    ) -> (Outcome, Option<Note>) {
+        let local = match held {
+            Some(Record::Note(local)) => local,
+            // A newer local deletion stands.
+            Some(Record::Stub(stub)) if stub.oid.winner_key() >= remote.oid.winner_key() => {
+                return (Outcome::LocalNewer, None);
+            }
+            // Brand new here, or a newer edit resurrects a deleted note.
+            _ => {
+                self.ship(remote, None, report);
+                let outcome = if held.is_none() {
+                    Outcome::Added
+                } else {
+                    Outcome::Updated
+                };
+                return (outcome, Some(remote.clone()));
+            }
+        };
+        // A local truncated copy of the same revision upgrades to the full
+        // document (bodies were withheld, not diverged).
+        let same = same_revision(local, remote);
+        let upgrade = local.is_truncated() && !remote.is_truncated();
+        if same && !upgrade {
+            return (Outcome::Unchanged, None);
+        }
+        if same || descends_from(remote, local) {
+            self.ship(remote, Some(local), report);
+            return (Outcome::Updated, Some(remote.clone()));
+        }
+        if descends_from(local, remote) {
+            return (Outcome::LocalNewer, None);
+        }
+        // Divergent histories: a replication conflict.
+        self.ship(remote, Some(local), report);
         if self.options.merge_conflicts {
-            if let Some(merged) = merge_field_wise(&local, &remote) {
-                dst.save_replicated(merged)?;
-                report.merged += 1;
-                return Ok(());
+            if let Some(merged) = merge_field_wise(local, remote) {
+                return (Outcome::Merged, Some(merged));
             }
         }
-        let (winner, loser) = if winner_key(&local) >= winner_key(&remote) {
+        let (winner, loser) = if winner_key(local) >= winner_key(remote) {
             (local, remote)
         } else {
             (remote, local)
         };
         // The losing revision survives as a $Conflict response document
         // (deterministic UNID: both replicas mint the same one).
-        let conflict_doc = make_conflict_document(&loser);
-        if winner.unid() != loser.unid() {
-            unreachable!("conflicting copies share a UNID");
-        }
-        dst.save_replicated(winner)?;
-        // Two losers stamped alike share a conflict UNID, and the conflict
-        // document may have been deleted here since: it is taken as any
-        // pulled note is, so neither is overwritten. Its cost and outcome
-        // are the conflict's.
-        self.take_note(dst, conflict_doc, &mut ReplicationReport::default())?;
-        report.conflicts += 1;
-        Ok(())
+        let doc = make_conflict_document(loser);
+        (Outcome::Conflict(doc), Some(winner.clone()))
     }
 
-    /// Bytes this transfer would put on the wire.
-    fn ship_cost(
-        &self,
-        remote: &Note,
-        local: Option<&Note>,
-        report: &mut ReplicationReport,
-    ) -> u64 {
+    /// Account the bytes and items this transfer puts on the wire.
+    fn ship(&self, remote: &Note, local: Option<&Note>, report: &mut ReplicationReport) {
         const HEADER: u64 = 64;
-        if !self.options.field_level || local.is_none() {
+        let Some(local) = local.filter(|_| self.options.field_level) else {
             report.items_shipped += remote.items_raw().len() as u64;
-            return HEADER + remote.byte_size() as u64;
-        }
-        let local = local.expect("checked");
+            report.bytes_shipped += HEADER + remote.byte_size() as u64;
+            return;
+        };
         // Field level: ship only items whose (value, flags, revised)
-        // differ, plus a small per-item digest-exchange overhead. Local
-        // items are indexed by name once, so the comparison is
-        // O(items), not O(items²).
-        let local_by_name: HashMap<String, &Item> = local
-            .items_raw()
-            .iter()
-            .map(|l| (l.name.to_ascii_lowercase(), l))
-            .collect();
-        let mut bytes = HEADER;
+        // differ, plus a small per-item digest-exchange overhead.
+        report.bytes_shipped += HEADER;
         for it in remote.items_raw() {
-            bytes += 10; // digest exchange per item
-            let same = local_by_name
-                .get(&it.name.to_ascii_lowercase())
+            report.bytes_shipped += 10; // digest exchange per item
+            let same = local
+                .items_raw()
+                .iter()
+                .find(|l| l.name.eq_ignore_ascii_case(&it.name))
                 .is_some_and(|l| {
                     l.value == it.value && l.flags == it.flags && l.revised == it.revised
                 });
             if !same {
-                bytes += it.byte_size() as u64;
+                report.bytes_shipped += it.byte_size() as u64;
                 report.items_shipped += 1;
             }
         }
-        bytes
     }
+}
+
+/// What one candidate did to the destination; each outcome is one of
+/// [`ReplicationReport`]'s counters. A conflict carries the loser's
+/// `$Conflict` document, still to be taken.
+#[derive(PartialEq)]
+enum Outcome {
+    Added,
+    Updated,
+    Unchanged,
+    LocalNewer,
+    Merged,
+    Conflict(Note),
+    Deleted,
+}
+
+impl ReplicationReport {
+    fn count(&mut self, outcome: &Outcome) {
+        *match outcome {
+            Outcome::Added => &mut self.added,
+            Outcome::Updated => &mut self.updated,
+            Outcome::Unchanged => &mut self.unchanged,
+            Outcome::LocalNewer => &mut self.local_newer,
+            Outcome::Merged => &mut self.merged,
+            Outcome::Conflict(_) => &mut self.conflicts,
+            Outcome::Deleted => &mut self.deletions,
+        } += 1;
+    }
+}
+
+/// The keys of `src` whose value `dst` lacks or holds differently, by one
+/// merge-join of two lists ascending by key (bucket, or UNID).
+fn src_only<K: Ord + Copy, V: PartialEq>(src: &[(K, V)], dst: &[(K, V)]) -> Vec<K> {
+    let mut theirs = dst.iter().peekable();
+    src.iter()
+        .filter(|(key, value)| {
+            while theirs.next_if(|(k, _)| k < key).is_some() {}
+            theirs.peek().is_none_or(|(k, v)| k != key || v != value)
+        })
+        .map(|(key, _)| *key)
+        .collect()
 }
 
 /// Merge two divergent copies field-wise. Succeeds only when no single
