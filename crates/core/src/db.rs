@@ -472,11 +472,6 @@ impl Database {
         self.versions.stats()
     }
 
-    /// Snapshots of *this* database currently pinned.
-    pub fn active_snapshots(&self) -> usize {
-        self.versions.active_pins()
-    }
-
     /// Return once event number `last` has reached every observer — or
     /// at once, from inside an observer or while a batch is open. If no
     /// thread is draining, this one drains, and it keeps draining until

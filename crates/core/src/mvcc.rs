@@ -390,15 +390,6 @@ impl VersionStore {
         st.chains.values().map(|c| c.versions.len()).sum()
     }
 
-    /// Snapshots of this map currently pinned.
-    pub(crate) fn active_pins(&self) -> usize {
-        self.pins
-            .lock()
-            .expect("pin registry poisoned")
-            .values()
-            .sum()
-    }
-
     pub(crate) fn stats(&self) -> SnapshotStats {
         let reg = m();
         SnapshotStats {

@@ -25,7 +25,7 @@
 
 use std::collections::HashSet;
 
-use domino_types::{ContentHash, ContentHasher, Item, Oid, Timestamp, Value};
+use domino_types::{ContentHash, ContentHasher, Item, ItemFlags, Oid, Timestamp, Value};
 
 use crate::note::Note;
 
@@ -153,11 +153,23 @@ fn set_chain(note: &mut Note, entries: &[(ContentHash, Timestamp)]) {
     note.set(ITEM_REVISION_HASHES, Value::TextList(encoded));
 }
 
-/// Append a new head entry to the note's chain.
+/// Append a new head entry to the note's chain. The stored entries are
+/// kept as they are, not parsed and formatted again, so the append costs
+/// the same at any edit depth.
 pub fn push_head(note: &mut Note, hash: ContentHash, time: Timestamp) {
-    let mut entries = revision_chain(note);
-    entries.push((hash, time));
-    set_chain(note, &entries);
+    let stored = note
+        .items_raw_mut()
+        .iter_mut()
+        .find(|it| it.name.eq_ignore_ascii_case(ITEM_REVISION_HASHES))
+        .filter(|it| !it.flags.contains(ItemFlags::DELETED))
+        .map(|it| std::mem::replace(&mut it.value, Value::TextList(Vec::new())));
+    let mut entries = match stored {
+        Some(Value::TextList(entries)) => entries,
+        Some(Value::Text(entry)) => vec![entry],
+        _ => Vec::new(),
+    };
+    entries.push(format!("{}|{:016x}", hash.to_hex(), time.0));
+    note.set(ITEM_REVISION_HASHES, Value::TextList(entries));
 }
 
 /// The deterministic ancestor-set union for a merge: the winner's entries
@@ -300,6 +312,27 @@ mod tests {
         assert_eq!(head_hash(&n), Some(ContentHash(0xc)));
         n.set(ITEM_REVISION_HASHES, Value::Number(1.0));
         assert_eq!(head_hash(&n), None);
+    }
+
+    #[test]
+    fn a_save_appends_to_the_stored_chain_as_it_is() {
+        let db = crate::Database::open_in_memory(
+            crate::DbConfig::new("T", domino_types::ReplicaId(1), domino_types::ReplicaId(2)),
+            domino_types::LogicalClock::new(),
+        )
+        .unwrap();
+        let mut n = Note::document("Memo");
+        db.save(&mut n).unwrap();
+        // The same entry in uppercase hex: it parses, but is not canonical.
+        let first = chain_entries(&n)[0].to_uppercase();
+        assert_ne!(first, chain_entries(&n)[0]);
+        n.set(ITEM_REVISION_HASHES, Value::text(first.as_str()));
+        let parent = head_hash(&n).unwrap();
+        db.save(&mut n).unwrap();
+        let stored = db.open_by_unid(n.unid()).unwrap();
+        assert_eq!(chain_entries(&stored)[0], first);
+        assert_eq!(chain_entries(&stored).len(), 2);
+        assert!(revision_chain(&stored).iter().any(|(h, _)| *h == parent));
     }
 
     #[test]

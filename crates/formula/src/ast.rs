@@ -25,26 +25,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    pub fn symbol(self) -> &'static str {
-        match self {
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
-            BinOp::Eq => "=",
-            BinOp::Ne => "<>",
-            BinOp::Lt => "<",
-            BinOp::Le => "<=",
-            BinOp::Gt => ">",
-            BinOp::Ge => ">=",
-            BinOp::PermEq => "*=",
-            BinOp::PermNe => "*<>",
-            BinOp::And => "&",
-            BinOp::Or => "|",
-            BinOp::Concat => ":",
-        }
-    }
-
     /// Is this a comparison producing a boolean (1/0) result?
     pub fn is_comparison(self) -> bool {
         matches!(

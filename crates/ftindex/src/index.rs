@@ -154,8 +154,8 @@ pub struct InvertedIndex {
     /// By ordinal.
     docs: Vec<Doc>,
     free_docs: Vec<u32>,
-    /// `index_note`'s reused buffer: `(term id, position)` per token.
-    tokens: Vec<(u32, u32)>,
+    /// `index_note`'s reused buffer: `term id << 32 | position` per token.
+    tokens: Vec<u64>,
     /// Heap bytes of the terms and documents, kept as they change;
     /// [`InvertedIndex::bytes`] adds the containers that hold them.
     held: usize,
@@ -180,6 +180,28 @@ fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * size_of::<T>()
 }
 
+/// One note's recent words (up to eight bytes, packed into an integer)
+/// and their term ids, one slot each, so that most of a note's tokens
+/// skip the term table. A slot is picked by an unkeyed multiply: words
+/// made to share one only miss, and a miss is one lookup in the term
+/// table, whose hasher stays keyed. Ids hold while a note is indexed.
+struct RecentWords([(u64, u32); 256]);
+
+impl RecentWords {
+    fn id(&mut self, word: &str, intern: impl FnOnce(&str) -> u32) -> u32 {
+        if word.len() > 8 {
+            return intern(word);
+        }
+        // No word holds a zero byte, so no two words pack alike.
+        let key = word.bytes().fold(0, |k, b| k << 8 | u64::from(b));
+        let slot = &mut self.0[(key.wrapping_mul(0x517C_C1B7_2722_0A95) >> 56) as usize];
+        if slot.0 != key {
+            *slot = (key, intern(word));
+        }
+        slot.1
+    }
+}
+
 impl InvertedIndex {
     pub fn new() -> InvertedIndex {
         InvertedIndex::default()
@@ -194,46 +216,54 @@ impl InvertedIndex {
         self.remove(note.unid());
         let mut tokens = std::mem::take(&mut self.tokens);
         tokens.clear();
+        let mut recent = RecentWords([(0, 0); 256]);
         let mut word = String::new();
         let mut pos = 0;
         for item in note.items().filter(|item| !item.is_system()) {
             let mut visit = |text: &str| {
                 for_each_word(text, &mut pos, &mut word, |w, p| {
-                    tokens.push((self.intern(w), p))
+                    let id = recent.id(w, |w| self.intern(w));
+                    tokens.push(u64::from(id) << 32 | u64::from(p))
                 })
             };
             match &item.value {
                 Value::Text(s) => visit(s),
                 Value::TextList(list) => list.iter().for_each(|s| visit(s)),
-                Value::RichText(bytes) => visit(&String::from_utf8_lossy(bytes)),
+                Value::RichText(bytes) => match std::str::from_utf8(bytes) {
+                    Ok(text) => visit(text),
+                    Err(_) => visit(&String::from_utf8_lossy(bytes)),
+                },
                 _ => continue,
             }
             pos += 1;
         }
+        // Term id high: sorting the integers groups the tokens by term,
+        // each term's positions ascending.
         tokens.sort_unstable();
+        let term_of = |token: &u64| (token >> 32) as u32;
 
         let ord = self.free_docs.pop().unwrap_or_else(|| {
             self.docs.push(Doc::vacant());
             self.docs.len() as u32 - 1
         });
-        let doc = Doc {
-            unid: note.unid(),
-            tokens: (tokens.len() as u32).max(1),
-            terms: tokens
-                .chunk_by(|a, b| a.0 == b.0)
-                .map(|run| run[0].0)
-                .collect(),
-            positions: tokens.iter().map(|&(_, p)| p).collect(),
-        };
+        let mut terms = Vec::new();
         let mut offset = 0;
-        for run in tokens.chunk_by(|a, b| a.0 == b.0) {
+        for run in tokens.chunk_by(|a, b| term_of(a) == term_of(b)) {
+            let id = term_of(&run[0]);
             let len = run.len() as u32;
-            let term = &mut self.terms[run[0].0 as usize];
+            let term = &mut self.terms[id as usize];
             self.held -= term.heap_bytes();
             term.postings.insert(ord, (offset, len));
             self.held += term.heap_bytes();
+            terms.push(id);
             offset += len;
         }
+        let doc = Doc {
+            unid: note.unid(),
+            tokens: (tokens.len() as u32).max(1),
+            terms: terms.into_boxed_slice(),
+            positions: tokens.iter().map(|&token| token as u32).collect(),
+        };
         self.held += doc.heap_bytes();
         self.docs[ord as usize] = doc;
         self.ordinals.insert(note.unid(), ord);
@@ -243,7 +273,7 @@ impl InvertedIndex {
         self.report();
     }
 
-    /// The id of `word`, interning it if new.
+    /// The id of `word`, interning it if new. A hit allocates nothing.
     fn intern(&mut self, word: &str) -> u32 {
         if let Some(&id) = self.ids.get(word) {
             return id;
@@ -503,6 +533,22 @@ mod tests {
         // two aligned occurrences * 2 words
         let raw = ix.eval(&parse_query("\"big cat\"").unwrap());
         assert_eq!(raw[&ix.ordinals[&Unid(1)]], 4);
+    }
+
+    #[test]
+    fn a_query_word_with_punctuation_is_split_as_documents_are() {
+        let ix = index(&[
+            (
+                1,
+                "please send the e-mail about state-of-the-art quick-brown foxes",
+            ),
+            (2, "brown quick foxes"),
+        ]);
+        assert_eq!(unids(&ix, "e-mail"), vec![1]);
+        assert_eq!(unids(&ix, "quick-brown"), vec![1]);
+        assert_eq!(unids(&ix, "\"quick-brown foxes\""), vec![1]);
+        assert_eq!(unids(&ix, "State-of-the-Art"), vec![1]);
+        assert_eq!(unids(&ix, "brown"), vec![1, 2]);
     }
 
     #[test]

@@ -9,10 +9,16 @@
 //! not    := term ( "NOT" term )*
 //! term   := word | "\"" phrase "\"" | "(" query ")"
 //! ```
+//!
+//! A `word` runs to whitespace, a parenthesis or a quote. It and the body
+//! of a `phrase` are tokenized exactly as a document is
+//! ([`crate::tokenizer`]): no token is an error, one token is a term, and
+//! two or more are a phrase, so `e-mail` searches `mail` and `quick-brown`
+//! searches the phrase `"quick brown"`.
 
 use domino_types::{DominoError, Result};
 
-use crate::tokenizer::normalize_word;
+use crate::tokenizer::tokenize;
 
 /// Parsed query tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,8 +33,8 @@ pub enum QueryNode {
 
 #[derive(Debug, PartialEq)]
 enum Tok {
-    Word(String),
-    Phrase(Vec<String>),
+    /// A word or a quoted phrase: a term or a phrase node.
+    Words(QueryNode),
     And,
     Or,
     Not,
@@ -36,64 +42,56 @@ enum Tok {
     RParen,
 }
 
+/// `text` tokenized as a document holding it is indexed, or the error
+/// message `empty` makes when no word is left.
+fn words(text: &str, empty: impl FnOnce() -> String) -> Result<Tok> {
+    let mut words: Vec<String> = tokenize(text).into_iter().map(|(w, _)| w).collect();
+    Ok(Tok::Words(match words.len() {
+        0 => return Err(DominoError::InvalidArgument(empty())),
+        1 => QueryNode::Term(words.remove(0)),
+        _ => QueryNode::Phrase(words),
+    }))
+}
+
 fn lex(src: &str) -> Result<Vec<Tok>> {
+    let blank = [' ', '\t', '\n', '\r'];
     let mut out = Vec::new();
-    let mut chars = src.char_indices().peekable();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            ' ' | '\t' | '\n' | '\r' => {}
-            '(' => out.push(Tok::LParen),
-            ')' => out.push(Tok::RParen),
+    let mut rest = src.trim_start_matches(blank);
+    while let Some(c) = rest.chars().next() {
+        let len = match c {
+            '(' | ')' => {
+                out.push(if c == '(' { Tok::LParen } else { Tok::RParen });
+                1
+            }
             '"' => {
-                let start = i + 1;
-                let mut end = None;
-                for (j, d) in chars.by_ref() {
-                    if d == '"' {
-                        end = Some(j);
-                        break;
-                    }
-                }
-                let Some(end) = end else {
+                let Some(len) = rest[1..].find('"') else {
                     return Err(DominoError::InvalidArgument(
                         "unterminated phrase quote".into(),
                     ));
                 };
-                let words: Vec<String> = src[start..end]
-                    .split_whitespace()
-                    .filter_map(normalize_word)
-                    .collect();
-                if words.is_empty() {
-                    return Err(DominoError::InvalidArgument(
-                        "phrase has no searchable words".into(),
-                    ));
-                }
-                out.push(Tok::Phrase(words));
+                out.push(words(&rest[1..=len], || {
+                    "phrase has no searchable words".into()
+                })?);
+                len + 2
             }
             _ => {
-                let mut word = String::new();
-                word.push(c);
-                while let Some((_, d)) = chars.peek() {
-                    if d.is_whitespace() || *d == '(' || *d == ')' || *d == '"' {
-                        break;
-                    }
-                    word.push(*d);
-                    chars.next();
-                }
-                match word.to_ascii_uppercase().as_str() {
-                    "AND" | "&" => out.push(Tok::And),
-                    "OR" | "|" => out.push(Tok::Or),
-                    "NOT" | "!" => out.push(Tok::Not),
-                    _ => match normalize_word(&word) {
-                        Some(w) => out.push(Tok::Word(w)),
-                        None => {
-                            return Err(DominoError::InvalidArgument(format!(
-                                "{word:?} is too short or a stopword"
-                            )))
-                        }
-                    },
-                }
+                // The first char is the word's even if it is whitespace.
+                let len = rest
+                    .char_indices()
+                    .skip(1)
+                    .find(|&(_, d)| d.is_whitespace() || matches!(d, '(' | ')' | '"'))
+                    .map_or(rest.len(), |(n, _)| n);
+                let word = &rest[..len];
+                out.push(match word.to_ascii_uppercase().as_str() {
+                    "AND" | "&" => Tok::And,
+                    "OR" | "|" => Tok::Or,
+                    "NOT" | "!" => Tok::Not,
+                    _ => words(word, || format!("{word:?} is too short or a stopword"))?,
+                });
+                len
             }
-        }
+        };
+        rest = rest[len..].trim_start_matches(blank);
     }
     Ok(out)
 }
@@ -144,7 +142,7 @@ impl Parser {
                     lhs = QueryNode::And(Box::new(lhs), Box::new(rhs));
                 }
                 // Implicit AND on adjacency.
-                Some(Tok::Word(_)) | Some(Tok::Phrase(_)) | Some(Tok::LParen) => {
+                Some(Tok::Words(_)) | Some(Tok::LParen) => {
                     let rhs = self.not()?;
                     lhs = QueryNode::And(Box::new(lhs), Box::new(rhs));
                 }
@@ -166,17 +164,8 @@ impl Parser {
 
     fn term(&mut self) -> Result<QueryNode> {
         match self.toks.get(self.pos) {
-            Some(Tok::Word(w)) => {
-                let node = QueryNode::Term(w.clone());
-                self.pos += 1;
-                Ok(node)
-            }
-            Some(Tok::Phrase(ws)) => {
-                let node = if ws.len() == 1 {
-                    QueryNode::Term(ws[0].clone())
-                } else {
-                    QueryNode::Phrase(ws.clone())
-                };
+            Some(Tok::Words(node)) => {
+                let node = node.clone();
                 self.pos += 1;
                 Ok(node)
             }
@@ -257,6 +246,18 @@ mod tests {
             parse_query("\"fox\"").unwrap(),
             QueryNode::Term("fox".into())
         );
+    }
+
+    #[test]
+    fn a_word_is_cut_at_whitespace_parentheses_and_quotes() {
+        let cats = || Box::new(QueryNode::Term("cats".into()));
+        let q = parse_query("\u{a0}cats(dogs)\"cats\"").unwrap();
+        let dogs = Box::new(QueryNode::Term("dogs".into()));
+        assert_eq!(
+            q,
+            QueryNode::And(Box::new(QueryNode::And(cats(), dogs)), cats())
+        );
+        assert!(parse_query("cats \u{a0}").is_err());
     }
 
     #[test]

@@ -3,6 +3,13 @@
 //! Words are maximal alphanumeric runs, lowercased; single characters and
 //! stopwords are dropped *before* positions are assigned, so phrases match
 //! across stopwords ("state of the art" matches the phrase "state art").
+//! Documents and queries go through the same [`for_each_word`].
+//!
+//! The scan is byte-level: an ASCII byte is a letter, a digit or a
+//! separator by itself, so ASCII text splits and lowercases one byte at a
+//! time. A segment between ASCII separators that holds a non-ASCII byte
+//! falls back to the `char` rule (`char::is_alphanumeric`,
+//! `str::to_lowercase`), which gives the same words at the same positions.
 
 /// Common English stopwords (the short list Domino's index options used).
 pub const STOPWORDS: &[&str] = &[
@@ -11,37 +18,65 @@ pub const STOPWORDS: &[&str] = &[
     "the", "their", "they", "this", "to", "was", "we", "were", "which", "will", "with", "you",
 ];
 
+/// No stopword is longer: a longer word skips the search.
+const STOPWORD_MAX: usize = 5;
+
 fn is_stopword(w: &str) -> bool {
-    STOPWORDS.binary_search(&w).is_ok()
+    w.len() <= STOPWORD_MAX && STOPWORDS.binary_search(&w).is_ok()
 }
 
 /// The one tokenizer: hand each word of `text` to `f` with its position,
-/// numbering from `*pos` and leaving `*pos` one past the last word. Each
-/// word is lowercased into `buf`, which the caller reuses, so an ASCII
-/// word allocates nothing.
+/// numbering from `*pos` and leaving `*pos` one past the last word. A word
+/// that is not lowercase already is lowercased into `buf`, which the
+/// caller reuses, so an ASCII word allocates nothing.
 pub(crate) fn for_each_word(
     text: &str,
     pos: &mut u32,
     buf: &mut String,
     mut f: impl FnMut(&str, u32),
 ) {
-    for raw in text.split(|c: char| !c.is_alphanumeric()) {
-        if raw.len() < 2 {
-            continue;
+    let mut emit = |word: &str| {
+        if !is_stopword(word) {
+            f(word, *pos);
+            *pos += 1;
         }
-        buf.clear();
-        if raw.is_ascii() {
-            buf.push_str(raw);
-            buf.make_ascii_lowercase();
-        } else {
-            // `str::to_lowercase` knows the word-final sigma; `char` does not.
-            buf.push_str(&raw.to_lowercase());
+    };
+    let bytes = text.as_bytes();
+    let separator = |b: &u8| b.is_ascii() && !b.is_ascii_alphanumeric();
+    let mut end = 0;
+    while let Some(start) = bytes[end..].iter().position(|b| !separator(b)) {
+        let start = end + start;
+        // A separator is ASCII and not uppercase: it leaves both flags.
+        let (mut wide, mut upper) = (false, false);
+        end = start
+            + bytes[start..]
+                .iter()
+                .take_while(|&b| {
+                    wide |= !b.is_ascii();
+                    upper |= b.is_ascii_uppercase();
+                    !separator(b)
+                })
+                .count();
+        // `start` and `end` sit at an ASCII byte or an end: char boundaries.
+        let segment = &text[start..end];
+        if wide {
+            // Lengths are of the words as written. `str::to_lowercase`
+            // knows the word-final sigma; `char` does not.
+            for word in segment.split(|c: char| !c.is_alphanumeric()) {
+                if word.len() >= 2 {
+                    emit(&word.to_lowercase());
+                }
+            }
+        } else if segment.len() >= 2 {
+            if upper {
+                buf.clear();
+                buf.push_str(segment);
+                buf.make_ascii_lowercase();
+                emit(buf);
+            } else {
+                emit(segment);
+            }
         }
-        if is_stopword(buf) {
-            continue;
-        }
-        f(buf, *pos);
-        *pos += 1;
     }
 }
 
@@ -54,21 +89,6 @@ pub fn tokenize(text: &str) -> Vec<(String, u32)> {
     out
 }
 
-/// Tokenize a query word the same way documents are (single normalization
-/// path keeps query and index consistent).
-pub fn normalize_word(word: &str) -> Option<String> {
-    let w: String = word
-        .chars()
-        .filter(|c| c.is_alphanumeric())
-        .collect::<String>()
-        .to_lowercase();
-    if w.len() < 2 || is_stopword(&w) {
-        None
-    } else {
-        Some(w)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +98,11 @@ mod tests {
         let mut sorted = STOPWORDS.to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, STOPWORDS);
+    }
+
+    #[test]
+    fn no_stopword_is_longer_than_the_search_bound() {
+        assert!(STOPWORDS.iter().all(|w| w.len() <= STOPWORD_MAX));
     }
 
     #[test]
@@ -114,18 +139,11 @@ mod tests {
     }
 
     #[test]
-    fn normalize_word_matches_tokenizer() {
-        assert_eq!(normalize_word("FOX!"), Some("fox".to_string()));
-        assert_eq!(normalize_word("the"), None);
-        assert_eq!(normalize_word("x"), None);
-    }
-
-    #[test]
     fn unicode_text_survives() {
         let toks = tokenize("naïve café systems");
         assert_eq!(toks.len(), 3);
         assert_eq!(toks[0].0, "naïve");
-        // A word-final capital sigma lowercases as the query side does.
-        assert_eq!(tokenize("ΟΔΟΣ")[0].0, normalize_word("ΟΔΟΣ").unwrap());
+        // A word-final capital sigma lowercases as `str::to_lowercase` does.
+        assert_eq!(tokenize("ΟΔΟΣ")[0].0, "\u{3bf}\u{3b4}\u{3bf}\u{3c2}");
     }
 }

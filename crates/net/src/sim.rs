@@ -534,11 +534,6 @@ impl Network {
         self.shared.lock().retry = policy;
     }
 
-    /// The current retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.shared.lock().retry
-    }
-
     /// Replace the spec of one link (e.g. to make just the WAN hop lossy).
     pub fn set_link_spec(&mut self, a: usize, b: usize, spec: LinkSpec) {
         self.shared.lock().specs.insert(key(a, b), spec);
@@ -550,11 +545,6 @@ impl Network {
         for l in &self.links {
             links.specs.insert(*l, spec);
         }
-    }
-
-    /// The spec of a link (default when the pair is not a topology link).
-    pub fn link_spec(&self, a: usize, b: usize) -> LinkSpec {
-        self.shared.lock().spec(a, b)
     }
 
     /// Schedule a server outage window: the server neither replicates nor

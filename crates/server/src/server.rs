@@ -395,11 +395,6 @@ impl DominoServer {
         s.drains -= 1;
     }
 
-    /// Rendered pages currently in the command cache.
-    pub fn cached_pages(&self) -> usize {
-        self.inner.cache.len()
-    }
-
     /// Run one agent-manager pass over every registered database: due
     /// [`Scheduled`](domino_core::AgentTrigger::Scheduled) agents and —
     /// when the change sequence moved —

@@ -932,11 +932,6 @@ impl Engine {
         &self.config
     }
 
-    /// Bytes on disk (experiment accounting).
-    pub fn disk_bytes(&self) -> Result<u64> {
-        self.disk.size_bytes()
-    }
-
     /// Logical store size: every page ever allocated (whether or not it
     /// has reached disk yet), in bytes. This is the number compaction
     /// shrinks.

@@ -170,12 +170,6 @@ impl NoteClass {
             _ => return None,
         })
     }
-
-    /// Design notes replicate like documents but are usually excluded from
-    /// data views; documents are the "rows" of the database.
-    pub fn is_design(self) -> bool {
-        !matches!(self, NoteClass::Document)
-    }
 }
 
 #[cfg(test)]

@@ -266,6 +266,39 @@ fn one_revision_history_read_in_one_module() {
 }
 
 #[test]
+fn one_tokenizer() {
+    // Documents and queries are split and lowercased by one function,
+    // `ftindex::tokenizer::for_each_word`. A second normalization glued a
+    // query's `e-mail` into `email` while documents split it.
+    let files = sources();
+    let others = files
+        .iter()
+        .filter(|(f, _)| {
+            f.starts_with("crates/ftindex/src/") && f != "crates/ftindex/src/tokenizer.rs"
+        })
+        .map(|(f, t)| (f.as_str(), t.as_str()));
+    assert_none(
+        "text split or lowercased outside `ftindex::tokenizer`",
+        offending(others, |l| {
+            [
+                "to_lowercase",
+                "to_ascii_lowercase",
+                "make_ascii_lowercase",
+                "is_alphanumeric",
+            ]
+            .iter()
+            .any(|c| l.contains(c))
+        }),
+    );
+    assert_none(
+        "a second query normalization",
+        offending(files.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            has_word(l, "normalize_word")
+        }),
+    );
+}
+
+#[test]
 fn one_candidate_enumeration() {
     let files = sources();
     let retired = [

@@ -1,12 +1,14 @@
 //! Property: the inverted index answers exactly like a naive scan over the
 //! document texts, through arbitrary index/update/remove schedules, and an
 //! index maintained through a schedule of item edits equals one built
-//! fresh from the final notes.
+//! fresh from the final notes. The tokenizer itself is checked against the
+//! `char` rule it replaced, and a query built from a text's tokens finds
+//! that text.
 
 use proptest::prelude::*;
 
 use domino::core::Note;
-use domino::ftindex::{parse_query, tokenize, InvertedIndex};
+use domino::ftindex::{parse_query, tokenize, InvertedIndex, STOPWORDS};
 use domino::types::{NoteClass, Unid, Value};
 
 fn words() -> impl Strategy<Value = String> {
@@ -25,6 +27,72 @@ fn note(unid: u128, text: &str) -> Note {
     n.oid.unid = Unid(unid);
     n.set("Body", Value::text(text));
     n
+}
+
+/// The `char` rule the byte-level tokenizer must reproduce: maximal
+/// alphanumeric runs of at least two bytes as written, lowercased by
+/// `str::to_lowercase`, stopwords dropped before positions are assigned.
+fn char_rule(text: &str) -> Vec<(String, u32)> {
+    let mut out = Vec::new();
+    for raw in text.split(|c: char| !c.is_alphanumeric()) {
+        let word = raw.to_lowercase();
+        if raw.len() >= 2 && !STOPWORDS.contains(&word.as_str()) {
+            out.push((word, out.len() as u32));
+        }
+    }
+    out
+}
+
+/// Pieces of a mixed text, glued with no space between them: ASCII words
+/// and stopwords, non-ASCII letters and separators (no-break space, em
+/// dash, middle dot), digits, one-byte words and a word-final sigma.
+const PIECES: &[&str] = &[
+    "alpha",
+    "Beta",
+    "GAMMA",
+    "dElTa",
+    "the",
+    "The",
+    "THE",
+    "Of",
+    "which",
+    "THEIR",
+    "x",
+    "Q",
+    "7",
+    "2024",
+    "q3",
+    " ",
+    "\t",
+    "-",
+    ",",
+    ".",
+    "'",
+    "\n",
+    "\u{a0}",
+    "\u{2014}",
+    "\u{b7}",
+    "é",
+    "naïve",
+    "Café",
+    "STRASSE",
+    "straße",
+    "Ærø",
+    "ΟΔΟΣ",
+    "Σ",
+    "λόγος",
+    "日本",
+    "Ω",
+];
+
+/// Pieces whose lowercase is not itself one word: the Kelvin sign
+/// lowercases to a one-byte `k`, and dotted capital I to `i` and a
+/// combining dot that is not alphanumeric. A query for such a token cannot
+/// find it, so only the char-rule property uses them.
+const UNSTABLE_PIECES: &[&str] = &["\u{212a}", "İstanbul"];
+
+fn mixed_text(pieces: Vec<&'static str>) -> impl Strategy<Value = String> {
+    prop::collection::vec(prop::sample::select(pieces), 0..24).prop_map(|ps| ps.concat())
 }
 
 /// Naive evaluation of a single-word query: docs whose token stream
@@ -288,5 +356,47 @@ proptest! {
             .map(|(u, _)| u)
             .collect();
         prop_assert_eq!(index_hits(&ix, &format!("\"{w1} {w2}\"")), naive);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+    /// The byte-level tokenizer yields the `char` rule's words at the
+    /// `char` rule's positions.
+    #[test]
+    fn tokenizer_matches_the_char_rule(
+        text in mixed_text([PIECES, UNSTABLE_PIECES].concat()),
+    ) {
+        prop_assert_eq!(tokenize(&text), char_rule(&text));
+    }
+
+    /// Any run of a text's tokens, joined by punctuation and quoted, finds
+    /// that text; so does the run as one bare word.
+    #[test]
+    fn a_run_of_tokens_joined_by_punctuation_finds_its_text(
+        text in mixed_text(PIECES.to_vec()),
+        other in mixed_text(PIECES.to_vec()),
+        start in any::<prop::sample::Index>(),
+        len in 1..4usize,
+        joiner in prop::sample::select(vec!["-", ",", ".", "/", "_", "'", "\u{2014}", "\u{b7}"]),
+    ) {
+        // Indexed beside `other`, so a query can match the wrong note.
+        let mut ix = InvertedIndex::new();
+        ix.index_note(&note(1, &text));
+        ix.index_note(&note(2, &other));
+        let tokens = tokenize(&text);
+        let start = start.index(tokens.len().max(1));
+        let run: Vec<&str> = tokens
+            .iter()
+            .skip(start)
+            .take(len)
+            .map(|(w, _)| w.as_str())
+            .collect();
+        let joined = run.join(joiner);
+        let queries = if run.is_empty() { vec![] } else { vec![format!("\"{joined}\""), joined] };
+        for q in queries {
+            prop_assert!(index_hits(&ix, &q).contains(&1), "query {} on {:?}", q, text);
+        }
     }
 }
