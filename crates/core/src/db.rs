@@ -17,20 +17,21 @@
 //! push stay incremental. Each commit queues its [`ChangeEvent`] while it
 //! still holds the engine mutex, so the queue is in commit order. One
 //! thread at a time drains the queue and hands each slice to every
-//! observer ([`Database::subscribe`]) in registration order. A
-//! `save`/`delete` returns once its event has reached every observer;
-//! one made from inside an observer (a cluster push into a mate) only
-//! queues, and the draining thread delivers it. Bulk writers wrap their
-//! work in [`Database::begin_batch`]: delivery is held back until the
-//! outermost guard drops, then the queue is coalesced (last write per
-//! UNID wins, with the surviving event's `old` patched to the pre-batch
-//! state) so a view index evaluates a thousand-save import as one slice.
+//! observer ([`Database::subscribe`]; its [`Subscription`] owns it) in
+//! registration order. A `save`/`delete` returns once its event has
+//! reached every observer; one made from inside an observer (a cluster
+//! push into a mate) only queues, and the draining thread delivers it.
+//! Bulk writers wrap their work in [`Database::begin_batch`]: delivery is
+//! held back until the outermost guard drops, then the queue is coalesced
+//! (last write per UNID wins, with the surviving event's `old` patched to
+//! the pre-batch state) so a view index evaluates a thousand-save import
+//! as one slice.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError, Weak};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -99,7 +100,14 @@ pub enum ChangeEvent {
     Deleted { old: Note, stub: DeletionStub },
 }
 
-type Subscriber = Arc<dyn Fn(&[ChangeEvent]) + Send + Sync>;
+type Observer = dyn Fn(&[ChangeEvent]) + Send + Sync;
+
+/// Owns what [`Database::subscribe`] registered; the feed holds it weakly.
+/// Dropping this takes no lock; a call already running finishes.
+#[must_use = "dropping a Subscription ends its observer's deliveries"]
+pub struct Subscription {
+    _observer: Arc<Observer>,
+}
 
 thread_local! {
     /// Observer calls running on this thread. A commit made inside one
@@ -112,7 +120,7 @@ thread_local! {
 /// and who is delivering them.
 #[derive(Default)]
 struct Feed {
-    observers: Arc<Vec<Subscriber>>,
+    observers: Arc<Vec<Weak<Observer>>>,
     queue: Vec<ChangeEvent>,
     /// Events ever queued; the last one queued is event number `queued`.
     queued: u64,
@@ -429,14 +437,21 @@ impl Database {
     }
 
     /// Register a change observer (views, full-text index, cluster
-    /// replicator). It receives every committed change, in commit order,
-    /// as slices: usually one event per commit, a coalesced slice after
-    /// [`Database::begin_batch`]. Observers run one after another in
-    /// registration order, on whichever thread is draining the feed,
-    /// outside the engine mutex. Events committed before the call but not
-    /// yet delivered reach it too.
-    pub fn subscribe(&self, f: Subscriber) {
-        Arc::make_mut(&mut self.feed.lock().observers).push(f);
+    /// replicator) while the returned [`Subscription`] lives. It receives
+    /// every committed change, in commit order, as slices: usually one
+    /// event per commit, a coalesced slice after [`Database::begin_batch`].
+    /// Observers run one after another in registration order, on whichever
+    /// thread is draining the feed, outside the engine mutex. Events
+    /// committed before the call but not yet delivered reach it too.
+    pub fn subscribe(&self, f: impl Fn(&[ChangeEvent]) + Send + Sync + 'static) -> Subscription {
+        let observer: Arc<Observer> = Arc::new(f);
+        let mut feed = self.feed.lock();
+        let observers = Arc::make_mut(&mut feed.observers);
+        observers.retain(|o| o.strong_count() > 0);
+        observers.push(Arc::downgrade(&observer));
+        Subscription {
+            _observer: observer,
+        }
     }
 
     /// Hold delivery back: events from every save/delete made while the
@@ -497,12 +512,13 @@ impl Database {
         while !f.queue.is_empty() && f.batch_depth == 0 {
             let queued = std::mem::take(&mut f.queue);
             let taken = queued.len() as u64;
+            Arc::make_mut(&mut f.observers).retain(|o| o.strong_count() > 0);
             let observers = Arc::clone(&f.observers);
             drop(f);
             let events = coalesce(queued);
             IN_OBSERVER.with(|n| n.set(n.get() + 1));
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                for observer in observers.iter() {
+                for observer in observers.iter().filter_map(Weak::upgrade) {
                     observer(&events);
                 }
             }));
@@ -1446,20 +1462,21 @@ mod batch_tests {
         n
     }
 
-    /// Collects every delivered slice for inspection.
-    fn collecting_observer(db: &Database) -> Arc<PMutex<Vec<Vec<ChangeEvent>>>> {
+    /// Collects every delivered slice for inspection while the returned
+    /// subscription lives.
+    fn collecting_observer(db: &Database) -> (Arc<PMutex<Vec<Vec<ChangeEvent>>>>, Subscription) {
         let seen: Arc<PMutex<Vec<Vec<ChangeEvent>>>> = Arc::new(PMutex::new(Vec::new()));
         let sink = seen.clone();
-        db.subscribe(Arc::new(move |events: &[ChangeEvent]| {
+        let feed = db.subscribe(move |events: &[ChangeEvent]| {
             sink.lock().push(events.to_vec());
-        }));
-        seen
+        });
+        (seen, feed)
     }
 
     #[test]
     fn unbatched_changes_arrive_as_single_event_slices() {
         let db = db();
-        let seen = collecting_observer(&db);
+        let (seen, _feed) = collecting_observer(&db);
         doc(&db, "a");
         doc(&db, "b");
         let batches = seen.lock();
@@ -1470,7 +1487,7 @@ mod batch_tests {
     #[test]
     fn batch_buffers_and_coalesces_last_write_wins() {
         let db = db();
-        let seen = collecting_observer(&db);
+        let (seen, _feed) = collecting_observer(&db);
         let mut n = {
             let _guard = db.begin_batch();
             let mut n = doc(&db, "v1");
@@ -1512,7 +1529,7 @@ mod batch_tests {
     fn save_then_delete_in_batch_survives_as_delete() {
         let db = db();
         let before = doc(&db, "keep");
-        let seen = collecting_observer(&db);
+        let (seen, _feed) = collecting_observer(&db);
         {
             let _guard = db.begin_batch();
             let n = doc(&db, "gone");
@@ -1541,7 +1558,7 @@ mod batch_tests {
     #[test]
     fn nested_batches_flush_once_at_outermost() {
         let db = db();
-        let seen = collecting_observer(&db);
+        let (seen, _feed) = collecting_observer(&db);
         {
             let _outer = db.begin_batch();
             doc(&db, "a");
@@ -1560,7 +1577,7 @@ mod batch_tests {
     #[test]
     fn a_coalesced_batch_keeps_commit_order() {
         let db = db();
-        let seen = collecting_observer(&db);
+        let (seen, _feed) = collecting_observer(&db);
         {
             let _guard = db.begin_batch();
             doc(&db, "first");
@@ -1580,13 +1597,14 @@ mod batch_tests {
     fn every_observer_gets_the_batch_in_registration_order() {
         let db = db();
         let order: Arc<PMutex<Vec<usize>>> = Arc::default();
-        let sinks: Vec<Arc<PMutex<Vec<Vec<ChangeEvent>>>>> = (0..4)
+        let (sinks, _feeds): (Vec<_>, Vec<_>) = (0..4)
             .map(|i| {
                 let order = order.clone();
-                db.subscribe(Arc::new(move |_: &[ChangeEvent]| order.lock().push(i)));
-                collecting_observer(&db)
+                let counted = db.subscribe(move |_: &[ChangeEvent]| order.lock().push(i));
+                let (sink, collected) = collecting_observer(&db);
+                (sink, [counted, collected])
             })
-            .collect();
+            .unzip();
         {
             let _guard = db.begin_batch();
             for i in 0..10 {

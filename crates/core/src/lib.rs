@@ -47,7 +47,7 @@ pub use agent::{
     AgentTrigger,
 };
 pub use db::{
-    Candidate, ChangeEvent, CompactStats, Database, DbConfig, DbInfo, Record,
+    Candidate, ChangeEvent, CompactStats, Database, DbConfig, DbInfo, Record, Subscription,
     DEFAULT_PURGE_INTERVAL,
 };
 pub use form::{form_for, save_form, stored_forms, FieldKind, FieldSpec, FormDesign};
@@ -246,13 +246,13 @@ mod tests {
         let db = db();
         let events = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let sink = events.clone();
-        db.subscribe(Arc::new(move |events: &[ChangeEvent]| {
+        let _feed = db.subscribe(move |events: &[ChangeEvent]| {
             sink.lock().extend(events.iter().map(|e| match e {
                 ChangeEvent::Saved { old: None, .. } => "create",
                 ChangeEvent::Saved { old: Some(_), .. } => "update",
                 ChangeEvent::Deleted { .. } => "delete",
             }));
-        }));
+        });
         let mut n = Note::document("M");
         db.save(&mut n).unwrap();
         n.set("X", Value::Number(1.0));

@@ -37,25 +37,26 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use domino_core::{ChangeEvent, Database, Note};
+use domino_core::{ChangeEvent, Database, Subscription};
 use domino_types::Result;
 
 /// A live full-text index bound to a database.
 pub struct FtIndex {
     state: Arc<RwLock<InvertedIndex>>,
+    _feed: Option<Subscription>,
 }
 
 impl FtIndex {
-    /// Index the current contents and stay current via change events.
-    /// Subscribes first; [`FtIndex::rebuild`] then pins its snapshot under
-    /// the index's write lock, so a commit is either in that snapshot or
-    /// its event is applied after the build. Events arrive in commit
-    /// order, so re-indexing one already in the snapshot still leaves each
-    /// document at its latest commit.
+    /// Index the current contents and stay current via change events
+    /// until the index drops. Subscribes first; [`FtIndex::rebuild`] then
+    /// pins its snapshot under the index's write lock, so a commit is
+    /// either in that snapshot or its event is applied after the build.
+    /// Events arrive in commit order, so re-indexing one already in the
+    /// snapshot still leaves each document at its latest commit.
     pub fn attach(db: &Arc<Database>) -> Result<FtIndex> {
-        let ft = FtIndex::detached();
+        let mut ft = FtIndex::detached();
         let state = ft.state.clone();
-        db.subscribe(Arc::new(move |events: &[ChangeEvent]| {
+        ft._feed = Some(db.subscribe(move |events: &[ChangeEvent]| {
             let mut g = state.write();
             for event in events {
                 match event {
@@ -72,6 +73,7 @@ impl FtIndex {
     pub fn detached() -> FtIndex {
         FtIndex {
             state: Arc::new(RwLock::new(InvertedIndex::new())),
+            _feed: None,
         }
     }
 
@@ -89,11 +91,6 @@ impl FtIndex {
         Ok(())
     }
 
-    /// Index one note manually.
-    pub fn index_note(&self, note: &Note) {
-        self.state.write().index_note(note);
-    }
-
     /// Search with the query language: bare words (implicit AND), `AND`,
     /// `OR`, `NOT`, parentheses, and `"quoted phrases"`.
     pub fn search(&self, query: &str) -> Result<Vec<SearchHit>> {
@@ -109,7 +106,7 @@ impl FtIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use domino_core::DbConfig;
+    use domino_core::{DbConfig, Note};
     use domino_types::{LogicalClock, ReplicaId, Unid, Value};
 
     fn db() -> Arc<Database> {

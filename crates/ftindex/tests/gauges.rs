@@ -35,7 +35,8 @@ fn the_index_gauges_follow_rebuilds_and_drops() {
     let bytes = ft.stats().bytes as i64;
     assert!(bytes > 0);
     assert_eq!(gauges(), (start.0 + 3, start.1 + bytes));
-    // The database's change feed holds the index too.
+    // The index's state goes with its handle; the database holds it only
+    // weakly, through the subscription the handle owns.
     drop(ft);
     drop(db);
     assert_eq!(gauges(), start);

@@ -19,18 +19,18 @@
 //! them all.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use domino_core::{ChangeEvent, Database};
+use domino_core::{ChangeEvent, Database, Subscription};
 use domino_obs as obs;
 use domino_types::{DominoError, Result, Unid};
 
 use crate::Replicator;
 
 struct ClusterInner {
-    members: Vec<Weak<Database>>,
+    members: Vec<Arc<Database>>,
     paused: bool,
     /// `dirty[from][to]`: UNIDs committed on mate `from` that mate `to`
     /// has yet to pull.
@@ -41,6 +41,7 @@ struct ClusterInner {
 /// Dropping it stops the pushes.
 pub struct Cluster {
     inner: Arc<Mutex<ClusterInner>>,
+    _feeds: Vec<Subscription>,
 }
 
 impl Cluster {
@@ -56,16 +57,14 @@ impl Cluster {
         }
         let n = members.len();
         let inner = Arc::new(Mutex::new(ClusterInner {
-            members: members.iter().map(Arc::downgrade).collect(),
+            members: members.to_vec(),
             paused: false,
             dirty: vec![vec![HashSet::new(); n]; n],
         }));
+        let mut feeds = Vec::with_capacity(n);
         for (from, member) in members.iter().enumerate() {
-            let cluster = Arc::downgrade(&inner);
-            member.subscribe(Arc::new(move |events: &[ChangeEvent]| {
-                let Some(inner) = cluster.upgrade() else {
-                    return; // the cluster was dropped
-                };
+            let inner = inner.clone();
+            feeds.push(member.subscribe(move |events: &[ChangeEvent]| {
                 let changed = events.iter().map(|event| match event {
                     ChangeEvent::Saved { new, .. } => new.unid(),
                     ChangeEvent::Deleted { stub, .. } => stub.oid.unid,
@@ -78,7 +77,10 @@ impl Cluster {
                 push(&inner);
             }));
         }
-        Ok(Cluster { inner })
+        Ok(Cluster {
+            inner,
+            _feeds: feeds,
+        })
     }
 
     /// Stop pushing (simulates a cluster mate going unreachable). Changes
@@ -139,10 +141,8 @@ fn push(inner: &Mutex<ClusterInner>) {
         (g.members.clone(), work)
     };
     for (from, to, unids) in work {
-        let (Some(src), Some(dst)) = (members[from].upgrade(), members[to].upgrade()) else {
-            continue; // a mate is gone
-        };
-        match Replicator::pull_changed(&dst, &src, unids.iter().copied().collect()) {
+        let (src, dst) = (&members[from], &members[to]);
+        match Replicator::pull_changed(dst, src, unids.iter().copied().collect()) {
             Ok(r) => {
                 let pushed = r.added + r.updated + r.merged + r.conflicts + r.deletions;
                 obs::counter("Cluster.Events.Pushed").add(pushed);

@@ -1037,7 +1037,7 @@ mod tests {
         let (entered_tx, entered) = mpsc::channel();
         let (release, held) = mpsc::channel::<()>();
         let hook = std::sync::Mutex::new((entered_tx, held));
-        db.subscribe(Arc::new(move |events: &[domino_core::ChangeEvent]| {
+        let _feed = db.subscribe(move |events: &[domino_core::ChangeEvent]| {
             let parked = events.iter().any(|e| {
                 matches!(e, domino_core::ChangeEvent::Saved { new, .. }
                     if new.get_text("Subject").as_deref() == Some("parked"))
@@ -1047,7 +1047,7 @@ mod tests {
                 hook.0.send(()).unwrap();
                 hook.1.recv().unwrap();
             }
-        }));
+        });
         let running = {
             let tiny = tiny.clone();
             std::thread::spawn(move || {

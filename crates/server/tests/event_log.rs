@@ -171,8 +171,9 @@ fn log_writes_never_emit_events_about_themselves() {
     let log = ServerLog::with_config(quiet_logger_config()).unwrap();
     let results: Arc<Mutex<Vec<bool>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = results.clone();
-    log.database()
-        .subscribe(Arc::new(move |_events: &[domino_core::ChangeEvent]| {
+    let _feed = log
+        .database()
+        .subscribe(move |_events: &[domino_core::ChangeEvent]| {
             // This runs on the drainer thread, inside the write path — the
             // place a naive logger would recurse.
             let accepted = obs::emit(obs::Event::new(
@@ -181,7 +182,7 @@ fn log_writes_never_emit_events_about_themselves() {
                 "Test.LogRecursion",
             ));
             sink.lock().unwrap().push(accepted);
-        }));
+        });
 
     obs::emit(obs::Event::new(
         obs::EventKind::Misc,

@@ -41,21 +41,19 @@ pub use design::{Collation, ColumnSpec, ViewDesign};
 pub use folder::{list_folders, Folder};
 pub use index::{CategoryRow, NoteSource, ViewEntry, ViewIndex, ViewStats};
 
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use domino_core::{ChangeEvent, Database, Note, Snapshot};
+use domino_core::{ChangeEvent, Database, Note, Snapshot, Subscription};
 use domino_formula::EvalEnv;
 use domino_types::{DominoError, NoteClass, Result, Unid, Value};
 
-/// Adapter: one database state as a [`NoteSource`] for re-keying. Every
-/// lookup of one maintenance step reads the same pinned snapshot.
-struct DbSource(Snapshot);
-
-impl NoteSource for DbSource {
+/// One database state as a [`NoteSource`] for re-keying. Every lookup of
+/// one maintenance step reads the same pinned snapshot.
+impl NoteSource for Snapshot {
     fn note_by_unid(&self, unid: Unid) -> Option<Note> {
-        self.0.open_by_unid(unid).ok()
+        self.open_by_unid(unid).ok()
     }
 }
 
@@ -65,8 +63,9 @@ impl NoteSource for DbSource {
 /// performs an initial build) or [`View::detached`] (maintained manually —
 /// used by the experiments to compare incremental vs rebuild costs).
 pub struct View {
-    db: Weak<Database>,
+    db: Arc<Database>,
     state: Arc<RwLock<ViewIndex>>,
+    _feed: Option<Subscription>,
 }
 
 /// One consistent paged read of a view: the rows (shared with the index,
@@ -82,14 +81,10 @@ pub struct ViewPage {
 }
 
 impl View {
-    /// Build the view and keep it current via change events.
-    ///
-    /// The database's change feed delivers events in commit order: a lone
-    /// save arrives as a one-event slice, writes made under
-    /// [`Database::begin_batch`] as one coalesced slice (see
-    /// [`ViewIndex::apply`]). A document whose selection or column formula
-    /// fails is not in the view, and neither attaching nor maintenance
-    /// fails because of it (see [`index`]).
+    /// Build the view and keep it current via change events, in commit
+    /// order, until the view drops. A document whose selection or column
+    /// formula fails is not in the view, and neither attaching nor
+    /// maintenance fails because of it (see [`index`]).
     ///
     /// Subscribes *before* the initial build, and [`View::rebuild`] pins
     /// its snapshot while holding the index's write lock: a commit is
@@ -98,12 +93,10 @@ impl View {
     /// events arrive in commit order, each document's last applied event
     /// is still its latest commit.
     pub fn attach(db: &Arc<Database>, design: ViewDesign) -> Result<View> {
-        let view = View::detached(db, design)?;
-        let state = view.state.clone();
-        let weak = Arc::downgrade(db);
-        db.subscribe(Arc::new(move |events: &[ChangeEvent]| {
-            let Some(db) = weak.upgrade() else { return };
-            let Ok(()) = state.write().apply(events, &DbSource(db.snapshot()));
+        let mut view = View::detached(db, design)?;
+        let (state, source) = (view.state.clone(), db.clone());
+        view._feed = Some(db.subscribe(move |events: &[ChangeEvent]| {
+            let Ok(()) = state.write().apply(events, &source.snapshot());
         }));
         view.rebuild()?;
         Ok(view)
@@ -119,33 +112,27 @@ impl View {
             ..EvalEnv::default()
         };
         Ok(View {
-            db: Arc::downgrade(db),
+            db: db.clone(),
             state: Arc::new(RwLock::new(ViewIndex::new(design, env)?)),
+            _feed: None,
         })
-    }
-
-    fn db(&self) -> Result<Arc<Database>> {
-        self.db
-            .upgrade()
-            .ok_or_else(|| DominoError::InvalidArgument("database dropped".into()))
     }
 
     /// Recompute the whole index from one snapshot of the database,
     /// pinned under the index's write lock (see [`View::attach`]). No
     /// engine page is read: a view sees summary items only.
     pub fn rebuild(&self) -> Result<()> {
-        let db = self.db()?;
         let mut index = self.state.write();
-        let snap = db.snapshot();
+        let snap = self.db.snapshot();
         let docs = snap.document_summaries();
-        let Ok(()) = index.rebuild(docs.iter().map(|doc| doc.as_ref()), &DbSource(snap));
+        let Ok(()) = index.rebuild(docs.iter().map(|doc| doc.as_ref()), &snap);
         Ok(())
     }
 
     /// Apply one change event manually (detached views).
     pub fn apply(&self, event: &ChangeEvent) -> Result<()> {
-        let src = DbSource(self.db()?.snapshot());
-        let Ok(()) = self.state.write().apply(std::slice::from_ref(event), &src);
+        let snap = self.db.snapshot();
+        let Ok(()) = self.state.write().apply(std::slice::from_ref(event), &snap);
         Ok(())
     }
 
@@ -232,16 +219,15 @@ impl View {
     /// returns the note's unid. Views and folders share one namespace (as
     /// in Notes): a name a folder holds is refused, not overwritten.
     pub fn save_design(&self) -> Result<Unid> {
-        let db = self.db()?;
         let design = self.design();
-        if folder::find_folder_note(&db, &design.name)?.is_some() {
+        if folder::find_folder_note(&self.db, &design.name)?.is_some() {
             return Err(DominoError::AlreadyExists(format!(
                 "folder {:?}",
                 design.name
             )));
         }
         let mut note = design.to_note();
-        db.save_design(&mut note)?;
+        self.db.save_design(&mut note)?;
         Ok(note.unid())
     }
 }

@@ -217,12 +217,12 @@ fn flood(
     let (parked_tx, parked) = mpsc::channel();
     let (release, held) = mpsc::channel::<()>();
     let hook = Mutex::new((parked_tx, held));
-    db.subscribe(Arc::new(move |_: &[ChangeEvent]| {
+    let _feed = db.subscribe(move |_: &[ChangeEvent]| {
         let hook = hook.lock().unwrap();
         if hook.0.send(()).is_ok() {
             let _ = hook.1.recv();
         }
-    }));
+    });
     let start = Barrier::new(callers);
     let (code_tx, codes) = mpsc::channel();
     std::thread::scope(|s| {

@@ -445,6 +445,56 @@ fn one_change_feed() {
     );
 }
 
+/// Lines of `.subscribe(` calls whose statement binds the result to `_`.
+fn discarded_subscriptions(text: &str) -> Vec<usize> {
+    text.match_indices(".subscribe(")
+        .filter(|(at, _)| {
+            let head = &text[..*at];
+            let statement = &head[head.rfind([';', '{', '}']).map_or(0, |i| i + 1)..];
+            let words: Vec<&str> = statement
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .flat_map(str::split_whitespace)
+                .collect();
+            words.starts_with(&["let", "_", "="])
+        })
+        .map(|(at, _)| text[..at].lines().count())
+        .collect()
+}
+
+#[test]
+fn one_observer_lifetime() {
+    // A `Subscription` owns its observer and the feed holds it weakly, so
+    // the cluster holds its mates strongly and needs no weak workaround.
+    let cluster = std::fs::read_to_string(root().join("crates/replica/src/cluster.rs")).unwrap();
+    assert_none(
+        "a weak reference in the cluster",
+        offending([("crates/replica/src/cluster.rs", cluster.as_str())], |l| {
+            l.contains("Arc::downgrade") || has_word(l, "Weak")
+        }),
+    );
+    // `let _ =` drops the guard, and with it the observer, at once.
+    assert_eq!(
+        discarded_subscriptions("let x = 1;\n    let _ = db\n        .subscribe(f);"),
+        [3]
+    );
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    let hits: Vec<String> = files
+        .iter()
+        .flat_map(|path| {
+            let text = std::fs::read_to_string(path).unwrap();
+            let file = path.strip_prefix(root()).unwrap().display().to_string();
+            discarded_subscriptions(&text)
+                .into_iter()
+                .map(move |line| format!("{file}:{line}"))
+        })
+        .collect();
+    assert_none("a subscription dropped where it is made", hits);
+}
+
 #[test]
 fn one_reference_monitor() {
     // Who may read, write or delete a note is decided in

@@ -14,7 +14,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use domino::core::{ChangeEvent, Database, DbConfig, Note, ITEM_READERS};
+use domino::core::{ChangeEvent, Database, DbConfig, Note, Subscription, ITEM_READERS};
 use domino::ftindex::FtIndex;
 use domino::replica::Cluster;
 use domino::storage::MemDisk;
@@ -35,14 +35,14 @@ fn design() -> ViewDesign {
 }
 
 /// Parks the first delivery that carries a save of Subject "beta" until
-/// the database's change sequence moves past it. The receiver fires once
-/// that delivery is parked.
-fn park_first_beta(db: &Arc<Database>) -> mpsc::Receiver<()> {
+/// the database's change sequence moves past it, while the returned
+/// subscription lives. The receiver fires once that delivery is parked.
+fn park_first_beta(db: &Arc<Database>) -> (mpsc::Receiver<()>, Subscription) {
     let (tx, rx) = mpsc::channel();
     let tx = Mutex::new(tx);
     let parked = AtomicBool::new(false);
     let weak = Arc::downgrade(db);
-    db.subscribe(Arc::new(move |events: &[ChangeEvent]| {
+    let feed = db.subscribe(move |events: &[ChangeEvent]| {
         let beta = events.iter().any(|e| {
             matches!(e, ChangeEvent::Saved { new, .. }
                 if new.get_text("Subject").as_deref() == Some("beta"))
@@ -57,8 +57,8 @@ fn park_first_beta(db: &Arc<Database>) -> mpsc::Receiver<()> {
         while db.change_seq() == at && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(1));
         }
-    }));
-    rx
+    });
+    (rx, feed)
 }
 
 struct Outcome {
@@ -72,7 +72,7 @@ struct Outcome {
 /// delivery is parked, run `b` on A's committed revision.
 fn reordered(b: impl FnOnce(&Database, Note)) -> Outcome {
     let db = open(9);
-    let parked = park_first_beta(&db);
+    let (parked, _park) = park_first_beta(&db);
     let view = View::attach(&db, design()).unwrap();
     let ft = FtIndex::attach(&db).unwrap();
     let doc = memo(&db, "alpha");
@@ -172,14 +172,15 @@ fn memo(db: &Database, subject: &str) -> Note {
     n
 }
 
-/// Every delivered event's subject, in delivery order.
-fn recorder(db: &Database) -> Arc<Mutex<Vec<String>>> {
+/// Every delivered event's subject, in delivery order, while the
+/// returned subscription lives.
+fn recorder(db: &Database) -> (Arc<Mutex<Vec<String>>>, Subscription) {
     let seen: Arc<Mutex<Vec<String>>> = Arc::default();
     let sink = seen.clone();
-    db.subscribe(Arc::new(move |events: &[ChangeEvent]| {
+    let feed = db.subscribe(move |events: &[ChangeEvent]| {
         sink.lock().unwrap().extend(events.iter().map(subject_of));
-    }));
-    seen
+    });
+    (seen, feed)
 }
 
 fn open(instance: u64) -> Arc<Database> {
@@ -198,12 +199,12 @@ fn open(instance: u64) -> Arc<Database> {
 fn a_commit_from_inside_an_observer_is_delivered_next() {
     let db = open(1);
     let weak = Arc::downgrade(&db);
-    db.subscribe(Arc::new(move |events: &[ChangeEvent]| {
+    let _feed = db.subscribe(move |events: &[ChangeEvent]| {
         if events.iter().any(|e| subject_of(e) == "first") {
             memo(&weak.upgrade().unwrap(), "second");
         }
-    }));
-    let seen = recorder(&db);
+    });
+    let (seen, _recorded) = recorder(&db);
     memo(&db, "first");
     assert_eq!(*seen.lock().unwrap(), ["first", "second"]);
 }
@@ -215,13 +216,13 @@ fn a_commit_from_inside_an_observer_is_delivered_next() {
 fn a_panicking_observer_does_not_wedge_the_feed() {
     let db = open(1);
     let weak = Arc::downgrade(&db);
-    db.subscribe(Arc::new(move |events: &[ChangeEvent]| {
+    let _feed = db.subscribe(move |events: &[ChangeEvent]| {
         if events.iter().any(|e| subject_of(e) == "boom") {
             memo(&weak.upgrade().unwrap(), "queued meanwhile");
             panic!("observer bug");
         }
-    }));
-    let seen = recorder(&db);
+    });
+    let (seen, _recorded) = recorder(&db);
     let boom = panic::catch_unwind(AssertUnwindSafe(|| memo(&db, "boom")));
     assert!(boom.is_err(), "the observer's panic reaches the caller");
     assert_eq!(*seen.lock().unwrap(), ["queued meanwhile"]);
@@ -244,7 +245,7 @@ fn a_cluster_delete_during_delivery_of_an_earlier_save_stays_deleted_on_every_ma
     let mates = [open(400), open(401)];
     // Registered before the cluster, so it sees A's save first: it parks
     // that one delivery until the next commit on A has landed.
-    let parked = park_first_beta(&mates[0]);
+    let (parked, _park) = park_first_beta(&mates[0]);
     let _cluster = Cluster::join(&mates).unwrap();
 
     let save = {

@@ -200,9 +200,8 @@ fn e3_view_refresh_evaluates_the_changed_documents() {
 
     let captured: Arc<Mutex<Vec<ChangeEvent>>> = Arc::default();
     let sink = captured.clone();
-    db.subscribe(Arc::new(move |events: &[ChangeEvent]| {
-        sink.lock().unwrap().extend_from_slice(events)
-    }));
+    let _feed =
+        db.subscribe(move |events: &[ChangeEvent]| sink.lock().unwrap().extend_from_slice(events));
 
     for k in [1, 4, 40, 200, 400] {
         for i in 0..k {

@@ -24,9 +24,9 @@ use domino::types::{ItemFlags, LogicalClock, NoteClass, ReplicaId, Value};
 use domino::views::{ColumnSpec, SortDir, View, ViewDesign};
 use domino::wal::MemLogStore;
 
-/// `Db.Snapshot.Reads` and `View.Pages.Built` are process-wide: the test
-/// that takes exact deltas of them holds this exclusively, every other
-/// test in the binary shares it.
+/// `Db.Snapshot.Reads`, `Db.Snapshot.Hydrated` and `View.Pages.Built` are
+/// process-wide: a test that takes exact deltas of them holds this
+/// exclusively, every other test in the binary shares it.
 static COUNTERS: RwLock<()> = RwLock::new(());
 
 fn config() -> DbConfig {
@@ -128,7 +128,7 @@ fn resident_reads_never_touch_the_engine() {
 
 #[test]
 fn a_reopened_note_hydrates_once_and_matches_the_engine() {
-    let _shared = COUNTERS.read().unwrap();
+    let _alone = COUNTERS.write().unwrap();
     let stores = Stores::default();
     let db = stores.open();
     let ids: Vec<_> = (0..40)
@@ -142,8 +142,8 @@ fn a_reopened_note_hydrates_once_and_matches_the_engine() {
     drop(db);
 
     let db = stores.open();
-    // This is the only test in the binary that hydrates, so the
-    // process-wide counter moves by exactly what it does here.
+    // Other tests hydrate too; holding `COUNTERS` exclusively, the
+    // process-wide counter moves by exactly what this one does.
     let hydrated = || domino::obs::snapshot().counter("Db.Snapshot.Hydrated");
     let before = hydrated();
     let with_body = ids[4];
