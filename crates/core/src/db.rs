@@ -14,11 +14,15 @@
 //! anomaly when that interval is shorter than the replication interval).
 //!
 //! The change feed is how view indexes, the full-text index and cluster
-//! push stay incremental. Each commit queues its [`ChangeEvent`] while it
-//! still holds the engine mutex, so the queue is in commit order. One
-//! thread at a time drains the queue and hands each slice to every
+//! push stay incremental. Each commit queues its change while it still
+//! holds the engine mutex, so the queue is in commit order; the queue
+//! shares the committed notes with the version map. One thread at a time
+//! drains the queue and hands each slice, as [`ChangeEvent`]s, to every
 //! observer ([`Database::subscribe`]; its [`Subscription`] owns it) in
-//! registration order. A `save`/`delete` returns once its event has
+//! registration order. Events are built only when a live observer is
+//! there to read them, outside the engine mutex: a superseded note that no
+//! snapshot holds is moved into its event, and only the new note is
+//! copied. A `save`/`delete` returns once its event has
 //! reached every observer; one made from inside an observer (a cluster
 //! push into a mate) only queues, and the draining thread delivers it.
 //! Bulk writers wrap their work in [`Database::begin_batch`]: delivery is
@@ -116,12 +120,50 @@ thread_local! {
     static IN_OBSERVER: Cell<u32> = const { Cell::new(0) };
 }
 
-/// The change feed: committed events not yet delivered, in commit order,
+/// A committed change as the feed queues it: the notes are the `Arc`s
+/// the commit published, turned into a [`ChangeEvent`] only for a live
+/// observer.
+enum Change {
+    Saved {
+        old: Option<Arc<Note>>,
+        new: Arc<Note>,
+    },
+    Deleted {
+        old: Arc<Note>,
+        stub: DeletionStub,
+    },
+}
+
+impl Change {
+    fn unid(&self) -> Unid {
+        match self {
+            Change::Saved { new, .. } => new.unid(),
+            Change::Deleted { old, .. } => old.unid(),
+        }
+    }
+
+    /// The event observers read. A note no one else holds (a superseded
+    /// version that no snapshot pins) is moved, not copied.
+    fn into_event(self) -> ChangeEvent {
+        match self {
+            Change::Saved { old, new } => ChangeEvent::Saved {
+                old: old.map(Arc::unwrap_or_clone),
+                new: Arc::unwrap_or_clone(new),
+            },
+            Change::Deleted { old, stub } => ChangeEvent::Deleted {
+                old: Arc::unwrap_or_clone(old),
+                stub,
+            },
+        }
+    }
+}
+
+/// The change feed: committed changes not yet delivered, in commit order,
 /// and who is delivering them.
 #[derive(Default)]
 struct Feed {
     observers: Arc<Vec<Weak<Observer>>>,
-    queue: Vec<ChangeEvent>,
+    queue: Vec<Change>,
     /// Events ever queued; the last one queued is event number `queued`.
     queued: u64,
     /// Events every observer has had. Delivery is FIFO, so these are
@@ -163,31 +205,28 @@ impl Drop for BatchGuard<'_> {
 /// after it exactly as replaying every event would. A `Deleted` for a
 /// note created inside the slice survives as-is; removing a never-seen
 /// note is a no-op for observers.
-fn coalesce(events: Vec<ChangeEvent>) -> Vec<ChangeEvent> {
-    if events.len() <= 1 {
-        return events;
+fn coalesce(changes: Vec<Change>) -> Vec<Change> {
+    if changes.len() <= 1 {
+        return changes;
     }
-    let mut first_prior: std::collections::HashMap<Unid, Option<Note>> = Default::default();
-    let mut last_idx: std::collections::HashMap<Unid, usize> = Default::default();
-    for (i, e) in events.iter().enumerate() {
-        let (unid, prior) = match e {
-            ChangeEvent::Saved { old, new } => (new.unid(), old.clone()),
-            ChangeEvent::Deleted { old, .. } => (old.unid(), Some(old.clone())),
+    let mut first_prior: HashMap<Unid, Option<Arc<Note>>> = HashMap::new();
+    let mut last_idx: HashMap<Unid, usize> = HashMap::new();
+    for (i, c) in changes.iter().enumerate() {
+        let prior = match c {
+            Change::Saved { old, .. } => old.clone(),
+            Change::Deleted { old, .. } => Some(Arc::clone(old)),
         };
-        first_prior.entry(unid).or_insert(prior);
-        last_idx.insert(unid, i);
+        first_prior.entry(c.unid()).or_insert(prior);
+        last_idx.insert(c.unid(), i);
     }
     let mut out = Vec::with_capacity(last_idx.len());
-    for (i, e) in events.into_iter().enumerate() {
-        let unid = match &e {
-            ChangeEvent::Saved { new, .. } => new.unid(),
-            ChangeEvent::Deleted { old, .. } => old.unid(),
-        };
+    for (i, c) in changes.into_iter().enumerate() {
+        let unid = c.unid();
         if last_idx[&unid] != i {
             continue;
         }
-        out.push(match e {
-            ChangeEvent::Saved { new, .. } => ChangeEvent::Saved {
+        out.push(match c {
+            Change::Saved { new, .. } => Change::Saved {
                 old: first_prior.remove(&unid).flatten(),
                 new,
             },
@@ -515,10 +554,19 @@ impl Database {
             Arc::make_mut(&mut f.observers).retain(|o| o.strong_count() > 0);
             let observers = Arc::clone(&f.observers);
             drop(f);
-            let events = coalesce(queued);
+            // Events are built for the first observer still alive; with
+            // none, the queued notes are only dropped.
+            let mut queued = Some(queued);
+            let mut events = Vec::new();
             IN_OBSERVER.with(|n| n.set(n.get() + 1));
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
                 for observer in observers.iter().filter_map(Weak::upgrade) {
+                    if let Some(changes) = queued.take() {
+                        events = coalesce(changes)
+                            .into_iter()
+                            .map(Change::into_event)
+                            .collect();
+                    }
                     observer(&events);
                 }
             }));
@@ -548,10 +596,17 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// The one write path. Every note mutation is the same choreography
-    /// around a different decision: take the engine mutex, read the
+    /// around a different decision: take the engine mutex, find the
     /// record under `target` once, let `decide` turn the record there
     /// (`None` for nothing) into the record to write — or decline with
     /// `Ok(None)` — then write it and publish it.
+    ///
+    /// A live note is found in the version map, whose newest version is
+    /// the engine's record while the mutex is held: no engine read, no
+    /// decode. Only a stub, a lazily seeded (body-elided) version or a
+    /// record the map does not hold is read from the engine. The written
+    /// note is published as the `Arc` that was written, and the change
+    /// feed queues that `Arc` and the one it replaced.
     ///
     /// The version map, the Merkle summary and the change feed's queue
     /// are updated *before the engine mutex is released*: commit order
@@ -578,18 +633,24 @@ impl Database {
             };
             let mut stored = match target {
                 Target::New => None,
-                Target::Id(id) => g.stored(id)?,
-                Target::Unid(unid) => {
-                    let store = g.store;
-                    match store.lookup_unid(&mut g.engine, unid)? {
-                        Some(id) => Some(g.stored(id)?.ok_or_else(|| {
-                            DominoError::Corrupt(format!(
-                                "unid {unid} bound to missing record {id}"
-                            ))
-                        })?),
-                        None => None,
+                Target::Id(id) => match self.versions.head(id) {
+                    Some(note) => Some(Stored::resident(note)),
+                    None => self.read_stored(&mut g, id)?,
+                },
+                Target::Unid(unid) => match self.versions.head_of_unid(unid) {
+                    Some(note) => Some(Stored::resident(note)),
+                    None => {
+                        let store = g.store;
+                        match store.lookup_unid(&mut g.engine, unid)? {
+                            Some(id) => Some(self.read_stored(&mut g, id)?.ok_or_else(|| {
+                                DominoError::Corrupt(format!(
+                                    "unid {unid} bound to missing record {id}"
+                                ))
+                            })?),
+                            None => None,
+                        }
                     }
-                }
+                },
             };
             let held = stored.as_mut().and_then(|s| s.record.take());
             let Some(mut record) = decide(&mut g, held.as_ref())? else {
@@ -599,27 +660,19 @@ impl Database {
                 Some(Record::Note(note)) => Some(note),
                 _ => None,
             };
-            // A lazily seeded version about to be superseded gets its
-            // full pre-image first, so pinned snapshots can still read
-            // the old body after the engine record is overwritten.
-            if let Some(o) = &old {
-                self.versions.backfill(o.unid(), o);
-            }
             let unid = record.oid().unid;
             let (id, is_acl) = g.write_record(&mut record, stored.as_ref())?;
-            let (head, event) = match record {
+            let (head, change) = match record {
                 Record::Note(new) => {
-                    self.versions.publish(unid, id, Some(Arc::new(new.clone())));
+                    let head = revision::merkle_head(&new);
+                    self.versions.publish(unid, id, Some(Arc::clone(&new)));
                     // After the publish: a snapshot pinned in between
                     // still reads the ACL it had.
                     if is_acl {
                         self.versions.set_acl_note(id.0 as u64);
                     }
                     m().saved.inc();
-                    (
-                        revision::merkle_head(&new),
-                        Some(ChangeEvent::Saved { old, new }),
-                    )
+                    (head, Some(Change::Saved { old, new }))
                 }
                 Record::Stub(stub) => {
                     // Retract a live note from snapshot visibility;
@@ -629,14 +682,14 @@ impl Database {
                     }
                     (
                         revision::stub_head(&stub.oid),
-                        old.map(|old| ChangeEvent::Deleted { old, stub }),
+                        old.map(|old| Change::Deleted { old, stub }),
                     )
                 }
             };
             self.merkle.lock().set_head(unid, Some(head));
-            let queued = event.map(|event| {
+            let queued = change.map(|change| {
                 let mut f = self.feed.lock();
-                f.queue.push(event);
+                f.queue.push(change);
                 f.queued += 1;
                 f.queued
             });
@@ -646,6 +699,23 @@ impl Database {
             self.deliver_through(last);
         }
         Ok(Some(id))
+    }
+
+    /// Read the record at `id` from the engine, for a commit the version
+    /// map cannot serve. A live note there is a lazily seeded version
+    /// (a resident one comes from the map), so its full pre-image is
+    /// backfilled at once: pinned snapshots can still read the old body
+    /// after the record is overwritten.
+    fn read_stored(&self, g: &mut DbInner, id: NoteId) -> Result<Option<Stored>> {
+        let stored = g.stored(id)?;
+        if let Some(Stored {
+            record: Some(Record::Note(full)),
+            ..
+        }) = &stored
+        {
+            self.versions.backfill(full.unid(), full);
+        }
+        Ok(stored)
     }
 
     /// Save a note: create it if it is a draft, else update the stored
@@ -742,7 +812,7 @@ impl Database {
             let parents: Vec<ContentHash> = revision::head_hash(note).into_iter().collect();
             let rev_hash = revision::content_hash_of(note, &parents);
             revision::push_head(note, rev_hash, note.oid.seq_time);
-            Ok(Some(Record::Note(note.clone())))
+            Ok(Some(Record::Note(Arc::new(note.clone()))))
         })?;
         note.id = id.expect("save always writes");
         Ok(())
@@ -754,7 +824,7 @@ impl Database {
     pub fn save_replicated(&self, note: Note) -> Result<Note> {
         let mut saved = note.clone();
         saved.keep_access_items_in_summary();
-        let id = self.apply_replicated(note.unid(), |_| Some(Record::Note(note)))?;
+        let id = self.apply_replicated(note.unid(), |_| Some(Record::Note(Arc::new(note))))?;
         saved.id = id.expect("save_replicated always writes");
         Ok(saved)
     }
@@ -775,7 +845,7 @@ impl Database {
             let mut record = decide(held);
             match &mut record {
                 Some(Record::Note(note)) => {
-                    note.keep_access_items_in_summary();
+                    Arc::make_mut(note).keep_access_items_in_summary();
                     self.clock.observe(note.oid.seq_time);
                     self.clock.observe(note.modified);
                 }
@@ -1278,10 +1348,12 @@ enum Target {
 }
 
 /// A stored record: a live note or a deletion stub. What a mutation
-/// finds under its target, and what it puts in place.
+/// finds under its target, and what it puts in place. A note is shared:
+/// the one found is the version map's, and the one written is published
+/// as it is.
 #[derive(Debug)]
 pub enum Record {
-    Note(Note),
+    Note(Arc<Note>),
     Stub(DeletionStub),
 }
 
@@ -1302,15 +1374,28 @@ impl Record {
     }
 }
 
-/// The record found under a mutation's target, read once per commit.
+/// The record found under a mutation's target, once per commit.
 struct Stored {
     id: NoteId,
     /// The note or stub, until `commit` takes it.
     record: Option<Record>,
-    /// The segment bytes as read, so `write_record` re-puts only what
+    /// The stored segment bytes, so `write_record` re-puts only what
     /// changed. `body` is `None` when there is no body segment.
     summary: Vec<u8>,
     body: Option<Vec<u8>>,
+}
+
+impl Stored {
+    /// The version map's newest version of a live note: what the engine
+    /// holds, so its encodings are the stored segments' bytes.
+    fn resident(note: Arc<Note>) -> Stored {
+        Stored {
+            id: note.id,
+            summary: note.encode_summary(),
+            body: note.encode_body(),
+            record: Some(Record::Note(note)),
+        }
+    }
 }
 
 impl DbInner {
@@ -1331,7 +1416,7 @@ impl DbInner {
         let note = Note::decode(id, &summary, body.as_deref())?;
         Ok(Some(Stored {
             id,
-            record: Some(Record::Note(note)),
+            record: Some(Record::Note(Arc::new(note))),
             summary,
             body,
         }))
@@ -1340,7 +1425,7 @@ impl DbInner {
     /// Load a full note; `None` for stubs.
     fn load(&mut self, id: NoteId) -> Result<Option<Note>> {
         Ok(match self.stored(id)?.and_then(|s| s.record) {
-            Some(Record::Note(note)) => Some(note),
+            Some(Record::Note(note)) => Some(Arc::unwrap_or_clone(note)),
             _ => None,
         })
     }
@@ -1384,7 +1469,9 @@ impl DbInner {
             let unid = record.oid().unid;
             let (summary, body) = match record {
                 Record::Note(note) => {
-                    note.id = id;
+                    if note.id != id {
+                        Arc::make_mut(note).id = id;
+                    }
                     (note.encode_summary(), note.encode_body())
                 }
                 Record::Stub(stub) => {

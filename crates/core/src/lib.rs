@@ -66,7 +66,9 @@ mod tests {
     use domino_formula::{EvalEnv, Formula};
     use domino_security::{AccessLevel, Acl, AclEntry, Directory};
     use domino_storage::MemDisk;
-    use domino_types::{ItemFlags, LogicalClock, NoteClass, ReplicaId, Timestamp, Unid, Value};
+    use domino_types::{
+        DominoError, ItemFlags, LogicalClock, NoteClass, ReplicaId, Timestamp, Unid, Value,
+    };
     use domino_wal::MemLogStore;
     use std::sync::Arc;
 
@@ -172,6 +174,34 @@ mod tests {
         db.delete(b.id).unwrap(); // recent stub
         assert_eq!(db.purge_stubs().unwrap(), 1);
         assert_eq!(db.stubs().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_purged_id_stays_gone_when_its_unid_returns() {
+        let clock = LogicalClock::new();
+        let db = Database::open_in_memory(
+            DbConfig::new("T", ReplicaId(1), ReplicaId(2)).with_purge_interval(10),
+            clock.clone(),
+        )
+        .unwrap();
+        let mut n = Note::document("M");
+        db.save(&mut n).unwrap();
+        let stale = n.clone();
+        // Pinned before the delete, so the UNID's chain outlives the purge
+        // and still maps the old id to it.
+        let pinned = db.snapshot();
+        db.delete(n.id).unwrap();
+        clock.advance(100);
+        assert_eq!(db.purge_stubs().unwrap(), 1);
+        // Replication brings the note back under a new id.
+        let back = db.save_replicated(stale.clone()).unwrap();
+        assert_ne!(back.id, stale.id);
+        let mut edit = stale.clone();
+        edit.set("Subject", Value::text("edited through the old id"));
+        assert!(matches!(db.save(&mut edit), Err(DominoError::NotFound(_))));
+        assert!(matches!(db.delete(stale.id), Err(DominoError::NotFound(_))));
+        assert_eq!(db.open_note(back.id).unwrap().get_text("Subject"), None);
+        assert!(pinned.open_note(stale.id).is_ok());
     }
 
     #[test]

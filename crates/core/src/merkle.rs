@@ -17,8 +17,6 @@
 //! actually differs. A cold-start pair (cleared replication history)
 //! diffs in O(buckets + changed) instead of scanning every candidate.
 
-use std::collections::BTreeMap;
-
 use domino_types::{mix128, ContentHash, Unid};
 
 /// Number of buckets in the summary tree. 256 keeps the bucket-digest
@@ -37,8 +35,9 @@ pub fn bucket_of(unid: Unid) -> u32 {
 pub struct MerkleSummary {
     /// XOR-combined `mix128(unid, head)` per bucket; 0 = empty.
     digests: Vec<u128>,
-    /// The entries behind each digest.
-    entries: Vec<BTreeMap<Unid, ContentHash>>,
+    /// The entries behind each digest, ascending by UNID: a bucket is
+    /// read whole (negotiation's round 3), so it lives in one allocation.
+    entries: Vec<Vec<(Unid, ContentHash)>>,
     root: u128,
     len: usize,
 }
@@ -48,7 +47,7 @@ impl MerkleSummary {
     pub fn new() -> MerkleSummary {
         MerkleSummary {
             digests: vec![0; MERKLE_BUCKETS as usize],
-            entries: (0..MERKLE_BUCKETS).map(|_| BTreeMap::new()).collect(),
+            entries: vec![Vec::new(); MERKLE_BUCKETS as usize],
             root: 0,
             len: 0,
         }
@@ -82,15 +81,17 @@ impl MerkleSummary {
 
     /// The `(unid, head)` entries of one bucket, ascending by UNID.
     pub fn bucket_entries(&self, bucket: u32) -> Vec<(Unid, ContentHash)> {
-        match self.entries.get(bucket as usize) {
-            Some(map) => map.iter().map(|(u, h)| (*u, *h)).collect(),
-            None => Vec::new(),
-        }
+        self.entries
+            .get(bucket as usize)
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// Head currently recorded for a UNID.
     pub fn head(&self, unid: Unid) -> Option<ContentHash> {
-        self.entries[bucket_of(unid) as usize].get(&unid).copied()
+        let entries = &self.entries[bucket_of(unid) as usize];
+        let at = entries.binary_search_by_key(&unid, |(u, _)| *u).ok()?;
+        Some(entries[at].1)
     }
 
     /// Set (or with `None`, remove) the head for a UNID, updating the
@@ -98,22 +99,24 @@ impl MerkleSummary {
     pub fn set_head(&mut self, unid: Unid, head: Option<ContentHash>) {
         let b = bucket_of(unid) as usize;
         let old_term = self.bucket_term(b);
-        let map = &mut self.entries[b];
-        match head {
-            Some(h) => {
-                if let Some(prev) = map.insert(unid, h) {
-                    self.digests[b] ^= mix128(unid.0, prev.0);
-                } else {
-                    self.len += 1;
-                }
+        let entries = &mut self.entries[b];
+        let found = entries.binary_search_by_key(&unid, |(u, _)| *u);
+        match (head, found) {
+            (Some(h), Ok(at)) => {
+                let prev = std::mem::replace(&mut entries[at].1, h);
+                self.digests[b] ^= mix128(unid.0, prev.0) ^ mix128(unid.0, h.0);
+            }
+            (Some(h), Err(at)) => {
+                entries.insert(at, (unid, h));
                 self.digests[b] ^= mix128(unid.0, h.0);
+                self.len += 1;
             }
-            None => {
-                if let Some(prev) = map.remove(&unid) {
-                    self.digests[b] ^= mix128(unid.0, prev.0);
-                    self.len -= 1;
-                }
+            (None, Ok(at)) => {
+                let (_, prev) = entries.remove(at);
+                self.digests[b] ^= mix128(unid.0, prev.0);
+                self.len -= 1;
             }
+            (None, Err(_)) => {}
         }
         let new_term = self.bucket_term(b);
         self.root ^= old_term ^ new_term;
@@ -207,6 +210,35 @@ mod tests {
         let eb: std::collections::HashMap<Unid, ContentHash> =
             b.bucket_entries(changed).into_iter().collect();
         assert_ne!(ea.get(&Unid(2)), eb.get(&Unid(2)));
+    }
+
+    #[test]
+    fn buckets_hold_exactly_the_current_entries_in_unid_order() {
+        let mut m = MerkleSummary::new();
+        let mut model = std::collections::BTreeMap::new();
+        for step in 0..4000u128 {
+            // 7919 is prime to 300: every UNID is visited, out of order.
+            let unid = Unid(step * 7919 % 300);
+            let head = (step % 7 != 0).then_some(ContentHash(step));
+            m.set_head(unid, head);
+            match head {
+                Some(h) => model.insert(unid, h),
+                None => model.remove(&unid),
+            };
+        }
+        assert_eq!(m.len(), model.len());
+        let mut fresh = MerkleSummary::new();
+        for b in 0..MERKLE_BUCKETS {
+            let entries = m.bucket_entries(b);
+            assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+            for (unid, head) in entries {
+                assert_eq!(bucket_of(unid), b);
+                assert_eq!(model.get(&unid), Some(&head));
+                assert_eq!(m.head(unid), Some(head));
+                fresh.set_head(unid, Some(head));
+            }
+        }
+        assert_eq!(m.root(), fresh.root(), "digests follow the entries");
     }
 
     #[test]

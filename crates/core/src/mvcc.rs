@@ -21,7 +21,16 @@
 //!
 //! * `publish` holds the map **write lock** across sequence bump +
 //!   version insert + pruning, computing the pin horizon under the pins
-//!   mutex while it does.
+//!   mutex while it does. It prunes the chain it has just extended first,
+//!   so with no pin below it the superseded note leaves the map at once:
+//!   the writer then holds its only reference and the change feed moves
+//!   it into an event instead of copying it.
+//! * The writer reads the record it replaces from here: under the
+//!   database inner lock, a chain's newest version *is* the engine's
+//!   record, because only a commit (which holds that lock) publishes.
+//!   `VersionStore::head` hands out that version when it is a live note
+//!   with its body resident; a tombstone, an elided seed version or no
+//!   chain sends the writer to the engine.
 //! * `pin` takes the map **read lock**, then the pins mutex, then reads
 //!   the sequence. Because pinning excludes publishers, a pin can never
 //!   land between a publisher's sequence bump and its prune — the
@@ -32,9 +41,11 @@
 //! * Lazy seeding: `Database::open` seeds chains from the summary
 //!   segment only (`body_elided`). Reader hydration loads the full note
 //!   through the body loader — which takes the database inner lock —
-//!   strictly *before* taking the map write lock, and writers backfill
-//!   elided pre-images (already under the inner lock) before superseding
-//!   them, so the inner lock always precedes the map write lock.
+//!   strictly *before* taking the map write lock. A writer that replaces
+//!   an elided version reads the full pre-image from the engine (already
+//!   under the inner lock) and backfills the same `Arc` into the chain
+//!   before superseding it, so the inner lock always precedes the map
+//!   write lock and a pinned snapshot keeps the old body.
 //!
 //! The map also carries the database's *design collection*: the UNIDs of
 //! the chains that hold a non-`Document` version (forms, views, folders,
@@ -202,20 +213,41 @@ impl VersionStore {
         m().versions.add(1);
     }
 
+    /// The newest version of the note at `id` when it is a live note with
+    /// its body resident. Called under the database inner lock, where that
+    /// version is the engine's record at `id`; `None` (a tombstone, an
+    /// elided seed version, no chain) means: read the engine.
+    pub(crate) fn head(&self, id: NoteId) -> Option<Arc<Note>> {
+        let st = self.state.read();
+        let chain = st.chains.get(st.by_id.get(&id)?)?;
+        Self::resident_head(chain).filter(|note| note.id == id)
+    }
+
+    /// [`VersionStore::head`] by UNID.
+    pub(crate) fn head_of_unid(&self, unid: Unid) -> Option<Arc<Note>> {
+        Self::resident_head(self.state.read().chains.get(&unid)?)
+    }
+
+    fn resident_head(chain: &Chain) -> Option<Arc<Note>> {
+        match chain.versions.last() {
+            Some((_, Some(v))) if !v.body_elided => Some(Arc::clone(&v.note)),
+            _ => None,
+        }
+    }
+
     /// Writer-side hydration: called (with the database inner lock held)
-    /// just before a new version supersedes this UNID, so any still-elided
-    /// seed version gets its full pre-image while the engine still holds
-    /// it. Without this, a snapshot pinned before the overwrite could only
-    /// hydrate to the *new* content.
-    pub(crate) fn backfill(&self, unid: Unid, full: &Note) {
+    /// with the full note a commit read from the engine, before a new
+    /// version can supersede this UNID, so any still-elided seed version
+    /// gets its full pre-image while the engine still holds it. Without
+    /// this, a snapshot pinned before the overwrite could only hydrate to
+    /// the *new* content.
+    pub(crate) fn backfill(&self, unid: Unid, full: &Arc<Note>) {
         let mut st = self.state.write();
         if let Some(chain) = st.chains.get_mut(&unid) {
-            for (_, v) in chain.versions.iter_mut() {
-                if let Some(v) = v {
-                    if v.body_elided {
-                        v.note = Arc::new(full.clone());
-                        v.body_elided = false;
-                    }
+            for v in chain.versions.iter_mut().filter_map(|(_, v)| v.as_mut()) {
+                if v.body_elided {
+                    v.note = Arc::clone(full);
+                    v.body_elided = false;
                 }
             }
         }
@@ -283,8 +315,10 @@ impl VersionStore {
             }),
         ));
         m().versions.add(1);
-        st.dirty.push_back(unid);
         let min_pin = self.min_pin(seq);
+        if Self::prune(&mut st, unid, min_pin) {
+            st.dirty.push_back(unid);
+        }
         Self::prune_some(&mut st, min_pin, PRUNE_QUOTA);
         seq
     }
@@ -332,45 +366,46 @@ impl VersionStore {
             let Some(unid) = st.dirty.pop_front() else {
                 break;
             };
-            let (reclaim_id, requeue) = {
-                let Some(chain) = st.chains.get_mut(&unid) else {
-                    continue;
-                };
-                // Keep the newest version at-or-below the horizon plus
-                // everything above it; older versions are unreachable.
-                if let Some(idx) = chain.versions.iter().rposition(|(s, _)| *s <= min_pin) {
-                    if idx > 0 {
-                        chain.versions.drain(..idx);
-                        m().versions.add(-(idx as i64));
-                        m().pruned.add(idx as u64);
-                    }
-                }
-                let fully_dead = chain.versions.len() == 1
-                    && chain.versions[0].1.is_none()
-                    && chain.versions[0].0 <= min_pin;
-                if fully_dead {
-                    (Some(chain.id), false)
-                } else {
-                    // Still multi-version or tombstone-tipped: revisit.
-                    let dirty = chain.versions.len() > 1
-                        || chain.versions.last().is_some_and(|(_, n)| n.is_none());
-                    (None, dirty)
-                }
-            };
-            if let Some(id) = reclaim_id {
-                // A tombstone no snapshot can see equals absence: drop the
-                // chain and its id binding entirely.
-                st.chains.remove(&unid);
-                st.design.remove(&unid);
-                m().versions.add(-1);
-                m().pruned.inc();
-                if st.by_id.get(&id) == Some(&unid) {
-                    st.by_id.remove(&id);
-                }
-            } else if requeue {
+            if Self::prune(st, unid, min_pin) {
                 st.dirty.push_back(unid);
             }
         }
+    }
+
+    /// Drop the versions of `unid`'s chain that no snapshot at or above
+    /// `min_pin` can read. Returns whether the chain is still
+    /// multi-version or tombstone-tipped, so worth a later visit.
+    fn prune(st: &mut VersionsInner, unid: Unid, min_pin: u64) -> bool {
+        let Some(chain) = st.chains.get_mut(&unid) else {
+            return false;
+        };
+        // Keep the newest version at-or-below the horizon plus
+        // everything above it; older versions are unreachable.
+        if let Some(idx) = chain.versions.iter().rposition(|(s, _)| *s <= min_pin) {
+            if idx > 0 {
+                chain.versions.drain(..idx);
+                m().versions.add(-(idx as i64));
+                m().pruned.add(idx as u64);
+            }
+        }
+        let fully_dead = chain.versions.len() == 1
+            && chain.versions[0].1.is_none()
+            && chain.versions[0].0 <= min_pin;
+        if !fully_dead {
+            return chain.versions.len() > 1
+                || chain.versions.last().is_some_and(|(_, n)| n.is_none());
+        }
+        // A tombstone no snapshot can see equals absence: drop the chain
+        // and its id binding entirely.
+        let id = chain.id;
+        st.chains.remove(&unid);
+        st.design.remove(&unid);
+        m().versions.add(-1);
+        m().pruned.inc();
+        if st.by_id.get(&id) == Some(&unid) {
+            st.by_id.remove(&id);
+        }
+        false
     }
 
     /// Full prune pass over every chain (stub purge, maintenance).

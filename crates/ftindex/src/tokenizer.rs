@@ -3,13 +3,15 @@
 //! Words are maximal alphanumeric runs, lowercased; single characters and
 //! stopwords are dropped *before* positions are assigned, so phrases match
 //! across stopwords ("state of the art" matches the phrase "state art").
-//! Documents and queries go through the same [`for_each_word`].
+//! Documents and queries go through the same `for_each_word`.
 //!
 //! The scan is byte-level: an ASCII byte is a letter, a digit or a
 //! separator by itself, so ASCII text splits and lowercases one byte at a
 //! time. A segment between ASCII separators that holds a non-ASCII byte
 //! falls back to the `char` rule (`char::is_alphanumeric`,
 //! `str::to_lowercase`), which gives the same words at the same positions.
+//! The rule lowercases a word before it splits and measures it, so every
+//! token tokenizes to itself and a query for it finds it.
 
 /// Common English stopwords (the short list Domino's index options used).
 pub const STOPWORDS: &[&str] = &[
@@ -60,11 +62,16 @@ pub(crate) fn for_each_word(
         // `start` and `end` sit at an ASCII byte or an end: char boundaries.
         let segment = &text[start..end];
         if wide {
-            // Lengths are of the words as written. `str::to_lowercase`
-            // knows the word-final sigma; `char` does not.
+            // Each word is lowercased whole (`str::to_lowercase` knows the
+            // word-final sigma; `char` does not), then split again and
+            // measured: a lowercase can shrink a letter (the Kelvin sign
+            // to `k`) or add a mark that is not alphanumeric (`İ` to `i`
+            // and U+0307), and what is indexed must tokenize to itself.
             for word in segment.split(|c: char| !c.is_alphanumeric()) {
-                if word.len() >= 2 {
-                    emit(&word.to_lowercase());
+                for piece in word.to_lowercase().split(|c: char| !c.is_alphanumeric()) {
+                    if piece.len() >= 2 {
+                        emit(piece);
+                    }
                 }
             }
         } else if segment.len() >= 2 {
@@ -145,5 +152,14 @@ mod tests {
         assert_eq!(toks[0].0, "naïve");
         // A word-final capital sigma lowercases as `str::to_lowercase` does.
         assert_eq!(tokenize("ΟΔΟΣ")[0].0, "\u{3bf}\u{3b4}\u{3bf}\u{3c2}");
+    }
+
+    #[test]
+    fn a_word_is_measured_and_split_after_it_is_lowercased() {
+        // The Kelvin sign lowercases to a one-byte `k`; dotted capital I
+        // to `i` and a combining dot that is not alphanumeric.
+        assert!(tokenize("\u{212a}").is_empty());
+        let words: Vec<String> = tokenize("İstanbul").into_iter().map(|(w, _)| w).collect();
+        assert_eq!(words, ["stanbul"]);
     }
 }

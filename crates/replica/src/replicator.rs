@@ -40,7 +40,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use domino_core::revision::{
     descends_from, merge_base_time, record_merge, same_revision, winner_key,
@@ -741,7 +741,7 @@ impl Replicator {
         dst.apply_replicated(remote.unid(), |held| {
             let (decided, write) = self.decide(remote, held, report);
             outcome = decided;
-            write.map(Record::Note)
+            write.map(|note| Record::Note(Arc::new(note)))
         })?;
         if let Outcome::Conflict(doc) = &outcome {
             // Two losers stamped alike share a conflict UNID, and the
@@ -766,7 +766,7 @@ impl Replicator {
         report: &mut ReplicationReport,
     ) -> (Outcome, Option<Note>) {
         let local = match held {
-            Some(Record::Note(local)) => local,
+            Some(Record::Note(local)) => local.as_ref(),
             // A newer local deletion stands.
             Some(Record::Stub(stub)) if stub.oid.winner_key() >= remote.oid.winner_key() => {
                 return (Outcome::LocalNewer, None);

@@ -399,8 +399,11 @@ fn leaf_insert(
     })??;
     match edit {
         Edit::Overwrite { pos, old } => {
-            let at = LEAF_ENTRIES + pos * ENTRY_SIZE + 16;
-            engine.write(tx, page_id, at as u16, &entry[16..])?;
+            // Storing the value already there writes (and logs) nothing.
+            if old != value {
+                let at = LEAF_ENTRIES + pos * ENTRY_SIZE + 16;
+                engine.write(tx, page_id, at as u16, &entry[16..])?;
+            }
             Ok((Some(old), None))
         }
         Edit::Shift { n, start, region } => {
@@ -731,6 +734,30 @@ mod tests {
         let mut tx = e.begin().unwrap();
         assert!(corrupt(t.insert(&mut e, &mut tx, 6, 60).map(drop)));
         e.abort(tx).unwrap();
+    }
+
+    #[test]
+    fn inserting_the_stored_value_writes_nothing() {
+        let mut e = engine();
+        let mut tx = e.begin().unwrap();
+        let t = BTree::open(&mut e, &mut tx, 0).unwrap();
+        t.insert(&mut e, &mut tx, 5, 50).unwrap();
+        e.commit(tx).unwrap();
+        let leaf = e.tree_root(0).unwrap();
+        let mut tx = e.begin().unwrap();
+        let (records, lsn) = (e.wal().unwrap().stats().records, e.page_lsn(leaf).unwrap());
+        assert_eq!(t.insert(&mut e, &mut tx, 5, 50).unwrap(), Some(50));
+        assert_eq!(
+            e.wal().unwrap().stats().records,
+            records,
+            "no record appended"
+        );
+        assert_eq!(e.page_lsn(leaf).unwrap(), lsn, "page LSN unchanged");
+        // A different value is still written.
+        assert_eq!(t.insert(&mut e, &mut tx, 5, 51).unwrap(), Some(50));
+        assert!(e.wal().unwrap().stats().records > records);
+        e.commit(tx).unwrap();
+        assert_eq!(t.get(&mut e, 5).unwrap(), Some(51));
     }
 
     #[test]
