@@ -199,7 +199,7 @@ impl Drop for BatchGuard<'_> {
 
 /// Collapse a drained queue — a batch, or commits that queued while one
 /// slice was being delivered — to one event per UNID: the last event wins
-/// (in last-occurrence order), and a surviving `Saved` gets its `old`
+/// (in last-occurrence order), and a surviving event gets its `old`
 /// patched to the note's state before the slice, so replaying the
 /// coalesced slice moves observers from the state before it to the state
 /// after it exactly as replaying every event would. A `Deleted` for a
@@ -230,7 +230,10 @@ fn coalesce(changes: Vec<Change>) -> Vec<Change> {
                 old: first_prior.remove(&unid).flatten(),
                 new,
             },
-            deleted => deleted,
+            Change::Deleted { old, stub } => Change::Deleted {
+                old: first_prior.remove(&unid).flatten().unwrap_or(old),
+                stub,
+            },
         });
     }
     out

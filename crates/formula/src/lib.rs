@@ -24,7 +24,6 @@
 //! [`functions`].
 
 pub mod ast;
-pub mod cache;
 pub mod eval;
 pub mod functions;
 pub mod parser;
@@ -62,14 +61,6 @@ impl Formula {
             source: source.to_string(),
             program,
         })
-    }
-
-    /// Like [`Formula::compile`], but consults the process-wide compile
-    /// cache: the first compilation of a source string is shared by every
-    /// later caller (see [`cache`]). Returns the formula and whether it
-    /// was a cache hit.
-    pub fn compile_cached(source: &str) -> Result<(Formula, bool)> {
-        cache::compile_cached(source)
     }
 
     /// The original source text.
@@ -164,6 +155,13 @@ pub fn eval_str(source: &str, doc: &dyn DocContext, env: &EvalEnv) -> Result<Val
 mod tests {
     use super::*;
     use domino_types::Value;
+
+    #[test]
+    fn formula_is_send_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Formula>();
+        assert_send_sync::<EvalEnv>();
+    }
 
     #[test]
     fn compile_eval_roundtrip() {

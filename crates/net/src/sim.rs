@@ -534,11 +534,6 @@ impl Network {
         self.shared.lock().retry = policy;
     }
 
-    /// Replace the spec of one link (e.g. to make just the WAN hop lossy).
-    pub fn set_link_spec(&mut self, a: usize, b: usize, spec: LinkSpec) {
-        self.shared.lock().specs.insert(key(a, b), spec);
-    }
-
     /// Replace every link's spec (e.g. a uniform drop rate for E14).
     pub fn set_all_link_specs(&mut self, spec: LinkSpec) {
         let mut links = self.shared.lock();

@@ -1,43 +1,13 @@
-//! Notes security: database ACLs plus per-document reader/author fields.
+//! Notes security: database ACLs and the group directory.
 //!
 //! Domino checks access at two levels. The database ACL grants each user
 //! (or group, or server) one of seven ordered [`AccessLevel`]s plus a set of
 //! *roles*; then individual documents can narrow readability with
 //! `$Readers`-flagged items and broaden editability with `$Authors` items.
-//! This crate is pure policy — it knows names, levels, roles, and lists,
-//! and is wired to actual notes by `domino-core`.
+//! This crate holds the ACL and directory types; the reference monitor in
+//! `domino-core` (`domino_core::access`) applies them, document lists
+//! included, to actual notes.
 
 pub mod acl;
-pub mod doc;
 
 pub use acl::{AccessLevel, Acl, AclEntry, Directory};
-pub use doc::{can_edit_document, can_read_document};
-
-#[cfg(test)]
-mod integration_tests {
-    use super::*;
-
-    /// End-to-end policy check: ACL + groups + reader fields together.
-    #[test]
-    fn acl_and_reader_fields_compose() {
-        let mut dir = Directory::new();
-        dir.add_group("HR", ["alice", "bob"]);
-
-        let mut acl = Acl::new(AccessLevel::NoAccess);
-        acl.set(
-            "HR",
-            AclEntry::new(AccessLevel::Reader).with_role("Personnel"),
-        );
-        acl.set("carol", AclEntry::new(AccessLevel::Editor));
-
-        // Alice reads via the HR group...
-        let alice = acl.effective(&dir, "alice");
-        assert_eq!(alice.level, AccessLevel::Reader);
-        // ...but a reader field naming only [Personnel] role holders still
-        // admits her, while excluding Carol despite Editor access.
-        let readers = vec!["[Personnel]".to_string()];
-        assert!(can_read_document(&alice, &dir.names_of("alice"), &readers));
-        let carol = acl.effective(&dir, "carol");
-        assert!(!can_read_document(&carol, &dir.names_of("carol"), &readers));
-    }
-}

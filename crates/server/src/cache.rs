@@ -9,19 +9,17 @@
 //! reader list could tell them apart, so a cached page never leaks a
 //! document across an access boundary.
 //!
-//! Invalidation is by [`PageStamp`]: each page records which attached
-//! index its rows came from and the version of that index they were read
-//! at, and a lookup only hits when both still match. The stamp covers
-//! everything the rendered bytes depend on besides the key — row values,
-//! reader lists, ordering, totals all live in the index, and a page is
-//! built from the index alone. Under one instance, equal versions imply
+//! Invalidation is by the version of the view index a page's rows were
+//! read at: a lookup only hits when the view still has that version.
+//! The version covers everything the rendered bytes depend on besides the
+//! key — row values, reader lists, ordering, totals all live in the
+//! index, and a page is built from the index alone. Equal versions imply
 //! byte-identical pages — the index mutates under an exclusive guard that
-//! bumps its version — so a concurrent writer can only make a page
-//! expire, never hit stale. The instance half is there because a version
-//! counts one index's mutations from zero: a view or database registered
-//! again under a name already in use reaches the old numbers with other
-//! rows, and must not hit the pages of the one it replaced. That is also
-//! what lets the executor probe the cache *before* it reads a single row.
+//! takes a new version — so a concurrent writer can only make a page
+//! expire, never hit stale. No two index states in the process share a
+//! version, so a view or database registered again under a name in use
+//! never hits its predecessor's pages. That is also what lets the
+//! executor probe the cache *before* it reads a single row.
 //! Eviction beyond that is FIFO within a fixed capacity.
 
 use std::collections::{HashMap, VecDeque};
@@ -75,22 +73,11 @@ pub struct CacheKey {
     pub access_class: u64,
 }
 
-/// The index state a page was rendered from; a page hits only under an
-/// equal stamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageStamp {
-    /// Which attached index, unique in the process: a name (part of the
-    /// key) can be given to another index later.
-    pub view_instance: u64,
-    /// That index's version when the rows were taken.
-    pub view_version: u64,
-}
-
 /// One cached rendered page.
 #[derive(Debug, Clone)]
 pub struct CachedPage {
-    /// The index state the rows were taken at.
-    pub stamp: PageStamp,
+    /// The view index version the rows were taken at.
+    pub view_version: u64,
     /// Rendered bytes.
     pub body: String,
     /// MIME type of `body`.
@@ -123,15 +110,15 @@ impl CommandCache {
     }
 
     /// Look up a page, hitting only if it was rendered at exactly this
-    /// `stamp`. A present-but-stale page counts as an invalidation and is
-    /// dropped.
-    pub fn lookup(&self, key: &CacheKey, stamp: PageStamp) -> Option<CachedPage> {
+    /// `view_version`. A present-but-stale page counts as an invalidation
+    /// and is dropped.
+    pub fn lookup(&self, key: &CacheKey, view_version: u64) -> Option<CachedPage> {
         if self.capacity == 0 {
             return None;
         }
         let mut g = self.inner.lock();
         match g.map.get(key) {
-            Some(page) if page.stamp == stamp => {
+            Some(page) if page.view_version == view_version => {
                 m().hits.inc();
                 Some(page.clone())
             }
@@ -197,16 +184,9 @@ mod tests {
         }
     }
 
-    fn at(view_version: u64) -> PageStamp {
-        PageStamp {
-            view_instance: 1,
-            view_version,
-        }
-    }
-
     fn page(view_version: u64, body: &str) -> CachedPage {
         CachedPage {
-            stamp: at(view_version),
+            view_version,
             body: body.into(),
             content_type: "text/html",
         }
@@ -216,11 +196,11 @@ mod tests {
     fn hits_only_at_the_version_rendered_from() {
         let c = CommandCache::new(8);
         c.insert(key(1, 0), page(3, "v3"));
-        assert_eq!(c.lookup(&key(1, 0), at(3)).unwrap().body, "v3");
+        assert_eq!(c.lookup(&key(1, 0), 3).unwrap().body, "v3");
         // A view mutation (version moved) expires the page...
-        assert!(c.lookup(&key(1, 0), at(4)).is_none());
+        assert!(c.lookup(&key(1, 0), 4).is_none());
         // ...and the stale entry was dropped, not resurrected.
-        assert!(c.lookup(&key(1, 0), at(3)).is_none());
+        assert!(c.lookup(&key(1, 0), 3).is_none());
     }
 
     /// A renderer that raced a writer inserts under the version its rows
@@ -235,30 +215,16 @@ mod tests {
         // A writer's event is applied (version 8) while renderer B is
         // mid-render; B's insert carries the version it read under:
         c.insert(key(1, 0), page(8, "rows as of v8"));
-        assert_eq!(c.lookup(&key(1, 0), at(8)).unwrap().body, "rows as of v8");
-        assert!(c.lookup(&key(1, 0), at(7)).is_none());
-    }
-
-    /// An index attached later under the same name counts its versions
-    /// from zero again: an equal version is not an equal state.
-    #[test]
-    fn a_replaced_index_cannot_hit_its_predecessors_pages() {
-        let c = CommandCache::new(8);
-        c.insert(key(1, 0), page(3, "old design"));
-        let successor = PageStamp {
-            view_instance: 2,
-            view_version: 3,
-        };
-        assert!(c.lookup(&key(1, 0), successor).is_none());
-        assert!(c.is_empty(), "and the orphan is dropped");
+        assert_eq!(c.lookup(&key(1, 0), 8).unwrap().body, "rows as of v8");
+        assert!(c.lookup(&key(1, 0), 7).is_none());
     }
 
     #[test]
     fn access_class_partitions_the_cache() {
         let c = CommandCache::new(8);
         c.insert(key(1, 0xA), page(1, "alice's page"));
-        assert!(c.lookup(&key(1, 0xB), at(1)).is_none());
-        assert_eq!(c.lookup(&key(1, 0xA), at(1)).unwrap().body, "alice's page");
+        assert!(c.lookup(&key(1, 0xB), 1).is_none());
+        assert_eq!(c.lookup(&key(1, 0xA), 1).unwrap().body, "alice's page");
     }
 
     #[test]
@@ -268,12 +234,12 @@ mod tests {
         c.insert(key(2, 0), page(1, "b"));
         c.insert(key(3, 0), page(1, "c"));
         assert_eq!(c.len(), 2);
-        assert!(c.lookup(&key(1, 0), at(1)).is_none(), "oldest evicted");
-        assert!(c.lookup(&key(3, 0), at(1)).is_some());
+        assert!(c.lookup(&key(1, 0), 1).is_none(), "oldest evicted");
+        assert!(c.lookup(&key(3, 0), 1).is_some());
 
         let off = CommandCache::new(0);
         off.insert(key(1, 0), page(1, "a"));
-        assert!(off.lookup(&key(1, 0), at(1)).is_none());
+        assert!(off.lookup(&key(1, 0), 1).is_none());
         assert!(off.is_empty());
     }
 }

@@ -16,7 +16,6 @@
 //! 5. render, consulting the command cache for view pages.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -30,7 +29,7 @@ use domino_types::{Clock, DominoError, ItemFlags, Result, Value};
 use domino_views::{stored_designs, View, ViewDesign};
 use parking_lot::Mutex;
 
-use crate::cache::{CacheKey, CachedPage, CommandCache, PageKind, PageStamp};
+use crate::cache::{CacheKey, CachedPage, CommandCache, PageKind};
 use crate::http::{Credentials, Request, Response, Status};
 use crate::render::{self, Row};
 use crate::url::{self, UrlCommand};
@@ -98,18 +97,11 @@ struct SiteView {
     name: String,
     columns: Vec<String>,
     view: View,
-    /// Unique in the process. `View::version` counts this index's
-    /// mutations from zero, and `add_view`/`register_database` may put
-    /// another index under the same name: the command cache tells the two
-    /// apart by this.
-    instance: u64,
 }
 
 impl SiteView {
     fn attach(db: &Arc<Database>, design: ViewDesign) -> Result<SiteView> {
-        static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
         Ok(SiteView {
-            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
             name: design.name.clone(),
             columns: design.columns.iter().map(|c| c.title.clone()).collect(),
             view: View::attach(db, design)?,
@@ -303,8 +295,9 @@ impl DominoServer {
         }
     }
 
-    /// Serve a database at `/{path}.nsf/...`. All stored view designs are
-    /// attached (built and kept current), the full-text index is built,
+    /// Serve a database at `/{path}.nsf/...`. Every stored view design
+    /// that decodes and validates is attached (built and kept current; see
+    /// [`stored_designs`] for the rest), the full-text index is built,
     /// and an agent scheduler is created for [`DominoServer::amgr_tick`].
     pub fn register_database(&self, path: &str, db: &Arc<Database>) -> Result<()> {
         let name = normalize_db(path);
@@ -616,10 +609,10 @@ impl Inner {
     /// in the same index entry, written together from one version of the
     /// document, so a row is shown iff the requester may read the version
     /// whose values it shows. The finished page is cached under the
-    /// requester's access class and stamped with this index instance and
-    /// the version its rows were read at, so a hit is byte-identical by
-    /// construction, any index mutation expires it, and an index attached
-    /// later under the same name never hits it.
+    /// requester's access class and stamped with the version its rows
+    /// were read at, so a hit is byte-identical by construction, any index
+    /// mutation expires it, and an index attached later under the same
+    /// name never hits it (no two index states share a version).
     fn view_page(
         &self,
         site: &Site,
@@ -642,11 +635,7 @@ impl Inner {
         let sv = site
             .view(view_name)
             .ok_or_else(|| DominoError::NotFound(format!("no view {view_name:?}")))?;
-        let probe = PageStamp {
-            view_instance: sv.instance,
-            view_version: sv.view.version(),
-        };
-        if let Some(hit) = self.cache.lookup(&key, probe) {
+        if let Some(hit) = self.cache.lookup(&key, sv.view.version()) {
             return Ok(Response {
                 status: Status::Ok,
                 content_type: hit.content_type,
@@ -691,10 +680,7 @@ impl Inner {
         self.cache.insert(
             key,
             CachedPage {
-                stamp: PageStamp {
-                    view_instance: sv.instance,
-                    view_version: page.version,
-                },
+                view_version: page.version,
                 body: body.clone(),
                 content_type,
             },
@@ -828,9 +814,10 @@ mod tests {
         assert!(!third.from_cache);
     }
 
-    /// A view's version counts that index's mutations from zero, so an
-    /// index attached later under the same name passes through the
-    /// numbers its predecessor was cached at. Its pages must be its own.
+    /// An index attached later under the same name takes as many steps
+    /// as its predecessor took before it was cached; were versions
+    /// counted per index, it would reach the same numbers. Its pages must
+    /// be its own.
     #[test]
     fn a_replaced_view_or_database_never_hits_its_predecessors_pages() {
         let (server, db) = discussion();

@@ -1,6 +1,6 @@
-//! End-to-end drive of the parallel indexing pipeline through the
-//! public API: batched saves coalescing into one view update, the
-//! compiled-selection cache, and full parallel rebuild parity.
+//! End-to-end drive of the indexing pipeline through the public API:
+//! batched saves coalescing into one view update, rebuild parity, and
+//! index versions that no two index states share.
 //!
 //! Run with: cargo run --release -p domino-views --example pipeline_demo
 
@@ -97,26 +97,24 @@ fn main() {
         s.max_batch
     );
 
-    // 5. Full rebuild (parallel path) and selection-cache counters.
+    // 5. Full rebuild: same rows, new version.
     let rows_before: Vec<_> = view.rows().iter().map(|r| r.unid).collect();
+    let version_before = view.version();
     view.rebuild().unwrap();
     let rows_after: Vec<_> = view.rows().iter().map(|r| r.unid).collect();
-    let s = view.stats();
     println!(
-        "after rebuild: rows identical = {}, rebuilds = {}, selection cache hits = {}, misses = {}",
+        "after rebuild: rows identical = {}, rebuilds = {}, new version = {}",
         rows_before == rows_after,
-        s.rebuilds,
-        s.selection_cache_hits,
-        s.selection_cache_misses
+        view.stats().rebuilds,
+        view.version() != version_before
     );
 
-    // 6. Second view on the same design source -> compiled selection is shared.
+    // 6. A second view of the same design holds the same rows under a
+    //    version of its own.
     let view2 = View::attach(&db, design()).unwrap();
-    let s2 = view2.stats();
     println!(
-        "second view attach: len = {}, cache hits = {}, misses = {}",
+        "second view attach: len = {}, versions differ = {}",
         view2.len(),
-        s2.selection_cache_hits,
-        s2.selection_cache_misses
+        view2.version() != view.version()
     );
 }

@@ -29,12 +29,9 @@ pub struct ColumnSpec {
 
 impl ColumnSpec {
     pub fn new(title: &str, formula_src: &str) -> Result<ColumnSpec> {
-        // Column formulas recur across views (Subject, Form, @Created...);
-        // share the parse through the process-wide compile cache.
-        let (formula, _) = Formula::compile_cached(formula_src)?;
         Ok(ColumnSpec {
             title: title.to_string(),
-            formula,
+            formula: Formula::compile(formula_src)?,
             sort: None,
             category: false,
             total: false,
@@ -80,7 +77,7 @@ pub struct ViewDesign {
 
 impl ViewDesign {
     pub fn new(name: &str, selection_src: &str) -> Result<ViewDesign> {
-        let (selection, _) = Formula::compile_cached(selection_src)?;
+        let selection = Formula::compile(selection_src)?;
         let show_responses = selection.wants_descendants();
         Ok(ViewDesign {
             name: name.to_string(),
@@ -93,11 +90,6 @@ impl ViewDesign {
 
     pub fn column(mut self, col: ColumnSpec) -> ViewDesign {
         self.columns.push(col);
-        self
-    }
-
-    pub fn with_responses(mut self) -> ViewDesign {
-        self.show_responses = true;
         self
     }
 
@@ -192,7 +184,8 @@ impl ViewDesign {
         n
     }
 
-    /// Decode from a design note.
+    /// Decode from a design note; a design [`ViewDesign::validate`]
+    /// rejects is an error here, not when it is attached.
     pub fn from_note(note: &Note) -> Result<ViewDesign> {
         if note.class != NoteClass::View {
             return Err(DominoError::InvalidArgument(format!(
@@ -233,6 +226,7 @@ impl ViewDesign {
                 design.alternates.push(Collation { keys });
             }
         }
+        design.validate()?;
         Ok(design)
     }
 }
@@ -361,6 +355,15 @@ mod tests {
         let back = decode_column(&encode_column(&c)).unwrap();
         assert_eq!(back.title, "A|B");
         assert_eq!(back.formula.source(), c.formula.source());
+    }
+
+    #[test]
+    fn from_note_rejects_an_invalid_design() {
+        let bad = ViewDesign::new("v", "SELECT @All")
+            .unwrap()
+            .column(ColumnSpec::new("A", "A").unwrap())
+            .alternate(vec![(5, SortDir::Ascending)]);
+        assert!(ViewDesign::from_note(&bad.to_note()).is_err());
     }
 
     #[test]

@@ -34,26 +34,24 @@
 //! `rebuild` that met one emits one warning event, and every other
 //! document is maintained as usual. Neither path has an error of its own.
 //!
-//! The selection formula is fetched through the process-wide compiled-
-//! formula cache ([`domino_formula::cache`]) at every rebuild and apply, so
-//! one parse is shared across views and apply calls; per-view hit/miss
-//! counts land in [`ViewStats`].
+//! The index evaluates the formulas its design holds, compiled once when
+//! the design was built. Every index state has its own
+//! [version](ViewIndex::version), drawn from one process-wide counter, so
+//! no two states anywhere share one.
 
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use domino_core::{ChangeEvent, Note, SummaryItems};
-use domino_formula::{EvalEnv, EvalErrors, Formula};
+use domino_formula::{EvalEnv, EvalErrors};
 use domino_obs as obs;
 use domino_types::{NoteClass, NoteId, Result, Timestamp, Unid, Value};
 
 /// Process-wide registry mirrors of [`ViewStats`] (which stays per-view
-/// and exact). The selection-cache counters here aggregate *view-side*
-/// lookups across every view in the process; `Formula.Cache.*` counts the
-/// cache's own process-wide traffic — both derive from the same
-/// `compile_cached` verdict, so the two surfaces correlate.
+/// and exact).
 struct Metrics {
     rebuilds: &'static obs::Counter,
     rebuild_millis: &'static obs::Histogram,
@@ -63,8 +61,6 @@ struct Metrics {
     batches: &'static obs::Counter,
     batch_events: &'static obs::Counter,
     batch_size: &'static obs::Histogram,
-    cache_hits: &'static obs::Counter,
-    cache_misses: &'static obs::Counter,
     pages_built: &'static obs::Counter,
 }
 
@@ -79,8 +75,6 @@ fn m() -> &'static Metrics {
         batches: obs::counter("View.Batches"),
         batch_events: obs::counter("View.Batch.Events"),
         batch_size: obs::histogram("View.Batch.Size"),
-        cache_hits: obs::counter("View.SelectionCache.Hits"),
-        cache_misses: obs::counter("View.SelectionCache.Misses"),
         pages_built: obs::counter("View.Pages.Built"),
     })
 }
@@ -147,10 +141,6 @@ pub struct ViewStats {
     pub removed: u64,
     /// Full rebuilds performed.
     pub rebuilds: u64,
-    /// Compiled-selection cache hits (one lookup per rebuild/apply).
-    pub selection_cache_hits: u64,
-    /// Compiled-selection cache misses.
-    pub selection_cache_misses: u64,
     /// `apply` calls.
     pub batches: u64,
     /// Total change events across all `apply` calls.
@@ -172,9 +162,6 @@ pub struct CategoryRow {
 
 pub struct ViewIndex {
     design: ViewDesign,
-    /// The selection formula, fetched through the process-wide compile
-    /// cache.
-    selection: Formula,
     env: EvalEnv,
     entries: HashMap<Unid, Arc<ViewEntry>>,
     /// One counted order per collation: encoded key -> the shared entry.
@@ -186,58 +173,34 @@ pub struct ViewIndex {
     stats: ViewStats,
     /// Formula failures of the `apply` or `rebuild` in progress.
     errors: EvalErrors,
-    /// Bumped on every mutation (non-empty apply, rebuild). Pages
-    /// read at equal versions saw byte-identical index state, which is
-    /// what lets the HTTP command cache key on it.
+    /// This state's number, new at construction and at every mutation
+    /// (non-empty apply, rebuild). Pages read at equal versions saw
+    /// byte-identical state of one index, which is what lets the HTTP
+    /// command cache key on it.
     version: u64,
+}
+
+/// A version no index state in the process has had.
+fn next_version() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl ViewIndex {
     pub fn new(design: ViewDesign, env: EvalEnv) -> Result<ViewIndex> {
         design.validate()?;
         let n_collations = design.collations().len();
-        let mut stats = ViewStats::default();
-        let selection = Self::cached_selection(&design, &mut stats);
         Ok(ViewIndex {
             design,
-            selection,
             env,
             entries: HashMap::new(),
             orders: (0..n_collations).map(|_| Order::new()).collect(),
             keys: HashMap::new(),
             children: HashMap::new(),
-            stats,
+            stats: ViewStats::default(),
             errors: EvalErrors::default(),
-            version: 0,
+            version: next_version(),
         })
-    }
-
-    /// The design's selection, shared through the compile cache. The
-    /// source parsed when the design was built, so the lookup finds or
-    /// re-parses the same program; the design's own copy stands in should
-    /// it ever fail.
-    fn cached_selection(design: &ViewDesign, stats: &mut ViewStats) -> Formula {
-        let Ok((f, hit)) = Formula::compile_cached(design.selection.source()) else {
-            return design.selection.clone();
-        };
-        // Per-view and registry counters both derive from this one
-        // verdict: hits and misses are accounted at the same place, at
-        // the same granularity (one count per view-side lookup).
-        if hit {
-            stats.selection_cache_hits += 1;
-            m().cache_hits.inc();
-        } else {
-            stats.selection_cache_misses += 1;
-            m().cache_misses.inc();
-        }
-        f
-    }
-
-    /// Re-fetch the selection from the compile cache (hit after the first
-    /// fetch anywhere in the process; the counters in [`ViewStats`] make
-    /// the sharing observable).
-    fn refresh_selection(&mut self) {
-        self.selection = Self::cached_selection(&self.design, &mut self.stats);
     }
 
     pub fn design(&self) -> &ViewDesign {
@@ -279,10 +242,11 @@ impl ViewIndex {
         self.stats.evaluated += 1;
         m().evaluated.inc();
         let doc = SummaryItems(note);
-        let selected = match self.selection.eval_full(&doc, &self.env) {
+        let selection = &self.design.selection;
+        let selected = match selection.eval_full(&doc, &self.env) {
             Ok(out) => out.selected,
             Err(e) => {
-                self.errors.record(&self.selection, note.unid(), e);
+                self.errors.record(selection, note.unid(), e);
                 return None;
             }
         };
@@ -345,8 +309,7 @@ impl ViewIndex {
         if events.is_empty() {
             return Ok(());
         }
-        self.version += 1;
-        self.refresh_selection();
+        self.version = next_version();
         for event in events {
             match event {
                 ChangeEvent::Saved { old, new } => {
@@ -379,13 +342,12 @@ impl ViewIndex {
     ) -> std::result::Result<(), Infallible> {
         let started = Instant::now();
         let _span = obs::span!("View.Rebuild");
-        self.version += 1;
+        self.version = next_version();
         self.entries.clear();
         self.keys.clear();
         self.children.clear();
         self.stats.rebuilds += 1;
         m().rebuilds.inc();
-        self.refresh_selection();
         let collations = self.design.collations();
         let mut per_coll: Vec<Vec<(Vec<u8>, Arc<ViewEntry>)>> =
             collations.iter().map(|_| Vec::new()).collect();
@@ -792,6 +754,34 @@ mod tests {
             let (cost, pos) = steps(|| index.position_of(0, all[start]));
             assert!(cost <= 64, "position of row {start}: {cost} probes");
             assert_eq!(pos, Some(start));
+        }
+    }
+
+    /// Two indexes of one design over the same notes reach equal states
+    /// by equal steps, yet no state repeats another's version: a page
+    /// stamped with one can never be served for the other.
+    #[test]
+    fn a_fresh_or_rebuilt_index_never_repeats_another_indexs_version() {
+        let index = || {
+            let design = ViewDesign::new("All", "SELECT @All").unwrap();
+            ViewIndex::new(design, EvalEnv::default()).unwrap()
+        };
+        let notes: Vec<Note> = (0..3).map(memo).collect();
+        let saved = ChangeEvent::Saved {
+            old: None,
+            new: memo(3),
+        };
+        let mut seen = HashSet::new();
+        for _ in 0..2 {
+            let mut ix = index();
+            assert!(seen.insert(ix.version()));
+            ix.apply(&[], &NoSource).unwrap();
+            assert!(!seen.insert(ix.version()), "an empty apply changes nothing");
+            ix.rebuild(notes.iter(), &NoSource).unwrap();
+            assert!(seen.insert(ix.version()));
+            ix.apply(std::slice::from_ref(&saved), &NoSource).unwrap();
+            assert!(seen.insert(ix.version()));
+            assert_eq!(ix.len(), 4);
         }
     }
 }

@@ -47,6 +47,7 @@ use parking_lot::RwLock;
 
 use domino_core::{ChangeEvent, Database, Note, Snapshot, Subscription};
 use domino_formula::EvalEnv;
+use domino_obs as obs;
 use domino_types::{DominoError, NoteClass, Result, Unid, Value};
 
 /// One database state as a [`NoteSource`] for re-keying. Every lookup of
@@ -144,8 +145,9 @@ impl View {
         self.state.read().is_empty()
     }
 
-    /// Index version: bumped on every mutation (apply, rebuild).
-    /// Two reads at the same version saw byte-identical index state.
+    /// Index version: new on every mutation (apply, rebuild), and never
+    /// another index's. Two reads at the same version saw byte-identical
+    /// index state.
     pub fn version(&self) -> u64 {
         self.state.read().version()
     }
@@ -234,14 +236,31 @@ impl View {
 
 /// Load every stored view design from a database's design notes (folders
 /// share the `View` note class but are not query designs; they are
-/// skipped — use [`list_folders`] for those).
+/// skipped — use [`list_folders`] for those). A design that does not
+/// decode or validate is skipped with one `Warning` event naming it, so
+/// it costs the database that view alone.
 pub fn stored_designs(db: &Database) -> Result<Vec<ViewDesign>> {
-    db.snapshot()
-        .design_notes(NoteClass::View)?
+    let notes = db.snapshot().design_notes(NoteClass::View)?;
+    let decoded = notes
         .iter()
         .filter(|note| !folder::is_folder(note))
-        .map(|note| ViewDesign::from_note(note))
-        .collect()
+        .map(|note| {
+            ViewDesign::from_note(note).inspect_err(|e| {
+                let name = note
+                    .get_text("$TITLE")
+                    .unwrap_or_else(|| note.unid().to_string());
+                obs::emit(
+                    obs::Event::new(
+                        obs::EventKind::Misc,
+                        obs::Severity::Warning,
+                        "View.Design.Skipped",
+                    )
+                    .with("view", name)
+                    .with("error", e.to_string()),
+                );
+            })
+        });
+    Ok(decoded.flatten().collect())
 }
 
 #[cfg(test)]
@@ -321,9 +340,6 @@ mod tests {
         assert_eq!(stats.batch_events, 2, "three saves coalesce to two events");
         assert_eq!(stats.max_batch, 2);
         assert_eq!(stats.evaluated, 2);
-        // The selection formula came from the compile cache at least twice
-        // (view construction + the batch application).
-        assert!(stats.selection_cache_hits + stats.selection_cache_misses >= 2);
     }
 
     #[test]

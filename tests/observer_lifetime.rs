@@ -12,9 +12,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use domino::core::{ChangeEvent, Database, DbConfig, Note, Subscription};
 use domino::ftindex::FtIndex;
-use domino::server::{DominoServer, ServerConfig};
+use domino::server::{DominoServer, Request, ServerConfig};
 use domino::types::{LogicalClock, ReplicaId, Value};
-use domino::views::{stored_designs, ColumnSpec, SortDir, View, ViewDesign};
+use domino::views::{ColumnSpec, SortDir, View, ViewDesign};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
 
@@ -112,32 +112,34 @@ fn a_view_replaced_under_its_name_is_not_maintained() {
 fn a_failed_registration_leaves_no_observer_behind() {
     let _alone = alone();
     let db = open();
-    // A category column after a sorted data column: the design decodes,
-    // and only attaching it fails.
+    // A category column after a sorted data column: the design is
+    // stored, but does not validate.
     let broken =
         by_subject("Broken").column(ColumnSpec::new("Kind", "Form").unwrap().categorized());
     assert!(broken.validate().is_err());
     for design in [by_subject("Good"), broken] {
         db.save_design(&mut design.to_note()).unwrap();
     }
-    let names: Vec<String> = stored_designs(&db)
-        .unwrap()
-        .into_iter()
-        .map(|d| d.name)
-        .collect();
-    assert_eq!(
-        names,
-        ["Good", "Broken"],
-        "the second design is the one that fails"
-    );
+    memo(&db, "stored");
 
     let server = DominoServer::new(ServerConfig::default());
-    assert!(server.register_database("memos", &db).is_err());
-    assert_eq!(
-        batches_per_save(&db),
-        0,
-        "the first view outlived the failure"
-    );
+    domino::obs::drain(usize::MAX);
+    server.register_database("memos", &db).unwrap();
+    let skipped: Vec<String> = domino::obs::drain(usize::MAX)
+        .iter()
+        .filter(|e| e.code == "View.Design.Skipped")
+        .map(|e| e.field("view").unwrap().to_text())
+        .collect();
+    assert_eq!(skipped, ["Broken"], "one warning names the skipped design");
+    let good = server.handle(&Request::get("/memos.nsf/Good?OpenView"));
+    assert_eq!(good.status.code(), 200);
+    assert!(good.body.contains("stored"));
+    let broken = server.handle(&Request::get("/memos.nsf/Broken?OpenView"));
+    assert_eq!(broken.status.code(), 404);
+    assert_eq!(batches_per_save(&db), 1, "the good view is maintained");
+
+    drop(server);
+    assert_eq!(batches_per_save(&db), 0, "a view outlived its server");
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! * every pinned snapshot still reads what the engine held when it was
 //!   pinned;
 //! * replaying each observer's events over the state it subscribed at
-//!   gives the current state, and each `Saved` event's `old` is the state
-//!   it replaces.
+//!   gives the current state, and each event's `old` is the state it
+//!   replaces (for a deletion, whenever the observer held the note).
 //!
 //! A commit takes the record it replaces from the version map when it
 //! can, so a map that drifted from the engine shows up here as a mismatch
@@ -192,11 +192,17 @@ impl Watcher {
                         }
                         notes.insert(unid, new.clone());
                     }
-                    // A coalesced deletion keeps the `old` it was queued
-                    // with, which may postdate the slice's start (or the
-                    // note may have been created inside the slice).
+                    // A note created inside a coalesced slice is deleted
+                    // without the watcher ever holding it.
                     ChangeEvent::Deleted { old, .. } => {
-                        notes.remove(&old.unid());
+                        let unid = old.unid();
+                        if let Some(held) = notes.remove(&unid) {
+                            if !same(&held, old) {
+                                errors.push(format!(
+                                    "deleted {unid}: old {old:?} is not the replayed {held:?}"
+                                ));
+                            }
+                        }
                     }
                 }
             }
