@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use domino_core::{Database, DbConfig};
+use domino_obs as obs;
 use domino_storage::{CommitMode, EngineConfig, MemDisk};
 use domino_types::{LogicalClock, ReplicaId, Value};
 use domino_wal::{LogStore, MemLogStore};
@@ -42,6 +43,7 @@ fn main() {
     let db = open(disk.clone(), log.clone(), clock.clone());
 
     // --- commit a batch of documents, each forced to the log ----------
+    let counters = obs::snapshot();
     let mut ids = Vec::new();
     for i in 0..200 {
         let mut d = domino_core::Note::document("Doc");
@@ -49,12 +51,12 @@ fn main() {
         db.save(&mut d).expect("save");
         ids.push(d.id);
     }
-    let ls = db.log_stats().expect("logging on");
+    let ls = obs::snapshot().diff(&counters);
     println!(
         "after 200 saves: {} log records, {} device flushes ({} noop), durable log = {} bytes",
-        ls.records,
-        ls.flushes,
-        ls.noop_flushes,
+        ls.counter("Log.Records"),
+        ls.counter("Log.Flushes"),
+        ls.counter("Log.NoopFlushes"),
         durable_log_bytes(&log)
     );
 

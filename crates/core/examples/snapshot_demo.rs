@@ -1,6 +1,6 @@
 //! Drive the concurrency layer end-to-end through the public API:
 //! snapshot isolation, lock-free reads under a storm of disjoint
-//! writers, and the snapshot statistics surface.
+//! writers, and the `Db.Snapshot.*` counters.
 //!
 //! ```sh
 //! cargo run --release -q -p domino-core --example snapshot_demo
@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::thread;
 
 use domino_core::{Database, DbConfig, Note};
+use domino_obs as obs;
 use domino_types::{LogicalClock, ReplicaId, Value};
 
 fn main() {
@@ -100,10 +101,13 @@ fn main() {
     );
     assert_eq!(total as usize, 4 * 25 + 42);
 
-    let s = db.snapshot_stats();
+    let s = obs::snapshot();
     println!(
         "snapshot stats: {} pinned, {} reads served, {} versions retained, {} pruned",
-        s.pinned_total, s.reads, s.retained_versions, s.pruned
+        s.counter("Db.Snapshot.Pinned"),
+        s.counter("Db.Snapshot.Reads"),
+        db.snapshot_stats().retained_versions,
+        s.counter("Db.Snapshot.Pruned")
     );
     println!("snapshot demo complete");
 }

@@ -523,10 +523,12 @@ impl Database {
         self.versions.pin()
     }
 
-    /// `Db.Snapshot.*` counters plus this database's retained-version
-    /// count.
+    /// The versions this database's map retains now (the process-wide
+    /// snapshot counters are `Db.Snapshot.*` in the registry).
     pub fn snapshot_stats(&self) -> SnapshotStats {
-        self.versions.stats()
+        SnapshotStats {
+            retained_versions: self.versions.retained_versions(),
+        }
     }
 
     /// Return once event number `last` has reached every observer — or
@@ -1249,9 +1251,11 @@ impl Database {
         self.inner.lock().engine.recovery
     }
 
-    /// WAL counters (None when logging is off).
-    pub fn log_stats(&self) -> Option<domino_wal::LogStats> {
-        self.inner.lock().engine.wal().map(|w| w.stats())
+    /// The LSNs the log holds now (None when logging is off; see
+    /// [`domino_wal::LogManager::lsn_range`]): its length is the bytes
+    /// retained, and the change of its end the bytes appended.
+    pub fn log_range(&self) -> Option<std::ops::Range<domino_wal::Lsn>> {
+        self.inner.lock().engine.wal().map(|w| w.lsn_range())
     }
 
     /// Summary statistics for the database (the File → Database →
@@ -1276,16 +1280,14 @@ impl Database {
     /// database into fresh stores, carrying over every live note, stub,
     /// and identity field, and dropping all dead space (tombstoned heap
     /// records, emptied B-tree pages, the old log). Returns the new
-    /// database and before/after disk sizes.
+    /// database; [`Database::info`] on both tells what was copied and
+    /// what was won back.
     pub fn compact_into(
         &self,
         disk: Box<dyn domino_storage::Disk>,
         log: Option<Box<dyn domino_wal::LogStore>>,
-    ) -> Result<(Database, CompactStats)> {
-        let mut stats = CompactStats {
-            bytes_before: self.inner.lock().engine.logical_bytes()?,
-            ..CompactStats::default()
-        };
+    ) -> Result<Database> {
+        let bytes_before = self.inner.lock().engine.logical_bytes()?;
         let config = DbConfig {
             title: self.title(),
             replica_id: self.replica_id(),
@@ -1301,22 +1303,21 @@ impl Database {
         // Copy notes in note-id order, preserving identity and lineage
         // (save_replicated keeps OIDs/items byte-for-byte); copying the
         // ACL note points the copy's ACL slot at it.
-        for id in snap.note_ids(None) {
+        let ids = snap.note_ids(None);
+        for &id in &ids {
             fresh.save_replicated(snap.open_note(id)?)?;
-            stats.notes_copied += 1;
         }
         for stub in self.stubs()? {
             fresh.apply_remote_deletion(&stub)?;
-            stats.stubs_copied += 1;
         }
         fresh.checkpoint()?;
-        stats.bytes_after = fresh.inner.lock().engine.logical_bytes()?;
+        let bytes_after = fresh.inner.lock().engine.logical_bytes()?;
         let reg = m();
         reg.compact_runs.inc();
-        reg.compact_notes_copied.add(stats.notes_copied);
+        reg.compact_notes_copied.add(ids.len() as u64);
         reg.compact_bytes_reclaimed
-            .add(stats.bytes_before.saturating_sub(stats.bytes_after));
-        Ok((fresh, stats))
+            .add(bytes_before.saturating_sub(bytes_after));
+        Ok(fresh)
     }
 }
 
@@ -1331,15 +1332,6 @@ pub struct DbInfo {
     pub deletion_stubs: usize,
     pub logical_bytes: u64,
     pub purge_interval: u64,
-}
-
-/// What a compaction did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactStats {
-    pub notes_copied: u64,
-    pub stubs_copied: u64,
-    pub bytes_before: u64,
-    pub bytes_after: u64,
 }
 
 /// Where a mutation finds the record it replaces.

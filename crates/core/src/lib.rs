@@ -47,7 +47,7 @@ pub use agent::{
     AgentTrigger,
 };
 pub use db::{
-    Candidate, ChangeEvent, CompactStats, Database, DbConfig, DbInfo, Record, Subscription,
+    Candidate, ChangeEvent, Database, DbConfig, DbInfo, Record, Subscription,
     DEFAULT_PURGE_INTERVAL,
 };
 pub use form::{form_for, save_form, stored_forms, FieldKind, FieldSpec, FormDesign};
@@ -557,16 +557,17 @@ mod compact_tests {
                 keep.push(n.unid());
             }
         }
-        let (fresh, stats) = db
+        let fresh = db
             .compact_into(Box::new(MemDisk::new()), Some(Box::new(MemLogStore::new())))
             .unwrap();
-        assert_eq!(stats.notes_copied, 50);
-        assert_eq!(stats.stubs_copied, 50);
+        let (before, after) = (db.info().unwrap(), fresh.info().unwrap());
+        assert_eq!(after.documents + after.design_notes, 50);
+        assert_eq!(after.deletion_stubs, 50);
         assert!(
-            stats.bytes_after < stats.bytes_before / 2,
+            after.logical_bytes < before.logical_bytes / 2,
             "{} -> {}",
-            stats.bytes_before,
-            stats.bytes_after
+            before.logical_bytes,
+            after.logical_bytes
         );
         // Content identical: same notes, same revisions, same stubs.
         assert_eq!(fresh.document_count().unwrap(), 50);
@@ -616,17 +617,19 @@ mod compact_tests {
                 db.save(&mut n).unwrap();
             }
         }
-        let (fresh, stats) = db
+        let fresh = db
             .compact_into(Box::new(MemDisk::new()), Some(Box::new(MemLogStore::new())))
             .unwrap();
-        assert_eq!((stats.notes_copied, stats.stubs_copied), (50, 50));
+        let (before, after) = (db.info().unwrap(), fresh.info().unwrap());
+        assert_eq!(after.documents + after.design_notes, 50);
+        assert_eq!(after.deletion_stubs, 50);
         // `compact_reclaims_space_and_preserves_content`'s bound, the
         // other way round.
         assert!(
-            stats.bytes_after >= stats.bytes_before / 2,
+            after.logical_bytes >= before.logical_bytes / 2,
             "{} -> {}",
-            stats.bytes_before,
-            stats.bytes_after
+            before.logical_bytes,
+            after.logical_bytes
         );
         assert_eq!(fresh.document_count().unwrap(), 50);
     }

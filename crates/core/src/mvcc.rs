@@ -133,20 +133,12 @@ struct VersionsInner {
     design: BTreeSet<Unid>,
 }
 
-/// Point-in-time counters for the version map (see OPERATIONS.md
-/// `Db.Snapshot.*`).
+/// The size of one database's version map. The process-wide snapshot
+/// counters are `Db.Snapshot.*` in the registry (see OPERATIONS.md).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Snapshots pinned since process start (process-wide).
-    pub pinned_total: u64,
-    /// Snapshots alive right now (process-wide).
-    pub active: i64,
-    /// Lookups served from snapshots (process-wide).
-    pub reads: u64,
-    /// Versions retained by *this* database's map right now.
+    /// Versions retained by this database's map right now.
     pub retained_versions: usize,
-    /// Versions reclaimed since process start (process-wide).
-    pub pruned: u64,
 }
 
 /// The versioned note map behind [`crate::Database`]. Shared with every
@@ -423,17 +415,6 @@ impl VersionStore {
     pub(crate) fn retained_versions(&self) -> usize {
         let st = self.state.read();
         st.chains.values().map(|c| c.versions.len()).sum()
-    }
-
-    pub(crate) fn stats(&self) -> SnapshotStats {
-        let reg = m();
-        SnapshotStats {
-            pinned_total: reg.pinned.get(),
-            active: reg.active.get(),
-            reads: reg.reads.get(),
-            retained_versions: self.retained_versions(),
-            pruned: reg.pruned.get(),
-        }
     }
 }
 

@@ -17,7 +17,7 @@
 //!     DbConfig::new("Docs", ReplicaId(1), ReplicaId(2)),
 //!     LogicalClock::new(),
 //! ).unwrap());
-//! let ft = FtIndex::attach(&db).unwrap();
+//! let ft = FtIndex::attach(&db);
 //! let mut n = Note::document("Memo");
 //! n.set("Body", Value::text("the quarterly revenue report"));
 //! db.save(&mut n).unwrap();
@@ -53,7 +53,7 @@ impl FtIndex {
     /// either in that snapshot or its event is applied after the build.
     /// Events arrive in commit order, so re-indexing one already in the
     /// snapshot still leaves each document at its latest commit.
-    pub fn attach(db: &Arc<Database>) -> Result<FtIndex> {
+    pub fn attach(db: &Arc<Database>) -> FtIndex {
         let mut ft = FtIndex::detached();
         let state = ft.state.clone();
         ft._feed = Some(db.subscribe(move |events: &[ChangeEvent]| {
@@ -65,8 +65,8 @@ impl FtIndex {
                 }
             }
         }));
-        ft.rebuild(db)?;
-        Ok(ft)
+        ft.rebuild(db);
+        ft
     }
 
     /// An empty, manually-maintained index.
@@ -81,14 +81,13 @@ impl FtIndex {
     /// write lock (see [`FtIndex::attach`]): the result is the database
     /// exactly as of the snapshot's change sequence, with no writer lock
     /// held while tokenizing.
-    pub fn rebuild(&self, db: &Database) -> Result<()> {
+    pub fn rebuild(&self, db: &Database) {
         let mut g = self.state.write();
         let snap = db.snapshot();
         *g = InvertedIndex::new();
         for note in snap.documents() {
             g.index_note(note.as_ref());
         }
-        Ok(())
     }
 
     /// Search with the query language: bare words (implicit AND), `AND`,
@@ -131,7 +130,7 @@ mod tests {
     fn attach_indexes_existing_and_new_documents() {
         let db = db();
         let before = doc(&db, "old doc", "about elephants");
-        let ft = FtIndex::attach(&db).unwrap();
+        let ft = FtIndex::attach(&db);
         let after = doc(&db, "new doc", "about giraffes");
         let e = ft.search("elephants").unwrap();
         assert_eq!(e.len(), 1);
@@ -144,7 +143,7 @@ mod tests {
     #[test]
     fn boolean_queries() {
         let db = db();
-        let ft = FtIndex::attach(&db).unwrap();
+        let ft = FtIndex::attach(&db);
         let a = doc(&db, "alpha", "cats and dogs");
         let b = doc(&db, "beta", "cats and birds");
         let c = doc(&db, "gamma", "only birds");
@@ -165,7 +164,7 @@ mod tests {
     #[test]
     fn phrase_queries_respect_adjacency() {
         let db = db();
-        let ft = FtIndex::attach(&db).unwrap();
+        let ft = FtIndex::attach(&db);
         let hit = doc(&db, "a", "the quick brown fox jumps");
         let _miss = doc(&db, "b", "the brown quick fox naps");
         let r = ft.search("\"quick brown fox\"").unwrap();
@@ -176,7 +175,7 @@ mod tests {
     #[test]
     fn phrase_spans_stopwords() {
         let db = db();
-        let ft = FtIndex::attach(&db).unwrap();
+        let ft = FtIndex::attach(&db);
         let hit = doc(&db, "a", "state of the art engine");
         let r = ft.search("\"state art\"").unwrap();
         // "of the" are stopwords and never indexed; positions still line up
@@ -188,7 +187,7 @@ mod tests {
     #[test]
     fn updates_and_deletes_keep_index_current() {
         let db = db();
-        let ft = FtIndex::attach(&db).unwrap();
+        let ft = FtIndex::attach(&db);
         let unid = doc(&db, "s", "original wording");
         assert_eq!(ft.search("original").unwrap().len(), 1);
         let mut n = db.open_by_unid(unid).unwrap();
@@ -204,7 +203,7 @@ mod tests {
     #[test]
     fn ranking_prefers_higher_term_frequency() {
         let db = db();
-        let ft = FtIndex::attach(&db).unwrap();
+        let ft = FtIndex::attach(&db);
         let heavy = doc(&db, "h", "storage storage storage engine");
         let light = doc(&db, "l", "storage notes");
         let r = ft.search("storage").unwrap();
@@ -217,7 +216,7 @@ mod tests {
     #[test]
     fn stopwords_not_searchable() {
         let db = db();
-        let ft = FtIndex::attach(&db).unwrap();
+        let ft = FtIndex::attach(&db);
         doc(&db, "s", "the and of it");
         // A stopword-only query is rejected outright...
         assert!(ft.search("the").is_err());
@@ -228,7 +227,7 @@ mod tests {
     #[test]
     fn stats_reflect_contents() {
         let db = db();
-        let ft = FtIndex::attach(&db).unwrap();
+        let ft = FtIndex::attach(&db);
         doc(&db, "a", "unique tokens here");
         let s = ft.stats();
         assert_eq!(s.documents, 1);
@@ -239,7 +238,7 @@ mod tests {
     #[test]
     fn empty_and_bad_queries() {
         let db = db();
-        let ft = FtIndex::attach(&db).unwrap();
+        let ft = FtIndex::attach(&db);
         assert!(ft.search("").is_err());
         assert!(ft.search("(unbalanced").is_err());
         assert!(ft.search("\"unterminated").is_err());

@@ -30,8 +30,8 @@ fn the_index_gauges_follow_rebuilds_and_drops() {
         n.set("Subject", Value::text(subject));
         db.save(&mut n).unwrap();
     }
-    let ft = FtIndex::attach(&db).unwrap();
-    ft.rebuild(&db).unwrap();
+    let ft = FtIndex::attach(&db);
+    ft.rebuild(&db);
     let bytes = ft.stats().bytes as i64;
     assert!(bytes > 0);
     assert_eq!(gauges(), (start.0 + 3, start.1 + bytes));

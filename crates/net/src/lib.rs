@@ -44,7 +44,7 @@ pub mod mail;
 pub mod sim;
 pub mod topology;
 
-pub use mail::{MailRouter, MailStats, MailUser, MAILBOX};
+pub use mail::{MailRouter, MailUser, MAILBOX};
 pub use sim::{LinkFaults, LinkSpec, LinkTraffic, Network, Server};
 pub use topology::{all_pairs_next_hop, Topology};
 

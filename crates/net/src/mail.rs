@@ -52,27 +52,11 @@ pub struct MailUser {
     pub home_server: usize,
 }
 
-/// Router statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MailStats {
-    /// Messages accepted into an originating mail.box.
-    pub sent: u64,
-    /// Hop-by-hop forwards between mail.boxes.
-    pub forwarded: u64,
-    /// Messages placed in a recipient's mail file.
-    pub delivered: u64,
-    /// Messages discarded as unroutable.
-    pub dead_lettered: u64,
-    /// Sum of delivery latencies in ticks (divide by delivered for mean).
-    pub total_latency: u64,
-    /// Slowest single delivery in ticks.
-    pub max_latency: u64,
-}
-
 /// The mail router spanning all servers of a network.
 pub struct MailRouter {
     users: Vec<MailUser>,
-    stats: MailStats,
+    /// Messages sent and neither delivered nor dead-lettered yet.
+    in_flight: u64,
 }
 
 impl MailRouter {
@@ -97,13 +81,8 @@ impl MailRouter {
         }
         Ok(MailRouter {
             users: users.to_vec(),
-            stats: MailStats::default(),
+            in_flight: 0,
         })
-    }
-
-    /// Cumulative router statistics.
-    pub fn stats(&self) -> MailStats {
-        self.stats
     }
 
     fn user(&self, name: &str) -> Option<&MailUser> {
@@ -136,7 +115,7 @@ impl MailRouter {
         memo.set("ReadyAt", Value::Number(now as f64));
         memo.set("Hops", Value::Number(0.0));
         net.db(from_server, MAILBOX)?.save(&mut memo)?;
-        self.stats.sent += 1;
+        self.in_flight += 1;
         m().sent.inc();
         Ok(memo.unid())
     }
@@ -176,7 +155,7 @@ impl MailRouter {
                     };
                     let Some(next) = next else {
                         // Unroutable: the destination does not exist.
-                        self.stats.dead_lettered += 1;
+                        self.in_flight = self.in_flight.saturating_sub(1);
                         m().dead_lettered.inc();
                         obs::emit(
                             obs::Event::new(
@@ -234,7 +213,6 @@ impl MailRouter {
         copy.set("Hops", Value::Number(hops + 1.0));
         copy.set("ReadyAt", Value::Number((now + transfer) as f64));
         net.db(to, MAILBOX)?.save(&mut copy)?;
-        self.stats.forwarded += 1;
         m().forwarded.inc();
         Ok(())
     }
@@ -256,9 +234,7 @@ impl MailRouter {
             .and_then(|v| v.as_number().ok())
             .unwrap_or(0.0) as u64;
         let latency = now.saturating_sub(sent);
-        self.stats.delivered += 1;
-        self.stats.total_latency += latency;
-        self.stats.max_latency = self.stats.max_latency.max(latency);
+        self.in_flight = self.in_flight.saturating_sub(1);
         let reg = m();
         reg.delivered.inc();
         reg.delivery_ticks.record(latency);
@@ -284,16 +260,30 @@ impl MailRouter {
         let start = net.clock().peek().0;
         for _ in 0..max_steps {
             self.step(net)?;
-            if self.stats.delivered + self.stats.dead_lettered >= self.stats.sent {
+            if self.in_flight == 0 {
                 return Ok(net.clock().peek().0 - start);
             }
             net.step(1)?;
         }
         Err(DominoError::Replication(format!(
-            "{} of {} messages still undelivered after {max_steps} steps",
-            self.stats.sent - self.stats.delivered - self.stats.dead_lettered,
-            self.stats.sent
+            "{} messages still undelivered after {max_steps} steps",
+            self.in_flight
         )))
+    }
+
+    /// The delivery latency of every memo in every user's mail file, in
+    /// ticks: its `DeliveredAt` less its `SentAt`.
+    pub fn latencies(&self, net: &Network) -> Result<Vec<u64>> {
+        let tick = |memo: &Note, item| memo.get(item).and_then(|v| v.as_number().ok());
+        let mut out = Vec::new();
+        for u in &self.users {
+            let db = net.db(u.home_server, &mail_file(&u.name))?;
+            for memo in db.snapshot().document_summaries() {
+                let (sent, delivered) = (tick(&memo, "SentAt"), tick(&memo, "DeliveredAt"));
+                out.extend(sent.zip(delivered).map(|(s, d)| (d - s) as u64));
+            }
+        }
+        Ok(out)
     }
 
     /// Inbox contents for a user (subjects, in arrival order).
@@ -354,7 +344,7 @@ mod tests {
             .unwrap();
         router.run_until_delivered(&mut n, 100).unwrap();
         assert_eq!(router.inbox(&n, "alice").unwrap(), vec!["hi alice"]);
-        assert_eq!(router.stats().forwarded, 0);
+        assert_eq!(n.total_traffic().transfers, 0, "no hop");
     }
 
     #[test]
@@ -366,10 +356,10 @@ mod tests {
             .unwrap();
         router.run_until_delivered(&mut n, 200).unwrap();
         assert_eq!(router.inbox(&n, "bob").unwrap(), vec!["hello bob"]);
-        let s = router.stats();
-        assert_eq!(s.delivered, 1);
-        assert_eq!(s.forwarded, 2, "two hops: 0→1, 1→2");
-        assert!(s.total_latency >= 4, "two hops x latency 2");
+        assert_eq!(n.total_traffic().transfers, 2, "two hops: 0→1, 1→2");
+        let latencies = router.latencies(&n).unwrap();
+        assert_eq!(latencies.len(), 1);
+        assert!(latencies[0] >= 4, "two hops x latency 2");
     }
 
     #[test]
@@ -379,7 +369,7 @@ mod tests {
             let mut router = MailRouter::setup(&mut n, &users()).unwrap();
             router.send(&n, 0, "alice", "bob", "s", "b").unwrap();
             router.run_until_delivered(&mut n, 500).unwrap();
-            router.stats().total_latency
+            router.latencies(&n).unwrap()
         };
         assert!(run(Topology::Mesh) < run(Topology::Chain));
     }
@@ -402,8 +392,9 @@ mod tests {
             router.step(&mut n).unwrap();
             n.clock().advance(1);
         }
-        assert_eq!(router.stats().delivered, 0);
-        assert_eq!(router.stats().dead_lettered, 0, "held, not dropped");
+        assert!(router.latencies(&n).unwrap().is_empty());
+        let held = n.db(1, MAILBOX).unwrap().document_count().unwrap();
+        assert_eq!(held, 1, "held, not dropped");
         n.heal(1, 2);
         router.run_until_delivered(&mut n, 100).unwrap();
         assert_eq!(router.inbox(&n, "bob").unwrap(), vec!["delayed"]);
@@ -424,7 +415,7 @@ mod tests {
                 .unwrap();
         }
         router.run_until_delivered(&mut n, 1000).unwrap();
-        assert_eq!(router.stats().delivered, 20);
+        assert_eq!(router.latencies(&n).unwrap().len(), 20);
         assert_eq!(router.inbox(&n, "alice").unwrap().len(), 10);
         assert_eq!(router.inbox(&n, "bob").unwrap().len(), 10);
     }

@@ -291,7 +291,7 @@ impl Links {
             m().dropped.add(dropped);
         }
         let (into_a, into_b) = match result {
-            Ok((into_a, into_b, _stats)) => (into_a, into_b),
+            Ok(reports) => reports,
             Err(e) if e.is_transient() => {
                 self.faults(a, b).aborted_passes += 1;
                 m().aborted.inc();
@@ -1148,11 +1148,12 @@ mod tests {
                 .collect();
             let traffic = net.total_traffic();
             let faults = net.total_faults();
-            (signatures, traffic, faults, router.stats(), net.now())
+            let latencies = router.latencies(&net).unwrap();
+            (signatures, traffic, faults, latencies, net.now())
         };
         let first = run();
         assert!(first.2.dropped > 0, "faults were injected");
-        assert_eq!(first.3.delivered, 12);
+        assert_eq!(first.3.len(), 12, "every memo delivered");
         assert_eq!(first, run());
     }
 }

@@ -121,15 +121,6 @@ impl Histogram {
         }
     }
 
-    /// Start a timer that records elapsed **milliseconds** when dropped.
-    pub fn time_millis(&self) -> HistTimer<'_> {
-        HistTimer {
-            hist: self,
-            start: Instant::now(),
-            unit: TimerUnit::Millis,
-        }
-    }
-
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -166,12 +157,10 @@ impl Histogram {
 enum TimerUnit {
     Nanos,
     Micros,
-    Millis,
 }
 
-/// Drop guard from [`Histogram::time`] / [`Histogram::time_micros`] /
-/// [`Histogram::time_millis`]; records the elapsed time on drop in the
-/// unit the constructor chose.
+/// Drop guard from [`Histogram::time`] / [`Histogram::time_micros`];
+/// records the elapsed time on drop in the unit the constructor chose.
 pub struct HistTimer<'h> {
     hist: &'h Histogram,
     start: Instant,
@@ -184,7 +173,6 @@ impl Drop for HistTimer<'_> {
         match self.unit {
             TimerUnit::Nanos => self.hist.record_nanos(elapsed),
             TimerUnit::Micros => self.hist.record_micros(elapsed),
-            TimerUnit::Millis => self.hist.record_millis(elapsed),
         }
     }
 }

@@ -41,13 +41,13 @@
 //! // A dial-up link that loses the first two messages of the pass:
 //! let plan = FaultPlan::default();
 //! plan.fail_at([0, 2]);
-//! let mut flaky = Faulty::new(CleanTransport, plan);
+//! let mut flaky = Faulty::new(CleanTransport, plan.clone());
 //! let mut replicator = Replicator::new(ReplicationOptions { batch: 4, ..Default::default() });
-//! let (report, retries) = replicator
+//! let report = replicator
 //!     .pull_with_retry(&laptop, &office, &mut flaky, &RetryPolicy::standard())
 //!     .unwrap();
 //! assert_eq!(report.added, 10);          // everything arrived anyway
-//! assert_eq!(retries.attempts, 3);       // two interruptions, two resumes
+//! assert_eq!(plan.faults(), 2);          // two interruptions, two resumes
 //! assert!(!replicator.has_pending());    // no cursor left behind
 //! ```
 //!
@@ -92,4 +92,4 @@ pub use history::ReplicationHistory;
 pub use replicator::{
     replicate, PullCursor, PurgeSafety, ReplicationOptions, ReplicationReport, Replicator,
 };
-pub use transport::{CleanTransport, RetryPolicy, RetryStats, Transport};
+pub use transport::{CleanTransport, RetryPolicy, Transport};

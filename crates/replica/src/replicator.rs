@@ -52,7 +52,7 @@ use domino_types::{Clock, DominoError, Item, ReplicaId, Result, Timestamp, Unid}
 
 use crate::conflict::make_conflict_document;
 use crate::history::ReplicationHistory;
-use crate::transport::{CleanTransport, RetryPolicy, RetryStats, Transport};
+use crate::transport::{CleanTransport, RetryPolicy, Transport};
 
 /// Registry handles for replication telemetry, recorded once per pull
 /// from the finished [`ReplicationReport`] (the pass itself accounts
@@ -501,8 +501,8 @@ impl Replicator {
 
     /// Pull with retry: on a transient transport fault, back off per
     /// `policy` (advancing `dst`'s logical clock — simulated elapsed
-    /// time), then resume from the cursor. Returns the cumulative report
-    /// and what retrying cost. When the policy is exhausted the last
+    /// time), then resume from the cursor. Returns the cumulative
+    /// report. When the policy is exhausted the last
     /// transport error is returned and the cursor stays parked for a
     /// later, externally scheduled attempt.
     pub fn pull_with_retry(
@@ -511,17 +511,15 @@ impl Replicator {
         src: &Database,
         transport: &mut dyn Transport,
         policy: &RetryPolicy,
-    ) -> Result<(ReplicationReport, RetryStats)> {
-        let mut stats = RetryStats::default();
+    ) -> Result<ReplicationReport> {
+        let mut attempts = 0;
         loop {
-            stats.attempts += 1;
+            attempts += 1;
             match self.pull_via(dst, src, transport) {
-                Ok(report) => return Ok((report, stats)),
+                Ok(report) => return Ok(report),
                 Err(e) if e.is_transient() => {
                     let reg = m();
-                    let budget_left =
-                        policy.pass_timeout == 0 || stats.backoff_ticks < policy.pass_timeout;
-                    if stats.attempts >= policy.max_attempts || !budget_left {
+                    if attempts >= policy.max_attempts {
                         // Exhausted: the cursor stays parked; callers see
                         // the transport error (and Replica.Retry.Exhausted).
                         reg.retry_exhausted.inc();
@@ -534,8 +532,7 @@ impl Replicator {
                             .at(dst.clock().peek().0)
                             .with("src", src.title())
                             .with("dst", dst.title())
-                            .with("attempts", stats.attempts)
-                            .with("backoff_ticks", stats.backoff_ticks),
+                            .with("attempts", attempts),
                         );
                         return Err(e);
                     }
@@ -543,7 +540,7 @@ impl Replicator {
                     // Jitter is seeded from the logical clock: determinism
                     // for the simulator, decorrelation for the fleet.
                     let seed = dst.clock().peek().0;
-                    let wait = policy.backoff(stats.attempts, seed);
+                    let wait = policy.backoff(attempts, seed);
                     obs::emit(
                         obs::Event::new(
                             obs::EventKind::Replica,
@@ -553,10 +550,9 @@ impl Replicator {
                         .at(dst.clock().peek().0)
                         .with("src", src.title())
                         .with("dst", dst.title())
-                        .with("attempt", stats.attempts)
+                        .with("attempt", attempts)
                         .with("wait_ticks", wait),
                     );
-                    stats.backoff_ticks += wait;
                     reg.retry_backoff_ticks.add(wait);
                     dst.clock().advance(wait);
                 }
@@ -623,13 +619,10 @@ impl Replicator {
         b: &Database,
         transport: &mut dyn Transport,
         policy: &RetryPolicy,
-    ) -> Result<(ReplicationReport, ReplicationReport, RetryStats)> {
-        let mut stats = RetryStats::default();
-        let (into_a, sa) = self.pull_with_retry(a, b, transport, policy)?;
-        stats.merge_from(&sa);
-        let (into_b, sb) = self.pull_with_retry(b, a, transport, policy)?;
-        stats.merge_from(&sb);
-        Ok((into_a, into_b, stats))
+    ) -> Result<(ReplicationReport, ReplicationReport)> {
+        let into_a = self.pull_with_retry(a, b, transport, policy)?;
+        let into_b = self.pull_with_retry(b, a, transport, policy)?;
+        Ok((into_a, into_b))
     }
 
     /// The parked cursor of an interrupted `dst ← src` pull, if any.
@@ -1568,12 +1561,17 @@ mod tests {
             doc(&a, &format!("d{i}"));
         }
         // Drop messages 0, 2 and 4: three interruptions, all retried.
-        let mut t = flaky([0, 2, 4]);
-        let policy = RetryPolicy::standard();
-        let (report, stats) = r.pull_with_retry(&b, &a, &mut t, &policy).unwrap();
+        let plan = FaultPlan::default();
+        plan.fail_at([0, 2, 4]);
+        let mut t = Faulty::new(CleanTransport, plan.clone());
+        let start = b.clock().peek().0;
+        let report = r
+            .pull_with_retry(&b, &a, &mut t, &RetryPolicy::standard())
+            .unwrap();
         assert_eq!(report.added, 10);
-        assert_eq!(stats.attempts, 4, "first try + three retries");
-        assert!(stats.backoff_ticks > 0);
+        assert_eq!(plan.faults(), 3, "first try + three retries");
+        // Each retry waited on b's clock: at least half of 4, 8 and 16.
+        assert!(b.clock().peek().0 - start >= 2 + 4 + 8);
         assert!(docs_equal(&a, &b));
     }
 

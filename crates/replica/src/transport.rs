@@ -68,9 +68,6 @@ pub struct RetryPolicy {
     /// Randomize each backoff to `[backoff/2, backoff]` (decorrelates
     /// retry storms when many links fail together).
     pub jitter: bool,
-    /// Give up once cumulative backoff for one pass exceeds this budget
-    /// (0 = unlimited).
-    pub pass_timeout: u64,
 }
 
 impl Default for RetryPolicy {
@@ -88,19 +85,17 @@ impl RetryPolicy {
             base_backoff: 0,
             max_backoff: 0,
             jitter: false,
-            pass_timeout: 0,
         }
     }
 
     /// A sensible default: 8 attempts, 4-tick base backoff doubling to a
-    /// 256-tick cap, jittered, no pass timeout.
+    /// 256-tick cap, jittered.
     pub fn standard() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 8,
             base_backoff: 4,
             max_backoff: 256,
             jitter: true,
-            pass_timeout: 0,
         }
     }
 
@@ -123,24 +118,6 @@ impl RetryPolicy {
         }
         let half = raw / 2;
         half + splitmix64(&mut (seed ^ u64::from(attempt))) % (raw - half + 1)
-    }
-}
-
-/// What a retried pull did, beyond its
-/// [`ReplicationReport`](crate::ReplicationReport).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Pull attempts made (1 = first try succeeded).
-    pub attempts: u32,
-    /// Total ticks spent backing off between attempts.
-    pub backoff_ticks: u64,
-}
-
-impl RetryStats {
-    /// Fold another direction's stats into this one (for `sync`).
-    pub fn merge_from(&mut self, other: &RetryStats) {
-        self.attempts += other.attempts;
-        self.backoff_ticks += other.backoff_ticks;
     }
 }
 

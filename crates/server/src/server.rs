@@ -315,7 +315,7 @@ impl DominoServer {
             name: name.clone(),
             db: db.clone(),
             views: Mutex::new(views),
-            ft: FtIndex::attach(db)?,
+            ft: FtIndex::attach(db),
             amgr: Mutex::new(AgentScheduler::new(db.clone(), "HTTP Amgr")),
         };
         self.inner.sites.lock().insert(name, Arc::new(site));

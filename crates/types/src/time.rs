@@ -23,10 +23,6 @@ impl Timestamp {
     pub fn saturating_sub(self, other: Timestamp) -> u64 {
         self.0.saturating_sub(other.0)
     }
-
-    pub fn plus(self, ticks: u64) -> Timestamp {
-        Timestamp(self.0 + ticks)
-    }
 }
 
 impl std::fmt::Display for Timestamp {

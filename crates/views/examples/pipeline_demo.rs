@@ -1,12 +1,15 @@
 //! End-to-end drive of the indexing pipeline through the public API:
 //! batched saves coalescing into one view update, rebuild parity, and
-//! index versions that no two index states share.
+//! index versions that no two index states share. The counts are the
+//! process-wide `View.*` counters; this process maintains one view until
+//! step 6, so they are that view's.
 //!
 //! Run with: cargo run --release -p domino-views --example pipeline_demo
 
 use std::sync::Arc;
 
 use domino_core::{Database, DbConfig, Note};
+use domino_obs as obs;
 use domino_types::{LogicalClock, ReplicaId, Value};
 use domino_views::{ColumnSpec, SortDir, View, ViewDesign};
 
@@ -29,6 +32,14 @@ fn design() -> ViewDesign {
         )
 }
 
+fn counter(name: &str) -> u64 {
+    obs::snapshot().counter(name)
+}
+
+fn max_batch() -> u64 {
+    obs::snapshot().histogram("View.Batch.Size").max
+}
+
 fn main() {
     let db = Arc::new(
         Database::open_in_memory(
@@ -48,14 +59,13 @@ fn main() {
         db.save(&mut t).unwrap();
         println!("inside batch: view.len() = {}", view.len());
     }
-    let s = view.stats();
     println!(
         "after batch:  view.len() = {}, batches = {}, batch_events = {}, max_batch = {}, evaluated = {}",
         view.len(),
-        s.batches,
-        s.batch_events,
-        s.max_batch,
-        s.evaluated
+        counter("View.Batches"),
+        counter("View.Batch.Events"),
+        max_batch(),
+        counter("View.Documents.Evaluated")
     );
     for row in view.rows() {
         println!("  row: {:?} / {:?}", row.values[0], row.values[1]);
@@ -70,7 +80,7 @@ fn main() {
     println!(
         "after save+delete batch: view.len() = {} (ghost row absent), batches = {}",
         view.len(),
-        view.stats().batches
+        counter("View.Batches")
     );
 
     // 3. Probe: empty batch -> no dispatch, no batch counted.
@@ -89,12 +99,11 @@ fn main() {
             view.len()
         );
     }
-    let s = view.stats();
     println!(
         "after empty+nested batches: view.len() = {}, batches = {}, max_batch = {}",
         view.len(),
-        s.batches,
-        s.max_batch
+        counter("View.Batches"),
+        max_batch()
     );
 
     // 5. Full rebuild: same rows, new version.
@@ -105,7 +114,7 @@ fn main() {
     println!(
         "after rebuild: rows identical = {}, rebuilds = {}, new version = {}",
         rows_before == rows_after,
-        view.stats().rebuilds,
+        counter("View.Rebuilds"),
         view.version() != version_before
     );
 

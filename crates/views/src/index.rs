@@ -32,7 +32,7 @@
 //! view. The failure is that note's verdict, not the batch's or the
 //! rebuild's: it counts in `Formula.Eval.Errors`, each `apply` or
 //! `rebuild` that met one emits one warning event, and every other
-//! document is maintained as usual. Neither path has an error of its own.
+//! document is maintained as usual. Neither path returns an error.
 //!
 //! The index evaluates the formulas its design holds, compiled once when
 //! the design was built. Every index state has its own
@@ -40,7 +40,6 @@
 //! no two states anywhere share one.
 
 use std::collections::{HashMap, HashSet};
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -50,8 +49,7 @@ use domino_formula::{EvalEnv, EvalErrors};
 use domino_obs as obs;
 use domino_types::{NoteClass, NoteId, Result, Timestamp, Unid, Value};
 
-/// Process-wide registry mirrors of [`ViewStats`] (which stays per-view
-/// and exact).
+/// Maintenance counters (E3 reads `View.Documents.Evaluated`).
 struct Metrics {
     rebuilds: &'static obs::Counter,
     rebuild_millis: &'static obs::Histogram,
@@ -130,25 +128,6 @@ impl ViewEntry {
     }
 }
 
-/// Maintenance counters (E3/E4 read these).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ViewStats {
-    /// Documents evaluated against the selection formula.
-    pub evaluated: u64,
-    /// Entries inserted or re-keyed.
-    pub placed: u64,
-    /// Entries removed.
-    pub removed: u64,
-    /// Full rebuilds performed.
-    pub rebuilds: u64,
-    /// `apply` calls.
-    pub batches: u64,
-    /// Total change events across all `apply` calls.
-    pub batch_events: u64,
-    /// Largest slice applied at once.
-    pub max_batch: u64,
-}
-
 /// A category rollup row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CategoryRow {
@@ -170,7 +149,6 @@ pub struct ViewIndex {
     keys: HashMap<Unid, Vec<Vec<u8>>>,
     /// parent unid -> response unids present in the view.
     children: HashMap<Unid, HashSet<Unid>>,
-    stats: ViewStats,
     /// Formula failures of the `apply` or `rebuild` in progress.
     errors: EvalErrors,
     /// This state's number, new at construction and at every mutation
@@ -197,7 +175,6 @@ impl ViewIndex {
             orders: (0..n_collations).map(|_| Order::new()).collect(),
             keys: HashMap::new(),
             children: HashMap::new(),
-            stats: ViewStats::default(),
             errors: EvalErrors::default(),
             version: next_version(),
         })
@@ -205,10 +182,6 @@ impl ViewIndex {
 
     pub fn design(&self) -> &ViewDesign {
         &self.design
-    }
-
-    pub fn stats(&self) -> ViewStats {
-        self.stats
     }
 
     pub fn len(&self) -> usize {
@@ -239,7 +212,6 @@ impl ViewIndex {
     /// snapshot versions, incremental maintenance reads a change event's
     /// whole note; both must yield the same row.
     fn evaluate(&mut self, note: &Note) -> Option<Vec<Value>> {
-        self.stats.evaluated += 1;
         m().evaluated.inc();
         let doc = SummaryItems(note);
         let selection = &self.design.selection;
@@ -293,21 +265,14 @@ impl ViewIndex {
     /// Apply a slice of database changes, in order: the result is
     /// identical to applying the events one at a time. A document whose
     /// formula fails is left out (see the module docs); nothing else
-    /// fails, which the `Infallible` error type states.
-    pub fn apply(
-        &mut self,
-        events: &[ChangeEvent],
-        src: &dyn NoteSource,
-    ) -> std::result::Result<(), Infallible> {
-        self.stats.batches += 1;
-        self.stats.batch_events += events.len() as u64;
-        self.stats.max_batch = self.stats.max_batch.max(events.len() as u64);
+    /// fails.
+    pub fn apply(&mut self, events: &[ChangeEvent], src: &dyn NoteSource) {
         m().batches.inc();
         m().batch_events.add(events.len() as u64);
         m().batch_size.record(events.len() as u64);
         let _span = obs::span!("View.Apply");
         if events.is_empty() {
-            return Ok(());
+            return;
         }
         self.version = next_version();
         for event in events {
@@ -323,7 +288,6 @@ impl ViewIndex {
             }
         }
         self.report_errors();
-        Ok(())
     }
 
     /// Rebuild from scratch over `docs` (selection + keys recomputed for
@@ -335,18 +299,13 @@ impl ViewIndex {
     /// their parent and are placed afterwards, shallow-to-deep (see
     /// `ViewIndex::place_responses`). Like [`ViewIndex::apply`], a rebuild
     /// has no error of its own.
-    pub fn rebuild<'a>(
-        &mut self,
-        docs: impl IntoIterator<Item = &'a Note>,
-        src: &dyn NoteSource,
-    ) -> std::result::Result<(), Infallible> {
+    pub fn rebuild<'a>(&mut self, docs: impl IntoIterator<Item = &'a Note>, src: &dyn NoteSource) {
         let started = Instant::now();
         let _span = obs::span!("View.Rebuild");
         self.version = next_version();
         self.entries.clear();
         self.keys.clear();
         self.children.clear();
-        self.stats.rebuilds += 1;
         m().rebuilds.inc();
         let collations = self.design.collations();
         let mut per_coll: Vec<Vec<(Vec<u8>, Arc<ViewEntry>)>> =
@@ -370,7 +329,6 @@ impl ViewIndex {
             }
             self.keys.insert(entry.unid, keys);
             self.entries.insert(entry.unid, entry);
-            self.stats.placed += 1;
             m().placed.inc();
         }
         for (order, mut pairs) in self.orders.iter_mut().zip(per_coll) {
@@ -380,7 +338,6 @@ impl ViewIndex {
         self.place_responses(responses, src);
         m().rebuild_millis.record_millis(started.elapsed());
         self.report_errors();
-        Ok(())
     }
 
     /// Place response documents in depth passes: each pass places, in
@@ -454,7 +411,6 @@ impl ViewIndex {
         }
         self.keys.insert(unid, keys);
         self.entries.insert(unid, entry);
-        self.stats.placed += 1;
         m().placed.inc();
     }
 
@@ -517,7 +473,6 @@ impl ViewIndex {
             // parent re-entering the view can re-adopt responses that were
             // excluded alongside it. Stale links to deleted documents are
             // harmless (re-evaluation finds no note and drops them).
-            self.stats.removed += 1;
             m().removed.inc();
         }
     }
@@ -730,7 +685,7 @@ mod tests {
         );
         let mut index = ViewIndex::new(design, EvalEnv::default()).unwrap();
         let notes: Vec<Note> = (0..ROWS).map(memo).collect();
-        index.rebuild(notes.iter(), &NoSource).unwrap();
+        index.rebuild(notes.iter(), &NoSource);
         // Incremental maintenance on top of the bulk load: move every
         // 50th row to the front, so chunks have split as well.
         for (i, n) in notes.iter().enumerate().filter(|(i, _)| i % 50 == 0) {
@@ -740,7 +695,7 @@ mod tests {
                 old: Some(n.clone()),
                 new,
             };
-            index.apply(&[event], &NoSource).unwrap();
+            index.apply(&[event], &NoSource);
         }
         let n = index.len();
         assert_eq!(n, ROWS as usize);
@@ -775,11 +730,11 @@ mod tests {
         for _ in 0..2 {
             let mut ix = index();
             assert!(seen.insert(ix.version()));
-            ix.apply(&[], &NoSource).unwrap();
+            ix.apply(&[], &NoSource);
             assert!(!seen.insert(ix.version()), "an empty apply changes nothing");
-            ix.rebuild(notes.iter(), &NoSource).unwrap();
+            ix.rebuild(notes.iter(), &NoSource);
             assert!(seen.insert(ix.version()));
-            ix.apply(std::slice::from_ref(&saved), &NoSource).unwrap();
+            ix.apply(std::slice::from_ref(&saved), &NoSource);
             assert!(seen.insert(ix.version()));
             assert_eq!(ix.len(), 4);
         }

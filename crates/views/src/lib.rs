@@ -39,7 +39,7 @@ pub mod order;
 pub use collate::SortDir;
 pub use design::{Collation, ColumnSpec, ViewDesign};
 pub use folder::{list_folders, Folder};
-pub use index::{CategoryRow, NoteSource, ViewEntry, ViewIndex, ViewStats};
+pub use index::{CategoryRow, NoteSource, ViewEntry, ViewIndex};
 
 use std::sync::Arc;
 
@@ -97,7 +97,7 @@ impl View {
         let mut view = View::detached(db, design)?;
         let (state, source) = (view.state.clone(), db.clone());
         view._feed = Some(db.subscribe(move |events: &[ChangeEvent]| {
-            let Ok(()) = state.write().apply(events, &source.snapshot());
+            state.write().apply(events, &source.snapshot());
         }));
         view.rebuild()?;
         Ok(view)
@@ -126,14 +126,14 @@ impl View {
         let mut index = self.state.write();
         let snap = self.db.snapshot();
         let docs = snap.document_summaries();
-        let Ok(()) = index.rebuild(docs.iter().map(|doc| doc.as_ref()), &snap);
+        index.rebuild(docs.iter().map(|doc| doc.as_ref()), &snap);
         Ok(())
     }
 
     /// Apply one change event manually (detached views).
     pub fn apply(&self, event: &ChangeEvent) -> Result<()> {
         let snap = self.db.snapshot();
-        let Ok(()) = self.state.write().apply(std::slice::from_ref(event), &snap);
+        self.state.write().apply(std::slice::from_ref(event), &snap);
         Ok(())
     }
 
@@ -150,10 +150,6 @@ impl View {
     /// index state.
     pub fn version(&self) -> u64 {
         self.state.read().version()
-    }
-
-    pub fn stats(&self) -> ViewStats {
-        self.state.read().stats()
     }
 
     /// A copy of the view's design (name, selection, columns).
@@ -312,9 +308,6 @@ mod tests {
         let rows = view.rows();
         assert_eq!(rows[0].values[1], Value::text("a-first"));
         assert_eq!(rows[1].values[1], Value::text("b-second"));
-        // Only two documents were evaluated — no rebuild happened.
-        assert_eq!(view.stats().rebuilds, 1); // the initial attach build
-        assert_eq!(view.stats().evaluated, 2);
     }
 
     #[test]
@@ -335,11 +328,6 @@ mod tests {
         assert_eq!(rows[0].values[1], Value::text("a-first"));
         assert_eq!(rows[1].values[1], Value::text("b-second"));
         assert_eq!(rows[1].values[2], Value::Number(3.0));
-        let stats = view.stats();
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.batch_events, 2, "three saves coalesce to two events");
-        assert_eq!(stats.max_batch, 2);
-        assert_eq!(stats.evaluated, 2);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod record;
 pub mod recovery;
 pub mod store;
 
-pub use manager::{LogManager, LogStats};
+pub use manager::LogManager;
 pub use record::{LogRecord, Lsn, TxId};
 pub use recovery::{recover, RecoveryStats, RedoTarget};
 pub use store::{FileLogStore, LogStore, MemLogStore};

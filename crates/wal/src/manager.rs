@@ -14,6 +14,7 @@
 //! the first store error returns that error. Reopening the log and running
 //! restart recovery, which stops at the torn tail, is the only way on.
 
+use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -22,8 +23,7 @@ use crate::store::LogStore;
 use domino_obs as obs;
 use domino_types::{DominoError, Result};
 
-/// Process-wide registry mirrors of [`LogStats`] (which stays per-manager
-/// and exact). `Log.Flushes` over `Database.Txn.Commits` is the
+/// Log counters. `Log.Flushes` over `Database.Txn.Commits` is the
 /// flushes-per-commit figure.
 struct Metrics {
     records: &'static obs::Counter,
@@ -48,22 +48,6 @@ fn m() -> &'static Metrics {
 /// lost-wakeup backstop (the leader always notifies on completion).
 const FOLLOWER_PARK: Duration = Duration::from_millis(10);
 
-/// Counters exposed for experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LogStats {
-    /// Records appended since open.
-    pub records: u64,
-    /// Bytes appended since open.
-    pub bytes: u64,
-    /// Flush calls that actually wrote + synced.
-    pub flushes: u64,
-    /// Flush calls satisfied by an earlier flush's sync.
-    pub noop_flushes: u64,
-    /// Bytes the log holds now: appended and not yet cut off by a
-    /// prefix truncation, durable or still buffered.
-    pub retained: u64,
-}
-
 struct Inner {
     /// Encoded-but-unflushed bytes.
     buffer: Vec<u8>,
@@ -78,7 +62,6 @@ struct Inner {
     leader_active: bool,
     /// The first store write error. Once set, every flush returns it.
     failed: Option<DominoError>,
-    stats: LogStats,
 }
 
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -107,7 +90,6 @@ impl<S: LogStore> LogManager<S> {
                 flushed_lsn: Lsn(end),
                 leader_active: false,
                 failed: None,
-                stats: LogStats::default(),
             }),
             flushed: Condvar::new(),
         })
@@ -126,8 +108,6 @@ impl<S: LogStore> LogManager<S> {
         rec.encode_into(&mut g.buffer);
         let len = (g.buffer.len() - start) as u64;
         g.next_lsn = Lsn(lsn.0 + len);
-        g.stats.records += 1;
-        g.stats.bytes += len;
         m().records.inc();
         m().bytes.add(len);
         Ok(lsn)
@@ -155,7 +135,6 @@ impl<S: LogStore> LogManager<S> {
                 return Err(e.clone());
             }
             if g.flushed_lsn > upto {
-                g.stats.noop_flushes += 1;
                 m().noop_flushes.inc();
                 return Ok(());
             }
@@ -189,7 +168,6 @@ impl<S: LogStore> LogManager<S> {
         match &io {
             Ok(()) => {
                 g.flushed_lsn = target;
-                g.stats.flushes += 1;
                 m().flushes.inc();
             }
             // The store may hold a torn tail past `flushed_lsn`; the
@@ -219,12 +197,14 @@ impl<S: LogStore> LogManager<S> {
         self.lock().flushed_lsn
     }
 
-    pub fn stats(&self) -> LogStats {
+    /// The LSNs the log holds now, from the first byte no prefix
+    /// truncation has cut off to the next record's: durable or still
+    /// buffered. An LSN is a byte offset, so the range's length is the
+    /// bytes retained, and bytes appended between two reads are the
+    /// difference of their ends.
+    pub fn lsn_range(&self) -> Range<Lsn> {
         let g = self.lock();
-        LogStats {
-            retained: g.next_lsn.0 - g.base.0,
-            ..g.stats
-        }
+        g.base..g.next_lsn
     }
 
     /// Durable log size in bytes: what the store physically retains, i.e.
@@ -282,8 +262,6 @@ mod tests {
     use crate::record::TxId;
     use crate::store::MemLogStore;
     use domino_types::{FaultPlan, Faulty};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
     fn mgr() -> LogManager<MemLogStore> {
         LogManager::open(MemLogStore::new()).unwrap()
@@ -346,80 +324,14 @@ mod tests {
 
     #[test]
     fn flush_of_a_durable_record_is_a_noop() {
-        let m = mgr();
+        let plan = FaultPlan::default();
+        let m = LogManager::open(Faulty::new(MemLogStore::new(), plan.clone())).unwrap();
         let a = m.append(&LogRecord::Begin { tx: TxId(1) }).unwrap();
         let b = m.append(&LogRecord::Begin { tx: TxId(2) }).unwrap();
         m.flush(b).unwrap();
+        assert_eq!(plan.ops(), 2, "one append, one sync");
         m.flush(a).unwrap(); // already durable
-        let stats = m.stats();
-        assert_eq!(stats.flushes, 1);
-        assert_eq!(stats.noop_flushes, 1);
-    }
-
-    /// A [`MemLogStore`] whose `sync` takes as long as a fast device's, so
-    /// concurrent flushes arrive while one is in flight.
-    #[derive(Default)]
-    struct SlowSyncStore {
-        inner: MemLogStore,
-        syncs: AtomicU64,
-    }
-
-    impl LogStore for SlowSyncStore {
-        fn append(&self, bytes: &[u8]) -> Result<()> {
-            self.inner.append(bytes)
-        }
-        fn sync(&self) -> Result<()> {
-            std::thread::sleep(Duration::from_micros(200));
-            self.syncs.fetch_add(1, Ordering::Relaxed);
-            self.inner.sync()
-        }
-        fn read_from(&self, from: u64) -> Result<Vec<u8>> {
-            self.inner.read_from(from)
-        }
-        fn len(&self) -> Result<u64> {
-            self.inner.len()
-        }
-        fn start(&self) -> Result<u64> {
-            self.inner.start()
-        }
-        fn truncate_prefix(&self, upto: u64) -> Result<()> {
-            self.inner.truncate_prefix(upto)
-        }
-    }
-
-    #[test]
-    fn concurrent_flushes_share_syncs() {
-        let m = Arc::new(LogManager::open(SlowSyncStore::default()).unwrap());
-        let threads = 8;
-        let per_thread = 50;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    for i in 0..per_thread {
-                        let lsn = m
-                            .append(&LogRecord::Commit {
-                                tx: TxId((t * 1000 + i) as u64),
-                            })
-                            .unwrap();
-                        m.flush(lsn).unwrap();
-                        assert!(m.flushed_lsn() > lsn);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let calls = (threads * per_thread) as u64;
-        // Every record made it out, in order, decodable.
-        assert_eq!(m.scan(Lsn::NIL).unwrap().len() as u64, calls);
-        let syncs = m.store().syncs.load(Ordering::Relaxed);
-        assert_eq!(syncs, m.stats().flushes);
-        assert!(
-            syncs < calls,
-            "expected shared syncs: {syncs} device syncs for {calls} flush calls"
-        );
+        assert_eq!(plan.ops(), 2);
     }
 
     #[test]
@@ -495,9 +407,9 @@ mod tests {
         let end = m.next_lsn();
         m.truncate_prefix(end).unwrap();
         assert_eq!(m.durable_len().unwrap(), 0);
-        assert_eq!(m.stats().retained, 0);
+        assert!(m.lsn_range().is_empty());
         assert_eq!(m.append(&LogRecord::Begin { tx: TxId(10) }).unwrap(), end);
         // Buffered bytes count as held before they are durable.
-        assert_eq!(m.stats().retained, m.next_lsn().0 - end.0);
+        assert_eq!(m.lsn_range(), end..m.next_lsn());
     }
 }

@@ -33,7 +33,7 @@ fn main() -> domino::types::Result<()> {
         ViewDesign::new("By subject", r#"SELECT Form = "Memo""#)?
             .column(ColumnSpec::new("Subject", "Subject")?.sorted(SortDir::Ascending)),
     )?;
-    let ft = FtIndex::attach(&db)?;
+    let ft = FtIndex::attach(&db);
 
     let mut unids = Vec::new();
     for i in 0..200 {

@@ -32,7 +32,7 @@ fn main() -> domino::types::Result<()> {
         .column(ColumnSpec::new("Subject", "Subject")?.sorted(SortDir::Ascending))
         .column(ColumnSpec::new("Hours", "Hours")?.totaled()),
     )?;
-    let ft = FtIndex::attach(&db)?;
+    let ft = FtIndex::attach(&db);
 
     // Documents are schemaless bags of typed items.
     for (subject, prio, hours, status) in [

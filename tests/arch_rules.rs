@@ -181,15 +181,56 @@ fn the_log_is_forced_one_way() {
             retired.iter().any(|r| l.contains(r))
         }),
     );
-    // `ViewStats::max_batch` is the largest view maintenance batch, not
-    // the deleted commit-batch cap.
-    let others = files
-        .iter()
-        .filter(|(f, _)| !f.starts_with("crates/views/src/"))
-        .map(|(f, t)| (f.as_str(), t.as_str()));
     assert_none(
         "a commit batch cap",
-        offending(others, |l| has_word(l, "max_batch")),
+        offending(files.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            has_word(l, "max_batch")
+        }),
+    );
+}
+
+#[test]
+fn one_home_per_counter() {
+    // An event is counted once, in the registry: no per-object struct
+    // counts it again. What is left is a census of state (`FtStats`,
+    // `SnapshotStats`), a report (`RecoveryStats`) and `EngineStats`.
+    let mut everywhere = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        rust_files(&root().join(dir), &mut everywhere);
+    }
+    let texts: Vec<(String, String)> = everywhere
+        .iter()
+        .filter(|p| !p.ends_with("tests/arch_rules.rs"))
+        .map(|p| (p.display().to_string(), std::fs::read_to_string(p).unwrap()))
+        .collect();
+    let retired = [
+        "ViewStats",
+        "LogStats",
+        "MailStats",
+        "RetryStats",
+        "CompactStats",
+        "log_stats",
+        "pass_timeout",
+    ];
+    assert_none(
+        "a second tally of what the registry counts",
+        offending(texts.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            retired.iter().any(|r| has_word(l, r))
+        }),
+    );
+    let kept = ["EngineStats", "SnapshotStats", "RecoveryStats", "FtStats"];
+    assert_none(
+        "a new per-object `*Stats` type",
+        offending(
+            sources().iter().map(|(f, t)| (f.as_str(), t.as_str())),
+            |l| {
+                l.split_whitespace()
+                    .skip_while(|w| !["struct", "enum", "type"].contains(w))
+                    .nth(1)
+                    .map(|name| name.trim_end_matches(|c: char| !c.is_alphanumeric()))
+                    .is_some_and(|name| name.ends_with("Stats") && !kept.contains(&name))
+            },
+        ),
     );
 }
 

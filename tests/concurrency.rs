@@ -30,7 +30,7 @@ fn concurrent_writers_with_live_indexes() {
             ),
     )
     .unwrap();
-    let ft = FtIndex::attach(&db).unwrap();
+    let ft = FtIndex::attach(&db);
 
     const THREADS: usize = 4;
     const PER_THREAD: usize = 50;
@@ -238,7 +238,7 @@ fn racing_edits_deletes_and_restrictions_leave_indexes_equal_to_a_rebuild() {
             )
     };
     let view = View::attach(&db, design()).unwrap();
-    let ft = FtIndex::attach(&db).unwrap();
+    let ft = FtIndex::attach(&db);
     let shared: Vec<Note> = WORDS[..2]
         .iter()
         .map(|word| {
@@ -306,7 +306,7 @@ fn racing_edits_deletes_and_restrictions_leave_indexes_equal_to_a_rebuild() {
     let rows = |v: &View| v.rows().iter().map(|r| (**r).clone()).collect::<Vec<_>>();
     assert_eq!(rows(&view), rows(&fresh), "view differs from a rebuild");
     let rebuilt = FtIndex::detached();
-    rebuilt.rebuild(&db).unwrap();
+    rebuilt.rebuild(&db);
     let hits = |ft: &FtIndex, term: &str| {
         let mut hits: Vec<_> = ft
             .search(term)

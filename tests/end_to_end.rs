@@ -40,7 +40,7 @@ fn views_and_ftindex_update_through_replication() {
             ),
     )
     .unwrap();
-    let ft = FtIndex::attach(&b).unwrap();
+    let ft = FtIndex::attach(&b);
 
     for i in 0..5 {
         let mut n = Note::document("Memo");
@@ -143,7 +143,7 @@ fn compaction_keeps_one_acl_note() {
     let mut acl = Acl::new(AccessLevel::Reader);
     acl.set("boss", AclEntry::new(AccessLevel::Manager));
     a.set_acl(&acl).unwrap();
-    let (copy, _) = a
+    let copy = a
         .compact_into(Box::new(MemDisk::new()), Some(Box::new(MemLogStore::new())))
         .unwrap();
     assert_eq!(copy.note_ids(Some(NoteClass::Acl)).unwrap().len(), 1);

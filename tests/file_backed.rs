@@ -121,21 +121,22 @@ fn file_compact_shrinks_store() {
     let dir2 = temp_dir("compact-out");
     let disk2 = NsfFile::open(&dir2.join("data.nsf")).unwrap();
     let log2 = FileLogStore::open(&dir2.join("data.txn")).unwrap();
-    let (fresh, stats) = db
+    let fresh = db
         .compact_into(Box::new(disk2), Some(Box::new(log2)))
         .unwrap();
-    assert_eq!(stats.notes_copied, 20);
+    let (before, after) = (db.info().unwrap(), fresh.info().unwrap());
+    assert_eq!(after.documents + after.design_notes, 20);
     println!(
         "compact: {} -> {} bytes",
-        stats.bytes_before, stats.bytes_after
+        before.logical_bytes, after.logical_bytes
     );
     // The emptied pages sit in the source's free-page bitmap, but a file
     // never gets shorter in place; the copy has no use for them.
     assert!(
-        stats.bytes_after * 4 < stats.bytes_before * 3,
+        after.logical_bytes * 4 < before.logical_bytes * 3,
         "{} -> {}",
-        stats.bytes_before,
-        stats.bytes_after
+        before.logical_bytes,
+        after.logical_bytes
     );
     assert_eq!(fresh.document_count().unwrap(), 20);
     let _ = std::fs::remove_dir_all(&dir);
@@ -162,20 +163,21 @@ fn file_interleaved_churn_leaves_little_to_compact() {
     let dir2 = temp_dir("churn-out");
     let disk2 = NsfFile::open(&dir2.join("data.nsf")).unwrap();
     let log2 = FileLogStore::open(&dir2.join("data.txn")).unwrap();
-    let (fresh, stats) = db
+    let fresh = db
         .compact_into(Box::new(disk2), Some(Box::new(log2)))
         .unwrap();
-    assert_eq!(stats.notes_copied, 20);
+    let (before, after) = (db.info().unwrap(), fresh.info().unwrap());
+    assert_eq!(after.documents + after.design_notes, 20);
     println!(
         "compact: {} -> {} bytes",
-        stats.bytes_before, stats.bytes_after
+        before.logical_bytes, after.logical_bytes
     );
     // `file_compact_shrinks_store`'s bound, the other way round.
     assert!(
-        stats.bytes_after * 4 >= stats.bytes_before * 3,
+        after.logical_bytes * 4 >= before.logical_bytes * 3,
         "{} -> {}",
-        stats.bytes_before,
-        stats.bytes_after
+        before.logical_bytes,
+        after.logical_bytes
     );
     assert_eq!(fresh.document_count().unwrap(), 20);
     let _ = std::fs::remove_dir_all(&dir);
@@ -482,7 +484,7 @@ fn a_store_with_a_populated_slot_2_tree_still_opens() {
     assert_eq!(content(&db), expected);
 
     let dir2 = temp_dir("slot2-compact");
-    let (fresh, _) = db
+    let fresh = db
         .compact_into(
             Box::new(NsfFile::open(&dir2.join("data.nsf")).unwrap()),
             Some(Box::new(

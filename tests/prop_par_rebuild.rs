@@ -97,7 +97,7 @@ fn assert_equivalent(notes: &[Note], design: ViewDesign, src: &dyn NoteSource) {
     let n_collations = design.collations().len();
     let mut rebuilt = ViewIndex::new(design.clone(), EvalEnv::default()).unwrap();
     let mut incremental = ViewIndex::new(design, EvalEnv::default()).unwrap();
-    rebuilt.rebuild(notes.iter(), src).unwrap();
+    rebuilt.rebuild(notes.iter(), src);
     let events: Vec<ChangeEvent> = notes
         .iter()
         .map(|n| ChangeEvent::Saved {
@@ -105,7 +105,7 @@ fn assert_equivalent(notes: &[Note], design: ViewDesign, src: &dyn NoteSource) {
             new: n.clone(),
         })
         .collect();
-    incremental.apply(&events, src).unwrap();
+    incremental.apply(&events, src);
 
     assert_eq!(rebuilt.len(), incremental.len());
     for ci in 0..n_collations {

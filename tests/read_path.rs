@@ -117,7 +117,7 @@ fn resident_reads_never_touch_the_engine() {
         let (n, view) = reads(&db, || View::attach(&db, by_subject()).unwrap());
         cost("View::attach", n);
         assert_eq!(view.len(), docs);
-        let (n, ft) = reads(&db, || FtIndex::attach(&db).unwrap());
+        let (n, ft) = reads(&db, || FtIndex::attach(&db));
         cost("FtIndex::attach", n);
         assert_eq!(ft.stats().documents, docs);
         let (n, unread) = reads(&db, || ann.unread().unwrap());
@@ -187,7 +187,7 @@ fn attach_while_a_writer_commits_loses_nothing() {
         // Attach in the middle of the stream of commits.
         attach_now.recv().unwrap();
         let view = View::attach(&db, by_subject()).unwrap();
-        let ft = FtIndex::attach(&db).unwrap();
+        let ft = FtIndex::attach(&db);
         writer.join().unwrap();
 
         let docs = db.document_count().unwrap();
