@@ -49,6 +49,20 @@ fn sources() -> Vec<(String, String)> {
     sources_under("crates")
 }
 
+/// Every `.rs` file of the workspace but this one, which names what the
+/// rules retire: (path, text).
+fn every_rust_file() -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    files
+        .iter()
+        .filter(|p| !p.ends_with("tests/arch_rules.rs"))
+        .map(|p| (p.display().to_string(), std::fs::read_to_string(p).unwrap()))
+        .collect()
+}
+
 /// `file:line: text` of each line in `files` that `bad` flags.
 fn offending<'a>(
     files: impl IntoIterator<Item = (&'a str, &'a str)>,
@@ -194,15 +208,7 @@ fn one_home_per_counter() {
     // An event is counted once, in the registry: no per-object struct
     // counts it again. What is left is a census of state (`FtStats`,
     // `SnapshotStats`), a report (`RecoveryStats`) and `EngineStats`.
-    let mut everywhere = Vec::new();
-    for dir in ["crates", "tests", "examples"] {
-        rust_files(&root().join(dir), &mut everywhere);
-    }
-    let texts: Vec<(String, String)> = everywhere
-        .iter()
-        .filter(|p| !p.ends_with("tests/arch_rules.rs"))
-        .map(|p| (p.display().to_string(), std::fs::read_to_string(p).unwrap()))
-        .collect();
+    let texts = every_rust_file();
     let retired = [
         "ViewStats",
         "LogStats",
@@ -636,15 +642,7 @@ fn one_replication_decision() {
     );
     // The cluster's own accept/decline copy and its lossy catch-up queue
     // are gone from every Rust file.
-    let mut everywhere = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
-        rust_files(&root().join(dir), &mut everywhere);
-    }
-    let texts: Vec<(String, String)> = everywhere
-        .iter()
-        .filter(|p| !p.ends_with("tests/arch_rules.rs"))
-        .map(|p| (p.display().to_string(), std::fs::read_to_string(p).unwrap()))
-        .collect();
+    let texts = every_rust_file();
     let retired = [
         "apply_event",
         "holds_stub_as_new",
@@ -687,15 +685,7 @@ fn one_scheduler() {
             |l| l.contains("stored_agents("),
         ),
     );
-    let mut everywhere = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
-        rust_files(&root().join(dir), &mut everywhere);
-    }
-    let texts: Vec<(String, String)> = everywhere
-        .iter()
-        .filter(|p| !p.ends_with("tests/arch_rules.rs"))
-        .map(|p| (p.display().to_string(), std::fs::read_to_string(p).unwrap()))
-        .collect();
+    let texts = every_rust_file();
     assert_none(
         "the simulator's own agent schedule",
         offending(texts.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
