@@ -35,7 +35,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Condvar, PoisonError, Weak};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -56,33 +56,6 @@ use crate::note::{record_is_stub, DeletionStub, Note, ITEM_TITLE};
 use crate::revision;
 
 use domino_types::ContentHash;
-
-/// Registry handles for note-CRUD and compaction telemetry, summed
-/// across every open database in the process.
-struct Metrics {
-    saved: &'static obs::Counter,
-    deleted: &'static obs::Counter,
-    opened: &'static obs::Counter,
-    save_micros: &'static obs::Histogram,
-    engine_wait_micros: &'static obs::Histogram,
-    compact_runs: &'static obs::Counter,
-    compact_notes_copied: &'static obs::Counter,
-    compact_bytes_reclaimed: &'static obs::Counter,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        saved: obs::counter("Database.Notes.Saved"),
-        deleted: obs::counter("Database.Notes.Deleted"),
-        opened: obs::counter("Database.Notes.Opened"),
-        save_micros: obs::histogram("Database.Save.Micros"),
-        engine_wait_micros: obs::histogram("Db.Engine.Wait.Micros"),
-        compact_runs: obs::counter("Database.Compact.Runs"),
-        compact_notes_copied: obs::counter("Database.Compact.NotesCopied"),
-        compact_bytes_reclaimed: obs::counter("Database.Compact.BytesReclaimed"),
-    })
-}
 
 /// User slot holding the shared replica (lineage) id.
 const SLOT_LINEAGE: usize = 2;
@@ -631,7 +604,7 @@ impl Database {
                 None => {
                     let blocked = Instant::now();
                     let g = self.inner.lock();
-                    m().engine_wait_micros
+                    obs::histogram!("Db.Engine.Wait.Micros")
                         .record(blocked.elapsed().as_micros() as u64);
                     g
                 }
@@ -676,7 +649,7 @@ impl Database {
                     if is_acl {
                         self.versions.set_acl_note(id.0 as u64);
                     }
-                    m().saved.inc();
+                    obs::counter!("Database.Notes.Saved").inc();
                     (head, Some(Change::Saved { old, new }))
                 }
                 Record::Stub(stub) => {
@@ -727,7 +700,7 @@ impl Database {
     /// copy. On return the note carries its assigned ids and stamps.
     pub fn save(&self, note: &mut Note) -> Result<()> {
         let _span = obs::span!("Database.Save");
-        let _save_time = m().save_micros.time_micros();
+        let _save_time = obs::histogram!("Database.Save.Micros").time_micros();
         // Truncated copies (bodies stripped by partial replication)
         // are read-only: saving one would replicate the body loss back
         // to full replicas.
@@ -897,7 +870,7 @@ impl Database {
     /// as `NotFound`. Callers that read more than once pin one snapshot
     /// themselves, so all their reads describe one database state.
     pub fn open_note(&self, id: NoteId) -> Result<Note> {
-        m().opened.inc();
+        obs::counter!("Database.Notes.Opened").inc();
         self.snapshot().open_note(id)
     }
 
@@ -930,7 +903,7 @@ impl Database {
     }
 
     pub fn open_by_unid(&self, unid: Unid) -> Result<Note> {
-        m().opened.inc();
+        obs::counter!("Database.Notes.Opened").inc();
         self.snapshot().open_by_unid(unid)
     }
 
@@ -959,7 +932,7 @@ impl Database {
             written = Some(stub);
             Ok(Some(Record::Stub(stub)))
         })?;
-        m().deleted.inc();
+        obs::counter!("Database.Notes.Deleted").inc();
         Ok(written.expect("delete always writes"))
     }
 
@@ -996,7 +969,7 @@ impl Database {
     /// evaluation, like a view refresh).
     pub fn search(&self, formula: &Formula, env: &EvalEnv) -> Result<Vec<Note>> {
         let hits = self.snapshot().search(formula, env)?;
-        m().opened.add(hits.len() as u64);
+        obs::counter!("Database.Notes.Opened").add(hits.len() as u64);
         Ok(hits)
     }
 
@@ -1312,10 +1285,9 @@ impl Database {
         }
         fresh.checkpoint()?;
         let bytes_after = fresh.inner.lock().engine.logical_bytes()?;
-        let reg = m();
-        reg.compact_runs.inc();
-        reg.compact_notes_copied.add(ids.len() as u64);
-        reg.compact_bytes_reclaimed
+        obs::counter!("Database.Compact.Runs").inc();
+        obs::counter!("Database.Compact.NotesCopied").add(ids.len() as u64);
+        obs::counter!("Database.Compact.BytesReclaimed")
             .add(bytes_before.saturating_sub(bytes_after));
         Ok(fresh)
     }

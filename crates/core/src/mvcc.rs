@@ -68,28 +68,6 @@ use domino_types::{DominoError, NoteClass, NoteId, Result, Unid};
 
 use crate::note::{Note, SummaryItems, ITEM_TITLE};
 
-/// `Db.Snapshot.*` statistics, summed across every open database.
-struct Metrics {
-    pinned: &'static obs::Counter,
-    active: &'static obs::Gauge,
-    reads: &'static obs::Counter,
-    versions: &'static obs::Gauge,
-    pruned: &'static obs::Counter,
-    hydrated: &'static obs::Counter,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        pinned: obs::counter("Db.Snapshot.Pinned"),
-        active: obs::gauge("Db.Snapshot.Active"),
-        reads: obs::counter("Db.Snapshot.Reads"),
-        versions: obs::gauge("Db.Snapshot.Versions"),
-        pruned: obs::counter("Db.Snapshot.Pruned"),
-        hydrated: obs::counter("Db.Snapshot.Hydrated"),
-    })
-}
-
 /// Loads a full note from the engine for hydration of a lazily seeded
 /// (summary-only) version. Takes the database's inner lock internally, so
 /// it must never be invoked while a version-map lock is held.
@@ -202,7 +180,7 @@ impl VersionStore {
                 versions: vec![(0, Some(Version { note, body_elided }))],
             },
         );
-        m().versions.add(1);
+        obs::gauge!("Db.Snapshot.Versions").add(1);
     }
 
     /// The newest version of the note at `id` when it is a live note with
@@ -272,7 +250,7 @@ impl VersionStore {
             let full = Arc::new(loaded.ok_or_else(|| DominoError::NotFound(format!("note {id}")))?);
             ver.note = Arc::clone(&full);
             ver.body_elided = false;
-            m().hydrated.inc();
+            obs::counter!("Db.Snapshot.Hydrated").inc();
             Ok(full)
         } else {
             // Raced with a writer's backfill (or another reader): the
@@ -306,7 +284,7 @@ impl VersionStore {
                 body_elided: false,
             }),
         ));
-        m().versions.add(1);
+        obs::gauge!("Db.Snapshot.Versions").add(1);
         let min_pin = self.min_pin(seq);
         if Self::prune(&mut st, unid, min_pin) {
             st.dirty.push_back(unid);
@@ -326,8 +304,8 @@ impl VersionStore {
             *pins.entry(seq).or_insert(0) += 1;
             seq
         };
-        m().pinned.inc();
-        m().active.add(1);
+        obs::counter!("Db.Snapshot.Pinned").inc();
+        obs::gauge!("Db.Snapshot.Active").add(1);
         Snapshot {
             store: Arc::clone(self),
             seq,
@@ -344,7 +322,7 @@ impl VersionStore {
             }
         }
         drop(pins);
-        m().active.add(-1);
+        obs::gauge!("Db.Snapshot.Active").add(-1);
     }
 
     /// Oldest sequence any snapshot may still read; `current` if none.
@@ -376,8 +354,8 @@ impl VersionStore {
         if let Some(idx) = chain.versions.iter().rposition(|(s, _)| *s <= min_pin) {
             if idx > 0 {
                 chain.versions.drain(..idx);
-                m().versions.add(-(idx as i64));
-                m().pruned.add(idx as u64);
+                obs::gauge!("Db.Snapshot.Versions").add(-(idx as i64));
+                obs::counter!("Db.Snapshot.Pruned").add(idx as u64);
             }
         }
         let fully_dead = chain.versions.len() == 1
@@ -392,8 +370,8 @@ impl VersionStore {
         let id = chain.id;
         st.chains.remove(&unid);
         st.design.remove(&unid);
-        m().versions.add(-1);
-        m().pruned.inc();
+        obs::gauge!("Db.Snapshot.Versions").add(-1);
+        obs::counter!("Db.Snapshot.Pruned").inc();
         if st.by_id.get(&id) == Some(&unid) {
             st.by_id.remove(&id);
         }
@@ -458,7 +436,7 @@ impl Snapshot {
     /// Fetch a note by local id without cloning the note body (the hot
     /// server path). Deleted or not-yet-created notes read as `NotFound`.
     pub fn open_arc(&self, id: NoteId) -> Result<Arc<Note>> {
-        m().reads.inc();
+        obs::counter!("Db.Snapshot.Reads").inc();
         let found = {
             let st = self.store.state.read();
             st.by_id
@@ -477,7 +455,7 @@ impl Snapshot {
     /// Fetch a note by UNID without cloning it; `None` when no live note
     /// with this UNID is visible (a deletion stub, or nothing).
     pub fn open_arc_by_unid(&self, unid: Unid) -> Result<Option<Arc<Note>>> {
-        m().reads.inc();
+        obs::counter!("Db.Snapshot.Reads").inc();
         let found = {
             let st = self.store.state.read();
             st.chains
@@ -508,7 +486,7 @@ impl Snapshot {
     /// Classes live in the summary items, so elided versions never
     /// hydrate here.
     pub fn note_ids(&self, class: Option<NoteClass>) -> Vec<NoteId> {
-        m().reads.inc();
+        obs::counter!("Db.Snapshot.Reads").inc();
         let st = self.store.state.read();
         let mut out: Vec<NoteId> = st
             .chains
@@ -523,7 +501,7 @@ impl Snapshot {
 
     /// How many notes of `class` (`None` = every class) are visible.
     pub(crate) fn count(&self, class: Option<NoteClass>) -> usize {
-        m().reads.inc();
+        obs::counter!("Db.Snapshot.Reads").inc();
         let st = self.store.state.read();
         st.chains
             .values()
@@ -535,7 +513,7 @@ impl Snapshot {
     /// Visible document versions, ascending by note id — the shared
     /// backbone of the document reads below.
     fn documents_raw(&self) -> Vec<Version> {
-        m().reads.inc();
+        obs::counter!("Db.Snapshot.Reads").inc();
         let st = self.store.state.read();
         let mut out: Vec<Version> = st
             .chains
@@ -602,7 +580,7 @@ impl Snapshot {
     /// UNID. Class, title and the conflict marker are summary items, so
     /// nothing hydrates here.
     fn design_raw(&self, class: NoteClass) -> Vec<Version> {
-        m().reads.inc();
+        obs::counter!("Db.Snapshot.Reads").inc();
         let st = self.store.state.read();
         st.design
             .iter()

@@ -33,7 +33,7 @@ pub use ast::{BinOp, Expr, Program, UnOp};
 pub use eval::{DocContext, EvalEnv, EvalOutput, Evaluator, MapDoc};
 pub use parser::parse;
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use domino_obs as obs;
 use domino_types::{DominoError, Result, Unid, Value};
@@ -118,10 +118,7 @@ pub struct EvalErrors {
 impl EvalErrors {
     /// Count one failed evaluation of `formula` on the note `unid`.
     pub fn record(&mut self, formula: &Formula, unid: Unid, err: DominoError) {
-        static ERRORS: OnceLock<&'static obs::Counter> = OnceLock::new();
-        ERRORS
-            .get_or_init(|| obs::counter("Formula.Eval.Errors"))
-            .inc();
+        obs::counter!("Formula.Eval.Errors").inc();
         self.count += 1;
         if self.first.is_none() {
             self.first = Some((formula.source().to_string(), unid, err.to_string()));
@@ -144,11 +141,6 @@ impl EvalErrors {
                 .with("error", error),
         );
     }
-}
-
-/// Shorthand: compile and evaluate a one-off formula against a document.
-pub fn eval_str(source: &str, doc: &dyn DocContext, env: &EvalEnv) -> Result<Value> {
-    Formula::compile(source)?.eval(doc, env)
 }
 
 #[cfg(test)]
@@ -191,11 +183,5 @@ mod tests {
         assert!(f.wants_descendants());
         let g = Formula::compile(r#"SELECT Form = "Main""#).unwrap();
         assert!(!g.wants_descendants());
-    }
-
-    #[test]
-    fn eval_str_shorthand() {
-        let v = eval_str("@Uppercase(\"abc\")", &MapDoc::new(), &EvalEnv::default()).unwrap();
-        assert_eq!(v, Value::text("ABC"));
     }
 }

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use domino_core::Note;
 use domino_obs as obs;
@@ -17,29 +17,6 @@ use domino_types::{Unid, Value};
 
 use crate::query::QueryNode;
 use crate::tokenizer::for_each_word;
-
-/// Registry handles for full-text telemetry. `Ft.Index.Documents` and
-/// `Ft.Index.Bytes` are gauges summed across every index in the process.
-struct Metrics {
-    indexed: &'static obs::Counter,
-    removed: &'static obs::Counter,
-    documents: &'static obs::Gauge,
-    bytes: &'static obs::Gauge,
-    queries: &'static obs::Counter,
-    query_micros: &'static obs::Histogram,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        indexed: obs::counter("Ft.Notes.Indexed"),
-        removed: obs::counter("Ft.Notes.Removed"),
-        documents: obs::gauge("Ft.Index.Documents"),
-        bytes: obs::gauge("Ft.Index.Bytes"),
-        queries: obs::counter("Ft.Queries"),
-        query_micros: obs::histogram("Ft.Query.Micros"),
-    })
-}
 
 /// One search result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -268,8 +245,8 @@ impl InvertedIndex {
         self.docs[ord as usize] = doc;
         self.ordinals.insert(note.unid(), ord);
         self.tokens = tokens;
-        m().indexed.inc();
-        m().documents.add(1);
+        obs::counter!("Ft.Notes.Indexed").inc();
+        obs::gauge!("Ft.Index.Documents").add(1);
         self.report();
     }
 
@@ -309,8 +286,8 @@ impl InvertedIndex {
             }
         }
         self.free_docs.push(ord);
-        m().removed.inc();
-        m().documents.add(-1);
+        obs::counter!("Ft.Notes.Removed").inc();
+        obs::gauge!("Ft.Index.Documents").add(-1);
         self.report();
     }
 
@@ -329,7 +306,7 @@ impl InvertedIndex {
     /// Move `Ft.Index.Bytes` by this index's change since the last report.
     fn report(&mut self) {
         let now = self.bytes();
-        m().bytes.add(now as i64 - self.reported as i64);
+        obs::gauge!("Ft.Index.Bytes").add(now as i64 - self.reported as i64);
         self.reported = now;
     }
 
@@ -351,7 +328,7 @@ impl InvertedIndex {
     pub fn execute(&self, q: &QueryNode) -> Vec<SearchHit> {
         let _span = obs::span!("Ft.Query");
         let started = std::time::Instant::now();
-        m().queries.inc();
+        obs::counter!("Ft.Queries").inc();
         let matches = self.eval(q);
         let mut hits: Vec<SearchHit> = matches
             .into_iter()
@@ -369,7 +346,7 @@ impl InvertedIndex {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.unid.0.cmp(&b.unid.0))
         });
-        m().query_micros.record_micros(started.elapsed());
+        obs::histogram!("Ft.Query.Micros").record_micros(started.elapsed());
         hits
     }
 
@@ -462,8 +439,8 @@ impl InvertedIndex {
 impl Drop for InvertedIndex {
     /// Take this index's share back out of the process-wide gauges.
     fn drop(&mut self) {
-        m().documents.add(-(self.ordinals.len() as i64));
-        m().bytes.add(-(self.reported as i64));
+        obs::gauge!("Ft.Index.Documents").add(-(self.ordinals.len() as i64));
+        obs::gauge!("Ft.Index.Bytes").add(-(self.reported as i64));
     }
 }
 

@@ -7,34 +7,11 @@
 //! link latency + transfer time, which is what E13 measures across
 //! topologies.
 
-use std::sync::OnceLock;
-
 use domino_core::Note;
 use domino_obs as obs;
 use domino_types::{Clock, DominoError, ReplicaId, Result, Unid, Value};
 
 use crate::sim::Network;
-
-/// Registry handles for router telemetry. `Mail.Delivery.Ticks` records
-/// per-message end-to-end latency in simulated clock ticks.
-struct Metrics {
-    sent: &'static obs::Counter,
-    forwarded: &'static obs::Counter,
-    delivered: &'static obs::Counter,
-    dead_lettered: &'static obs::Counter,
-    delivery_ticks: &'static obs::Histogram,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        sent: obs::counter("Mail.Sent"),
-        forwarded: obs::counter("Mail.Forwarded"),
-        delivered: obs::counter("Mail.Delivered"),
-        dead_lettered: obs::counter("Mail.DeadLettered"),
-        delivery_ticks: obs::histogram("Mail.Delivery.Ticks"),
-    })
-}
 
 /// Database name of a server's router queue.
 pub const MAILBOX: &str = "mail.box";
@@ -116,7 +93,7 @@ impl MailRouter {
         memo.set("Hops", Value::Number(0.0));
         net.db(from_server, MAILBOX)?.save(&mut memo)?;
         self.in_flight += 1;
-        m().sent.inc();
+        obs::counter!("Mail.Sent").inc();
         Ok(memo.unid())
     }
 
@@ -156,7 +133,7 @@ impl MailRouter {
                     let Some(next) = next else {
                         // Unroutable: the destination does not exist.
                         self.in_flight = self.in_flight.saturating_sub(1);
-                        m().dead_lettered.inc();
+                        obs::counter!("Mail.DeadLettered").inc();
                         obs::emit(
                             obs::Event::new(
                                 obs::EventKind::Misc,
@@ -213,7 +190,7 @@ impl MailRouter {
         copy.set("Hops", Value::Number(hops + 1.0));
         copy.set("ReadyAt", Value::Number((now + transfer) as f64));
         net.db(to, MAILBOX)?.save(&mut copy)?;
-        m().forwarded.inc();
+        obs::counter!("Mail.Forwarded").inc();
         Ok(())
     }
 
@@ -235,9 +212,9 @@ impl MailRouter {
             .unwrap_or(0.0) as u64;
         let latency = now.saturating_sub(sent);
         self.in_flight = self.in_flight.saturating_sub(1);
-        let reg = m();
-        reg.delivered.inc();
-        reg.delivery_ticks.record(latency);
+        obs::counter!("Mail.Delivered").inc();
+        // End-to-end latency in simulated clock ticks.
+        obs::histogram!("Mail.Delivery.Ticks").record(latency);
         obs::emit(
             obs::Event::new(obs::EventKind::Misc, obs::Severity::Info, "Mail.Delivered")
                 .at(now)

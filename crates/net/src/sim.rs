@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use domino_core::revision::{merkle_head, stub_head};
 use domino_core::{AgentScheduler, Database, DbConfig};
@@ -36,26 +36,6 @@ use domino_types::{
 use parking_lot::Mutex;
 
 use crate::topology::{all_pairs_next_hop, Topology};
-
-/// Registry handles for network fault telemetry.
-struct Metrics {
-    dropped: &'static obs::Counter,
-    flaps: &'static obs::Counter,
-    outages: &'static obs::Counter,
-    aborted: &'static obs::Counter,
-    mail_drops: &'static obs::Counter,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        dropped: obs::counter("Net.Faults.Dropped"),
-        flaps: obs::counter("Net.Faults.Flaps"),
-        outages: obs::counter("Net.Faults.Outages"),
-        aborted: obs::counter("Net.Faults.AbortedPasses"),
-        mail_drops: obs::counter("Net.Faults.MailDrops"),
-    })
-}
 
 /// A link's physical characteristics — including how unreliable it is.
 #[derive(Debug, Clone, Copy)]
@@ -159,13 +139,6 @@ impl Server {
     pub fn database(&self, name: &str) -> Option<&Arc<Database>> {
         self.databases.get(name)
     }
-
-    /// Names of all databases hosted here, sorted.
-    pub fn database_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.databases.keys().cloned().collect();
-        v.sort();
-        v
-    }
 }
 
 /// What replication passes read and write, shared by the network and its
@@ -233,7 +206,7 @@ impl Links {
             .any(|(s, ticks)| (*s == a || *s == b) && ticks.contains(&now));
         if out {
             self.faults(a, b).outages += 1;
-            m().outages.inc();
+            obs::counter!("Net.Faults.Outages").inc();
         }
         out
     }
@@ -249,7 +222,7 @@ impl Links {
         let flapped = self.plan.chance(self.spec(a, b).flap_rate);
         if flapped {
             self.faults(a, b).flaps += 1;
-            m().flaps.inc();
+            obs::counter!("Net.Faults.Flaps").inc();
         }
         !flapped
     }
@@ -288,13 +261,13 @@ impl Links {
         let dropped = self.plan.faults() - faults_before;
         if dropped > 0 {
             self.faults(a, b).dropped += dropped;
-            m().dropped.add(dropped);
+            obs::counter!("Net.Faults.Dropped").add(dropped);
         }
         let (into_a, into_b) = match result {
             Ok(reports) => reports,
             Err(e) if e.is_transient() => {
                 self.faults(a, b).aborted_passes += 1;
-                m().aborted.inc();
+                obs::counter!("Net.Faults.AbortedPasses").inc();
                 return Ok(None);
             }
             Err(e) => return Err(e),
@@ -580,7 +553,7 @@ impl Network {
         let dropped = links.plan.chance(links.spec(a, b).drop_rate);
         if dropped {
             links.faults(a, b).dropped += 1;
-            m().mail_drops.inc();
+            obs::counter!("Net.Faults.MailDrops").inc();
         }
         !dropped
     }
@@ -744,10 +717,9 @@ mod tests {
         net.create_replica_set("alpha").unwrap();
         let s = net.server(0);
         assert_eq!(s.name, "server0");
-        assert_eq!(
-            s.database_names(),
-            vec!["alpha".to_string(), "beta".to_string()]
-        );
+        let mut names: Vec<&str> = s.databases.keys().map(String::as_str).collect();
+        names.sort();
+        assert_eq!(names, ["alpha", "beta"]);
         assert!(s.database("alpha").is_some());
         assert!(s.database("gamma").is_none());
         assert!(net.db(0, "gamma").is_err());

@@ -162,6 +162,56 @@ mod tests {
     }
 
     #[test]
+    fn every_route_arrives_in_its_distance() {
+        // `MailRouter::step` forwards along these routes with no hop
+        // limit, so a memo must arrive in exactly its distance: a route
+        // table over fixed links cannot loop. The walk is bounded, so a
+        // loop fails here instead of spinning.
+        for topology in Topology::ALL {
+            for n in 1..=16 {
+                let links = topology.links(n);
+                let routes = all_pairs_next_hop(n, &links);
+                let mut longest = 0;
+                for a in 0..n {
+                    // Hop counts from `a` by a breadth-first search of
+                    // the links themselves, not of the route table.
+                    let mut dist = vec![usize::MAX; n];
+                    dist[a] = 0;
+                    let mut frontier = VecDeque::from([a]);
+                    while let Some(u) = frontier.pop_front() {
+                        for &(x, y) in &links {
+                            let v = if x == u {
+                                y
+                            } else if y == u {
+                                x
+                            } else {
+                                continue;
+                            };
+                            if dist[v] == usize::MAX {
+                                dist[v] = dist[u] + 1;
+                                frontier.push_back(v);
+                            }
+                        }
+                    }
+                    for b in 0..n {
+                        let (mut at, mut hops) = (a, 0);
+                        while at != b && hops <= n {
+                            at = routes[at][b].expect("every server is reachable");
+                            hops += 1;
+                        }
+                        let name = topology.name();
+                        assert_eq!(at, b, "{name} n={n}: {a}->{b} loops");
+                        assert_eq!(hops, dist[b], "{name} n={n}: {a}->{b} detours");
+                        longest = longest.max(hops);
+                    }
+                }
+                // Walked last: `diameter` follows the routes unbounded.
+                assert_eq!(topology.diameter(n), longest, "{} n={n}", topology.name());
+            }
+        }
+    }
+
+    #[test]
     fn hub_routes_via_hub() {
         let links = Topology::HubSpoke.links(4);
         let routes = all_pairs_next_hop(4, &links);

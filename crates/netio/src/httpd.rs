@@ -22,7 +22,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use domino_obs as obs;
@@ -31,27 +31,6 @@ use domino_types::Result;
 
 use crate::listener::{Listener, POLL_TICK};
 use crate::parser::{HttpParser, ParseError, ParserLimits};
-
-struct Metrics {
-    accepted: &'static obs::Counter,
-    active: &'static obs::Gauge,
-    rejected: &'static obs::Counter,
-    requests: &'static obs::Counter,
-    bad_requests: &'static obs::Counter,
-    drained: &'static obs::Counter,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        accepted: obs::counter("Http.Conn.Accepted"),
-        active: obs::gauge("Http.Conn.Active"),
-        rejected: obs::counter("Http.Conn.Rejected"),
-        requests: obs::counter("Http.Conn.Requests"),
-        bad_requests: obs::counter("Http.Conn.BadRequests"),
-        drained: obs::counter("Http.Conn.Drained"),
-    })
-}
 
 /// Sizing and timeout knobs for the listener (OPERATIONS.md §11).
 #[derive(Debug, Clone)]
@@ -110,7 +89,7 @@ struct Admission(Arc<HttpShared>);
 
 impl Drop for Admission {
     fn drop(&mut self) {
-        m().active.add(-1);
+        obs::gauge!("Http.Conn.Active").add(-1);
         let mut active = self.0.active.lock().unwrap_or_else(|p| p.into_inner());
         *active -= 1;
         if *active == 0 {
@@ -202,7 +181,7 @@ fn admit(stream: TcpStream, shared: &Arc<HttpShared>) -> Option<impl FnOnce() + 
     let mut active = shared.active.lock().unwrap_or_else(|p| p.into_inner());
     if *active >= shared.config.max_connections {
         drop(active);
-        m().rejected.inc();
+        obs::counter!("Http.Conn.Rejected").inc();
         obs::emit(
             obs::Event::new(
                 obs::EventKind::Http,
@@ -216,8 +195,8 @@ fn admit(stream: TcpStream, shared: &Arc<HttpShared>) -> Option<impl FnOnce() + 
     }
     *active += 1;
     drop(active);
-    m().accepted.inc();
-    m().active.add(1);
+    obs::counter!("Http.Conn.Accepted").inc();
+    obs::gauge!("Http.Conn.Active").add(1);
     let admission = Admission(shared.clone());
     Some(move || {
         let outcome = serve_http_conn(stream, &admission.0);
@@ -257,7 +236,7 @@ fn serve_http_conn(mut stream: TcpStream, shared: &HttpShared) -> &'static str {
     let mut request_since: Option<Instant> = None;
     loop {
         if shared.stop.load(Ordering::SeqCst) && request_since.is_none() {
-            m().drained.inc();
+            obs::counter!("Http.Conn.Drained").inc();
             return "drained";
         }
         match request_since {
@@ -282,7 +261,7 @@ fn serve_http_conn(mut stream: TcpStream, shared: &HttpShared) -> &'static str {
             let _span = obs::span!("Http.Conn.Request");
             match parser.feed(chunk) {
                 Ok(Some(parsed)) => {
-                    m().requests.inc();
+                    obs::counter!("Http.Conn.Requests").inc();
                     let resp = shared.server.serve(parsed.request);
                     // Honour the client's keep-alive wish unless a drain
                     // is in progress — then close as soon as we're done.
@@ -310,7 +289,7 @@ fn serve_http_conn(mut stream: TcpStream, shared: &HttpShared) -> &'static str {
                     break;
                 }
                 Err(e) => {
-                    m().bad_requests.inc();
+                    obs::counter!("Http.Conn.BadRequests").inc();
                     obs::emit(
                         obs::Event::new(
                             obs::EventKind::Http,

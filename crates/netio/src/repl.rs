@@ -25,7 +25,7 @@
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use domino_obs as obs;
@@ -33,27 +33,6 @@ use domino_replica::Transport;
 use domino_types::{DominoError, FaultPlan, Frame, FrameDecoder, Opcode, Result};
 
 use crate::listener::{Listener, POLL_TICK};
-
-struct Metrics {
-    accepted: &'static obs::Counter,
-    active: &'static obs::Gauge,
-    frames: &'static obs::Counter,
-    delivered: &'static obs::Counter,
-    nacked: &'static obs::Counter,
-    dropped: &'static obs::Counter,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        accepted: obs::counter("Net.Conn.Accepted"),
-        active: obs::gauge("Net.Conn.Active"),
-        frames: obs::counter("Net.Conn.Frames"),
-        delivered: obs::counter("Net.Conn.Delivered"),
-        nacked: obs::counter("Net.Conn.Nacked"),
-        dropped: obs::counter("Net.Conn.Dropped"),
-    })
-}
 
 /// How long socket reads/writes may stall before the peer is considered
 /// gone (both sides use it as their I/O deadline).
@@ -94,7 +73,7 @@ impl ReplicaListener {
             "Replication wire listener",
             stop,
             move |stream| {
-                m().accepted.inc();
+                obs::counter!("Net.Conn.Accepted").inc();
                 let conn_shared = accept_shared.clone();
                 Some(move || serve_connection(stream, &conn_shared))
             },
@@ -140,7 +119,7 @@ impl Drop for ReplicaListener {
 /// One accepted connection: handshake, then ack/nack deliveries until
 /// the peer quits, errors, or the listener stops.
 fn serve_connection(stream: TcpStream, shared: &ListenerShared) {
-    m().active.add(1);
+    obs::gauge!("Net.Conn.Active").add(1);
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
@@ -154,7 +133,7 @@ fn serve_connection(stream: TcpStream, shared: &ListenerShared) {
         .with("peer", peer.clone()),
     );
     let outcome = serve_frames(stream, shared);
-    m().active.add(-1);
+    obs::gauge!("Net.Conn.Active").add(-1);
     obs::emit(
         obs::Event::new(
             obs::EventKind::Replica,
@@ -192,15 +171,15 @@ fn serve_frames(mut stream: TcpStream, shared: &ListenerShared) -> &'static str 
                 Ok(Some(f)) => f,
                 Ok(None) => break,
                 Err(_) => {
-                    m().dropped.inc();
+                    obs::counter!("Net.Conn.Dropped").inc();
                     return "corrupt frame";
                 }
             };
-            m().frames.inc();
+            obs::counter!("Net.Conn.Frames").inc();
             let reply = match frame.opcode {
                 Opcode::Hello => {
                     if !frame.handshake_ok() {
-                        m().dropped.inc();
+                        obs::counter!("Net.Conn.Dropped").inc();
                         return "bad handshake";
                     }
                     greeted = true;
@@ -209,16 +188,16 @@ fn serve_frames(mut stream: TcpStream, shared: &ListenerShared) -> &'static str 
                 Opcode::Deliver if greeted => {
                     shared.deliveries.fetch_add(1, Ordering::SeqCst);
                     if let Some(op) = shared.plan.tick() {
-                        m().nacked.inc();
+                        obs::counter!("Net.Conn.Nacked").inc();
                         Frame::nack(&format!("injected message loss at delivery {op}"))
                     } else {
-                        m().delivered.inc();
+                        obs::counter!("Net.Conn.Delivered").inc();
                         Frame::bare(Opcode::Ack)
                     }
                 }
                 Opcode::Quit => return "peer quit",
                 _ => {
-                    m().dropped.inc();
+                    obs::counter!("Net.Conn.Dropped").inc();
                     return "protocol error";
                 }
             };

@@ -28,8 +28,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::registry::{counter, Counter};
-
 /// Slots in the global event ring. Power of two; at a typical 200-byte
 /// event this bounds the bus near 2 MiB.
 pub const EVENT_RING_CAPACITY: usize = 8192;
@@ -425,21 +423,6 @@ fn ring() -> &'static Ring {
     RING.get_or_init(|| Ring::new(EVENT_RING_CAPACITY))
 }
 
-struct BusMetrics {
-    emitted: &'static Counter,
-    dropped: &'static Counter,
-    suppressed: &'static Counter,
-}
-
-fn bus_metrics() -> &'static BusMetrics {
-    static M: OnceLock<BusMetrics> = OnceLock::new();
-    M.get_or_init(|| BusMetrics {
-        emitted: counter("Obs.Event.Emitted"),
-        dropped: counter("Obs.Event.Dropped"),
-        suppressed: counter("Obs.Event.Suppressed"),
-    })
-}
-
 static EVENT_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn epoch() -> Instant {
@@ -494,18 +477,18 @@ pub fn is_suppressed() -> bool {
 /// release store, and a move of the event.
 pub fn emit(mut event: Event) -> bool {
     if is_suppressed() {
-        bus_metrics().suppressed.inc();
+        crate::counter!("Obs.Event.Suppressed").inc();
         return false;
     }
     event.seq = EVENT_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
     event.nanos = process_nanos();
     match ring().push(event) {
         Ok(()) => {
-            bus_metrics().emitted.inc();
+            crate::counter!("Obs.Event.Emitted").inc();
             true
         }
         Err(_) => {
-            bus_metrics().dropped.inc();
+            crate::counter!("Obs.Event.Dropped").inc();
             false
         }
     }
@@ -593,7 +576,7 @@ mod tests {
     fn overflow_drops_without_blocking_and_counts() {
         let _serial = BUS_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         drain(usize::MAX);
-        let dropped_before = bus_metrics().dropped.get();
+        let dropped_before = crate::counter!("Obs.Event.Dropped").get();
         for _ in 0..EVENT_RING_CAPACITY {
             assert!(emit(Event::new(
                 EventKind::Misc,
@@ -611,7 +594,10 @@ mod tests {
                 "Test.Spill"
             )));
         }
-        assert_eq!(bus_metrics().dropped.get() - dropped_before, 100);
+        assert_eq!(
+            crate::counter!("Obs.Event.Dropped").get() - dropped_before,
+            100
+        );
         // Draining frees space again.
         assert_eq!(drain(usize::MAX).len(), EVENT_RING_CAPACITY);
         assert!(emit(Event::new(
@@ -626,7 +612,7 @@ mod tests {
     fn suppression_is_thread_local_counted_and_nests() {
         let _serial = BUS_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         drain(usize::MAX);
-        let suppressed_before = bus_metrics().suppressed.get();
+        let suppressed_before = crate::counter!("Obs.Event.Suppressed").get();
         {
             let _g = suppress();
             assert!(is_suppressed());
@@ -657,7 +643,10 @@ mod tests {
             });
         }
         assert!(!is_suppressed());
-        assert_eq!(bus_metrics().suppressed.get() - suppressed_before, 2);
+        assert_eq!(
+            crate::counter!("Obs.Event.Suppressed").get() - suppressed_before,
+            2
+        );
         let got = drain(usize::MAX);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].code, "Test.Loud");

@@ -13,7 +13,7 @@
 use std::sync::OnceLock;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use crate::registry::{gauge, snapshot, MetricValue, Snapshot};
+use crate::registry::{snapshot, MetricValue, Snapshot};
 use crate::span::{slow_ops, slow_threshold, SLOW_LOG_CAPACITY};
 
 /// The metric name's subsystem: everything before the first dot.
@@ -73,8 +73,8 @@ fn start_anchor() -> &'static (Instant, u64) {
 pub fn touch_server_gauges() -> (u64, u64) {
     let (started, unix) = *start_anchor();
     let uptime = started.elapsed().as_secs();
-    gauge("Server.Uptime").set(uptime as i64);
-    gauge("Server.StartTime").set(unix as i64);
+    crate::gauge!("Server.Uptime").set(uptime as i64);
+    crate::gauge!("Server.StartTime").set(unix as i64);
     (uptime, unix)
 }
 

@@ -7,13 +7,13 @@
 //!
 //! Five pieces:
 //!
-//! * **Metrics registry** ([`counter`], [`gauge`], [`histogram`]) —
-//!   process-wide metrics interned once under hierarchical Domino-style
-//!   dotted names (`Database.Pool.Hits`, `Log.Flush.Nanos`,
-//!   `View.Rebuild.Millis`, `Replica.Pass.NotesPushed`). Registration
-//!   takes a lock *once*; the returned `&'static` handles record with
-//!   relaxed atomics only — an increment or histogram sample on a hot
-//!   path acquires no lock and allocates nothing.
+//! * **Metrics registry** ([`counter!`], [`gauge!`], [`histogram!`]) —
+//!   process-wide metrics under hierarchical Domino-style dotted names
+//!   (`Database.Pool.Hits`, `Log.Flush.Nanos`, `View.Rebuild.Millis`,
+//!   `Replica.Pass.NotesPushed`), named where they are recorded. Each
+//!   call site takes the registry lock *once*; after that an increment
+//!   or histogram sample on a hot path is one acquire load plus a
+//!   relaxed atomic, and acquires no lock and allocates nothing.
 //! * **Tracing spans** ([`span!`], [`SpanGuard`]) — named timing scopes
 //!   with a per-thread span stack and a fixed-size slow-op ring buffer:
 //!   any operation over the configurable threshold
@@ -43,36 +43,33 @@
 //! expand to `.Samples`/`.Avg`/`.Max`/`.P50`/`.P95`/`.P99` lines in the
 //! console dump.
 //!
-//! ## Wiring pattern
+//! ## Recording a metric
 //!
-//! Each crate caches its handles once in a `OnceLock` struct so hot paths
-//! pay one atomic load to reach them:
+//! Name the metric where it is recorded. The macro caches the handle in
+//! a `static` at its call site, so there is no per-crate struct of
+//! handles to keep in step with the code:
 //!
 //! ```
-//! use std::sync::OnceLock;
 //! use domino_obs as obs;
 //!
-//! struct Metrics {
-//!     saves: &'static obs::Counter,
-//!     save_nanos: &'static obs::Histogram,
-//! }
-//!
-//! fn m() -> &'static Metrics {
-//!     static M: OnceLock<Metrics> = OnceLock::new();
-//!     M.get_or_init(|| Metrics {
-//!         saves: obs::counter("Example.Notes.Saved"),
-//!         save_nanos: obs::histogram("Example.Save.Nanos"),
-//!     })
-//! }
-//!
 //! fn save() {
-//!     let _span = obs::span!("Example.Save", m().save_nanos);
-//!     m().saves.inc();
+//!     let _span = obs::span!("Example.Save");
+//!     let _time = obs::histogram!("Example.Save.Nanos").time();
+//!     obs::counter!("Example.Notes.Saved").inc();
 //! }
 //!
 //! save();
-//! assert_eq!(obs::snapshot().counter("Example.Notes.Saved"), 1);
+//! let snap = obs::snapshot();
+//! assert_eq!(snap.counter("Example.Notes.Saved"), 1);
+//! assert_eq!(snap.histogram("Example.Save.Nanos").count, 1);
 //! ```
+//!
+//! A metric is registered the first time it is recorded, so a name that
+//! has seen no event is absent from [`snapshot`] and `show statistics`;
+//! [`Snapshot::counter`] and its siblings read an absent name as zero.
+//! The [`counter()`], [`gauge()`] and [`histogram()`] functions intern a
+//! name under the registry lock on every call: tests and examples read
+//! values through them.
 
 #![deny(missing_docs)]
 
@@ -93,7 +90,7 @@ pub use registry::{
     counter, gauge, histogram, snapshot, Counter, Gauge, Metric, MetricValue, Snapshot,
 };
 pub use span::{
-    current_path, enter, enter_timed, set_slow_threshold, slow_ops, slow_threshold, take_slow_ops,
-    SlowOp, SpanGuard, SLOW_LOG_CAPACITY,
+    enter, set_slow_threshold, slow_ops, slow_threshold, take_slow_ops, SlowOp, SpanGuard,
+    SLOW_LOG_CAPACITY,
 };
 pub use task::{show_tasks, tasks, Cadence, Task, TaskHandle, TaskInfo, Timeline};

@@ -1,12 +1,17 @@
 //! The process-wide metrics registry.
 //!
-//! Metrics are registered once under hierarchical Domino-style dotted
-//! names (`Database.Pool.Hits`, `Log.Flush.Nanos`, …) and live for
-//! the life of the process: [`counter`], [`gauge`], and [`histogram`]
-//! intern the name under a mutex and hand back a `&'static` handle.
-//! Callers cache the handle (typically in a `OnceLock`-initialized struct
-//! of handles), so the **hot path never touches the registry lock** —
-//! recording is a relaxed atomic increment on the handle itself.
+//! Metrics live under hierarchical Domino-style dotted names
+//! (`Database.Pool.Hits`, `Log.Flush.Nanos`, …) for the life of the
+//! process. Code records through the [`counter!`](crate::counter!),
+//! [`gauge!`](crate::gauge!) and [`histogram!`](crate::histogram!)
+//! macros, which name the metric where it is recorded:
+//! `obs::counter!("Database.Pool.Hits").inc()`. Each call site interns its
+//! name once, through [`counter`], [`gauge`] or [`histogram`] under the
+//! registry mutex, and keeps the `&'static` handle in its own `OnceLock`.
+//! So the **hot path never touches the registry lock**: recording is one
+//! acquire load of the site's handle and a relaxed atomic on the metric.
+//! A metric is registered when it is first recorded, and a reader treats
+//! an absent name as zero.
 //!
 //! [`snapshot`] copies every registered metric into an immutable
 //! [`Snapshot`]; two snapshots [`Snapshot::diff`] into the activity between
@@ -98,9 +103,11 @@ fn metrics() -> MutexGuard<'static, BTreeMap<String, Metric>> {
 
 /// Intern `name` as a counter and return its `&'static` handle.
 ///
-/// Takes the registry lock — call once and cache the handle; recording on
-/// the handle is lock-free. Panics if `name` is already registered as a
-/// different metric kind (a naming bug worth failing loudly on).
+/// Takes the registry lock on every call. Record through
+/// [`counter!`](crate::counter!), which calls this once per call site;
+/// tests and examples may call it to read a value. Panics if `name` is
+/// already registered as a different metric kind (a naming bug worth
+/// failing loudly on).
 pub fn counter(name: &str) -> &'static Counter {
     match *metrics()
         .entry(name.to_string())
@@ -131,6 +138,46 @@ pub fn histogram(name: &str) -> &'static Histogram {
         Metric::Histogram(h) => h,
         _ => panic!("metric {name:?} is already registered as a non-histogram"),
     }
+}
+
+/// The handle of a metric named by a string literal, interned once per
+/// call site: the expansion of [`counter!`](crate::counter!),
+/// [`gauge!`](crate::gauge!) and [`histogram!`](crate::histogram!).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __interned {
+    ($intern:ident, $kind:ident, $name:literal) => {{
+        static HANDLE: ::std::sync::OnceLock<&'static $crate::$kind> = ::std::sync::OnceLock::new();
+        *HANDLE.get_or_init(|| $crate::$intern($name))
+    }};
+}
+
+/// The [`Counter`] named `$name`, a string literal:
+/// `obs::counter!("Database.Pool.Hits").inc()`. The first call at a site
+/// registers the name; every later one is one acquire load.
+#[macro_export]
+macro_rules! counter {
+    ($name:literal) => {
+        $crate::__interned!(counter, Counter, $name)
+    };
+}
+
+/// The [`Gauge`] named `$name`, a string literal (see
+/// [`counter!`](crate::counter!)).
+#[macro_export]
+macro_rules! gauge {
+    ($name:literal) => {
+        $crate::__interned!(gauge, Gauge, $name)
+    };
+}
+
+/// The [`Histogram`] named `$name`, a string literal (see
+/// [`counter!`](crate::counter!)).
+#[macro_export]
+macro_rules! histogram {
+    ($name:literal) => {
+        $crate::__interned!(histogram, Histogram, $name)
+    };
 }
 
 /// The value of one metric inside a [`Snapshot`].

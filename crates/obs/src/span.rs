@@ -1,26 +1,23 @@
 //! Lightweight structured tracing: timing scopes and the slow-op log.
 //!
 //! A span is a named timing scope opened with [`crate::span!`] (or
-//! [`enter`]/[`enter_timed`]) and closed when its [`SpanGuard`] drops.
+//! [`enter`]) and closed when its [`SpanGuard`] drops.
 //! Spans nest: each thread keeps a stack of active span names, so when an
 //! operation turns out slow, the captured *span path*
 //! (`Db.Save > Store.Put > BTree.Insert`) says where the time went — the
 //! Domino server console's "slow transaction" log, reproduced.
 //!
 //! Hot-path cost: opening a span is a thread-local push + `Instant::now()`;
-//! closing is a pop, an elapsed read, an optional lock-free histogram
-//! record, and one relaxed atomic load to compare against the slow
-//! threshold. Only an op *over* the threshold takes a lock (on the
-//! fixed-size slow-op ring buffer) — the fast path allocates nothing and
-//! locks nothing.
+//! closing is a pop, an elapsed read, and one relaxed atomic load to
+//! compare against the slow threshold. Only an op *over* the threshold
+//! takes a lock (on the fixed-size slow-op ring buffer) — the fast path
+//! allocates nothing and locks nothing.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-use crate::hist::Histogram;
 
 /// Slow-op ring-buffer capacity: the newest entries win, as on a console.
 pub const SLOW_LOG_CAPACITY: usize = 128;
@@ -81,27 +78,20 @@ pub fn take_slow_ops() -> Vec<SlowOp> {
 
 /// Open a span named `name`. Prefer the [`crate::span!`] macro.
 pub fn enter(name: &'static str) -> SpanGuard {
-    SpanGuard::new(name, None)
-}
-
-/// Open a span that also records its duration (in nanoseconds) into
-/// `hist` when it closes.
-pub fn enter_timed(name: &'static str, hist: &'static Histogram) -> SpanGuard {
-    SpanGuard::new(name, Some(hist))
+    SpanGuard::new(name)
 }
 
 /// An active span; closing (dropping) it stops the clock.
 pub struct SpanGuard {
     name: &'static str,
     start: Instant,
-    hist: Option<&'static Histogram>,
     /// Depth of this span on its thread's stack at open (1-based); used to
     /// detect out-of-order drops defensively.
     depth: usize,
 }
 
 impl SpanGuard {
-    fn new(name: &'static str, hist: Option<&'static Histogram>) -> SpanGuard {
+    fn new(name: &'static str) -> SpanGuard {
         let depth = SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
             s.push(name);
@@ -110,7 +100,6 @@ impl SpanGuard {
         SpanGuard {
             name,
             start: Instant::now(),
-            hist,
             depth,
         }
     }
@@ -141,9 +130,6 @@ impl Drop for SpanGuard {
             }
             log.push_back(SlowOp { path, nanos });
         }
-        if let Some(h) = self.hist {
-            h.record(nanos);
-        }
         SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
             // Normal case: we are the top of the stack. Guards dropped out
@@ -155,23 +141,14 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Current thread's span path, outermost first (empty when no span is
-/// open). Diagnostic helper for error reporting.
-pub fn current_path() -> Vec<&'static str> {
-    SPAN_STACK.with(|s| s.borrow().clone())
-}
-
-/// Open a timing span: `span!("Db.Save")`, or
-/// `span!("Db.Save", histogram_handle)` to also record the duration.
-/// Bind the result (`let _span = span!(…);`) — an unbound guard drops
-/// immediately and times nothing.
+/// Open a timing span: `span!("Db.Save")`. Bind the result
+/// (`let _span = span!(…);`) — an unbound guard drops immediately and
+/// times nothing. To also record the duration, time the scope into a
+/// histogram with [`Histogram::time`](crate::Histogram::time).
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
         $crate::enter($name)
-    };
-    ($name:expr, $hist:expr) => {
-        $crate::enter_timed($name, $hist)
     };
 }
 
@@ -183,29 +160,6 @@ mod tests {
     static THRESHOLD_TESTS: Mutex<()> = Mutex::new(());
 
     #[test]
-    fn spans_nest_and_unwind() {
-        assert!(current_path().is_empty());
-        let _a = enter("Test.Outer");
-        assert_eq!(current_path(), vec!["Test.Outer"]);
-        {
-            let _b = enter("Test.Inner");
-            assert_eq!(current_path(), vec!["Test.Outer", "Test.Inner"]);
-        }
-        assert_eq!(current_path(), vec!["Test.Outer"]);
-    }
-
-    #[test]
-    fn timed_span_records_into_histogram() {
-        static H: Histogram = Histogram::new();
-        {
-            let _s = enter_timed("Test.Timed", &H);
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(H.count(), 1);
-        assert!(H.max() >= 1_000_000, "recorded {} ns", H.max());
-    }
-
-    #[test]
     fn slow_ops_capture_span_path() {
         // Threshold zero: every span in this thread gets captured. Other
         // test threads may append too, so search rather than index.
@@ -214,15 +168,25 @@ mod tests {
         set_slow_threshold(Duration::ZERO);
         {
             let _a = enter("Test.Slow.Outer");
-            let _b = enter("Test.Slow.Inner");
+            {
+                let _b = enter("Test.Slow.Inner");
+            }
+            // The closed inner span has unwound: a sibling nests under
+            // the outer span alone.
+            let _c = enter("Test.Slow.Sibling");
         }
         set_slow_threshold(old);
         let ops = slow_ops();
-        assert!(
-            ops.iter()
-                .any(|o| o.path == "Test.Slow.Outer > Test.Slow.Inner"),
-            "no captured path matched: {ops:?}"
-        );
+        for path in [
+            "Test.Slow.Outer > Test.Slow.Inner",
+            "Test.Slow.Outer > Test.Slow.Sibling",
+            "Test.Slow.Outer",
+        ] {
+            assert!(
+                ops.iter().any(|o| o.path == path),
+                "no captured path matched {path:?}: {ops:?}"
+            );
+        }
     }
 
     #[test]

@@ -145,8 +145,8 @@ fn push(inner: &Mutex<ClusterInner>) {
         match Replicator::pull_changed(dst, src, unids.iter().copied().collect()) {
             Ok(r) => {
                 let pushed = r.added + r.updated + r.merged + r.conflicts + r.deletions;
-                obs::counter("Cluster.Events.Pushed").add(pushed);
-                obs::counter("Cluster.Events.Suppressed").add(r.candidates - pushed);
+                obs::counter!("Cluster.Events.Pushed").add(pushed);
+                obs::counter!("Cluster.Events.Suppressed").add(r.candidates - pushed);
             }
             Err(_) => inner.lock().dirty[from][to].extend(unids),
         }

@@ -56,9 +56,7 @@ impl ReplicationHistory {
 
     /// Recorded `(dst, src)` pairs — the history's memory footprint. A
     /// replicator serving a long-lived hub accumulates one entry per
-    /// direction per peer; [`forget`](ReplicationHistory::forget) prunes
-    /// the entries of decommissioned instances so the map stays bounded
-    /// by the *live* peer set.
+    /// direction per peer.
     pub fn len(&self) -> usize {
         self.last_pull.len()
     }
@@ -66,13 +64,6 @@ impl ReplicationHistory {
     /// True when no pulls have been recorded.
     pub fn is_empty(&self) -> bool {
         self.last_pull.is_empty()
-    }
-
-    /// Drop every entry involving `instance` (as destination or source),
-    /// exactly like clearing history but scoped to one peer.
-    pub fn forget(&mut self, instance: ReplicaId) {
-        self.last_pull
-            .retain(|(dst, src), _| *dst != instance && *src != instance);
     }
 
     /// All (dst, src) pairs with recorded history.
@@ -124,21 +115,6 @@ mod tests {
             Timestamp::ZERO,
             "a second destination pulling from the same source starts fresh"
         );
-    }
-
-    #[test]
-    fn forget_prunes_one_instance_only() {
-        let mut h = ReplicationHistory::new();
-        h.record(ReplicaId(1), ReplicaId(2), Timestamp(100));
-        h.record(ReplicaId(2), ReplicaId(1), Timestamp(100));
-        h.record(ReplicaId(1), ReplicaId(3), Timestamp(100));
-        assert_eq!(h.len(), 3);
-        assert!(!h.is_empty());
-        h.forget(ReplicaId(2));
-        assert_eq!(h.len(), 1, "both directions involving 2 dropped");
-        assert_eq!(h.last_pass(ReplicaId(1), ReplicaId(3)), Timestamp(100));
-        assert_eq!(h.last_pass(ReplicaId(1), ReplicaId(2)), Timestamp::ZERO);
-        assert_eq!(h.last_pass(ReplicaId(2), ReplicaId(1)), Timestamp::ZERO);
     }
 
     #[test]

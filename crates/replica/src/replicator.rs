@@ -40,7 +40,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use domino_core::revision::{
     descends_from, merge_base_time, record_merge, same_revision, winner_key,
@@ -53,50 +53,6 @@ use domino_types::{Clock, DominoError, Item, ReplicaId, Result, Timestamp, Unid}
 use crate::conflict::make_conflict_document;
 use crate::history::ReplicationHistory;
 use crate::transport::{CleanTransport, RetryPolicy, Transport};
-
-/// Registry handles for replication telemetry, recorded once per pull
-/// from the finished [`ReplicationReport`] (the pass itself accounts
-/// into the report; mirroring at the end keeps the inner loop clean).
-struct Metrics {
-    passes: &'static obs::Counter,
-    notes_pushed: &'static obs::Counter,
-    bytes_shipped: &'static obs::Counter,
-    conflicts: &'static obs::Counter,
-    deletions: &'static obs::Counter,
-    pass_candidates: &'static obs::Histogram,
-    interrupted: &'static obs::Counter,
-    resumed: &'static obs::Counter,
-    retry_attempts: &'static obs::Counter,
-    retry_backoff_ticks: &'static obs::Counter,
-    retry_exhausted: &'static obs::Counter,
-    negotiations: &'static obs::Counter,
-    root_matches: &'static obs::Counter,
-    buckets_differing: &'static obs::Counter,
-    negotiation_bytes: &'static obs::Counter,
-    negotiated_candidates: &'static obs::Counter,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        passes: obs::counter("Replica.Passes"),
-        notes_pushed: obs::counter("Replica.Pass.NotesPushed"),
-        bytes_shipped: obs::counter("Replica.Pass.BytesShipped"),
-        conflicts: obs::counter("Replica.Conflicts"),
-        deletions: obs::counter("Replica.Deletions"),
-        pass_candidates: obs::histogram("Replica.Pass.Candidates"),
-        interrupted: obs::counter("Replica.Pass.Interrupted"),
-        resumed: obs::counter("Replica.Pass.Resumed"),
-        retry_attempts: obs::counter("Replica.Retry.Attempts"),
-        retry_backoff_ticks: obs::counter("Replica.Retry.BackoffTicks"),
-        retry_exhausted: obs::counter("Replica.Retry.Exhausted"),
-        negotiations: obs::counter("Replica.Negotiate.Passes"),
-        root_matches: obs::counter("Replica.Negotiate.RootMatches"),
-        buckets_differing: obs::counter("Replica.Negotiate.BucketsDiffering"),
-        negotiation_bytes: obs::counter("Replica.Negotiate.Bytes"),
-        negotiated_candidates: obs::counter("Replica.Negotiate.Candidates"),
-    })
-}
 
 /// Wire cost of the destination's Merkle root in a negotiation exchange.
 const ROOT_BYTES: u64 = 16;
@@ -346,7 +302,7 @@ impl Replicator {
         let snap = src.snapshot();
         let mut cursor = match self.cursors.remove(&key) {
             Some(c) => {
-                m().resumed.inc();
+                obs::counter!("Replica.Pass.Resumed").inc();
                 c
             }
             None => PullCursor {
@@ -366,7 +322,7 @@ impl Replicator {
                     if e.is_transient() {
                         // A negotiation message was lost in flight; park the
                         // cursor so the retry resumes this pass.
-                        m().interrupted.inc();
+                        obs::counter!("Replica.Pass.Interrupted").inc();
                         emit_interrupted(dst, src, "negotiation");
                         self.cursors.insert(key, cursor);
                     }
@@ -382,7 +338,7 @@ impl Replicator {
         let batch = self.options.batch.max(1);
         for chunk in candidates.chunks(batch) {
             if let Err(e) = transport.deliver(chunk.len() as u64) {
-                m().interrupted.inc();
+                obs::counter!("Replica.Pass.Interrupted").inc();
                 emit_interrupted(dst, src, "deliver");
                 self.cursors.insert(key, cursor);
                 return Err(e);
@@ -412,19 +368,20 @@ impl Replicator {
             format!("selective pull {} <- {}", dst.title(), src.title())
         });
         let report = cursor.report;
-        let reg = m();
-        reg.passes.inc();
-        reg.notes_pushed
+        // The pass accounts into its report; the registry gets the total
+        // once per pull, which keeps the inner loop clean.
+        obs::counter!("Replica.Passes").inc();
+        obs::counter!("Replica.Pass.NotesPushed")
             .add(report.added + report.updated + report.merged + report.conflicts);
-        reg.bytes_shipped.add(report.bytes_shipped);
-        reg.conflicts.add(report.conflicts);
-        reg.deletions.add(report.deletions);
-        reg.pass_candidates.record(report.candidates);
-        reg.negotiations.add(report.negotiated);
-        reg.root_matches.add(report.root_matched);
-        reg.buckets_differing.add(report.buckets_differing);
-        reg.negotiation_bytes.add(report.negotiation_bytes);
-        reg.negotiated_candidates.add(report.candidates);
+        obs::counter!("Replica.Pass.BytesShipped").add(report.bytes_shipped);
+        obs::counter!("Replica.Conflicts").add(report.conflicts);
+        obs::counter!("Replica.Deletions").add(report.deletions);
+        obs::histogram!("Replica.Pass.Candidates").record(report.candidates);
+        obs::counter!("Replica.Negotiate.Passes").add(report.negotiated);
+        obs::counter!("Replica.Negotiate.RootMatches").add(report.root_matched);
+        obs::counter!("Replica.Negotiate.BucketsDiffering").add(report.buckets_differing);
+        obs::counter!("Replica.Negotiate.Bytes").add(report.negotiation_bytes);
+        obs::counter!("Replica.Negotiate.Candidates").add(report.candidates);
         obs::emit(
             obs::Event::new(obs::EventKind::Replica, obs::Severity::Info, "Replica.Pass")
                 .at(dst.clock().peek().0)
@@ -518,11 +475,10 @@ impl Replicator {
             match self.pull_via(dst, src, transport) {
                 Ok(report) => return Ok(report),
                 Err(e) if e.is_transient() => {
-                    let reg = m();
                     if attempts >= policy.max_attempts {
                         // Exhausted: the cursor stays parked; callers see
                         // the transport error (and Replica.Retry.Exhausted).
-                        reg.retry_exhausted.inc();
+                        obs::counter!("Replica.Retry.Exhausted").inc();
                         obs::emit(
                             obs::Event::new(
                                 obs::EventKind::Replica,
@@ -536,7 +492,7 @@ impl Replicator {
                         );
                         return Err(e);
                     }
-                    reg.retry_attempts.inc();
+                    obs::counter!("Replica.Retry.Attempts").inc();
                     // Jitter is seeded from the logical clock: determinism
                     // for the simulator, decorrelation for the fleet.
                     let seed = dst.clock().peek().0;
@@ -553,7 +509,7 @@ impl Replicator {
                         .with("attempt", attempts)
                         .with("wait_ticks", wait),
                     );
-                    reg.retry_backoff_ticks.add(wait);
+                    obs::counter!("Replica.Retry.BackoffTicks").add(wait);
                     dst.clock().advance(wait);
                 }
                 Err(e) => return Err(e),
@@ -633,30 +589,6 @@ impl Replicator {
     /// Are any passes interrupted and awaiting resumption?
     pub fn has_pending(&self) -> bool {
         !self.cursors.is_empty()
-    }
-
-    /// Drop all parked cursors (the next pull of each pair negotiates
-    /// afresh — safe, merely wasteful).
-    pub fn abandon_pending(&mut self) {
-        self.cursors.clear();
-    }
-
-    /// Parked cursors awaiting resumption.
-    pub fn pending_count(&self) -> usize {
-        self.cursors.len()
-    }
-
-    /// Forget everything about a decommissioned replica instance: its
-    /// history entries and any parked cursors for passes involving it.
-    /// Long-lived replicators otherwise grow one history entry and
-    /// potentially one cursor per peer forever; pruning dropped instances
-    /// keeps both maps bounded by the live peer set. Safe at any time:
-    /// if the instance reappears, its first pull is the same
-    /// O(buckets + changed) Merkle diff as any other.
-    pub fn forget_instance(&mut self, instance: ReplicaId) {
-        self.history.forget(instance);
-        self.cursors
-            .retain(|(dst, src), _| *dst != instance && *src != instance);
     }
 
     /// Pull one deletion stub, unless `dst` holds a deletion at least as
@@ -1670,7 +1602,7 @@ mod tests {
         let mut r2 = Replicator::new(ReplicationOptions::default());
         r2.pull(&amnesiac, &src).unwrap();
         r2.history.clear();
-        r2.abandon_pending();
+        r2.cursors.clear();
         let after_clear = r2.pull(&amnesiac, &src).unwrap();
         assert!(!after_clear.changed_anything(), "{after_clear:?}");
         assert!(docs_equal(&with_history, &amnesiac));
@@ -1743,27 +1675,5 @@ mod tests {
         let subjects: Vec<&str> = a_first.iter().map(|(_, _, s)| s.as_str()).collect();
         assert_eq!(a_first.len(), 2, "{a_first:?}");
         assert!(subjects.contains(&"a-edit") && subjects.contains(&"b-edit"));
-    }
-
-    #[test]
-    fn forget_instance_prunes_history_and_cursors() {
-        let (a, b, mut r) = pair();
-        doc(&a, "x");
-        r.sync(&a, &b).unwrap();
-        assert_eq!(r.history.len(), 2, "one entry per direction");
-        // Park a cursor for the pair.
-        for i in 0..10 {
-            doc(&a, &format!("more{i}"));
-        }
-        let mut t = flaky(0..100);
-        let _ = r.pull_via(&b, &a, &mut t);
-        assert_eq!(r.pending_count(), 1);
-        r.forget_instance(a.instance_id());
-        assert_eq!(r.history.len(), 0);
-        assert_eq!(r.pending_count(), 0);
-        assert!(!r.has_pending());
-        // The pair still converges from scratch afterwards.
-        r.sync(&a, &b).unwrap();
-        assert!(docs_equal(&a, &b));
     }
 }

@@ -23,29 +23,9 @@
 //! Eviction beyond that is FIFO within a fixed capacity.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::OnceLock;
 
 use domino_obs as obs;
 use parking_lot::Mutex;
-
-struct Metrics {
-    hits: &'static obs::Counter,
-    misses: &'static obs::Counter,
-    evictions: &'static obs::Counter,
-    invalidations: &'static obs::Counter,
-    entries: &'static obs::Gauge,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        hits: obs::counter("Http.Cache.Hits"),
-        misses: obs::counter("Http.Cache.Misses"),
-        evictions: obs::counter("Http.Cache.Evictions"),
-        invalidations: obs::counter("Http.Cache.Invalidations"),
-        entries: obs::gauge("Http.Cache.Entries"),
-    })
-}
 
 /// Which rendered flavor of a view page a key addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,19 +99,19 @@ impl CommandCache {
         let mut g = self.inner.lock();
         match g.map.get(key) {
             Some(page) if page.view_version == view_version => {
-                m().hits.inc();
+                obs::counter!("Http.Cache.Hits").inc();
                 Some(page.clone())
             }
             Some(_) => {
                 g.map.remove(key);
                 g.order.retain(|k| k != key);
-                m().invalidations.inc();
-                m().misses.inc();
-                m().entries.set(g.map.len() as i64);
+                obs::counter!("Http.Cache.Invalidations").inc();
+                obs::counter!("Http.Cache.Misses").inc();
+                obs::gauge!("Http.Cache.Entries").set(g.map.len() as i64);
                 None
             }
             None => {
-                m().misses.inc();
+                obs::counter!("Http.Cache.Misses").inc();
                 None
             }
         }
@@ -149,13 +129,13 @@ impl CommandCache {
             while g.map.len() > self.capacity {
                 if let Some(old) = g.order.pop_front() {
                     g.map.remove(&old);
-                    m().evictions.inc();
+                    obs::counter!("Http.Cache.Evictions").inc();
                 } else {
                     break;
                 }
             }
         }
-        m().entries.set(g.map.len() as i64);
+        obs::gauge!("Http.Cache.Entries").set(g.map.len() as i64);
     }
 
     /// Number of cached pages.

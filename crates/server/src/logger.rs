@@ -100,30 +100,6 @@ pub struct DrainReport {
     pub rotated: usize,
 }
 
-/// Registry handles for the logger's own health (it reports like any
-/// other task — but through metrics, never through events it would then
-/// have to file about itself).
-struct Metrics {
-    drains: &'static obs::Counter,
-    filed: &'static obs::Counter,
-    rotations: &'static obs::Counter,
-    deleted: &'static obs::Counter,
-    write_errors: &'static obs::Counter,
-    backlog: &'static obs::Gauge,
-}
-
-fn m() -> &'static Metrics {
-    static M: std::sync::OnceLock<Metrics> = std::sync::OnceLock::new();
-    M.get_or_init(|| Metrics {
-        drains: obs::counter("Logger.Drains"),
-        filed: obs::counter("Logger.Documents.Filed"),
-        rotations: obs::counter("Logger.Rotations"),
-        deleted: obs::counter("Logger.Documents.Deleted"),
-        write_errors: obs::counter("Logger.Write.Errors"),
-        backlog: obs::gauge("Logger.Backlog"),
-    })
-}
-
 /// The logger task: a `log.nsf` database plus the machinery that fills
 /// it from the event bus. Cheap to share (`Arc`); the background thread
 /// holds only a weak reference.
@@ -204,7 +180,9 @@ impl ServerLog {
     /// and rotate if the log has outgrown its ceiling.
     pub fn drain(&self) -> DrainReport {
         let drains = self.drains.fetch_add(1, Ordering::Relaxed) + 1;
-        m().drains.inc();
+        // The logger reports its own health through metrics, never
+        // through events it would then have to file about itself.
+        obs::counter!("Logger.Drains").inc();
         // Probes run *before* the suppression guard goes up: their
         // verdict events must reach the bus to be filed in this drain.
         if self.cfg.probe_every > 0 && drains.is_multiple_of(self.cfg.probe_every) {
@@ -213,12 +191,12 @@ impl ServerLog {
             }
         }
         let events = obs::drain(usize::MAX);
-        m().backlog.set(obs::pending() as i64);
+        obs::gauge!("Logger.Backlog").set(obs::pending() as i64);
         let mut report = DrainReport {
             drained: events.len(),
             ..DrainReport::default()
         };
-        let suppressed_before = obs::counter("Obs.Event.Suppressed").get();
+        let suppressed_before = obs::counter!("Obs.Event.Suppressed").get();
         {
             // Re-entrancy guard: anything the writes below emit is
             // counted and discarded, never filed. All writes happen on
@@ -229,25 +207,25 @@ impl ServerLog {
                 for event in &events {
                     match self.file(event) {
                         Ok(()) => report.written += 1,
-                        Err(_) => m().write_errors.inc(),
+                        Err(_) => obs::counter!("Logger.Write.Errors").inc(),
                     }
                 }
             }
             if self.cfg.stats_every > 0 && drains.is_multiple_of(self.cfg.stats_every) {
                 match self.file_statistics() {
                     Ok(()) => report.written += 1,
-                    Err(_) => m().write_errors.inc(),
+                    Err(_) => obs::counter!("Logger.Write.Errors").inc(),
                 }
             }
             report.rotated = self.rotate_if_over(self.cfg.max_documents);
         }
-        let suppressed = obs::counter("Obs.Event.Suppressed").get() - suppressed_before;
+        let suppressed = obs::counter!("Obs.Event.Suppressed").get() - suppressed_before;
         report.suppressed = suppressed;
         self.recursion.fetch_add(suppressed, Ordering::Relaxed);
         if report.rotated > 0 {
             self.checkpoint();
         }
-        m().filed.add(report.written as u64);
+        obs::counter!("Logger.Documents.Filed").add(report.written as u64);
         let mut tail = self.tail.lock();
         for event in events {
             if tail.len() >= self.cfg.tail {
@@ -337,8 +315,8 @@ impl ServerLog {
             }
         }
         if deleted > 0 {
-            m().rotations.inc();
-            m().deleted.add(deleted as u64);
+            obs::counter!("Logger.Rotations").inc();
+            obs::counter!("Logger.Documents.Deleted").add(deleted as u64);
             // The stubs would otherwise linger for the purge interval;
             // the log recycles them immediately (nothing replicates a
             // log's deletions).
@@ -356,7 +334,7 @@ impl ServerLog {
     fn checkpoint(&self) {
         let _guard = obs::suppress();
         if self.db.checkpoint().is_err() {
-            m().write_errors.inc();
+            obs::counter!("Logger.Write.Errors").inc();
         }
     }
 

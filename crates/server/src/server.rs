@@ -16,7 +16,7 @@
 //! 5. render, consulting the command cache for view pages.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use domino_core::{
@@ -36,39 +36,6 @@ use crate::url::{self, UrlCommand};
 
 /// The identity of requests without credentials.
 pub const ANONYMOUS: &str = "Anonymous";
-
-struct Metrics {
-    served: &'static obs::Counter,
-    micros: &'static obs::Histogram,
-    ok: &'static obs::Counter,
-    denied: &'static obs::Counter,
-    client_err: &'static obs::Counter,
-    server_err: &'static obs::Counter,
-    agent_runs: &'static obs::Counter,
-    executed: &'static obs::Counter,
-    shed: &'static obs::Counter,
-    queue_depth: &'static obs::Gauge,
-    busy: &'static obs::Gauge,
-    wait: &'static obs::Histogram,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        served: obs::counter("Http.Request.Served"),
-        micros: obs::histogram("Http.Request.Micros"),
-        ok: obs::counter("Http.Request.Ok"),
-        denied: obs::counter("Http.Request.Denied"),
-        client_err: obs::counter("Http.Request.ClientError"),
-        server_err: obs::counter("Http.Request.Error"),
-        agent_runs: obs::counter("Http.Amgr.AgentRuns"),
-        executed: obs::counter("Http.Worker.Executed"),
-        shed: obs::counter("Http.Worker.Shed"),
-        queue_depth: obs::gauge("Http.Worker.QueueDepth"),
-        busy: obs::gauge("Http.Worker.Busy"),
-        wait: obs::histogram("Http.Worker.Wait.Micros"),
-    })
-}
 
 /// Sizing knobs for the HTTP task (see OPERATIONS.md §"The HTTP task").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,23 +140,23 @@ impl Gate {
     fn enter(&self) -> Option<Permit<'_>> {
         let mut s = self.lock();
         if s.waiting() >= self.queue_bound {
-            m().shed.inc();
+            obs::counter!("Http.Worker.Shed").inc();
             return None;
         }
         let ticket = s.issued;
         s.issued += 1;
         if s.admitted != ticket || s.running >= self.workers {
-            m().queue_depth.set(s.waiting() as i64);
+            obs::gauge!("Http.Worker.QueueDepth").set(s.waiting() as i64);
             let since = Instant::now();
             while s.admitted != ticket || s.running >= self.workers {
                 s = self.changed.wait(s).unwrap_or_else(PoisonError::into_inner);
             }
-            m().wait.record_micros(since.elapsed());
+            obs::histogram!("Http.Worker.Wait.Micros").record_micros(since.elapsed());
         }
         s.admitted += 1;
         s.running += 1;
-        m().queue_depth.set(s.waiting() as i64);
-        m().busy.set(s.running as i64);
+        obs::gauge!("Http.Worker.QueueDepth").set(s.waiting() as i64);
+        obs::gauge!("Http.Worker.Busy").set(s.running as i64);
         if s.waiting() > 0 && s.running < self.workers {
             // The next ticket may fit beside this one.
             self.changed.notify_all();
@@ -205,8 +172,8 @@ impl Drop for Permit<'_> {
     fn drop(&mut self) {
         let mut s = self.0.lock();
         s.running -= 1;
-        m().busy.set(s.running as i64);
-        m().executed.inc();
+        obs::gauge!("Http.Worker.Busy").set(s.running as i64);
+        obs::counter!("Http.Worker.Executed").inc();
         if s.waiting() > 0 || (s.drains > 0 && s.running == 0) {
             self.0.changed.notify_all();
         }
@@ -423,12 +390,14 @@ impl DominoServer {
 /// the gate included. The logger task turns these into HttpRequest
 /// documents.
 fn account(req: &Request, resp: Response, micros: u64) -> Response {
-    m().served.inc();
+    obs::counter!("Http.Request.Served").inc();
     match resp.status {
-        Status::Ok => m().ok.inc(),
-        Status::Unauthorized | Status::Forbidden => m().denied.inc(),
-        Status::BadRequest | Status::NotFound | Status::Conflict => m().client_err.inc(),
-        Status::ServerError | Status::Unavailable => m().server_err.inc(),
+        Status::Ok => obs::counter!("Http.Request.Ok").inc(),
+        Status::Unauthorized | Status::Forbidden => obs::counter!("Http.Request.Denied").inc(),
+        Status::BadRequest | Status::NotFound | Status::Conflict => {
+            obs::counter!("Http.Request.ClientError").inc()
+        }
+        Status::ServerError | Status::Unavailable => obs::counter!("Http.Request.Error").inc(),
     }
     let user = match &req.credentials {
         Credentials::Anonymous => ANONYMOUS.to_string(),
@@ -469,7 +438,7 @@ impl Inner {
         for site in sites {
             let now = site.db.clock().peek().0;
             let report = site.amgr.lock().tick(now)?;
-            m().agent_runs.add(report.runs.len() as u64);
+            obs::counter!("Http.Amgr.AgentRuns").add(report.runs.len() as u64);
             out.push((site.name.clone(), report));
         }
         Ok(out)
@@ -480,7 +449,7 @@ impl Inner {
         let started = Instant::now();
         let resp = self.dispatch(req);
         let took = started.elapsed();
-        m().micros.record_micros(took);
+        obs::histogram!("Http.Request.Micros").record_micros(took);
         account(req, resp, took.as_micros() as u64)
     }
 

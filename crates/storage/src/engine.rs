@@ -52,7 +52,6 @@
 //! so allocation state is logged, undoable, and crash-consistent.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use crate::disk::Disk;
 use crate::heap::FreeSpace;
@@ -61,43 +60,6 @@ use crate::pool::{BufferPool, Frame};
 use domino_obs as obs;
 use domino_types::{DominoError, Result};
 use domino_wal::{recover, LogManager, LogRecord, LogStore, Lsn, RecoveryStats, RedoTarget, TxId};
-
-/// Registry handles for the engine's process-wide telemetry. Per-instance
-/// [`EngineStats`] stay exact for tests; these mirror every event into the
-/// `show statistics` surface. Cached once — hot paths reach them with one
-/// atomic load and record with relaxed atomics only.
-struct Metrics {
-    pool_hits: &'static obs::Counter,
-    pool_misses: &'static obs::Counter,
-    evictions: &'static obs::Counter,
-    page_reads: &'static obs::Counter,
-    page_writes: &'static obs::Counter,
-    pages_allocated: &'static obs::Counter,
-    pages_freed: &'static obs::Counter,
-    commits: &'static obs::Counter,
-    aborts: &'static obs::Counter,
-    checkpoints: &'static obs::Counter,
-    checkpoint_pages: &'static obs::Counter,
-    commit_nanos: &'static obs::Histogram,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        pool_hits: obs::counter("Database.Pool.Hits"),
-        pool_misses: obs::counter("Database.Pool.Misses"),
-        evictions: obs::counter("Database.Pool.Evictions"),
-        page_reads: obs::counter("Database.Pages.Reads"),
-        page_writes: obs::counter("Database.Pages.Writes"),
-        pages_allocated: obs::counter("Database.Pages.Allocated"),
-        pages_freed: obs::counter("Database.Pages.Freed"),
-        commits: obs::counter("Database.Txn.Commits"),
-        aborts: obs::counter("Database.Txn.Aborts"),
-        checkpoints: obs::counter("Database.Checkpoint.Completed"),
-        checkpoint_pages: obs::counter("Database.Checkpoint.PagesWritten"),
-        commit_nanos: obs::histogram("Database.Txn.Commit.Nanos"),
-    })
-}
 
 /// The WAL type the engine uses (store chosen at runtime).
 pub type Wal = LogManager<Box<dyn LogStore>>;
@@ -305,11 +267,11 @@ impl Engine {
         } = self;
         if let Some(slot) = pool.lookup(id) {
             stats.pool_hits += 1;
-            m().pool_hits.inc();
+            obs::counter!("Database.Pool.Hits").inc();
             return Ok(pool.frame_mut(slot));
         }
         stats.pool_misses += 1;
-        m().pool_misses.inc();
+        obs::counter!("Database.Pool.Misses").inc();
         let slot = if pool.is_full() {
             let slot = pool.pick_victim();
             let f = pool.frame_mut(slot);
@@ -322,10 +284,10 @@ impl Engine {
                 dirty_table.remove(&f.page.id);
                 f.dirty = false;
                 stats.page_writes += 1;
-                m().page_writes.inc();
+                obs::counter!("Database.Pages.Writes").inc();
             }
             stats.evictions += 1;
-            m().evictions.inc();
+            obs::counter!("Database.Pool.Evictions").inc();
             // Sustained eviction churn means the working set no longer
             // fits the pool. Sample the condition (every 1024th eviction)
             // so the event is rare even when the pressure is constant —
@@ -355,7 +317,7 @@ impl Engine {
     /// The preferred read path — `fetch` clones all 4 KiB.
     pub fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&PageBuf) -> R) -> Result<R> {
         self.stats.reads += 1;
-        m().page_reads.inc();
+        obs::counter!("Database.Pages.Reads").inc();
         let frame = self.frame(id)?;
         Ok(f(&frame.page))
     }
@@ -393,7 +355,7 @@ impl Engine {
                 disk.write_page(f.page.id, &f.page)?;
                 f.dirty = false;
                 stats.page_writes += 1;
-                m().page_writes.inc();
+                obs::counter!("Database.Pages.Writes").inc();
             }
         }
         dirty_table.clear();
@@ -507,7 +469,7 @@ impl Engine {
                 "commit of non-active tx".into(),
             ));
         }
-        let _commit_time = m().commit_nanos.time();
+        let _commit_time = obs::histogram!("Database.Txn.Commit.Nanos").time();
         if let Some(wal) = &self.wal {
             let lsn = wal.append(&LogRecord::Commit { tx: tx.id })?;
             if let Err(e) = self.force_commit_record(lsn) {
@@ -518,7 +480,7 @@ impl Engine {
         }
         self.active_tx = None;
         self.stats.txs_committed += 1;
-        m().commits.inc();
+        obs::counter!("Database.Txn.Commits").inc();
         Ok(())
     }
 
@@ -567,7 +529,7 @@ impl Engine {
         };
         self.active_tx = None;
         self.stats.txs_aborted += 1;
-        m().aborts.inc();
+        obs::counter!("Database.Txn.Aborts").inc();
         forced
     }
 
@@ -610,7 +572,7 @@ impl Engine {
             };
             if self.write_back(page)? {
                 self.stats.checkpoint_pages += 1;
-                m().checkpoint_pages.inc();
+                obs::counter!("Database.Checkpoint.PagesWritten").inc();
                 done += 1;
             }
         }
@@ -652,7 +614,7 @@ impl Engine {
         f.dirty = false;
         dirty_table.remove(&page);
         stats.page_writes += 1;
-        m().page_writes.inc();
+        obs::counter!("Database.Pages.Writes").inc();
         Ok(true)
     }
 
@@ -678,7 +640,7 @@ impl Engine {
         self.disk.sync()?;
         self.ckpt_queue = None;
         self.stats.checkpoints += 1;
-        m().checkpoints.inc();
+        obs::counter!("Database.Checkpoint.Completed").inc();
         obs::emit(
             obs::Event::new(
                 obs::EventKind::Checkpoint,
@@ -754,7 +716,7 @@ impl Engine {
         // ranges are never interpreted because counts are always written.
         self.write_type(tx, id, ptype)?;
         self.stats.pages_allocated += 1;
-        m().pages_allocated.inc();
+        obs::counter!("Database.Pages.Allocated").inc();
         Ok(id)
     }
 
@@ -781,7 +743,7 @@ impl Engine {
         let count = self.free_pages()?;
         self.write(tx, 0, OFF_FREE_COUNT as u16, &(count + 1).to_le_bytes())?;
         self.stats.pages_freed += 1;
-        m().pages_freed.inc();
+        obs::counter!("Database.Pages.Freed").inc();
         Ok(())
     }
 

@@ -29,7 +29,6 @@ use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
@@ -37,26 +36,6 @@ use crate::disk::Disk;
 use crate::page::{PageBuf, PageId, PAGE_CHECKSUM_OFFSET, PAGE_SIZE};
 use domino_obs as obs;
 use domino_types::{splitmix64, DominoError, Reader, Result};
-
-/// Registry handles for file-device telemetry (`Nsf.File.*`).
-struct Metrics {
-    opens: &'static obs::Counter,
-    reads: &'static obs::Counter,
-    writes: &'static obs::Counter,
-    syncs: &'static obs::Counter,
-    torn_detected: &'static obs::Counter,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        opens: obs::counter("Nsf.File.Opens"),
-        reads: obs::counter("Nsf.File.Reads"),
-        writes: obs::counter("Nsf.File.Writes"),
-        syncs: obs::counter("Nsf.File.Syncs"),
-        torn_detected: obs::counter("Nsf.File.TornDetected"),
-    })
-}
 
 // ---------------------------------------------------------------------
 // superblock layout (see FORMAT.md §2 — the layout test pins these)
@@ -208,7 +187,7 @@ impl NsfFile {
             file.read_exact_at(&mut page0, 0)?;
             SuperBlock::decode(&page0)?;
         }
-        m().opens.inc();
+        obs::counter!("Nsf.File.Opens").inc();
         Ok(NsfFile {
             file,
             path: path.to_path_buf(),
@@ -279,7 +258,7 @@ impl NsfFile {
 
 impl Disk for NsfFile {
     fn read_page(&self, id: PageId, buf: &mut PageBuf) -> Result<()> {
-        m().reads.inc();
+        obs::counter!("Nsf.File.Reads").inc();
         let off = Self::page_offset(id);
         let len = self.file.metadata()?.len();
         if off >= len {
@@ -297,7 +276,7 @@ impl Disk for NsfFile {
         buf.id = id;
         let stored = buf.get_u16(PAGE_CHECKSUM_OFFSET);
         if stored != 0 && page_checksum(&buf.data) != stored {
-            m().torn_detected.inc();
+            obs::counter!("Nsf.File.TornDetected").inc();
             return Err(DominoError::Corrupt(format!(
                 "torn page {id}: checksum mismatch (restore from a replica)"
             )));
@@ -306,7 +285,7 @@ impl Disk for NsfFile {
     }
 
     fn write_page(&self, id: PageId, buf: &PageBuf) -> Result<()> {
-        m().writes.inc();
+        obs::counter!("Nsf.File.Writes").inc();
         // Stamp the checksum into a copy (the field is excluded from the
         // hash, so the stamp never perturbs its own cover).
         let mut data = buf.data.clone();
@@ -317,13 +296,13 @@ impl Disk for NsfFile {
     }
 
     fn write_page_raw(&self, id: PageId, buf: &PageBuf) -> Result<()> {
-        m().writes.inc();
+        obs::counter!("Nsf.File.Writes").inc();
         self.file.write_at(&buf.data[..], Self::page_offset(id))?;
         Ok(())
     }
 
     fn sync(&self) -> Result<()> {
-        m().syncs.inc();
+        obs::counter!("Nsf.File.Syncs").inc();
         self.file.sync_data()?;
         Ok(())
     }

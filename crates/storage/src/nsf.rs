@@ -193,16 +193,6 @@ impl NoteStore {
             }
         })
     }
-
-    /// Count of notes (summary segments).
-    pub fn note_count(&self, engine: &mut Engine) -> Result<u64> {
-        let mut n = 0;
-        self.for_each_note(engine, |_| {
-            n += 1;
-            true
-        })?;
-        Ok(n)
-    }
 }
 
 #[cfg(test)]
@@ -334,7 +324,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, ids);
-        assert_eq!(s.note_count(&mut e).unwrap(), 50);
+        assert_eq!(seen.len(), 50);
     }
 
     #[test]

@@ -99,13 +99,6 @@ impl Default for ContentHasher {
     }
 }
 
-/// One-shot digest of a byte slice.
-pub fn content_hash(bytes: &[u8]) -> ContentHash {
-    let mut h = ContentHasher::new();
-    h.update(bytes);
-    h.finish()
-}
-
 /// Mix two 128-bit words into one — used by the Merkle summary tree to
 /// bind an entry's key to its head hash (and a bucket index to its
 /// digest) before XOR-combining entries order-independently.
@@ -119,6 +112,13 @@ pub fn mix128(a: u128, b: u128) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One-shot digest of a byte slice.
+    fn content_hash(bytes: &[u8]) -> ContentHash {
+        let mut h = ContentHasher::new();
+        h.update(bytes);
+        h.finish()
+    }
 
     #[test]
     fn deterministic_and_sensitive() {

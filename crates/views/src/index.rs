@@ -41,41 +41,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use domino_core::{ChangeEvent, Note, SummaryItems};
 use domino_formula::{EvalEnv, EvalErrors};
 use domino_obs as obs;
 use domino_types::{NoteClass, NoteId, Result, Timestamp, Unid, Value};
-
-/// Maintenance counters (E3 reads `View.Documents.Evaluated`).
-struct Metrics {
-    rebuilds: &'static obs::Counter,
-    rebuild_millis: &'static obs::Histogram,
-    evaluated: &'static obs::Counter,
-    placed: &'static obs::Counter,
-    removed: &'static obs::Counter,
-    batches: &'static obs::Counter,
-    batch_events: &'static obs::Counter,
-    batch_size: &'static obs::Histogram,
-    pages_built: &'static obs::Counter,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        rebuilds: obs::counter("View.Rebuilds"),
-        rebuild_millis: obs::histogram("View.Rebuild.Millis"),
-        evaluated: obs::counter("View.Documents.Evaluated"),
-        placed: obs::counter("View.Entries.Placed"),
-        removed: obs::counter("View.Entries.Removed"),
-        batches: obs::counter("View.Batches"),
-        batch_events: obs::counter("View.Batch.Events"),
-        batch_size: obs::histogram("View.Batch.Size"),
-        pages_built: obs::counter("View.Pages.Built"),
-    })
-}
 
 use crate::collate::{encode_key, encode_prefix, prefix_upper_bound, SortDir};
 use crate::design::{Collation, ViewDesign};
@@ -212,7 +184,7 @@ impl ViewIndex {
     /// snapshot versions, incremental maintenance reads a change event's
     /// whole note; both must yield the same row.
     fn evaluate(&mut self, note: &Note) -> Option<Vec<Value>> {
-        m().evaluated.inc();
+        obs::counter!("View.Documents.Evaluated").inc();
         let doc = SummaryItems(note);
         let selection = &self.design.selection;
         let selected = match selection.eval_full(&doc, &self.env) {
@@ -267,9 +239,9 @@ impl ViewIndex {
     /// formula fails is left out (see the module docs); nothing else
     /// fails.
     pub fn apply(&mut self, events: &[ChangeEvent], src: &dyn NoteSource) {
-        m().batches.inc();
-        m().batch_events.add(events.len() as u64);
-        m().batch_size.record(events.len() as u64);
+        obs::counter!("View.Batches").inc();
+        obs::counter!("View.Batch.Events").add(events.len() as u64);
+        obs::histogram!("View.Batch.Size").record(events.len() as u64);
         let _span = obs::span!("View.Apply");
         if events.is_empty() {
             return;
@@ -306,7 +278,7 @@ impl ViewIndex {
         self.entries.clear();
         self.keys.clear();
         self.children.clear();
-        m().rebuilds.inc();
+        obs::counter!("View.Rebuilds").inc();
         let collations = self.design.collations();
         let mut per_coll: Vec<Vec<(Vec<u8>, Arc<ViewEntry>)>> =
             collations.iter().map(|_| Vec::new()).collect();
@@ -329,14 +301,14 @@ impl ViewIndex {
             }
             self.keys.insert(entry.unid, keys);
             self.entries.insert(entry.unid, entry);
-            m().placed.inc();
+            obs::counter!("View.Entries.Placed").inc();
         }
         for (order, mut pairs) in self.orders.iter_mut().zip(per_coll) {
             pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             *order = Order::from_sorted(pairs);
         }
         self.place_responses(responses, src);
-        m().rebuild_millis.record_millis(started.elapsed());
+        obs::histogram!("View.Rebuild.Millis").record_millis(started.elapsed());
         self.report_errors();
     }
 
@@ -411,7 +383,7 @@ impl ViewIndex {
         }
         self.keys.insert(unid, keys);
         self.entries.insert(unid, entry);
-        m().placed.inc();
+        obs::counter!("View.Entries.Placed").inc();
     }
 
     fn compute_keys(&self, entry: &ViewEntry) -> Vec<Vec<u8>> {
@@ -473,7 +445,7 @@ impl ViewIndex {
             // parent re-entering the view can re-adopt responses that were
             // excluded alongside it. Stale links to deleted documents are
             // harmless (re-evaluation finds no note and drops them).
-            m().removed.inc();
+            obs::counter!("View.Entries.Removed").inc();
         }
     }
 
@@ -574,7 +546,7 @@ impl ViewIndex {
     /// is found by position ([`Order::iter_from`]), so the last page of a
     /// view costs what the first does, and a row is a pointer bump.
     pub fn page(&self, collation: usize, start: usize, count: usize) -> Vec<Arc<ViewEntry>> {
-        m().pages_built.inc();
+        obs::counter!("View.Pages.Built").inc();
         self.orders[collation]
             .iter_from(start)
             .take(count)

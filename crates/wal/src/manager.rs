@@ -15,34 +15,13 @@
 //! restart recovery, which stops at the torn tail, is the only way on.
 
 use std::ops::Range;
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::record::{LogRecord, Lsn};
 use crate::store::LogStore;
 use domino_obs as obs;
 use domino_types::{DominoError, Result};
-
-/// Log counters. `Log.Flushes` over `Database.Txn.Commits` is the
-/// flushes-per-commit figure.
-struct Metrics {
-    records: &'static obs::Counter,
-    bytes: &'static obs::Counter,
-    flushes: &'static obs::Counter,
-    noop_flushes: &'static obs::Counter,
-    flush_nanos: &'static obs::Histogram,
-}
-
-fn m() -> &'static Metrics {
-    static M: OnceLock<Metrics> = OnceLock::new();
-    M.get_or_init(|| Metrics {
-        records: obs::counter("Log.Records"),
-        bytes: obs::counter("Log.BytesAppended"),
-        flushes: obs::counter("Log.Flushes"),
-        noop_flushes: obs::counter("Log.NoopFlushes"),
-        flush_nanos: obs::histogram("Log.Flush.Nanos"),
-    })
-}
 
 /// Upper bound on how long a parked flush waits per round; purely a
 /// lost-wakeup backstop (the leader always notifies on completion).
@@ -108,8 +87,8 @@ impl<S: LogStore> LogManager<S> {
         rec.encode_into(&mut g.buffer);
         let len = (g.buffer.len() - start) as u64;
         g.next_lsn = Lsn(lsn.0 + len);
-        m().records.inc();
-        m().bytes.add(len);
+        obs::counter!("Log.Records").inc();
+        obs::counter!("Log.BytesAppended").add(len);
         Ok(lsn)
     }
 
@@ -135,7 +114,7 @@ impl<S: LogStore> LogManager<S> {
                 return Err(e.clone());
             }
             if g.flushed_lsn > upto {
-                m().noop_flushes.inc();
+                obs::counter!("Log.NoopFlushes").inc();
                 return Ok(());
             }
             if !g.leader_active {
@@ -148,7 +127,7 @@ impl<S: LogStore> LogManager<S> {
         let target = g.next_lsn;
         drop(g);
 
-        let io_timer = m().flush_nanos.time();
+        let io_timer = obs::histogram!("Log.Flush.Nanos").time();
         let io = (|| {
             if !chunk.is_empty() {
                 self.store.append(&chunk)?;
@@ -168,7 +147,7 @@ impl<S: LogStore> LogManager<S> {
         match &io {
             Ok(()) => {
                 g.flushed_lsn = target;
-                m().flushes.inc();
+                obs::counter!("Log.Flushes").inc();
             }
             // The store may hold a torn tail past `flushed_lsn`; the
             // per-record checksums make recovery stop cleanly there.

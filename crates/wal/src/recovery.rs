@@ -165,11 +165,11 @@ pub fn recover<S: LogStore>(
 
     // Mirror the restart cost into the process-wide registry so a
     // `show statistics` after a crash shows what recovery replayed.
-    domino_obs::counter("Recovery.Runs").inc();
-    domino_obs::counter("Recovery.RecordsAnalyzed").add(stats.analyzed);
-    domino_obs::counter("Recovery.UpdatesRedone").add(stats.redone);
-    domino_obs::counter("Recovery.UpdatesUndone").add(stats.undone);
-    domino_obs::counter("Recovery.LoserTxns").add(stats.loser_txs);
+    domino_obs::counter!("Recovery.Runs").inc();
+    domino_obs::counter!("Recovery.RecordsAnalyzed").add(stats.analyzed);
+    domino_obs::counter!("Recovery.UpdatesRedone").add(stats.redone);
+    domino_obs::counter!("Recovery.UpdatesUndone").add(stats.undone);
+    domino_obs::counter!("Recovery.LoserTxns").add(stats.loser_txs);
     // A restart recovery is a server event: losers rolled back make it a
     // Warning (the crash interrupted in-flight work), a clean redo-only
     // pass is informational.

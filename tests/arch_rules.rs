@@ -722,3 +722,112 @@ fn one_byte_reader() {
     }
     assert_none("a decoder that reads bytes outside the one reader", hits);
 }
+
+/// `line` calls the registry's `counter`, `gauge` or `histogram`
+/// function, or names one by path, rather than invoking its macro.
+fn registry_lookup(line: &str) -> bool {
+    if line.trim_start().starts_with("//") {
+        return false;
+    }
+    ["counter", "gauge", "histogram"].iter().any(|f| {
+        line.match_indices(f).any(|(i, _)| {
+            let (before, after) = (&line[..i], line[i + f.len()..].trim_start());
+            let ident = |c: char| c.is_alphanumeric() || c == '_';
+            let called = after.starts_with('(')
+                && !before.ends_with('.')
+                && !before.trim_end().ends_with("fn");
+            let named = before.ends_with("::") && !after.starts_with('!');
+            !before.chars().next_back().is_some_and(ident)
+                && !after.starts_with(ident)
+                && (called || named)
+        })
+    })
+}
+
+#[test]
+fn one_way_to_a_metric() {
+    // A metric is named where it is recorded: `obs::counter!("…")` keeps
+    // the interned handle in a static at its call site. No crate keeps a
+    // struct of handles beside the code that records, and only the
+    // registry calls the interning functions, which lock on every call
+    // (test code may, to read a value).
+    let files = sources();
+    assert_none(
+        "a per-crate struct of metric handles",
+        offending(files.iter().map(|(f, t)| (f.as_str(), t.as_str())), |l| {
+            has_word(l, "Metrics") && l.contains("struct")
+                || l.contains("fn m()")
+                || has_word(l, "BusMetrics")
+        }),
+    );
+    let non_test = files
+        .iter()
+        .filter(|(f, _)| f != "crates/obs/src/registry.rs")
+        .map(|(f, t)| (f.as_str(), &t[..t.find("#[cfg(test)]").unwrap_or(t.len())]));
+    assert_none(
+        "a registry lookup outside the metric macros",
+        offending(non_test, registry_lookup),
+    );
+    let mut computed = Vec::new();
+    for (file, text) in &files {
+        let squeezed: String = text.chars().filter(|c| !c.is_whitespace()).collect();
+        for kind in ["counter!(", "gauge!(", "histogram!("] {
+            for (i, _) in squeezed.match_indices(kind) {
+                if !squeezed[i + kind.len()..].starts_with('"') {
+                    let arg: String = squeezed[i + kind.len()..].chars().take(24).collect();
+                    computed.push(format!("{file}: {kind}{arg}"));
+                }
+            }
+        }
+    }
+    assert_none("a metric name that is not a string literal", computed);
+}
+
+#[test]
+fn every_declared_dependency_is_used() {
+    // A dependency edge no source names is build time and a false
+    // statement about the layering. `[dependencies]` must be named in
+    // the crate's `src`; `[dev-dependencies]` in its `src`, `tests` or
+    // `examples`.
+    let mut crates = vec![root().to_path_buf()];
+    for entry in std::fs::read_dir(root().join("crates")).unwrap() {
+        crates.push(entry.unwrap().path());
+    }
+    let mut unused = Vec::new();
+    for dir in crates {
+        let text_of = |subdirs: &[&str]| {
+            let mut files = Vec::new();
+            for sub in subdirs {
+                if dir.join(sub).is_dir() {
+                    rust_files(&dir.join(sub), &mut files);
+                }
+            }
+            files
+                .iter()
+                .map(|p| std::fs::read_to_string(p).unwrap())
+                .collect::<String>()
+        };
+        let (src, all) = (text_of(&["src"]), text_of(&["src", "tests", "examples"]));
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+        let mut section = "";
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+                continue;
+            }
+            let searched = match section {
+                "[dependencies]" => &src,
+                "[dev-dependencies]" => &all,
+                _ => continue,
+            };
+            let Some(name) = line.split(['.', '=', ' ']).next().filter(|n| !n.is_empty()) else {
+                continue;
+            };
+            let ident = name.replace('-', "_");
+            if !searched.lines().any(|l| has_word(l, &ident)) {
+                unused.push(format!("{}: {section} {name}", dir.display()));
+            }
+        }
+    }
+    assert_none("a declared dependency no source names", unused);
+}

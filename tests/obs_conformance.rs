@@ -5,9 +5,16 @@
 //! unit. New metrics that break the convention fail here, not in code
 //! review.
 //!
+//! A metric is registered when it is first recorded, so the workload only
+//! sees what it records. `every_recorded_name_conforms` checks every name
+//! the source records, read from the `counter!`/`gauge!`/`histogram!`
+//! call sites under `crates/*/src`.
+//!
 //! This test runs in its own binary so the registry holds exactly what
 //! the workload below (plus the obs crate itself) registers.
 
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::Arc;
 
 use domino_core::{Database, DbConfig, Note};
@@ -33,6 +40,31 @@ fn is_upper_camel(segment: &str) -> bool {
     let mut chars = segment.chars();
     matches!(chars.next(), Some(c) if c.is_ascii_uppercase())
         && chars.all(|c| c.is_ascii_alphanumeric())
+}
+
+/// What is wrong with `name` as a metric of the given kind, if anything.
+fn name_violations(name: &str, is_histogram: bool) -> Vec<String> {
+    let mut violations = Vec::new();
+    let segments: Vec<&str> = name.split('.').collect();
+    if !(2..=4).contains(&segments.len()) {
+        violations.push(format!("{name}: {} segments (want 2-4)", segments.len()));
+        return violations;
+    }
+    if !SUBSYSTEMS.contains(&segments[0]) {
+        violations.push(format!("{name}: unknown subsystem {:?}", segments[0]));
+    }
+    for seg in &segments {
+        if !is_upper_camel(seg) {
+            violations.push(format!("{name}: segment {seg:?} is not UpperCamelCase"));
+        }
+    }
+    if is_histogram && !HISTOGRAM_UNITS.contains(segments.last().unwrap()) {
+        violations.push(format!(
+            "{name}: histogram last segment {:?} is not a unit ({HISTOGRAM_UNITS:?})",
+            segments.last().unwrap()
+        ));
+    }
+    violations
 }
 
 /// Drive every subsystem far enough to register its metrics.
@@ -176,27 +208,10 @@ fn every_registered_metric_name_conforms() {
     );
     let mut violations = Vec::new();
     for (name, value) in snap.iter() {
-        let segments: Vec<&str> = name.split('.').collect();
-        if !(2..=4).contains(&segments.len()) {
-            violations.push(format!("{name}: {} segments (want 2-4)", segments.len()));
-            continue;
-        }
-        if !SUBSYSTEMS.contains(&segments[0]) {
-            violations.push(format!("{name}: unknown subsystem {:?}", segments[0]));
-        }
-        for seg in &segments {
-            if !is_upper_camel(seg) {
-                violations.push(format!("{name}: segment {seg:?} is not UpperCamelCase"));
-            }
-        }
-        if matches!(value, obs::MetricValue::Histogram(_))
-            && !HISTOGRAM_UNITS.contains(segments.last().unwrap())
-        {
-            violations.push(format!(
-                "{name}: histogram last segment {:?} is not a unit ({HISTOGRAM_UNITS:?})",
-                segments.last().unwrap()
-            ));
-        }
+        violations.extend(name_violations(
+            name,
+            matches!(value, obs::MetricValue::Histogram(_)),
+        ));
     }
     assert!(
         violations.is_empty(),
@@ -226,4 +241,71 @@ fn every_registered_metric_name_conforms() {
             "expected metric {expected:?} missing after the mixed workload"
         );
     }
+}
+
+/// Every `.rs` file under `crates/*/src`: (path, text).
+fn crate_sources() -> Vec<(String, String)> {
+    fn walk(dir: &Path, out: &mut Vec<(String, String)>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                out.push((path.display().to_string(), text));
+            }
+        }
+    }
+    let mut files = Vec::new();
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    for krate in std::fs::read_dir(crates).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            walk(&src, &mut files);
+        }
+    }
+    files
+}
+
+#[test]
+fn every_recorded_name_conforms() {
+    // (kind, name) → first call site, for every `kind!("name")` in the
+    // crates' sources, including the names no workload records.
+    let mut sites: BTreeMap<(&str, String), String> = BTreeMap::new();
+    for (file, text) in &crate_sources() {
+        let squeezed: String = text.chars().filter(|c| !c.is_whitespace()).collect();
+        for kind in ["counter", "gauge", "histogram"] {
+            let call = format!("{kind}!(\"");
+            for (i, _) in squeezed.match_indices(&call) {
+                let rest = &squeezed[i + call.len()..];
+                let name = &rest[..rest.find('"').unwrap()];
+                sites
+                    .entry((kind, name.to_string()))
+                    .or_insert_with(|| file.clone());
+            }
+        }
+    }
+    assert!(
+        sites.len() >= 100,
+        "found too few recorded names ({}) to make the scan meaningful",
+        sites.len()
+    );
+    let mut violations = Vec::new();
+    let mut kinds: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for ((kind, name), file) in &sites {
+        for v in name_violations(name, *kind == "histogram") {
+            violations.push(format!("{v} (recorded in {file})"));
+        }
+        kinds.entry(name).or_default().push(kind);
+    }
+    for (name, ks) in kinds {
+        if ks.len() > 1 {
+            violations.push(format!("{name}: recorded as {}", ks.join(" and ")));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "metric naming violations:\n  {}",
+        violations.join("\n  ")
+    );
 }
